@@ -12,8 +12,8 @@ any spec at any preset through a pluggable execution backend
 sharded/checkpointed with resume) and its results render to the historical
 plain-text tables recorded in EXPERIMENTS.md and serialize to JSON.
 ``python -m repro`` (see :mod:`repro.cli`) is the command-line entry point;
-the benchmark trajectory (:mod:`repro.experiments.trajectory`) and the
-pytest benches under ``benchmarks/`` drive the same registry.
+the benchmark trajectory (:mod:`repro.experiments.trajectory`) drives the
+same registry.
 """
 
 from repro.experiments.executors import (
@@ -23,7 +23,7 @@ from repro.experiments.executors import (
     ShardedExecutor,
     make_executor,
 )
-from repro.experiments.harness import ExperimentConfig, make_topology, sweep_sizes
+from repro.experiments.harness import make_topology, sweep_sizes
 from repro.experiments.registry import (
     ExperimentSpec,
     all_experiments,
@@ -34,7 +34,6 @@ from repro.experiments.runner import ExperimentResult, run_experiment
 
 __all__ = [
     "Executor",
-    "ExperimentConfig",
     "ExperimentResult",
     "ExperimentSpec",
     "ProcessExecutor",

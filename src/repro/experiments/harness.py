@@ -1,9 +1,7 @@
-"""Shared configuration and topology sweeps for the experiments."""
+"""Shared topology construction and size sweeps for the experiments."""
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence
 
 from repro.topology.generators import (
@@ -20,47 +18,6 @@ from repro.topology.weights import assign_distinct_weights
 # above this size, exact diameter (n BFS passes) costs more than the whole
 # experiment on the low-diameter topologies; fall back to the double sweep
 EXACT_DIAMETER_MAX_N = 1024
-
-
-@dataclass
-class ExperimentConfig:
-    """Instance sizes and seeds shared by the experiment sweeps.
-
-    .. deprecated::
-        Superseded by the declarative spec layer: experiments now declare
-        their parameter presets via
-        :func:`repro.experiments.registry.register_experiment` and run
-        through :func:`repro.experiments.runner.run_experiment`.  This class
-        remains only for callers that built ad-hoc sweeps on top of it.
-
-    Attributes:
-        sizes: instance sizes, one graph per entry.
-        seeds: algorithm seeds (the randomized algorithms consume these).
-        topology: a :func:`make_topology` kind.
-        topology_seed: seed the topologies are generated with.  Historically
-            :meth:`graphs` silently hardcoded ``seed=11`` whatever was
-            configured; the seed is now an explicit, honoured field (with the
-            old value as its default).
-    """
-
-    sizes: Sequence[int] = (64, 144, 256, 400)
-    seeds: Sequence[int] = (1, 2, 3)
-    topology: str = "grid"
-    topology_seed: int = 11
-
-    def graphs(self) -> List[WeightedGraph]:
-        """Return one weighted graph per configured size."""
-        warnings.warn(
-            "ExperimentConfig is deprecated; declare an ExperimentSpec via "
-            "repro.experiments.registry and run it with "
-            "repro.experiments.runner.run_experiment instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return [
-            make_topology(self.topology, n, seed=self.topology_seed)
-            for n in self.sizes
-        ]
 
 
 def make_topology(kind: str, n: int, seed: int = 0) -> WeightedGraph:

@@ -1,19 +1,18 @@
 """Multiaccess-channel conflict-resolution protocols.
 
 All protocols here are *channel-only*: they never use the point-to-point
-network.  They come in two forms:
-
-* a **contender state machine** (:class:`~repro.protocols.collision.base.ChannelContender`)
-  that larger algorithms embed to schedule a set of contenders (e.g. fragment
-  roots) on the channel slot by slot, and
-* a :class:`~repro.sim.node.NodeProtocol` wrapper so each protocol can also be
-  run stand-alone on a :class:`~repro.sim.multimedia.MultimediaNetwork` for
-  unit tests and the model-variation experiments.
+network.  The conflict-resolution protocols are **contender state machines**
+(:class:`~repro.protocols.collision.base.ChannelContender`) that larger
+algorithms embed to schedule a set of contenders (e.g. fragment roots) on
+the channel slot by slot with
+:func:`~repro.protocols.collision.base.run_contention`.  The
+Greenberg–Ladner estimator and the randomized leader election are also
+provided as flyweights runnable stand-alone on a
+:class:`~repro.sim.multimedia.MultimediaNetwork`.
 """
 
 from repro.protocols.collision.base import (
     ChannelContender,
-    ContenderProtocol,
     ScheduleOutcome,
     run_contention,
 )
@@ -26,20 +25,16 @@ from repro.protocols.collision.geometric import (
 from repro.protocols.collision.capetanakis import CapetanakisContender
 from repro.protocols.collision.metcalfe_boggs import MetcalfeBoggsContender
 from repro.protocols.collision.greenberg_ladner import (
-    GreenbergLadnerEstimator,
     GreenbergLadnerFlyweight,
     estimate_multiplicity,
 )
 from repro.protocols.collision.leader_election import (
-    BitByBitLeaderElection,
-    RandomizedLeaderElection,
     RandomizedLeaderElectionFlyweight,
     elect_leader,
 )
 
 __all__ = [
     "ChannelContender",
-    "ContenderProtocol",
     "ScheduleOutcome",
     "run_contention",
     "collision_multiplicity",
@@ -48,11 +43,8 @@ __all__ = [
     "success_given_busy",
     "CapetanakisContender",
     "MetcalfeBoggsContender",
-    "GreenbergLadnerEstimator",
     "GreenbergLadnerFlyweight",
     "estimate_multiplicity",
-    "BitByBitLeaderElection",
-    "RandomizedLeaderElection",
     "RandomizedLeaderElectionFlyweight",
     "elect_leader",
 ]

@@ -18,9 +18,7 @@ protocol's progress by listening.
 :func:`run_contention` drives a set of contenders against a
 :class:`~repro.sim.channel.SlottedChannel` directly (no point-to-point
 network involved), which is how the larger algorithms account for their
-channel stage; :class:`ContenderProtocol` wraps a contender as a
-:class:`~repro.sim.node.NodeProtocol` so the same state machines also run on
-the full simulator.
+channel stage.
 """
 
 from __future__ import annotations
@@ -32,9 +30,8 @@ from typing import Any, Hashable, List, Optional, Sequence, Tuple
 from repro.protocols.collision.geometric import run_geometric_contention
 from repro.sim.channel import SlottedChannel
 from repro.sim.errors import AdversityAbort, ProtocolError
-from repro.sim.events import ChannelEvent, Message, SlotState
+from repro.sim.events import ChannelEvent, SlotState
 from repro.sim.metrics import MetricsRecorder
-from repro.sim.node import NodeContext, NodeProtocol
 
 NodeId = Hashable
 
@@ -175,8 +172,7 @@ def run_contention(
     In the model every node hears every slot; the orchestration only delivers
     observations to the *unresolved* contenders, because a resolved contender
     never transmits again and its local state can no longer influence the
-    schedule.  (Code that needs the full listening behaviour runs contenders
-    on the simulator via :class:`ContenderProtocol` instead.)
+    schedule.
 
     When every pending contender opts into ``GEOMETRIC_CONTENTION`` with a
     shared :meth:`~ChannelContender.contention_signature`, the schedule is
@@ -314,56 +310,3 @@ def run_contention(
         idle=idle,
     )
 
-
-class ContenderProtocol(NodeProtocol):
-    """Run a :class:`ChannelContender` as a node protocol on the simulator.
-
-    Non-contending nodes simply listen and halt once they have heard the
-    expected number of successful broadcasts (when that number is known) or
-    once an externally supplied predicate fires.
-    """
-
-    def __init__(
-        self,
-        ctx: NodeContext,
-        contender: Optional[ChannelContender],
-        expected_successes: Optional[int] = None,
-    ) -> None:
-        super().__init__(ctx)
-        self._contender = contender
-        self._expected = expected_successes
-        self._heard: List[Any] = []
-        self._slot = 0
-
-    @property
-    def heard(self) -> List[Any]:
-        """Return every payload heard on the channel so far."""
-        return list(self._heard)
-
-    def on_start(self) -> None:
-        self._maybe_transmit()
-
-    def on_round(self, inbox: List[Message], channel: ChannelEvent) -> None:
-        if channel.is_success():
-            self._heard.append(channel.payload)
-        if self._contender is not None:
-            transmitted = self._last_transmitted
-            self._contender.observe(channel, transmitted)
-        if self._expected is not None and len(self._heard) >= self._expected:
-            self.halt(self._heard)
-            return
-        if self._contender is not None and self._contender.resolved and self._expected is None:
-            self.halt(self._heard)
-            return
-        self._slot += 1
-        self._maybe_transmit()
-
-    _last_transmitted = False
-
-    def _maybe_transmit(self) -> None:
-        self._last_transmitted = False
-        if self._contender is None or self._contender.resolved:
-            return
-        if self._contender.wants_to_transmit(self._slot):
-            self.channel_write(self._contender.payload)
-            self._last_transmitted = True

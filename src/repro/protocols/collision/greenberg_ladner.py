@@ -27,7 +27,6 @@ from repro.sim.channel import SlottedChannel
 from repro.sim.events import ChannelEvent, Message
 from repro.sim.flyweight import FlyweightEnvironment, FlyweightProtocol
 from repro.sim.metrics import MetricsRecorder
-from repro.sim.node import NodeContext, NodeProtocol
 
 NodeId = Hashable
 
@@ -90,46 +89,19 @@ def estimate_error_factor(true_value: int, estimate: int) -> float:
     return max(estimate / true_value, true_value / estimate)
 
 
-class GreenbergLadnerEstimator(NodeProtocol):
-    """Node-protocol form of the estimation, runnable on the full simulator.
+class GreenbergLadnerFlyweight(FlyweightProtocol):
+    """The estimation as a simulator protocol — columnar state.
 
     Every node participates; round ``i`` of the protocol occupies channel
     slot ``i − 1``.  When the first idle slot is observed every node halts
     with the common estimate ``2^(rounds − 1)`` as its result.
-    """
-
-    def __init__(self, ctx: NodeContext) -> None:
-        super().__init__(ctx)
-        self._round = 1
-
-    def _flip_and_maybe_write(self) -> None:
-        probability = 1.0 / (2.0 ** self._round)
-        if self.ctx.rng.random() < probability:
-            self.channel_write("busy")
-
-    def on_start(self) -> None:
-        self._flip_and_maybe_write()
-
-    def on_round(self, inbox: List[Message], channel: ChannelEvent) -> None:
-        if channel.is_idle() and channel.slot >= 0:
-            self.halt(MultiplicityEstimate(rounds=self._round, estimate=2 ** (self._round - 1)))
-            return
-        self._round += 1
-        self._flip_and_maybe_write()
-
-
-class GreenbergLadnerFlyweight(FlyweightProtocol):
-    """Flyweight twin of :class:`GreenbergLadnerEstimator` — columnar state.
 
     One shared instance holds every node's current round number in one
     integer column and materialises each node's private generator lazily
-    from the environment's substream family, replacing n protocol objects,
-    contexts and ``random.Random`` constructions with O(1) allocations.
-
-    The protocol reacts to channel feedback every slot and never to
-    point-to-point mail, so it keeps the default ``MESSAGE_DRIVEN = False``
-    and the fault-free loop dispatches every active slot each round —
-    exactly the classic full scan, with the per-node object tax removed.
+    from the environment's substream family.  The protocol reacts to channel
+    feedback every slot and never to point-to-point mail, so it keeps the
+    default ``MESSAGE_DRIVEN = False`` and the loop dispatches every active
+    slot each round.
     """
 
     def __init__(self, env: FlyweightEnvironment) -> None:

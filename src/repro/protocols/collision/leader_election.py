@@ -9,12 +9,12 @@ by random coin flips."
 
 Two protocols are provided:
 
-* :class:`BitByBitLeaderElection` — the deterministic O(log n)-slot election:
+* :func:`elect_leader` — the deterministic O(log n)-slot election:
   candidates reveal their identifiers from the most significant bit down;
   whenever some candidate with a 1-bit transmits (slot not idle), all
   candidates whose current bit is 0 withdraw.  The surviving candidate is the
   one with the maximum identifier.
-* :class:`RandomizedLeaderElection` — repeated coin-flip thinning: in each
+* :class:`RandomizedLeaderElectionFlyweight` — repeated coin-flip thinning: in each
   slot every surviving candidate transmits with probability 1/2 of the
   current estimate of survivors; a success elects the transmitter.  With a
   constant number of candidates remaining the expected number of slots to a
@@ -33,7 +33,6 @@ from repro.sim.channel import SlottedChannel
 from repro.sim.events import ChannelEvent, Message
 from repro.sim.flyweight import FlyweightEnvironment, FlyweightProtocol
 from repro.sim.metrics import MetricsRecorder
-from repro.sim.node import NodeContext, NodeProtocol
 
 NodeId = Hashable
 
@@ -91,49 +90,7 @@ def elect_leader(
     return ElectionOutcome(leader=alive[0], slots_used=slots)
 
 
-class BitByBitLeaderElection(NodeProtocol):
-    """Node-protocol form of the deterministic bit-by-bit election.
-
-    Every node is a candidate; identifiers must be non-negative integers.
-    All nodes learn the leader (the maximum identifier): candidates that
-    withdraw keep reconstructing the leader's identifier from the public slot
-    outcomes, because a non-idle slot at bit position ``b`` reveals that the
-    leader's bit ``b`` is 1 and an idle slot that it is 0.
-    """
-
-    def __init__(self, ctx: NodeContext, id_bits: Optional[int] = None) -> None:
-        super().__init__(ctx)
-        if id_bits is None:
-            n = ctx.n if ctx.n is not None else 2
-            id_bits = max(1, (max(int(ctx.node_id), n)).bit_length())
-        self._bits = id_bits
-        self._bit = id_bits - 1
-        self._candidate = True
-        self._leader_prefix = 0
-
-    def _transmit_if_set(self) -> None:
-        if self._candidate and (int(self.node_id) >> self._bit) & 1:
-            self.channel_write("bit")
-
-    def on_start(self) -> None:
-        self._transmit_if_set()
-
-    def on_round(self, inbox: List[Message], channel: ChannelEvent) -> None:
-        my_bit = (int(self.node_id) >> self._bit) & 1
-        if not channel.is_idle():
-            self._leader_prefix = (self._leader_prefix << 1) | 1
-            if self._candidate and my_bit == 0:
-                self._candidate = False
-        else:
-            self._leader_prefix = self._leader_prefix << 1
-        if self._bit == 0:
-            self.halt(self._leader_prefix)
-            return
-        self._bit -= 1
-        self._transmit_if_set()
-
-
-class RandomizedLeaderElection(NodeProtocol):
+class RandomizedLeaderElectionFlyweight(FlyweightProtocol):
     """Randomized thinning election; expected O(log n) slots from ``n`` candidates.
 
     Each surviving candidate transmits with probability ``1/2`` in every slot.
@@ -142,42 +99,12 @@ class RandomizedLeaderElection(NodeProtocol):
     survive and the rest withdraw (halving the field in expectation); on an
     idle slot nothing changes.  The protocol is a Las-Vegas election: it only
     ever terminates with a correct, unique leader.
-    """
-
-    def __init__(self, ctx: NodeContext) -> None:
-        super().__init__(ctx)
-        self._candidate = True
-        self._transmitted = False
-
-    def _flip(self) -> None:
-        self._transmitted = False
-        if self._candidate and self.ctx.rng.random() < 0.5:
-            self.channel_write(self.node_id)
-            self._transmitted = True
-
-    def on_start(self) -> None:
-        self._flip()
-
-    def on_round(self, inbox: List[Message], channel: ChannelEvent) -> None:
-        if channel.is_success():
-            self.halt(channel.payload)
-            return
-        if channel.is_collision() and self._candidate and not self._transmitted:
-            self._candidate = False
-        self._flip()
-
-
-class RandomizedLeaderElectionFlyweight(FlyweightProtocol):
-    """Flyweight twin of :class:`RandomizedLeaderElection` — columnar state.
 
     The per-node candidate and transmitted flags live in two ``bytearray``
     columns on one shared instance, and each slot's private generator is
-    materialised lazily from the environment's substream family — no
-    per-node protocol objects, contexts or ``random.Random`` constructions.
-
-    Like the classic protocol it reacts to channel feedback every slot
-    (never to point-to-point mail), so it keeps the default
-    ``MESSAGE_DRIVEN = False`` full-scan dispatch.
+    materialised lazily from the environment's substream family.  It reacts
+    to channel feedback every slot (never to point-to-point mail), so it
+    keeps the default ``MESSAGE_DRIVEN = False`` full-scan dispatch.
     """
 
     def __init__(self, env: FlyweightEnvironment) -> None:

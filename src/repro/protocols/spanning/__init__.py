@@ -10,9 +10,9 @@ provides plain-graph tree utilities (re-rooting, depths, children maps) used
 by the orchestrated fragment algorithms.
 """
 
-from repro.protocols.spanning.bfs import BFSTreeProtocol, build_bfs_forest
+from repro.protocols.spanning.bfs import build_bfs_forest
 from repro.protocols.spanning.broadcast_convergecast import (
-    TreeAggregationProtocol,
+    TreeAggregationFlyweight,
     simulate_broadcast,
     simulate_convergecast,
     simulate_pif,
@@ -27,9 +27,8 @@ from repro.protocols.spanning.tree_utils import (
 )
 
 __all__ = [
-    "BFSTreeProtocol",
     "build_bfs_forest",
-    "TreeAggregationProtocol",
+    "TreeAggregationFlyweight",
     "simulate_broadcast",
     "simulate_convergecast",
     "simulate_pif",

@@ -9,13 +9,11 @@ simultaneously from its local centres, with a depth limit of ``4√n``
 (Section 4, Step 2), and nodes may later switch to a different tree if that
 strictly reduces their label.
 
-Two entry points:
-
-* :class:`BFSTreeProtocol` — the per-node protocol, run on the simulator.
-* :func:`build_bfs_forest` — a sequential reference used by validators and by
-  orchestrated algorithms that charge the (well-known) cost of a synchronous
-  BFS analytically: ``depth`` rounds and at most one message per link per
-  direction.
+:func:`build_bfs_forest` is a sequential reference used by validators and by
+orchestrated algorithms that charge the (well-known) cost of a synchronous
+BFS analytically: ``depth`` rounds and at most one message per link per
+direction.  The per-node protocol it stands for is kept as a test oracle
+(``tests/oracles.py``), checked against this function.
 """
 
 from __future__ import annotations
@@ -23,8 +21,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Hashable, List, Optional, Tuple
 
-from repro.sim.events import ChannelEvent, Message
-from repro.sim.node import NodeContext, NodeProtocol
 from repro.topology.graph import WeightedGraph
 
 NodeId = Hashable
@@ -80,79 +76,3 @@ def build_bfs_forest(
             root_of[neighbor] = root_of[node]
             queue.append(neighbor)
     return parents, root_of, labels
-
-
-class BFSTreeProtocol(NodeProtocol):
-    """Per-node protocol growing BFS trees from the nodes marked as roots.
-
-    Inputs (via ``ctx.extra``):
-        ``is_root`` (bool): whether this node is a BFS root.
-        ``depth_limit`` (int, optional): maximum label to adopt.
-        ``num_rounds`` (int, optional): how many rounds to run before halting;
-            defaults to ``depth_limit`` when given, else ``n``.
-
-    Output (``result``): a dictionary with ``root``, ``parent`` and ``label``
-    (``root`` is ``None`` for nodes no tree reached within the limits).
-
-    A node adopts a new ``(label, root)`` pair only when it strictly improves
-    — smaller label, or equal label with a smaller root identifier — and
-    announces every improvement to its neighbours, exactly the rule of
-    Section 4, Step 2.
-    """
-
-    def __init__(self, ctx: NodeContext) -> None:
-        super().__init__(ctx)
-        self._is_root = bool(ctx.extra.get("is_root", False))
-        self._depth_limit = ctx.extra.get("depth_limit")
-        default_rounds = (
-            self._depth_limit
-            if self._depth_limit is not None
-            else (ctx.n if ctx.n is not None else 1)
-        )
-        # +2 rounds of slack: one for the final announcements to land and one
-        # for the adopting nodes to settle
-        self._deadline = int(ctx.extra.get("num_rounds", default_rounds)) + 2
-        self._round = 0
-        self._label: Optional[int] = 0 if self._is_root else None
-        self._root: Optional[NodeId] = ctx.node_id if self._is_root else None
-        self._parent: Optional[NodeId] = None
-
-    def _announce(self) -> None:
-        if self._label is None:
-            return
-        self.send_to_all_neighbors(("bfs", self._root, self._label))
-
-    def on_start(self) -> None:
-        if self._is_root:
-            self._announce()
-
-    def on_round(self, inbox: List[Message], channel: ChannelEvent) -> None:
-        self._round += 1
-        improved = False
-        for message in inbox:
-            kind, root, label = message.payload
-            if kind != "bfs":
-                continue
-            candidate_label = label + 1
-            if self._depth_limit is not None and candidate_label > self._depth_limit:
-                continue
-            if self._better(candidate_label, root):
-                self._label = candidate_label
-                self._root = root
-                self._parent = message.sender
-                improved = True
-        if improved:
-            self._announce()
-        if self._round >= self._deadline:
-            self.halt(
-                {"root": self._root, "parent": self._parent, "label": self._label}
-            )
-
-    def _better(self, candidate_label: int, candidate_root: NodeId) -> bool:
-        if self._label is None:
-            return True
-        if candidate_label < self._label:
-            return True
-        if candidate_label == self._label and self._root is not None:
-            return repr(candidate_root) < repr(self._root)
-        return False

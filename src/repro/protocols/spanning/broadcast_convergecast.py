@@ -8,17 +8,15 @@ primitive takes ``2r`` rounds and ``2(s − 1)`` messages — the counts the
 paper charges for Step 1 of the deterministic partition and for the local
 stage of the global-sensitive-function algorithms.
 
-Three forms are provided:
+Two forms are provided:
 
-* :class:`TreeAggregationProtocol` — the per-node protocol, run on the
-  simulator.  Each node is told its parent and children (established by a
-  partitioning algorithm beforehand) and its local value.
-* :class:`TreeAggregationFlyweight` — the same protocol as a flyweight
-  (:mod:`repro.sim.flyweight`): one shared instance holding all per-node
-  state in columnar slots, message-driven so large quiet networks cost no
-  dispatch.  This is what the library's own algorithms run at scale; it is
-  message-for-message equivalent to the per-node form
-  (``tests/test_flyweight.py`` pins the equivalence).
+* :class:`TreeAggregationFlyweight` — the protocol, run on the simulator as
+  a flyweight (:mod:`repro.sim.flyweight`): one shared instance holding all
+  per-node state in columnar slots, message-driven so large quiet networks
+  cost no dispatch.  Each node is told its parent and children (established
+  by a partitioning algorithm beforehand) and its local value.  It is
+  message-for-message equivalent to the per-node reference protocol in
+  ``tests/oracles.py`` (``tests/test_flyweight.py`` pins the equivalence).
 * :func:`simulate_pif` / :func:`simulate_convergecast` /
   :func:`simulate_broadcast` — sequential references returning both the
   aggregate(s) and the exact time/message cost of the distributed execution;
@@ -38,7 +36,6 @@ from repro.protocols.spanning.tree_utils import (
 )
 from repro.sim.events import ChannelEvent, Message
 from repro.sim.flyweight import FlyweightEnvironment, FlyweightProtocol
-from repro.sim.node import NodeContext, NodeProtocol
 
 NodeId = Hashable
 ParentMap = Dict[NodeId, Optional[NodeId]]
@@ -119,10 +116,10 @@ def simulate_pif(
     return aggregates, PIFCost(rounds=rounds, messages=messages)
 
 
-class TreeAggregationProtocol(NodeProtocol):
-    """Per-node broadcast-and-respond over an already-established forest.
+class TreeAggregationFlyweight(FlyweightProtocol):
+    """Broadcast-and-respond over an already-established forest — columnar state.
 
-    Inputs (via ``ctx.extra``):
+    Inputs (via ``env.inputs``, one dict per node):
         ``parent``: this node's parent in the forest (``None`` for roots).
         ``children``: list of this node's children.
         ``value``: the local operand.
@@ -131,70 +128,16 @@ class TreeAggregationProtocol(NodeProtocol):
         ``redistribute`` (bool): when set, each root broadcasts the aggregate
             back down so every node halts knowing its tree's aggregate.
 
-    Output (``result``): the tree aggregate for roots (and for every node
+    Output (``results``): the tree aggregate for roots (and for every node
     when ``redistribute`` is set); ``None`` otherwise.
-    """
 
-    def __init__(self, ctx: NodeContext) -> None:
-        super().__init__(ctx)
-        self._parent: Optional[NodeId] = ctx.extra.get("parent")
-        self._children: Tuple[NodeId, ...] = tuple(ctx.extra.get("children", ()))
-        self._combine: Combine = ctx.extra["combine"]
-        self._value: Any = ctx.extra["value"]
-        self._redistribute: bool = bool(ctx.extra.get("redistribute", False))
-        self._pending = set(self._children)
-        self._accumulated = self._value
-        self._reported = False
-
-    def _maybe_report(self) -> None:
-        if self._pending or self._reported:
-            return
-        self._reported = True
-        if self._parent is not None:
-            self.send(self._parent, ("aggregate", self._accumulated))
-            if not self._redistribute:
-                self.halt(None)
-        else:
-            if self._redistribute:
-                for child in self._children:
-                    self.send(child, ("final", self._accumulated))
-            self.halt(self._accumulated)
-
-    def on_start(self) -> None:
-        # leaves can report immediately
-        self._maybe_report()
-
-    def on_round(self, inbox: List[Message], channel: ChannelEvent) -> None:
-        for message in inbox:
-            kind, payload = message.payload
-            if kind == "aggregate":
-                if message.sender in self._pending:
-                    self._pending.discard(message.sender)
-                    self._accumulated = self._combine(self._accumulated, payload)
-            elif kind == "final":
-                for child in self._children:
-                    self.send(child, ("final", payload))
-                self.halt(payload)
-                return
-        # inline _maybe_report's guard: this runs every round on every node,
-        # and most rounds a node is either still waiting or already reported
-        if not (self._pending or self._reported):
-            self._maybe_report()
-
-
-class TreeAggregationFlyweight(FlyweightProtocol):
-    """Flyweight twin of :class:`TreeAggregationProtocol` — columnar state.
-
-    Same inputs (via ``env.inputs``, one dict per node: ``parent``,
-    ``children``, ``value``, ``combine``, ``redistribute``) and same output
-    (``results``: the tree aggregate for roots, and for every node when
-    ``redistribute`` is set).  All per-node state lives in slot-indexed
-    columns: the pending-children counts in an ``array('l')``, the reported
-    flags in a ``bytearray``, the accumulators in one list.
+    All per-node state lives in slot-indexed columns: the pending-children
+    counts in an ``array('l')``, the reported flags in a ``bytearray``, the
+    accumulators in one list.
 
     The protocol is message-driven (a node with an empty inbox can never
-    change state: it either already reported or is waiting for mail), so the
-    fault-free simulator loops dispatch only slots with mail — the property
+    change state: it either already reported or is waiting for mail), so
+    without adversity the simulator loops dispatch only slots with mail — the property
     that makes n = 10⁵ aggregations cost O(messages), not
     O(rounds × nodes).
 
@@ -202,8 +145,7 @@ class TreeAggregationFlyweight(FlyweightProtocol):
     consistent (``children`` maps are exact inverses of ``parent``
     pointers, as :func:`~repro.protocols.spanning.tree_utils.children_map`
     produces), so each child reports at most once and only true children
-    report — the classic form's per-sender membership check is then
-    redundant.
+    report — a per-sender membership check would be redundant.
     """
 
     MESSAGE_DRIVEN = True

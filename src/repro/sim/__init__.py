@@ -37,7 +37,6 @@ from repro.sim.errors import (
 from repro.sim.events import ChannelEvent, Message, SlotState
 from repro.sim.flyweight import FlyweightEnvironment, FlyweightProtocol
 from repro.sim.metrics import MetricsRecorder
-from repro.sim.node import NodeContext, NodeProtocol
 from repro.sim.substreams import NodeStreams, substream_seed
 from repro.sim.network import PointToPointNetwork
 from repro.sim.channel import SlottedChannel
@@ -64,8 +63,6 @@ __all__ = [
     "FlyweightEnvironment",
     "FlyweightProtocol",
     "MetricsRecorder",
-    "NodeContext",
-    "NodeProtocol",
     "NodeStreams",
     "substream_seed",
     "PointToPointNetwork",

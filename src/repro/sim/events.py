@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Optional, Tuple
+from typing import Any, Hashable, Optional, Sequence, Tuple
 
 NodeId = Hashable
 
@@ -55,6 +55,13 @@ class Message:
             f"Message({self.sender!r}->{self.receiver!r} @r{self.round_sent}: "
             f"{self.payload!r})"
         )
+
+
+# The inbox handed to every node without mail.  Immutable on purpose: the
+# simulators share one instance across all quiet nodes and rounds, so a
+# protocol that tried to mutate its inbox (never part of the contract) fails
+# loudly instead of silently corrupting other nodes' observations.
+NO_MESSAGES: Sequence[Message] = ()
 
 
 @dataclass(frozen=True)

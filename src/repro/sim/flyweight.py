@@ -1,10 +1,10 @@
 """Flyweight protocols: one shared instance drives every node via state slots.
 
-The classic :class:`~repro.sim.node.NodeProtocol` API allocates one protocol
-object (plus context, outbox and random source) per node per run.  At
-n = 10⁵ that allocation — not the algorithm — dominated the sim-bound sweep
-points (ROADMAP Open item 1): building 10⁵ objects to exchange 3 × 10⁵
-messages.  A *flyweight* protocol inverts the layout:
+Every protocol the simulators run is a flyweight.  A per-node object layout
+(one protocol object plus context, outbox and random source per node per
+run) made allocation, not the algorithm, dominate the sim-bound sweep points
+at n = 10⁵: building 10⁵ objects to exchange 3 × 10⁵ messages.  A flyweight
+inverts the layout:
 
 * **one** instance per run holds all per-node state in columnar slots —
   ``bytearray``/``array``/list columns indexed by a dense slot id assigned
@@ -14,24 +14,26 @@ messages.  A *flyweight* protocol inverts the layout:
   :meth:`FlyweightProtocol.halt_slot`) update the shared columns;
 * sends accumulate in one contiguous per-round buffer; the simulator slices
   each acting node's segment off the tail, preserving the exact per-node
-  message grouping (and therefore delivery order) of the classic loop;
+  message grouping (and therefore delivery order);
 * per-node randomness comes from the :mod:`repro.sim.substreams` family on
   the environment — derived on demand, never pre-built.
 
 A flyweight may additionally declare ``MESSAGE_DRIVEN = True``: its
 ``on_round`` with an empty inbox is a no-op (it reacts to mail only, never
-to channel feedback or the passage of rounds).  The fault-free simulator
-loops then dispatch **only slots with mail** — on a 10⁵-node aggregation
-whose waves keep most nodes quiet this removes ~99% of all dispatch calls,
-which profiling showed to be the real wall (≈2 × 10⁸ empty-inbox calls per
-e10 sweep point at n = 102400).
+to channel feedback or the passage of rounds).  Without adversity the
+simulator loops then dispatch **only slots with mail** — on a 10⁵-node
+aggregation whose waves keep most nodes quiet this removes ~99% of all
+dispatch calls, which profiling showed to be the real wall (≈2 × 10⁸
+empty-inbox calls per e10 sweep point at n = 102400).
 
-Equivalence contract: driving a flyweight must be indistinguishable — same
-messages in the same order, same channel writes, same metrics, same results
-— from driving n classic instances of the protocol it mirrors.  The
-adversity loops keep the classic full-scan dispatch so fault draws stay in
-the same order; ``tests/test_flyweight.py`` pins both paths against the
-classic protocols and the v3 goldens pin the adversity fingerprints.
+Equivalence contract: a flyweight must be indistinguishable — same messages
+in the same order, same channel writes, same metrics, same results — from
+n independent per-node instances of the protocol it mirrors.  Under
+adversity the loops scan every slot so fault draws stay in one fixed order.
+``tests/oracles.py`` keeps per-node reference protocols and an adapter that
+runs them on these same loops; ``tests/test_flyweight.py`` pins every
+flyweight against its oracle, and the v3 goldens pin the adversity
+fingerprints.
 """
 
 from __future__ import annotations
@@ -47,9 +49,8 @@ NodeId = Hashable
 class FlyweightEnvironment:
     """Everything a flyweight run needs to know about the network, built once.
 
-    The environment is the flyweight counterpart of n
-    :class:`~repro.sim.node.NodeContext` objects: one object holding the
-    topology columns in slot order.  A simulator builds it once per network
+    The environment is one object holding the topology columns in slot
+    order.  A simulator builds it once per network
     object (the topology rows are cached on the graph) and mutates only
     ``inputs`` between runs, so repeated runs on one sweep point reuse every
     materialised structure.
@@ -63,8 +64,8 @@ class FlyweightEnvironment:
         n: the number of nodes when the protocol is told it, else ``None``.
         streams: the per-node random substream family
             (:class:`~repro.sim.substreams.NodeStreams`).
-        inputs: per-node input mapping for the current run (the ``extra``
-            dicts of the classic API); reassigned by the simulator per run.
+        inputs: per-node input mapping for the current run; reassigned by
+            the simulator per run.
     """
 
     __slots__ = ("nodes", "slot_of", "neighbors", "link_weights", "n",
@@ -103,18 +104,14 @@ class FlyweightProtocol:
     ``env.num_slots``.  Within the callbacks they may call :meth:`send`,
     :meth:`channel_write` and :meth:`halt_slot`.
 
-    Contract differences from the classic per-node API, by design:
-
-    * the one-message-per-link-per-round rule is **not** re-validated here
-      (the classic ``send`` guard); flyweight protocols are library-internal
-      and their send patterns are structurally duplicate-free.  Link
-      adjacency is still validated by the network's ``accept_sends``.
-    * ``stop_when`` predicates (which receive a protocol map) are not
-      supported — flyweight runs have no per-node protocol objects.
+    The one-message-per-link-per-round rule is **not** re-validated here:
+    flyweight send patterns are structurally duplicate-free.  Link adjacency
+    is still validated by the network's ``accept_sends``.
     """
 
     #: Set by subclasses whose ``on_round`` ignores empty inboxes entirely;
-    #: lets the fault-free simulator loops dispatch only slots with mail.
+    #: lets the simulator loops dispatch only slots with mail when no
+    #: adversity is attached.
     MESSAGE_DRIVEN = False
 
     def __init__(self, env: FlyweightEnvironment) -> None:
@@ -154,16 +151,20 @@ class FlyweightProtocol:
     # callbacks to override
     # ------------------------------------------------------------------
     def on_start(self, slot: int) -> None:
-        """Called once per slot before round 0's sends are collected."""
+        """Called once per slot, on its first dispatch, before its sends are collected.
+
+        That is round 0 unless the slot's node starts the run crashed; a slot
+        already halted is never started.
+        """
 
     def on_round(self, slot: int, inbox: Sequence[Message],
                  channel: ChannelEvent) -> None:
         """Called with a slot's newly delivered messages and slot feedback.
 
-        A ``MESSAGE_DRIVEN`` subclass is never called with an empty inbox by
-        the fault-free loops; the adversity loops may still pass one (the
-        classic full-scan dispatch), and the subclass must treat it as a
-        no-op to honour its declaration.
+        A ``MESSAGE_DRIVEN`` subclass is never called with an empty inbox
+        when no adversity is attached; under adversity the full scan may
+        still pass one, and the subclass must treat it as a no-op to honour
+        its declaration.
         """
         raise NotImplementedError
 
@@ -175,9 +176,3 @@ class FlyweightProtocol:
         results = self.results
         return {node: results[slot] for slot, node in enumerate(self.env.nodes)}
 
-
-def is_flyweight_factory(protocol_factory: object) -> bool:
-    """Return ``True`` when a run() factory is a flyweight protocol class."""
-    return isinstance(protocol_factory, type) and issubclass(
-        protocol_factory, FlyweightProtocol
-    )

@@ -6,28 +6,32 @@ per incident link (delivered next round) and may attempt one write to the
 current channel slot (whose idle/success/collision outcome every node
 observes at the start of the next round).
 
+Protocols are flyweights (:mod:`repro.sim.flyweight`): one shared instance
+holds every node's state in slot-indexed columns, slot = node order.
+
 Round semantics (batched delivery)
 ----------------------------------
 
 Each round of :meth:`MultimediaNetwork.run` is one pass over the *active*
-(non-halted) nodes:
+(non-halted, non-crashed) slots in slot order:
 
 1. the network hands over every inbox in one batch — all messages sent in
    round ``r − 1`` are delivered together at the start of round ``r``
    (:meth:`~repro.sim.network.PointToPointNetwork.deliver` swaps the standing
    per-node inboxes out rather than filtering message by message);
-2. every active node observes its batch plus the public view of the previous
-   channel slot via :meth:`~repro.sim.node.NodeProtocol.on_round` (in round 0
-   :meth:`~repro.sim.node.NodeProtocol.on_start` runs first, and ``on_round``
-   only if the node already has mail);
-3. the node's queued sends are accepted for round ``r + 1`` and its channel
+2. every active slot observes its batch plus the public view of the previous
+   channel slot via :meth:`~repro.sim.flyweight.FlyweightProtocol.on_round`
+   (a slot's first dispatch runs
+   :meth:`~repro.sim.flyweight.FlyweightProtocol.on_start` first, and
+   ``on_round`` only if the node already has mail);
+3. the slot's queued sends are accepted for round ``r + 1`` and its channel
    write, if any, joins the current slot;
 4. the slot resolves once after every node has acted, so no node sees the
    current slot's outcome early.
 
-Nodes that halt leave the dispatch list but keep receiving (and dropping)
-late traffic; the loop keeps running — resolving idle slots — until the last
-in-flight message has drained, exactly as the per-node-scan loop did.
+Slots that halt leave the dispatch but keep receiving (and dropping) late
+traffic; the loop keeps running — resolving idle slots — until the last
+in-flight message has drained.
 """
 
 from __future__ import annotations
@@ -38,20 +42,15 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 from repro.sim.adversity import AdversityState
 from repro.sim.channel import SlottedChannel
 from repro.sim.errors import AdversityAbort, SimulationTimeout
-from repro.sim.events import ChannelEvent, idle_event
-from repro.sim.flyweight import (
-    FlyweightEnvironment,
-    FlyweightProtocol,
-    is_flyweight_factory,
-)
+from repro.sim.events import NO_MESSAGES, ChannelEvent, idle_event
+from repro.sim.flyweight import FlyweightEnvironment, FlyweightProtocol
 from repro.sim.metrics import MetricsRecorder, MetricsSnapshot
 from repro.sim.network import PointToPointNetwork
-from repro.sim.node import NO_MESSAGES, NodeContext, NodeProtocol
 from repro.sim.substreams import NodeStreams
 from repro.topology.graph import WeightedGraph
 
 NodeId = Hashable
-ProtocolFactory = Callable[[NodeContext], NodeProtocol]
+ProtocolFactory = Callable[[FlyweightEnvironment], FlyweightProtocol]
 
 DEFAULT_MAX_ROUNDS = 1_000_000
 
@@ -88,6 +87,20 @@ def shared_topology_rows(graph: WeightedGraph) -> TopologyRows:
     return rows
 
 
+def topology_environment(
+    graph: WeightedGraph, n_known: bool, streams: NodeStreams
+) -> FlyweightEnvironment:
+    """Build the columnar flyweight environment of ``graph`` from its cached rows."""
+    rows = shared_topology_rows(graph)
+    return FlyweightEnvironment(
+        nodes=tuple(row[0] for row in rows),
+        neighbors=tuple(row[1] for row in rows),
+        link_weights=tuple(row[2] for row in rows),
+        n=graph.num_nodes() if n_known else None,
+        streams=streams,
+    )
+
+
 @dataclass
 class SimulationResult:
     """The outcome of one simulation run.
@@ -96,15 +109,12 @@ class SimulationResult:
         rounds: number of time units elapsed until every node halted.
         metrics: snapshot of the shared complexity accountant.
         results: each node's declared local output.
-        protocols: the protocol instances themselves, for tests that want to
-            inspect internal state after the run.
         channel_history: every resolved channel slot, oldest first.
     """
 
     rounds: int
     metrics: MetricsSnapshot
     results: Dict[NodeId, Any]
-    protocols: Dict[NodeId, NodeProtocol]
     channel_history: Tuple[ChannelEvent, ...]
 
     def result_values(self) -> List[Any]:
@@ -115,9 +125,9 @@ class SimulationResult:
 class MultimediaNetwork:
     """A multimedia network over a fixed point-to-point topology.
 
-    The object can be reused for several runs; each run gets fresh protocol
-    instances and (unless a shared recorder is supplied per run) charges the
-    network-level :class:`MetricsRecorder` owned by this object.
+    The object can be reused for several runs; each run gets a fresh protocol
+    instance and (unless a shared recorder is supplied per run) a fresh
+    :class:`MetricsRecorder`.
     """
 
     def __init__(
@@ -143,8 +153,8 @@ class MultimediaNetwork:
         # the per-node substream family: cheap, stateless, shared by every
         # run on this object (see repro.sim.substreams)
         self._streams = NodeStreams(seed, STREAM_SCOPE)
-        # the flyweight environment is built on first flyweight run and
-        # mutated in place (inputs only) across runs
+        # the flyweight environment is built on the first run and mutated in
+        # place (inputs only) across runs
         self._flyweight_env: Optional[FlyweightEnvironment] = None
         self._flyweight_env_version: Optional[int] = None
 
@@ -163,44 +173,15 @@ class MultimediaNetwork:
         """Return ``m``."""
         return self._graph.num_edges()
 
-    # ------------------------------------------------------------------
-    # running protocols
-    # ------------------------------------------------------------------
-    def _topology_rows(self) -> TopologyRows:
-        """Return the cached per-node (node, neighbours, weights) rows."""
-        return shared_topology_rows(self._graph)
-
-    def build_contexts(
-        self,
-        inputs: Optional[Dict[NodeId, Dict[str, Any]]] = None,
-    ) -> Dict[NodeId, NodeContext]:
-        """Build one :class:`NodeContext` per node.
-
-        The topology-derived rows (neighbour tuples, link-weight dicts) are
-        materialised once per graph and shared across runs and contexts —
-        protocols must treat them as read-only.  A node's private random
-        source is derived from the master seed via the hashed per-node
-        substream family (:mod:`repro.sim.substreams`) and materialised only
-        on first use, so protocols that never draw construct no generators
-        at all; the ``extra`` input dicts are fresh per run.
-
-        Args:
-            inputs: optional per-node ``extra`` dictionaries (e.g. the local
-                operand of a global sensitive function).
-        """
-        rng_factory = self._streams.rng_for
-        contexts: Dict[NodeId, NodeContext] = {}
-        n = self.num_nodes if self._n_known else None
-        for node, neighbors, weights in self._topology_rows():
-            contexts[node] = NodeContext(
-                node_id=node,
-                neighbors=neighbors,
-                link_weights=weights,
-                n=n,
-                extra=dict(inputs.get(node, {})) if inputs else {},
-                rng_factory=rng_factory,
-            )
-        return contexts
+    def _flyweight_environment(self) -> FlyweightEnvironment:
+        """Return the columnar environment, built once and reused across runs."""
+        version = getattr(self._graph, "_version", None)
+        env = self._flyweight_env
+        if env is None or self._flyweight_env_version != version:
+            env = topology_environment(self._graph, self._n_known, self._streams)
+            self._flyweight_env = env
+            self._flyweight_env_version = version
+        return env
 
     def run(
         self,
@@ -208,26 +189,35 @@ class MultimediaNetwork:
         inputs: Optional[Dict[NodeId, Dict[str, Any]]] = None,
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         metrics: Optional[MetricsRecorder] = None,
-        stop_when: Optional[Callable[[Dict[NodeId, NodeProtocol]], bool]] = None,
         adversity: Optional[AdversityState] = None,
     ) -> SimulationResult:
-        """Run one protocol instance on every node until all of them halt.
+        """Run one shared protocol instance over every node until all halt.
+
+        Slots are dispatched in node order, each acting slot's sends are
+        accepted as one batch, and the channel slot resolves once after all
+        nodes acted.  Without adversity, a ``MESSAGE_DRIVEN`` protocol is
+        dispatched only on the slots that received mail — a no-op skip by
+        the declaration, and the flat win at scale.  With adversity, every
+        round scans the slots so crash skips, deferred starts and the
+        network's fault draws follow one fixed order.
 
         Args:
-            protocol_factory: callable building a node's protocol from its
-                :class:`NodeContext`.
-            inputs: optional per-node ``extra`` input dictionaries.
+            protocol_factory: the :class:`~repro.sim.flyweight.FlyweightProtocol`
+                class (or any callable building one from the run's
+                :class:`~repro.sim.flyweight.FlyweightEnvironment`).
+            inputs: optional per-node input dictionaries.
             max_rounds: safety bound; exceeded means a protocol bug.
             metrics: an externally owned recorder to charge (used when an
                 algorithm composes several runs); a fresh one is created
                 otherwise.
-            stop_when: optional predicate over the protocol map that ends the
-                run early (used by open-ended protocols such as estimation
-                loops driven from outside).
-            adversity: optional adversity state; faults are applied at the
-                network/channel layer and crashed nodes skip their rounds,
-                with the run bounded by the schedule's round budget and
-                stall detector instead of ``max_rounds``.
+            adversity: optional adversity state.  Faults are applied at the
+                network/channel layer; a node inside a crash window neither
+                observes nor acts, and its pending ``on_start`` is deferred
+                to its first up round.  The run is bounded by the schedule's
+                round budget (capped by ``max_rounds``) and by a stall
+                detector: after ``stall_patience()`` consecutive rounds with
+                no deliveries, no actions and an un-jammed idle slot, only
+                further fault draws could change anything, so it aborts.
 
         Returns:
             A :class:`SimulationResult`.
@@ -245,152 +235,9 @@ class MultimediaNetwork:
             metrics=recorder,
             adversity=adversity.channel_adversity() if adversity is not None else None,
         )
-
-        if is_flyweight_factory(protocol_factory):
-            if stop_when is not None:
-                raise ValueError(
-                    "stop_when predicates receive a per-node protocol map and "
-                    "are not supported by flyweight runs"
-                )
-            return self._run_flyweight(
-                protocol_factory,
-                inputs=inputs,
-                recorder=recorder,
-                network=network,
-                channel=channel,
-                max_rounds=max_rounds,
-                adversity=adversity,
-            )
-
-        contexts = self.build_contexts(inputs)
-        protocols: Dict[NodeId, NodeProtocol] = {
-            node: protocol_factory(ctx) for node, ctx in contexts.items()
-        }
-
-        # the dispatch list holds only non-halted nodes (in protocol-map
-        # order) and shrinks as nodes halt, so a round is one pass over the
-        # active nodes rather than a scan of the whole network; each entry
-        # pre-binds the two methods that run every round
-        active: List[Tuple[NodeId, NodeProtocol, Callable, Callable]] = [
-            (node, protocol, protocol.on_round, protocol._collect_actions)
-            for node, protocol in protocols.items()
-            if not protocol._halted
-        ]
-
-        if adversity is not None:
-            return self._run_under_adversity(
-                adversity=adversity,
-                recorder=recorder,
-                network=network,
-                channel=channel,
-                protocols=protocols,
-                active=active,
-                max_rounds=max_rounds,
-                stop_when=stop_when,
-            )
-
-        deliver = network.deliver
-        accept_sends = network.accept_sends
-        resolve_slot = channel.resolve_slot
-        record_round = recorder.record_round
-
-        last_event: ChannelEvent = idle_event(-1)
-        rounds_used = 0
-        for round_index in range(max_rounds):
-            if not active and not network.has_in_flight():
-                break
-            if stop_when is not None and stop_when(protocols):
-                break
-
-            inboxes = deliver(round_index)
-            get_inbox = inboxes.get
-            writes: List[Tuple[NodeId, Any]] = []
-            public_event = last_event.public_view()
-            halted_any = False
-            starting = round_index == 0
-            for node, protocol, on_round, collect_actions in active:
-                if starting:
-                    protocol.on_start()
-                    # nodes may also react immediately in round 0
-                    inbox = get_inbox(node)
-                    if inbox:
-                        on_round(inbox, public_event)
-                else:
-                    on_round(get_inbox(node) or NO_MESSAGES, public_event)
-                if protocol._acted:
-                    outbox, payload, wrote = collect_actions()
-                    if outbox:
-                        accept_sends(node, outbox, round_index)
-                    if wrote:
-                        writes.append((node, payload))
-                if protocol._halted:
-                    halted_any = True
-            if halted_any:
-                active = [entry for entry in active if not entry[1]._halted]
-            last_event = resolve_slot(round_index, writes)
-            record_round(1)
-            rounds_used = round_index + 1
-        else:
-            pending = sum(1 for p in protocols.values() if not p.halted)
-            raise SimulationTimeout(max_rounds, pending)
-
-        results = {node: protocol.result for node, protocol in protocols.items()}
-        return SimulationResult(
-            rounds=rounds_used,
-            metrics=recorder.snapshot(),
-            results=results,
-            protocols=protocols,
-            channel_history=channel.history,
-        )
-
-    # ------------------------------------------------------------------
-    # flyweight dispatch (see repro.sim.flyweight)
-    # ------------------------------------------------------------------
-    def _flyweight_environment(self) -> FlyweightEnvironment:
-        """Return the columnar environment, built once and reused across runs."""
-        version = getattr(self._graph, "_version", None)
-        env = self._flyweight_env
-        if env is None or self._flyweight_env_version != version:
-            rows = self._topology_rows()
-            env = FlyweightEnvironment(
-                nodes=tuple(row[0] for row in rows),
-                neighbors=tuple(row[1] for row in rows),
-                link_weights=tuple(row[2] for row in rows),
-                n=self.num_nodes if self._n_known else None,
-                streams=self._streams,
-            )
-            self._flyweight_env = env
-            self._flyweight_env_version = version
-        return env
-
-    def _run_flyweight(
-        self,
-        protocol_cls: type,
-        inputs: Optional[Dict[NodeId, Dict[str, Any]]],
-        recorder: MetricsRecorder,
-        network: PointToPointNetwork,
-        channel: SlottedChannel,
-        max_rounds: int,
-        adversity: Optional[AdversityState],
-    ) -> SimulationResult:
-        """Round loop for one shared flyweight instance over slot state.
-
-        Equivalent, message for message, to :meth:`run`'s classic loop over n
-        per-node instances: slots are dispatched in node order, each acting
-        slot's sends are accepted as one batch, and the slot resolves once
-        after all nodes acted.  When the protocol declares ``MESSAGE_DRIVEN``
-        the per-round dispatch walks only the slots that received mail (in
-        slot = node order) instead of every active node — a no-op skip by the
-        declaration, and the flat win at scale.
-        """
         env = self._flyweight_environment()
         env.inputs = inputs if inputs is not None else {}
-        protocol: FlyweightProtocol = protocol_cls(env)
-
-        if adversity is not None:
-            return self._run_flyweight_adversity(
-                protocol, env, recorder, network, channel, max_rounds, adversity
-            )
+        protocol: FlyweightProtocol = protocol_factory(env)
 
         deliver = network.deliver
         accept_sends = network.accept_sends
@@ -400,123 +247,21 @@ class MultimediaNetwork:
         slot_of = env.slot_of
         num_slots = env.num_slots
         halted = protocol.halted
-        on_round = protocol.on_round
-        sends = protocol._sends
-        writes = protocol._writes
-        message_driven = protocol.MESSAGE_DRIVEN
-
-        last_event: ChannelEvent = idle_event(-1)
-        rounds_used = 0
-        for round_index in range(max_rounds):
-            if protocol.active_count == 0 and not network.has_in_flight():
-                break
-
-            inboxes = deliver(round_index)
-            public_event = last_event.public_view()
-            mark = 0
-            if round_index == 0:
-                # on_start for every slot; nodes may also react immediately
-                # (mirrors the classic loop, which does not re-check halted
-                # between on_start and the round-0 mail dispatch)
-                on_start = protocol.on_start
-                get_inbox = inboxes.get
-                for slot in range(num_slots):
-                    node = nodes[slot]
-                    on_start(slot)
-                    inbox = get_inbox(node)
-                    if inbox:
-                        on_round(slot, inbox, public_event)
-                    if len(sends) > mark:
-                        accept_sends(node, sends[mark:], round_index)
-                        mark = len(sends)
-            elif inboxes:
-                if message_driven:
-                    # only slots with mail can change state; dispatch them in
-                    # slot (= node) order so message emission order matches
-                    # the classic full scan exactly
-                    order = sorted(slot_of[node] for node in inboxes)
-                    for slot in order:
-                        if halted[slot]:
-                            continue
-                        node = nodes[slot]
-                        on_round(slot, inboxes[node], public_event)
-                        if len(sends) > mark:
-                            accept_sends(node, sends[mark:], round_index)
-                            mark = len(sends)
-                else:
-                    get_inbox = inboxes.get
-                    for slot in range(num_slots):
-                        if halted[slot]:
-                            continue
-                        node = nodes[slot]
-                        on_round(slot, get_inbox(node) or NO_MESSAGES, public_event)
-                        if len(sends) > mark:
-                            accept_sends(node, sends[mark:], round_index)
-                            mark = len(sends)
-            elif not message_driven:
-                for slot in range(num_slots):
-                    if halted[slot]:
-                        continue
-                    node = nodes[slot]
-                    on_round(slot, NO_MESSAGES, public_event)
-                    if len(sends) > mark:
-                        accept_sends(node, sends[mark:], round_index)
-                        mark = len(sends)
-            if mark:
-                del sends[:]
-            last_event = resolve_slot(round_index, writes)
-            if writes:
-                del writes[:]
-            record_round(1)
-            rounds_used = round_index + 1
-        else:
-            raise SimulationTimeout(max_rounds, protocol.active_count)
-
-        return SimulationResult(
-            rounds=rounds_used,
-            metrics=recorder.snapshot(),
-            results=protocol.results_by_node(),
-            protocols={},
-            channel_history=channel.history,
-        )
-
-    def _run_flyweight_adversity(
-        self,
-        protocol: FlyweightProtocol,
-        env: FlyweightEnvironment,
-        recorder: MetricsRecorder,
-        network: PointToPointNetwork,
-        channel: SlottedChannel,
-        max_rounds: int,
-        adversity: AdversityState,
-    ) -> SimulationResult:
-        """The flyweight round loop with the adversity schedule applied.
-
-        Mirrors :meth:`_run_under_adversity` exactly — full per-round scan
-        over the slots (so crash skips, deferred starts and the stall
-        detector see the same sequence of events, and the network's fault
-        draws happen in the same order), with the flyweight's columnar state
-        in place of per-node protocol objects.  ``MESSAGE_DRIVEN`` protocols
-        merely skip the no-op empty-inbox calls; everything observable is
-        unchanged.
-        """
-        deliver = network.deliver
-        accept_sends = network.accept_sends
-        resolve_slot = channel.resolve_slot
-        record_round = recorder.record_round
-        node_crashed = adversity.node_crashed
-        count_crash_round = adversity.count_crash_round
-        nodes = env.nodes
-        num_slots = env.num_slots
-        halted = protocol.halted
         on_start = protocol.on_start
         on_round = protocol.on_round
         sends = protocol._sends
         writes = protocol._writes
         message_driven = protocol.MESSAGE_DRIVEN
 
-        budget = min(max_rounds, adversity.round_budget(num_slots))
-        patience = adversity.stall_patience()
+        if adversity is None:
+            budget = max_rounds
+            node_crashed = count_crash_round = None
+        else:
+            budget = min(max_rounds, adversity.round_budget(num_slots))
+            patience = adversity.stall_patience()
+            node_crashed = adversity.node_crashed
+            count_crash_round = adversity.count_crash_round
+        fast_path = adversity is None and message_driven
         started = bytearray(num_slots)
         quiet_streak = 0
 
@@ -527,29 +272,43 @@ class MultimediaNetwork:
                 break
 
             inboxes = deliver(round_index)
-            get_inbox = inboxes.get
             public_event = last_event.public_view()
             mark = 0
-            for slot in range(num_slots):
-                if halted[slot]:
-                    continue
-                node = nodes[slot]
-                if node_crashed(node, round_index):
-                    count_crash_round()
-                    continue
-                inbox = get_inbox(node)
-                if not started[slot]:
-                    started[slot] = 1
-                    on_start(slot)
-                    if inbox:
+            if fast_path and round_index:
+                # only slots with mail can change state; dispatch them in
+                # slot (= node) order so message emission order matches a
+                # full scan exactly
+                for slot in sorted(slot_of[node] for node in inboxes):
+                    if halted[slot]:
+                        continue
+                    node = nodes[slot]
+                    on_round(slot, inboxes[node], public_event)
+                    if len(sends) > mark:
+                        accept_sends(node, sends[mark:], round_index)
+                        mark = len(sends)
+            else:
+                get_inbox = inboxes.get
+                for slot in range(num_slots):
+                    if halted[slot]:
+                        continue
+                    node = nodes[slot]
+                    if node_crashed is not None and node_crashed(node, round_index):
+                        count_crash_round()
+                        continue
+                    inbox = get_inbox(node)
+                    if not started[slot]:
+                        started[slot] = 1
+                        on_start(slot)
+                        # nodes may also react immediately
+                        if inbox:
+                            on_round(slot, inbox, public_event)
+                    elif inbox:
                         on_round(slot, inbox, public_event)
-                elif inbox:
-                    on_round(slot, inbox, public_event)
-                elif not message_driven:
-                    on_round(slot, NO_MESSAGES, public_event)
-                if len(sends) > mark:
-                    accept_sends(node, sends[mark:], round_index)
-                    mark = len(sends)
+                    elif not message_driven:
+                        on_round(slot, NO_MESSAGES, public_event)
+                    if len(sends) > mark:
+                        accept_sends(node, sends[mark:], round_index)
+                        mark = len(sends)
             acted_any = mark > 0 or bool(writes)
             if mark:
                 del sends[:]
@@ -559,6 +318,8 @@ class MultimediaNetwork:
             record_round(1)
             rounds_used = round_index + 1
 
+            if adversity is None:
+                continue
             if inboxes or acted_any or not last_event.is_idle():
                 quiet_streak = 0
             else:
@@ -574,6 +335,8 @@ class MultimediaNetwork:
                     )
         else:
             pending = protocol.active_count
+            if adversity is None:
+                raise SimulationTimeout(max_rounds, pending)
             if pending:
                 raise AdversityAbort(budget, pending)
 
@@ -581,116 +344,5 @@ class MultimediaNetwork:
             rounds=rounds_used,
             metrics=recorder.snapshot(),
             results=protocol.results_by_node(),
-            protocols={},
-            channel_history=channel.history,
-        )
-
-    def _run_under_adversity(
-        self,
-        adversity: AdversityState,
-        recorder: MetricsRecorder,
-        network: PointToPointNetwork,
-        channel: SlottedChannel,
-        protocols: Dict[NodeId, NodeProtocol],
-        active: List[Tuple[NodeId, NodeProtocol, Callable, Callable]],
-        max_rounds: int,
-        stop_when: Optional[Callable[[Dict[NodeId, NodeProtocol]], bool]],
-    ) -> SimulationResult:
-        """The round loop with the adversity schedule applied.
-
-        Differences from the fault-free loop:
-
-        * a node inside a crash window is skipped entirely — it neither
-          observes nor acts, and its pending start (``on_start``) is deferred
-          to its first up round, so a node crashed from round 0 joins late
-          with full recovery semantics;
-        * the budget is the schedule's round budget (capped by
-          ``max_rounds``) rather than the protocol-bug safety bound;
-        * a stall detector ends runs the faults have wedged: after
-          ``stall_patience()`` consecutive rounds with no deliveries, no
-          node actions and an un-jammed idle slot, nothing can change
-          anymore except through further fault draws, so the run aborts
-          without walking the rest of the budget.
-
-        Kept as a separate loop so the fault-free path stays byte-identical
-        (and on its fast paths).
-        """
-        deliver = network.deliver
-        accept_sends = network.accept_sends
-        resolve_slot = channel.resolve_slot
-        record_round = recorder.record_round
-        node_crashed = adversity.node_crashed
-        count_crash_round = adversity.count_crash_round
-
-        budget = min(max_rounds, adversity.round_budget(len(protocols)))
-        patience = adversity.stall_patience()
-        started: Dict[NodeId, bool] = {node: False for node in protocols}
-        quiet_streak = 0
-
-        last_event: ChannelEvent = idle_event(-1)
-        rounds_used = 0
-        for round_index in range(budget):
-            if not active and not network.has_in_flight():
-                break
-            if stop_when is not None and stop_when(protocols):
-                break
-
-            inboxes = deliver(round_index)
-            get_inbox = inboxes.get
-            writes: List[Tuple[NodeId, Any]] = []
-            public_event = last_event.public_view()
-            halted_any = False
-            acted_any = False
-            for node, protocol, on_round, collect_actions in active:
-                if node_crashed(node, round_index):
-                    count_crash_round()
-                    continue
-                if not started[node]:
-                    started[node] = True
-                    protocol.on_start()
-                    inbox = get_inbox(node)
-                    if inbox:
-                        on_round(inbox, public_event)
-                else:
-                    on_round(get_inbox(node) or NO_MESSAGES, public_event)
-                if protocol._acted:
-                    acted_any = True
-                    outbox, payload, wrote = collect_actions()
-                    if outbox:
-                        accept_sends(node, outbox, round_index)
-                    if wrote:
-                        writes.append((node, payload))
-                if protocol._halted:
-                    halted_any = True
-            if halted_any:
-                active = [entry for entry in active if not entry[1]._halted]
-            last_event = resolve_slot(round_index, writes)
-            record_round(1)
-            rounds_used = round_index + 1
-
-            if inboxes or acted_any or not last_event.is_idle():
-                quiet_streak = 0
-            else:
-                quiet_streak += 1
-                if quiet_streak > patience:
-                    pending = sum(1 for p in protocols.values() if not p.halted)
-                    if pending == 0:
-                        # everything halted; only undeliverable stragglers
-                        # keep the network "in flight" — that is completion
-                        break
-                    raise AdversityAbort(
-                        rounds_used, pending, reason="stalled (no progress)"
-                    )
-        else:
-            pending = sum(1 for p in protocols.values() if not p.halted)
-            if pending:
-                raise AdversityAbort(budget, pending)
-
-        results = {node: protocol.result for node, protocol in protocols.items()}
-        return SimulationResult(
-            rounds=rounds_used,
-            metrics=recorder.snapshot(),
-            results=results,
-            protocols=protocols,
             channel_history=channel.history,
         )

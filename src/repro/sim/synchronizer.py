@@ -14,9 +14,12 @@ channel gives a particularly cheap synchronizer:
 Corollary 4 of the paper: the resulting execution at most doubles the message
 complexity (because of the acknowledgements) and multiplies the time
 complexity by at most a constant factor.  :class:`ChannelSynchronizer` runs a
-synchronous :class:`~repro.sim.node.NodeProtocol` set over an asynchronous
-network with bounded random link delays and reports both cost measures so the
-experiment can verify the corollary empirically.
+synchronous :class:`~repro.sim.flyweight.FlyweightProtocol` over an
+asynchronous network with bounded random link delays and reports both cost
+measures so the experiment can verify the corollary empirically.  It is the
+same engine shape as :class:`~repro.sim.multimedia.MultimediaNetwork`: one
+pulse loop over the protocol's slots, which under no adversity dispatches a
+``MESSAGE_DRIVEN`` protocol only on the slots that received mail.
 
 The synchronous algorithm may itself use the channel; following Section 7.2
 we assume an FDMA-provided second channel for the busy tones, so algorithm
@@ -27,21 +30,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, List, Optional
+from typing import Any, Dict, Hashable, List, Optional
 
 from repro.sim.adversity import AdversityState
 from repro.sim.channel import SlottedChannel
 from repro.sim.engine import EventQueue
 from repro.sim.errors import AdversityAbort, SimulationTimeout
-from repro.sim.events import Message
-from repro.sim.flyweight import FlyweightProtocol, is_flyweight_factory
-from repro.sim.multimedia import shared_topology_rows
-from repro.sim.node import NO_MESSAGES, NodeContext, NodeProtocol
+from repro.sim.events import NO_MESSAGES, Message
+from repro.sim.flyweight import FlyweightProtocol
+from repro.sim.multimedia import ProtocolFactory, topology_environment
 from repro.sim.substreams import NodeStreams
 from repro.topology.graph import WeightedGraph
 
 NodeId = Hashable
-ProtocolFactory = Callable[[NodeContext], NodeProtocol]
 
 #: Substream scope for per-node random sources under the synchronizer (kept
 #: distinct from the synchronous sim's scope so a shared master seed never
@@ -118,6 +119,15 @@ class ChannelSynchronizer:
     ) -> SynchronizerReport:
         """Execute the protocol until every node halts.
 
+        The busy-tone accounting, the channel resolution point and the
+        delay-draw order (acting slots in node order, messages in send
+        order) are fixed by the slot order.  Without adversity, a
+        ``MESSAGE_DRIVEN`` protocol is dispatched only on the slots whose
+        inbox received mail since their last dispatch (tracked by a dirty
+        list the delivery callback maintains) — profiling e10 at n = 102400
+        showed ~2 × 10⁸ empty-inbox dispatch calls, which this removes
+        wholesale.
+
         With an ``adversity`` state attached, the schedule's faults apply at
         this layer's natural seams: a crashed node skips its pulses (its
         inbox buffers until recovery; link-level acknowledgements still
@@ -134,7 +144,6 @@ class ChannelSynchronizer:
         """
         adv = adversity
         loss_rng: Optional[random.Random] = None
-        started: Dict[NodeId, bool] = {}
         if adv is not None:
             adv.bind_topology(self._graph)
             loss_rng = adv.spawn_rng()
@@ -145,207 +154,11 @@ class ChannelSynchronizer:
         master = random.Random(self._seed)
         delay_rng = random.Random(master.randrange(2**63))
 
-        if is_flyweight_factory(protocol_factory):
-            return self._run_flyweight(
-                protocol_factory,
-                inputs=inputs,
-                max_pulses=max_pulses,
-                adv=adv,
-                loss_rng=loss_rng,
-                delay_rng=delay_rng,
-            )
-
-        streams = NodeStreams(self._seed, STREAM_SCOPE)
-        contexts: Dict[NodeId, NodeContext] = {}
-        n = self._graph.num_nodes() if self._n_known else None
-        for node, neighbors, weights in shared_topology_rows(self._graph):
-            contexts[node] = NodeContext(
-                node_id=node,
-                neighbors=neighbors,
-                link_weights=weights,
-                n=n,
-                extra=dict(inputs.get(node, {})) if inputs else {},
-                rng_factory=streams.rng_for,
-            )
-        protocols = {node: protocol_factory(ctx) for node, ctx in contexts.items()}
-
-        queue = EventQueue()
-        channel = SlottedChannel(
-            adversity=adv.channel_adversity() if adv is not None else None
-        )
-        pending_inbox: Dict[NodeId, List[Message]] = {node: [] for node in protocols}
-        # one aggregate unacknowledged-message count: the busy tone is raised
-        # while *any* message is unacknowledged, so a single total replaces
-        # the O(n) per-node scan the busy check used to pay every slot
-        counters = {"algorithm": 0, "ack": 0, "busy_slots": 0, "unacked": 0}
-
-        def deliver(message: Message) -> None:
-            """Deliver one link message (or lose it) and schedule its ack."""
-            if adv is not None and adv.drop_message(
-                loss_rng, message.sender, message.receiver, pulses
-            ):
-                # lost in transit: never delivered, never acknowledged
-                return
-            pending_inbox[message.receiver].append(message)
-            # acknowledgement travels back over the same link
-            counters["ack"] += 1
-            queue.schedule(delay_rng.randint(1, self._max_delay), ack)
-
-        def ack() -> None:
-            """Count one acknowledgement arrival (lowers the busy tone)."""
-            counters["unacked"] -= 1
-
-        def dispatch(node: NodeId, protocol: NodeProtocol, pulse: int) -> None:
-            """Schedule one node's queued sends and channel writes."""
-            if not protocol._acted:
-                return
-            outbox, payload, wrote = protocol._collect_actions()
-            if outbox:
-                counters["algorithm"] += len(outbox)
-                counters["unacked"] += len(outbox)
-                for receiver, msg_payload in outbox:
-                    queue.schedule(
-                        delay_rng.randint(1, self._max_delay),
-                        deliver,
-                        Message(node, receiver, msg_payload, pulse),
-                    )
-            if wrote:
-                channel_writes.append((node, payload))
-
-        channel_writes: List = []
-
-        # pulse 0: on_start (deferred past the crash window for a node that
-        # starts the run crashed — it joins at its first up pulse)
-        pulses = 0
-        active: List = []
-        for node, protocol in protocols.items():
-            if adv is not None and adv.node_crashed(node, 0):
-                adv.count_crash_round()
-                started[node] = False
-                active.append((node, protocol))
-                continue
-            started[node] = True
-            protocol.on_start()
-            dispatch(node, protocol, 0)
-            if not protocol._halted:
-                active.append((node, protocol))
-        pulses = 1
-
-        while pulses < max_pulses:
-            if not active and queue.is_empty():
-                break
-            # advance asynchronous time one slot at a time; the busy tone is
-            # raised while any message remains unacknowledged or in flight.
-            # Event times are integral (integer delays from integral starts),
-            # so a stretch of slots with no events is uniformly busy and can
-            # be accounted for in one arithmetic jump.
-            while True:
-                if adv is not None and counters["unacked"] > 0 and queue.is_empty():
-                    # a dropped message's acknowledgement will never arrive,
-                    # so the busy tone would stay up forever
-                    pending = sum(1 for p in protocols.values() if not p.halted)
-                    raise AdversityAbort(
-                        pulses, pending, reason="busy-tone deadlock (lost message)"
-                    )
-                next_time = queue.peek_time()
-                if next_time is not None:
-                    dead = int(next_time - queue.now) - 1
-                    if dead > 0:
-                        # the stretch is known event-free, so the clock jumps
-                        # over it in O(1) instead of walking slot by slot
-                        counters["busy_slots"] += dead
-                        queue.fast_forward(queue.now + dead)
-                slot_end = queue.now + 1.0
-                queue.run_until(slot_end)
-                if counters["unacked"] > 0 or not queue.is_empty():
-                    counters["busy_slots"] += 1
-                else:
-                    break
-            # idle slot observed: generate the next pulse
-            event = channel.resolve_slot(pulses - 1, channel_writes)
-            channel_writes = []
-            public = event.public_view()
-            halted_any = False
-            for node, protocol in active:
-                if adv is not None:
-                    if adv.node_crashed(node, pulses):
-                        adv.count_crash_round()
-                        continue
-                    if not started.get(node, True):
-                        # first up pulse after starting the run crashed
-                        started[node] = True
-                        protocol.on_start()
-                        inbox = pending_inbox[node]
-                        if inbox:
-                            pending_inbox[node] = []
-                            protocol.on_round(inbox, public)
-                        dispatch(node, protocol, pulses)
-                        if protocol._halted:
-                            halted_any = True
-                        continue
-                inbox = pending_inbox[node]
-                if inbox:
-                    pending_inbox[node] = []
-                else:
-                    # never hand out the live (empty) pending list: the next
-                    # slot's deliveries append to it
-                    inbox = NO_MESSAGES
-                protocol.on_round(inbox, public)
-                dispatch(node, protocol, pulses)
-                if protocol._halted:
-                    halted_any = True
-            if halted_any:
-                active = [entry for entry in active if not entry[1]._halted]
-            pulses += 1
-        else:
-            pending = sum(1 for p in protocols.values() if not p.halted)
-            if adv is not None:
-                raise AdversityAbort(max_pulses, pending)
-            raise SimulationTimeout(max_pulses, pending)
-
-        return SynchronizerReport(
-            pulses=pulses,
-            asynchronous_time=queue.now,
-            algorithm_messages=counters["algorithm"],
-            ack_messages=counters["ack"],
-            busy_tone_slots=counters["busy_slots"],
-            results={node: protocol.result for node, protocol in protocols.items()},
-        )
-
-    def _run_flyweight(
-        self,
-        protocol_cls: type,
-        inputs: Optional[Dict[NodeId, Dict[str, Any]]],
-        max_pulses: int,
-        adv: Optional[AdversityState],
-        loss_rng: Optional[random.Random],
-        delay_rng: random.Random,
-    ) -> SynchronizerReport:
-        """The pulse loop for one shared flyweight instance over slot state.
-
-        Pulse-for-pulse equivalent to :meth:`run`'s classic loop: the
-        busy-tone accounting, the channel resolution point and the delay-draw
-        order (acting nodes in node order, messages in send order) are
-        identical.  The fault-free path of a ``MESSAGE_DRIVEN`` protocol
-        dispatches only slots whose inbox received mail since their last
-        dispatch (tracked by a dirty list the delivery callback maintains) —
-        profiling e10 at n = 102400 showed ~2 × 10⁸ empty-inbox dispatch
-        calls, which this removes wholesale.  Under adversity the full
-        classic scan is kept so crash skips and deferred starts follow the
-        same sequence.
-        """
-        from repro.sim.flyweight import FlyweightEnvironment
-
-        rows = shared_topology_rows(self._graph)
-        env = FlyweightEnvironment(
-            nodes=tuple(row[0] for row in rows),
-            neighbors=tuple(row[1] for row in rows),
-            link_weights=tuple(row[2] for row in rows),
-            n=self._graph.num_nodes() if self._n_known else None,
-            streams=NodeStreams(self._seed, STREAM_SCOPE),
+        env = topology_environment(
+            self._graph, self._n_known, NodeStreams(self._seed, STREAM_SCOPE)
         )
         env.inputs = inputs if inputs is not None else {}
-        protocol: FlyweightProtocol = protocol_cls(env)
+        protocol: FlyweightProtocol = protocol_factory(env)
         message_driven = protocol.MESSAGE_DRIVEN
         nodes = env.nodes
         slot_of = env.slot_of
@@ -390,7 +203,7 @@ class ChannelSynchronizer:
         def dispatch_sends(node: NodeId, pulse: int) -> None:
             """Schedule one slot's queued sends and clear the shared buffer.
 
-            Delay draws happen in send order, as the classic dispatch() did.
+            Delay draws happen in send order.
             """
             counters["algorithm"] += len(sends)
             counters["unacked"] += len(sends)
@@ -408,6 +221,8 @@ class ChannelSynchronizer:
         pulses = 0
         started = bytearray(num_slots)
         for slot in range(num_slots):
+            if halted[slot]:
+                continue
             node = nodes[slot]
             if adv is not None and adv.node_crashed(node, 0):
                 adv.count_crash_round()
@@ -422,10 +237,15 @@ class ChannelSynchronizer:
         while pulses < max_pulses:
             if protocol.active_count == 0 and queue.is_empty():
                 break
-            # advance asynchronous time one slot at a time (identical to the
-            # classic loop, including the event-free fast-forward)
+            # advance asynchronous time one slot at a time; the busy tone is
+            # raised while any message remains unacknowledged or in flight.
+            # Event times are integral (integer delays from integral starts),
+            # so a stretch of slots with no events is uniformly busy and can
+            # be accounted for in one arithmetic jump.
             while True:
                 if adv is not None and counters["unacked"] > 0 and queue.is_empty():
+                    # a dropped message's acknowledgement will never arrive,
+                    # so the busy tone would stay up forever
                     raise AdversityAbort(
                         pulses,
                         protocol.active_count,
@@ -435,6 +255,8 @@ class ChannelSynchronizer:
                 if next_time is not None:
                     dead = int(next_time - queue.now) - 1
                     if dead > 0:
+                        # the stretch is known event-free, so the clock jumps
+                        # over it in O(1) instead of walking slot by slot
                         counters["busy_slots"] += dead
                         queue.fast_forward(queue.now + dead)
                 slot_end = queue.now + 1.0
@@ -450,8 +272,8 @@ class ChannelSynchronizer:
             public = event.public_view()
             if fast_path:
                 if mail_nodes:
-                    # slot (= node) order keeps the delay-draw order of the
-                    # classic full scan
+                    # slot (= node) order keeps the delay-draw order of a
+                    # full scan
                     order = sorted(slot_of[node] for node in mail_nodes)
                     del mail_nodes[:]
                     for slot in order:

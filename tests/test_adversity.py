@@ -35,9 +35,9 @@ from repro.sim.channel import SlottedChannel
 from repro.sim.errors import AdversityAbort, SimulationTimeout
 from repro.sim.metrics import MetricsRecorder
 from repro.sim.multimedia import MultimediaNetwork
-from repro.sim.node import NodeProtocol
+from repro.sim.flyweight import FlyweightProtocol
 from repro.sim.synchronizer import ChannelSynchronizer
-from repro.protocols.spanning.broadcast_convergecast import TreeAggregationProtocol
+from repro.protocols.spanning.broadcast_convergecast import TreeAggregationFlyweight
 from repro.protocols.spanning.bfs import build_bfs_forest
 from repro.protocols.spanning.tree_utils import children_map
 
@@ -158,23 +158,37 @@ class TestDeterminism:
 # ----------------------------------------------------------------------
 # crash-during-broadcast recovery
 # ----------------------------------------------------------------------
-class _RetransmittingFlood(NodeProtocol):
-    """Root floods a token; holders re-send every round (crash-tolerant)."""
+class _RetransmittingFlood(FlyweightProtocol):
+    """Root floods a token; holders re-send every round (crash-tolerant).
 
-    # class default: a node crashed from round 0 has not run on_start when
-    # the stop predicate first fires
-    has_token = False
+    The flood never ends by itself, so the protocol stops the run: once
+    every slot holds the token, every slot halts with ``True``.  A node
+    crashed from round 0 has not started yet and holds no token.
+    """
 
-    def on_start(self):
-        self.has_token = bool(self.ctx.extra.get("root"))
-        if self.has_token:
-            self.send_to_all_neighbors("tok")
+    def __init__(self, env):
+        super().__init__(env)
+        self.has_token = bytearray(env.num_slots)
+        self.holders = 0
 
-    def on_round(self, inbox, channel):
-        if inbox and not self.has_token:
-            self.has_token = True
-        if self.has_token:
-            self.send_to_all_neighbors("tok")
+    def _take_token(self, slot):
+        if not self.has_token[slot]:
+            self.has_token[slot] = 1
+            self.holders += 1
+            if self.holders == self.env.num_slots:
+                for each in range(self.env.num_slots):
+                    self.halt_slot(each, True)
+                return
+        for neighbor in self.env.neighbors[slot]:
+            self.send(neighbor, "tok")
+
+    def on_start(self, slot):
+        if self.env.inputs.get(self.env.nodes[slot], {}).get("root"):
+            self._take_token(slot)
+
+    def on_round(self, slot, inbox, channel):
+        if inbox or self.has_token[slot]:
+            self._take_token(slot)
 
 
 class TestCrashRecovery:
@@ -192,12 +206,9 @@ class TestCrashRecovery:
         result = MultimediaNetwork(graph, seed=3).run(
             _RetransmittingFlood,
             inputs={root: {"root": True}},
-            stop_when=lambda protocols: all(
-                p.has_token for p in protocols.values()
-            ),
             adversity=state,
         )
-        assert all(p.has_token for p in result.protocols.values())
+        assert all(result.results.values())
         # the victim actually lost rounds to its crash window
         assert state.crash_node_rounds > 0
 
@@ -214,12 +225,9 @@ class TestCrashRecovery:
         result = MultimediaNetwork(graph, seed=3).run(
             _RetransmittingFlood,
             inputs={root: {"root": True}},
-            stop_when=lambda protocols: all(
-                p.has_token for p in protocols.values()
-            ),
             adversity=state,
         )
-        assert result.protocols[victim].has_token
+        assert result.results[victim] is True
 
 
 # ----------------------------------------------------------------------
@@ -286,7 +294,7 @@ class TestBoundedAbort:
         )
         with pytest.raises(AdversityAbort) as excinfo:
             MultimediaNetwork(graph, seed=3).run(
-                TreeAggregationProtocol,
+                TreeAggregationFlyweight,
                 inputs=_aggregation_inputs(graph, root),
                 adversity=state,
             )
@@ -305,7 +313,7 @@ class TestBoundedAbort:
         )
         with pytest.raises(AdversityAbort) as excinfo:
             MultimediaNetwork(graph, seed=3).run(
-                TreeAggregationProtocol,
+                TreeAggregationFlyweight,
                 inputs=_aggregation_inputs(graph, root),
                 adversity=state,
             )
@@ -320,7 +328,7 @@ class TestBoundedAbort:
         )
         with pytest.raises(AdversityAbort):
             ChannelSynchronizer(graph, max_link_delay=3, seed=3).run(
-                TreeAggregationProtocol,
+                TreeAggregationFlyweight,
                 inputs=_aggregation_inputs(graph, root),
                 adversity=state,
             )

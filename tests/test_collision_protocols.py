@@ -5,6 +5,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import (
+    BitByBitLeaderElection,
+    GreenbergLadnerEstimator,
+    RandomizedLeaderElection,
+    per_node,
+)
 from repro.protocols.collision.base import run_contention
 from repro.protocols.collision.capetanakis import (
     CapetanakisContender,
@@ -13,15 +19,10 @@ from repro.protocols.collision.capetanakis import (
     universe_bits,
 )
 from repro.protocols.collision.greenberg_ladner import (
-    GreenbergLadnerEstimator,
     estimate_error_factor,
     estimate_multiplicity,
 )
-from repro.protocols.collision.leader_election import (
-    BitByBitLeaderElection,
-    RandomizedLeaderElection,
-    elect_leader,
-)
+from repro.protocols.collision.leader_election import elect_leader
 from repro.protocols.collision.metcalfe_boggs import (
     MetcalfeBoggsContender,
     expected_slots_per_success,
@@ -147,7 +148,7 @@ class TestGreenbergLadner:
 
     def test_protocol_form_agrees_across_nodes(self):
         network = MultimediaNetwork(ring_graph(16), seed=4)
-        result = network.run(GreenbergLadnerEstimator)
+        result = network.run(per_node(GreenbergLadnerEstimator))
         estimates = {value.estimate for value in result.results.values()}
         assert len(estimates) == 1
         assert result.metrics.point_to_point_messages == 0
@@ -169,7 +170,7 @@ class TestLeaderElection:
 
     def test_bit_by_bit_protocol_elects_max_everywhere(self):
         network = MultimediaNetwork(complete_graph(10), seed=1)
-        result = network.run(BitByBitLeaderElection)
+        result = network.run(per_node(BitByBitLeaderElection))
         assert all(value == 9 for value in result.results.values())
         assert result.metrics.point_to_point_messages == 0
 
@@ -180,7 +181,7 @@ class TestLeaderElection:
 
     def test_randomized_election_agrees_and_is_valid(self):
         network = MultimediaNetwork(ring_graph(12), seed=9)
-        result = network.run(RandomizedLeaderElection)
+        result = network.run(per_node(RandomizedLeaderElection))
         winners = set(result.results.values())
         assert len(winners) == 1
         assert winners.pop() in set(range(12))

@@ -63,22 +63,6 @@ class TestHarness:
         assert rows[0]["nodes"] == rows[0]["n"]
 
 
-class TestExperimentConfig:
-    def test_graphs_is_deprecated_and_honours_topology_seed(self):
-        config = harness.ExperimentConfig(sizes=(16, 36), topology_seed=5)
-        with pytest.deprecated_call():
-            graphs = config.graphs()
-        assert [g.num_nodes() for g in graphs] == [16, 36]
-        expected = [harness.make_topology("grid", n, seed=5) for n in (16, 36)]
-        assert [g.edges() for g in graphs] == [g.edges() for g in expected]
-
-    def test_graphs_default_seed_matches_historical_value(self):
-        config = harness.ExperimentConfig(sizes=(16,))
-        with pytest.deprecated_call():
-            (graph,) = config.graphs()
-        assert graph.edges() == harness.make_topology("grid", 16, seed=11).edges()
-
-
 class TestExperimentsProduceRows:
     def test_e1_all_bounds_hold(self):
         result = run_experiment("e1", overrides={"sizes": (36, 64)})
@@ -146,6 +130,34 @@ class TestExperimentsProduceRows:
         row = result.rows[0]
         assert row["sync_msg_overhead(≤2)"] <= 2.0 + 1e-9
         assert row["det_size_exact"] is True
+
+
+def _e9_channel_pays_off_at_largest_size(rows):
+    return rows[-1]["speedup"] > 1.0
+
+
+def _e11_rows_bounded(rows):
+    for row in rows:
+        # every row is bounded: a medium either completes or reports "abort"
+        assert row["status"] in ("ok", "abort:multimedia", "abort:p2p", "abort:both")
+        assert isinstance(row["faults_injected"], int)
+        if row["adversity"] != "crash":
+            assert row["rounds_lost"] == 0  # only crash windows cost recovery rounds
+    return True
+
+
+class TestDefaultPresetClaims:
+    """Row claims checked on the ``default`` preset, the workload ``repro bench`` times."""
+
+    @pytest.mark.parametrize(
+        "experiment_id,claim",
+        (
+            ("e9", _e9_channel_pays_off_at_largest_size),
+            ("e11", _e11_rows_bounded),
+        ),
+    )
+    def test_claim_holds(self, experiment_id, claim):
+        assert claim(run_experiment(experiment_id).rows)
 
 
 class TestLegacyRunWrappers:

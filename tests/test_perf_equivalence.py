@@ -235,8 +235,7 @@ def _compute_substream_state():
     """Fixed-seed workloads drawing from per-node substreams (``ctx.rng``)."""
     from repro.experiments.harness import make_topology
     from repro.experiments.runner import run_experiment
-    from repro.protocols.collision.greenberg_ladner import GreenbergLadnerEstimator
-    from repro.protocols.collision.leader_election import RandomizedLeaderElection
+    from oracles import GreenbergLadnerEstimator, RandomizedLeaderElection, per_node
     from repro.sim.multimedia import MultimediaNetwork
     from repro.sim.substreams import substream_seed
 
@@ -257,7 +256,7 @@ def _compute_substream_state():
 
     # the two per-node-source protocols on the simulator, fixed topologies
     graph = make_topology("ring", 16, seed=11)
-    result = MultimediaNetwork(graph, seed=4).run(GreenbergLadnerEstimator)
+    result = MultimediaNetwork(graph, seed=4).run(per_node(GreenbergLadnerEstimator))
     state["gl_estimator/ring/16/seed4"] = {
         "estimates": sorted(
             {value.estimate for value in result.results.values()}
@@ -265,7 +264,7 @@ def _compute_substream_state():
         "rounds": result.rounds,
     }
     graph = make_topology("ring", 12, seed=11)
-    result = MultimediaNetwork(graph, seed=9).run(RandomizedLeaderElection)
+    result = MultimediaNetwork(graph, seed=9).run(per_node(RandomizedLeaderElection))
     state["leader_election/ring/12/seed9"] = {
         "winners": sorted(set(result.results.values())),
         "rounds": result.rounds,

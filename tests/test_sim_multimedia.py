@@ -1,13 +1,17 @@
-"""Integration tests for the multimedia simulation driver."""
+"""Integration tests for the multimedia simulation driver.
+
+The protocols here are per-node (``tests/oracles.py``) and run on the
+simulator's one loop through the per-node adapter.
+"""
 
 from typing import List
 
 import pytest
 
+from oracles import NodeProtocol, per_node
 from repro.sim.errors import ProtocolError, SimulationTimeout
 from repro.sim.events import ChannelEvent, Message
 from repro.sim.multimedia import MultimediaNetwork
-from repro.sim.node import NodeProtocol
 from repro.topology.generators import complete_graph, path_graph, ring_graph
 
 
@@ -52,6 +56,16 @@ class NeverHalts(NodeProtocol):
         pass
 
 
+class ReportsContext(NodeProtocol):
+    """Every node halts at once with what its context told it."""
+
+    def on_start(self):
+        self.halt((dict(self.ctx.extra), self.ctx.n))
+
+    def on_round(self, inbox, channel):  # pragma: no cover
+        raise AssertionError("halts at start")
+
+
 class DoubleSender(NodeProtocol):
     def on_start(self):
         neighbor = self.neighbors[0]
@@ -65,14 +79,14 @@ class DoubleSender(NodeProtocol):
 class TestMultimediaNetwork:
     def test_flood_max_on_ring(self):
         network = MultimediaNetwork(ring_graph(9))
-        result = network.run(FloodMax)
+        result = network.run(per_node(FloodMax))
         assert all(value == 8 for value in result.results.values())
         # flooding needs at least diameter rounds
         assert result.rounds >= 4
 
     def test_channel_broadcast_heard_by_all(self):
         network = MultimediaNetwork(path_graph(6))
-        result = network.run(SingleBroadcaster)
+        result = network.run(per_node(SingleBroadcaster))
         assert all(value == ("announce", 0) for value in result.results.values())
         assert result.metrics.channel_success == 1
         assert result.metrics.point_to_point_messages == 0
@@ -80,34 +94,34 @@ class TestMultimediaNetwork:
     def test_timeout_raised_for_non_terminating_protocol(self):
         network = MultimediaNetwork(path_graph(3))
         with pytest.raises(SimulationTimeout):
-            network.run(NeverHalts, max_rounds=20)
+            network.run(per_node(NeverHalts), max_rounds=20)
 
     def test_two_messages_on_one_link_rejected(self):
         network = MultimediaNetwork(path_graph(2))
         with pytest.raises(ProtocolError):
-            network.run(DoubleSender, max_rounds=5)
+            network.run(per_node(DoubleSender), max_rounds=5)
 
     def test_metrics_count_messages_and_rounds(self):
         network = MultimediaNetwork(complete_graph(5))
-        result = network.run(FloodMax)
+        result = network.run(per_node(FloodMax))
         assert result.metrics.point_to_point_messages >= 4 * 5
         assert result.metrics.rounds == result.rounds
 
     def test_contexts_receive_inputs_and_n(self):
         network = MultimediaNetwork(path_graph(4), seed=1)
-        contexts = network.build_contexts(inputs={0: {"value": 42}})
-        assert contexts[0].extra["value"] == 42
-        assert contexts[2].extra == {}
-        assert contexts[3].n == 4
+        seen = network.run(per_node(ReportsContext), inputs={0: {"value": 42}}).results
+        assert seen[0] == ({"value": 42}, 4)
+        assert seen[2] == ({}, 4)
+        assert seen[3][1] == 4
 
     def test_n_unknown_mode(self):
         network = MultimediaNetwork(path_graph(4), n_known=False)
-        contexts = network.build_contexts()
-        assert all(ctx.n is None for ctx in contexts.values())
+        seen = network.run(per_node(ReportsContext)).results
+        assert all(n is None for _, n in seen.values())
 
     def test_seeded_runs_are_reproducible(self):
         graph = ring_graph(7)
-        first = MultimediaNetwork(graph, seed=5).run(FloodMax)
-        second = MultimediaNetwork(graph, seed=5).run(FloodMax)
+        first = MultimediaNetwork(graph, seed=5).run(per_node(FloodMax))
+        second = MultimediaNetwork(graph, seed=5).run(per_node(FloodMax))
         assert first.results == second.results
         assert first.metrics.point_to_point_messages == second.metrics.point_to_point_messages

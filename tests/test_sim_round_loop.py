@@ -1,19 +1,21 @@
 """Regression tests for the batched round-loop fast paths.
 
 The round-loop overhaul (preallocated inboxes with swap-based delivery,
-cached public channel views, the ``_acted`` collection guard, the active-node
-dispatch list) must be observationally identical to the per-message loop it
-replaced; these tests pin the edge cases the fast paths skirt around.
+cached public channel views, the ``_acted`` collection guard of the per-node
+oracles, the skip of halted slots) must be observationally identical to the
+per-message loop it replaced; these tests pin the edge cases the fast paths
+skirt around.  The per-node protocols come from ``tests/oracles.py`` and run
+through its adapter.
 """
 
 import pytest
 
+from oracles import NodeContext, NodeProtocol, per_node
 from repro.sim.errors import ProtocolError
 from repro.sim.events import SlotState, idle_event
 from repro.sim.channel import SlottedChannel
 from repro.sim.multimedia import MultimediaNetwork
 from repro.sim.network import PointToPointNetwork
-from repro.sim.node import NodeProtocol
 from repro.topology.generators import path_graph, ring_graph
 
 
@@ -79,7 +81,7 @@ class TestBatchedDelivery:
                 observed.append(inbox)
                 self.halt()
 
-        MultimediaNetwork(path_graph(2)).run(Prodder)
+        MultimediaNetwork(path_graph(2)).run(per_node(Prodder))
         assert observed and all(len(inbox) == 0 for inbox in observed)
         with pytest.raises(AttributeError):
             observed[0].append("phantom")
@@ -107,9 +109,8 @@ class TestPublicViewCache:
 
 class TestActionCollection:
     def _protocol(self):
-        ctx_graph = path_graph(3)
-        network = MultimediaNetwork(ctx_graph)
-        ctx = network.build_contexts()[1]
+        ctx = NodeContext(node_id=1, neighbors=(0, 2),
+                          link_weights={0: 1.0, 2: 1.0}, n=3)
 
         class Noop(NodeProtocol):
             def on_round(self, inbox, channel):
@@ -165,7 +166,7 @@ class TestRoundLoopSemantics:
                 if self.node_id == 0:
                     self.halt()
 
-        MultimediaNetwork(path_graph(2)).run(PingOnce)
+        MultimediaNetwork(path_graph(2)).run(per_node(PingOnce))
         payload, observed_slot = arrivals[1]
         assert payload == "ping"
         # round 1 observes slot 0's resolution, so the message sent in round
@@ -181,7 +182,7 @@ class TestRoundLoopSemantics:
             def on_round(self, inbox, channel):  # pragma: no cover
                 raise AssertionError("halted nodes are never dispatched")
 
-        result = MultimediaNetwork(ring_graph(4)).run(SendAndHaltImmediately)
+        result = MultimediaNetwork(ring_graph(4)).run(per_node(SendAndHaltImmediately))
         # one round for the sends, one drain round for the in-flight messages
         assert result.rounds == 2
         assert all(event.is_idle() for event in result.channel_history)
@@ -196,7 +197,7 @@ class TestRoundLoopSemantics:
             def on_round(self, inbox, channel):  # pragma: no cover
                 raise AssertionError("never scheduled")
 
-        result = MultimediaNetwork(path_graph(3)).run(BornDone)
+        result = MultimediaNetwork(path_graph(3)).run(per_node(BornDone))
         assert result.rounds == 0
         assert set(result.results.values()) == {"early"}
 
@@ -209,6 +210,6 @@ class TestRoundLoopSemantics:
                 raise AssertionError("halts at start")
 
         network = MultimediaNetwork(ring_graph(5), seed=42)
-        first = network.run(CoinFlip).results
-        second = network.run(CoinFlip).results
+        first = network.run(per_node(CoinFlip)).results
+        second = network.run(per_node(CoinFlip)).results
         assert first == second

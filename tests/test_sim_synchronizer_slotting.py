@@ -2,8 +2,8 @@
 
 import pytest
 
+from oracles import TreeAggregationProtocol, per_node
 from repro.protocols.spanning.bfs import build_bfs_forest
-from repro.protocols.spanning.broadcast_convergecast import TreeAggregationProtocol
 from repro.protocols.spanning.tree_utils import children_map
 from repro.sim.engine import EventQueue
 from repro.sim.multimedia import MultimediaNetwork
@@ -82,9 +82,11 @@ class TestChannelSynchronizer:
         graph = grid_graph(4, 4)
         root = 0
         inputs = _sum_inputs(graph, root)
-        sync = MultimediaNetwork(graph, seed=1).run(TreeAggregationProtocol, inputs=inputs)
+        sync = MultimediaNetwork(graph, seed=1).run(
+            per_node(TreeAggregationProtocol), inputs=inputs
+        )
         report = ChannelSynchronizer(graph, max_link_delay=4, seed=1).run(
-            TreeAggregationProtocol, inputs=inputs
+            per_node(TreeAggregationProtocol), inputs=inputs
         )
         assert report.results[root] == sync.results[root] == 16
         assert all(value == 16 for value in report.results.values())
@@ -93,7 +95,7 @@ class TestChannelSynchronizer:
         graph = grid_graph(3, 3)
         inputs = _sum_inputs(graph, 0)
         report = ChannelSynchronizer(graph, max_link_delay=2, seed=3).run(
-            TreeAggregationProtocol, inputs=inputs
+            per_node(TreeAggregationProtocol), inputs=inputs
         )
         assert report.ack_messages == report.algorithm_messages
         assert report.message_overhead_factor == pytest.approx(2.0)

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.protocols.spanning.bfs import BFSTreeProtocol, build_bfs_forest
+from oracles import BFSTreeProtocol, TreeAggregationProtocol, per_node
+from repro.protocols.spanning.bfs import build_bfs_forest
 from repro.protocols.spanning.broadcast_convergecast import (
-    TreeAggregationProtocol,
     simulate_broadcast,
     simulate_convergecast,
     simulate_pif,
@@ -110,7 +110,9 @@ class TestBFSTreeProtocol:
     def test_distributed_bfs_matches_reference(self):
         graph = grid_graph(4, 4)
         inputs = {node: {"is_root": node == 0} for node in graph.nodes()}
-        result = MultimediaNetwork(graph, seed=1).run(BFSTreeProtocol, inputs=inputs)
+        result = MultimediaNetwork(graph, seed=1).run(
+            per_node(BFSTreeProtocol), inputs=inputs
+        )
         reference = breadth_first_levels(graph, 0)
         for node, output in result.results.items():
             assert output["label"] == reference[node]
@@ -121,7 +123,9 @@ class TestBFSTreeProtocol:
         inputs = {
             node: {"is_root": node == 0, "depth_limit": 2} for node in graph.nodes()
         }
-        result = MultimediaNetwork(graph, seed=1).run(BFSTreeProtocol, inputs=inputs)
+        result = MultimediaNetwork(graph, seed=1).run(
+            per_node(BFSTreeProtocol), inputs=inputs
+        )
         assert result.results[2]["label"] == 2
         assert result.results[7]["root"] is None
 
@@ -162,7 +166,9 @@ class TestBroadcastConvergecast:
             }
             for node in graph.nodes()
         }
-        result = MultimediaNetwork(graph, seed=1).run(TreeAggregationProtocol, inputs=inputs)
+        result = MultimediaNetwork(graph, seed=1).run(
+            per_node(TreeAggregationProtocol), inputs=inputs
+        )
         assert all(value == 32 for value in result.results.values())
 
     def test_protocol_without_redistribution_only_root_knows(self):
@@ -178,6 +184,8 @@ class TestBroadcastConvergecast:
             }
             for node in graph.nodes()
         }
-        result = MultimediaNetwork(graph, seed=1).run(TreeAggregationProtocol, inputs=inputs)
+        result = MultimediaNetwork(graph, seed=1).run(
+            per_node(TreeAggregationProtocol), inputs=inputs
+        )
         assert result.results[0] == 5
         assert result.results[4] is None
