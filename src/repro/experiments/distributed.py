@@ -55,16 +55,25 @@ request op     reply op
 =============  ==========================================================
 ``describe``   ``sweep`` — experiment id, preset, wire-encoded params,
                point/shard counts, digest, lease timeout
-``lease``      ``assign`` (shard + indices) / ``wait`` / ``done``
+``lease``      ``assign`` (shard + indices) / ``wait`` / ``done``; a lease
+               with nothing to grant is parked server-side for up to one
+               wait window and answered the moment a shard is re-queued or
+               the sweep completes (``wait`` with ``seconds`` 0: re-lease)
 ``heartbeat``  ``ok`` with ``valid`` false once the lease was reassigned
 ``submit``     ``accepted`` (``duplicate`` true when already complete) /
                ``rejected`` with a reason, shard re-queued
 =============  ==========================================================
+
+Shutdown is an announcement, not a refused connection: once every shard is
+complete the coordinator keeps answering ``done`` until each worker it has
+seen has been told so (bounded by one wait window, so a dead worker cannot
+hold it), and only then stops serving.  Local workers exit on their own.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import os
 import socket
@@ -75,7 +84,7 @@ import uuid
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.experiments.executors import (
     ExecutionOutcome,
@@ -182,7 +191,7 @@ class _CoordinatorHandler(socketserver.StreamRequestHandler):
         except (OSError, ValueError, UnicodeDecodeError) as error:
             reply: Dict[str, Any] = {"op": "error", "reason": str(error)}
         else:
-            reply = self.server.coordinator.handle(message)
+            reply = self.server.coordinator.handle(message, long_poll=True)
         try:
             self.wfile.write(json.dumps(reply).encode("utf-8") + b"\n")
         except OSError:
@@ -196,7 +205,10 @@ class ShardCoordinator:
     and the completed set; every state transition happens under one lock
     inside :meth:`handle`, which is plain-callable (the fault-harness and
     property tests drive it directly, with an injected clock) and is what
-    the TCP server invokes per request.  Completed shards are written
+    the TCP server invokes per request.  A condition over that lock is
+    notified on every transition that can change a ``lease`` answer, so
+    parked leases and the executor's wait loop wake on it instead of
+    polling.  Completed shards are written
     through :func:`~repro.experiments.executors.write_checkpoint` into the
     standard run-directory layout, so everything downstream (resume, merge,
     ``repro serve``) is backend-agnostic.
@@ -250,6 +262,10 @@ class ShardCoordinator:
         self._leases: Dict[int, _Lease] = {}
         self._completed = done
         self._lock = threading.Lock()
+        # notified on every transition that can change a lease answer
+        self._changed = threading.Condition(self._lock)
+        self._seen: Set[str] = set()
+        self._told_done: Set[str] = set()
         self.stats: Dict[str, int] = {
             "leases_granted": 0,
             "reassigned": 0,
@@ -320,7 +336,7 @@ class ShardCoordinator:
     def finished(self) -> bool:
         """True when every shard has a validated checkpoint."""
         with self._lock:
-            return len(self._completed) == self._shard_count
+            return self._all_complete()
 
     @property
     def progress(self) -> Tuple[int, int, int]:
@@ -328,9 +344,68 @@ class ShardCoordinator:
         with self._lock:
             return len(self._completed), len(self._leases), len(self._pending)
 
+    @property
+    def wait_window(self) -> float:
+        """Seconds a ``lease`` with nothing to grant is parked (or waits)."""
+        return min(1.0, self._lease_timeout / 4)
+
+    # -- waiting --------------------------------------------------------
+    def expect(self, worker: str) -> None:
+        """Count ``worker`` as seen before it connects (a local worker)."""
+        with self._lock:
+            self._seen.add(worker)
+
+    def await_finished(self, timeout: float) -> bool:
+        """Block up to ``timeout`` seconds until every shard is complete.
+
+        Expired leases are reaped on the way, at their deadlines.
+        """
+        with self._lock:
+            return self._park(self._all_complete, timeout)
+
+    def await_farewells(self, timeout: float) -> bool:
+        """Block up to ``timeout`` seconds until every seen worker was told
+        ``done`` — the coordinator's cue that stopping strands no one."""
+        with self._lock:
+            return self._park(lambda: self._seen <= self._told_done, timeout)
+
+    def _all_complete(self) -> bool:
+        """True when every shard has a checkpoint (lock held)."""
+        return len(self._completed) == self._shard_count
+
+    def _park(self, ready: Callable[[], bool], timeout: float) -> bool:
+        """Wait (lock held) up to ``timeout`` seconds for ``ready()``.
+
+        Wakes on every notification and at the earliest lease deadline, so
+        an expiry re-queues its shard as promptly as any other transition.
+        ``ready()`` and the wait are checked under one lock hold, so no
+        notification is lost in between.
+        """
+        end = time.monotonic() + timeout
+        while not ready():
+            remaining = end - time.monotonic()
+            if remaining <= 0:
+                return False
+            expiry = min(
+                (lease.deadline for lease in self._leases.values()),
+                default=math.inf,
+            )
+            # a lease expires strictly after its deadline: wake just past it
+            until_expiry = max(expiry - self._clock(), 0.0) + 1e-3
+            self._changed.wait(min(remaining, until_expiry))
+            self._reap_expired(self._clock())
+        return True
+
     # -- the protocol ---------------------------------------------------
-    def handle(self, message: Mapping[str, Any]) -> Dict[str, Any]:
+    def handle(
+        self, message: Mapping[str, Any], long_poll: bool = False
+    ) -> Dict[str, Any]:
         """Process one wire message and return the reply object.
+
+        With ``long_poll`` (the TCP server's mode) a ``lease`` that would
+        answer ``wait`` is parked for up to :attr:`wait_window` seconds and
+        re-answered as soon as a shard is re-queued or the sweep completes;
+        without it every call returns at once (the fake-clock harness).
 
         Unknown or malformed operations yield an ``error`` reply instead of
         raising: a confused (or malicious) client must never take the
@@ -339,9 +414,9 @@ class ShardCoordinator:
         op = message.get("op")
         try:
             if op == "describe":
-                return self._describe()
+                return self._describe(message.get("worker"))
             if op == "lease":
-                return self._lease(str(message.get("worker", "?")))
+                return self._lease(str(message.get("worker", "?")), long_poll)
             if op == "heartbeat":
                 return self._heartbeat(
                     str(message.get("worker", "?")), message.get("shard")
@@ -352,8 +427,11 @@ class ShardCoordinator:
             return {"op": "error", "reason": f"malformed {op}: {error}"}
         return {"op": "error", "reason": f"unknown op {op!r}"}
 
-    def _describe(self) -> Dict[str, Any]:
+    def _describe(self, worker: Any) -> Dict[str, Any]:
         """The sweep identity a (possibly remote) worker needs to join."""
+        if worker is not None:
+            with self._lock:
+                self._seen.add(str(worker))
         return {
             "op": "sweep",
             "protocol": PROTOCOL,
@@ -368,40 +446,52 @@ class ShardCoordinator:
 
     def _reap_expired(self, now: float) -> None:
         """Re-queue every lease whose deadline passed (lock held)."""
-        for shard, lease in list(self._leases.items()):
-            if lease.deadline < now:
-                del self._leases[shard]
-                self._pending.append(shard)
-                self.stats["reassigned"] += 1
+        expired = [
+            shard for shard, lease in self._leases.items() if lease.deadline < now
+        ]
+        for shard in expired:
+            del self._leases[shard]
+            self._pending.append(shard)
+            self.stats["reassigned"] += 1
+        if expired:
+            self._changed.notify_all()
 
-    def reap(self) -> None:
-        """Expire overdue leases now (the executor's wait loop calls this)."""
-        with self._lock:
-            self._reap_expired(self._clock())
-
-    def _lease(self, worker: str) -> Dict[str, Any]:
+    def _lease(self, worker: str, long_poll: bool) -> Dict[str, Any]:
         """Grant the next pending shard, or say wait/done."""
         with self._lock:
-            now = self._clock()
-            self._reap_expired(now)
-            if len(self._completed) == self._shard_count:
-                return {"op": "done"}
-            if not self._pending:
-                # everything is leased out: poll again within the lease
-                # window so an expiry is picked up promptly
-                return {
-                    "op": "wait",
-                    "seconds": min(1.0, self._lease_timeout / 4),
-                }
-            shard = self._pending.popleft()
-            self._leases[shard] = _Lease(worker, now + self._lease_timeout)
-            self.stats["leases_granted"] += 1
-            return {
-                "op": "assign",
-                "shard": shard,
-                "indices": list(self._plan[shard]),
-                "digest": self._digest,
-            }
+            self._seen.add(worker)
+            reply = self._grant(worker)
+            if reply["op"] == "wait" and long_poll:
+                self._park(
+                    lambda: bool(self._pending) or self._all_complete(),
+                    self.wait_window,
+                )
+                reply = self._grant(worker)
+                if reply["op"] == "wait":
+                    reply["seconds"] = 0
+            return reply
+
+    def _grant(self, worker: str) -> Dict[str, Any]:
+        """One non-blocking ``lease`` answer (lock held)."""
+        now = self._clock()
+        self._reap_expired(now)
+        if self._all_complete():
+            self._told_done.add(worker)
+            self._changed.notify_all()
+            return {"op": "done"}
+        if not self._pending:
+            # everything is leased out: ask again within the lease window
+            # so an expiry is picked up promptly
+            return {"op": "wait", "seconds": self.wait_window}
+        shard = self._pending.popleft()
+        self._leases[shard] = _Lease(worker, now + self._lease_timeout)
+        self.stats["leases_granted"] += 1
+        return {
+            "op": "assign",
+            "shard": shard,
+            "indices": list(self._plan[shard]),
+            "digest": self._digest,
+        }
 
     def _heartbeat(self, worker: str, shard: Any) -> Dict[str, Any]:
         """Extend a live lease; tell a superseded worker to stand down."""
@@ -458,6 +548,7 @@ class ShardCoordinator:
             self._completed.add(shard)
             self._leases.pop(shard, None)
             self.stats["accepted"] += 1
+            self._changed.notify_all()
             return {"op": "accepted", "duplicate": False}
 
     def _reject(self, worker: str, shard: Any, reason: str) -> Dict[str, Any]:
@@ -473,6 +564,7 @@ class ShardCoordinator:
             if lease is not None and lease.worker == worker:
                 del self._leases[shard]
                 self._pending.append(shard)
+                self._changed.notify_all()
         return {"op": "rejected", "reason": reason}
 
 
@@ -537,7 +629,7 @@ class ShardWorker:
             DistributedProtocolError: on digest/protocol skew, a malformed
                 reply, or a coordinator unreachable past the backoff budget.
         """
-        description = self._request({"op": "describe"})
+        description = self._request({"op": "describe", "worker": self.worker_id})
         if description.get("op") != "sweep":
             raise DistributedProtocolError(
                 f"unexpected describe reply: {description!r}"
@@ -649,15 +741,16 @@ class ShardWorker:
         """Send one request, reconnecting with exponential backoff."""
         delay = self.backoff_base
         last: Optional[BaseException] = None
-        for _ in range(self.max_attempts):
+        for attempt in range(self.max_attempts):
+            if attempt:
+                time.sleep(delay)
+                delay = min(delay * 2, self.backoff_cap)
             try:
                 return send_request(
                     self.address, payload, timeout=self.request_timeout
                 )
             except OSError as error:
                 last = error
-            time.sleep(delay)
-            delay = min(delay * 2, self.backoff_cap)
         raise DistributedProtocolError(
             f"coordinator at {self.address[0]}:{self.address[1]} unreachable "
             f"after {self.max_attempts} attempts ({last})"
@@ -704,7 +797,6 @@ class DistributedExecutor:
         wall_timeout: optional overall deadline in seconds; on expiry the
             merged partial result is returned (``pending_points`` > 0),
             exactly like an interrupted sharded run — ``--resume`` finishes.
-        poll_interval: coordinator wait-loop poll period.
     """
 
     workers: int = 2
@@ -716,7 +808,6 @@ class DistributedExecutor:
     port: int = 0
     spawn_workers: bool = True
     wall_timeout: Optional[float] = None
-    poll_interval: float = 0.05
     name: str = field(default="distributed", init=False)
 
     def execute(
@@ -792,20 +883,28 @@ class DistributedExecutor:
         try:
             if self.spawn_workers and not coordinator.finished:
                 context = multiprocessing.get_context()
-                for _ in range(self.workers):
+                for index in range(self.workers):
+                    worker_id = f"local-{index}-{uuid.uuid4().hex[:8]}"
+                    coordinator.expect(worker_id)
                     proc = context.Process(
-                        target=run_worker, args=(host, port), daemon=True
+                        target=run_worker,
+                        args=(host, port, worker_id),
+                        daemon=True,
                     )
                     proc.start()
                     procs.append(proc)
             coordinator.start()
+            window = coordinator.wait_window
             deadline = (
                 None
                 if self.wall_timeout is None
                 else time.monotonic() + self.wall_timeout
             )
-            while not coordinator.finished:
-                coordinator.reap()
+            while not coordinator.await_finished(
+                window
+                if deadline is None
+                else min(window, deadline - time.monotonic())
+            ):
                 if deadline is not None and time.monotonic() > deadline:
                     break
                 if procs and not any(proc.is_alive() for proc in procs):
@@ -813,7 +912,10 @@ class DistributedExecutor:
                     # its final submit round-trip): nothing will finish the
                     # remaining shards — return the partial result honestly
                     break
-                time.sleep(self.poll_interval)
+            if coordinator.finished:
+                # announce the end before closing the socket, so no worker
+                # is left retrying a stopped coordinator
+                coordinator.await_farewells(window)
         finally:
             coordinator.stop()
             for proc in procs:

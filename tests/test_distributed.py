@@ -484,36 +484,57 @@ class TestDistributedConfig:
 # ----------------------------------------------------------------------
 # worker backoff: a vanished coordinator terminates the worker cleanly
 # ----------------------------------------------------------------------
-class TestWorkerBackoff:
-    def test_unreachable_coordinator_raises_after_backoff(self):
-        # bind-then-close guarantees a dead port
-        import socket as socket_module
+def _free_port():
+    """A loopback port nothing listens on (bind, read, close)."""
+    import socket as socket_module
 
-        probe = socket_module.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
+    probe = socket_module.socket()
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    return port
+
+
+class TestWorkerBackoff:
+    def test_unreachable_coordinator_raises_after_backoff(self, monkeypatch):
+        sleeps = []
+        real_sleep = time.sleep
+
+        def recording_sleep(seconds):
+            sleeps.append(seconds)
+            real_sleep(seconds)
+
+        monkeypatch.setattr(time, "sleep", recording_sleep)
         worker = ShardWorker(
-            ("127.0.0.1", port), backoff_base=0.01, backoff_cap=0.02,
+            ("127.0.0.1", _free_port()), backoff_base=0.01, backoff_cap=0.02,
             max_attempts=3, request_timeout=0.2,
         )
         start = time.perf_counter()
         with pytest.raises(DistributedProtocolError, match="unreachable"):
             worker.run()
-        # three attempts with backoff between them actually waited
+        # three attempts with backoff between them actually waited ...
         assert time.perf_counter() - start >= 0.02
+        # ... one backoff between each pair of attempts, none after the last
+        assert sleeps == [0.01, 0.02]
 
 
 # ----------------------------------------------------------------------
 # socket/process integration: real workers, real faults
 # ----------------------------------------------------------------------
-def _run_faulty(worker):
-    """Run a worker thread, swallowing the protocol error raised when the
-    coordinator is stopped before the worker observes ``done``."""
-    try:
-        worker.run()
-    except DistributedProtocolError:
-        pass
+def _start_worker(worker):
+    """Run ``worker`` on a daemon thread; return the thread and a list that
+    receives its result, or the exception it raised."""
+    outcome = []
+
+    def target():
+        try:
+            outcome.append(worker.run())
+        except Exception as error:  # surfaced by the caller's assertion
+            outcome.append(error)
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    return thread, outcome
 
 
 class HangingWorker(ShardWorker):
@@ -579,14 +600,6 @@ def _merged_rows(run_dir, spec, points, digest):
     return [rows_by_index[i] for i in sorted(rows_by_index)]
 
 
-def _await(coordinator, timeout=60.0):
-    deadline = time.monotonic() + timeout
-    while not coordinator.finished:
-        coordinator.reap()
-        assert time.monotonic() < deadline, "sweep did not converge in time"
-        time.sleep(0.05)
-
-
 @INTEGRATION
 class TestExecutorBitIdentity:
     def test_e2_matches_serial(self, tmp_path):
@@ -646,7 +659,7 @@ class TestWorkerFaults:
             healthy = ctx.Process(target=run_worker, args=(host, port),
                                   daemon=True)
             healthy.start()
-            _await(coordinator)
+            assert coordinator.await_finished(60.0), "sweep did not converge"
             healthy.join(timeout=30.0)
         finally:
             coordinator.stop()
@@ -661,26 +674,22 @@ class TestWorkerFaults:
         host, port = coordinator.start()
         hanging = HangingWorker((host, port), hang_seconds=1.2,
                                 heartbeat_interval=60.0)
-        hang_thread = threading.Thread(target=_run_faulty, args=(hanging,),
-                                       daemon=True)
-        hang_thread.start()
+        hang_thread, _ = _start_worker(hanging)
         # wait until the hanging worker actually holds a lease before the
         # healthy worker joins, so the fault deterministically occurs
         deadline = time.monotonic() + 30.0
         while coordinator.progress[1] == 0:
             assert time.monotonic() < deadline
             time.sleep(0.01)
-        healthy = ShardWorker((host, port))
-        healthy_thread = threading.Thread(target=_run_faulty, args=(healthy,),
-                                          daemon=True)
-        healthy_thread.start()
+        healthy_thread, healthy_outcome = _start_worker(ShardWorker((host, port)))
         try:
-            _await(coordinator)
+            assert coordinator.await_finished(60.0), "sweep did not converge"
             # let the hung worker wake up and submit its (duplicate) shard
             hang_thread.join(timeout=30.0)
             healthy_thread.join(timeout=30.0)
         finally:
             coordinator.stop()
+        assert [type(value) for value in healthy_outcome] == [int]
         assert coordinator.stats["reassigned"] >= 1
         assert _merged_rows(run_dir, spec, points, digest) == serial.rows
 
@@ -688,15 +697,13 @@ class TestWorkerFaults:
         serial = run_experiment("e2", preset="quick")
         spec, _, points, digest, run_dir, coordinator = _real_sweep(tmp_path)
         host, port = coordinator.start()
-        worker = CorruptingWorker((host, port))
-        thread = threading.Thread(target=_run_faulty, args=(worker,),
-                                  daemon=True)
-        thread.start()
+        thread, outcome = _start_worker(CorruptingWorker((host, port)))
         try:
-            _await(coordinator)
+            assert coordinator.await_finished(60.0), "sweep did not converge"
             thread.join(timeout=30.0)
         finally:
             coordinator.stop()
+        assert [type(value) for value in outcome] == [int]
         assert coordinator.stats["rejected"] >= 1
         assert _merged_rows(run_dir, spec, points, digest) == serial.rows
 
@@ -742,3 +749,117 @@ class TestWorkerFaults:
             assert error["op"] == "error"
         finally:
             coordinator.stop()
+
+
+class _ParkSignal(ShardCoordinator):
+    """A coordinator that flags the moment a request parks."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.parked = threading.Event()
+
+    def _park(self, ready, timeout):
+        self.parked.set()
+        return super()._park(ready, timeout)
+
+
+@INTEGRATION
+class TestLongPollAndShutdown:
+    def test_parked_lease_wakes_on_rejected_submission(self, tmp_path):
+        run_dir = tmp_path / "run"
+        spec, points, digest = synthetic_sweep(1, 1, run_dir)
+        coordinator = _ParkSignal(spec, "quick", {}, points, 1, digest,
+                                  run_dir, lease_timeout=8.0)
+        address = coordinator.start()
+        window = coordinator.wait_window
+        try:
+            held = send_request(address, {"op": "lease", "worker": "holder"})
+            assert held["op"] == "assign"
+            replies = []
+            waiter = threading.Thread(
+                target=lambda: replies.append(send_request(
+                    address, {"op": "lease", "worker": "parked"})),
+                daemon=True,
+            )
+            waiter.start()
+            assert coordinator.parked.wait(timeout=10.0)
+            start = time.monotonic()
+            rejected = send_request(address, submit_message(
+                "holder", held["shard"], "0" * 64, held["indices"],
+                rows_for(held["indices"])))
+            assert rejected["op"] == "rejected"
+            waiter.join(timeout=10.0)
+            assert time.monotonic() - start < window / 2
+        finally:
+            coordinator.stop()
+        assert replies[0]["op"] == "assign"
+        assert replies[0]["shard"] == held["shard"]
+
+    def test_parked_lease_wakes_when_the_lease_is_reaped(self, tmp_path):
+        run_dir = tmp_path / "run"
+        spec, points, digest = synthetic_sweep(1, 1, run_dir)
+        coordinator = ShardCoordinator(spec, "quick", {}, points, 1, digest,
+                                       run_dir, lease_timeout=1.2)
+        address = coordinator.start()
+        window = coordinator.wait_window
+        try:
+            start = time.monotonic()
+            held = send_request(address, {"op": "lease", "worker": "silent"})
+            waits = 0
+            while True:
+                reply = send_request(address, {"op": "lease", "worker": "next"})
+                if reply["op"] != "wait":
+                    break
+                # a parked lease answers "re-lease now", never "sleep"
+                assert reply["seconds"] == 0
+                waits += 1
+            elapsed = time.monotonic() - start
+        finally:
+            coordinator.stop()
+        assert reply["op"] == "assign"
+        assert reply["shard"] == held["shard"]
+        # each wait was a full parked window, not a busy poll ...
+        assert waits <= math.ceil(1.2 / window)
+        # ... and the expiry was answered well inside the window it fell in
+        assert 1.2 <= elapsed < 1.2 + window / 2
+
+    def test_local_workers_exit_without_terminate(self, tmp_path, monkeypatch):
+        terminated = []
+        original = multiprocessing.process.BaseProcess.terminate
+
+        def spy(process):
+            terminated.append(process.name)
+            original(process)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "terminate",
+                            spy)
+        result = run_experiment("e2", preset="quick", workers=2,
+                                run_dir=tmp_path / "run")
+        assert result.pending_points == 0
+        assert terminated == []
+
+    def test_external_workers_return_normally(self, tmp_path):
+        serial = run_experiment("e2", preset="quick")
+        spec = get_experiment("e2")
+        params = spec.params_for("quick")
+        points = spec.points(params)
+        port = _free_port()
+        # the workers back off until the coordinator below is bound
+        started = [
+            _start_worker(ShardWorker(("127.0.0.1", port),
+                                      worker_id=f"external-{index}"))
+            for index in range(2)
+        ]
+        outcome = DistributedExecutor(
+            spawn_workers=False, wall_timeout=60.0, port=port,
+            run_dir=tmp_path / "run",
+        ).execute(spec, "quick", params, points)
+        for thread, _ in started:
+            thread.join(timeout=30.0)
+        results = [result for _, result in started]
+        assert [[type(value) for value in result] for result in results] == [
+            [int], [int]
+        ]
+        assert sum(result[0] for result in results) == len(points)
+        assert outcome.pending_points == 0
+        assert outcome.rows == serial.rows
