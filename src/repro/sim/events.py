@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Optional, Sequence, Tuple
+from typing import Any, Hashable, NamedTuple, Optional, Sequence, Tuple
 
 NodeId = Hashable
 
@@ -29,9 +29,13 @@ class SlotState(enum.Enum):
     COLLISION = "collision"
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """A point-to-point message travelling over a single link.
+
+    A named tuple rather than a frozen dataclass, like
+    :class:`~repro.topology.graph.Edge`: the simulators build one per
+    point-to-point message, and tuple construction is several times cheaper.
+    It is immutable all the same (assignment raises ``AttributeError``).
 
     Attributes:
         sender: node identifier of the transmitting endpoint.

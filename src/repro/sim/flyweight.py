@@ -38,62 +38,111 @@ fingerprints.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from repro.sim.events import ChannelEvent, Message
 from repro.sim.substreams import NodeStreams
+from repro.topology.graph import CSRView
 
 NodeId = Hashable
 
 
 class FlyweightEnvironment:
-    """Everything a flyweight run needs to know about the network, built once.
+    """Everything a flyweight run needs to know about the network.
 
-    The environment is one object holding the topology columns in slot
-    order.  A simulator builds it once per network
-    object (the topology rows are cached on the graph) and mutates only
-    ``inputs`` between runs, so repeated runs on one sweep point reuse every
-    materialised structure.
+    The environment wraps the graph's CSR snapshot
+    (:meth:`~repro.topology.graph.WeightedGraph.csr`) instead of copying it:
+    building one is O(1), so a simulator builds a fresh environment per run
+    and nothing per node is materialised up front.  The per-slot neighbour
+    and weight rows are derived from the CSR row each time they are indexed
+    — no library protocol reads them, only the per-node test oracles do.
 
     Attributes:
-        nodes: node ids in slot order (``nodes[slot]`` is the id of ``slot``).
-        slot_of: inverse mapping, node id → slot index.
-        neighbors: per-slot neighbour-id tuples.
-        link_weights: per-slot ``{neighbour: weight}`` dicts (shared with the
-            simulator's cached rows — read-only).
+        csr: the topology snapshot the environment describes.
+        nodes: node ids in slot order (``nodes[slot]`` is the id of ``slot``);
+            a ``range`` on identity-labelled graphs, where node = slot (the
+            simulator loops use the slot itself there: a range subscript
+            builds a fresh int and costs several times a tuple's).
+        neighbors: per-slot neighbour-id tuples, in row order.
+        link_weights: per-slot ``{neighbour: weight}`` dicts, in row order.
         n: the number of nodes when the protocol is told it, else ``None``.
         streams: the per-node random substream family
             (:class:`~repro.sim.substreams.NodeStreams`).
-        inputs: per-node input mapping for the current run; reassigned by
+        inputs: per-node input mapping for the current run; assigned by
             the simulator per run.
     """
 
-    __slots__ = ("nodes", "slot_of", "neighbors", "link_weights", "n",
-                 "streams", "inputs")
+    __slots__ = ("csr", "nodes", "neighbors", "link_weights", "n", "streams",
+                 "inputs", "_slot_of")
 
-    def __init__(
-        self,
-        nodes: Tuple[NodeId, ...],
-        neighbors: Tuple[Tuple[NodeId, ...], ...],
-        link_weights: Tuple[Dict[NodeId, float], ...],
-        n: Optional[int],
-        streams: NodeStreams,
-    ) -> None:
-        """Assemble the columnar environment from topology rows."""
-        self.nodes = nodes
-        self.slot_of: Dict[NodeId, int] = {
-            node: slot for slot, node in enumerate(nodes)
-        }
-        self.neighbors = neighbors
-        self.link_weights = link_weights
+    def __init__(self, csr: CSRView, n: Optional[int],
+                 streams: Optional[NodeStreams]) -> None:
+        """Wrap ``csr``; O(1) — every column is shared or derived on demand."""
+        self.csr = csr
+        self.nodes: Sequence[NodeId] = csr.nodes
+        self.neighbors = CSRRows(csr, weighted=False)
+        self.link_weights = CSRRows(csr, weighted=True)
         self.n = n
         self.streams = streams
         self.inputs: Mapping[NodeId, Dict[str, Any]] = {}
+        self._slot_of: Optional[Dict[NodeId, int]] = csr.index_of
+
+    @property
+    def slot_of(self) -> Dict[NodeId, int]:
+        """Return the inverse mapping, node id → slot index.
+
+        Shared with the CSR snapshot on relabelled graphs; on
+        identity-labelled graphs (node = slot, which the simulators exploit
+        directly) it is built on first use.
+        """
+        if self._slot_of is None:
+            self._slot_of = {slot: slot for slot in range(self.csr.n)}
+        return self._slot_of
 
     @property
     def num_slots(self) -> int:
         """Return the number of node slots."""
-        return len(self.nodes)
+        return self.csr.n
+
+
+class CSRRows:
+    """A read-only per-slot column derived from a CSR snapshot's rows.
+
+    ``rows[slot]`` is the neighbour-id tuple of ``slot`` (or, when
+    ``weighted``, its ``{neighbour: weight}`` dict), in row order — the
+    order :meth:`~repro.topology.graph.WeightedGraph.iter_neighbors` yields.
+    Each index builds the row afresh, so nothing is cached per node.
+    """
+
+    __slots__ = ("_csr", "_weighted")
+
+    def __init__(self, csr: CSRView, weighted: bool) -> None:
+        """Bind the snapshot; ``weighted`` picks dict rows over tuple rows."""
+        self._csr = csr
+        self._weighted = weighted
+
+    def __len__(self) -> int:
+        """Return the number of slots."""
+        return self._csr.n
+
+    def __getitem__(self, slot: int) -> Union[Tuple[NodeId, ...], Dict[NodeId, float]]:
+        """Return the row of ``slot`` (negative indices count from the end)."""
+        csr = self._csr
+        slot = range(csr.n)[slot]
+        offsets = csr.offsets
+        lo = offsets[slot]
+        hi = offsets[slot + 1]
+        targets = csr.targets[lo:hi]
+        if csr.identity:
+            labels: Sequence[NodeId] = targets
+        else:
+            nodes = csr.nodes
+            labels = [nodes[target] for target in targets]
+        if self._weighted:
+            return dict(zip(labels, csr.weights[lo:hi]))
+        return tuple(labels)
 
 
 class FlyweightProtocol:
@@ -173,6 +222,5 @@ class FlyweightProtocol:
     # ------------------------------------------------------------------
     def results_by_node(self) -> Dict[NodeId, Any]:
         """Return the per-node results keyed by node id (slot order)."""
-        results = self.results
-        return {node: results[slot] for slot, node in enumerate(self.env.nodes)}
+        return dict(zip(self.env.nodes, self.results))
 

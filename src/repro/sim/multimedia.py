@@ -17,8 +17,8 @@ Each round of :meth:`MultimediaNetwork.run` is one pass over the *active*
 
 1. the network hands over every inbox in one batch — all messages sent in
    round ``r − 1`` are delivered together at the start of round ``r``
-   (:meth:`~repro.sim.network.PointToPointNetwork.deliver` swaps the standing
-   per-node inboxes out rather than filtering message by message);
+   (:meth:`~repro.sim.network.PointToPointNetwork.deliver` hands its whole
+   in-flight dict over rather than filtering message by message);
 2. every active slot observes its batch plus the public view of the previous
    channel slot via :meth:`~repro.sim.flyweight.FlyweightProtocol.on_round`
    (a slot's first dispatch runs
@@ -32,12 +32,16 @@ Each round of :meth:`MultimediaNetwork.run` is one pass over the *active*
 Slots that halt leave the dispatch but keep receiving (and dropping) late
 traffic; the loop keeps running — resolving idle slots — until the last
 in-flight message has drained.
+
+A run allocates nothing per node beyond the protocol's own columns: the
+environment wraps the graph's CSR snapshot, and the network holds inboxes
+only for receivers with mail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
 from repro.sim.adversity import AdversityState
 from repro.sim.channel import SlottedChannel
@@ -58,48 +62,6 @@ DEFAULT_MAX_ROUNDS = 1_000_000
 #: synchronizer uses its own scope so the two sims never correlate).
 STREAM_SCOPE = "sim.multimedia"
 
-TopologyRows = List[Tuple[NodeId, Tuple[NodeId, ...], Dict[NodeId, float]]]
-
-
-def shared_topology_rows(graph: WeightedGraph) -> TopologyRows:
-    """Return per-node ``(node, neighbours, weights)`` rows, cached on the graph.
-
-    The rows are the materialised form every simulation layer consumes
-    (multimedia rounds, the synchronizer, flyweight environments).  They are
-    cached on the graph object keyed by its mutation version, so the several
-    simulations one sweep point runs over the same topology (e.g. e7's
-    multimedia run and its point-to-point baseline) build them exactly once.
-    The neighbour tuples and weight dicts are shared — consumers must treat
-    them as read-only.
-    """
-    version = getattr(graph, "_version", None)
-    cache = getattr(graph, "_sim_topology_rows", None)
-    if cache is not None and cache[0] == version:
-        return cache[1]
-    rows: TopologyRows = [
-        (node, tuple(graph.iter_neighbors(node)), dict(graph.neighbor_items(node)))
-        for node in graph.nodes()
-    ]
-    try:
-        graph._sim_topology_rows = (version, rows)
-    except AttributeError:  # graphs with __slots__: fall back to uncached
-        pass
-    return rows
-
-
-def topology_environment(
-    graph: WeightedGraph, n_known: bool, streams: NodeStreams
-) -> FlyweightEnvironment:
-    """Build the columnar flyweight environment of ``graph`` from its cached rows."""
-    rows = shared_topology_rows(graph)
-    return FlyweightEnvironment(
-        nodes=tuple(row[0] for row in rows),
-        neighbors=tuple(row[1] for row in rows),
-        link_weights=tuple(row[2] for row in rows),
-        n=graph.num_nodes() if n_known else None,
-        streams=streams,
-    )
-
 
 @dataclass
 class SimulationResult:
@@ -117,17 +79,14 @@ class SimulationResult:
     results: Dict[NodeId, Any]
     channel_history: Tuple[ChannelEvent, ...]
 
-    def result_values(self) -> List[Any]:
-        """Return the node outputs in node-id order (for convenience)."""
-        return [self.results[node] for node in sorted(self.results, key=repr)]
-
 
 class MultimediaNetwork:
     """A multimedia network over a fixed point-to-point topology.
 
     The object can be reused for several runs; each run gets a fresh protocol
     instance and (unless a shared recorder is supplied per run) a fresh
-    :class:`MetricsRecorder`.
+    :class:`MetricsRecorder`.  Each run reads the graph's current CSR
+    snapshot, so a mutation between runs takes effect on the next one.
     """
 
     def __init__(
@@ -153,10 +112,6 @@ class MultimediaNetwork:
         # the per-node substream family: cheap, stateless, shared by every
         # run on this object (see repro.sim.substreams)
         self._streams = NodeStreams(seed, STREAM_SCOPE)
-        # the flyweight environment is built on the first run and mutated in
-        # place (inputs only) across runs
-        self._flyweight_env: Optional[FlyweightEnvironment] = None
-        self._flyweight_env_version: Optional[int] = None
 
     @property
     def graph(self) -> WeightedGraph:
@@ -172,16 +127,6 @@ class MultimediaNetwork:
     def num_links(self) -> int:
         """Return ``m``."""
         return self._graph.num_edges()
-
-    def _flyweight_environment(self) -> FlyweightEnvironment:
-        """Return the columnar environment, built once and reused across runs."""
-        version = getattr(self._graph, "_version", None)
-        env = self._flyweight_env
-        if env is None or self._flyweight_env_version != version:
-            env = topology_environment(self._graph, self._n_known, self._streams)
-            self._flyweight_env = env
-            self._flyweight_env_version = version
-        return env
 
     def run(
         self,
@@ -235,7 +180,10 @@ class MultimediaNetwork:
             metrics=recorder,
             adversity=adversity.channel_adversity() if adversity is not None else None,
         )
-        env = self._flyweight_environment()
+        csr = self._graph.csr()
+        env = FlyweightEnvironment(
+            csr, csr.n if self._n_known else None, self._streams
+        )
         env.inputs = inputs if inputs is not None else {}
         protocol: FlyweightProtocol = protocol_factory(env)
 
@@ -243,8 +191,10 @@ class MultimediaNetwork:
         accept_sends = network.accept_sends
         resolve_slot = channel.resolve_slot
         record_round = recorder.record_round
-        nodes = env.nodes
-        slot_of = env.slot_of
+        # on identity-labelled graphs node = slot: the loops skip both label
+        # lookups, and the inbox keys are the slots themselves
+        labels = None if csr.identity else env.nodes
+        slot_of = None if csr.identity else env.slot_of
         num_slots = env.num_slots
         halted = protocol.halted
         on_start = protocol.on_start
@@ -278,10 +228,14 @@ class MultimediaNetwork:
                 # only slots with mail can change state; dispatch them in
                 # slot (= node) order so message emission order matches a
                 # full scan exactly
-                for slot in sorted(slot_of[node] for node in inboxes):
+                if slot_of is None:
+                    order = sorted(inboxes)
+                else:
+                    order = sorted([slot_of[node] for node in inboxes])
+                for slot in order:
                     if halted[slot]:
                         continue
-                    node = nodes[slot]
+                    node = slot if labels is None else labels[slot]
                     on_round(slot, inboxes[node], public_event)
                     if len(sends) > mark:
                         accept_sends(node, sends[mark:], round_index)
@@ -291,7 +245,7 @@ class MultimediaNetwork:
                 for slot in range(num_slots):
                     if halted[slot]:
                         continue
-                    node = nodes[slot]
+                    node = slot if labels is None else labels[slot]
                     if node_crashed is not None and node_crashed(node, round_index):
                         count_crash_round()
                         continue

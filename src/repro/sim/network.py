@@ -1,22 +1,25 @@
-"""The synchronous point-to-point message-passing network.
+"""The synchronous point-to-point network.
 
 The network delivers every message exactly one round after it was sent
 (synchronous model, Section 2).  It validates that messages travel only over
 existing links and charges every delivery to the shared
 :class:`~repro.sim.metrics.MetricsRecorder`.
 
-Delivery is batched: inboxes are preallocated per node at construction, a
-round's sends are appended to the receivers' standing inboxes, and
-:meth:`PointToPointNetwork.deliver` hands the non-empty inboxes over in one
-swap when every in-flight message is ready (which in the synchronous round
-loop is always — sends happen strictly before the next round's delivery).
-The per-message filtering the old implementation did per round survives only
-as a slow path for callers that pre-load future rounds.
+The network keeps no per-node state: in-flight mail lives in one
+``receiver → inbox`` dict whose inboxes are created on a receiver's first
+mail of the round, so its insertion order is first-mail order.  Link
+validation reads the graph's CSR rows (the nested adjacency dicts are never
+materialised), and the connectivity check is the CSR snapshot's, cached per
+mutation generation.  :meth:`PointToPointNetwork.deliver` hands the whole
+dict over and starts a new one when every in-flight message is ready (which
+in the synchronous round loop is always — sends happen strictly before the
+next round's delivery).  Per-message filtering survives only as a slow path
+for callers that pre-load future rounds, and for the adversity schedule.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Collection, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.sim.errors import ProtocolError, TopologyError
 
@@ -25,9 +28,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 from repro.sim.events import Message
 from repro.sim.metrics import MetricsRecorder
 from repro.topology.graph import WeightedGraph
-from repro.topology.properties import is_connected
 
 NodeId = Hashable
+
+_new_tuple = tuple.__new__
 
 
 class PointToPointNetwork:
@@ -56,20 +60,18 @@ class PointToPointNetwork:
             TopologyError: if the graph is empty or (when required) not
                 connected.
         """
-        if graph.num_nodes() == 0:
+        csr = graph.csr()
+        if csr.n == 0:
             raise TopologyError("cannot build a network over an empty graph")
-        if require_connected and not is_connected(graph):
+        if require_connected and not csr.is_connected():
             raise TopologyError("the point-to-point topology must be connected")
         self._graph = graph
+        self._csr = csr
         self.metrics = metrics if metrics is not None else MetricsRecorder()
-        # live adjacency view for O(1) link validation without method dispatch
-        self._adjacency = graph.adjacency()
-        # preallocated per-node inboxes; _pending lists the receivers whose
-        # inbox is currently non-empty so a round touches only active nodes
-        self._inboxes: Dict[NodeId, List[Message]] = {
-            node: [] for node in self._adjacency
-        }
-        self._pending: List[NodeId] = []
+        # receiver -> queued messages, in first-mail order; only receivers
+        # with mail have an entry
+        self._inboxes: Dict[NodeId, List[Message]] = {}
+        self._in_flight = 0
         self._latest_round_sent = -1
         self._delivered_total = 0
         self._adversity = adversity
@@ -87,7 +89,7 @@ class PointToPointNetwork:
     @property
     def num_nodes(self) -> int:
         """Return the number of processors ``n``."""
-        return self._graph.num_nodes()
+        return self._csr.n
 
     @property
     def num_links(self) -> int:
@@ -112,31 +114,58 @@ class PointToPointNetwork:
 
         Raises:
             ProtocolError: if a destination is not adjacent to ``sender``.
+                The messages before it stay queued and counted, so a
+                caller that catches the error still sees the one-round
+                delivery delay; it and the rest are dropped.
         """
-        links = self._adjacency.get(sender)
+        csr = self._csr
+        if csr.identity and sender.__class__ is int and 0 <= sender < csr.n:
+            links: Collection[NodeId] = csr.targets[
+                csr.offsets[sender]:csr.offsets[sender + 1]
+            ]
+        else:
+            links = self._links(sender)
+        if len(sends) > 1:
+            # a hub's batch: one set build instead of a row scan per send
+            links = set(links)
         inboxes = self._inboxes
-        pending = self._pending
+        get_inbox = inboxes.get
         count = 0
         for receiver, payload in sends:
-            if links is None or receiver not in links:
-                # keep the partially queued batch consistent: its messages
-                # are recorded and stamped so a caller that catches the error
-                # still sees the one-round delivery delay
-                if count:
-                    self.metrics.record_messages(count)
-                    if round_index > self._latest_round_sent:
-                        self._latest_round_sent = round_index
+            if receiver not in links:
+                self._queued(count, round_index)
                 raise ProtocolError(
                     f"node {sender!r} attempted to send over a non-existent "
                     f"link to {receiver!r}"
                 )
-            inbox = inboxes[receiver]
-            if not inbox:
-                pending.append(receiver)
-            inbox.append(Message(sender, receiver, payload, round_index))
+            message = _new_tuple(Message, (sender, receiver, payload, round_index))
+            inbox = get_inbox(receiver)
+            if inbox is None:
+                inboxes[receiver] = [message]
+            else:
+                inbox.append(message)
             count += 1
+        self._queued(count, round_index)
+
+    def _links(self, sender: NodeId) -> Collection[NodeId]:
+        """Return the neighbour labels of ``sender`` (empty if it is no node)."""
+        csr = self._csr
+        if csr.identity:
+            if not self._graph.has_node(sender):
+                return ()
+            slot = int(sender)
+            return csr.targets[csr.offsets[slot]:csr.offsets[slot + 1]]
+        slot = csr.index_of.get(sender)
+        if slot is None:
+            return ()
+        nodes = csr.nodes
+        return [nodes[t] for t in csr.targets[csr.offsets[slot]:csr.offsets[slot + 1]]]
+
+    def _queued(self, count: int, round_index: int) -> None:
+        """Charge ``count`` newly queued messages sent in ``round_index``."""
         if count:
             self.metrics.record_messages(count)
+            self._in_flight += count
             if round_index > self._latest_round_sent:
                 self._latest_round_sent = round_index
 
@@ -145,8 +174,9 @@ class PointToPointNetwork:
 
         Only messages sent in earlier rounds are delivered; in the
         synchronous model that is every in-flight message, so the common case
-        hands the standing inboxes over wholesale instead of filtering each
-        message by its send round.
+        hands the whole in-flight dict over (receivers in first-mail order)
+        and starts a new one instead of filtering each message by its send
+        round.
 
         With an adversity state attached, every due message runs the fault
         gauntlet instead: dropped when the receiver is crashed this round,
@@ -156,63 +186,53 @@ class PointToPointNetwork:
         fault-free path is untouched — zero adversity means the exact
         pre-adversity delivery semantics and randomness.
         """
-        pending = self._pending
-        if not pending:
+        inboxes = self._inboxes
+        if not inboxes:
             return {}
         if self._adversity is not None:
             return self._deliver_under_adversity(round_index)
-        inboxes = self._inboxes
-        delivered: Dict[NodeId, List[Message]] = {}
-        count = 0
         if self._latest_round_sent < round_index:
             # fast path: every queued message was sent in an earlier round
-            for receiver in pending:
-                inbox = inboxes[receiver]
-                delivered[receiver] = inbox
-                inboxes[receiver] = []
-                count += len(inbox)
-            pending.clear()
-        else:
-            # slow path: some messages are stamped for this round or later
-            # (only reachable by driving the network by hand in tests)
-            still_pending: List[NodeId] = []
-            for receiver in pending:
-                inbox = inboxes[receiver]
-                ready = [msg for msg in inbox if msg.round_sent < round_index]
-                if ready:
-                    if len(ready) == len(inbox):
-                        inboxes[receiver] = []
-                    else:
-                        inboxes[receiver] = [
-                            msg for msg in inbox if msg.round_sent >= round_index
-                        ]
-                        still_pending.append(receiver)
-                    delivered[receiver] = ready
-                    count += len(ready)
-                else:
-                    still_pending.append(receiver)
-            self._pending = still_pending
+            self._inboxes = {}
+            self._delivered_total += self._in_flight
+            self._in_flight = 0
+            return inboxes
+        # slow path: some messages are stamped for this round or later
+        # (only reachable by driving the network by hand in tests)
+        delivered: Dict[NodeId, List[Message]] = {}
+        kept_inboxes: Dict[NodeId, List[Message]] = {}
+        count = 0
+        for receiver, inbox in inboxes.items():
+            ready = [msg for msg in inbox if msg.round_sent < round_index]
+            if len(ready) < len(inbox):
+                kept_inboxes[receiver] = [
+                    msg for msg in inbox if msg.round_sent >= round_index
+                ]
+            if ready:
+                delivered[receiver] = ready
+                count += len(ready)
+        self._inboxes = kept_inboxes
+        self._in_flight -= count
         self._delivered_total += count
         return delivered
 
     def _deliver_under_adversity(self, round_index: int) -> Dict[NodeId, List[Message]]:
         """Delivery slow path applying the attached adversity schedule.
 
-        Draw order is fixed — receivers in pending order, messages in inbox
-        order, loss before delay — so a given substream seed always produces
-        the same fault trace.
+        Draw order is fixed — receivers in first-mail order, messages in
+        inbox order, loss before delay — so a given substream seed always
+        produces the same fault trace.
         """
         state = self._adversity
         spec = state.spec
         rng = self._fault_rng
         loss_rate = spec.loss_rate
         delay_rate = spec.delay_rate
-        inboxes = self._inboxes
         delivered: Dict[NodeId, List[Message]] = {}
-        still_pending: List[NodeId] = []
+        kept_inboxes: Dict[NodeId, List[Message]] = {}
         count = 0
-        for receiver in self._pending:
-            inbox = inboxes[receiver]
+        in_flight = 0
+        for receiver, inbox in self._inboxes.items():
             ready: List[Message] = []
             kept: List[Message] = []
             receiver_crashed = state.node_crashed(receiver, round_index)
@@ -234,16 +254,17 @@ class PointToPointNetwork:
                     kept.append(msg)
                     continue
                 ready.append(msg)
-            inboxes[receiver] = kept
             if kept:
-                still_pending.append(receiver)
+                kept_inboxes[receiver] = kept
+                in_flight += len(kept)
             if ready:
                 delivered[receiver] = ready
                 count += len(ready)
-        self._pending = still_pending
+        self._inboxes = kept_inboxes
+        self._in_flight = in_flight
         self._delivered_total += count
         return delivered
 
     def has_in_flight(self) -> bool:
         """Return ``True`` when undelivered messages remain in the network."""
-        return bool(self._pending)
+        return bool(self._inboxes)

@@ -37,12 +37,14 @@ from repro.sim.channel import SlottedChannel
 from repro.sim.engine import EventQueue
 from repro.sim.errors import AdversityAbort, SimulationTimeout
 from repro.sim.events import NO_MESSAGES, Message
-from repro.sim.flyweight import FlyweightProtocol
-from repro.sim.multimedia import ProtocolFactory, topology_environment
+from repro.sim.flyweight import FlyweightEnvironment, FlyweightProtocol
+from repro.sim.multimedia import ProtocolFactory
 from repro.sim.substreams import NodeStreams
 from repro.topology.graph import WeightedGraph
 
 NodeId = Hashable
+
+_new_tuple = tuple.__new__
 
 #: Substream scope for per-node random sources under the synchronizer (kept
 #: distinct from the synchronous sim's scope so a shared master seed never
@@ -123,10 +125,10 @@ class ChannelSynchronizer:
         delay-draw order (acting slots in node order, messages in send
         order) are fixed by the slot order.  Without adversity, a
         ``MESSAGE_DRIVEN`` protocol is dispatched only on the slots whose
-        inbox received mail since their last dispatch (tracked by a dirty
-        list the delivery callback maintains) — profiling e10 at n = 102400
-        showed ~2 × 10⁸ empty-inbox dispatch calls, which this removes
-        wholesale.
+        inbox received mail since their last dispatch (the keys of the
+        inbox dict the delivery callback fills, created on first mail and
+        taken whole at each pulse) — profiling e10 at n = 102400 showed
+        ~2 × 10⁸ empty-inbox dispatch calls, which this removes wholesale.
 
         With an ``adversity`` state attached, the schedule's faults apply at
         this layer's natural seams: a crashed node skips its pulses (its
@@ -154,14 +156,19 @@ class ChannelSynchronizer:
         master = random.Random(self._seed)
         delay_rng = random.Random(master.randrange(2**63))
 
-        env = topology_environment(
-            self._graph, self._n_known, NodeStreams(self._seed, STREAM_SCOPE)
+        csr = self._graph.csr()
+        env = FlyweightEnvironment(
+            csr,
+            csr.n if self._n_known else None,
+            NodeStreams(self._seed, STREAM_SCOPE),
         )
         env.inputs = inputs if inputs is not None else {}
         protocol: FlyweightProtocol = protocol_factory(env)
         message_driven = protocol.MESSAGE_DRIVEN
-        nodes = env.nodes
-        slot_of = env.slot_of
+        # on identity-labelled graphs node = slot: the loops skip both label
+        # lookups, and the inbox keys are the slots themselves
+        labels = None if csr.identity else env.nodes
+        slot_of = None if csr.identity else env.slot_of
         num_slots = env.num_slots
         halted = protocol.halted
         on_start = protocol.on_start
@@ -174,10 +181,10 @@ class ChannelSynchronizer:
         channel = SlottedChannel(
             adversity=adv.channel_adversity() if adv is not None else None
         )
-        pending_inbox: Dict[NodeId, List[Message]] = {node: [] for node in nodes}
-        # slots whose inbox went empty → non-empty since their last dispatch
-        # (the message-driven fast path walks this instead of every node)
-        mail_nodes: List[NodeId] = []
+        # receiver → mail delivered since its last dispatch; an inbox is
+        # created on first mail, so the keys are exactly the nodes with mail
+        # (the message-driven fast path walks them instead of every node)
+        pending_inbox: Dict[NodeId, List[Message]] = {}
         counters = {"algorithm": 0, "ack": 0, "busy_slots": 0, "unacked": 0}
         schedule = queue.schedule
 
@@ -188,10 +195,11 @@ class ChannelSynchronizer:
             ):
                 # lost in transit: never delivered, never acknowledged
                 return
-            inbox = pending_inbox[message.receiver]
-            if not inbox:
-                mail_nodes.append(message.receiver)
-            inbox.append(message)
+            inbox = pending_inbox.get(message.receiver)
+            if inbox is None:
+                pending_inbox[message.receiver] = [message]
+            else:
+                inbox.append(message)
             # acknowledgement travels back over the same link
             counters["ack"] += 1
             schedule(delay_rng.randint(1, max_delay), ack)
@@ -212,7 +220,7 @@ class ChannelSynchronizer:
                 schedule(
                     randint(1, max_delay),
                     deliver,
-                    Message(node, receiver, payload, pulse),
+                    _new_tuple(Message, (node, receiver, payload, pulse)),
                 )
             del sends[:]
 
@@ -223,7 +231,7 @@ class ChannelSynchronizer:
         for slot in range(num_slots):
             if halted[slot]:
                 continue
-            node = nodes[slot]
+            node = slot if labels is None else labels[slot]
             if adv is not None and adv.node_crashed(node, 0):
                 adv.count_crash_round()
                 continue
@@ -271,26 +279,29 @@ class ChannelSynchronizer:
                 del channel_writes[:]
             public = event.public_view()
             if fast_path:
-                if mail_nodes:
-                    # slot (= node) order keeps the delay-draw order of a
-                    # full scan
-                    order = sorted(slot_of[node] for node in mail_nodes)
-                    del mail_nodes[:]
+                if pending_inbox:
+                    # take every inbox at once (deliveries only happen while
+                    # the clock runs, never during dispatch); slot (= node)
+                    # order keeps the delay-draw order of a full scan
+                    mail = pending_inbox
+                    pending_inbox = {}
+                    if slot_of is None:
+                        order = sorted(mail)
+                    else:
+                        order = sorted([slot_of[node] for node in mail])
                     for slot in order:
                         if halted[slot]:
                             # halted nodes keep absorbing (and ignoring) mail
                             continue
-                        node = nodes[slot]
-                        inbox = pending_inbox[node]
-                        pending_inbox[node] = []
-                        on_round(slot, inbox, public)
+                        node = slot if labels is None else labels[slot]
+                        on_round(slot, mail[node], public)
                         if sends:
                             dispatch_sends(node, pulses)
             else:
                 for slot in range(num_slots):
                     if halted[slot]:
                         continue
-                    node = nodes[slot]
+                    node = slot if labels is None else labels[slot]
                     if adv is not None:
                         if adv.node_crashed(node, pulses):
                             adv.count_crash_round()
@@ -299,17 +310,13 @@ class ChannelSynchronizer:
                             # first up pulse after starting the run crashed
                             started[slot] = 1
                             on_start(slot)
-                            inbox = pending_inbox[node]
-                            if inbox:
-                                pending_inbox[node] = []
-                                on_round(slot, inbox, public)
+                            if node in pending_inbox:
+                                on_round(slot, pending_inbox.pop(node), public)
                             if sends:
                                 dispatch_sends(node, pulses)
                             continue
-                    inbox = pending_inbox[node]
-                    if inbox:
-                        pending_inbox[node] = []
-                        on_round(slot, inbox, public)
+                    if node in pending_inbox:
+                        on_round(slot, pending_inbox.pop(node), public)
                     elif not message_driven:
                         on_round(slot, NO_MESSAGES, public)
                     if sends:

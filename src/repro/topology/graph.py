@@ -195,6 +195,7 @@ class CSRView:
         "index_of",
         "identity",
         "_canonical",
+        "_connected",
     )
 
     def __init__(
@@ -216,11 +217,40 @@ class CSRView:
         self.index_of = index_of
         self.identity = identity
         self._canonical: Optional[Tuple[array, array, array]] = None
+        self._connected: Optional[bool] = None
 
     @property
     def num_edges(self) -> int:
         """Return ``m``, the number of undirected edges in the snapshot."""
         return len(self.targets) // 2
+
+    def is_connected(self) -> bool:
+        """Return ``True`` when the snapshot is connected (the empty graph counts).
+
+        One frontier sweep over the rows from slot 0, computed once per view
+        and cached, so every consumer of one mutation generation (the
+        partitioners, the MST stages, each simulation run) shares it.
+        """
+        if self._connected is None:
+            offsets = self.offsets
+            targets = self.targets
+            seen = bytearray(self.n)
+            frontier = []
+            if self.n:
+                seen[0] = 1
+                frontier.append(0)
+            reached = len(frontier)
+            while frontier:
+                next_frontier: List[int] = []
+                for slot in frontier:
+                    for target in targets[offsets[slot]:offsets[slot + 1]]:
+                        if not seen[target]:
+                            seen[target] = 1
+                            next_frontier.append(target)
+                reached += len(next_frontier)
+                frontier = next_frontier
+            self._connected = reached == self.n
+        return self._connected
 
     def canonical_edges(self) -> Tuple[array, array, array]:
         """Return ``(edge_u, edge_v, edge_w)`` columns in canonical edge order.

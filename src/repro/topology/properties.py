@@ -91,11 +91,12 @@ def connected_components(graph: WeightedGraph) -> List[List[NodeId]]:
 
 
 def is_connected(graph: WeightedGraph) -> bool:
-    """Return ``True`` when ``graph`` is connected (the empty graph counts)."""
-    if graph.num_nodes() == 0:
-        return True
-    first = graph.nodes()[0]
-    return len(breadth_first_levels(graph, first)) == graph.num_nodes()
+    """Return ``True`` when ``graph`` is connected (the empty graph counts).
+
+    Answered by the CSR snapshot and cached there, so it costs one sweep per
+    mutation generation however many stages ask.
+    """
+    return graph.csr().is_connected()
 
 
 def eccentricity(graph: WeightedGraph, node: NodeId) -> int:

@@ -36,6 +36,7 @@ from repro.sim.errors import AdversityAbort
 from repro.sim.flyweight import FlyweightEnvironment, FlyweightProtocol
 from repro.sim.multimedia import MultimediaNetwork
 from repro.sim.synchronizer import ChannelSynchronizer
+from repro.topology.graph import WeightedGraph
 
 
 def aggregation_inputs(graph, redistribute):
@@ -209,21 +210,16 @@ class TestBFSOracle:
 class TestFlyweightState:
     def test_columns_are_slot_indexed(self):
         graph = make_topology("ring", 8, seed=11)
-        network = MultimediaNetwork(graph, seed=3)
-        env = network._flyweight_environment()
+        env = FlyweightEnvironment(graph.csr(), graph.num_nodes(), None)
         assert env.num_slots == graph.num_nodes()
         assert sorted(env.slot_of[node] for node in env.nodes) == list(
             range(env.num_slots)
         )
 
     def test_halt_slot_bookkeeping(self):
-        env = FlyweightEnvironment(
-            nodes=("a", "b"),
-            neighbors=(("b",), ("a",)),
-            link_weights=({"b": 1.0}, {"a": 1.0}),
-            n=2,
-            streams=None,
-        )
+        graph = WeightedGraph()
+        graph.add_edge("a", "b")
+        env = FlyweightEnvironment(graph.csr(), n=2, streams=None)
 
         class Noop(FlyweightProtocol):
             def on_round(self, slot, inbox, channel):
@@ -234,3 +230,44 @@ class TestFlyweightState:
         protocol.halt_slot(env.slot_of["b"], result=7)
         assert protocol.active_count == 1
         assert protocol.results_by_node() == {"a": None, "b": 7}
+
+
+class TestCSREnvironment:
+    """The environment's per-slot rows are derived from the CSR snapshot."""
+
+    @pytest.mark.parametrize("relabel", [False, True], ids=["identity", "labels"])
+    def test_rows_match_the_graph(self, relabel):
+        graph = make_topology("scale_free", 64, seed=5)
+        if relabel:
+            graph = graph.relabeled({node: f"v{node}" for node in graph.nodes()})
+        env = FlyweightEnvironment(graph.csr(), graph.num_nodes(), None)
+        assert env.csr.identity is not relabel
+        assert list(env.nodes) == graph.nodes()
+        assert len(env.neighbors) == len(env.link_weights) == graph.num_nodes()
+        for slot, node in enumerate(graph.nodes()):
+            assert env.slot_of[node] == slot
+            assert env.neighbors[slot] == tuple(graph.iter_neighbors(node))
+            assert env.link_weights[slot] == dict(graph.neighbor_items(node))
+            # row order, not just contents: the oracles iterate both
+            assert list(env.link_weights[slot]) == list(graph.iter_neighbors(node))
+        assert env.neighbors[-1] == env.neighbors[graph.num_nodes() - 1]
+        with pytest.raises(IndexError):
+            env.neighbors[graph.num_nodes()]
+
+    def test_fault_free_run_never_materialises_the_dicts(self):
+        # the inputs come from an identical twin, because building a BFS
+        # forest reads the nested dicts
+        twin = make_topology("scale_free", 512, seed=7)
+        inputs = aggregation_inputs(twin, redistribute=True)
+        graph = make_topology("scale_free", 512, seed=7)
+        assert graph._adj is None
+        result = MultimediaNetwork(graph, seed=1).run(
+            TreeAggregationFlyweight, inputs=inputs
+        )
+        report = ChannelSynchronizer(graph, seed=1).run(
+            TreeAggregationFlyweight, inputs=inputs
+        )
+        assert graph._adj is None
+        root = min(graph.nodes())
+        assert sorted(result.results[root]) == graph.nodes()
+        assert sorted(report.results[root]) == graph.nodes()

@@ -1,5 +1,7 @@
 """Unit tests for channel events, messages and the metrics recorder."""
 
+import pickle
+
 import pytest
 
 from repro.sim.events import ChannelEvent, Message, SlotState, idle_event
@@ -24,6 +26,27 @@ class TestChannelEvent:
         message = Message(sender=1, receiver=2, payload="p", round_sent=3)
         text = repr(message)
         assert "1" in text and "2" in text
+
+
+class TestMessage:
+    def test_four_named_fields(self):
+        message = Message(sender=1, receiver=2, payload="p", round_sent=3)
+        assert Message._fields == ("sender", "receiver", "payload", "round_sent")
+        assert (message.sender, message.receiver) == (1, 2)
+        assert (message.payload, message.round_sent) == ("p", 3)
+
+    def test_immutable(self):
+        message = Message(1, 2, "p", 3)
+        with pytest.raises(AttributeError):
+            message.payload = "q"
+
+    def test_pickle_round_trip(self):
+        message = Message("a", "b", ("aggregate", (1, 2)), 7)
+        clone = pickle.loads(pickle.dumps(message))
+        assert clone == message and type(clone) is Message
+
+    def test_repr_unchanged(self):
+        assert repr(Message(1, 2, "p", 3)) == "Message(1->2 @r3: 'p')"
 
 
 class TestMetricsRecorder:

@@ -5,7 +5,9 @@ import pytest
 from repro.sim.channel import SlottedChannel
 from repro.sim.errors import ProtocolError, TopologyError
 from repro.sim.events import SlotState
+from repro.sim.flyweight import FlyweightProtocol
 from repro.sim.metrics import MetricsRecorder
+from repro.sim.multimedia import MultimediaNetwork
 from repro.sim.network import PointToPointNetwork
 from repro.topology.generators import path_graph
 from repro.topology.graph import WeightedGraph
@@ -42,6 +44,70 @@ class TestPointToPointNetwork:
         assert metrics.point_to_point_messages == 2
         network.deliver(1)
         assert network.delivered_total == 2
+
+
+class _ZeroSendsToTwo(FlyweightProtocol):
+    """Node 0 sends one message to node 2; node 2 halts holding it."""
+
+    def on_start(self, slot):
+        node = self.env.nodes[slot]
+        if node == 0:
+            self.send(2, "hi")
+        if node != 2:
+            self.halt_slot(slot)
+
+    def on_round(self, slot, inbox, channel):
+        if inbox:
+            self.halt_slot(slot, [message.payload for message in inbox])
+
+
+class TestTopologyCaches:
+    """Per-generation caches (connectivity, CSR rows) follow graph mutations."""
+
+    def test_removing_a_bridge_between_runs_disconnects(self):
+        graph = path_graph(4)
+        graph.add_edge(0, 2)
+        network = MultimediaNetwork(graph)
+        assert network.run(_ZeroSendsToTwo).results[2] == ["hi"]
+        graph.remove_edge(2, 3)  # the bridge to node 3
+        with pytest.raises(TopologyError):
+            network.run(_ZeroSendsToTwo)
+
+    def test_adding_an_edge_between_runs_opens_the_link(self):
+        graph = path_graph(3)
+        network = MultimediaNetwork(graph)
+        with pytest.raises(ProtocolError):
+            network.run(_ZeroSendsToTwo)
+        graph.add_edge(0, 2)
+        result = network.run(_ZeroSendsToTwo)
+        assert result.results[2] == ["hi"]
+        assert result.metrics.point_to_point_messages == 1
+
+    def test_hub_batch_validates_against_its_row(self):
+        # a hub sending to every neighbour in one batch, then batches that
+        # end in a stranger
+        graph = WeightedGraph()
+        for leaf in range(1, 50):
+            graph.add_edge(0, leaf)
+        graph.add_edge(1, 2)
+        metrics = MetricsRecorder()
+        network = PointToPointNetwork(graph, metrics=metrics)
+        sends = [(leaf, leaf) for leaf in range(1, 50)]
+        network.accept_sends(0, sends, round_index=0)
+        network.accept_sends(1, [(0, "a"), (2, "b")], round_index=1)
+        for sender, stray in ((2, [(3, "c")]), (0, sends + [(50, "d")])):
+            with pytest.raises(ProtocolError):
+                network.accept_sends(sender, stray, round_index=1)
+        assert metrics.point_to_point_messages == 49 + 2 + 49
+        delivered = network.deliver(1)
+        assert list(delivered) == list(range(1, 50))
+        # held-back mail keeps first-mail order: the leaves had mail before 0
+        delivered = network.deliver(2)
+        assert list(delivered) == list(range(1, 50)) + [0]
+        assert [m.payload for m in delivered[0]] == ["a"]
+        assert [m.payload for m in delivered[2]] == ["b", 2]
+        assert not network.has_in_flight()
+        assert network.delivered_total == 100
 
 
 class TestSlottedChannel:

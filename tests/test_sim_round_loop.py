@@ -1,11 +1,11 @@
 """Regression tests for the batched round-loop fast paths.
 
-The round-loop overhaul (preallocated inboxes with swap-based delivery,
-cached public channel views, the ``_acted`` collection guard of the per-node
-oracles, the skip of halted slots) must be observationally identical to the
-per-message loop it replaced; these tests pin the edge cases the fast paths
-skirt around.  The per-node protocols come from ``tests/oracles.py`` and run
-through its adapter.
+The round-loop fast paths (inboxes created on first mail and handed over
+whole by delivery, cached public channel views, the ``_acted`` collection
+guard of the per-node oracles, the skip of halted slots) must be
+observationally identical to a per-message loop; these tests pin the edge
+cases the fast paths skirt around.  The per-node protocols come from
+``tests/oracles.py`` and run through its adapter.
 """
 
 import pytest
