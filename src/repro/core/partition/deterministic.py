@@ -32,41 +32,49 @@ busy time of a phase can exceed the 5·2^i·log* n budget even though the
 total message count stays within O(m + n log n log* n); the experiments
 report both numbers.
 
-Implementation notes (hot loops, round 2)
------------------------------------------
-The orchestration state is **array-indexed**: nodes are enumerated once and
-parent pointers, depths, core membership and the per-node link-scan state
-live in flat integer lists indexed by that enumeration, so the inner loops
-index lists instead of hashing node objects.  Fragment bookkeeping
-(members, sizes, radii, first-appearance order) is maintained
-*incrementally* across phases — only the fragments a merge actually touches
-are updated, where earlier revisions re-derived all of it from scratch every
-phase.  Link rejection marks a dead flag on **both** endpoints' scan lists
-at rejection time (a batched candidate-edge scan with no per-test set
-hashing), replacing the global rejected-edge-key set.  The small fragment
-graph F — whose construction, 3-colouring, MIS and cut are order-sensitive —
-is still built over the original node objects, so the outputs stay
-bit-identical to the pre-optimization implementation (pinned by the v1
-goldens).
+Implementation notes (slot-indexed columns)
+-------------------------------------------
+All per-phase state lives in flat columns indexed by the CSR slot
+enumeration (graph iteration order); node objects appear only at the
+:class:`DeterministicPartitionResult` / :class:`SpanningForest` boundary.
+
+* **Link scan.** Every node's incident links, in the GHS ``(weight, repr)``
+  order, occupy the node's CSR range of three flat columns (neighbour slot,
+  weight, reverse position; :meth:`~repro.topology.graph.CSRView.scan_columns`,
+  shared with the GHS baseline) plus one ``bytearray`` of dead flags; a per-node
+  ``scan_pos`` only moves past permanently rejected links.  A rejection
+  marks both endpoints' entries dead via the reverse position, so the scan
+  never hashes a node or an edge key.
+* **Fragment bookkeeping.** ``members``/``sizes``/``radii`` are lists
+  indexed by core slot, updated only for the fragments a merge touches; a
+  singleton fragment has no member list (``None``).  The live cores are
+  kept in first-appearance order (smallest member slot), the order a full
+  scan over the nodes meets them.
+* **Fragment forest F.** F's vertices are numbered ``0..k-1`` per phase
+  (choosing cores first, in active order, then inactive targets) and F,
+  its 2-cycle break, validation, Cole–Vishkin steps, shift-down passes,
+  MIS (:func:`~repro.protocols.symmetry.mis.mis_columns`) and cut all run
+  as passes over int columns.  No node-keyed dict is built.  Every value
+  these passes compute depends only on a vertex and its F-neighbours, not
+  on the numbering, so the results are those of the node-keyed
+  formulation bit for bit (pinned by the v1 goldens and
+  ``tests/test_partition_digests.py``).
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from itertools import groupby
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.core.partition.forest import Fragment, SpanningForest
-from repro.protocols.spanning.tree_utils import children_map
+from repro.core.partition.forest import Fragment, SpanningForest, find_root_indexed
 from repro.protocols.symmetry.cole_vishkin import log_star
-from repro.protocols.symmetry.mis import mis_from_three_coloring
-from repro.protocols.symmetry.three_coloring import three_color_rooted_forest
+from repro.protocols.symmetry.mis import MIS_COMMUNICATION_ROUNDS, RED, mis_columns
+from repro.protocols.symmetry.three_coloring import three_color_columns
 from repro.sim.metrics import MetricsRecorder, MetricsSnapshot
-from repro.topology.graph import (
-    WeightedGraph,
-    is_identity_enumeration,
-    sorted_incident_links,
-)
+from repro.topology.graph import WeightedGraph
 from repro.topology.properties import is_connected
 
 NodeId = Hashable
@@ -174,73 +182,34 @@ class DeterministicPartitioner:
         """Execute the algorithm and return the resulting forest."""
         n = self._n
         log_star_n = max(1, log_star(max(2, n)))
-        # enumerate the nodes once; all hot state below is indexed by this
-        # enumeration (graph iteration order), not keyed by node objects
-        nodes: List[NodeId] = list(self._graph.nodes())
-        index_of: Dict[NodeId, int] = {node: i for i, node in enumerate(nodes)}
-        # when the nodes are their own 0..n-1 enumeration, index space *is*
-        # node space and the per-phase translation dictionaries are skipped
-        identity = is_identity_enumeration(nodes)
+        # all hot state below is indexed by the CSR slot enumeration (graph
+        # iteration order); `nodes` maps a slot back to its node object and
+        # is a `range` on identity-labelled graphs
+        csr = self._graph.csr()
+        nodes = csr.nodes
         # Phase 0 state: every node is a depth-0 singleton fragment whose
         # core is itself (-1 encodes "no parent")
         parent_idx: List[int] = [-1] * n
         core_arr: List[int] = list(range(n))
         depths: List[int] = [0] * n
         # Each node scans its incident links in (weight, repr) order across
-        # all phases (the GHS discipline), so sort them once up front and
-        # remember, per node, how far the scan has permanently advanced:
-        # every link before the pointer has been rejected forever.  A
-        # rejection marks BOTH endpoints' scan entries dead via the
-        # precomputed reverse positions, so the scan never hashes edge keys.
-        link_nbr: List[List[int]] = [[] for _ in range(n)]
-        link_w: List[List[float]] = [[] for _ in range(n)]
-        link_back: List[List[int]] = [[] for _ in range(n)]
-        edge_u, edge_v, edge_w = self._graph.csr().canonical_edges()
-        if len(set(edge_w)) == len(edge_w):
-            # distinct weights (the standard assumption): one stable argsort
-            # of the CSR weight column populates every node's scan list in
-            # (weight, repr) order — the same order sorted_incident_links
-            # produces — and both reverse positions are known at append
-            # time.  CSR slots are exactly this enumeration's indices, so
-            # the scan build never hashes a node or edge key at all.
-            for j in sorted(range(len(edge_w)), key=edge_w.__getitem__):
-                u = edge_u[j]
-                v = edge_v[j]
-                w = edge_w[j]
-                link_back[u].append(len(link_nbr[v]))
-                link_back[v].append(len(link_nbr[u]))
-                link_nbr[u].append(v)
-                link_nbr[v].append(u)
-                link_w[u].append(w)
-                link_w[v].append(w)
-        else:
-            # repeated weights: fall back to the per-node (weight, repr)
-            # sort, then derive the reverse positions
-            for node, entries in sorted_incident_links(self._graph).items():
-                i = index_of[node]
-                link_nbr[i] = [index_of[neighbor] for _, neighbor, _ in entries]
-                link_w[i] = [weight for weight, _, _ in entries]
-            positions: List[Dict[int, int]] = [
-                {neighbor: pos for pos, neighbor in enumerate(neighbors)}
-                for neighbors in link_nbr
-            ]
-            link_back = [
-                [positions[neighbor][i] for neighbor in neighbors]
-                for i, neighbors in enumerate(link_nbr)
-            ]
-        link_dead: List[bytearray] = [
-            bytearray(len(neighbors)) for neighbors in link_nbr
-        ]
-        link_pos: List[int] = [0] * n
+        # all phases (the GHS discipline): the scan columns hold every
+        # node's links in that order over its CSR range, and scan_pos only
+        # moves past links rejected forever
+        nbr, weight, back = csr.scan_columns()
+        dead = bytearray(len(nbr))
+        scan_pos = csr.offsets[:-1]
+        scan_end = csr.offsets[1:]
 
-        # fragment bookkeeping, maintained incrementally across phases (only
-        # the fragments a merge touches are updated); first_pos records the
-        # smallest member index, which is exactly the order fragments appear
-        # in a full scan over the nodes — the historical active-set order
-        members: Dict[int, List[int]] = {i: [i] for i in range(n)}
-        sizes: Dict[int, int] = dict.fromkeys(range(n), 1)
-        radii: Dict[int, int] = dict.fromkeys(range(n), 0)
-        first_pos: Dict[int, int] = {i: i for i in range(n)}
+        # fragment bookkeeping by core slot, maintained incrementally across
+        # phases; members[core] is the ascending member list, or None for a
+        # singleton.  `cores` lists the live cores in first-appearance order
+        members: List[Optional[List[int]]] = [None] * n
+        sizes: List[int] = [1] * n
+        radii: List[int] = [0] * n
+        cores: Sequence[int] = range(n)
+        # slot → F-vertex number, -1 outside F (reset after every phase)
+        f_local: List[int] = [-1] * n
 
         phase_records: List[PhaseRecord] = []
         busy_total = 0
@@ -248,87 +217,53 @@ class DeterministicPartitioner:
 
         self._metrics.set_phase("partition")
         for phase in range(max_phases):
-            if len(members) <= 1 or min(sizes.values()) >= self._target:
+            if len(cores) <= 1 or min(sizes[core] for core in cores) >= self._target:
                 break
             active = [
-                core for core in members
-                if sizes[core].bit_length() - 1 == phase
+                core for core in cores if sizes[core].bit_length() - 1 == phase
             ]
-            active.sort(key=first_pos.__getitem__)
-            fragments_before = len(members)
+            fragments_before = len(cores)
             phase_messages_start = self._metrics.point_to_point_messages
             busy = 0
 
             # ---------------- Step 1: count fragment sizes ----------------
             # broadcast-and-respond on every fragment
-            busy += 2 * max(radii.values(), default=0)
-            self._metrics.record_messages(2 * (n - len(members)))
+            busy += 2 * max(radii[core] for core in cores)
+            self._metrics.record_messages(2 * (n - len(cores)))
 
             if active:
                 # ------------- Step 2: minimum outgoing links -------------
-                chosen, step2_busy = self._find_min_outgoing_links(
+                choosers, link_u, link_v, step2_busy = self._find_min_outgoing_links(
                     active, members, sizes, radii, core_arr, nodes,
-                    link_nbr, link_w, link_back, link_dead, link_pos,
+                    nbr, weight, back, dead, scan_pos, scan_end,
                 )
                 busy += step2_busy
 
                 # ------------- Steps 3-5: colour F and find the MIS -------
-                # F is small (one vertex per active fragment plus targets)
-                # and its colouring/cut is order-sensitive, so it is built
-                # over the original node objects exactly as before
-                # resolve every chosen link's far-side core while the link
-                # endpoints are still indices (no hashing per lookup)
-                if identity:
-                    chosen_links = chosen
-                    target_cores = {
-                        core: core_arr[v] for core, (_, _, v) in chosen.items()
-                    }
-                else:
-                    chosen_links = {
-                        nodes[core]: (weight, nodes[u], nodes[v])
-                        for core, (weight, u, v) in chosen.items()
-                    }
-                    target_cores = {
-                        nodes[core]: nodes[core_arr[v]]
-                        for core, (_, _, v) in chosen.items()
-                    }
-                f_parents, f_edges = self._build_fragment_forest(
-                    chosen_links, target_cores
+                f_verts, f_parent = _fragment_forest(
+                    choosers, link_v, core_arr, f_local, nodes
                 )
-                coloring = three_color_rooted_forest(
-                    f_parents, identifiers=_core_identifiers(f_parents)
+                colors, rounds = three_color_columns(
+                    f_parent, _core_identifiers(f_verts, nodes)
                 )
-                mis = mis_from_three_coloring(f_parents, coloring.colors)
-                coloring_rounds = coloring.communication_rounds + mis.communication_rounds
+                f_colors = mis_columns(f_parent, colors)
+                coloring_rounds = rounds + MIS_COMMUNICATION_ROUNDS
                 # each colouring round is a core-to-core exchange routed over
                 # the fragment branches: O(max radius) time, and at most one
                 # relay message per node of every fragment involved in F
-                f_vertex_idx = (
-                    list(f_parents) if identity
-                    else [index_of[core] for core in f_parents]
-                )
-                involved_nodes = sum(sizes[i] for i in f_vertex_idx)
-                max_involved_radius = max(
-                    (radii[i] for i in f_vertex_idx), default=0
-                )
+                involved_nodes = sum(sizes[slot] for slot in f_verts)
+                max_involved_radius = max(radii[slot] for slot in f_verts)
                 busy += coloring_rounds * (2 * max_involved_radius + 1)
                 self._metrics.record_messages(coloring_rounds * involved_nodes)
 
                 # ------------- Step 6: cut F at the MIS and merge ----------
-                merge_busy = self._merge_groups(
-                    f_parents,
-                    f_edges,
-                    mis.independent_set,
-                    index_of,
-                    parent_idx,
-                    core_arr,
-                    members,
-                    sizes,
-                    radii,
-                    first_pos,
-                    depths,
+                busy += self._merge_groups(
+                    f_verts, f_parent, f_colors, link_u, link_v,
+                    parent_idx, core_arr, members, sizes, radii, depths,
                 )
-                busy += merge_busy
+                # a merged fragment takes the place of its earliest member
+                # fragment, which keeps `cores` in first-appearance order
+                cores = list(dict.fromkeys([core_arr[core] for core in cores]))
             else:
                 coloring_rounds = 0
 
@@ -344,7 +279,7 @@ class DeterministicPartitioner:
                     phase=phase,
                     active_fragments=len(active),
                     fragments_before=fragments_before,
-                    fragments_after=len(members),
+                    fragments_after=len(cores),
                     busy_rounds=busy,
                     charged_rounds=charged,
                     messages=self._metrics.point_to_point_messages - phase_messages_start,
@@ -353,17 +288,18 @@ class DeterministicPartitioner:
             )
 
         self._metrics.set_phase(None)
-        # translate the index-space state back to node-keyed maps in graph
-        # iteration order (the order the historical dict-based state kept)
-        parents: Dict[NodeId, Optional[NodeId]] = {}
-        core_of: Dict[NodeId, NodeId] = {}
-        for i, node in enumerate(nodes):
-            parent = parent_idx[i]
-            parents[node] = nodes[parent] if parent >= 0 else None
-            core_of[node] = nodes[core_arr[i]]
-        forest = _forest_from_state(parents, core_of)
+        # translate to node objects once: fragments in first-appearance
+        # order, members in graph iteration order
+        labels = self._graph.nodes()
+        fragments = []
+        for core in cores:
+            fragment_parents: Dict[NodeId, Optional[NodeId]] = {}
+            for slot in members[core] or (core,):
+                up = parent_idx[slot]
+                fragment_parents[labels[slot]] = labels[up] if up >= 0 else None
+            fragments.append(Fragment(core=labels[core], parents=fragment_parents))
         return DeterministicPartitionResult(
-            forest=forest,
+            forest=SpanningForest(fragments),
             metrics=self._metrics.snapshot(),
             phases=phase_records,
             busy_rounds=busy_total,
@@ -376,232 +312,168 @@ class DeterministicPartitioner:
     def _find_min_outgoing_links(
         self,
         active: List[int],
-        members: Dict[int, List[int]],
-        sizes: Dict[int, int],
-        radii: Dict[int, int],
+        members: List[Optional[List[int]]],
+        sizes: List[int],
+        radii: List[int],
         core_arr: List[int],
-        nodes: List[NodeId],
-        link_nbr: List[List[int]],
-        link_w: List[List[float]],
-        link_back: List[List[int]],
-        link_dead: List[bytearray],
-        link_pos: List[int],
-    ) -> Tuple[Dict[int, Tuple[float, int, int]], int]:
+        nodes: Sequence[NodeId],
+        nbr: array,
+        weight: array,
+        back: array,
+        dead: bytearray,
+        scan_pos: array,
+        scan_end: array,
+    ) -> Tuple[List[int], List[int], List[int], int]:
         """Return each active core's chosen link and the rounds the step takes.
 
-        The chosen link is ``(weight, u, v)`` with ``u`` inside the fragment
-        and ``v`` outside (all three in index space).  Per the GHS
-        discipline, every node scans its incident links in increasing weight
-        order, testing each link not yet rejected; internal links are
-        rejected permanently (2 messages each, charged once over the whole
-        execution), and the first outgoing link found is the node's candidate
-        (2 messages, re-tested in later phases).  The scan state persists
-        across phases: ``link_pos`` only moves past permanently rejected
-        links, and a rejection flips the dead flag on *both* endpoints' scan
-        lists (via ``link_back``), so the partner skips the link without
-        re-testing it and no edge key is ever hashed in the loop.
+        Returns ``(choosers, link_u, link_v, busy)``: the active cores that
+        found an outgoing link, in active order, with the link's inside
+        endpoint ``u`` and outside endpoint ``v`` (slots) in the parallel
+        columns.  Per the GHS discipline, every node scans its incident
+        links in increasing weight order, testing each link not yet
+        rejected; internal links are rejected permanently (2 messages each,
+        charged once over the whole execution), and the first outgoing link
+        found is the node's candidate (2 messages, re-tested in later
+        phases).  A rejection flips the dead flag on *both* endpoints'
+        entries (via ``back``), so the partner skips the link without
+        re-testing it.
         """
         busy = 0
-        max_active_radius = max((radii[c] for c in active), default=0)
+        max_active_radius = max(radii[core] for core in active)
         # substep 1: "you are active" broadcast
         busy += max_active_radius
-        self._metrics.record_messages(sum(sizes[c] - 1 for c in active))
+        self._metrics.record_messages(sum(sizes[core] - 1 for core in active))
 
-        chosen: Dict[int, Tuple[float, int, int]] = {}
+        choosers: List[int] = []
+        link_u: List[int] = []
+        link_v: List[int] = []
         max_tests = 0
         total_tests = 0
         for core in active:
             best_w: Optional[float] = None
             best_u = best_v = -1
-            for node in members[core]:
+            for node in members[core] or (core,):
                 tests = 0
-                neighbors = link_nbr[node]
-                weights = link_w[node]
-                dead = link_dead[node]
-                back = link_back[node]
-                limit = len(neighbors)
-                index = link_pos[node]
+                limit = scan_end[node]
+                index = scan_pos[node]
                 while index < limit:
                     if dead[index]:
                         index += 1
                         continue
                     tests += 1  # test + accept/reject: 2 messages
-                    neighbor = neighbors[index]
+                    neighbor = nbr[index]
                     if core_arr[neighbor] == core:
                         dead[index] = 1
-                        link_dead[neighbor][back[index]] = 1
+                        dead[back[index]] = 1
                         index += 1
                         continue
-                    weight = weights[index]
+                    link_weight = weight[index]
                     # distinct weights decide almost always; the node-object
                     # tie-break preserves the historical (weight, u, v)
                     # tuple comparison on graphs with repeated weights
                     if (
                         best_w is None
-                        or weight < best_w
+                        or link_weight < best_w
                         or (
-                            weight == best_w
+                            link_weight == best_w
                             and (nodes[node], nodes[neighbor])
                             < (nodes[best_u], nodes[best_v])
                         )
                     ):
-                        best_w, best_u, best_v = weight, node, neighbor
+                        best_w, best_u, best_v = link_weight, node, neighbor
                     break
-                link_pos[node] = index
+                scan_pos[node] = index
                 total_tests += tests
                 if tests > max_tests:
                     max_tests = tests
             if best_w is not None:
-                chosen[core] = (best_w, best_u, best_v)
+                choosers.append(core)
+                link_u.append(best_u)
+                link_v.append(best_v)
         self._metrics.record_messages(2 * total_tests)
         # substep 2 time: sequential testing, nodes in parallel
         busy += 2 * max_tests
         # substep 3: convergecast of the minimum to the core
         busy += max_active_radius
-        self._metrics.record_messages(sum(sizes[c] - 1 for c in active))
-        return chosen, busy
-
-    # ------------------------------------------------------------------
-    # fragment forest F construction (Section 3, after Step 2)
-    # ------------------------------------------------------------------
-    def _build_fragment_forest(
-        self,
-        chosen_links: Dict[NodeId, Tuple[float, NodeId, NodeId]],
-        target_cores: Dict[NodeId, NodeId],
-    ) -> Tuple[Dict[NodeId, Optional[NodeId]], Dict[NodeId, Tuple[NodeId, NodeId]]]:
-        """Return the rooted fragment forest F and each F-edge's physical link.
-
-        Vertices of F are fragment cores (node objects; ``target_cores``
-        maps each choosing core to the core on the far side of its chosen
-        link).  Every active fragment has one outgoing F-edge (to the
-        fragment on the other side of its chosen link); the single cycle
-        that can arise when two fragments choose the same link is broken at
-        the higher-core-id fragment, exactly as in the paper.
-        """
-        out_edge: Dict[NodeId, NodeId] = {}
-        physical: Dict[NodeId, Tuple[NodeId, NodeId]] = {}
-        vertices: Set[NodeId] = set()
-        for core, (_, u, v) in chosen_links.items():
-            target = target_cores[core]
-            out_edge[core] = target
-            physical[core] = (u, v)
-            vertices.add(core)
-            vertices.add(target)
-
-        # break 2-cycles (both fragments chose the same connecting link);
-        # the dropped side (max by repr) is the same whichever endpoint is
-        # visited first, so a snapshot of the keys is order-enough
-        for core in list(out_edge):
-            target = out_edge.get(core)
-            if target is None:
-                continue
-            if out_edge.get(target) == core:
-                drop = max(core, target, key=repr)
-                if drop in out_edge:
-                    del out_edge[drop]
-                    del physical[drop]
-
-        f_parents: Dict[NodeId, Optional[NodeId]] = {
-            vertex: out_edge.get(vertex) for vertex in vertices
-        }
-        return f_parents, physical
+        self._metrics.record_messages(sum(sizes[core] - 1 for core in active))
+        return choosers, link_u, link_v, busy
 
     # ------------------------------------------------------------------
     # Step 6: merge the fragments of every subtree of the cut forest
     # ------------------------------------------------------------------
     def _merge_groups(
         self,
-        f_parents: Dict[NodeId, Optional[NodeId]],
-        f_edges: Dict[NodeId, Tuple[NodeId, NodeId]],
-        independent_set: Set[NodeId],
-        index_of: Dict[NodeId, int],
+        f_verts: List[int],
+        f_parent: List[int],
+        f_colors: List[int],
+        link_u: List[int],
+        link_v: List[int],
         parent_idx: List[int],
         core_arr: List[int],
-        members: Dict[int, List[int]],
-        sizes: Dict[int, int],
-        radii: Dict[int, int],
-        first_pos: Dict[int, int],
+        members: List[Optional[List[int]]],
+        sizes: List[int],
+        radii: List[int],
         depths: List[int],
     ) -> int:
         """Cut F at red internal vertices and merge each resulting subtree.
 
-        Returns the step's busy rounds.  The index-space fragment
-        bookkeeping (``members``/``sizes``/``radii``/``first_pos``) and the
-        per-node ``depths`` are updated in place for exactly the fragments a
-        merge touches; untouched fragments keep their existing entries, so
-        the per-phase maintenance is proportional to the work the merge
-        actually did.
+        Returns the step's busy rounds.  F-vertex ``x`` is core slot
+        ``f_verts[x]``; a choosing vertex's physical link is
+        ``(link_u[x], link_v[x])``.  The core-slot bookkeeping
+        (``members``/``sizes``/``radii``) and the per-node ``depths`` are
+        updated in place for exactly the fragments a merge touches.
         """
-        f_children = children_map(f_parents)
-        cut_parents = dict(f_parents)
-        for vertex in f_parents:
-            is_leaf = not f_children[vertex]
-            if vertex in independent_set and not is_leaf and cut_parents[vertex] is not None:
-                cut_parents[vertex] = None
+        k = len(f_verts)
+        cut = list(f_parent)
+        has_children = bytearray(k)
+        for up in f_parent:
+            if up >= 0:
+                has_children[up] = 1
+        for vertex in range(k):
+            if f_colors[vertex] == RED and has_children[vertex]:
+                cut[vertex] = -1
 
         # group the fragments by the root of their subtree in the cut forest
-        group_of: Dict[NodeId, NodeId] = {}
-
-        def find_group(vertex: NodeId) -> NodeId:
-            """Return ``vertex``'s cut-forest root, path-caching the chain."""
-            chain = []
-            current = vertex
-            while current not in group_of:
-                parent = cut_parents[current]
-                if parent is None:
-                    group_of[current] = current
-                    break
-                chain.append(current)
-                current = parent
-            root = group_of[current]
-            for member in chain:
-                group_of[member] = root
-            return root
-
-        groups: Dict[NodeId, List[NodeId]] = {}
-        for vertex in f_parents:
-            groups.setdefault(find_group(vertex), []).append(vertex)
+        # (one sort, no list per group kept alive: the merges are
+        # independent of each other, so any group order gives one result)
+        group_of: List[int] = [-1] * k
+        for vertex in range(k):
+            find_root_indexed(cut, group_of, vertex)
 
         busy = 0
-        for group_root, group_vertices in groups.items():
+        by_group = sorted(range(k), key=group_of.__getitem__)
+        for group_root, run in groupby(by_group, key=group_of.__getitem__):
+            group_vertices = list(run)
             if len(group_vertices) == 1:
                 continue
-            root_idx = index_of[group_root]
+            root_slot = f_verts[group_root]
             # splice every non-root fragment of the group onto its F-parent
             # via the selected physical link, re-rooting it at the link's
             # inside endpoint (this is the distributed "merge broadcast")
             reroot_radius = 0
             spliced_nodes = 0
+            new_members: List[int] = []
             for vertex in group_vertices:
+                slot = f_verts[vertex]
+                old_members = members[slot]
+                if old_members is None:
+                    new_members.append(slot)
+                else:
+                    new_members.extend(old_members)
+                    members[slot] = None
                 if vertex == group_root:
                     continue
-                u, v = f_edges[vertex]
-                u_idx = index_of[u]
-                _reroot_indexed(parent_idx, u_idx)
-                parent_idx[u_idx] = index_of[v]
-                vertex_idx = index_of[vertex]
-                vertex_radius = radii[vertex_idx]
-                if vertex_radius > reroot_radius:
-                    reroot_radius = vertex_radius
-                spliced_nodes += sizes[vertex_idx]
+                u = link_u[vertex]
+                _reroot_indexed(parent_idx, u)
+                parent_idx[u] = link_v[vertex]
+                if radii[slot] > reroot_radius:
+                    reroot_radius = radii[slot]
+                spliced_nodes += sizes[slot]
             # one broadcast over every spliced fragment performs the
             # re-rooting and the new-core announcement
             self._metrics.record_messages(2 * spliced_nodes)
-            new_members: List[int] = []
-            new_first = first_pos[root_idx]
-            for vertex in group_vertices:
-                vertex_idx = index_of[vertex]
-                new_members.extend(members[vertex_idx])
-                vertex_first = first_pos[vertex_idx]
-                if vertex_first < new_first:
-                    new_first = vertex_first
-                if vertex_idx != root_idx:
-                    del members[vertex_idx]
-                    del sizes[vertex_idx]
-                    del radii[vertex_idx]
-                    del first_pos[vertex_idx]
             for node in new_members:
-                core_arr[node] = root_idx
+                core_arr[node] = root_slot
             # the new-core announcement travels to the whole merged fragment
             self._metrics.record_messages(len(new_members))
             # re-walk just the merged tree to refresh depths and obtain its
@@ -611,7 +483,7 @@ class DeterministicPartitioner:
             # walked once, with no children index to build
             for node in new_members:
                 depths[node] = -1
-            depths[root_idx] = 0
+            depths[root_slot] = 0
             new_radius = 0
             for node in new_members:
                 if depths[node] >= 0:
@@ -627,16 +499,14 @@ class DeterministicPartitioner:
                     depths[link] = depth
                 if depth > new_radius:
                     new_radius = depth
-            # keep the member list in ascending index order — the order the
-            # historical per-phase rebuild produced.  It is load-bearing:
-            # a link rejection marks BOTH endpoints' scan entries dead, so
-            # whichever member scans first pays the test, and the per-node
-            # test counts feed the busy-rounds accounting
+            # keep the member list in ascending slot order.  It is
+            # load-bearing: a link rejection marks BOTH endpoints' scan
+            # entries dead, so whichever member scans first pays the test,
+            # and the per-node test counts feed the busy-rounds accounting
             new_members.sort()
-            members[root_idx] = new_members
-            sizes[root_idx] = len(new_members)
-            radii[root_idx] = new_radius
-            first_pos[root_idx] = new_first
+            members[root_slot] = new_members
+            sizes[root_slot] = len(new_members)
+            radii[root_slot] = new_radius
             group_busy = 2 * reroot_radius + new_radius + 1
             if group_busy > busy:
                 busy = group_busy
@@ -646,6 +516,69 @@ class DeterministicPartitioner:
 # ----------------------------------------------------------------------
 # module-level helpers
 # ----------------------------------------------------------------------
+def _fragment_forest(
+    choosers: List[int],
+    link_v: List[int],
+    core_arr: List[int],
+    f_local: List[int],
+    nodes: Sequence[NodeId],
+) -> Tuple[List[int], List[int]]:
+    """Return F as ``(f_verts, f_parent)`` columns.
+
+    F-vertex ``x`` is core slot ``f_verts[x]``: the choosing cores first
+    (``x`` is also the chooser's position in ``choosers``/``link_v``), then
+    the inactive cores they chose, in first-seen order.  Every choosing
+    fragment has one outgoing F-edge, to the fragment on the far side of its
+    chosen link; the single cycle that can arise when two fragments choose
+    the same link is broken at the fragment whose core has the larger
+    ``repr`` (for ints ``repr`` order is not numeric order), exactly as in
+    the paper.  ``f_local`` is the caller's slot → F-vertex scratch column
+    (all ``-1``), restored before returning.
+    """
+    f_verts = list(choosers)
+    for vertex, core in enumerate(choosers):
+        f_local[core] = vertex
+    f_parent: List[int] = []
+    for v in link_v:
+        target = core_arr[v]
+        up = f_local[target]
+        if up < 0:
+            up = f_local[target] = len(f_verts)
+            f_verts.append(target)
+        f_parent.append(up)
+    f_parent.extend([-1] * (len(f_verts) - len(choosers)))
+    for core in f_verts:
+        f_local[core] = -1
+
+    # break 2-cycles (both fragments chose the same connecting link); on a
+    # repr tie the first in active order is dropped, as max(key=repr) does
+    for vertex in range(len(choosers)):
+        up = f_parent[vertex]
+        if up >= 0 and f_parent[up] == vertex:
+            if repr(nodes[f_verts[up]]) > repr(nodes[f_verts[vertex]]):
+                f_parent[up] = -1
+            else:
+                f_parent[vertex] = -1
+    return f_verts, f_parent
+
+
+def _core_identifiers(f_verts: List[int], nodes: Sequence[NodeId]) -> List[int]:
+    """Return distinct integer identifiers for F's vertices (by F-vertex).
+
+    Fragment cores are network nodes; when they are integers they are used
+    directly (they are distinct), otherwise a deterministic enumeration by
+    ``repr`` order among F's vertices is used.
+    """
+    labels = [nodes[slot] for slot in f_verts]
+    if all(isinstance(label, int) for label in labels):
+        return [int(label) for label in labels]
+    reprs = [repr(label) for label in labels]
+    identifiers = [0] * len(labels)
+    for rank, vertex in enumerate(sorted(range(len(labels)), key=reprs.__getitem__)):
+        identifiers[vertex] = rank
+    return identifiers
+
+
 def _reroot_indexed(parent_idx: List[int], new_root: int) -> None:
     """Re-root a tree at ``new_root`` in the flat parent-index array.
 
@@ -661,38 +594,3 @@ def _reroot_indexed(parent_idx: List[int], new_root: int) -> None:
     for index in range(len(path) - 1, 0, -1):
         parent_idx[path[index]] = path[index - 1]
     parent_idx[new_root] = -1
-
-
-def _members_by_core(core_of: Dict[NodeId, NodeId]) -> Dict[NodeId, List[NodeId]]:
-    members: Dict[NodeId, List[NodeId]] = {}
-    for node, core in core_of.items():
-        try:
-            members[core].append(node)
-        except KeyError:
-            members[core] = [node]
-    return members
-
-
-def _core_identifiers(f_parents: Dict[NodeId, Optional[NodeId]]) -> Dict[NodeId, int]:
-    """Assign distinct integer identifiers to the vertices of F.
-
-    Fragment cores are network nodes; when they are integers they are used
-    directly (they are distinct), otherwise a deterministic enumeration by
-    ``repr`` order is used.
-    """
-    if all(isinstance(core, int) for core in f_parents):
-        return {core: int(core) for core in f_parents}
-    ordered = sorted(f_parents, key=repr)
-    return {core: index for index, core in enumerate(ordered)}
-
-
-def _forest_from_state(
-    parents: Dict[NodeId, Optional[NodeId]],
-    core_of: Dict[NodeId, NodeId],
-) -> SpanningForest:
-    members = _members_by_core(core_of)
-    fragments = []
-    for core, nodes in members.items():
-        fragment_parents = {node: parents[node] for node in nodes}
-        fragments.append(Fragment(core=core, parents=fragment_parents))
-    return SpanningForest(fragments)

@@ -22,32 +22,36 @@ removals and the free/unfree rule follow the paper exactly, and the time and
 message charges are those of the synchronous message-passing execution
 (iteration lengths are fixed in advance, as the paper requires).
 
-Implementation notes (hot loops, round 2)
------------------------------------------
-The orchestration state is array-indexed: nodes are enumerated once, and
-labels, parent pointers, adjacency and the per-link alive flags live in flat
-lists indexed by that enumeration, so the BFS relaxation and link-removal
-inner loops index lists instead of hashing node objects or edge pairs.  The
-deterministic tie-break order (``repr`` of the node) is precomputed once as
-an integer rank, and link removal flips an alive flag on *both* endpoints'
-adjacency rows via precomputed reverse positions, replacing the
-both-orientations removed-link set.  The random stream is consumed in
-exactly the historical order (coin flips over the free set in repr order),
-so the outputs stay bit-identical to the pre-optimization implementation
-(pinned by the v2 goldens).
+Implementation notes (slot-indexed columns)
+-------------------------------------------
+The orchestration state lives in flat columns indexed by the CSR slot
+enumeration (graph iteration order): labels and parent pointers are lists,
+and the adjacency is three flat columns over the CSR row ranges —
+neighbour slot, reverse position, and a ``bytearray`` of per-link alive
+flags — so the BFS relaxation and link-removal inner loops index columns
+instead of hashing node objects or edge pairs.  The live-link worklist is
+an ``array`` of canonical edge ids.  The deterministic tie-break order
+(``repr`` of the node) is precomputed once as an integer rank, and link
+removal flips the alive flag on *both* endpoints' entries via the reverse
+position.  The random stream is consumed in exactly the historical order
+(coin flips over the free set in repr order), so the outputs stay
+bit-identical to the pre-optimization implementation (pinned by the v2
+goldens and ``tests/test_partition_digests.py``).
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, NamedTuple, Optional, Set, Tuple
 
 import random
 
-from repro.core.partition.forest import SpanningForest
+from repro.core.partition.forest import SpanningForest, find_root_indexed
 from repro.protocols.collision.base import run_contention
 from repro.protocols.collision.metcalfe_boggs import MetcalfeBoggsContender
+from repro.sim.errors import ProtocolError
 from repro.sim.metrics import MetricsRecorder, MetricsSnapshot
 from repro.topology.graph import WeightedGraph
 from repro.topology.properties import is_connected
@@ -80,6 +84,28 @@ def escalation_sequence(length: int) -> List[float]:
         current = math.exp(min(current, 41.0))
         current = min(current, 1e18)
     return values
+
+
+class _Workspace(NamedTuple):
+    """The run-invariant structure every Las-Vegas attempt shares.
+
+    ``nodes`` is the node enumeration (graph iteration order); ``rank`` and
+    ``unrank`` map a slot to its ``repr``-order position and back.  Node
+    ``i``'s links occupy positions ``offsets[i]..offsets[i + 1]`` of ``adj``
+    (neighbour slot) and ``adj_back`` (the same link's position in the
+    neighbour's range), in edge-list order; ``edge_pos[j]`` is canonical
+    edge ``j``'s position in its ``edge_u`` endpoint's range.
+    """
+
+    nodes: List[NodeId]
+    rank: List[int]
+    unrank: List[int]
+    offsets: array
+    adj: array
+    adj_back: array
+    edge_u: array
+    edge_v: array
+    edge_pos: array
 
 
 @dataclass
@@ -163,34 +189,40 @@ class RandomizedPartitioner:
         # attempt a fresh copy of only the mutable per-run state
         nodes: List[NodeId] = list(self._graph.nodes())
         n = self._n
-        reprs = [repr(node) for node in nodes]
         rank: List[int] = [0] * n
         unrank: List[int] = [0] * n
+        reprs = [repr(node) for node in nodes]
         for position, i in enumerate(sorted(range(n), key=reprs.__getitem__)):
             rank[i] = position
             unrank[position] = i
-        # adjacency rows, their reverse positions and the live-link worklist
-        # come from ONE pass over the edge list (both positions are known at
-        # append time, so no per-node position dictionaries are ever built).
-        # Row order is edge-list order, not iter_neighbors order — nothing
-        # the algorithm computes depends on row order: per-neighbour BFS
-        # winners are minima, and the message/outgoing-link checks are
-        # order-free aggregates over each row.
-        adj: List[List[int]] = [[] for _ in range(n)]
-        adj_back: List[List[int]] = [[] for _ in range(n)]
-        live_template: List[Tuple[int, int, int]] = []
-        # the CSR snapshot's canonical edge columns are already in this
-        # enumeration's index space — identity and arbitrary labels alike —
-        # so the build hashes no node identifiers at all
-        edge_u, edge_v, _ = self._graph.csr().canonical_edges()
-        for u, v in zip(edge_u, edge_v):
-            position_u = len(adj[u])
-            live_template.append((u, v, position_u))
-            adj_back[u].append(len(adj[v]))
-            adj_back[v].append(position_u)
-            adj[u].append(v)
-            adj[v].append(u)
-        workspace = (nodes, rank, unrank, adj, adj_back, live_template)
+        del reprs  # n strings, not needed past the ranking
+        # adjacency columns and reverse positions come from ONE pass over
+        # the CSR snapshot's canonical edge columns (already slot indices,
+        # so no node identifier is hashed; both positions are known at fill
+        # time).  Each node's range is in edge-list order, not
+        # iter_neighbors order — nothing the algorithm computes depends on
+        # it: per-neighbour BFS winners are minima, and the
+        # message/outgoing-link checks are order-free aggregates.
+        csr = self._graph.csr()
+        offsets = csr.offsets
+        edge_u, edge_v, _ = csr.canonical_edges()
+        adj = array("q", bytes(8 * len(csr.targets)))
+        adj_back = array("q", bytes(8 * len(csr.targets)))
+        edge_pos = array("q", bytes(8 * len(edge_u)))
+        cursor = offsets[:-1]
+        for j, (u, v) in enumerate(zip(edge_u, edge_v)):
+            at_u = cursor[u]
+            at_v = cursor[v]
+            cursor[u] = at_u + 1
+            cursor[v] = at_v + 1
+            adj[at_u] = v
+            adj[at_v] = u
+            adj_back[at_u] = at_v
+            adj_back[at_v] = at_u
+            edge_pos[j] = at_u
+        workspace = _Workspace(
+            nodes, rank, unrank, offsets, adj, adj_back, edge_u, edge_v, edge_pos
+        )
         restarts = 0
         while True:
             forest, iterations = self._run_once(workspace)
@@ -219,18 +251,10 @@ class RandomizedPartitioner:
 
     # ------------------------------------------------------------------
     def _run_once(
-        self,
-        workspace: Tuple[
-            List[NodeId], List[int], List[int],
-            List[List[int]], List[List[int]], List[Tuple[int, int, int]],
-        ],
+        self, workspace: _Workspace
     ) -> Tuple[SpanningForest, List[IterationRecord]]:
-        # the workspace holds the run-invariant structure built by
-        # :meth:`run`: the node enumeration (graph iteration order — all hot
-        # state below is indexed by it, not keyed by node objects), the
-        # repr-order tie-break ranks, the adjacency rows with their reverse
-        # positions, and the pristine live-link worklist
-        nodes, rank, unrank, adj, adj_back, live_template = workspace
+        rank, unrank = workspace.rank, workspace.unrank
+        offsets, adj = workspace.offsets, workspace.adj
         n = self._n
         sqrt_n = math.sqrt(n)
         depth_limit = max(1, math.ceil(4 * sqrt_n))
@@ -242,15 +266,16 @@ class RandomizedPartitioner:
         probabilities[-1] = 1.0  # the last iteration promotes every free node
 
         # per-link alive flags; removing a link flips the flag on BOTH
-        # endpoints' rows (via the precomputed reverse positions), so the
-        # BFS hot loop tests one byte instead of hashing an oriented pair
-        alive: List[bytearray] = [bytearray(b"\x01" * len(row)) for row in adj]
+        # endpoints' entries (via the reverse positions), so the BFS hot
+        # loop tests one byte instead of hashing an oriented pair
+        alive = bytearray(b"\x01") * len(adj)
         label: List[int] = [-1] * n  # -1 encodes "unlabelled"
         parent: List[int] = [-1] * n  # -1 encodes "no parent"
         free: Set[int] = set(range(n))
-        # worklist of links the algorithm still considers: a removed link is
-        # never looked at again, so each iteration only rescans the survivors
-        live_links: List[Tuple[int, int, int]] = list(live_template)
+        # worklist of the canonical edge ids the algorithm still considers:
+        # a removed link is never looked at again, so each iteration only
+        # rescans the survivors
+        live_links = range(len(workspace.edge_u))
         records: List[IterationRecord] = []
 
         self._metrics.set_phase("partition")
@@ -273,14 +298,15 @@ class RandomizedPartitioner:
 
             # Step 2: synchronous BFS growth to depth 4√n from the new centres
             bfs_messages = self._grow_bfs(
-                new_centers, label, parent, adj, alive, depth_limit, rank, unrank
+                new_centers, label, parent, offsets, adj, alive, depth_limit,
+                rank, unrank,
             )
             rounds += depth_limit
             self._metrics.record_messages(bfs_messages)
 
             # remove links internal to a tree but not tree edges
             live_links = self._remove_internal_links(
-                label, parent, adj_back, alive, live_links
+                label, parent, workspace, alive, live_links
             )
 
             # Step 3: free/unfree determination (convergecast + broadcast per tree)
@@ -290,12 +316,12 @@ class RandomizedPartitioner:
                 if label[node] == -1:
                     continue
                 members.setdefault(
-                    _find_root_indexed(parent, root_cache, node), []
+                    find_root_indexed(parent, root_cache, node), []
                 ).append(node)
             for group in members.values():
                 has_outgoing_to_unlabeled = False
                 for node in group:
-                    for neighbor in adj[node]:
+                    for neighbor in adj[offsets[node]:offsets[node + 1]]:
                         if label[neighbor] == -1:
                             has_outgoing_to_unlabeled = True
                             break
@@ -331,6 +357,7 @@ class RandomizedPartitioner:
         # translate the index-space parent array back to a node-keyed map in
         # graph iteration order (the order the historical dict-based state
         # kept), so the forest's fragment enumeration is unchanged
+        nodes = workspace.nodes
         parent_map: Dict[NodeId, Optional[NodeId]] = {}
         for i, node in enumerate(nodes):
             up = parent[i]
@@ -344,8 +371,9 @@ class RandomizedPartitioner:
         new_centers: List[int],
         label: List[int],
         parent: List[int],
-        adj: List[List[int]],
-        alive: List[bytearray],
+        offsets: array,
+        adj: array,
+        alive: bytearray,
         depth_limit: int,
         rank: List[int],
         unrank: List[int],
@@ -362,9 +390,9 @@ class RandomizedPartitioner:
         Each announcement is encoded as the single integer
         ``announced · n + rank(sender)``: with ranks below ``n`` that integer
         orders exactly like the historical ``(announced, repr(sender))``
-        pair, so the per-neighbour winner is a C-level ``min`` over ints
-        instead of a keyed sort of tuples, and the chosen parent decodes via
-        ``unrank``.
+        pair, so each neighbour keeps only its running minimum offer (one
+        int per receiver, no per-receiver offer list), and the chosen parent
+        decodes via ``unrank``.
         """
         n = len(rank)
         messages = 0
@@ -372,21 +400,19 @@ class RandomizedPartitioner:
         for _ in range(depth_limit):
             if not frontier:
                 break
-            announcements: Dict[int, List[int]] = {}
+            best_offer: Dict[int, int] = {}
             for node in sorted(frontier, key=rank.__getitem__):
                 encoded = (label[node] + 1) * n + rank[node]
-                flags = alive[node]
-                for position, neighbor in enumerate(adj[node]):
-                    if not flags[position]:
+                for position in range(offsets[node], offsets[node + 1]):
+                    if not alive[position]:
                         continue
                     messages += 1
-                    try:
-                        announcements[neighbor].append(encoded)
-                    except KeyError:
-                        announcements[neighbor] = [encoded]
+                    neighbor = adj[position]
+                    best = best_offer.get(neighbor)
+                    if best is None or encoded < best:
+                        best_offer[neighbor] = encoded
             next_frontier: List[int] = []
-            for neighbor, offers in announcements.items():
-                best = offers[0] if len(offers) == 1 else min(offers)
+            for neighbor, best in best_offer.items():
                 best_label = best // n
                 if best_label > depth_limit:
                     continue
@@ -402,35 +428,40 @@ class RandomizedPartitioner:
         self,
         label: List[int],
         parent: List[int],
-        adj_back: List[List[int]],
-        alive: List[bytearray],
-        live_links: List[Tuple[int, int, int]],
-    ) -> List[Tuple[int, int, int]]:
+        workspace: _Workspace,
+        alive: bytearray,
+        live_links,
+    ) -> array:
         """Drop links whose endpoints share a tree but that are not tree edges.
 
-        Returns the surviving worklist so the next iteration skips removed
-        links without consulting the flags; removal flips the alive flag on
-        both endpoints' adjacency rows.
+        Returns the surviving worklist (canonical edge ids) so the next
+        iteration skips removed links without consulting the flags; removal
+        flips the alive flag on both endpoints' entries.
         """
+        edge_u, edge_v, edge_pos = workspace.edge_u, workspace.edge_v, workspace.edge_pos
+        adj_back = workspace.adj_back
         root_cache: List[int] = [-1] * len(label)
-        survivors: List[Tuple[int, int, int]] = []
-        for u, v, position_u in live_links:
+        survivors = array("q")
+        for j in live_links:
+            u = edge_u[j]
+            v = edge_v[j]
             if parent[u] == v or parent[v] == u:
-                survivors.append((u, v, position_u))
+                survivors.append(j)
                 continue
             root_u = (
                 -1 if label[u] == -1
-                else _find_root_indexed(parent, root_cache, u)
+                else find_root_indexed(parent, root_cache, u)
             )
             root_v = (
                 -1 if label[v] == -1
-                else _find_root_indexed(parent, root_cache, v)
+                else find_root_indexed(parent, root_cache, v)
             )
             if root_u != -1 and root_u == root_v:
-                alive[u][position_u] = 0
-                alive[v][adj_back[u][position_u]] = 0
+                position_u = edge_pos[j]
+                alive[position_u] = 0
+                alive[adj_back[position_u]] = 0
             else:
-                survivors.append((u, v, position_u))
+                survivors.append(j)
         return survivors
 
     # ------------------------------------------------------------------
@@ -465,32 +496,10 @@ class RandomizedPartitioner:
             outcome = run_contention(
                 contenders, max_slots=budget, metrics=self._metrics
             )
-        except Exception:
-            self._metrics.set_phase(None)
+        except ProtocolError:
+            # the channel could not schedule every root: reject the forest
             return False
-        self._metrics.set_phase(None)
+        finally:
+            self._metrics.set_phase(None)
         scheduled_all = len(outcome.order) == len(roots)
         return scheduled_all and len(roots) <= math.ceil(4 * sqrt_n)
-
-
-# ----------------------------------------------------------------------
-def _find_root_indexed(parent: List[int], cache: List[int], start: int) -> int:
-    """Return the root ``start``'s parent chain leads to, with path caching.
-
-    ``cache`` memoises roots across calls within one sweep (``-1`` encodes
-    "unknown"); every node on the walked chain is back-filled, so repeated
-    lookups over one tree stay linear overall.
-    """
-    chain: List[int] = []
-    current = start
-    while cache[current] < 0:
-        up = parent[current]
-        if up < 0:
-            cache[current] = current
-            break
-        chain.append(current)
-        current = up
-    root = cache[current]
-    for member in chain:
-        cache[member] = root
-    return root

@@ -9,6 +9,15 @@ These routines are formulated vertex-locally: a vertex's new colour depends
 only on its own state and its parent's colour, so each step corresponds to
 one round of parent→child communication, which the caller charges at the
 fragment level (O(2^i) time per round in phase ``i``).
+
+Each routine has one implementation, a *column kernel* over a forest whose
+vertices are ``0..k-1`` and whose parents are an int column (``-1`` for a
+root): :func:`~repro.protocols.symmetry.cole_vishkin.cole_vishkin_columns`,
+:func:`~repro.protocols.symmetry.three_coloring.three_color_columns` and
+:func:`~repro.protocols.symmetry.mis.mis_columns`.  The deterministic
+partitioner runs the kernels on the fragment forest F directly; the
+dict-based functions are thin adapters that enumerate their vertices, call
+the kernel and map the result back.
 """
 
 from repro.protocols.symmetry.cole_vishkin import (

@@ -13,7 +13,7 @@ bounds come from.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 NodeId = Hashable
 
@@ -46,16 +46,70 @@ def color_bit_length(num_colors: int) -> int:
     return max(1, (num_colors - 1).bit_length())
 
 
-def _differing_bit(a: int, b: int, bits: int) -> int:
-    """Return the least significant bit position at which ``a`` and ``b`` differ.
+def forest_columns(
+    parents: Dict[NodeId, Optional[NodeId]],
+) -> Tuple[List[NodeId], List[int]]:
+    """Enumerate a dict forest for the column kernels.
 
-    When ``a == b`` (which a legal colouring forbids between parent and
-    child) the position ``bits`` is returned so the caller can detect it.
+    Returns ``(vertices, parent)``: the vertices in ``parents`` order, and
+    each one's parent as a position in that list (``-1`` for a root).  The
+    dict adapters of this package all enumerate their input this way.
+
+    Raises:
+        ValueError: if a parent is not itself a key of ``parents``.
     """
-    diff = a ^ b
-    if diff == 0:
-        return bits
-    return (diff & -diff).bit_length() - 1
+    vertices = list(parents)
+    index = {vertex: position for position, vertex in enumerate(vertices)}
+    parent = []
+    for vertex, up in parents.items():
+        if up is None:
+            parent.append(-1)
+            continue
+        position = index.get(up)
+        if position is None:
+            raise ValueError(f"parent {up!r} of {vertex!r} is not a vertex")
+        parent.append(position)
+    return vertices, parent
+
+
+def cole_vishkin_columns(
+    colors: Sequence[int],
+    parent: Sequence[int],
+    num_colors: int,
+) -> List[int]:
+    """Apply one deterministic coin-tossing step to a forest held in columns.
+
+    The forest's vertices are ``0..k-1``; ``parent[v]`` is ``v``'s parent
+    (``-1`` for a root) and ``colors[v]`` its current colour.  This is the
+    one implementation of the step: :func:`cole_vishkin_step` and the GPS
+    iteration both run it.
+
+    Returns:
+        The new colour column, in ``{0, …, 2·⌈log2 num_colors⌉ − 1}``.
+
+    Raises:
+        ValueError: if a vertex shares its parent's colour, or either colour
+            lies outside the declared palette.
+    """
+    bits = color_bit_length(num_colors)
+    new_colors = [0] * len(parent)
+    for vertex, up in enumerate(parent):
+        own = colors[vertex]
+        if up < 0:
+            # the root behaves as if its parent differed at bit position 0
+            new_colors[vertex] = own & 1
+            continue
+        # least significant differing bit; position >= bits means equal
+        # colours or colours outside the declared palette, both of which
+        # the contract forbids
+        diff = own ^ colors[up]
+        position = bits if diff == 0 else (diff & -diff).bit_length() - 1
+        if position >= bits:
+            raise ValueError(
+                f"illegal colouring: vertex {vertex} and its parent share colour {own}"
+            )
+        new_colors[vertex] = 2 * position + ((own >> position) & 1)
+    return new_colors
 
 
 def cole_vishkin_step(
@@ -66,50 +120,36 @@ def cole_vishkin_step(
 ) -> Dict[NodeId, int]:
     """Apply one deterministic coin-tossing step to a legal forest colouring.
 
+    A dict adapter over :func:`cole_vishkin_columns`: the vertices are
+    enumerated in ``parents`` order, the step runs on the columns, and the
+    result is mapped back.
+
     Args:
         colors: current legal colouring (child colour ≠ parent colour).
         parents: rooted-forest structure; roots map to ``None``.
         num_colors: an upper bound on the current number of colours (the new
             colours lie in ``{0, …, 2·⌈log2 num_colors⌉ − 1}``).
         out: optional dictionary to write the new colouring into (cleared
-            first; must not be ``colors`` itself).  The iterated caller
-            ping-pongs two dictionaries through the ``log* n`` steps instead
-            of allocating a fresh one per step; vertices are inserted in
-            ``parents`` order either way, so the result is bit-identical to
-            the allocating form.
+            first; must not be ``colors`` itself).
 
     Returns:
-        The new colouring (``out`` when given, else a fresh dictionary).
+        The new colouring (``out`` when given, else a fresh dictionary), in
+        ``parents`` order.
 
     Raises:
-        ValueError: if the input colouring is not legal, or ``out`` aliases
-            ``colors``.
+        ValueError: if the input colouring is not legal, a parent is not a
+            key of ``parents``, or ``out`` aliases ``colors``.
     """
-    bits = color_bit_length(num_colors)
-    if out is None:
-        new_colors: Dict[NodeId, int] = {}
-    else:
-        if out is colors:
-            raise ValueError("out must not alias the input colouring")
-        new_colors = out
-        new_colors.clear()
-    for node, parent in parents.items():
-        own = colors[node]
-        if parent is None:
-            # the root behaves as if its parent differed at bit position 0
-            new_colors[node] = (own & 1)
-            continue
-        # inlined _differing_bit: this loop runs once per vertex per step;
-        # position >= bits means equal colours or colours outside the
-        # declared palette, both of which the contract forbids
-        diff = own ^ colors[parent]
-        position = bits if diff == 0 else (diff & -diff).bit_length() - 1
-        if position >= bits:
-            raise ValueError(
-                f"illegal colouring: node {node!r} and its parent share colour {own}"
-            )
-        new_colors[node] = 2 * position + ((own >> position) & 1)
-    return new_colors
+    if out is colors:
+        raise ValueError("out must not alias the input colouring")
+    vertices, parent = forest_columns(parents)
+    new_colors = cole_vishkin_columns(
+        [colors[vertex] for vertex in vertices], parent, num_colors
+    )
+    result: Dict[NodeId, int] = {} if out is None else out
+    result.clear()
+    result.update(zip(vertices, new_colors))
+    return result
 
 
 def colors_after_step(num_colors: int) -> int:

@@ -22,7 +22,9 @@ constant radius.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Set
+from typing import Dict, Hashable, List, Optional, Sequence, Set
+
+from repro.protocols.symmetry.cole_vishkin import forest_columns
 
 NodeId = Hashable
 
@@ -50,31 +52,15 @@ class MISResult:
     communication_rounds: int
 
 
-def _children_map(parents: Dict[NodeId, Optional[NodeId]]) -> Dict[NodeId, List[NodeId]]:
-    children: Dict[NodeId, List[NodeId]] = {node: [] for node in parents}
-    for node, parent in parents.items():
-        if parent is not None:
-            children[parent].append(node)
-    return children
-
-
-def _neighbors(
-    node: NodeId,
-    parents: Dict[NodeId, Optional[NodeId]],
-    children: Dict[NodeId, List[NodeId]],
-) -> List[NodeId]:
-    result = list(children[node])
-    parent = parents[node]
-    if parent is not None:
-        result.append(parent)
-    return result
-
-
 def mis_from_three_coloring(
     parents: Dict[NodeId, Optional[NodeId]],
     colors: Dict[NodeId, int],
 ) -> MISResult:
     """Run Steps 4 and 5 of the partitioning algorithm on forest ``parents``.
+
+    A dict adapter over :func:`mis_columns`: the vertices are enumerated in
+    ``parents`` order, the kernel runs on the columns, and the colours are
+    mapped back.
 
     Args:
         parents: rooted forest (roots map to ``None``).
@@ -85,62 +71,76 @@ def mis_from_three_coloring(
         the forest and contains every root.
 
     Raises:
+        ValueError: if a parent is not a key of ``parents``, or the
+            colouring is illegal or uses colours outside ``{0, 1, 2}``.
+    """
+    vertices, parent = forest_columns(parents)
+    final = mis_columns(parent, [colors[vertex] for vertex in vertices])
+    return MISResult(
+        independent_set={
+            vertex for vertex, color in zip(vertices, final) if color == RED
+        },
+        colors=dict(zip(vertices, final)),
+        communication_rounds=MIS_COMMUNICATION_ROUNDS,
+    )
+
+
+def mis_columns(parent: Sequence[int], colors: Sequence[int]) -> List[int]:
+    """Run Steps 4 and 5 on a forest held in columns; return the final colours.
+
+    The one implementation of Steps 4–5: the forest's vertices are
+    ``0..k-1``, ``parent[v]`` is ``v``'s parent (``-1`` for a root) and
+    ``colors[v]`` a legal 3-colouring.  The red (``RED``) vertices of the
+    returned column are a maximal independent set containing every root.
+    A vertex's neighbours are its parent and its children, so "no red
+    neighbour" reads the parent's colour and one ``red_child`` flag per
+    vertex — no children lists are built.
+
+    Raises:
         ValueError: if the colouring is illegal or uses colours outside
             ``{0, 1, 2}``.
     """
-    for node, parent in parents.items():
-        if colors[node] not in (RED, GREEN, BLUE):
-            raise ValueError(f"vertex {node!r} has a colour outside {{0,1,2}}")
-        if parent is not None and colors[node] == colors[parent]:
+    for vertex, up in enumerate(parent):
+        if colors[vertex] not in (RED, GREEN, BLUE):
+            raise ValueError(f"vertex {vertex} has a colour outside {{0,1,2}}")
+        if up >= 0 and colors[vertex] == colors[up]:
             raise ValueError("the supplied colouring is not legal")
-
-    children = _children_map(parents)
-    roots = [node for node, parent in parents.items() if parent is None]
-    root_children = {child for root in roots for child in children[root]}
+    k = len(parent)
 
     # ------------------------------------------------------------------
-    # Step 4: shift-down that leaves every root red.
+    # Step 4: shift-down that leaves every root red.  A root's child
+    # adopts the root's colour, unless the root is already red, in which
+    # case it picks a colour other than red and its own.
     # ------------------------------------------------------------------
-    step4: Dict[NodeId, int] = {}
-    for node, parent in parents.items():
-        if parent is None:
-            # roots are handled below (they may need to turn red)
+    step4 = [RED] * k
+    for vertex, up in enumerate(parent):
+        if up < 0:
             continue
-        if node in root_children:
-            continue
-        step4[node] = colors[parents[node]]
-    for root in roots:
-        if colors[root] == RED:
-            step4[root] = RED
-            for child in children[root]:
-                step4[child] = _color_other_than(RED, colors[child])
-        else:
-            step4[root] = RED
-            for child in children[root]:
-                step4[child] = colors[root]
+        shifted = colors[up]
+        if shifted == RED and parent[up] < 0:
+            shifted = _color_other_than(RED, colors[vertex])
+        step4[vertex] = shifted
 
     # ------------------------------------------------------------------
-    # Step 5: promote blue then green vertices with no red neighbour.
+    # Step 5: promote blue then green vertices with no red neighbour; each
+    # pass reads only the previous step's colours.
     # ------------------------------------------------------------------
-    step5 = dict(step4)
-    for node in parents:
-        if step4[node] != BLUE:
-            continue
-        if all(step4[neighbor] != RED for neighbor in _neighbors(node, parents, children)):
-            step5[node] = RED
-    final = dict(step5)
-    for node in parents:
-        if step5[node] != GREEN:
-            continue
-        if all(step5[neighbor] != RED for neighbor in _neighbors(node, parents, children)):
-            final[node] = RED
-
-    independent = {node for node, color in final.items() if color == RED}
-    return MISResult(
-        independent_set=independent,
-        colors=final,
-        communication_rounds=MIS_COMMUNICATION_ROUNDS,
-    )
+    final = step4
+    for promoted in (BLUE, GREEN):
+        red_child = bytearray(k)
+        for vertex, up in enumerate(parent):
+            if up >= 0 and final[vertex] == RED:
+                red_child[up] = 1
+        previous = final
+        final = list(previous)
+        for vertex, up in enumerate(parent):
+            if (
+                previous[vertex] == promoted
+                and not red_child[vertex]
+                and (up < 0 or previous[up] != RED)
+            ):
+                final[vertex] = RED
+    return final
 
 
 def _color_other_than(first: int, second: int) -> int:
@@ -168,12 +168,13 @@ def is_maximal_independent_set(
     """Return ``True`` when ``vertices`` is independent and cannot be extended."""
     if not is_independent_set(parents, vertices):
         return False
-    children = _children_map(parents)
-    for node in parents:
-        if node in vertices:
+    # a vertex outside the set must have a neighbour (parent or child) in it
+    covered = set(vertices)
+    for node, parent in parents.items():
+        if parent is None:
             continue
-        if not any(
-            neighbor in vertices for neighbor in _neighbors(node, parents, children)
-        ):
-            return False
-    return True
+        if parent in vertices:
+            covered.add(node)
+        if node in vertices:
+            covered.add(parent)
+    return all(node in covered for node in parents)

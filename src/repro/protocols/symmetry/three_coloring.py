@@ -22,11 +22,12 @@ records the number of such rounds for the caller's complexity accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Optional
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.protocols.symmetry.cole_vishkin import (
-    cole_vishkin_step,
+    cole_vishkin_columns,
     colors_after_step,
+    forest_columns,
 )
 
 NodeId = Hashable
@@ -65,6 +66,10 @@ def three_color_rooted_forest(
 ) -> ColoringResult:
     """3-colour a rooted forest with the GPS algorithm.
 
+    A dict adapter over :func:`three_color_columns`: the vertices are
+    enumerated in ``parents`` order, the kernel runs on the columns, and the
+    colours are mapped back.
+
     Args:
         parents: rooted-forest structure; roots map to ``None``.  Every parent
             referenced must itself be a key of the mapping.
@@ -79,25 +84,49 @@ def three_color_rooted_forest(
         ValueError: if a parent is missing from the map, identifiers repeat,
             or the structure contains a cycle.
     """
-    _validate_forest(parents)
-    if identifiers is None:
-        identifiers = {node: index for index, node in enumerate(parents)}
-    if len(set(identifiers.values())) != len(identifiers):
-        raise ValueError("initial identifiers must be distinct")
+    vertices, parent = forest_columns(parents)
+    ids = (
+        range(len(vertices)) if identifiers is None
+        else [int(identifiers[vertex]) for vertex in vertices]
+    )
+    colors, rounds = three_color_columns(parent, ids)
+    return ColoringResult(
+        colors=dict(zip(vertices, colors)), communication_rounds=rounds
+    )
 
-    colors = {node: int(identifiers[node]) for node in parents}
-    if not parents:
-        return ColoringResult(colors={}, communication_rounds=0)
-    num_colors = max(colors.values()) + 1
+
+def three_color_columns(
+    parent: Sequence[int],
+    identifiers: Sequence[int],
+) -> Tuple[List[int], int]:
+    """3-colour a forest held in columns with the GPS algorithm.
+
+    The one implementation of Step 3: the forest's vertices are ``0..k-1``,
+    ``parent[v]`` is ``v``'s parent (``-1`` for a root) and
+    ``identifiers[v]`` its distinct initial colour.  The deterministic
+    partitioner runs it on the fragment forest F directly;
+    :func:`three_color_rooted_forest` adapts it to dicts.
+
+    Returns:
+        ``(colors, communication_rounds)`` with ``colors[v]`` in ``{0, 1, 2}``.
+
+    Raises:
+        ValueError: if a parent is not a vertex, identifiers repeat, or the
+            structure contains a cycle.
+    """
+    _validate_forest_columns(parent)
+    k = len(parent)
+    if len(set(identifiers)) != k:
+        raise ValueError("initial identifiers must be distinct")
+    if not k:
+        return [], 0
+    colors = list(identifiers)
+    num_colors = max(colors) + 1
     rounds = 0
 
-    # Phase 1: Cole–Vishkin until at most six colours remain.  The iteration
-    # ping-pongs two dictionaries (`colors` was freshly built above, so it is
-    # safe to recycle): each step writes into the spare and the dicts swap
-    # roles, avoiding a fresh O(n) allocation per log* n step.
-    spare: Dict[NodeId, int] = {}
+    # Phase 1: Cole–Vishkin until at most six colours remain
     while num_colors > 6:
-        colors, spare = cole_vishkin_step(colors, parents, num_colors, out=spare), colors
+        colors = cole_vishkin_columns(colors, parent, num_colors)
         next_bound = colors_after_step(num_colors)
         rounds += 1
         if next_bound >= num_colors:
@@ -109,38 +138,43 @@ def three_color_rooted_forest(
     # colour: a vertex's shifted colour is its parent's old colour (roots
     # recolour against their own old colour), and after the shift all of a
     # vertex's children agree on the vertex's *old* colour — so the recolour
-    # step never needs the materialized shifted dictionary, only O(1)
-    # lookups (parent's shifted colour = grandparent's old colour) plus
-    # whether the vertex has children at all.
-    has_children = {parent for parent in parents.values() if parent is not None}
+    # step never needs the materialized shifted column, only O(1) lookups
+    # (parent's shifted colour = grandparent's old colour) plus whether the
+    # vertex has children at all.
+    has_children = bytearray(k)
+    for up in parent:
+        if up >= 0:
+            has_children[up] = 1
     for eliminated in (5, 4, 3):
-        recolored: Dict[NodeId, int] = {}
-        for node, parent in parents.items():
-            if parent is None:
-                shifted = _smallest_excluding({colors[node]})
+        recolored = [0] * k
+        for vertex, up in enumerate(parent):
+            if up < 0:
+                # a root takes the smallest colour other than its own
+                shifted = 1 if colors[vertex] == 0 else 0
             else:
-                shifted = colors[parent]
+                shifted = colors[up]
             if shifted != eliminated:
-                recolored[node] = shifted
+                recolored[vertex] = shifted
                 continue
             forbidden = set()
-            if parent is not None:
-                grandparent = parents[parent]
-                if grandparent is None:
-                    forbidden.add(_smallest_excluding({colors[parent]}))
+            if up >= 0:
+                grandparent = parent[up]
+                if grandparent < 0:
+                    forbidden.add(1 if colors[up] == 0 else 0)
                 else:
                     forbidden.add(colors[grandparent])
-            if node in has_children:
-                forbidden.add(colors[node])
-            recolored[node] = _smallest_excluding(forbidden)
+            if has_children[vertex]:
+                forbidden.add(colors[vertex])
+            recolored[vertex] = _smallest_excluding(forbidden)
         colors = recolored
         rounds += 1
 
-    if not is_legal_coloring(colors, parents):
-        raise AssertionError("GPS colouring produced an illegal colouring")
-    if any(color > 2 for color in colors.values()):
+    for vertex, up in enumerate(parent):
+        if up >= 0 and colors[vertex] == colors[up]:
+            raise AssertionError("GPS colouring produced an illegal colouring")
+    if max(colors) > 2:
         raise AssertionError("GPS colouring did not reach three colours")
-    return ColoringResult(colors=colors, communication_rounds=rounds)
+    return colors, rounds
 
 
 def _smallest_excluding(forbidden) -> int:
@@ -150,21 +184,28 @@ def _smallest_excluding(forbidden) -> int:
     raise AssertionError("three forbidden colours cannot exclude all of {0,1,2,3}")
 
 
-def _validate_forest(parents: Dict[NodeId, Optional[NodeId]]) -> None:
-    for node, parent in parents.items():
-        if parent is not None and parent not in parents:
-            raise ValueError(f"parent {parent!r} of {node!r} is not a vertex")
+def _validate_forest_columns(parent: Sequence[int]) -> None:
+    """Check that ``parent`` describes a rooted forest over ``0..k-1``.
+
+    Raises:
+        ValueError: if a parent is not a vertex or the structure has a cycle.
+    """
+    k = len(parent)
+    for vertex, up in enumerate(parent):
+        if up >= k or up < -1:
+            raise ValueError(f"the parent of vertex {vertex} is not a vertex")
     # cycle detection by walking each vertex towards its root; vertices
-    # already proven safe are never re-walked, keeping the check linear
-    safe: set = set()
-    for start in parents:
-        seen = set()
+    # already proven safe (state 2) are never re-walked, keeping the check
+    # linear, and meeting a vertex of the current walk (state 1) is a cycle
+    state = bytearray(k)
+    for start in range(k):
+        walk = []
         current = start
-        while current is not None and current not in safe:
-            if current in seen:
-                raise ValueError("the parent map contains a cycle")
-            seen.add(current)
-            current = parents[current]
-            if len(seen) > len(parents):
-                raise ValueError("the parent map contains a cycle")
-        safe.update(seen)
+        while current >= 0 and not state[current]:
+            state[current] = 1
+            walk.append(current)
+            current = parent[current]
+        if current >= 0 and state[current] == 1:
+            raise ValueError("the parent map contains a cycle")
+        for vertex in walk:
+            state[vertex] = 2

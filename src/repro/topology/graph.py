@@ -91,32 +91,28 @@ def sorted_incident_links(
     triples in increasing ``(weight, repr(neighbour))`` order — the GHS scan
     order, with the canonical key precomputed once per physical link.
 
-    With globally distinct weights (the standard assumption of the MST
-    algorithms) a single global edge sort populates every node's list, which
-    is substantially cheaper than one sort per node; graphs with repeated
-    weights fall back to per-node sorts with the repr tie-break.
+    The dict form of :meth:`CSRView.scan_columns`, which defines the order.
     """
-    links: Dict[NodeId, List[Tuple[float, NodeId, Tuple[NodeId, NodeId]]]] = {
-        node: [] for node in graph.nodes()
-    }
     csr = graph.csr()
-    edge_u, edge_v, edge_w = csr.canonical_edges()
-    if len(set(edge_w)) == len(edge_w):
-        nodes = csr.nodes
-        for j in sorted(range(len(edge_w)), key=edge_w.__getitem__):
-            u, v, w = nodes[edge_u[j]], nodes[edge_v[j]], edge_w[j]
-            key = edge_key(u, v)
-            links[u].append((w, v, key))
-            links[v].append((w, u, key))
-    else:
-        for node in links:
-            links[node] = sorted(
-                (
-                    (w, v, edge_key(node, v))
-                    for v, w in graph.neighbor_items(node)
-                ),
-                key=lambda item: (item[0], repr(item[1])),
-            )
+    nbr, weight, back = csr.scan_columns()
+    nodes = csr.nodes
+    offsets = csr.offsets
+    # a link's key is made at its first entry and picked up at its reverse
+    keys: List[Optional[Tuple[NodeId, NodeId]]] = [None] * len(nbr)
+    links: Dict[NodeId, List[Tuple[float, NodeId, Tuple[NodeId, NodeId]]]] = {}
+    for i, node in enumerate(nodes):
+        start = offsets[i]
+        end = offsets[i + 1]
+        row = []
+        for position, j, w, partner in zip(
+            range(start, end), nbr[start:end], weight[start:end], back[start:end]
+        ):
+            neighbour = nodes[j]
+            key = keys[position]
+            if key is None:
+                key = keys[partner] = edge_key(node, neighbour)
+            row.append((w, neighbour, key))
+        links[node] = row
     return links
 
 
@@ -280,6 +276,68 @@ class CSRView:
                 start = end
             self._canonical = (edge_u, edge_v, edge_w)
         return self._canonical
+
+    def scan_columns(self) -> Tuple[array, array, array]:
+        """Return the GHS scan columns ``(nbr, weight, back)`` over CSR ranges.
+
+        Node ``i``'s links fill positions ``offsets[i]..offsets[i + 1]`` in
+        increasing ``(weight, repr(neighbour))`` order, the order in which
+        Gallager–Humblet–Spira nodes test their links; ``nbr[p]`` is the
+        neighbour slot, ``weight[p]`` the link weight and ``back[p]`` the
+        position of the same link in the neighbour's range.  Every GHS-style
+        scan (the deterministic partitioner, :func:`sorted_incident_links`)
+        reads this one order.  Built fresh per call: the caller owns the
+        arrays.
+        """
+        offsets = self.offsets
+        size = len(self.targets)
+        nbr = array("q", bytes(8 * size))
+        weight = array("d", bytes(8 * size))
+        back = array("q", bytes(8 * size))
+        edge_u, edge_v, edge_w = self.canonical_edges()
+        if len(set(edge_w)) == len(edge_w):
+            # distinct weights (the standard assumption): one stable argsort
+            # of the canonical weight column fills every node's range in
+            # weight order, and both reverse positions are known at fill time
+            cursor = offsets[:-1]
+            for j in sorted(range(len(edge_w)), key=edge_w.__getitem__):
+                u = edge_u[j]
+                v = edge_v[j]
+                at_u = cursor[u]
+                at_v = cursor[v]
+                cursor[u] = at_u + 1
+                cursor[v] = at_v + 1
+                nbr[at_u] = v
+                nbr[at_v] = u
+                weight[at_u] = weight[at_v] = edge_w[j]
+                back[at_u] = at_v
+                back[at_v] = at_u
+            return nbr, weight, back
+        # repeated weights: a stable per-node (weight, repr) sort of each CSR
+        # row, then pair the two entries of every link for the reverse
+        # positions
+        targets = self.targets
+        row_weights = self.weights
+        reprs = [repr(node) for node in self.nodes]
+        first_seen: Dict[Tuple[int, int], int] = {}
+        for i in range(self.n):
+            start = offsets[i]
+            row = sorted(
+                range(start, offsets[i + 1]),
+                key=lambda k: (row_weights[k], reprs[targets[k]]),
+            )
+            for position, k in enumerate(row, start):
+                j = targets[k]
+                nbr[position] = j
+                weight[position] = row_weights[k]
+                key = (i, j) if i < j else (j, i)
+                partner = first_seen.pop(key, -1)
+                if partner < 0:
+                    first_seen[key] = position
+                else:
+                    back[position] = partner
+                    back[partner] = position
+        return nbr, weight, back
 
 
 def _csr_from_adjacency(adjacency: Dict[NodeId, Dict[NodeId, float]]) -> CSRView:

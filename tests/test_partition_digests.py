@@ -1,0 +1,126 @@
+"""SHA-256 pins of partitioner outputs the v1/v2 goldens do not cover.
+
+The v1 golden pins the deterministic partition on grids only.  These digests
+extend the pin to the inputs whose code paths differ: scale-free and ad-hoc
+topologies at n = 4096, non-integer labels (strings, floats), and integer
+labels with repeated weights — where the GHS scan's tie-break and F's
+``repr``-order 2-cycle break decide the result (``repr(10) < repr(9)``, so
+``repr`` order is not numeric order).  One randomized (Monte Carlo) run pins
+the Section 4 partitioner on scale-free n = 4096.
+
+Each digest covers the forest parent map (in forest order), the cores, the
+per-phase records, the busy rounds and the metrics snapshot.  Print the
+current digests with
+
+    PYTHONPATH=src python tests/test_partition_digests.py
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+import random
+
+import pytest
+
+from repro.core.partition.deterministic import DeterministicPartitioner
+from repro.core.partition.randomized import RandomizedPartitioner
+from repro.experiments.harness import make_topology
+from repro.topology.generators import grid_graph
+from repro.topology.graph import WeightedGraph
+from repro.topology.weights import assign_distinct_weights
+
+
+def _repeated_weight_graph(relabel=None) -> WeightedGraph:
+    """A connected 48-node random graph with weights drawn from {1, 2, 3}."""
+    rng = random.Random(27)
+    n = 48
+    label = relabel or (lambda node: node)
+    graph = WeightedGraph()
+    for node in range(n):
+        graph.add_node(label(node))
+    for node in range(1, n):
+        graph.add_edge(label(node), label(rng.randrange(node)), float(rng.randint(1, 3)))
+    for _ in range(2 * n):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v and not graph.has_edge(label(u), label(v)):
+            graph.add_edge(label(u), label(v), float(rng.randint(1, 3)))
+    return graph
+
+
+def _grid(labeler) -> WeightedGraph:
+    graph = assign_distinct_weights(grid_graph(8, 8), seed=11)
+    return graph.relabeled({node: labeler(node) for node in graph.nodes()})
+
+
+DETERMINISTIC_INPUTS = {
+    "scale_free_4096": lambda: make_topology("scale_free", 4096, seed=3),
+    "ad_hoc_4096": lambda: make_topology("ad_hoc", 4096, seed=3),
+    "grid_8x8_str": lambda: _grid(lambda node: f"node-{node}"),
+    "grid_8x8_float": lambda: _grid(float),
+    "repeated_weights_int": _repeated_weight_graph,
+    "repeated_weights_sparse_int": lambda: _repeated_weight_graph(
+        lambda node: (node * 7919) % 100_003
+    ),
+}
+
+
+def _digest(result, extra) -> str:
+    forest = result.forest
+    payload = {
+        "parents": [[repr(node), repr(parent)] for node, parent in forest.parent_map().items()],
+        "cores": [repr(core) for core in forest.cores],
+        "records": extra,
+        "metrics": dataclasses.asdict(result.metrics),
+    }
+    encoded = json.dumps(payload, sort_keys=True).encode()
+    return hashlib.sha256(encoded).hexdigest()
+
+
+def deterministic_digest(name: str) -> str:
+    result = DeterministicPartitioner(DETERMINISTIC_INPUTS[name]()).run()
+    records = {
+        "phases": [dataclasses.asdict(record) for record in result.phases],
+        "busy_rounds": result.busy_rounds,
+        "target_size": result.target_size,
+    }
+    return _digest(result, records)
+
+
+def randomized_digest() -> str:
+    graph = make_topology("scale_free", 4096, seed=3)
+    result = RandomizedPartitioner(graph, seed=5).run()
+    records = {
+        "iterations": [dataclasses.asdict(record) for record in result.iterations],
+        "restarts": result.restarts,
+        "verified": result.verified,
+    }
+    return _digest(result, records)
+
+
+EXPECTED_DETERMINISTIC = {
+    'ad_hoc_4096': '5e6864380e873f6b9cfff40a1af19156010209cc376ba797372d8a730976c131',
+    'grid_8x8_float': '20102b655ba455916e81550068d68fa71d47fd4b57cc3fd56effb29539000530',
+    'grid_8x8_str': '9e8a024d82a439fcb5826dbfff8089f9b743a85ee25a5455bbcb1b39683d8bf6',
+    'repeated_weights_int': 'db0167efb817e32cd434ca3d76d0fb65f9db13293acaa23e951800c0ee25051b',
+    'repeated_weights_sparse_int': 'e85f950331e9f72d6c3d2fa5832bf74a1fa0eead9b20ca5bf001efdcbf04f706',
+    'scale_free_4096': 'f5e844aba588a9cdbd9745cf93550f5e050c952dff03c573461bfe44884a32f7',
+}
+
+EXPECTED_RANDOMIZED = 'd6879f8bbfc55cf3743b2d078c2d248804c168f23dea1b8607363e394deec001'
+
+
+@pytest.mark.parametrize("name", sorted(DETERMINISTIC_INPUTS))
+def test_deterministic_partition_digest(name):
+    assert deterministic_digest(name) == EXPECTED_DETERMINISTIC[name]
+
+
+def test_randomized_partition_digest():
+    assert randomized_digest() == EXPECTED_RANDOMIZED
+
+
+if __name__ == "__main__":
+    for key in sorted(DETERMINISTIC_INPUTS):
+        print(f"    {key!r}: {deterministic_digest(key)!r},")
+    print(f"EXPECTED_RANDOMIZED = {randomized_digest()!r}")

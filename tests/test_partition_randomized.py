@@ -5,12 +5,15 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.partition import randomized
 from repro.core.partition.randomized import (
     RandomizedPartitioner,
     escalation_sequence,
     ln_star,
 )
 from repro.core.partition.validation import validate_partition
+from repro.sim.errors import ProtocolError
+from repro.sim.metrics import MetricsRecorder
 from repro.topology.generators import grid_graph, ring_graph
 from repro.topology.graph import WeightedGraph
 
@@ -114,6 +117,38 @@ class TestLasVegas:
         result = RandomizedPartitioner(medium_grid, seed=4, las_vegas=False).run()
         assert result.verified is False
         assert result.restarts == 0
+
+    def test_verification_rejects_only_protocol_errors(self, medium_grid, monkeypatch):
+        # a ProtocolError from the channel is a rejected forest: restart
+        real_contention = randomized.run_contention
+        failures = [ProtocolError("unresolved")]
+
+        def failing_once(*args, **kwargs):
+            if failures:
+                raise failures.pop()
+            return real_contention(*args, **kwargs)
+
+        monkeypatch.setattr(randomized, "run_contention", failing_once)
+        metrics = MetricsRecorder()
+        result = RandomizedPartitioner(
+            medium_grid, seed=2, las_vegas=True, metrics=metrics
+        ).run()
+        assert result.verified
+        assert result.restarts == 1
+        assert metrics.current_phase is None
+
+        # any other exception is a bug and must propagate, phase reset
+        def broken(*args, **kwargs):
+            raise TypeError("bug inside the contention layer")
+
+        monkeypatch.setattr(randomized, "run_contention", broken)
+        metrics = MetricsRecorder()
+        partitioner = RandomizedPartitioner(
+            medium_grid, seed=2, las_vegas=True, metrics=metrics
+        )
+        with pytest.raises(TypeError, match="bug inside"):
+            partitioner.run()
+        assert metrics.current_phase is None
 
 
 class TestNonIntegerNodes:

@@ -45,6 +45,38 @@ forest_strategy = st.builds(
 ).map(lambda parents: parents)
 
 
+def relabel(parents, labels):
+    """Return ``parents`` with every vertex renamed through ``labels``."""
+    return {
+        labels[node]: None if parent is None else labels[parent]
+        for node, parent in parents.items()
+    }
+
+
+def sparse_int_labels(parents, seed):
+    """Relabel with distinct ints drawn from [0, 10^6), as F's core slots are."""
+    chosen = random.Random(seed).sample(range(10**6), len(parents))
+    return relabel(parents, dict(zip(parents, chosen)))
+
+
+#: the plain 0..n-1 forests plus the two labellings the partitioner's F
+#: meets: sparse int core slots (used directly as identifiers) and strings
+labelled_forest_strategy = st.one_of(
+    forest_strategy,
+    st.builds(sparse_int_labels, forest_strategy, st.integers(0, 10_000)),
+    forest_strategy.map(
+        lambda parents: relabel(parents, {node: f"node-{node}" for node in parents})
+    ),
+)
+
+
+def core_identifiers(parents):
+    """Int labels are their own identifiers (as in the partitioner); else enumerate."""
+    if all(isinstance(node, int) for node in parents):
+        return {node: node for node in parents}
+    return None
+
+
 class TestLogStar:
     def test_small_values(self):
         assert log_star(1) == 0
@@ -70,6 +102,11 @@ class TestColeVishkin:
         parents = {0: None, 1: 0}
         with pytest.raises(ValueError):
             cole_vishkin_step({0: 3, 1: 3}, parents, num_colors=4)
+
+    def test_parent_outside_the_map_rejected(self):
+        # 7 has a colour but is not a key of the forest
+        with pytest.raises(ValueError, match="not a vertex"):
+            cole_vishkin_step({0: 1, 1: 2, 7: 0}, {0: None, 1: 7}, num_colors=4)
 
     def test_colors_after_step(self):
         assert colors_after_step(1024) == 20
@@ -106,10 +143,10 @@ class TestThreeColoring:
         result = three_color_rooted_forest({})
         assert result.colors == {}
 
-    @given(forest_strategy)
-    @settings(max_examples=40, deadline=None)
+    @given(labelled_forest_strategy)
+    @settings(max_examples=60, deadline=None)
     def test_property_coloring_always_legal_and_three(self, parents):
-        result = three_color_rooted_forest(parents)
+        result = three_color_rooted_forest(parents, core_identifiers(parents))
         assert is_legal_coloring(result.colors, parents)
         assert set(result.colors.values()) <= {0, 1, 2}
 
@@ -132,16 +169,20 @@ class TestMIS:
         with pytest.raises(ValueError):
             mis_from_three_coloring(parents, {0: 4, 1: 1})
 
+    def test_parent_outside_the_map_rejected(self):
+        with pytest.raises(ValueError, match="not a vertex"):
+            mis_from_three_coloring({0: None, 1: 7}, {0: 0, 1: 1, 7: 2})
+
     def test_is_independent_set_helper(self):
         parents = {0: None, 1: 0, 2: 1}
         assert is_independent_set(parents, {0, 2})
         assert not is_independent_set(parents, {0, 1})
         assert not is_maximal_independent_set(parents, {0})
 
-    @given(forest_strategy)
-    @settings(max_examples=40, deadline=None)
+    @given(labelled_forest_strategy)
+    @settings(max_examples=60, deadline=None)
     def test_property_mis_contains_all_roots_and_is_maximal(self, parents):
-        coloring = three_color_rooted_forest(parents)
+        coloring = three_color_rooted_forest(parents, core_identifiers(parents))
         result = mis_from_three_coloring(parents, coloring.colors)
         roots = {node for node, parent in parents.items() if parent is None}
         assert roots <= result.independent_set

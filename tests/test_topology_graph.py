@@ -328,3 +328,24 @@ class TestSortedIncidentLinks:
         links = sorted_incident_links(graph)
         # repr order: "10" < "2"
         assert [v for _, v, _ in links[0]] == [10, 2]
+
+    @pytest.mark.parametrize("repeated", [False, True])
+    def test_scan_columns_pair_every_link(self, repeated):
+        graph = WeightedGraph()
+        for i, (u, v) in enumerate([("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")]):
+            graph.add_edge(u, v, 1.0 if repeated else float(i))
+        csr = graph.csr()
+        nbr, weight, back = csr.scan_columns()
+        links = sorted_incident_links(graph)
+        for i, node in enumerate(csr.nodes):
+            row = range(csr.offsets[i], csr.offsets[i + 1])
+            assert [(weight[p], csr.nodes[nbr[p]]) for p in row] == [
+                (w, v) for w, v, _ in links[node]
+            ]
+            for p in row:
+                # the reverse entry points back here, with the same weight
+                assert back[back[p]] == p
+                assert nbr[back[p]] == i
+                assert weight[back[p]] == weight[p]
+        # one key object per physical link, shared by both entries
+        assert links["a"][0][2] is links["b"][0][2]
