@@ -213,7 +213,7 @@ class MultimediaMST:
         boundary: Dict[NodeId, List[Tuple[float, NodeId, NodeId]]] = {
             core: [] for core in initial_members
         }
-        # walk the CSR rows (same neighbour order as neighbor_items) with a
+        # walk the CSR rows (the graph's neighbour order) with a
         # per-slot home column, so the inner test indexes a list instead of
         # hashing a node identifier per directed edge
         csr = self._graph.csr()

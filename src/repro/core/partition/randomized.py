@@ -197,12 +197,12 @@ class RandomizedPartitioner:
             unrank[position] = i
         del reprs  # n strings, not needed past the ranking
         # adjacency columns and reverse positions come from ONE pass over
-        # the CSR snapshot's canonical edge columns (already slot indices,
-        # so no node identifier is hashed; both positions are known at fill
-        # time).  Each node's range is in edge-list order, not
-        # iter_neighbors order — nothing the algorithm computes depends on
-        # it: per-neighbour BFS winners are minima, and the
-        # message/outgoing-link checks are order-free aggregates.
+        # the graph's canonical edge columns (already slot indices, so no
+        # node identifier is hashed; both positions are known at fill time).
+        # Each node's range is in edge-list order, not row order — nothing
+        # the algorithm computes depends on it: per-neighbour BFS winners
+        # are minima, and the message/outgoing-link checks are order-free
+        # aggregates.
         csr = self._graph.csr()
         offsets = csr.offsets
         edge_u, edge_v, _ = csr.canonical_edges()

@@ -21,7 +21,6 @@ from typing import List, Optional
 
 from repro.core.partition.forest import SpanningForest
 from repro.topology.graph import WeightedGraph, edge_key
-from repro.topology.weights import minimum_spanning_tree_edges
 
 
 @dataclass
@@ -135,8 +134,11 @@ def validate_partition(
     # MST-subtree check ---------------------------------------------------
     subtrees_of_mst: Optional[bool] = None
     if check_mst_subtrees:
-        _, mst_edges = minimum_spanning_tree_edges(graph)
-        mst_keys = {edge.key() for edge in mst_edges}
+        # imported here: repro.core.mst imports the partitioners
+        from repro.core.mst.kruskal import kruskal_mst
+
+        # the empty graph has no MST edges (and no tree edges to check)
+        mst_keys = kruskal_mst(graph).edge_keys() if n else set()
         subtrees_of_mst = True
         for child, parent in forest.tree_edges():
             if edge_key(child, parent) not in mst_keys:

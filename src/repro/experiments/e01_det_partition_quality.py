@@ -9,16 +9,12 @@ at most √n trees.
 from __future__ import annotations
 
 import math
-from typing import Dict, Sequence
+from typing import Dict
 
-from repro.analysis.reporting import Table
 from repro.core.partition.deterministic import DeterministicPartitioner
 from repro.core.partition.validation import validate_partition
 from repro.experiments.harness import make_topology
 from repro.experiments.registry import register_experiment
-from repro.experiments.runner import run_experiment
-
-DEFAULT_SIZES = (64, 144, 256, 400, 625)
 
 
 @register_experiment(
@@ -62,15 +58,3 @@ def sweep_point(n: int, topology: str = "grid") -> Dict[str, object]:
         "subtrees_of_MST": bool(report.subtrees_of_mst),
         "all_bounds_hold": report.ok,
     }
-
-
-def run(sizes: Sequence[int] = DEFAULT_SIZES, topology: str = "grid") -> Table:
-    """Run the sweep and return the E1 table (registry-backed)."""
-    result = run_experiment(
-        "e1", overrides={"sizes": tuple(sizes), "topology": topology}
-    )
-    return result.to_table()
-
-
-if __name__ == "__main__":
-    print(run().render())

@@ -9,19 +9,15 @@ constant band as n grows.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict
 
 from repro.analysis.complexity import (
     det_partition_message_bound,
     det_partition_time_bound,
 )
-from repro.analysis.reporting import Table
 from repro.core.partition.deterministic import DeterministicPartitioner
 from repro.experiments.harness import make_topology
 from repro.experiments.registry import register_experiment
-from repro.experiments.runner import run_experiment
-
-DEFAULT_SIZES = (64, 144, 256, 400, 625)
 
 
 @register_experiment(
@@ -68,15 +64,3 @@ def sweep_point(n: int, topology: str = "grid") -> Dict[str, object]:
         "message_bound": round(message_bound, 1),
         "messages/bound": result.metrics.point_to_point_messages / message_bound,
     }
-
-
-def run(sizes: Sequence[int] = DEFAULT_SIZES, topology: str = "grid") -> Table:
-    """Run the sweep and return the E2 table (registry-backed)."""
-    result = run_experiment(
-        "e2", overrides={"sizes": tuple(sizes), "topology": topology}
-    )
-    return result.to_table()
-
-
-if __name__ == "__main__":
-    print(run().render())

@@ -11,15 +11,12 @@ from __future__ import annotations
 import math
 from typing import Dict, Sequence
 
-from repro.analysis.reporting import Table
 from repro.analysis.statistics import mean
 from repro.core.partition.randomized import RandomizedPartitioner
 from repro.core.partition.validation import validate_partition
 from repro.experiments.harness import make_topology
 from repro.experiments.registry import register_experiment
-from repro.experiments.runner import run_experiment
 
-DEFAULT_SIZES = (64, 144, 256, 400)
 DEFAULT_SEEDS = (1, 2, 3, 4, 5)
 
 
@@ -64,20 +61,3 @@ def sweep_point(
         "radius_bound": round(4 * sqrt_n, 1),
         "structure_ok": structure_ok,
     }
-
-
-def run(
-    sizes: Sequence[int] = DEFAULT_SIZES,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
-    topology: str = "grid",
-) -> Table:
-    """Run the sweep and return the E3 table (registry-backed)."""
-    result = run_experiment(
-        "e3",
-        overrides={"sizes": tuple(sizes), "seeds": tuple(seeds), "topology": topology},
-    )
-    return result.to_table()
-
-
-if __name__ == "__main__":
-    print(run().render())

@@ -14,14 +14,11 @@ from repro.analysis.complexity import (
     rand_partition_message_bound,
     rand_partition_time_bound,
 )
-from repro.analysis.reporting import Table
 from repro.analysis.statistics import mean
 from repro.core.partition.randomized import RandomizedPartitioner
 from repro.experiments.harness import make_topology
 from repro.experiments.registry import register_experiment
-from repro.experiments.runner import run_experiment
 
-DEFAULT_SIZES = (64, 144, 256, 400)
 DEFAULT_SEEDS = (1, 2, 3, 4, 5)
 
 
@@ -76,20 +73,3 @@ def sweep_point(
         "messages/bound": mean(messages) / message_bound,
         "total_restarts": restarts,
     }
-
-
-def run(
-    sizes: Sequence[int] = DEFAULT_SIZES,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
-    topology: str = "grid",
-) -> Table:
-    """Run the sweep and return the E4 table (registry-backed)."""
-    result = run_experiment(
-        "e4",
-        overrides={"sizes": tuple(sizes), "seeds": tuple(seeds), "topology": topology},
-    )
-    return result.to_table()
-
-
-if __name__ == "__main__":
-    print(run().render())

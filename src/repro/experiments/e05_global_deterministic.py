@@ -8,19 +8,15 @@ messages stay at O(m + n log n log* n).  Both variants are measured here.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict
 
 from repro.analysis.complexity import global_det_time_bound
-from repro.analysis.reporting import Table
 from repro.core.global_function.multimedia import compute_global_function
 from repro.core.global_function.semigroup import INTEGER_ADDITION
 from repro.experiments.harness import make_topology
 from repro.experiments.registry import register_experiment
-from repro.experiments.runner import run_experiment
 from repro.sim.adversity import ABORTED, ADVERSITY_KINDS, adversity_state
 from repro.sim.errors import AdversityAbort
-
-DEFAULT_SIZES = (64, 144, 256, 400)
 
 
 @register_experiment(
@@ -76,15 +72,3 @@ def sweep_point(
             else "-"
         ),
     }
-
-
-def run(sizes: Sequence[int] = DEFAULT_SIZES, topology: str = "grid") -> Table:
-    """Run the sweep and return the E5 table (registry-backed)."""
-    result = run_experiment(
-        "e5", overrides={"sizes": tuple(sizes), "topology": topology}
-    )
-    return result.to_table()
-
-
-if __name__ == "__main__":
-    print(run().render())

@@ -10,17 +10,14 @@ from __future__ import annotations
 from typing import Dict, Sequence
 
 from repro.analysis.complexity import global_rand_time_bound, rand_partition_message_bound
-from repro.analysis.reporting import Table
 from repro.analysis.statistics import mean
 from repro.core.global_function.multimedia import compute_global_function
 from repro.core.global_function.semigroup import INTEGER_ADDITION, INTEGER_MINIMUM, XOR
 from repro.experiments.harness import make_topology
 from repro.experiments.registry import register_experiment
-from repro.experiments.runner import run_experiment
 from repro.sim.adversity import ABORTED, ADVERSITY_KINDS, adversity_state
 from repro.sim.errors import AdversityAbort
 
-DEFAULT_SIZES = (64, 144, 256, 400)
 DEFAULT_SEEDS = (1, 2, 3)
 
 _FUNCTIONS = (INTEGER_ADDITION, INTEGER_MINIMUM, XOR)
@@ -98,20 +95,3 @@ def sweep_point(
         "slots_per_root": mean(slots_per_root),
         "values_correct": correct,
     }
-
-
-def run(
-    sizes: Sequence[int] = DEFAULT_SIZES,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
-    topology: str = "grid",
-) -> Table:
-    """Run the sweep and return the E6 table (registry-backed)."""
-    result = run_experiment(
-        "e6",
-        overrides={"sizes": tuple(sizes), "seeds": tuple(seeds), "topology": topology},
-    )
-    return result.to_table()
-
-
-if __name__ == "__main__":
-    print(run().render())

@@ -24,9 +24,8 @@ rounds, not the channel stage — enable it per run via
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence
+from typing import Dict, Mapping
 
-from repro.analysis.reporting import Table
 from repro.core.global_function.baselines import (
     compute_on_channel_only,
     compute_on_point_to_point_only,
@@ -40,11 +39,8 @@ from repro.core.lower_bounds import (
 )
 from repro.experiments.harness import make_topology, topology_diameter
 from repro.experiments.registry import register_experiment
-from repro.experiments.runner import run_experiment
 from repro.sim.adversity import ABORTED, ADVERSITY_KINDS, adversity_state
 from repro.sim.errors import AdversityAbort
-
-DEFAULT_SIZES = (64, 128, 256, 512, 1024)
 
 
 def _title(params: Mapping[str, object]) -> str:
@@ -179,32 +175,3 @@ def sweep_point(
         ),
         "speedup_vs_channel": channel_speedup,
     }
-
-
-def run(
-    sizes: Sequence[int] = DEFAULT_SIZES,
-    topology: str = "ring",
-    channel_baseline: bool = True,
-) -> Table:
-    """Run the sweep and return the E7 table (registry-backed).
-
-    Args:
-        sizes: approximate node counts, one row per entry.
-        topology: any :func:`~repro.experiments.harness.make_topology` kind.
-        channel_baseline: measure the channel-only baseline (disable for
-            ``n ≥ 10^4`` sweeps; the ``lb_channel`` column still reports the
-            Ω(n) bound and the cell shows ``-``).
-    """
-    result = run_experiment(
-        "e7",
-        overrides={
-            "sizes": tuple(sizes),
-            "topology": topology,
-            "channel_baseline": channel_baseline,
-        },
-    )
-    return result.to_table()
-
-
-if __name__ == "__main__":
-    print(run().render())

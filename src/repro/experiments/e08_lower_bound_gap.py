@@ -12,22 +12,19 @@ measured = Õ(upper bound).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Mapping
 
 from repro.analysis.complexity import global_rand_time_bound
-from repro.analysis.reporting import Table
 from repro.core.global_function.multimedia import compute_global_function
 from repro.core.global_function.semigroup import INTEGER_ADDITION
 from repro.core.lower_bounds import claim4_sensitivity_trace, multimedia_lower_bound
 from repro.experiments.registry import register_experiment
-from repro.experiments.runner import run_experiment
 from repro.sim.adversity import ABORTED, ADVERSITY_KINDS, adversity_state
 from repro.sim.errors import AdversityAbort
 from repro.topology.generators import ray_graph
 from repro.topology.properties import diameter
 from repro.topology.weights import assign_distinct_weights
 
-DEFAULT_PARAMS = ((8, 8), (16, 8), (16, 16), (32, 16))
 """(num_rays, ray_length) pairs — n = rays·length + 1, d = 2·length."""
 
 
@@ -100,15 +97,3 @@ def sweep_point(
         "lb ≤ measured": result.total_rounds >= lower,
         "measured/upper": result.total_rounds / upper,
     }
-
-
-def run(params: Sequence = DEFAULT_PARAMS) -> Table:
-    """Run the sweep and return the E8 table (registry-backed)."""
-    result = run_experiment(
-        "e8", overrides={"params": tuple(tuple(pair) for pair in params)}
-    )
-    return result.to_table()
-
-
-if __name__ == "__main__":
-    print(run().render())

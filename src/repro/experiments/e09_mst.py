@@ -9,20 +9,17 @@ growing with n.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict
 
 from repro.analysis.complexity import mst_message_bound, mst_time_bound
-from repro.analysis.reporting import Table
 from repro.core.mst.ghs_baseline import PointToPointMST
 from repro.core.mst.kruskal import kruskal_mst
 from repro.core.mst.multimedia_mst import MultimediaMST
 from repro.experiments.harness import make_topology
 from repro.experiments.registry import register_experiment
-from repro.experiments.runner import run_experiment
 from repro.sim.adversity import ABORTED, ADVERSITY_KINDS, adversity_state
 from repro.sim.errors import AdversityAbort
 
-DEFAULT_SIZES = (64, 256, 1024, 2048, 4096)
 """Ring sizes spanning the crossover: below ≈1.5k the point-to-point baseline's
 smaller constants win; beyond it the multimedia algorithm's O(√n log n) time
 dominates the baseline's Θ(n log n)."""
@@ -96,15 +93,3 @@ def sweep_point(
         "speedup": baseline.total_rounds / multimedia.total_rounds,
         "matches_kruskal": matches,
     }
-
-
-def run(sizes: Sequence[int] = DEFAULT_SIZES, topology: str = "ring") -> Table:
-    """Run the sweep and return the E9 table (registry-backed)."""
-    result = run_experiment(
-        "e9", overrides={"sizes": tuple(sizes), "topology": topology}
-    )
-    return result.to_table()
-
-
-if __name__ == "__main__":
-    print(run().render())

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-from repro.analysis.reporting import Table
 from repro.analysis.statistics import mean
 from repro.core.size_estimation import (
     compute_size_deterministically,
@@ -22,7 +21,6 @@ from repro.core.size_estimation import (
 )
 from repro.experiments.harness import make_topology
 from repro.experiments.registry import register_experiment
-from repro.experiments.runner import run_experiment
 from repro.protocols.spanning.broadcast_convergecast import TreeAggregationFlyweight
 from repro.protocols.spanning.bfs import build_bfs_forest
 from repro.protocols.spanning.tree_utils import children_map
@@ -31,7 +29,6 @@ from repro.sim.errors import AdversityAbort
 from repro.sim.multimedia import MultimediaNetwork
 from repro.sim.synchronizer import ChannelSynchronizer
 
-DEFAULT_SIZES = (36, 64, 100, 144)
 DEFAULT_SEEDS = (1, 2, 3)
 
 
@@ -161,29 +158,3 @@ def sweep_point(
         ),
         **size_columns,
     }
-
-
-def run(
-    sizes: Sequence[int] = DEFAULT_SIZES,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
-    topology: str = "grid",
-) -> Table:
-    """Run the sweep and return the E10 table (registry-backed).
-
-    Args:
-        sizes: approximate node counts, one row per entry.
-        seeds: seeds for the randomized size estimates.
-        topology: any :func:`~repro.experiments.harness.make_topology` kind;
-            the synchronizer and size protocols are topology-agnostic, so the
-            scale-free / ad-hoc kinds exercise Section 7 on irregular degree
-            distributions.
-    """
-    result = run_experiment(
-        "e10",
-        overrides={"sizes": tuple(sizes), "seeds": tuple(seeds), "topology": topology},
-    )
-    return result.to_table()
-
-
-if __name__ == "__main__":
-    print(run().render())

@@ -28,15 +28,13 @@ are sweep parameters), so it declares no ``adversities`` axis.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Mapping
 
-from repro.analysis.reporting import Table
 from repro.core.global_function.baselines import compute_on_point_to_point_only
 from repro.core.global_function.multimedia import compute_global_function
 from repro.core.global_function.semigroup import INTEGER_ADDITION
 from repro.experiments.harness import make_topology
 from repro.experiments.registry import register_experiment
-from repro.experiments.runner import run_experiment
 from repro.sim.adversity import ABORTED, adversity_state
 from repro.sim.errors import AdversityAbort
 
@@ -171,26 +169,3 @@ def sweep_point(
         "rounds_lost": rounds_lost,
         "status": status,
     }
-
-
-def run(
-    sizes: Sequence[int] = DEFAULT_SIZES,
-    kinds: Sequence[str] = DEFAULT_KINDS,
-    intensities: Sequence[float] = DEFAULT_INTENSITIES,
-    topology: str = "ring",
-) -> Table:
-    """Run the sweep and return the E11 table (registry-backed)."""
-    result = run_experiment(
-        "e11",
-        overrides={
-            "sizes": tuple(sizes),
-            "kinds": tuple(kinds),
-            "intensities": tuple(intensities),
-            "topology": topology,
-        },
-    )
-    return result.to_table()
-
-
-if __name__ == "__main__":
-    print(run().render())

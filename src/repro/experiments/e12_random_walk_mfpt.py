@@ -34,9 +34,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.complexity import PowerLawFit, fit_power_law
-from repro.analysis.reporting import Table
 from repro.experiments.registry import register_experiment
-from repro.experiments.runner import run_experiment
 from repro.sim.walks import hub_node, mean_first_passage_time
 from repro.topology.generators import (
     barabasi_albert_graph,
@@ -206,30 +204,3 @@ def fit_exponents(
             [size for size, _ in points], [value for _, value in points]
         )
     return fits
-
-
-def run(
-    sizes: Sequence[int] = DEFAULT_SIZES,
-    families: Sequence[str] = DEFAULT_FAMILIES,
-    walkers: int = 24,
-) -> Table:
-    """Run the sweep and return the E12 table (registry-backed)."""
-    result = run_experiment(
-        "e12",
-        overrides={
-            "sizes": tuple(sizes),
-            "families": tuple(families),
-            "walkers": walkers,
-        },
-    )
-    return result.to_table()
-
-
-if __name__ == "__main__":
-    result = run_experiment("e12")
-    print(result.to_table().render())
-    for family, fit in sorted(fit_exponents(result.rows).items()):
-        print(
-            f"{family}: mfpt ~ {fit.coefficient:.3g} · n^{fit.exponent:.3f} "
-            f"(rms log-residual {fit.residual:.3f})"
-        )

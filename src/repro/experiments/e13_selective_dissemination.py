@@ -28,11 +28,9 @@ What the table shows:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
-from repro.analysis.reporting import Table
 from repro.experiments.registry import register_experiment
-from repro.experiments.runner import run_experiment
 from repro.protocols.dissemination import SCHEDULERS, disseminate
 from repro.sim.adversity import ABORTED, ADVERSITY_KINDS, adversity_state
 from repro.sim.errors import AdversityAbort
@@ -113,18 +111,3 @@ def sweep_point(n: int, adversity: object = None) -> Dict[str, object]:
         "faults_injected": faults,
         "status": "ok" if not aborted else "abort:" + ",".join(aborted),
     }
-
-
-def run(
-    sizes: Sequence[int] = DEFAULT_SIZES, adversity: object = None
-) -> Table:
-    """Run the sweep and return the E13 table (registry-backed)."""
-    overrides: Dict[str, object] = {"sizes": tuple(sizes)}
-    if adversity is not None:
-        overrides["adversity"] = adversity
-    result = run_experiment("e13", overrides=overrides)
-    return result.to_table()
-
-
-if __name__ == "__main__":
-    print(run().render())

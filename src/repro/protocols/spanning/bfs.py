@@ -18,7 +18,6 @@ direction.  The per-node protocol it stands for is kept as a test oracle
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.topology.graph import WeightedGraph
@@ -54,25 +53,39 @@ def build_bfs_forest(
     for root in roots:
         if not graph.has_node(root):
             raise ValueError(f"root {root!r} is not a node of the graph")
-    ordered_roots = sorted(roots, key=repr)
+    csr = graph.csr()
+    nodes = csr.nodes
+    offsets = csr.offsets
+    targets = csr.targets
+    seen = bytearray(csr.n)
     parents: Dict[NodeId, Optional[NodeId]] = {}
     root_of: Dict[NodeId, NodeId] = {}
     labels: Dict[NodeId, int] = {}
-    queue = deque()
-    for root in ordered_roots:
+    frontier: List[int] = []
+    for root in sorted(roots, key=repr):
+        slot = csr.slot(root)
+        seen[slot] = 1
+        root = nodes[slot]
         parents[root] = None
         root_of[root] = root
         labels[root] = 0
-        queue.append(root)
-    while queue:
-        node = queue.popleft()
-        if depth_limit is not None and labels[node] >= depth_limit:
-            continue
-        for neighbor in graph.iter_neighbors(node):
-            if neighbor in labels:
-                continue
-            labels[neighbor] = labels[node] + 1
-            parents[neighbor] = node
-            root_of[neighbor] = root_of[node]
-            queue.append(neighbor)
+        frontier.append(slot)
+    # level by level (FIFO within a level, neighbours in row order): the
+    # visit order of a node-at-a-time queue
+    label = 0
+    while frontier and (depth_limit is None or label < depth_limit):
+        label += 1
+        next_frontier: List[int] = []
+        for slot in frontier:
+            node = nodes[slot]
+            root = root_of[node]
+            for target in targets[offsets[slot]:offsets[slot + 1]]:
+                if not seen[target]:
+                    seen[target] = 1
+                    neighbor = nodes[target]
+                    labels[neighbor] = label
+                    parents[neighbor] = node
+                    root_of[neighbor] = root
+                    next_frontier.append(target)
+        frontier = next_frontier
     return parents, root_of, labels

@@ -20,17 +20,15 @@ performance trajectory as JSON:
 ===========================  =========================================
 
 Every 200 reply carries a strong ``ETag`` (a hash of the exact body) and
-honours ``If-None-Match`` with a 304, responses are memoised for a
-configurable TTL so a hot endpoint costs one merge per window, and a
-token-bucket rate limiter answers 429 when a client exceeds its budget.
-The service is read-only by construction — it opens every file through
+honours ``If-None-Match`` with a 304, and responses are memoised for a
+configurable TTL so a hot endpoint costs one merge per window.  The service is read-only by construction — it opens every file through
 the same digest-validated readers the executors use, so a corrupt or
 foreign checkpoint is simply absent from the served result, never an
 error page.
 
 ``ServeApp.respond`` is a plain function from request to
 ``(status, headers, body)``; ``tests/test_serve.py`` drives it directly
-(with fake clocks for the TTL and bucket) and over a real socket.
+(with a fake clock for the TTL) and over a real socket.
 """
 
 from __future__ import annotations
@@ -56,44 +54,6 @@ from repro.experiments.runner import ExperimentResult
 from repro.experiments.trajectory import default_output, label_order, pair_speedups
 
 JSON_TYPE = "application/json; charset=utf-8"
-
-
-class TokenBucket:
-    """A classic token bucket: ``rate`` tokens/second, ``burst`` capacity.
-
-    ``allow`` is thread-safe (the HTTP server is threaded) and the clock is
-    injectable so the 429 path is testable without sleeping.  A
-    non-positive ``rate`` disables limiting entirely.
-    """
-
-    def __init__(
-        self,
-        rate: float,
-        burst: float,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        """Start full: the first ``burst`` requests always pass."""
-        self.rate = float(rate)
-        self.burst = float(burst)
-        self._tokens = float(burst)
-        self._clock = clock
-        self._last = clock()
-        self._lock = threading.Lock()
-
-    def allow(self, cost: float = 1.0) -> bool:
-        """Spend ``cost`` tokens if available; False means rate-limited."""
-        if self.rate <= 0:
-            return True
-        with self._lock:
-            now = self._clock()
-            self._tokens = min(
-                self.burst, self._tokens + (now - self._last) * self.rate
-            )
-            self._last = now
-            if self._tokens >= cost:
-                self._tokens -= cost
-                return True
-            return False
 
 
 class TTLCache:
@@ -153,18 +113,15 @@ class ServeApp:
         run_root: Optional[Path] = None,
         bench_path: Optional[Path] = None,
         ttl: float = 5.0,
-        rate: float = 20.0,
-        burst: float = 40.0,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        """Configure paths, cache TTL and rate limits; loads the registry."""
+        """Configure paths and cache TTL; loads the registry."""
         load_all()
         self.run_root = Path(run_root) if run_root is not None else default_run_root()
         self.bench_path = (
             Path(bench_path) if bench_path is not None else default_output()
         )
         self.cache = TTLCache(ttl, clock)
-        self.limiter = TokenBucket(rate, burst, clock)
 
     # -- the request entry point ---------------------------------------
     def respond(
@@ -175,17 +132,9 @@ class ServeApp:
     ) -> Tuple[int, Dict[str, str], bytes]:
         """Answer one GET: returns ``(status, headers, body)``.
 
-        Rate limiting happens before the cache (a cached body still costs a
-        token — the limiter protects the socket, not just the disk), then
-        fresh cached bodies short-circuit recomputation, and a matching
+        Fresh cached bodies short-circuit recomputation, and a matching
         ``If-None-Match`` turns either outcome into an empty 304.
         """
-        if not self.limiter.allow():
-            return self._reply(
-                429,
-                {"error": "rate limited", "path": path},
-                extra={"Retry-After": "1"},
-            )
         key = f"{path}?{query}"
         cached = self.cache.get(key)
         if cached is not None:
@@ -209,16 +158,10 @@ class ServeApp:
         return 200, headers, body
 
     def _reply(
-        self,
-        status: int,
-        payload: Mapping[str, Any],
-        extra: Optional[Mapping[str, str]] = None,
+        self, status: int, payload: Mapping[str, Any]
     ) -> Tuple[int, Dict[str, str], bytes]:
         """An uncached (error) reply."""
-        headers = {"Content-Type": JSON_TYPE}
-        if extra:
-            headers.update(extra)
-        return status, headers, _body_bytes(payload)
+        return status, {"Content-Type": JSON_TYPE}, _body_bytes(payload)
 
     # -- routing --------------------------------------------------------
     def _route(
@@ -474,18 +417,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="trajectory file (default: BENCH_core.json)")
     parser.add_argument("--ttl", type=float, default=5.0,
                         help="response cache TTL in seconds (0 disables)")
-    parser.add_argument("--rate", type=float, default=20.0,
-                        help="sustained requests/second budget (0 disables)")
-    parser.add_argument("--burst", type=float, default=40.0,
-                        help="rate-limiter burst capacity")
     args = parser.parse_args(argv)
 
     app = ServeApp(
         run_root=args.run_root,
         bench_path=args.bench,
         ttl=args.ttl,
-        rate=args.rate,
-        burst=args.burst,
     )
     server = create_server(app, host=args.host, port=args.port)
     host, port = server.server_address[:2]

@@ -52,7 +52,7 @@ NodeId = Hashable
 class FlyweightEnvironment:
     """Everything a flyweight run needs to know about the network.
 
-    The environment wraps the graph's CSR snapshot
+    The environment wraps the graph's CSR view
     (:meth:`~repro.topology.graph.WeightedGraph.csr`) instead of copying it:
     building one is O(1), so a simulator builds a fresh environment per run
     and nothing per node is materialised up front.  The per-slot neighbour
@@ -60,7 +60,7 @@ class FlyweightEnvironment:
     — no library protocol reads them, only the per-node test oracles do.
 
     Attributes:
-        csr: the topology snapshot the environment describes.
+        csr: the graph's CSR view the environment describes.
         nodes: node ids in slot order (``nodes[slot]`` is the id of ``slot``);
             a ``range`` on identity-labelled graphs, where node = slot (the
             simulator loops use the slot itself there: a range subscript
@@ -93,7 +93,7 @@ class FlyweightEnvironment:
     def slot_of(self) -> Dict[NodeId, int]:
         """Return the inverse mapping, node id → slot index.
 
-        Shared with the CSR snapshot on relabelled graphs; on
+        Shared with the CSR view on relabelled graphs; on
         identity-labelled graphs (node = slot, which the simulators exploit
         directly) it is built on first use.
         """
@@ -108,7 +108,7 @@ class FlyweightEnvironment:
 
 
 class CSRRows:
-    """A read-only per-slot column derived from a CSR snapshot's rows.
+    """A read-only per-slot column derived from a graph's CSR rows.
 
     ``rows[slot]`` is the neighbour-id tuple of ``slot`` (or, when
     ``weighted``, its ``{neighbour: weight}`` dict), in row order — the
@@ -119,7 +119,7 @@ class CSRRows:
     __slots__ = ("_csr", "_weighted")
 
     def __init__(self, csr: CSRView, weighted: bool) -> None:
-        """Bind the snapshot; ``weighted`` picks dict rows over tuple rows."""
+        """Bind the CSR view; ``weighted`` picks dict rows over tuple rows."""
         self._csr = csr
         self._weighted = weighted
 

@@ -34,7 +34,7 @@ traffic; the loop keeps running — resolving idle slots — until the last
 in-flight message has drained.
 
 A run allocates nothing per node beyond the protocol's own columns: the
-environment wraps the graph's CSR snapshot, and the network holds inboxes
+environment wraps the graph's CSR view, and the network holds inboxes
 only for receivers with mail.
 """
 
@@ -85,8 +85,8 @@ class MultimediaNetwork:
 
     The object can be reused for several runs; each run gets a fresh protocol
     instance and (unless a shared recorder is supplied per run) a fresh
-    :class:`MetricsRecorder`.  Each run reads the graph's current CSR
-    snapshot, so a mutation between runs takes effect on the next one.
+    :class:`MetricsRecorder`.  The graph is immutable, so every run sees
+    the same topology.
     """
 
     def __init__(

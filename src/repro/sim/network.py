@@ -8,12 +8,11 @@ existing links and charges every delivery to the shared
 The network keeps no per-node state: in-flight mail lives in one
 ``receiver → inbox`` dict whose inboxes are created on a receiver's first
 mail of the round, so its insertion order is first-mail order.  Link
-validation reads the graph's CSR rows (the nested adjacency dicts are never
-materialised), and the connectivity check is the CSR snapshot's, cached per
-mutation generation.  :meth:`PointToPointNetwork.deliver` hands the whole
-dict over and starts a new one when every in-flight message is ready (which
-in the synchronous round loop is always — sends happen strictly before the
-next round's delivery).  Per-message filtering survives only as a slow path
+validation reads the graph's CSR rows, and the connectivity check is the
+graph's own, computed once per graph.  :meth:`PointToPointNetwork.deliver`
+hands the whole dict over and starts a new one when every in-flight message
+is ready (which in the synchronous round loop is always — sends happen
+strictly before the next round's delivery).  Per-message filtering survives only as a slow path
 for callers that pre-load future rounds, and for the adversity schedule.
 """
 

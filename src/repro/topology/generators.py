@@ -24,17 +24,32 @@ experiments:
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
 from array import array
-from typing import Optional
+from typing import Iterable, List, Optional, Tuple
 
 from repro.topology.graph import WeightedGraph
 
 
 def _rng(seed: Optional[int]) -> random.Random:
     return random.Random(seed)
+
+
+def _from_pairs(n: int, pairs: Iterable[Tuple[int, int]]) -> WeightedGraph:
+    """Build the unit-weight graph on slots ``0..n-1`` from ``(u, v)`` pairs.
+
+    Rows list each node's edges in ``pairs`` order; the pairs must not
+    repeat an edge.
+    """
+    edge_u = array("q")
+    edge_v = array("q")
+    for u, v in pairs:
+        edge_u.append(u)
+        edge_v.append(v)
+    return WeightedGraph._from_csr_edges(n, edge_u, edge_v)
 
 
 def path_graph(n: int) -> WeightedGraph:
@@ -69,17 +84,18 @@ def complete_graph(n: int) -> WeightedGraph:
     """Return the complete graph on ``n`` nodes (diameter 1)."""
     if n < 1:
         raise ValueError("a complete graph needs at least one node")
-    graph = WeightedGraph()
-    graph.add_nodes(range(n))
-    for u, v in itertools.combinations(range(n), 2):
-        graph.add_edge(u, v)
-    return graph
+    return _from_pairs(n, itertools.combinations(range(n), 2))
 
 
 def grid_graph(rows: int, cols: int) -> WeightedGraph:
     """Return a ``rows × cols`` 2-D grid (diameter ``rows + cols - 2``)."""
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be positive")
+    return WeightedGraph._from_csr_edges(rows * cols, *_grid_columns(rows, cols))
+
+
+def _grid_columns(rows: int, cols: int) -> Tuple[array, array]:
+    """Return the grid's edge columns, row-major, right edge before down edge."""
     edge_u = array("q")
     edge_v = array("q")
     for r in range(rows):
@@ -91,19 +107,21 @@ def grid_graph(rows: int, cols: int) -> WeightedGraph:
             if r + 1 < rows:
                 edge_u.append(node)
                 edge_v.append(node + cols)
-    return WeightedGraph._from_csr_edges(rows * cols, edge_u, edge_v)
+    return edge_u, edge_v
 
 
 def torus_graph(rows: int, cols: int) -> WeightedGraph:
     """Return a 2-D torus (grid with wrap-around edges)."""
     if rows < 3 or cols < 3:
         raise ValueError("torus dimensions must be at least 3")
-    graph = grid_graph(rows, cols)
+    edge_u, edge_v = _grid_columns(rows, cols)
     for r in range(rows):
-        graph.add_edge(r * cols, r * cols + cols - 1)
+        edge_u.append(r * cols)
+        edge_v.append(r * cols + cols - 1)
     for c in range(cols):
-        graph.add_edge(c, (rows - 1) * cols + c)
-    return graph
+        edge_u.append(c)
+        edge_v.append((rows - 1) * cols + c)
+    return WeightedGraph._from_csr_edges(rows * cols, edge_u, edge_v)
 
 
 def hypercube_graph(dimension: int) -> WeightedGraph:
@@ -111,14 +129,15 @@ def hypercube_graph(dimension: int) -> WeightedGraph:
     if dimension < 0:
         raise ValueError("dimension must be non-negative")
     n = 1 << dimension
-    graph = WeightedGraph()
-    graph.add_nodes(range(n))
-    for node in range(n):
-        for bit in range(dimension):
-            neighbor = node ^ (1 << bit)
-            if neighbor > node:
-                graph.add_edge(node, neighbor)
-    return graph
+    return _from_pairs(
+        n,
+        (
+            (node, node ^ (1 << bit))
+            for node in range(n)
+            for bit in range(dimension)
+            if node ^ (1 << bit) > node
+        ),
+    )
 
 
 def random_tree(n: int, seed: Optional[int] = None) -> WeightedGraph:
@@ -129,15 +148,15 @@ def random_tree(n: int, seed: Optional[int] = None) -> WeightedGraph:
     """
     if n < 1:
         raise ValueError("a tree needs at least one node")
-    graph = WeightedGraph()
-    graph.add_nodes(range(n))
-    if n == 1:
-        return graph
-    if n == 2:
-        graph.add_edge(0, 1)
-        return graph
-    import heapq
+    return _from_pairs(n, _random_tree_pairs(n, seed))
 
+
+def _random_tree_pairs(n: int, seed: Optional[int]) -> List[Tuple[int, int]]:
+    """Return the edges of :func:`random_tree` in Prüfer-decoding order."""
+    if n == 1:
+        return []
+    if n == 2:
+        return [(0, 1)]
     rng = _rng(seed)
     sequence = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
@@ -145,17 +164,17 @@ def random_tree(n: int, seed: Optional[int] = None) -> WeightedGraph:
         degree[node] += 1
     leaves = [node for node in range(n) if degree[node] == 1]
     heapq.heapify(leaves)
+    pairs = []
     for node in sequence:
-        leaf = heapq.heappop(leaves)
-        graph.add_edge(leaf, node)
+        pairs.append((heapq.heappop(leaves), node))
         degree[node] -= 1
         if degree[node] == 1:
             heapq.heappush(leaves, node)
     # exactly two leaves remain after the Prüfer sequence is consumed
     u = heapq.heappop(leaves)
     v = heapq.heappop(leaves)
-    graph.add_edge(u, v)
-    return graph
+    pairs.append((u, v))
+    return pairs
 
 
 def erdos_renyi_graph(
@@ -176,16 +195,16 @@ def erdos_renyi_graph(
         raise ValueError("probability must be in [0, 1]")
     rng = _rng(seed)
     if ensure_connected and n > 1:
-        graph = random_tree(n, seed=rng.randrange(2**31))
+        pairs = _random_tree_pairs(n, seed=rng.randrange(2**31))
     else:
-        graph = WeightedGraph()
-        graph.add_nodes(range(n))
-    for u, v in itertools.combinations(range(n), 2):
-        if graph.has_edge(u, v):
+        pairs = []
+    present = {(u, v) if u < v else (v, u) for u, v in pairs}
+    for pair in itertools.combinations(range(n), 2):
+        if pair in present:
             continue
         if rng.random() < probability:
-            graph.add_edge(u, v)
-    return graph
+            pairs.append(pair)
+    return _from_pairs(n, pairs)
 
 
 def random_geometric_graph(
@@ -209,26 +228,33 @@ def random_geometric_graph(
     if radius is None:
         radius = math.sqrt(2.0 * math.log(max(n, 2)) / n)
     positions = {node: (rng.random(), rng.random()) for node in range(n)}
-    graph = WeightedGraph()
-    graph.add_nodes(range(n))
+    edge_u = array("q")
+    edge_v = array("q")
     for u, v in itertools.combinations(range(n), 2):
         du = positions[u][0] - positions[v][0]
         dv = positions[u][1] - positions[v][1]
         if du * du + dv * dv <= radius * radius:
-            graph.add_edge(u, v)
+            edge_u.append(u)
+            edge_v.append(v)
     if ensure_connected:
-        _stitch_components(graph, positions)
-    return graph
+        return _stitch_components(n, edge_u, edge_v, positions)
+    return WeightedGraph._from_csr_edges(n, edge_u, edge_v)
 
 
-def _stitch_components(graph: WeightedGraph, positions) -> None:
-    """Connect the components of ``graph`` via nearest-pair bridging edges."""
+def _stitch_components(n: int, edge_u: array, edge_v: array, positions) -> WeightedGraph:
+    """Build the graph, bridging its components via nearest pairs.
+
+    While the graph is disconnected, the closest pair between the first
+    component and any other is appended to the edge columns and the graph is
+    rebuilt, one bridge at a time.
+    """
     from repro.topology.properties import connected_components
 
     while True:
+        graph = WeightedGraph._from_csr_edges(n, edge_u, edge_v)
         components = connected_components(graph)
         if len(components) <= 1:
-            return
+            return graph
         base = components[0]
         best = None
         for other in components[1:]:
@@ -240,7 +266,8 @@ def _stitch_components(graph: WeightedGraph, positions) -> None:
                     if best is None or dist < best[0]:
                         best = (dist, u, v)
         assert best is not None
-        graph.add_edge(best[1], best[2])
+        edge_u.append(best[1])
+        edge_v.append(best[2])
 
 
 def barabasi_albert_graph(
@@ -629,9 +656,10 @@ def ad_hoc_affectance_graph(
                             else:
                                 edge_u.append(v)
                                 edge_v.append(u)
-    graph = WeightedGraph._from_csr_edges(n, edge_u, edge_v)
     if ensure_connected:
-        _stitch_components(graph, positions)
+        graph = _stitch_components(n, edge_u, edge_v, positions)
+    else:
+        graph = WeightedGraph._from_csr_edges(n, edge_u, edge_v)
     if not return_affectance:
         return graph
     affectance = {}
@@ -666,17 +694,12 @@ def ray_graph(num_rays: int, ray_length: int) -> WeightedGraph:
         raise ValueError("need at least one ray")
     if ray_length < 1:
         raise ValueError("rays must contain at least one vertex")
-    graph = WeightedGraph()
-    graph.add_node(0)
-    next_id = 1
-    for _ in range(num_rays):
-        previous = 0
-        for _ in range(ray_length):
-            graph.add_node(next_id)
-            graph.add_edge(previous, next_id)
-            previous = next_id
-            next_id += 1
-    return graph
+    # ray r's k-th vertex is 1 + r·ray_length + k, linked to its predecessor
+    # (the centre for k = 0)
+    n = num_rays * ray_length + 1
+    return _from_pairs(
+        n, ((node - 1 if (node - 1) % ray_length else 0, node) for node in range(1, n))
+    )
 
 
 def ray_graph_for(n: int, diameter: int) -> WeightedGraph:

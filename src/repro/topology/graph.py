@@ -1,28 +1,23 @@
 """Undirected weighted graph used as the point-to-point topology.
 
-The graph is deliberately small and explicit: node identifiers are arbitrary
-hashable values (the simulator uses integers), edges are undirected and carry
-a weight, and adjacency is kept as an ordered mapping so that iteration order
-is deterministic.  Determinism matters because the paper's algorithms break
-ties by node identifier and because every experiment must be reproducible
-from a seed.
+The paper's point-to-point network is one fixed graph: every algorithm reads
+it and none changes it.  :class:`WeightedGraph` is therefore immutable — a
+thin wrapper over exactly one compressed-sparse-row :class:`CSRView`
+(stdlib ``array('q')`` offsets/targets plus a parallel weight column), built
+once by a counting-sort fill over an edge stream.  Node identifiers are
+arbitrary hashable values (the generators use ``0..n-1``), edges are
+undirected and carry a weight, and row order is the edge-stream order, so
+iteration is deterministic.  Determinism matters because the paper's
+algorithms break ties by node identifier and because every experiment must
+be reproducible from a seed.
 
-The class sits under every hot loop of the partition/MST algorithms, so the
-whole-graph accessors are cached: a mutation counter (``_version``) is bumped
-by every mutation (edge changes and node insertions alike), the canonical
-edge list is rebuilt at most once per
-mutation generation, and the total weight is maintained incrementally.  The
-``iter_neighbors``/``neighbor_items`` views expose the adjacency dict without
-the per-call list allocation of :meth:`neighbors`.
-
-On top of the dict API sits the columnar core (:class:`CSRView`,
-:meth:`WeightedGraph.csr`): an immutable compressed-sparse-row snapshot —
-stdlib ``array('q')`` offsets/targets plus a parallel weight column — built
-at most once per mutation generation under the same version-counter
-invalidation.  The generators construct graphs directly in CSR form
-(:meth:`WeightedGraph._from_csr_edges`) and the nested dicts materialise
-lazily only when something actually asks for them, so the partition-bound
-sweeps never pay for per-edge dict insertion at all.
+Graphs are built by the generators (slot edge columns through
+:meth:`WeightedGraph._from_csr_edges`) or from labelled ``(u, v[, w])``
+edges (:meth:`WeightedGraph.from_edges`).  A derived graph — a reweighting,
+a relabelling, a rewiring — edits the edge columns and builds a new graph.
+Point queries (:meth:`~WeightedGraph.neighbors`,
+:meth:`~WeightedGraph.weight`, …) read the node's CSR row; hot loops walk
+the columns directly.
 """
 
 from __future__ import annotations
@@ -32,10 +27,8 @@ from array import array
 from typing import (
     Dict,
     Hashable,
-    ItemsView,
     Iterable,
     Iterator,
-    KeysView,
     List,
     NamedTuple,
     Optional,
@@ -157,29 +150,24 @@ class Edge(NamedTuple):
 
 
 class CSRView:
-    """An immutable compressed-sparse-row snapshot of a :class:`WeightedGraph`.
+    """The compressed-sparse-row columns of a :class:`WeightedGraph`.
 
-    The columnar layout the hot loops walk instead of the nested adjacency
-    dicts: ``offsets`` is an ``array('q')`` of length ``n + 1``, ``targets``
+    The columnar layout the graph is made of and the hot loops walk:
+    ``offsets`` is an ``array('q')`` of length ``n + 1``, ``targets``
     holds the ``2m`` neighbour *slot indices* row by row, and ``weights`` is
     the parallel ``array('d')`` weight column.  Slot ``i`` is node
-    ``nodes[i]`` — the graph's insertion-order enumeration, so slot space is
-    exactly the index space the partitioners already use.  On
-    identity-labelled graphs (:func:`is_identity_enumeration`) ``nodes`` is a
-    ``range`` and ``index_of`` is ``None``: labels *are* slots and no
-    translation dict is ever built; arbitrary hashable labels get a ``tuple``
-    plus a label→slot dict.
+    ``nodes[i]`` — the graph's node enumeration, so slot space is exactly
+    the index space the partitioners already use.  On identity-labelled
+    graphs (:func:`is_identity_enumeration`) ``nodes`` is a ``range`` and
+    ``index_of`` is ``None``: labels *are* slots and no translation dict is
+    ever built; arbitrary hashable labels get a ``tuple`` plus a label→slot
+    dict.
 
-    Row order within a node equals the adjacency dict's insertion order, so a
-    consumer that walks ``targets[offsets[i]:offsets[i + 1]]`` visits
-    neighbours in exactly the order ``iter_neighbors`` would yield them —
-    that row-order contract is what keeps CSR-walking consumers bit-identical
-    to their dict-walking predecessors.
-
-    Views are snapshots: :meth:`WeightedGraph.csr` hands out one view per
-    mutation generation and a mutation makes the next call rebuild.  A stale
-    view stays internally consistent (nothing is mutated in place) but no
-    longer describes the graph.
+    Row order is edge-stream order: node ``i``'s row lists its neighbours in
+    the order the edges at ``i`` appeared in the stream the graph was built
+    from, and :meth:`WeightedGraph.neighbors` yields exactly that row.  The
+    view is never modified after construction, so every derived column
+    (:meth:`canonical_edges`, :meth:`is_connected`) is cached on it.
     """
 
     __slots__ = (
@@ -217,15 +205,42 @@ class CSRView:
 
     @property
     def num_edges(self) -> int:
-        """Return ``m``, the number of undirected edges in the snapshot."""
+        """Return ``m``, the number of undirected edges."""
         return len(self.targets) // 2
 
+    def slot(self, node: NodeId) -> int:
+        """Return the slot index of ``node``.
+
+        Raises:
+            KeyError: if ``node`` is not a node of the graph.
+            TypeError: if ``node`` is unhashable.
+        """
+        index_of = self.index_of
+        if index_of is not None:
+            return index_of[node]
+        # identity enumeration: the node set is exactly the ints 0..n-1.
+        # Keep dict-lookup ==/hash semantics without delegating to
+        # range.__contains__, whose equality fallback is an O(n) scan for
+        # anything but exact ints
+        hash(node)
+        if isinstance(node, int):  # bools and int subclasses included
+            if 0 <= node < self.n:
+                return int(node)
+        elif isinstance(node, float):
+            if node.is_integer() and 0 <= node < self.n:
+                return int(node)
+        elif isinstance(node, numbers.Number) and node in self.nodes:
+            # exotic numeric aliases (Decimal, Fraction, complex, …): rare
+            # enough that range's linear scan is acceptable
+            return self.nodes.index(node)
+        raise KeyError(node)
+
     def is_connected(self) -> bool:
-        """Return ``True`` when the snapshot is connected (the empty graph counts).
+        """Return ``True`` when the graph is connected (the empty graph counts).
 
         One frontier sweep over the rows from slot 0, computed once per view
-        and cached, so every consumer of one mutation generation (the
-        partitioners, the MST stages, each simulation run) shares it.
+        and cached, so every consumer of the graph (the partitioners, the MST
+        stages, each simulation run) shares it.
         """
         if self._connected is None:
             offsets = self.offsets
@@ -253,8 +268,8 @@ class CSRView:
 
         One entry per undirected edge, endpoints as slot indices with
         ``edge_u[j] < edge_v[j]``, in exactly the order
-        :meth:`WeightedGraph.edges` enumerates (first-endpoint insertion
-        order).  Computed once per view and cached, so repeated consumers
+        :meth:`WeightedGraph.edges` enumerates (by first endpoint's slot,
+        then row order).  Computed once per view and cached, so repeated consumers
         (weight assignment, the partition scan builders) share the arrays.
         """
         if self._canonical is None:
@@ -340,111 +355,27 @@ class CSRView:
         return nbr, weight, back
 
 
-def _csr_from_adjacency(adjacency: Dict[NodeId, Dict[NodeId, float]]) -> CSRView:
-    """Build a :class:`CSRView` mirroring ``adjacency`` rows exactly."""
-    nodes_list = list(adjacency)
-    n = len(nodes_list)
-    identity = is_identity_enumeration(nodes_list)
-    offsets = array("q", bytes(8 * (n + 1)))
-    targets = array("q")
-    weights = array("d")
-    if identity:
-        nodes: Sequence[NodeId] = range(n)
-        index_of = None
-        try:
-            for i, row in enumerate(adjacency.values()):
-                targets.extend(row.keys())
-                weights.extend(row.values())
-                offsets[i + 1] = len(targets)
-        except TypeError:
-            # a numeric alias of an integer label (add_edge(1, 2.0)) snuck
-            # into a row: redo slot by slot with explicit conversion
-            del targets[:]
-            del weights[:]
-            for i, row in enumerate(adjacency.values()):
-                for v, w in row.items():
-                    targets.append(int(v))
-                    weights.append(w)
-                offsets[i + 1] = len(targets)
-    else:
-        nodes = tuple(nodes_list)
-        index_of = {node: i for i, node in enumerate(nodes_list)}
-        for i, row in enumerate(adjacency.values()):
-            for v, w in row.items():
-                targets.append(index_of[v])
-                weights.append(w)
-            offsets[i + 1] = len(targets)
-    return CSRView(n, offsets, targets, weights, nodes, index_of, identity)
 
 
 class WeightedGraph:
-    """An undirected weighted graph with deterministic iteration order.
+    """An immutable undirected weighted graph with deterministic iteration order.
 
-    The class intentionally exposes only the operations the distributed
-    algorithms and the simulator need: adding nodes and edges, neighbour
-    queries, weight lookups, and a handful of whole-graph accessors.
+    One :class:`CSRView` holds the whole graph; the class adds the node and
+    edge queries the distributed algorithms, the simulator and the tests
+    need.  ``WeightedGraph()`` is the empty graph.
     """
 
     def __init__(self) -> None:
-        """Create an empty graph."""
-        # nested adjacency dicts, or None while a CSR-built graph has not
-        # needed them yet (see _materialize_adjacency)
-        self._adj: Optional[Dict[NodeId, Dict[NodeId, float]]] = {}
-        self._edge_count = 0
-        self._total_weight = 0.0
-        # cache generation: bumped by every mutation (edges and node
-        # insertions — the CSR snapshot encodes the node set); whole-graph
-        # views derived from the adjacency are rebuilt lazily when stale
-        self._version = 0
-        self._edges_cache: List[Edge] = []
-        self._edges_cache_version = -1
-        self._csr_cache: Optional[CSRView] = None
-        self._csr_cache_version = -1
+        """Create the empty graph (:meth:`from_edges` builds a populated one)."""
+        self._bind(
+            CSRView(0, array("q", [0]), array("q"), array("d"), range(0), None, True),
+            0.0,
+        )
 
-    @property
-    def _adjacency(self) -> Dict[NodeId, Dict[NodeId, float]]:
-        """The nested adjacency dicts, materialised from CSR on first use."""
-        adj = self._adj
-        if adj is None:
-            adj = self._materialize_adjacency()
-        return adj
-
-    @_adjacency.setter
-    def _adjacency(self, value: Dict[NodeId, Dict[NodeId, float]]) -> None:
-        self._adj = value
-
-    def _materialize_adjacency(self) -> Dict[NodeId, Dict[NodeId, float]]:
-        """Build the nested dicts from the pending CSR snapshot.
-
-        Only reachable on a graph constructed in CSR form (``_adj is None``),
-        whose snapshot is by construction current.  Row insertion order is
-        the CSR row order, i.e. exactly what the equivalent ``add_edge``
-        sequence would have produced; materialising is therefore invisible
-        (no version bump).
-        """
-        csr = self._csr_cache
-        offsets = csr.offsets
-        targets = csr.targets
-        weights = csr.weights
-        adj: Dict[NodeId, Dict[NodeId, float]] = {}
-        start = 0
-        if csr.identity:
-            for i in range(csr.n):
-                end = offsets[i + 1]
-                adj[i] = {
-                    targets[k]: weights[k] for k in range(start, end)
-                }
-                start = end
-        else:
-            nodes = csr.nodes
-            for i in range(csr.n):
-                end = offsets[i + 1]
-                adj[nodes[i]] = {
-                    nodes[targets[k]]: weights[k] for k in range(start, end)
-                }
-                start = end
-        self._adj = adj
-        return adj
+    def _bind(self, csr: CSRView, total_weight: float) -> None:
+        self._csr = csr
+        self._total_weight = total_weight
+        self._edges: Optional[List[Edge]] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -459,20 +390,19 @@ class WeightedGraph:
         nodes: Optional[Sequence[NodeId]] = None,
         index_of: Optional[Dict[NodeId, int]] = None,
     ) -> "WeightedGraph":
-        """Build a graph directly in CSR form from an edge stream.
+        """Build a graph from an edge stream given as slot columns.
 
         ``edge_u``/``edge_v`` give one entry per undirected edge as slot
         indices; ``edge_weights`` is the parallel weight column (``None`` ⇒
         unit weights).  ``nodes`` maps slots to labels (``None`` ⇒ the
-        identity enumeration ``0..n-1``).  The stream must not repeat an
-        edge.
+        identity enumeration ``0..n-1``).  The stream must not contain a
+        self loop or repeat an edge; the generators guarantee that, and
+        :meth:`from_edges` checks it for caller input.
 
         The counting-sort fill places each edge at its endpoints' cursors in
-        stream order, so row order — and hence every downstream iteration
-        order — is exactly what per-edge :meth:`add_edge` calls in the same
-        order would have produced.  The nested adjacency dicts are *not*
-        built here; they materialise lazily on first dict-shaped access,
-        which the partition-only workloads never perform.
+        stream order, so node ``i``'s row lists its edges in the order they
+        appear in the stream, and :meth:`total_weight` is the stream-order
+        sum of the weights.
         """
         m = len(edge_u)
         degree = array("q", bytes(8 * n)) if n else array("q")
@@ -514,8 +444,6 @@ class WeightedGraph:
                 targets[cv] = u
                 weights[cv] = w
                 cursor[v] = cv + 1
-                # accumulate in stream order: bit-identical to the same
-                # sequence of add_edge calls
                 total += w
         if nodes is None:
             view = CSRView(n, offsets, targets, weights, range(n), None, True)
@@ -523,111 +451,91 @@ class WeightedGraph:
             if index_of is None:
                 index_of = {node: i for i, node in enumerate(nodes)}
             view = CSRView(n, offsets, targets, weights, nodes, index_of, False)
-        graph = cls()
-        graph._adj = None
-        graph._edge_count = m
-        graph._total_weight = total
-        graph._csr_cache = view
-        graph._csr_cache_version = graph._version
+        graph = cls.__new__(cls)
+        graph._bind(view, total)
         return graph
 
-    def add_node(self, node: NodeId) -> None:
-        """Add ``node`` to the graph (no-op if already present)."""
-        adjacency = self._adjacency
-        if node not in adjacency:
-            adjacency[node] = {}
-            # the CSR snapshot encodes the node set (n, offsets, nodes), so
-            # inserting even an isolated node invalidates it exactly like an
-            # edge mutation does
-            self._version += 1
+    @classmethod
+    def from_edges(
+        cls,
+        edges: Iterable[Sequence],
+        nodes: Iterable[NodeId] = (),
+    ) -> "WeightedGraph":
+        """Build a graph from labelled ``(u, v)`` or ``(u, v, weight)`` edges.
 
-    def add_nodes(self, nodes: Iterable[NodeId]) -> None:
-        """Add every node in ``nodes``."""
+        Node order is ``nodes`` first, then every other endpoint in order of
+        first appearance in ``edges``; each row lists its edges in stream
+        order.  An edge without a weight has weight ``1.0``.  Labels that are
+        exactly ``0..n-1`` in order make an identity-labelled graph, the
+        form the generators produce.
+
+        Raises:
+            ValueError: on a self loop or an edge given twice (in either
+                orientation).
+        """
+        index_of: Dict[NodeId, int] = {}
         for node in nodes:
-            self.add_node(node)
-
-    def add_edge(self, u: NodeId, v: NodeId, weight: float = 1.0) -> None:
-        """Add the undirected edge ``{u, v}`` with ``weight``.
-
-        Adding an edge that already exists overwrites its weight.  Self loops
-        are rejected because the network model has no use for them.
-
-        Raises:
-            ValueError: if ``u == v``.
-        """
-        if u == v:
-            raise ValueError(f"self loops are not allowed (node {u!r})")
-        self.add_node(u)
-        self.add_node(v)
-        existing = self._adjacency[u].get(v)
-        if existing is None:
-            self._edge_count += 1
-            self._total_weight += weight
-        else:
-            self._total_weight += weight - existing
-        self._adjacency[u][v] = weight
-        self._adjacency[v][u] = weight
-        self._version += 1
-
-    def remove_edge(self, u: NodeId, v: NodeId) -> None:
-        """Remove the undirected edge ``{u, v}``.
-
-        Raises:
-            KeyError: if the edge does not exist.
-        """
-        if not self.has_edge(u, v):
-            raise KeyError(f"no edge between {u!r} and {v!r}")
-        self._total_weight -= self._adjacency[u][v]
-        del self._adjacency[u][v]
-        del self._adjacency[v][u]
-        self._edge_count -= 1
-        if self._edge_count == 0:
-            self._total_weight = 0.0  # clear float residue exactly
-        self._version += 1
-
-    def set_weight(self, u: NodeId, v: NodeId, weight: float) -> None:
-        """Set the weight of an existing edge.
-
-        Raises:
-            KeyError: if the edge does not exist.
-        """
-        if not self.has_edge(u, v):
-            raise KeyError(f"no edge between {u!r} and {v!r}")
-        self._total_weight += weight - self._adjacency[u][v]
-        self._adjacency[u][v] = weight
-        self._adjacency[v][u] = weight
-        self._version += 1
+            index_of.setdefault(node, len(index_of))
+        edge_u = array("q")
+        edge_v = array("q")
+        edge_w = array("d")
+        seen = set()
+        for u, v, *weight in edges:
+            if u == v:
+                raise ValueError(f"self loops are not allowed (node {u!r})")
+            su = index_of.setdefault(u, len(index_of))
+            sv = index_of.setdefault(v, len(index_of))
+            pair = (su, sv) if su < sv else (sv, su)
+            if pair in seen:
+                raise ValueError(f"edge ({u!r}, {v!r}) is given twice")
+            seen.add(pair)
+            edge_u.append(su)
+            edge_v.append(sv)
+            edge_w.append(weight[0] if weight else 1.0)
+        labels = list(index_of)
+        if is_identity_enumeration(labels):
+            return cls._from_csr_edges(len(labels), edge_u, edge_v, edge_w)
+        return cls._from_csr_edges(
+            len(labels), edge_u, edge_v, edge_w, nodes=tuple(labels), index_of=index_of
+        )
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
+    def csr(self) -> CSRView:
+        """Return the graph's CSR columns (shared, never modified)."""
+        return self._csr
+
     def has_node(self, node: NodeId) -> bool:
         """Return ``True`` when ``node`` is in the graph."""
-        adj = self._adj
-        if adj is not None:
-            return node in adj
-        csr = self._csr_cache
-        if csr.index_of is not None:
-            return node in csr.index_of
-        # identity enumeration: the node set is exactly the ints 0..n-1.
-        # Reproduce the dict lookup's ==/hash semantics without delegating
-        # to range.__contains__, whose equality fallback is an O(n) scan
-        # for anything but exact ints:
-        hash(node)  # unhashable labels raise TypeError, as the dict did
-        if isinstance(node, int):  # bools and int subclasses included
-            return 0 <= node < csr.n
-        if isinstance(node, float):
-            return node.is_integer() and 0 <= node < csr.n
-        if isinstance(node, numbers.Number):
-            # exotic numeric aliases (Decimal, Fraction, complex, …) keep
-            # the exact dict-equality semantics; rare enough that range's
-            # linear scan is acceptable
-            return node in csr.nodes
-        return False
+        try:
+            self._csr.slot(node)
+        except KeyError:
+            return False
+        return True
+
+    def _edge_position(self, u: NodeId, v: NodeId) -> int:
+        """Return the position of ``v`` in ``u``'s row (or the reverse), else -1.
+
+        Scans the shorter of the two endpoint rows.
+        """
+        csr = self._csr
+        try:
+            su = csr.slot(u)
+            sv = csr.slot(v)
+        except KeyError:
+            return -1
+        offsets = csr.offsets
+        if offsets[su + 1] - offsets[su] > offsets[sv + 1] - offsets[sv]:
+            su, sv = sv, su
+        try:
+            return csr.targets.index(sv, offsets[su], offsets[su + 1])
+        except ValueError:
+            return -1
 
     def has_edge(self, u: NodeId, v: NodeId) -> bool:
         """Return ``True`` when the undirected edge ``{u, v}`` exists."""
-        return u in self._adjacency and v in self._adjacency[u]
+        return self._edge_position(u, v) >= 0
 
     def weight(self, u: NodeId, v: NodeId) -> float:
         """Return the weight of the edge ``{u, v}``.
@@ -635,126 +543,75 @@ class WeightedGraph:
         Raises:
             KeyError: if the edge does not exist.
         """
-        if not self.has_edge(u, v):
+        position = self._edge_position(u, v)
+        if position < 0:
             raise KeyError(f"no edge between {u!r} and {v!r}")
-        return self._adjacency[u][v]
+        return self._csr.weights[position]
+
+    def iter_neighbors(self, node: NodeId) -> Iterator[NodeId]:
+        """Iterate over the neighbours of ``node`` in row order.
+
+        Raises:
+            KeyError: if ``node`` is not in the graph.
+        """
+        csr = self._csr
+        slot = csr.slot(node)
+        row = csr.targets[csr.offsets[slot]:csr.offsets[slot + 1]]
+        if csr.identity:
+            return iter(row)
+        return map(csr.nodes.__getitem__, row)
 
     def neighbors(self, node: NodeId) -> List[NodeId]:
-        """Return the neighbours of ``node`` in insertion order."""
-        return list(self._adjacency[node])
+        """Return the neighbours of ``node`` in row order.
 
-    def iter_neighbors(self, node: NodeId) -> KeysView:
-        """Return a zero-copy view of ``node``'s neighbours (insertion order).
-
-        The view reflects later mutations; do not add or remove edges at
-        ``node`` while iterating it.
+        Raises:
+            KeyError: if ``node`` is not in the graph.
         """
-        return self._adjacency[node].keys()
-
-    def neighbor_items(self, node: NodeId) -> ItemsView:
-        """Return a zero-copy ``(neighbour, weight)`` view for ``node``.
-
-        Saves the per-neighbour :meth:`weight` lookup in hot loops; the same
-        mutation caveat as :meth:`iter_neighbors` applies.
-        """
-        return self._adjacency[node].items()
-
-    def adjacency(self) -> Dict[NodeId, Dict[NodeId, float]]:
-        """Return the live ``node → (neighbour → weight)`` mapping.
-
-        This is the graph's own adjacency structure, not a copy: callers must
-        treat it as read-only.  It exists for the tightest loops (BFS sweeps,
-        the simulator's per-round link validation) where even the bound-method
-        dispatch of :meth:`iter_neighbors` per node is measurable.
-        """
-        return self._adjacency
+        return list(self.iter_neighbors(node))
 
     def degree(self, node: NodeId) -> int:
-        """Return the degree of ``node``."""
-        return len(self._adjacency[node])
+        """Return the degree of ``node``.
 
-    def incident_edges(self, node: NodeId) -> List[Edge]:
-        """Return the edges incident to ``node``."""
-        return [Edge(node, v, w) for v, w in self._adjacency[node].items()]
+        Raises:
+            KeyError: if ``node`` is not in the graph.
+        """
+        csr = self._csr
+        slot = csr.slot(node)
+        return csr.offsets[slot + 1] - csr.offsets[slot]
 
     def nodes(self) -> List[NodeId]:
-        """Return all nodes in insertion order."""
-        adj = self._adj
-        if adj is not None:
-            return list(adj)
-        return list(self._csr_cache.nodes)
+        """Return all nodes in slot order."""
+        return list(self._csr.nodes)
 
     def edges(self) -> List[Edge]:
         """Return every undirected edge exactly once.
 
-        Edges are listed in first-endpoint insertion order (the order the
-        old on-demand scan produced); the list is rebuilt at most once per
-        mutation generation and copied per call, so callers may mutate it.
+        Edges are listed in :meth:`CSRView.canonical_edges` order: by the
+        first endpoint's slot, then by row order.  The list is built once and
+        copied per call, so callers may mutate it.
         """
-        if self._edges_cache_version != self._version:
-            adj = self._adj
-            if adj is None:
-                # CSR-built graph: canonical edge order falls straight out of
-                # the row scan, no need to materialise the dicts
-                csr = self._csr_cache
-                edge_u, edge_v, edge_w = csr.canonical_edges()
-                if csr.identity:
-                    result = [
-                        Edge(u, v, w)
-                        for u, v, w in zip(edge_u, edge_v, edge_w)
-                    ]
-                else:
-                    labels = csr.nodes
-                    result = [
-                        Edge(labels[u], labels[v], w)
-                        for u, v, w in zip(edge_u, edge_v, edge_w)
-                    ]
+        if self._edges is None:
+            csr = self._csr
+            edge_u, edge_v, edge_w = csr.canonical_edges()
+            if csr.identity:
+                self._edges = [Edge(u, v, w) for u, v, w in zip(edge_u, edge_v, edge_w)]
             else:
-                position = {node: index for index, node in enumerate(adj)}
-                result = []
-                for u, nbrs in adj.items():
-                    pos_u = position[u]
-                    for v, w in nbrs.items():
-                        if position[v] > pos_u:
-                            result.append(Edge(u, v, w))
-            self._edges_cache = result
-            self._edges_cache_version = self._version
-        return list(self._edges_cache)
-
-    def csr(self) -> "CSRView":
-        """Return the CSR snapshot of the current mutation generation.
-
-        Built at most once per generation (the same version-counter
-        invalidation :meth:`edges` uses) and shared by every caller until
-        the next mutation.  Graphs constructed by the generators are born
-        with the snapshot already in place, so this is free for them.
-        """
-        if self._csr_cache_version != self._version:
-            self._csr_cache = _csr_from_adjacency(self._adj)
-            self._csr_cache_version = self._version
-        return self._csr_cache
+                labels = csr.nodes
+                self._edges = [
+                    Edge(labels[u], labels[v], w) for u, v, w in zip(edge_u, edge_v, edge_w)
+                ]
+        return list(self._edges)
 
     def num_nodes(self) -> int:
         """Return ``n``, the number of nodes."""
-        adj = self._adj
-        if adj is not None:
-            return len(adj)
-        return self._csr_cache.n
+        return self._csr.n
 
     def num_edges(self) -> int:
         """Return ``m``, the number of undirected edges."""
-        return self._edge_count
+        return self._csr.num_edges
 
     def total_weight(self) -> float:
-        """Return the sum of all edge weights.
-
-        Maintained incrementally across mutations, so after many
-        ``remove_edge``/``set_weight`` calls on non-integral weights the
-        value can differ from a fresh summation by float rounding residue
-        (it is exact for integral weights, and resets exactly to 0.0 when
-        the last edge is removed).  Compare with a tolerance when weights
-        are fractional.
-        """
+        """Return the sum of all edge weights, in edge-stream order."""
         return self._total_weight
 
     def __contains__(self, node: NodeId) -> bool:
@@ -763,98 +620,42 @@ class WeightedGraph:
 
     def __len__(self) -> int:
         """Return the number of nodes."""
-        return self.num_nodes()
+        return self._csr.n
 
     def __iter__(self) -> Iterator[NodeId]:
-        """Iterate over the nodes in insertion order."""
-        adj = self._adj
-        if adj is not None:
-            return iter(adj)
-        return iter(self._csr_cache.nodes)
+        """Iterate over the nodes in slot order."""
+        return iter(self._csr.nodes)
 
     def __repr__(self) -> str:
         """Return a compact ``n``/``m`` summary for debugging."""
-        return (
-            f"WeightedGraph(n={self.num_nodes()}, m={self.num_edges()})"
-        )
+        return f"WeightedGraph(n={self.num_nodes()}, m={self.num_edges()})"
 
     # ------------------------------------------------------------------
     # derived graphs
     # ------------------------------------------------------------------
-    def copy(self) -> "WeightedGraph":
-        """Return a deep copy of this graph."""
-        clone = WeightedGraph()
-        if self._adj is None:
-            # CSR-built and never materialised: the snapshot is immutable, so
-            # the clone shares it; whichever side mutates first materialises
-            # its own dicts from the shared view
-            clone._adj = None
-            clone._edge_count = self._edge_count
-            clone._total_weight = self._total_weight
-            clone._csr_cache = self._csr_cache
-            clone._csr_cache_version = clone._version
-            return clone
-        adjacency: Dict[NodeId, Dict[NodeId, float]] = {
-            node: {} for node in self._adjacency
-        }
-        for edge in self.edges():
-            adjacency[edge.u][edge.v] = edge.weight
-            adjacency[edge.v][edge.u] = edge.weight
-        clone._adjacency = adjacency
-        clone._edge_count = self._edge_count
-        clone._total_weight = self._total_weight
-        return clone
-
-    def subgraph(self, nodes: Iterable[NodeId]) -> "WeightedGraph":
-        """Return the subgraph induced by ``nodes``."""
-        keep = set(nodes)
-        sub = WeightedGraph()
-        adjacency: Dict[NodeId, Dict[NodeId, float]] = {
-            node: {} for node in self.nodes() if node in keep
-        }
-        count = 0
-        total = 0.0
-        for edge in self.edges():
-            if edge.u in keep and edge.v in keep:
-                adjacency[edge.u][edge.v] = edge.weight
-                adjacency[edge.v][edge.u] = edge.weight
-                count += 1
-                total += edge.weight
-        sub._adjacency = adjacency
-        sub._edge_count = count
-        sub._total_weight = total
-        return sub
-
     def relabeled(self, mapping: Optional[Dict[NodeId, NodeId]] = None) -> "WeightedGraph":
         """Return a copy with node identifiers replaced via ``mapping``.
 
         When ``mapping`` is ``None`` the nodes are renamed ``0..n-1`` in
-        insertion order, which is what the simulator expects.
+        slot order, which is what the simulator expects.  The copy is built
+        from the canonical edge stream, so node ``i``'s row lists first the
+        edges to lower slots (by slot), then those to higher slots (in row
+        order).
+
+        Raises:
+            KeyError: if ``mapping`` misses a node.
+            ValueError: if ``mapping`` sends two nodes to the same label.
         """
+        csr = self._csr
+        edge_u, edge_v, edge_w = csr.canonical_edges()
         if mapping is None:
-            mapping = {node: index for index, node in enumerate(self.nodes())}
-        renamed = WeightedGraph()
-        adjacency: Dict[NodeId, Dict[NodeId, float]] = {
-            mapping[node]: {} for node in self.nodes()
-        }
-        # count and total are re-derived rather than copied: a non-injective
-        # mapping may merge edges (last weight wins, as with add_edge) or
-        # collapse an edge into a self loop, which is rejected
-        count = 0
-        total = 0.0
-        for edge in self.edges():
-            u, v = mapping[edge.u], mapping[edge.v]
-            if u == v:
-                raise ValueError(f"self loops are not allowed (node {u!r})")
-            existing = adjacency[u].get(v)
-            if existing is None:
-                count += 1
-                total += edge.weight
-            else:
-                total += edge.weight - existing
-            adjacency[u][v] = edge.weight
-            adjacency[v][u] = edge.weight
-        renamed._adjacency = adjacency
-        renamed._edge_count = count
-        renamed._total_weight = total
-        return renamed
+            return self._from_csr_edges(csr.n, edge_u, edge_v, edge_w)
+        labels = [mapping[node] for node in csr.nodes]
+        if is_identity_enumeration(labels):
+            return self._from_csr_edges(csr.n, edge_u, edge_v, edge_w)
+        index_of = {label: i for i, label in enumerate(labels)}
+        if len(index_of) != csr.n:
+            raise ValueError("relabeling mapping is not injective")
+        return self._from_csr_edges(
+            csr.n, edge_u, edge_v, edge_w, nodes=tuple(labels), index_of=index_of
+        )

@@ -11,9 +11,17 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Hashable, List, Optional
 
-from repro.topology.graph import WeightedGraph
+from repro.topology.graph import CSRView, WeightedGraph
 
 NodeId = Hashable
+
+
+def _source_slot(csr: CSRView, source: NodeId) -> int:
+    """Return ``source``'s slot, with the error message the BFS helpers raise."""
+    try:
+        return csr.slot(source)
+    except KeyError:
+        raise KeyError(f"{source!r} is not a node of the graph") from None
 
 
 def breadth_first_levels(graph: WeightedGraph, source: NodeId) -> Dict[NodeId, int]:
@@ -25,18 +33,7 @@ def breadth_first_levels(graph: WeightedGraph, source: NodeId) -> Dict[NodeId, i
         KeyError: if ``source`` is not a node of ``graph``.
     """
     csr = graph.csr()
-    if csr.index_of is not None:
-        if source not in csr.index_of:
-            raise KeyError(f"{source!r} is not a node of the graph")
-        start = csr.index_of[source]
-    elif type(source) is int and 0 <= source < csr.n:
-        start = source
-    elif isinstance(source, (int, float)) and source in csr.nodes:
-        # bool/float alias of an identity label (True, 2.0): same ==/hash
-        # semantics the adjacency-dict lookup had
-        start = int(source)
-    else:
-        raise KeyError(f"{source!r} is not a node of the graph")
+    start = _source_slot(csr, source)
     offsets = csr.offsets
     targets = csr.targets
     nodes = csr.nodes
@@ -63,16 +60,23 @@ def breadth_first_levels(graph: WeightedGraph, source: NodeId) -> Dict[NodeId, i
 
 def bfs_tree_parents(graph: WeightedGraph, source: NodeId) -> Dict[NodeId, Optional[NodeId]]:
     """Return a BFS-tree parent map rooted at ``source`` (root maps to ``None``)."""
-    if not graph.has_node(source):
-        raise KeyError(f"{source!r} is not a node of the graph")
-    parents: Dict[NodeId, Optional[NodeId]] = {source: None}
-    queue = deque([source])
+    csr = graph.csr()
+    start = _source_slot(csr, source)
+    nodes = csr.nodes
+    offsets = csr.offsets
+    targets = csr.targets
+    seen = bytearray(csr.n)
+    seen[start] = 1
+    parents: Dict[NodeId, Optional[NodeId]] = {nodes[start]: None}
+    queue = deque([start])
     while queue:
-        node = queue.popleft()
-        for neighbor in graph.iter_neighbors(node):
-            if neighbor not in parents:
-                parents[neighbor] = node
-                queue.append(neighbor)
+        slot = queue.popleft()
+        node = nodes[slot]
+        for target in targets[offsets[slot]:offsets[slot + 1]]:
+            if not seen[target]:
+                seen[target] = 1
+                parents[nodes[target]] = node
+                queue.append(target)
     return parents
 
 
@@ -93,8 +97,8 @@ def connected_components(graph: WeightedGraph) -> List[List[NodeId]]:
 def is_connected(graph: WeightedGraph) -> bool:
     """Return ``True`` when ``graph`` is connected (the empty graph counts).
 
-    Answered by the CSR snapshot and cached there, so it costs one sweep per
-    mutation generation however many stages ask.
+    Answered by the graph's CSR view and cached there, so it costs one sweep
+    per graph however many stages ask.
     """
     return graph.csr().is_connected()
 

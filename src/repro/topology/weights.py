@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.topology.graph import WeightedGraph
 
@@ -33,10 +33,8 @@ def assign_random_weights(
     rng = random.Random(seed)
     csr = graph.csr()
     edge_u, edge_v, _ = csr.canonical_edges()
-    # draw in canonical edge order (the same order the copy-then-reweight
-    # implementation used), then counting-sort the reweighted edge stream
-    # straight into the copy's CSR form — the row order per-edge add_edge
-    # calls would have produced, without ever building the nested dicts
+    # draw in canonical edge order, then build the copy from the reweighted
+    # canonical edge stream
     uniform = rng.uniform
     drawn = array("d", (uniform(low, high) for _ in range(len(edge_u))))
     return _weighted_copy(csr, edge_u, edge_v, drawn)
@@ -57,18 +55,19 @@ def assign_distinct_weights(
     edge_u, edge_v, _ = csr.canonical_edges()
     weights = list(range(1, len(edge_u) + 1))
     rng.shuffle(weights)
-    # assign in canonical edge order (identical to the old copy-then-reweight
-    # pairing); array('d') conversion is exactly float(weight)
+    # assign in canonical edge order; array('d') conversion is exactly
+    # float(weight)
     return _weighted_copy(csr, edge_u, edge_v, array("d", weights))
 
 
 def _weighted_copy(csr, edge_u, edge_v, weights) -> WeightedGraph:
-    """Build the reweighted copy of a graph directly in CSR form.
+    """Build the reweighted copy of a graph from its canonical edge stream.
 
-    ``csr`` is the source graph's snapshot; ``weights`` pairs with its
-    canonical edge columns.  Node labels (and the label→slot dict, when the
-    enumeration is not the identity) are shared with the source — both are
-    immutable in use.
+    ``csr`` is the source graph's columns; ``weights`` pairs with its
+    canonical edge columns, so each row of the copy lists the edges to lower
+    slots first (by slot), then the rest in the source's row order.  Node
+    labels (and the label→slot dict, when the enumeration is not the
+    identity) are shared with the source — both are immutable.
     """
     if csr.identity:
         return WeightedGraph._from_csr_edges(csr.n, edge_u, edge_v, weights)
@@ -84,19 +83,26 @@ def ensure_distinct_weights(graph: WeightedGraph) -> WeightedGraph:
     tie-breaking rule Gallager, Humblet and Spira suggest: the effective
     weight becomes the tuple ``(weight, min endpoint, max endpoint)`` encoded
     as a float by adding a rank-scaled epsilon.  The relative order of
-    originally-distinct weights is preserved.
+    originally-distinct weights is preserved.  The copy is built from the
+    canonical edge stream, like every reweighting here, so its
+    :meth:`~repro.topology.graph.WeightedGraph.total_weight` is the
+    left-to-right sum over its ``edges()``.
     """
-    weighted = graph.copy()
-    edges = sorted(
-        weighted.edges(), key=lambda e: (e.weight, repr(e.key()[0]), repr(e.key()[1]))
-    )
+    edges = graph.edges()
     if not edges:
-        return weighted
+        return graph
+    order = sorted(
+        range(len(edges)),
+        key=lambda j: (edges[j].weight, repr(edges[j].key()[0]), repr(edges[j].key()[1])),
+    )
     max_weight = max(abs(edge.weight) for edge in edges)
     epsilon = (max_weight + 1.0) * 1e-9
-    for rank, edge in enumerate(edges):
-        weighted.set_weight(edge.u, edge.v, edge.weight + rank * epsilon)
-    return weighted
+    perturbed = array("d", bytes(8 * len(edges)))
+    for rank, j in enumerate(order):
+        perturbed[j] = edges[j].weight + rank * epsilon
+    csr = graph.csr()
+    edge_u, edge_v, _ = csr.canonical_edges()
+    return _weighted_copy(csr, edge_u, edge_v, perturbed)
 
 
 def weight_bits(graph: WeightedGraph) -> int:
@@ -109,37 +115,3 @@ def weight_bits(graph: WeightedGraph) -> int:
     for edge in graph.edges():
         max_weight = max(max_weight, int(abs(edge.weight)))
     return max(1, max_weight).bit_length()
-
-
-def minimum_spanning_tree_edges(graph: WeightedGraph) -> Tuple[float, list]:
-    """Return ``(total weight, edges)`` of the MST via Kruskal's algorithm.
-
-    This is the sequential reference implementation used by the validation
-    code; the distributed implementations live under :mod:`repro.core.mst`.
-
-    Raises:
-        ValueError: if the graph is disconnected (no spanning tree exists).
-    """
-    from repro.topology.properties import is_connected
-
-    if graph.num_nodes() > 0 and not is_connected(graph):
-        raise ValueError("graph is disconnected; no spanning tree exists")
-    parent = {node: node for node in graph.nodes()}
-
-    def find(node):
-        """Return ``node``'s union-find root with path halving."""
-        while parent[node] != node:
-            parent[node] = parent[parent[node]]
-            node = parent[node]
-        return node
-
-    chosen = []
-    total = 0.0
-    for edge in sorted(graph.edges(), key=lambda e: (e.weight, repr(e.key()))):
-        ru, rv = find(edge.u), find(edge.v)
-        if ru == rv:
-            continue
-        parent[ru] = rv
-        chosen.append(edge)
-        total += edge.weight
-    return total, chosen

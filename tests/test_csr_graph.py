@@ -1,15 +1,13 @@
 """Differential tests for the columnar CSR graph core (``topology/graph.py``).
 
-The CSR view is a pure data-layout change: every consumer that walks the
-``array('q')`` columns must see exactly the nodes, neighbours, weights and
-orders the dict-of-dicts adjacency produced.  These tests pin that contract
-differentially — dict-built graphs against their own CSR views, CSR-built
-(lazy) graphs against dict-built twins, identity-labelled against
-arbitrarily-labelled graphs — plus the invalidation contract (a mutation
-after a view is taken must rebuild it) and the degenerate shapes (empty,
-single node, isolated nodes).  The golden byte-identity assertion rides in
-``tests/test_perf_equivalence.py``; topology-level equivalence of the CSR
-consumers (BFS, partition, MST) is pinned by the existing suites.
+A graph is one CSR view built by a counting-sort fill over an edge stream.
+These tests pin the fill against a plain reference model — nested dicts
+filled edge by edge from the same stream — for identity-labelled and
+arbitrarily-labelled graphs, plus the degenerate shapes (empty, single node,
+isolated nodes) and the node-membership rules.  The golden byte-identity
+assertion rides in ``tests/test_perf_equivalence.py``; topology-level
+equivalence of the CSR consumers (BFS, partition, MST) is pinned by the
+existing suites.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from repro.topology.generators import (
     erdos_renyi_graph,
     grid_graph,
     path_graph,
-    ring_graph,
 )
 from repro.topology.graph import WeightedGraph, is_identity_enumeration
 from repro.topology.properties import breadth_first_levels
@@ -42,60 +39,93 @@ def csr_as_adjacency(graph):
     return adjacency
 
 
-def assert_csr_matches_dicts(graph):
-    """The CSR view must reproduce the adjacency dicts entry for entry, in order."""
-    adjacency = graph.adjacency()
+def reference_adjacency(nodes, edges):
+    """The reference model: insertion-ordered dicts filled edge by edge."""
+    adjacency = {node: {} for node in nodes}
+    for u, v, w in edges:
+        adjacency.setdefault(u, {})[v] = w
+        adjacency.setdefault(v, {})[u] = w
+    return adjacency
+
+
+def assert_csr_matches(graph, nodes, edges):
+    """The CSR rows must reproduce the reference dicts entry for entry, in order."""
+    expected = reference_adjacency(nodes, edges)
     rebuilt = csr_as_adjacency(graph)
-    assert rebuilt == adjacency
-    # insertion order is part of the contract (it drives BFS visit order and
-    # the partitioners' workspace layout), so compare orders too
-    assert list(rebuilt) == list(adjacency)
-    for node in adjacency:
-        assert list(rebuilt[node]) == list(adjacency[node])
+    assert rebuilt == expected
+    # row order is part of the contract (it drives BFS visit order and the
+    # partitioners' workspace layout), so compare orders too
+    assert list(rebuilt) == list(expected)
+    for node in expected:
+        assert list(rebuilt[node]) == list(expected[node])
+        assert graph.neighbors(node) == list(expected[node])
+        assert graph.degree(node) == len(expected[node])
+        for neighbour, weight in expected[node].items():
+            assert graph.weight(node, neighbour) == weight
 
 
-def random_labeled_graph(labels, seed, edge_probability=0.4):
-    """Dict-built random graph over arbitrary ``labels``."""
+def assert_csr_symmetric(graph):
+    """Every row entry has a reverse entry of equal weight; rows hold no
+    self loop and no repeated neighbour."""
+    csr = graph.csr()
+    entries = {}
+    for slot in range(csr.n):
+        for position in range(csr.offsets[slot], csr.offsets[slot + 1]):
+            key = (slot, csr.targets[position])
+            assert key[0] != key[1] and key not in entries
+            entries[key] = csr.weights[position]
+    for (u, v), weight in entries.items():
+        assert entries[(v, u)] == weight
+    assert len(entries) == 2 * graph.num_edges()
+
+
+def random_stream(labels, seed, edge_probability=0.4):
+    """A shuffled random edge stream over ``labels`` with distinct weights."""
     rng = random.Random(seed)
-    graph = WeightedGraph()
-    graph.add_nodes(labels)
-    weight = 1
+    edges = []
     for i, u in enumerate(labels):
         for v in labels[i + 1:]:
             if rng.random() < edge_probability:
-                graph.add_edge(u, v, weight)
-                weight += 1
-    return graph
+                edges.append((u, v) if rng.random() < 0.5 else (v, u))
+    rng.shuffle(edges)
+    return [(u, v, float(weight)) for weight, (u, v) in enumerate(edges, 1)]
 
 
 class TestCSRMatchesDict:
     @pytest.mark.parametrize("seed", (1, 2, 3, 4, 5))
     def test_random_identity_graphs(self, seed):
-        graph = erdos_renyi_graph(40, 0.15, seed=seed)
+        labels = list(range(40))
+        edges = random_stream(labels, seed, edge_probability=0.15)
+        graph = WeightedGraph.from_edges(edges, nodes=labels)
         assert graph.csr().identity
-        assert_csr_matches_dicts(graph)
+        assert_csr_matches(graph, labels, edges)
 
     @pytest.mark.parametrize("seed", (1, 2, 3))
     def test_random_string_labeled_graphs(self, seed):
         labels = [f"host-{i}" for i in range(25)]
-        graph = random_labeled_graph(labels, seed)
+        edges = random_stream(labels, seed)
+        graph = WeightedGraph.from_edges(edges, nodes=labels)
         csr = graph.csr()
         assert not csr.identity
         assert csr.index_of == {label: slot for slot, label in enumerate(labels)}
-        assert_csr_matches_dicts(graph)
+        assert_csr_matches(graph, labels, edges)
 
     def test_float_labeled_graph(self):
         labels = [0.5, 1.5, 2.25, -3.0, 4.125]
-        graph = random_labeled_graph(labels, seed=7, edge_probability=0.8)
+        edges = random_stream(labels, seed=7, edge_probability=0.8)
+        graph = WeightedGraph.from_edges(edges, nodes=labels)
         assert not graph.csr().identity
-        assert_csr_matches_dicts(graph)
+        assert_csr_matches(graph, labels, edges)
 
     def test_mixed_hashable_labels(self):
-        graph = WeightedGraph()
-        graph.add_edge("a", (1, 2), 1.0)
-        graph.add_edge((1, 2), frozenset({3}), 2.0)
-        graph.add_edge("a", frozenset({3}), 3.0)
-        assert_csr_matches_dicts(graph)
+        edges = [("a", (1, 2), 1.0), ((1, 2), frozenset({3}), 2.0), ("a", frozenset({3}), 3.0)]
+        graph = WeightedGraph.from_edges(edges)
+        assert_csr_matches(graph, [], edges)
+
+    def test_node_order_without_declared_nodes_is_first_appearance(self):
+        edges = random_stream([f"n{i}" for i in range(12)], seed=4, edge_probability=0.5)
+        graph = WeightedGraph.from_edges(edges)
+        assert_csr_matches(graph, [], edges)
 
     def test_canonical_edges_match_edges_enumeration(self):
         graph = erdos_renyi_graph(30, 0.2, seed=9)
@@ -107,6 +137,56 @@ class TestCSRMatchesDict:
         ]
         assert canonical == [tuple(edge) for edge in graph.edges()]
 
+    def test_weight_assignment_on_labeled_graph(self):
+        labels = [f"s{i}" for i in range(12)]
+        graph = WeightedGraph.from_edges(random_stream(labels, seed=5, edge_probability=0.5))
+        weighted = assign_distinct_weights(graph, seed=2)
+        assert weighted.nodes() == graph.nodes()
+        assert sorted(e.weight for e in weighted.edges()) == list(
+            map(float, range(1, graph.num_edges() + 1))
+        )
+        # the copy is built from the reweighted canonical edge stream
+        assert_csr_matches(weighted, weighted.nodes(), weighted.edges())
+
+
+class TestGeneratorBuiltGraphs:
+    """Graphs the generators fill from slot columns, against the reference
+    model and against a relabelled-edge rebuild through ``from_edges``."""
+
+    @pytest.mark.parametrize("attachment", (1, 2, 3))
+    def test_barabasi_albert_matches_reference_model(self, attachment):
+        graph = barabasi_albert_graph(60, attachment, seed=attachment)
+        edges = graph.edges()
+        assert csr_as_adjacency(graph) == reference_adjacency(graph.nodes(), edges)
+        assert_csr_symmetric(graph)
+        assert graph.total_weight() == sum(edge.weight for edge in edges)
+
+    @pytest.mark.parametrize(
+        "build",
+        (
+            lambda: grid_graph(6, 6),
+            lambda: barabasi_albert_graph(60, 3, seed=2),
+            lambda: erdos_renyi_graph(40, 0.2, seed=3),
+        ),
+        ids=("grid", "barabasi_albert", "erdos_renyi"),
+    )
+    def test_weight_assignment_ignores_the_build_route(self, build):
+        # the rebuild lists each edge in canonical order, so its rows may
+        # differ from the generator's; the weights drawn must not
+        graph = build()
+        rebuilt = WeightedGraph.from_edges(graph.edges(), nodes=graph.nodes())
+        assert rebuilt.edges() == graph.edges()
+        for assign in (assign_distinct_weights, assign_random_weights):
+            assert assign(rebuilt, seed=3).edges() == assign(graph, seed=3).edges()
+
+    def test_derived_graphs_leave_their_source_intact(self):
+        graph = grid_graph(3, 3)
+        before = (graph.nodes(), graph.edges(), csr_as_adjacency(graph))
+        assign_distinct_weights(graph, seed=1)
+        graph.relabeled({node: f"v{node}" for node in graph.nodes()})
+        assert (graph.nodes(), graph.edges(), csr_as_adjacency(graph)) == before
+        assert graph.total_weight() == 12.0
+
 
 class TestDegenerateShapes:
     def test_empty_graph(self):
@@ -116,151 +196,24 @@ class TestDegenerateShapes:
         assert list(csr.offsets) == [0]
         assert len(csr.targets) == 0
         assert all(len(column) == 0 for column in csr.canonical_edges())
-        assert_csr_matches_dicts(graph)
+        assert csr.is_connected()
+        assert_csr_matches(graph, [], [])
 
     def test_single_node(self):
-        graph = WeightedGraph()
-        graph.add_node(0)
+        graph = WeightedGraph.from_edges([], nodes=[0])
         csr = graph.csr()
         assert csr.n == 1 and csr.num_edges == 0
         assert list(csr.offsets) == [0, 0]
-        assert_csr_matches_dicts(graph)
+        assert_csr_matches(graph, [0], [])
 
     def test_isolated_nodes_between_connected_ones(self):
-        graph = WeightedGraph()
-        graph.add_nodes(range(5))
-        graph.add_edge(0, 4, 2.0)
+        graph = WeightedGraph.from_edges([(0, 4, 2.0)], nodes=range(5))
         csr = graph.csr()
         assert [csr.offsets[i + 1] - csr.offsets[i] for i in range(5)] == [
             1, 0, 0, 0, 1
         ]
-        assert_csr_matches_dicts(graph)
-
-
-class TestInvalidation:
-    def test_mutation_after_view_rebuilds(self):
-        graph = path_graph(6)
-        before = graph.csr()
-        assert graph.csr() is before  # cached while unmutated
-        graph.add_edge(0, 5, 9.0)
-        after = graph.csr()
-        assert after is not before
-        assert after.num_edges == before.num_edges + 1
-        assert_csr_matches_dicts(graph)
-
-    def test_remove_edge_invalidates(self):
-        graph = ring_graph(8)
-        before = graph.csr()
-        graph.remove_edge(0, 1)
-        assert graph.csr() is not before
-        assert_csr_matches_dicts(graph)
-
-    def test_set_weight_invalidates(self):
-        graph = grid_graph(3, 3)
-        before = graph.csr()
-        graph.set_weight(0, 1, 42.0)
-        after = graph.csr()
-        assert after is not before
-        assert after.weights[after.offsets[0]] == 42.0
-        assert_csr_matches_dicts(graph)
-
-    def test_stale_view_keeps_old_data(self):
-        graph = path_graph(4)
-        before = graph.csr()
-        edges_before = before.num_edges
-        graph.add_edge(0, 3, 5.0)
-        # an already-taken view is immutable: it must not see the mutation
-        assert before.num_edges == edges_before
-
-    def test_add_node_invalidates_csr_born_graph(self):
-        # regression: the snapshot encodes the node set, so an isolated-node
-        # insertion on a CSR-born graph must rebuild it — CSR consumers used
-        # to silently miss the new node
-        graph = path_graph(3)
-        before = graph.csr()
-        graph.add_node(3)
-        after = graph.csr()
-        assert after is not before
-        assert after.n == 4
-        weighted = assign_random_weights(graph, seed=1)
-        assert weighted.has_node(3)
         assert breadth_first_levels(graph, 3) == {3: 0}
-        assert_csr_matches_dicts(graph)
-
-    def test_add_node_invalidates_dict_built_graph(self):
-        graph = WeightedGraph()
-        graph.add_edge(0, 1, 1.0)
-        before = graph.csr()
-        graph.add_node(2)
-        after = graph.csr()
-        assert after is not before and after.n == 3
-        assert_csr_matches_dicts(graph)
-
-    def test_add_existing_node_keeps_view_cached(self):
-        graph = path_graph(3)
-        before = graph.csr()
-        graph.add_node(1)  # no-op: node already present
-        assert graph.csr() is before
-
-
-class TestLazyBuiltGraphs:
-    """Generator-built (CSR-first) graphs against dict-built twins."""
-
-    @pytest.mark.parametrize("seed", (1, 2, 3))
-    def test_barabasi_albert_matches_dict_twin(self, seed):
-        lazy = barabasi_albert_graph(60, 3, seed=seed)
-        twin = WeightedGraph()
-        twin.add_nodes(lazy.nodes())
-        for u, v, w in lazy.edges():
-            twin.add_edge(u, v, w)
-        assert lazy.adjacency() == twin.adjacency()
-        assert lazy.edges() == twin.edges()
-        assert lazy.total_weight() == twin.total_weight()
-        assert_csr_matches_dicts(lazy)
-
-    def test_weight_assignment_matches_dict_built(self):
-        lazy = grid_graph(6, 6)
-        twin = WeightedGraph()
-        twin.add_nodes(lazy.nodes())
-        for u, v, w in lazy.edges():
-            twin.add_edge(u, v, w)
-        for assign in (
-            lambda g: assign_distinct_weights(g, seed=3),
-            lambda g: assign_random_weights(g, seed=3),
-        ):
-            weighted_lazy = assign(lazy)
-            weighted_twin = assign(twin)
-            assert weighted_lazy.edges() == weighted_twin.edges()
-            assert weighted_lazy.adjacency() == weighted_twin.adjacency()
-
-    def test_weight_assignment_on_labeled_graph(self):
-        labels = [f"s{i}" for i in range(12)]
-        graph = random_labeled_graph(labels, seed=5, edge_probability=0.5)
-        weighted = assign_distinct_weights(graph, seed=2)
-        assert weighted.nodes() == graph.nodes()
-        assert sorted(e.weight for e in weighted.edges()) == list(
-            map(float, range(1, graph.num_edges() + 1))
-        )
-        assert_csr_matches_dicts(weighted)
-
-    def test_copy_shares_then_diverges(self):
-        lazy = ring_graph(10)
-        clone = lazy.copy()
-        assert clone.adjacency() == lazy.adjacency()
-        clone.add_edge(0, 5, 7.0)
-        assert lazy.has_edge(0, 5) is False
-        assert clone.has_edge(0, 5) is True
-
-    def test_bfs_identical_on_lazy_and_dict_built(self):
-        lazy = barabasi_albert_graph(50, 2, seed=4)
-        twin = WeightedGraph()
-        twin.add_nodes(lazy.nodes())
-        for u, v, w in lazy.edges():
-            twin.add_edge(u, v, w)
-        assert breadth_first_levels(lazy, 0) == breadth_first_levels(twin, 0)
-        assert list(breadth_first_levels(lazy, 0)) == list(
-            breadth_first_levels(twin, 0)
-        )
+        assert_csr_matches(graph, range(5), [(0, 4, 2.0)])
 
 
 class TestIdentityDetection:
@@ -282,20 +235,19 @@ class TestIdentityDetection:
             breadth_first_levels(WeightedGraph(), 0)
 
 
-class TestHasNodeOnLazyIdentityGraph:
-    """``has_node`` on a CSR-born graph must match the dict lookup's
+class TestHasNodeOnIdentityGraph:
+    """``has_node`` on an identity-labelled graph must keep dict-lookup
     semantics without falling into range's O(n) equality scan."""
 
     def test_int_and_numeric_alias_membership(self):
         graph = path_graph(5)
-        assert graph._adj is None  # still lazy: exercises the CSR path
         assert graph.has_node(0) and graph.has_node(4)
         assert not graph.has_node(5) and not graph.has_node(-1)
         # numeric aliases hash/compare equal to their int, like dict keys
         assert graph.has_node(2.0) and 2.0 in graph
         assert not graph.has_node(2.5)
         assert graph.has_node(True)  # True == 1
-        assert graph._adj is None  # none of the above materialised dicts
+        assert graph.neighbors(2.0) == [1, 3]
 
     def test_non_numeric_labels_are_absent(self):
         graph = path_graph(5)
@@ -307,7 +259,6 @@ class TestHasNodeOnLazyIdentityGraph:
         graph = path_graph(5)
         with pytest.raises(TypeError):
             graph.has_node([2])
-        twin = WeightedGraph()
-        twin.add_nodes(range(5))
+        labelled = WeightedGraph.from_edges([("a", "b")])
         with pytest.raises(TypeError):
-            twin.has_node([2])
+            labelled.has_node([2])

@@ -19,11 +19,9 @@ def build_instance(edges, affectance_overrides=None, n=None):
     """Hand-built identity graph plus a uniform affectance map."""
     if n is None:
         n = max(max(u, v) for u, v in edges) + 1
-    graph = WeightedGraph()
-    graph.add_nodes(range(n))
+    graph = WeightedGraph.from_edges(edges, nodes=range(n))
     affectance = {}
     for u, v in edges:
-        graph.add_edge(u, v, 1)
         key = (u, v) if u < v else (v, u)
         affectance[key] = 0.5
     if affectance_overrides:
@@ -124,7 +122,7 @@ class TestHistoryDifferential:
         signal = {
             key: 1.0 / max(alpha, 1e-9) for key, alpha in affectance.items()
         }
-        adjacency = {u: set(graph.adjacency()[u]) for u in graph.nodes()}
+        adjacency = {u: set(graph.neighbors(u)) for u in graph.nodes()}
         informed = {0}
         for trace in result.history:
             for u in trace.transmitters:
@@ -244,9 +242,7 @@ class TestValidation:
             disseminate(graph, affectance)
 
     def test_non_identity_graph_rejected(self):
-        graph = WeightedGraph()
-        graph.add_nodes(["a", "b"])
-        graph.add_edge("a", "b", 1)
+        graph = WeightedGraph.from_edges([("a", "b")])
         with pytest.raises(ValueError):
             disseminate(graph, {("a", "b"): 1.0})
 

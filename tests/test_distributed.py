@@ -576,6 +576,18 @@ def _suicide_worker_main(host, port):
     _Suicide((host, port), heartbeat_interval=60.0).run()
 
 
+class _JoinTogetherWorker(ShardWorker):
+    """Waits at ``barrier`` after its ``describe`` until its peers joined too."""
+
+    def __init__(self, *args, barrier, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.barrier = barrier
+
+    def resolve_spec(self, experiment_id):
+        self.barrier.wait()
+        return super().resolve_spec(experiment_id)
+
+
 def _real_sweep(tmp_path, experiment="e2", overrides=None, lease_timeout=1.0):
     """A real quick sweep's coordinator (bound, not yet serving)."""
     spec = get_experiment(experiment)
@@ -844,10 +856,15 @@ class TestLongPollAndShutdown:
         params = spec.params_for("quick")
         points = spec.points(params)
         port = _free_port()
-        # the workers back off until the coordinator below is bound
+        # the workers back off until the coordinator below is bound; the
+        # barrier holds both until each has described itself, since only a
+        # worker the coordinator has seen is owed a ``done`` before it stops
+        joined = threading.Barrier(2, timeout=30.0)
         started = [
-            _start_worker(ShardWorker(("127.0.0.1", port),
-                                      worker_id=f"external-{index}"))
+            _start_worker(_JoinTogetherWorker(
+                ("127.0.0.1", port), barrier=joined,
+                worker_id=f"external-{index}",
+            ))
             for index in range(2)
         ]
         outcome = DistributedExecutor(

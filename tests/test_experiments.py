@@ -158,17 +158,3 @@ class TestDefaultPresetClaims:
     )
     def test_claim_holds(self, experiment_id, claim):
         assert claim(run_experiment(experiment_id).rows)
-
-
-class TestLegacyRunWrappers:
-    """The module-level ``run()`` wrappers stay drop-in compatible."""
-
-    def test_run_returns_identical_table(self):
-        from repro.experiments import e01_det_partition_quality as e1
-
-        table = e1.run(sizes=(16, 36))
-        result = run_experiment("e1", overrides={"sizes": (16, 36)})
-        assert table.columns == list(result.columns)
-        assert table.rows == [
-            [row[column] for column in result.columns] for row in result.rows
-        ]

@@ -23,20 +23,23 @@ except ImportError:  # pragma: no cover
 
 class TestKruskal:
     def test_simple_triangle(self):
-        graph = WeightedGraph()
-        graph.add_edge(0, 1, 1.0)
-        graph.add_edge(1, 2, 2.0)
-        graph.add_edge(0, 2, 3.0)
+        graph = WeightedGraph.from_edges([(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0)])
         mst = kruskal_mst(graph)
         assert mst.total_weight == 3.0
         assert len(mst) == 2
 
     def test_disconnected_rejected(self):
-        graph = WeightedGraph()
-        graph.add_edge(0, 1)
-        graph.add_node(5)
+        graph = WeightedGraph.from_edges([(0, 1)], nodes=[0, 1, 5])
         with pytest.raises(ValueError):
             kruskal_mst(graph)
+
+    def test_ring_drops_heaviest(self):
+        graph = assign_distinct_weights(ring_graph(6), seed=3)
+        mst = kruskal_mst(graph)
+        assert len(mst) == 5
+        heaviest = max(graph.edges(), key=lambda e: e.weight)
+        assert heaviest.key() not in mst.edge_keys()
+        assert mst.total_weight == sum(e.weight for e in mst.edges)
 
     def test_spanning_tree_weight_helper(self):
         graph = assign_distinct_weights(ring_graph(5), seed=1)
@@ -84,9 +87,7 @@ class TestMultimediaMST:
             MultimediaMST(graph)
 
     def test_disconnected_rejected(self):
-        graph = WeightedGraph()
-        graph.add_edge(0, 1, 1.0)
-        graph.add_node(2)
+        graph = WeightedGraph.from_edges([(0, 1, 1.0)], nodes=[0, 1, 2])
         with pytest.raises(ValueError):
             MultimediaMST(graph)
 

@@ -10,6 +10,7 @@ from repro.analysis.complexity import (
     det_partition_time_bound,
 )
 from repro.core.partition.deterministic import DeterministicPartitioner
+from repro.core.partition.forest import SpanningForest
 from repro.core.partition.validation import validate_partition
 from repro.topology.generators import (
     erdos_renyi_graph,
@@ -64,15 +65,19 @@ class TestInvariants:
         report = validate_partition(result.forest, graph, check_mst_subtrees=True)
         assert report.ok
 
+    def test_empty_network_passes_the_mst_check(self):
+        report = validate_partition(
+            SpanningForest([]), WeightedGraph(), check_mst_subtrees=True
+        )
+        assert report.ok and report.subtrees_of_mst
+
     def test_single_node_network(self):
-        graph = WeightedGraph()
-        graph.add_node(0)
+        graph = WeightedGraph.from_edges([], nodes=[0])
         result = partition(graph)
         assert result.num_fragments == 1
 
     def test_two_node_network(self):
-        graph = WeightedGraph()
-        graph.add_edge(0, 1, 1.0)
+        graph = WeightedGraph.from_edges([(0, 1, 1.0)])
         result = partition(graph)
         assert result.num_fragments == 1
 
@@ -137,8 +142,7 @@ class TestTargetSize:
         graph = WeightedGraph()
         with pytest.raises(ValueError):
             DeterministicPartitioner(graph)
-        disconnected = WeightedGraph()
-        disconnected.add_nodes([0, 1])
+        disconnected = WeightedGraph.from_edges([], nodes=[0, 1])
         with pytest.raises(ValueError):
             DeterministicPartitioner(disconnected)
 

@@ -37,16 +37,18 @@ def _repeated_weight_graph(relabel=None) -> WeightedGraph:
     rng = random.Random(27)
     n = 48
     label = relabel or (lambda node: node)
-    graph = WeightedGraph()
-    for node in range(n):
-        graph.add_node(label(node))
+    edges = []
     for node in range(1, n):
-        graph.add_edge(label(node), label(rng.randrange(node)), float(rng.randint(1, 3)))
+        edges.append((node, rng.randrange(node), float(rng.randint(1, 3))))
+    present = {frozenset((u, v)) for u, v, _ in edges}
     for _ in range(2 * n):
         u, v = rng.randrange(n), rng.randrange(n)
-        if u != v and not graph.has_edge(label(u), label(v)):
-            graph.add_edge(label(u), label(v), float(rng.randint(1, 3)))
-    return graph
+        if u != v and frozenset((u, v)) not in present:
+            present.add(frozenset((u, v)))
+            edges.append((u, v, float(rng.randint(1, 3))))
+    return WeightedGraph.from_edges(
+        ((label(u), label(v), w) for u, v, w in edges), nodes=map(label, range(n))
+    )
 
 
 def _grid(labeler) -> WeightedGraph:

@@ -87,8 +87,7 @@ class TestPartition:
     def test_rejects_bad_graphs(self):
         with pytest.raises(ValueError):
             RandomizedPartitioner(WeightedGraph())
-        disconnected = WeightedGraph()
-        disconnected.add_nodes([0, 1])
+        disconnected = WeightedGraph.from_edges([], nodes=[0, 1])
         with pytest.raises(ValueError):
             RandomizedPartitioner(disconnected)
 

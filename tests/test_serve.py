@@ -1,12 +1,12 @@
-"""``repro serve`` tests: endpoint schemas, ETag/TTL caching, rate limiting.
+"""``repro serve`` tests: endpoint schemas, ETag/TTL caching.
 
 The contract under test (see ``docs/architecture.md``, "Distributed
 execution & serving"): every endpoint serves deterministic JSON, a run
 endpoint's payload is exactly :class:`ExperimentResult`'s serialization
 (so clients of result *files* and of the API share one schema), ETags are
 strong hashes of the exact body honoured with 304s, responses are
-memoised for a TTL, and a token bucket answers 429 past the budget.
-Clocks are injected, so cache expiry and bucket refill are deterministic.
+memoised for a TTL.  The clock is injected, so cache expiry is
+deterministic.
 """
 
 from __future__ import annotations
@@ -19,13 +19,13 @@ import pytest
 
 from repro.experiments.registry import all_experiments
 from repro.experiments.runner import ExperimentResult, run_experiment
-from repro.serve import ServeApp, TTLCache, TokenBucket, create_server
+from repro.serve import ServeApp, TTLCache, create_server
 
 RUN_NAME = "e2-quick"
 
 
 class FakeClock:
-    """A manually-advanced clock for deterministic TTL/bucket behaviour."""
+    """A manually-advanced clock for deterministic TTL behaviour."""
 
     def __init__(self) -> None:
         self.now = 0.0
@@ -238,39 +238,6 @@ class TestCaching:
         assert cache.get("k") == (b"body", '"etag"')
         clock.advance(10.1)
         assert cache.get("k") is None
-
-
-# ----------------------------------------------------------------------
-# rate limiting
-# ----------------------------------------------------------------------
-class TestRateLimit:
-    def test_burst_then_429_then_refill(self, corpus):
-        clock = FakeClock()
-        app = make_app(corpus, rate=1.0, burst=2.0, clock=clock)
-        assert app.respond("/experiments")[0] == 200
-        assert app.respond("/experiments")[0] == 200
-        status, headers, body = app.respond("/experiments")
-        assert status == 429
-        assert headers["Retry-After"] == "1"
-        assert body_json(body)["error"] == "rate limited"
-        clock.advance(1.0)
-        assert app.respond("/experiments")[0] == 200
-
-    def test_zero_rate_disables_limiting(self, corpus):
-        app = make_app(corpus, rate=0.0, burst=0.0)
-        for _ in range(20):
-            assert app.respond("/")[0] == 200
-
-    def test_token_bucket_unit(self):
-        clock = FakeClock()
-        bucket = TokenBucket(rate=2.0, burst=4.0, clock=clock)
-        assert all(bucket.allow() for _ in range(4))
-        assert not bucket.allow()
-        clock.advance(0.5)  # refills one token
-        assert bucket.allow()
-        assert not bucket.allow()
-        clock.advance(60.0)  # refill clamps at burst
-        assert sum(bucket.allow() for _ in range(10)) == 4
 
 
 # ----------------------------------------------------------------------

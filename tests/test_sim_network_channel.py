@@ -5,9 +5,7 @@ import pytest
 from repro.sim.channel import SlottedChannel
 from repro.sim.errors import ProtocolError, TopologyError
 from repro.sim.events import SlotState
-from repro.sim.flyweight import FlyweightProtocol
 from repro.sim.metrics import MetricsRecorder
-from repro.sim.multimedia import MultimediaNetwork
 from repro.sim.network import PointToPointNetwork
 from repro.topology.generators import path_graph
 from repro.topology.graph import WeightedGraph
@@ -17,8 +15,7 @@ class TestPointToPointNetwork:
     def test_rejects_empty_and_disconnected(self):
         with pytest.raises(TopologyError):
             PointToPointNetwork(WeightedGraph())
-        disconnected = WeightedGraph()
-        disconnected.add_nodes([0, 1])
+        disconnected = WeightedGraph.from_edges([], nodes=[0, 1])
         with pytest.raises(TopologyError):
             PointToPointNetwork(disconnected)
         PointToPointNetwork(disconnected, require_connected=False)
@@ -45,51 +42,10 @@ class TestPointToPointNetwork:
         network.deliver(1)
         assert network.delivered_total == 2
 
-
-class _ZeroSendsToTwo(FlyweightProtocol):
-    """Node 0 sends one message to node 2; node 2 halts holding it."""
-
-    def on_start(self, slot):
-        node = self.env.nodes[slot]
-        if node == 0:
-            self.send(2, "hi")
-        if node != 2:
-            self.halt_slot(slot)
-
-    def on_round(self, slot, inbox, channel):
-        if inbox:
-            self.halt_slot(slot, [message.payload for message in inbox])
-
-
-class TestTopologyCaches:
-    """Per-generation caches (connectivity, CSR rows) follow graph mutations."""
-
-    def test_removing_a_bridge_between_runs_disconnects(self):
-        graph = path_graph(4)
-        graph.add_edge(0, 2)
-        network = MultimediaNetwork(graph)
-        assert network.run(_ZeroSendsToTwo).results[2] == ["hi"]
-        graph.remove_edge(2, 3)  # the bridge to node 3
-        with pytest.raises(TopologyError):
-            network.run(_ZeroSendsToTwo)
-
-    def test_adding_an_edge_between_runs_opens_the_link(self):
-        graph = path_graph(3)
-        network = MultimediaNetwork(graph)
-        with pytest.raises(ProtocolError):
-            network.run(_ZeroSendsToTwo)
-        graph.add_edge(0, 2)
-        result = network.run(_ZeroSendsToTwo)
-        assert result.results[2] == ["hi"]
-        assert result.metrics.point_to_point_messages == 1
-
     def test_hub_batch_validates_against_its_row(self):
         # a hub sending to every neighbour in one batch, then batches that
         # end in a stranger
-        graph = WeightedGraph()
-        for leaf in range(1, 50):
-            graph.add_edge(0, leaf)
-        graph.add_edge(1, 2)
+        graph = WeightedGraph.from_edges([(0, leaf) for leaf in range(1, 50)] + [(1, 2)])
         metrics = MetricsRecorder()
         network = PointToPointNetwork(graph, metrics=metrics)
         sends = [(leaf, leaf) for leaf in range(1, 50)]

@@ -1,5 +1,7 @@
 """Tests for tree utilities, distributed BFS and broadcast-and-respond."""
 
+from collections import deque
+
 import pytest
 
 from oracles import BFSTreeProtocol, TreeAggregationProtocol, per_node
@@ -22,6 +24,7 @@ from repro.protocols.spanning.tree_utils import (
     tree_radius,
     validate_parent_map,
 )
+from repro.experiments.harness import make_topology
 from repro.sim.multimedia import MultimediaNetwork
 from repro.topology.generators import grid_graph, path_graph
 from repro.topology.properties import breadth_first_levels
@@ -78,6 +81,29 @@ class TestTreeUtils:
             reroot(dict(PATH_PARENTS), [], 99)
 
 
+def queue_bfs_forest(graph, roots, depth_limit=None):
+    """Node-at-a-time FIFO BFS from the ``repr``-sorted roots: the visit
+    order ``build_bfs_forest`` must reproduce."""
+    parents, root_of, labels = {}, {}, {}
+    queue = deque()
+    for root in sorted(roots, key=repr):
+        parents[root] = None
+        root_of[root] = root
+        labels[root] = 0
+        queue.append(root)
+    while queue:
+        node = queue.popleft()
+        if depth_limit is not None and labels[node] >= depth_limit:
+            continue
+        for neighbor in graph.neighbors(node):
+            if neighbor not in labels:
+                labels[neighbor] = labels[node] + 1
+                parents[neighbor] = node
+                root_of[neighbor] = root_of[node]
+                queue.append(neighbor)
+    return parents, root_of, labels
+
+
 class TestBuildBFSForest:
     def test_single_root_matches_reference_levels(self):
         graph = grid_graph(4, 4)
@@ -97,6 +123,36 @@ class TestBuildBFSForest:
         _, _, labels = build_bfs_forest(graph, [0], depth_limit=3)
         assert max(labels.values()) == 3
         assert 9 not in labels
+
+    @pytest.mark.parametrize(
+        "kind,n,num_roots,depth_limit",
+        (
+            ("grid", 36, 1, None),
+            ("ring", 24, 2, 1),
+            ("geometric", 80, 3, None),
+            ("scale_free", 60, 3, None),
+            ("scale_free", 60, 3, 2),
+            ("ad_hoc", 80, 4, 3),
+        ),
+    )
+    def test_matches_node_at_a_time_queue(self, kind, n, num_roots, depth_limit):
+        graph = make_topology(kind, n, seed=5)
+        nodes = graph.nodes()
+        roots = nodes[:: len(nodes) // num_roots][:num_roots]
+        expected = queue_bfs_forest(graph, roots, depth_limit)
+        actual = build_bfs_forest(graph, roots, depth_limit)
+        for got, want in zip(actual, expected):
+            # same entries, parents included, inserted in the same order
+            assert list(got.items()) == list(want.items())
+
+    def test_matches_node_at_a_time_queue_on_labelled_graph(self):
+        graph = make_topology("scale_free", 40, seed=2)
+        graph = graph.relabeled({node: f"n{node:02d}" for node in graph.nodes()})
+        roots = ["n07", "n31", "n00"]
+        expected = queue_bfs_forest(graph, roots)
+        actual = build_bfs_forest(graph, roots)
+        for got, want in zip(actual, expected):
+            assert list(got.items()) == list(want.items())
 
     def test_requires_valid_roots(self):
         graph = path_graph(3)

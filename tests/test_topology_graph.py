@@ -74,247 +74,141 @@ class TestEdgeKey:
 
 
 class TestWeightedGraph:
-    def test_add_nodes_and_edges(self):
-        graph = WeightedGraph()
-        graph.add_edge(0, 1, 3.0)
-        graph.add_edge(1, 2, 4.0)
+    def test_from_edges(self):
+        graph = WeightedGraph.from_edges([(0, 1, 3.0), (1, 2, 4.0)])
         assert graph.num_nodes() == 3
         assert graph.num_edges() == 2
         assert graph.weight(0, 1) == 3.0
         assert graph.weight(1, 0) == 3.0
 
+    def test_unweighted_edges_get_unit_weight(self):
+        graph = WeightedGraph.from_edges([("a", "b"), ("b", "c", 2.5)])
+        assert graph.weight("a", "b") == 1.0
+        assert graph.total_weight() == 3.5
+
+    def test_node_order_is_nodes_then_first_appearance(self):
+        graph = WeightedGraph.from_edges([(3, 1), (1, 4), (5, 3)], nodes=[9, 1])
+        assert graph.nodes() == [9, 1, 3, 4, 5]
+        assert list(graph) == graph.nodes()
+
+    def test_rows_follow_the_edge_stream(self):
+        graph = WeightedGraph.from_edges([(0, 3), (2, 0), (0, 1), (3, 1)])
+        assert graph.neighbors(0) == [3, 2, 1]
+        assert graph.neighbors(3) == [0, 1]
+        assert list(graph.iter_neighbors(1)) == [0, 3]
+
+    def test_identity_labels_need_no_translation(self):
+        assert WeightedGraph.from_edges([(0, 1), (1, 2)]).csr().identity
+        assert not WeightedGraph.from_edges([(1, 0), (1, 2)]).csr().identity
+        assert not WeightedGraph.from_edges([(0.0, 1.0)]).csr().identity
+
     def test_self_loops_rejected(self):
-        graph = WeightedGraph()
         with pytest.raises(ValueError):
-            graph.add_edge(1, 1)
+            WeightedGraph.from_edges([(0, 1), (1, 1)])
 
-    def test_duplicate_edge_overwrites_weight(self):
-        graph = WeightedGraph()
-        graph.add_edge(0, 1, 1.0)
-        graph.add_edge(0, 1, 9.0)
-        assert graph.num_edges() == 1
-        assert graph.weight(0, 1) == 9.0
-
-    def test_remove_edge(self):
-        graph = WeightedGraph()
-        graph.add_edge(0, 1)
-        graph.remove_edge(0, 1)
-        assert graph.num_edges() == 0
-        assert not graph.has_edge(0, 1)
-
-    def test_remove_missing_edge_raises(self):
-        graph = WeightedGraph()
-        graph.add_node(0)
-        graph.add_node(1)
-        with pytest.raises(KeyError):
-            graph.remove_edge(0, 1)
+    @pytest.mark.parametrize("repeat", [(0, 1, 9.0), (1, 0)])
+    def test_repeated_edge_rejected(self, repeat):
+        with pytest.raises(ValueError):
+            WeightedGraph.from_edges([(0, 1, 1.0), (1, 2), repeat])
 
     def test_weight_missing_edge_raises(self):
-        graph = WeightedGraph()
-        graph.add_nodes([0, 1])
+        graph = WeightedGraph.from_edges([], nodes=[0, 1])
         with pytest.raises(KeyError):
             graph.weight(0, 1)
+        with pytest.raises(KeyError):
+            graph.weight(0, 7)
+
+    def test_has_edge(self):
+        graph = WeightedGraph.from_edges([("a", "b"), ("b", "c")])
+        assert graph.has_edge("a", "b")
+        assert graph.has_edge("c", "b")
+        assert not graph.has_edge("a", "c")
+        assert not graph.has_edge("a", "a")
+        assert not graph.has_edge("a", "zz")
+
+    def test_edge_lookup_scans_either_row(self):
+        # hub 0 has the long row; both argument orders find every spoke
+        graph = WeightedGraph.from_edges([(0, i, float(i)) for i in range(1, 8)])
+        for i in range(1, 8):
+            assert graph.weight(0, i) == graph.weight(i, 0) == float(i)
 
     def test_neighbors_and_degree(self):
-        graph = WeightedGraph()
-        graph.add_edge(0, 1)
-        graph.add_edge(0, 2)
+        graph = WeightedGraph.from_edges([(0, 1), (0, 2)])
         assert set(graph.neighbors(0)) == {1, 2}
         assert graph.degree(0) == 2
         assert graph.degree(1) == 1
 
+    @pytest.mark.parametrize("labels", [lambda i: i, str])
+    def test_unknown_node_queries_raise(self, labels):
+        graph = WeightedGraph.from_edges([(labels(0), labels(1))])
+        for query in (graph.neighbors, graph.iter_neighbors, graph.degree):
+            with pytest.raises(KeyError):
+                query(labels(5))
+        assert not graph.has_node(labels(5))
+
     def test_edges_listed_once(self):
-        graph = WeightedGraph()
-        graph.add_edge(0, 1)
-        graph.add_edge(1, 2)
-        graph.add_edge(2, 0)
+        graph = WeightedGraph.from_edges([(0, 1), (1, 2), (2, 0)])
         assert len(graph.edges()) == 3
 
-    def test_incident_edges(self):
-        graph = WeightedGraph()
-        graph.add_edge(0, 1, 2.0)
-        graph.add_edge(0, 2, 3.0)
-        incident = graph.incident_edges(0)
-        assert {e.other(0) for e in incident} == {1, 2}
-        assert sorted(e.weight for e in incident) == [2.0, 3.0]
-
-    def test_copy_is_independent(self):
-        graph = WeightedGraph()
-        graph.add_edge(0, 1, 2.0)
-        clone = graph.copy()
-        clone.add_edge(1, 2)
-        assert graph.num_edges() == 1
-        assert clone.num_edges() == 2
-
-    def test_subgraph(self):
-        graph = WeightedGraph()
-        graph.add_edge(0, 1)
-        graph.add_edge(1, 2)
-        graph.add_edge(2, 3)
-        sub = graph.subgraph([0, 1, 2])
-        assert sub.num_nodes() == 3
-        assert sub.num_edges() == 2
-        assert not sub.has_node(3)
+    def test_returned_edge_list_is_a_private_copy(self):
+        graph = WeightedGraph.from_edges([(0, 1)])
+        listing = graph.edges()
+        listing.clear()
+        assert len(graph.edges()) == 1
 
     def test_relabeled_default_enumeration(self):
-        graph = WeightedGraph()
-        graph.add_edge("a", "b", 7.0)
+        graph = WeightedGraph.from_edges([("a", "b", 7.0)])
         renamed = graph.relabeled()
         assert set(renamed.nodes()) == {0, 1}
         assert renamed.weight(0, 1) == 7.0
+        assert renamed.csr().identity
 
-    def test_relabeled_rejects_collapsed_self_loop(self):
-        graph = WeightedGraph()
-        graph.add_edge(0, 1, 2.0)
-        graph.add_edge(1, 2, 3.0)
+    def test_relabeled_rebuilds_rows_from_canonical_edges(self):
+        graph = WeightedGraph.from_edges([(0, 2), (1, 2), (0, 1)], nodes=range(3))
+        assert graph.neighbors(2) == [0, 1]
+        assert graph.neighbors(1) == [2, 0]
+        renamed = graph.relabeled({0: "x", 1: "y", 2: "z"})
+        assert renamed.nodes() == ["x", "y", "z"]
+        assert renamed.neighbors("y") == ["x", "z"]
+        assert [e.key() for e in renamed.edges()] == [("x", "z"), ("x", "y"), ("y", "z")]
+
+    @pytest.mark.parametrize(
+        "mapping", [{0: "x", 1: "x", 2: "y"}, {0: "a", 1: "b", 2: "a"}]
+    )
+    def test_relabeled_rejects_non_injective_mapping(self, mapping):
+        graph = WeightedGraph.from_edges([(0, 1, 2.0), (1, 2, 3.0)])
         with pytest.raises(ValueError):
-            graph.relabeled({0: "x", 1: "x", 2: "y"})
-
-    def test_relabeled_merging_mapping_recounts_edges(self):
-        graph = WeightedGraph()
-        graph.add_edge(0, 1, 2.0)
-        graph.add_edge(2, 3, 5.0)
-        renamed = graph.relabeled({0: "a", 1: "b", 2: "a", 3: "b"})
-        assert renamed.num_edges() == 1
-        assert renamed.total_weight() == 5.0  # last weight wins, as add_edge
+            graph.relabeled(mapping)
 
     def test_container_protocol(self):
-        graph = WeightedGraph()
-        graph.add_edge(0, 1)
+        graph = WeightedGraph.from_edges([(0, 1)])
         assert 0 in graph
         assert len(graph) == 2
         assert sorted(iter(graph)) == [0, 1]
 
     def test_total_weight(self):
-        graph = WeightedGraph()
-        graph.add_edge(0, 1, 2.0)
-        graph.add_edge(1, 2, 5.0)
+        graph = WeightedGraph.from_edges([(0, 1, 2.0), (1, 2, 5.0)])
         assert graph.total_weight() == 7.0
 
-    def test_set_weight(self):
-        graph = WeightedGraph()
-        graph.add_edge(0, 1, 2.0)
-        graph.set_weight(0, 1, 11.0)
-        assert graph.weight(1, 0) == 11.0
-        with pytest.raises(KeyError):
-            graph.set_weight(0, 2, 1.0)
-
-
-class TestIncrementalTotalWeight:
-    """total_weight() is maintained incrementally; every mutation must land."""
-
-    def test_add_and_remove(self):
-        graph = WeightedGraph()
-        graph.add_edge(0, 1, 2.0)
-        graph.add_edge(1, 2, 5.0)
-        assert graph.total_weight() == 7.0
-        graph.remove_edge(0, 1)
-        assert graph.total_weight() == 5.0
-
-    def test_overwrite_via_add_edge(self):
-        graph = WeightedGraph()
-        graph.add_edge(0, 1, 2.0)
-        graph.add_edge(0, 1, 9.0)
-        assert graph.total_weight() == 9.0
-
-    def test_set_weight_updates_total(self):
-        graph = WeightedGraph()
-        graph.add_edge(0, 1, 2.0)
-        graph.add_edge(1, 2, 3.0)
-        graph.set_weight(0, 1, 10.0)
-        assert graph.total_weight() == 13.0
-
-    def test_matches_edge_sum_after_mixed_mutations(self):
-        graph = WeightedGraph()
-        for i in range(6):
-            graph.add_edge(i, i + 1, float(i + 1))
-        graph.remove_edge(2, 3)
-        graph.set_weight(0, 1, 0.5)
-        graph.add_edge(0, 6, 4.0)
-        assert graph.total_weight() == pytest.approx(
-            sum(edge.weight for edge in graph.edges())
-        )
+    def test_total_weight_sums_in_stream_order(self):
+        weights = [0.1, 0.2, 0.3, 1e16, -1e16]
+        graph = WeightedGraph.from_edges([(i, i + 1, w) for i, w in enumerate(weights)])
+        total = 0.0
+        for w in weights:
+            total += w
+        assert graph.total_weight() == total
 
     def test_empty_graph(self):
         graph = WeightedGraph()
-        graph.add_node(0)
+        assert graph.num_nodes() == graph.num_edges() == 0
+        assert graph.edges() == []
         assert graph.total_weight() == 0.0
-
-    def test_removing_last_edge_clears_float_residue(self):
-        graph = WeightedGraph()
-        graph.add_edge(0, 1, 0.1)
-        graph.add_edge(2, 3, 0.2)
-        graph.remove_edge(0, 1)
-        graph.remove_edge(2, 3)
-        assert graph.total_weight() == 0.0
-
-
-class TestCacheInvalidation:
-    """The cached whole-graph views must reflect every later mutation."""
-
-    def test_edges_after_add(self):
-        graph = WeightedGraph()
-        graph.add_edge(0, 1, 1.0)
-        assert len(graph.edges()) == 1  # populate the cache
-        graph.add_edge(1, 2, 2.0)
-        keys = {edge.key() for edge in graph.edges()}
-        assert keys == {(0, 1), (1, 2)}
-
-    def test_edges_after_remove(self):
-        graph = WeightedGraph()
-        graph.add_edge(0, 1)
-        graph.add_edge(1, 2)
-        graph.edges()
-        graph.remove_edge(0, 1)
-        assert [edge.key() for edge in graph.edges()] == [(1, 2)]
-
-    def test_edges_after_set_weight(self):
-        graph = WeightedGraph()
-        graph.add_edge(0, 1, 1.0)
-        graph.edges()
-        graph.set_weight(0, 1, 42.0)
-        assert graph.edges()[0].weight == 42.0
-
-    def test_total_weight_after_cached_edges(self):
-        graph = WeightedGraph()
-        graph.add_edge(0, 1, 1.0)
-        assert graph.total_weight() == 1.0
-        graph.edges()
-        graph.add_edge(1, 2, 2.0)
-        assert graph.total_weight() == 3.0
-        graph.set_weight(0, 1, 5.0)
-        assert graph.total_weight() == 7.0
-
-    def test_returned_edge_list_is_a_private_copy(self):
-        graph = WeightedGraph()
-        graph.add_edge(0, 1)
-        listing = graph.edges()
-        listing.clear()
-        assert len(graph.edges()) == 1
-
-    def test_derived_graphs_after_mutation(self):
-        graph = WeightedGraph()
-        graph.add_edge(0, 1, 1.0)
-        graph.edges()
-        graph.add_edge(1, 2, 2.0)
-        assert graph.copy().num_edges() == 2
-        assert graph.subgraph([0, 1, 2]).num_edges() == 2
-
-    def test_neighbor_views_reflect_mutation(self):
-        graph = WeightedGraph()
-        graph.add_edge(0, 1, 1.0)
-        view = graph.iter_neighbors(0)
-        graph.add_edge(0, 2, 2.0)
-        assert list(view) == [1, 2]
-        assert dict(graph.neighbor_items(0)) == {1: 1.0, 2: 2.0}
+        assert WeightedGraph.from_edges([], nodes=[0]).total_weight() == 0.0
 
 
 class TestSortedIncidentLinks:
     def test_distinct_weights_use_global_order(self):
-        graph = WeightedGraph()
-        graph.add_edge(0, 1, 3.0)
-        graph.add_edge(0, 2, 1.0)
-        graph.add_edge(1, 2, 2.0)
+        graph = WeightedGraph.from_edges([(0, 1, 3.0), (0, 2, 1.0), (1, 2, 2.0)])
         links = sorted_incident_links(graph)
         assert [(w, v) for w, v, _ in links[0]] == [(1.0, 2), (3.0, 1)]
         assert [(w, v) for w, v, _ in links[2]] == [(1.0, 0), (2.0, 1)]
@@ -322,18 +216,17 @@ class TestSortedIncidentLinks:
         assert links[0][0][2] == edge_key(0, 2)
 
     def test_duplicate_weights_break_ties_by_repr(self):
-        graph = WeightedGraph()
-        graph.add_edge(0, 10, 1.0)
-        graph.add_edge(0, 2, 1.0)
+        graph = WeightedGraph.from_edges([(0, 10, 1.0), (0, 2, 1.0)])
         links = sorted_incident_links(graph)
         # repr order: "10" < "2"
         assert [v for _, v, _ in links[0]] == [10, 2]
 
     @pytest.mark.parametrize("repeated", [False, True])
     def test_scan_columns_pair_every_link(self, repeated):
-        graph = WeightedGraph()
-        for i, (u, v) in enumerate([("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")]):
-            graph.add_edge(u, v, 1.0 if repeated else float(i))
+        graph = WeightedGraph.from_edges(
+            (u, v, 1.0 if repeated else float(i))
+            for i, (u, v) in enumerate([("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")])
+        )
         csr = graph.csr()
         nbr, weight, back = csr.scan_columns()
         links = sorted_incident_links(graph)

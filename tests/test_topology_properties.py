@@ -1,8 +1,16 @@
 """Unit tests for graph-property helpers."""
 
+from collections import deque
+
 import pytest
 
-from repro.topology.generators import grid_graph, path_graph, ring_graph
+from repro.topology.generators import (
+    barabasi_albert_graph,
+    grid_graph,
+    path_graph,
+    random_geometric_graph,
+    ring_graph,
+)
 from repro.topology.graph import WeightedGraph
 from repro.topology.properties import (
     bfs_tree_parents,
@@ -17,6 +25,19 @@ from repro.topology.properties import (
 )
 
 
+def queue_bfs_parents(graph, source):
+    """Node-at-a-time FIFO BFS parent map: the reference visit order."""
+    parents = {source: None}
+    queue = deque([source])
+    while queue:
+        node = queue.popleft()
+        for neighbor in graph.neighbors(node):
+            if neighbor not in parents:
+                parents[neighbor] = node
+                queue.append(neighbor)
+    return parents
+
+
 class TestBFS:
     def test_levels_on_path(self):
         graph = path_graph(5)
@@ -26,6 +47,20 @@ class TestBFS:
     def test_levels_missing_source(self):
         with pytest.raises(KeyError):
             breadth_first_levels(path_graph(3), 99)
+
+    @pytest.mark.parametrize(
+        "graph,source",
+        (
+            (barabasi_albert_graph(50, 2, seed=4), 0),
+            (random_geometric_graph(60, seed=3), 17),
+            (grid_graph(5, 5).relabeled(
+                {node: f"g{node}" for node in range(25)}), "g12"),
+        ),
+        ids=("barabasi_albert", "geometric", "labelled_grid"),
+    )
+    def test_bfs_tree_parents_match_node_at_a_time_queue(self, graph, source):
+        parents = bfs_tree_parents(graph, source)
+        assert list(parents.items()) == list(queue_bfs_parents(graph, source).items())
 
     def test_bfs_tree_parents(self):
         graph = grid_graph(3, 3)
@@ -41,16 +76,13 @@ class TestBFS:
 
 class TestConnectivity:
     def test_connected_components_split(self):
-        graph = WeightedGraph()
-        graph.add_edge(0, 1)
-        graph.add_edge(2, 3)
+        graph = WeightedGraph.from_edges([(0, 1), (2, 3)])
         components = connected_components(graph)
         assert sorted(sorted(c) for c in components) == [[0, 1], [2, 3]]
 
     def test_is_connected(self):
         assert is_connected(ring_graph(5))
-        graph = WeightedGraph()
-        graph.add_nodes([0, 1])
+        graph = WeightedGraph.from_edges([], nodes=[0, 1])
         assert not is_connected(graph)
 
     def test_empty_graph_is_connected(self):
@@ -69,8 +101,7 @@ class TestDistances:
         assert eccentricity(graph, 2) == 2
 
     def test_eccentricity_disconnected_raises(self):
-        graph = WeightedGraph()
-        graph.add_nodes([0, 1])
+        graph = WeightedGraph.from_edges([], nodes=[0, 1])
         with pytest.raises(ValueError):
             eccentricity(graph, 0)
 
@@ -125,7 +156,6 @@ class TestApproximateDiameter:
 
         with pytest.raises(ValueError):
             approximate_diameter(WeightedGraph())
-        disconnected = WeightedGraph()
-        disconnected.add_nodes([0, 1])
+        disconnected = WeightedGraph.from_edges([], nodes=[0, 1])
         with pytest.raises(ValueError):
             approximate_diameter(disconnected)

@@ -1,4 +1,4 @@
-"""Unit tests for weight assignment and the sequential MST reference."""
+"""Unit tests for weight assignment."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.topology.weights import (
     assign_distinct_weights,
     assign_random_weights,
     ensure_distinct_weights,
-    minimum_spanning_tree_edges,
     weight_bits,
 )
 
@@ -33,18 +32,14 @@ class TestWeightAssignment:
             assign_random_weights(ring_graph(4), low=5.0, high=1.0)
 
     def test_ensure_distinct_preserves_order(self):
-        graph = WeightedGraph()
-        graph.add_edge(0, 1, 1.0)
-        graph.add_edge(1, 2, 1.0)
-        graph.add_edge(2, 3, 5.0)
+        graph = WeightedGraph.from_edges([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 5.0)])
         adjusted = ensure_distinct_weights(graph)
         weights = [e.weight for e in adjusted.edges()]
         assert len(set(weights)) == 3
         assert adjusted.weight(2, 3) > adjusted.weight(0, 1)
 
     def test_weight_bits(self):
-        graph = WeightedGraph()
-        graph.add_edge(0, 1, 200.0)
+        graph = WeightedGraph.from_edges([(0, 1, 200.0)])
         assert weight_bits(graph) == 8
 
     def test_original_graph_untouched(self):
@@ -52,19 +47,3 @@ class TestWeightAssignment:
         assign_distinct_weights(graph, seed=1)
         assert all(e.weight == 1.0 for e in graph.edges())
 
-
-class TestSequentialMST:
-    def test_mst_of_ring_drops_heaviest(self):
-        graph = assign_distinct_weights(ring_graph(6), seed=3)
-        total, edges = minimum_spanning_tree_edges(graph)
-        assert len(edges) == 5
-        heaviest = max(graph.edges(), key=lambda e: e.weight)
-        assert heaviest.key() not in {e.key() for e in edges}
-        assert total == sum(e.weight for e in edges)
-
-    def test_mst_disconnected_raises(self):
-        graph = WeightedGraph()
-        graph.add_edge(0, 1)
-        graph.add_node(2)
-        with pytest.raises(ValueError):
-            minimum_spanning_tree_edges(graph)

@@ -66,10 +66,7 @@ class TestExactMFPT:
             assert times[u] == pytest.approx(d * (n - d))
 
     def test_unreachable_target_is_singular(self):
-        graph = WeightedGraph()
-        graph.add_nodes(range(4))
-        graph.add_edge(0, 1, 1)
-        graph.add_edge(2, 3, 1)
+        graph = WeightedGraph.from_edges([(0, 1), (2, 3)], nodes=range(4))
         with pytest.raises(ValueError):
             exact_mfpt(graph, target=0)
 
