@@ -7,7 +7,7 @@ pytest benches and the benchmark trajectory execute::
 
     python -m repro list
     python -m repro run e7 --topology ad_hoc --preset hot --json out.json
-    python -m repro run e3 --sizes 64 144 --seeds 1 2 -j 4
+    python -m repro run e3 --sizes 64 144 --seeds 1 2 --workers 4
     python -m repro run e7 --executor sharded --preset hot --run-dir runs/e7
     python -m repro run e7 --shard 2/8 --run-dir runs/e7   # farm out one shard
     python -m repro run e7 --resume --run-dir runs/e7      # finish what's left
@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser = sub.add_parser(
         "run", help="run one experiment sweep and print its table"
     )
-    run_parser.add_argument("experiment", help="experiment id (e1 … e11)")
+    run_parser.add_argument("experiment", help="experiment id (e1 … e13)")
     run_parser.add_argument(
         "--preset", default=DEFAULT_PRESET,
         help="parameter preset: quick, default, or hot (default: default)",
@@ -86,17 +86,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "build the adversity schedule",
     )
     run_parser.add_argument(
-        "--processes", "-j", type=int, default=0,
-        help="run sweep points in a process pool of this many workers "
-        "(rows are bit-identical to a serial run)",
-    )
-    run_parser.add_argument(
         "--executor", choices=EXECUTOR_NAMES, default=None,
-        help="execution backend: serial, process (-j pool), sharded "
-        "(deterministic checkpointed shards under --run-dir; defaults to "
-        "sharded when any sharded option below is given), or distributed "
-        "(a coordinator leasing shards to worker processes; implied by "
-        "--workers)",
+        help="execution backend: serial (the default), sharded "
+        "(deterministic checkpointed shards under --run-dir; implied by "
+        "--shard/--resume/--run-dir), or distributed (a coordinator leasing "
+        "shards to worker processes; implied by --workers/--lease-timeout)",
     )
     run_parser.add_argument(
         "--shard", type=str, default=None, metavar="K/N",
@@ -112,11 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--run-dir", type=Path, default=None, metavar="DIR",
         help="shard checkpoint directory (default: .repro_runs/<id>-<preset>-"
         "<digest> at the repository root)",
-    )
-    run_parser.add_argument(
-        "--max-shards", type=int, default=0, metavar="M",
-        help="compute at most M shards this invocation and leave the rest "
-        "pending (resume later with --resume)",
     )
     run_parser.add_argument(
         "--workers", type=int, default=0, metavar="W",
@@ -308,42 +297,21 @@ def _command_run(args: argparse.Namespace) -> int:
         overrides = _overrides_from(args)
         spec = get_experiment(args.experiment)
         spec.params_for(args.preset, overrides)
-        shard = parse_shard(args.shard) if args.shard is not None else None
-        executor_name = args.executor
-        if executor_name is None and (args.workers or args.lease_timeout):
-            executor_name = "distributed"
-        if executor_name is None and (
-            shard is not None or args.resume or args.run_dir is not None
-            or args.max_shards
-        ):
-            executor_name = "sharded"
-        backend = (
-            make_executor(
-                executor_name,
-                processes=args.processes,
-                shard=shard,
-                resume=args.resume,
-                run_dir=args.run_dir,
-                max_shards=args.max_shards,
-                workers=args.workers,
-                lease_timeout=args.lease_timeout,
-            )
-            if executor_name is not None
-            else None
+        backend = make_executor(
+            args.executor,
+            shard=parse_shard(args.shard) if args.shard is not None else None,
+            resume=args.resume,
+            run_dir=args.run_dir,
+            workers=args.workers,
+            lease_timeout=args.lease_timeout,
         )
     except (KeyError, ValueError) as error:
         message = error.args[0] if error.args else str(error)
         print(f"error: {message}", file=sys.stderr)
         return 2
     try:
-        # when a backend was built above it already carries the worker
-        # count; forwarding processes too would trip the instance guard
         result = run_experiment(
-            spec,
-            preset=args.preset,
-            overrides=overrides,
-            processes=args.processes if backend is None else 0,
-            executor=backend,
+            spec, preset=args.preset, overrides=overrides, executor=backend
         )
     except ExecutorConfigError as error:
         # execution-time operator errors (foreign run directory, shard index

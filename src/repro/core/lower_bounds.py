@@ -52,15 +52,6 @@ def multimedia_lower_bound(n: int, d: int) -> int:
     return int(min(d, math.sqrt(n)) // 4)
 
 
-def multimedia_upper_bound_deterministic(n: int) -> float:
-    """Return the deterministic upper bound O(√(n log n log* n)) (Section 5.1)."""
-    from repro.protocols.symmetry.cole_vishkin import log_star
-
-    if n < 2:
-        return 1.0
-    return math.sqrt(n * math.log2(n) * max(1, log_star(n)))
-
-
 def multimedia_upper_bound_randomized(n: int) -> float:
     """Return the randomized expected upper bound O(√n log* n)."""
     from repro.protocols.symmetry.cole_vishkin import log_star

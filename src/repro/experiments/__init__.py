@@ -8,8 +8,8 @@ DESIGN.md §4.  Each ``eNN_*`` module reproduces one of them by declaring an
 schema, and a per-point sweep function returning structured row
 dictionaries.  The unified runner (:mod:`repro.experiments.runner`) executes
 any spec at any preset through a pluggable execution backend
-(:mod:`repro.experiments.executors` — serial, process-pool, or
-sharded/checkpointed with resume) and its results render to the historical
+(:mod:`repro.experiments.executors` — serial, sharded/checkpointed with
+resume, or distributed) and its results render to the historical
 plain-text tables recorded in EXPERIMENTS.md and serialize to JSON.
 ``python -m repro`` (see :mod:`repro.cli`) is the command-line entry point;
 the benchmark trajectory (:mod:`repro.experiments.trajectory`) drives the
@@ -18,7 +18,6 @@ same registry.
 
 from repro.experiments.executors import (
     Executor,
-    ProcessExecutor,
     SerialExecutor,
     ShardedExecutor,
     make_executor,
@@ -36,7 +35,6 @@ __all__ = [
     "Executor",
     "ExperimentResult",
     "ExperimentSpec",
-    "ProcessExecutor",
     "SerialExecutor",
     "ShardedExecutor",
     "all_experiments",

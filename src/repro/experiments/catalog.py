@@ -7,7 +7,7 @@ row schema, benchmark variants.  This module renders that registry into
 CI re-generates the file and fails when the committed copy is stale.
 
 The output is deterministic: specs are rendered in registry order
-(``e1`` … ``e10``), presets in their canonical ``quick``/``default``/``hot``
+(``e1`` … ``e13``), presets in their canonical ``quick``/``default``/``hot``
 order, and parameters in the insertion order of the spec literals, so the
 same registry always produces byte-identical markdown.
 """

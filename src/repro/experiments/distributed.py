@@ -89,12 +89,10 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 from repro.experiments.executors import (
     ExecutionOutcome,
     ExecutorConfigError,
-    _manifest_shard_count,
-    ensure_manifest,
     execute_point,
     load_checkpoint,
-    merge_checkpoints,
-    resolve_run_dir,
+    merged_outcome,
+    open_run_dir,
     shard_indices,
     sweep_digest,
     write_checkpoint,
@@ -838,29 +836,17 @@ class DistributedExecutor:
                 "spawn_workers=False needs a wall_timeout: with no local "
                 "workers and no deadline the coordinator could wait forever"
             )
-        run_dir = resolve_run_dir(
-            spec.id, preset, params, len(points), self.run_dir
+        run = open_run_dir(
+            spec, preset, params, len(points), self.run_dir, self.shard_count
         )
-        count = self.shard_count
-        if count is None:
-            count = _manifest_shard_count(run_dir)
-        if count is None:
-            count = max(1, len(points))
-        if count < 1:
-            raise ExecutorConfigError(
-                f"shard count must be positive, got {count}"
-            )
-        digest = sweep_digest(spec.id, preset, params, len(points), count)
-        run_dir.mkdir(parents=True, exist_ok=True)
-        ensure_manifest(
-            run_dir, spec.id, preset, params, len(points), count, digest
-        )
-        plan = shard_indices(len(points), count)
+        count = len(run.plan)
         completed = tuple(
             shard
             for shard in range(count)
             if self.resume
-            and load_checkpoint(run_dir, shard, plan[shard], spec.columns, digest)
+            and load_checkpoint(
+                run.path, shard, run.plan[shard], spec.columns, run.digest
+            )
             is not None
         )
         coordinator = ShardCoordinator(
@@ -869,8 +855,8 @@ class DistributedExecutor:
             params,
             points,
             count,
-            digest,
-            run_dir,
+            run.digest,
+            run.path,
             completed=completed,
             lease_timeout=self.lease_timeout,
             host=self.host,
@@ -923,13 +909,4 @@ class DistributedExecutor:
                 if proc.is_alive():
                     proc.terminate()
                     proc.join(timeout=5.0)
-
-        rows_by_index, compute_seconds = merge_checkpoints(
-            run_dir, plan, spec.columns, digest
-        )
-        rows = [rows_by_index[i] for i in sorted(rows_by_index)]
-        return ExecutionOutcome(
-            rows=rows,
-            compute_seconds=compute_seconds,
-            pending_points=len(points) - len(rows_by_index),
-        )
+        return merged_outcome(spec, run)

@@ -1,16 +1,13 @@
-"""Pluggable sweep executors: serial, process-pool, and sharded/checkpointed.
+"""Pluggable sweep executors: serial, sharded/checkpointed, and distributed.
 
 :func:`~repro.experiments.runner.run_experiment` delegates the *mechanics* of
 executing a sweep's points to an :class:`Executor`, so new execution backends
 (batch schedulers, remote farms) extend this module instead of adding new
-drivers.  Three backends ship today:
+drivers.  Three backends ship today, and :func:`make_executor` is the one
+place that maps options to one of them:
 
 * :class:`SerialExecutor` — one point after another in the calling process;
   the reference semantics every other backend must reproduce bit-identically.
-* :class:`ProcessExecutor` — the historical ``processes=N`` pool, refactored
-  behind the protocol: sweep points run across worker processes and the rows
-  come back in sweep order (every point is independently seeded, so the rows
-  are bit-identical to a serial run).
 * :class:`ShardedExecutor` — partitions the sweep into deterministic,
   independently resumable **shards**, executes them one at a time, and writes
   each completed shard as a JSON checkpoint under a run directory.  A killed
@@ -21,13 +18,16 @@ drivers.  Three backends ship today:
   — a coordinator leases the same shards to worker processes over TCP
   (heartbeats, lease timeouts, at-least-once reassignment); every accepted
   shard lands as the same digest-checked checkpoint, so the merged rows stay
-  bit-identical to serial.  Lives in :mod:`repro.experiments.distributed`
-  and is resolved lazily by :func:`make_executor`.
+  bit-identical to serial.  This is the parallel backend (``--workers N``).
+  Lives in :mod:`repro.experiments.distributed` and is resolved lazily by
+  :func:`make_executor`.
 
 The checkpoint primitives (:func:`write_checkpoint`, :func:`load_checkpoint`,
 :func:`ensure_manifest`, :func:`merge_checkpoints`, :func:`resolve_run_dir`)
 are module-level so every checkpoint-producing backend — and the read-side
-``repro serve`` service — validates and merges through one code path.
+``repro serve`` service — validates and merges through one code path; both
+checkpointing backends open their run directory with :func:`open_run_dir`
+and collect their rows with :func:`merged_outcome`.
 
 Shard / checkpoint layout
 -------------------------
@@ -74,7 +74,6 @@ import json
 import os
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -82,6 +81,7 @@ from typing import (
     Dict,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Protocol,
     Tuple,
@@ -99,7 +99,7 @@ MANIFEST_SCHEMA = 1
 MANIFEST_NAME = "manifest.json"
 
 #: executor names accepted by ``run_experiment(executor=...)`` and the CLI
-EXECUTOR_NAMES: Tuple[str, ...] = ("serial", "process", "sharded", "distributed")
+EXECUTOR_NAMES: Tuple[str, ...] = ("serial", "sharded", "distributed")
 
 
 class ExecutorConfigError(ValueError):
@@ -118,7 +118,7 @@ class ExecutionOutcome:
 
     Attributes:
         rows: the completed rows, in sweep-point order.  A partial sharded
-            run (``--shard k/N`` or ``--max-shards``) returns only the rows
+            run (``--shard k/N``) returns only the rows
             of the shards completed so far.
         compute_seconds: summed execution time of every shard/point that
             contributed rows — accumulated across invocations for a resumed
@@ -186,47 +186,6 @@ class SerialExecutor:
         """Execute every point serially."""
         start = time.perf_counter()
         rows = [execute_point(spec, point) for point in points]
-        return ExecutionOutcome(
-            rows=rows, compute_seconds=time.perf_counter() - start
-        )
-
-
-def _run_point_packed(packed: Tuple[str, Mapping[str, Any]]) -> RowDict:
-    """Pool-worker entry: resolve the spec by id (ids pickle, functions vary)."""
-    from repro.experiments.registry import get_experiment
-
-    experiment_id, point = packed
-    return execute_point(get_experiment(experiment_id), point)
-
-
-@dataclass
-class ProcessExecutor:
-    """Process-pool executor: sweep points across ``processes`` workers.
-
-    The pool workers re-resolve the spec by id, so parallel execution needs a
-    *registered* spec; rows come back in sweep order and are bit-identical to
-    a serial run.  With fewer than two points (or ``processes <= 1``) it
-    degrades to the serial path, pool-free.
-    """
-
-    processes: int
-    name: str = field(default="process", init=False)
-
-    def execute(
-        self,
-        spec: ExperimentSpec,
-        preset: str,
-        params: Mapping[str, Any],
-        points: List[PointParams],
-    ) -> ExecutionOutcome:
-        """Execute the points across the process pool."""
-        if self.processes <= 1 or len(points) < 2:
-            return SerialExecutor().execute(spec, preset, params, points)
-        start = time.perf_counter()
-        with ProcessPoolExecutor(
-            max_workers=min(self.processes, len(points))
-        ) as pool:
-            rows = list(pool.map(_run_point_packed, [(spec.id, p) for p in points]))
         return ExecutionOutcome(
             rows=rows, compute_seconds=time.perf_counter() - start
         )
@@ -497,6 +456,81 @@ def merge_checkpoints(
     return rows_by_index, compute_seconds
 
 
+def _manifest_shard_count(run_dir: Path) -> Optional[int]:
+    """Return the shard count recorded in ``run_dir``'s manifest, if any.
+
+    ``None`` when the manifest is missing, unreadable, or carries a
+    nonsensical count — the caller then falls back to its own default, and
+    the subsequent digest verification still decides whether the directory
+    may be used at all.
+    """
+    try:
+        data = json.loads((run_dir / MANIFEST_NAME).read_text())
+        count = data["shard_count"]
+    except (OSError, ValueError, KeyError):
+        return None
+    if isinstance(count, int) and count >= 1:
+        return count
+    return None
+
+
+class RunDir(NamedTuple):
+    """An opened run directory: its path, shard plan and sweep digest."""
+
+    path: Path
+    plan: List[List[int]]
+    digest: str
+
+
+def open_run_dir(
+    spec: ExperimentSpec,
+    preset: str,
+    params: Mapping[str, Any],
+    num_points: int,
+    run_dir: Optional[Path],
+    shard_count: Optional[int],
+) -> RunDir:
+    """Resolve, create and claim the run directory of one checkpointed sweep.
+
+    Without an explicit ``shard_count`` the directory's manifest supplies
+    the layout (so a collect/``--resume`` invocation agrees with the farm
+    invocations that wrote it), else there is one shard per sweep point.
+
+    Raises:
+        ExecutorConfigError: on a non-positive shard count, or a run
+            directory that belongs to a different sweep.
+    """
+    path = resolve_run_dir(spec.id, preset, params, num_points, run_dir)
+    count = shard_count
+    if count is None:
+        count = _manifest_shard_count(path)
+    if count is None:
+        count = max(1, num_points)
+    if count < 1:
+        raise ExecutorConfigError(f"shard count must be positive, got {count}")
+    digest = sweep_digest(spec.id, preset, params, num_points, count)
+    path.mkdir(parents=True, exist_ok=True)
+    ensure_manifest(path, spec.id, preset, params, num_points, count, digest)
+    return RunDir(path, shard_indices(num_points, count), digest)
+
+
+def merged_outcome(
+    spec: ExperimentSpec,
+    run: RunDir,
+    preloaded: Optional[Dict[int, Dict[str, Any]]] = None,
+) -> ExecutionOutcome:
+    """Merge every valid checkpoint of ``run``, whoever wrote it."""
+    rows_by_index, compute_seconds = merge_checkpoints(
+        run.path, run.plan, spec.columns, run.digest, preloaded
+    )
+    num_points = sum(len(indices) for indices in run.plan)
+    return ExecutionOutcome(
+        rows=[rows_by_index[i] for i in sorted(rows_by_index)],
+        compute_seconds=compute_seconds,
+        pending_points=num_points - len(rows_by_index),
+    )
+
+
 @dataclass
 class ShardedExecutor:
     """Checkpointed executor: deterministic shards under a run directory.
@@ -519,16 +553,12 @@ class ShardedExecutor:
         resume: reuse valid checkpoints already present in the run
             directory; without it every selected shard is recomputed (a
             corrupt or foreign-sweep checkpoint is never reused either way).
-        max_shards: when > 0, compute at most this many shards in this
-            invocation and leave the rest pending — the hook the resume
-            tests and the CI smoke use to simulate a killed sweep.
     """
 
     run_dir: Optional[Path] = None
     shard_count: Optional[int] = None
     shard_index: Optional[int] = None
     resume: bool = False
-    max_shards: int = 0
     name: str = field(default="sharded", init=False)
 
     def execute(
@@ -545,86 +575,37 @@ class ShardedExecutor:
                 non-positive ``shard_count``, or a run directory that
                 belongs to a different sweep.
         """
-        run_dir = resolve_run_dir(
-            spec.id, preset, params, len(points), self.run_dir
+        run = open_run_dir(
+            spec, preset, params, len(points), self.run_dir, self.shard_count
         )
-        count = self.shard_count
-        if count is None:
-            # a collect/resume invocation without an explicit layout adopts
-            # the one the run directory's farm invocations wrote (the
-            # manifest is still digest-verified below)
-            count = _manifest_shard_count(run_dir)
-        if count is None:
-            count = max(1, len(points))
-        if count < 1:
-            raise ExecutorConfigError(
-                f"shard count must be positive, got {count}"
-            )
-        plan = shard_indices(len(points), count)
+        count = len(run.plan)
         if self.shard_index is not None and not 0 <= self.shard_index < count:
             raise ExecutorConfigError(
                 f"shard index {self.shard_index} out of range for "
                 f"{count} shard(s)"
             )
-        digest = sweep_digest(spec.id, preset, params, len(points), count)
-        run_dir.mkdir(parents=True, exist_ok=True)
-        ensure_manifest(
-            run_dir, spec.id, preset, params, len(points), count, digest
-        )
-
         selected = (
             range(count) if self.shard_index is None else [self.shard_index]
         )
         # checkpoints already parsed during the resume skip-check are kept
         # so the merge below never re-reads a file this invocation loaded
         preloaded: Dict[int, Dict[str, Any]] = {}
-        computed = 0
         for shard in selected:
+            indices = run.plan[shard]
             if self.resume:
                 loaded = load_checkpoint(
-                    run_dir, shard, plan[shard], spec.columns, digest
+                    run.path, shard, indices, spec.columns, run.digest
                 )
                 if loaded is not None:
                     preloaded[shard] = loaded
                     continue
-            if self.max_shards > 0 and computed >= self.max_shards:
-                break
             start = time.perf_counter()
-            rows = [execute_point(spec, points[index]) for index in plan[shard]]
+            rows = [execute_point(spec, points[index]) for index in indices]
             write_checkpoint(
-                run_dir, shard, count, plan[shard], rows,
-                time.perf_counter() - start, digest,
+                run.path, shard, count, indices, rows,
+                time.perf_counter() - start, run.digest,
             )
-            computed += 1
-
-        # merge every valid checkpoint present, whoever wrote it
-        rows_by_index, compute_seconds = merge_checkpoints(
-            run_dir, plan, spec.columns, digest, preloaded
-        )
-        rows = [rows_by_index[i] for i in sorted(rows_by_index)]
-        return ExecutionOutcome(
-            rows=rows,
-            compute_seconds=compute_seconds,
-            pending_points=len(points) - len(rows_by_index),
-        )
-
-
-def _manifest_shard_count(run_dir: Path) -> Optional[int]:
-    """Return the shard count recorded in ``run_dir``'s manifest, if any.
-
-    ``None`` when the manifest is missing, unreadable, or carries a
-    nonsensical count — the caller then falls back to its own default, and
-    the subsequent digest verification still decides whether the directory
-    may be used at all.
-    """
-    try:
-        data = json.loads((run_dir / MANIFEST_NAME).read_text())
-        count = data["shard_count"]
-    except (OSError, ValueError, KeyError):
-        return None
-    if isinstance(count, int) and count >= 1:
-        return count
-    return None
+        return merged_outcome(spec, run, preloaded)
 
 
 def parse_shard(text: str) -> Tuple[int, int]:
@@ -649,27 +630,27 @@ def parse_shard(text: str) -> Tuple[int, int]:
 
 
 def make_executor(
-    name: str,
-    processes: int = 0,
+    name: Optional[str] = None,
     shard: Optional[Tuple[int, int]] = None,
     resume: bool = False,
     run_dir: Optional[Path] = None,
-    max_shards: int = 0,
     workers: int = 0,
     lease_timeout: float = 0.0,
 ) -> Executor:
-    """Build an executor from CLI-shaped options.
+    """Build an executor from CLI-shaped options — the one backend decision.
+
+    Without a ``name`` the options choose: any worker option (``workers``,
+    ``lease_timeout``) means ``distributed``, any of ``shard``, ``resume``
+    or ``run_dir`` means ``sharded``, and otherwise the backend is
+    ``serial``.  An explicit name always wins.
 
     Args:
-        name: one of :data:`EXECUTOR_NAMES`.
-        processes: worker count for the ``process`` backend.
+        name: one of :data:`EXECUTOR_NAMES`, or ``None`` to infer it.
         shard: 0-based ``(index, count)`` pair for the ``sharded`` backend
             (see :func:`parse_shard`); sets both the shard layout and the
             single shard this invocation executes.
         resume: reuse completed checkpoints (``sharded``/``distributed``).
         run_dir: checkpoint directory override (``sharded``/``distributed``).
-        max_shards: compute at most this many shards this invocation
-            (``sharded`` only; 0 means no limit).
         workers: local worker-process count for the ``distributed`` backend
             (0 means its default).
         lease_timeout: seconds a distributed shard lease stays valid without
@@ -679,75 +660,50 @@ def make_executor(
         ValueError: on an unknown executor name, or options combined with a
             backend that does not take them.
     """
-    if name in ("serial", "process"):
-        if shard or resume or run_dir or max_shards:
-            raise ValueError(
-                "--shard/--resume/--run-dir/--max-shards require "
-                "--executor sharded (or distributed for --run-dir/--resume)"
-            )
+    if name is None:
         if workers or lease_timeout:
+            name = "distributed"
+        elif shard is not None or resume or run_dir is not None:
+            name = "sharded"
+        else:
+            name = "serial"
+    if name not in EXECUTOR_NAMES:
+        raise ValueError(
+            f"unknown executor {name!r} (available: {', '.join(EXECUTOR_NAMES)})"
+        )
+    if name != "distributed" and (workers or lease_timeout):
+        raise ValueError(
+            "--workers/--lease-timeout require --executor distributed"
+        )
+    if name == "serial":
+        if shard is not None or resume or run_dir is not None:
             raise ValueError(
-                "--workers/--lease-timeout require --executor distributed"
+                "--shard/--resume/--run-dir require --executor sharded "
+                "(or distributed for --run-dir/--resume)"
             )
-        if name == "serial":
-            if processes > 0:
-                # an explicit serial request and a worker count contradict
-                # each other; refuse rather than silently picking one
-                raise ValueError("-j/--processes requires --executor process")
-            return SerialExecutor()
-        # no explicit worker count: use the machine; an explicit count is
-        # honoured as-is (1 degrades to the serial path, deliberately)
-        count = processes if processes > 0 else (os.cpu_count() or 2)
-        return ProcessExecutor(processes=count)
+        return SerialExecutor()
     if name == "sharded":
-        if max_shards < 0:
-            raise ValueError(
-                f"--max-shards must be non-negative, got {max_shards}"
-            )
-        if processes > 0:
-            raise ValueError(
-                "-j/--processes is not supported by the sharded executor "
-                "(shards run serially within an invocation; farm them out "
-                "across invocations with --shard K/N instead)"
-            )
-        if workers or lease_timeout:
-            raise ValueError(
-                "--workers/--lease-timeout require --executor distributed"
-            )
         index, count = (None, None) if shard is None else shard
         return ShardedExecutor(
-            run_dir=run_dir,
-            shard_count=count,
-            shard_index=index,
-            resume=resume,
-            max_shards=max_shards,
+            run_dir=run_dir, shard_count=count, shard_index=index, resume=resume
         )
-    if name == "distributed":
-        if shard is not None or max_shards:
-            raise ValueError(
-                "--shard/--max-shards are not supported by the distributed "
-                "executor (the coordinator leases shards to workers itself)"
-            )
-        if processes > 0:
-            raise ValueError(
-                "-j/--processes is not supported by the distributed "
-                "executor; use --workers for the local worker count"
-            )
-        if workers < 0:
-            raise ValueError(f"--workers must be non-negative, got {workers}")
-        if lease_timeout < 0:
-            raise ValueError(
-                f"--lease-timeout must be non-negative, got {lease_timeout}"
-            )
-        # imported lazily: distributed.py builds on this module
-        from repro.experiments.distributed import DistributedExecutor
+    if shard is not None:
+        raise ValueError(
+            "--shard is not supported by the distributed executor (the "
+            "coordinator leases shards to workers itself)"
+        )
+    if workers < 0:
+        raise ValueError(f"--workers must be non-negative, got {workers}")
+    if lease_timeout < 0:
+        raise ValueError(
+            f"--lease-timeout must be non-negative, got {lease_timeout}"
+        )
+    # imported lazily: distributed.py builds on this module
+    from repro.experiments.distributed import DistributedExecutor
 
-        kwargs: Dict[str, Any] = {"run_dir": run_dir, "resume": resume}
-        if workers > 0:
-            kwargs["workers"] = workers
-        if lease_timeout > 0:
-            kwargs["lease_timeout"] = lease_timeout
-        return DistributedExecutor(**kwargs)
-    raise ValueError(
-        f"unknown executor {name!r} (available: {', '.join(EXECUTOR_NAMES)})"
-    )
+    kwargs: Dict[str, Any] = {"run_dir": run_dir, "resume": resume}
+    if workers > 0:
+        kwargs["workers"] = workers
+    if lease_timeout > 0:
+        kwargs["lease_timeout"] = lease_timeout
+    return DistributedExecutor(**kwargs)

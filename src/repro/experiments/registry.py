@@ -1,6 +1,6 @@
 """Declarative experiment registry: one :class:`ExperimentSpec` per claim.
 
-Every experiment module (``e01_*`` … ``e10_*``) declares *what* it sweeps —
+Every experiment module (``e01_*`` … ``e13_*``) declares *what* it sweeps —
 parameter presets, supported topology kinds, the row schema — by decorating
 its per-point sweep function with :func:`register_experiment`.  The decorated
 function receives the parameters of one sweep point (one instance size, or
@@ -28,8 +28,8 @@ Per-point determinism
 A sweep point's parameters carry every seed it needs (the topology seed is
 fixed inside the point functions, algorithm seeds arrive as explicit
 ``seeds`` tuples), so points share no random state.  This is what lets the
-runner execute points in a process pool and still produce rows bit-identical
-to a serial run.
+sharded and distributed backends execute points in any order, in any
+process, and still produce rows bit-identical to a serial run.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class ExperimentSpec:
     """A declarative description of one experiment sweep.
 
     Attributes:
-        id: short identifier (``e1`` … ``e10``).
+        id: short identifier (``e1`` … ``e13``).
         title: the table title — a string, or a callable receiving the
             resolved parameters (for titles that depend on e.g. topology).
         columns: the row schema; every point function returns a dict with
@@ -227,9 +227,9 @@ def register_experiment(
 ) -> Callable[[Callable[..., RowDict]], Callable[..., RowDict]]:
     """Register the decorated per-point function as an :class:`ExperimentSpec`.
 
-    The decorated function is returned unchanged (so it stays a plain,
-    picklable module-level callable for the process-pool runner); the built
-    spec is attached to it as ``fn.spec`` and registered under ``id``.
+    The decorated function is returned unchanged (a plain module-level
+    callable); the built spec is attached to it as ``fn.spec`` and
+    registered under ``id``.
 
     Raises:
         ValueError: on duplicate ids, missing required presets, or presets
@@ -250,30 +250,12 @@ def register_experiment(
             quick_extras=tuple(BenchVariant(*entry) for entry in quick_extras),
             description=description,
         )
-        existing = _REGISTRY.get(spec.id)
-        if existing is not None and _same_source(existing.point_fn, fn):
-            # the same module imported twice (e.g. executed as a script and
-            # then re-imported as repro.experiments.eNN by load_all): keep
-            # the first registration so every consumer resolves one spec
-            fn.spec = existing  # type: ignore[attr-defined]
-            return fn
         _validate_spec(spec)
         _REGISTRY[spec.id] = spec
         fn.spec = spec  # type: ignore[attr-defined]
         return fn
 
     return decorator
-
-
-def _same_source(a: Callable, b: Callable) -> bool:
-    """True when two callables are defined at the same place in the same file."""
-    try:
-        return (
-            a.__qualname__ == b.__qualname__
-            and a.__code__.co_filename == b.__code__.co_filename
-        )
-    except AttributeError:
-        return False
 
 
 def _validate_spec(spec: ExperimentSpec) -> None:
@@ -326,7 +308,7 @@ def get_experiment(experiment_id: str) -> ExperimentSpec:
 
 
 def all_experiments() -> List[ExperimentSpec]:
-    """Return every registered spec, ordered e1 → e10."""
+    """Return every registered spec, ordered e1 → e13."""
     load_all()
     return [_REGISTRY[key] for key in sorted(_REGISTRY, key=_numeric_id)]
 

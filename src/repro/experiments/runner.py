@@ -3,7 +3,7 @@
 :func:`run_experiment` resolves an :class:`~repro.experiments.registry.ExperimentSpec`
 (by id or directly), expands the chosen preset into sweep points, hands them
 to an execution backend (see :mod:`repro.experiments.executors` — serial,
-process-pool, sharded/checkpointed, or distributed), and returns an
+sharded/checkpointed, or distributed), and returns an
 :class:`ExperimentResult` holding the structured row dictionaries.  The
 result renders to the exact plain-text :class:`~repro.analysis.reporting.Table`
 the experiment modules historically printed **and** serializes to JSON, so
@@ -11,7 +11,7 @@ the CLI, the benchmark trajectory, the pytest benches and CI all consume the
 same records instead of scraping rendered tables.
 
 Backend determinism: every sweep point carries its own seeds (see
-:mod:`repro.experiments.registry`), so a process-pool or sharded run computes
+:mod:`repro.experiments.registry`), so a sharded or distributed run computes
 exactly the rows a serial run computes, in the same order — guarded by
 ``tests/test_experiment_registry.py`` and ``tests/test_executors.py``.
 
@@ -31,16 +31,10 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.analysis.reporting import Table, table_from_records
-from repro.experiments.executors import (
-    Executor,
-    ProcessExecutor,
-    SerialExecutor,
-    make_executor,
-)
+from repro.experiments.executors import Executor, make_executor
 from repro.experiments.serialization import jsonable
 from repro.experiments.registry import (
     DEFAULT_PRESET,
@@ -57,7 +51,7 @@ class ExperimentResult:
     """The structured outcome of one experiment sweep.
 
     Attributes:
-        experiment_id: the spec id (``e1`` … ``e10``).
+        experiment_id: the spec id (``e1`` … ``e13``).
         title: rendered table title for the resolved parameters.
         columns: row schema, in rendering order.
         rows: one dict per completed sweep point, keyed by ``columns`` (a
@@ -66,7 +60,7 @@ class ExperimentResult:
         preset: the preset the parameters were based on.
         wall_seconds: accumulated compute seconds across every shard that
             contributed rows — for a resumed/merged sharded run this spans
-            all contributing invocations; for serial/process runs it is this
+            all contributing invocations; for a serial run it is this
             invocation's sweep time.
         invocation_seconds: wall clock of the invocation that produced this
             result object (≤ ``wall_seconds`` after a resume).
@@ -156,14 +150,8 @@ def run_experiment(
     experiment: Union[str, ExperimentSpec],
     preset: str = DEFAULT_PRESET,
     overrides: Optional[Mapping[str, Any]] = None,
-    processes: int = 0,
     executor: Optional[Union[str, Executor]] = None,
-    shard: Optional[Tuple[int, int]] = None,
-    resume: bool = False,
-    run_dir: Optional[Path] = None,
-    max_shards: int = 0,
-    workers: int = 0,
-    lease_timeout: float = 0.0,
+    **options: Any,
 ) -> ExperimentResult:
     """Run one experiment sweep and return its structured result.
 
@@ -172,91 +160,33 @@ def run_experiment(
         preset: parameter preset (``quick``/``default``/``hot``/…).
         overrides: parameter overrides on top of the preset (e.g.
             ``{"topology": "ad_hoc", "sizes": (64, 128)}``).
-        processes: when > 1 (and no explicit ``executor`` is given), execute
-            sweep points in a process pool of this many workers; rows come
-            back in sweep order and are bit-identical to a serial run (every
-            point is independently seeded).  Pool workers re-resolve the spec
-            by id, so parallel execution needs a *registered* spec; serial
-            execution runs any spec object as-is.
         executor: execution backend — an :class:`~repro.experiments.executors.Executor`
-            instance, or one of the registered names (``serial``/``process``/
-            ``sharded``/``distributed``).  Defaults to ``process`` when
-            ``processes > 1``, ``distributed`` when ``workers > 0``, and
-            ``serial`` otherwise, preserving the historical signature.
-        shard: 0-based ``(index, count)`` pair selecting one shard of a
-            ``sharded`` run (the CLI's ``--shard K/N``).
-        resume: reuse completed shard checkpoints (``sharded`` and
-            ``distributed``).
-        run_dir: shard checkpoint directory override (``sharded`` and
-            ``distributed``).
-        max_shards: compute at most this many shards in this invocation
-            (``sharded`` only; 0 means no limit).
-        workers: worker processes for the ``distributed`` backend; > 0
-            implies ``distributed`` when no explicit ``executor`` is given.
-        lease_timeout: seconds a distributed shard lease survives without a
-            heartbeat (``distributed`` only; 0 uses the backend default).
+            instance, one of the registered names (``serial``/``sharded``/
+            ``distributed``), or ``None`` to let the options choose.
+        **options: backend options (``shard``, ``resume``, ``run_dir``,
+            ``workers``, ``lease_timeout``), forwarded with ``executor`` to
+            :func:`~repro.experiments.executors.make_executor`, which also
+            decides the backend when no name is given.
 
     Raises:
         KeyError: on an unknown experiment id or preset.
         ValueError: on unsupported parameter overrides, an unknown executor
-            name, or backend options combined with a backend that does not
-            understand them.
+            name, or backend options combined with an executor instance or
+            with a backend that does not understand them.
     """
     spec = _resolve(experiment)
     params = spec.params_for(preset, overrides)
     points = spec.points(params)
-    sharded_requested = (
-        shard is not None or max_shards != 0
-    )
-    distributed_requested = workers > 0 or lease_timeout > 0
-    checkpoint_requested = resume or run_dir is not None
-    if isinstance(executor, str):
-        backend: Executor = make_executor(
-            executor,
-            processes=processes,
-            shard=shard,
-            resume=resume,
-            run_dir=run_dir,
-            max_shards=max_shards,
-            workers=workers,
-            lease_timeout=lease_timeout,
+    if executor is None or isinstance(executor, str):
+        backend = make_executor(executor, **options)
+    elif options:
+        raise ValueError(
+            f"{'/'.join(sorted(options))} cannot be combined with an executor "
+            "instance — configure the instance itself, or pass the executor "
+            "by name"
         )
-    elif executor is not None:
-        if (
-            sharded_requested
-            or distributed_requested
-            or checkpoint_requested
-            or processes > 0
-        ):
-            raise ValueError(
-                "processes/shard/resume/run_dir/max_shards/workers/"
-                "lease_timeout cannot be combined with an executor "
-                "instance — configure the instance itself, or pass the "
-                "executor by name"
-            )
-        backend = executor
-    elif distributed_requested:
-        # worker options imply the distributed backend, mirroring how
-        # sharded options imply sharded below (sharded-only options are
-        # forwarded so the unsupported combination is rejected)
-        backend = make_executor(
-            "distributed", processes=processes, shard=shard, resume=resume,
-            run_dir=run_dir, max_shards=max_shards, workers=workers,
-            lease_timeout=lease_timeout,
-        )
-    elif sharded_requested or checkpoint_requested:
-        # sharded options imply the sharded backend, so `--resume` alone
-        # does the expected thing without repeating `--executor sharded`
-        # (processes is forwarded so the unsupported combination is
-        # rejected rather than silently dropped)
-        backend = make_executor(
-            "sharded", processes=processes, shard=shard, resume=resume,
-            run_dir=run_dir, max_shards=max_shards,
-        )
-    elif processes > 1:
-        backend = ProcessExecutor(processes=processes)
     else:
-        backend = SerialExecutor()
+        backend = executor
     start = time.perf_counter()
     outcome = backend.execute(spec, preset, params, points)
     elapsed = time.perf_counter() - start

@@ -92,32 +92,22 @@ def _message_counts(columns, rows) -> Dict[str, List[int]]:
 def run_suite(
     only: Optional[List[str]] = None,
     quick: bool = False,
-    executor: str = "serial",
-    processes: int = 0,
 ) -> Dict[str, Dict[str, object]]:
-    """Run (a subset of) the suite and return per-experiment stats.
+    """Run (a subset of) the suite serially and return per-experiment stats.
+
+    Every sweep runs on the serial backend, so ``wall_seconds`` measures the
+    algorithm alone and stays comparable across labels.
 
     Args:
         only: restrict to these entry names (``None`` runs everything).
         quick: sweep the ``quick`` presets (the CI smoke suite).
-        executor: execution backend per sweep — ``serial`` (the default;
-            ``wall_seconds`` then measures the algorithm alone) or
-            ``process``.  The sharded backend is deliberately not offered
-            here: trajectory timings must stay comparable across labels,
-            and resumed compute times are not one invocation's wall clock.
-        processes: worker count for the ``process`` backend (0 uses the
-            machine's CPU count).
     """
     results: Dict[str, Dict[str, object]] = {}
     for entry in suite_entries(quick):
         if only and entry.name not in only:
             continue
         result = run_experiment(
-            entry.experiment_id,
-            preset=entry.preset,
-            overrides=entry.overrides,
-            executor=executor,
-            processes=processes,
+            entry.experiment_id, preset=entry.preset, overrides=entry.overrides
         )
         first_column = result.columns[0]
         ns = [row[first_column] for row in result.rows]
@@ -266,14 +256,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="CI smoke mode: quick presets, no probes, and no "
                              "write to BENCH_core.json unless --output is given")
-    parser.add_argument("--executor", choices=("serial", "process"),
-                        default=None,
-                        help="execution backend per sweep (default: serial, "
-                             "which keeps the recorded wall clocks comparable "
-                             "across labels; -j implies process)")
-    parser.add_argument("--processes", "-j", type=int, default=0,
-                        help="worker count for --executor process "
-                             "(default: the machine's CPU count)")
     parser.add_argument("--note", default="", help="free-form note stored with the run")
     args = parser.parse_args(argv)
 
@@ -282,17 +264,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         unknown = set(args.only) - known
         if unknown:
             parser.error(f"unknown experiment(s): {', '.join(sorted(unknown))}")
-    if args.executor == "serial" and args.processes > 0:
-        # an explicit serial request and a worker count contradict each
-        # other; refuse rather than silently picking one
-        parser.error("-j/--processes requires --executor process")
-    if args.executor is None:
-        # -j implies the pool, exactly as it does for `repro run`
-        args.executor = "process" if args.processes > 0 else "serial"
-    experiments = run_suite(
-        args.only, quick=args.quick, executor=args.executor,
-        processes=args.processes,
-    )
+    experiments = run_suite(args.only, quick=args.quick)
     run_probes = args.probe_budget > 0 and not args.quick
     probes = probe_max_n(args.probe_budget) if run_probes else {}
     for name, probe in probes.items():

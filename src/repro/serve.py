@@ -19,16 +19,18 @@ performance trajectory as JSON:
                              two recorded labels)
 ===========================  =========================================
 
-Every 200 reply carries a strong ``ETag`` (a hash of the exact body) and
-honours ``If-None-Match`` with a 304, and responses are memoised for a
-configurable TTL so a hot endpoint costs one merge per window.  The service is read-only by construction — it opens every file through
-the same digest-validated readers the executors use, so a corrupt or
-foreign checkpoint is simply absent from the served result, never an
-error page.
+Every 200 reply is computed from the files on disk at request time and
+carries a strong ``ETag`` (a hash of the exact body) with
+``Cache-Control: no-cache``: clients revalidate with ``If-None-Match`` and
+get an empty 304 while the body is unchanged, and the very next request
+after a checkpoint lands sees it.  The service is read-only by
+construction — it opens every file through the same digest-validated
+readers the executors use, so a corrupt or foreign checkpoint is simply
+absent from the served result, never an error page.
 
 ``ServeApp.respond`` is a plain function from request to
 ``(status, headers, body)``; ``tests/test_serve.py`` drives it directly
-(with a fake clock for the TTL) and over a real socket.
+and over a real socket.
 """
 
 from __future__ import annotations
@@ -36,11 +38,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import threading
-import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.experiments.executors import (
@@ -54,43 +54,6 @@ from repro.experiments.runner import ExperimentResult
 from repro.experiments.trajectory import default_output, label_order, pair_speedups
 
 JSON_TYPE = "application/json; charset=utf-8"
-
-
-class TTLCache:
-    """Response memoiser: body + ETag per key, expiring after ``ttl`` seconds.
-
-    A non-positive ``ttl`` disables caching (every request recomputes).
-    """
-
-    def __init__(
-        self, ttl: float, clock: Callable[[], float] = time.monotonic
-    ) -> None:
-        """An empty cache with injectable clock (for TTL-expiry tests)."""
-        self.ttl = float(ttl)
-        self._clock = clock
-        self._entries: Dict[str, Tuple[float, bytes, str]] = {}
-        self._lock = threading.Lock()
-
-    def get(self, key: str) -> Optional[Tuple[bytes, str]]:
-        """Return the fresh ``(body, etag)`` for ``key``, or ``None``."""
-        if self.ttl <= 0:
-            return None
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return None
-            expires, body, etag = entry
-            if expires <= self._clock():
-                del self._entries[key]
-                return None
-            return body, etag
-
-    def put(self, key: str, body: bytes, etag: str) -> None:
-        """Store ``(body, etag)`` under ``key`` for the next TTL window."""
-        if self.ttl <= 0:
-            return
-        with self._lock:
-            self._entries[key] = (self._clock() + self.ttl, body, etag)
 
 
 def _etag(body: bytes) -> str:
@@ -112,16 +75,13 @@ class ServeApp:
         self,
         run_root: Optional[Path] = None,
         bench_path: Optional[Path] = None,
-        ttl: float = 5.0,
-        clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        """Configure paths and cache TTL; loads the registry."""
+        """Configure paths; loads the registry."""
         load_all()
         self.run_root = Path(run_root) if run_root is not None else default_run_root()
         self.bench_path = (
             Path(bench_path) if bench_path is not None else default_output()
         )
-        self.cache = TTLCache(ttl, clock)
 
     # -- the request entry point ---------------------------------------
     def respond(
@@ -132,24 +92,17 @@ class ServeApp:
     ) -> Tuple[int, Dict[str, str], bytes]:
         """Answer one GET: returns ``(status, headers, body)``.
 
-        Fresh cached bodies short-circuit recomputation, and a matching
-        ``If-None-Match`` turns either outcome into an empty 304.
+        A matching ``If-None-Match`` turns a 200 into an empty 304.
         """
-        key = f"{path}?{query}"
-        cached = self.cache.get(key)
-        if cached is not None:
-            body, etag = cached
-        else:
-            status, payload = self._route(path, parse_qs(query))
-            if status != 200:
-                return self._reply(status, payload)
-            body = _body_bytes(payload)
-            etag = _etag(body)
-            self.cache.put(key, body, etag)
+        status, payload = self._route(path, parse_qs(query))
+        if status != 200:
+            return self._reply(status, payload)
+        body = _body_bytes(payload)
+        etag = _etag(body)
         headers = {
             "Content-Type": JSON_TYPE,
             "ETag": etag,
-            "Cache-Control": f"max-age={max(int(self.cache.ttl), 0)}",
+            "Cache-Control": "no-cache",
         }
         if if_none_match is not None and etag in (
             tag.strip() for tag in if_none_match.split(",")
@@ -415,15 +368,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="run-directory root (default: .repro_runs/)")
     parser.add_argument("--bench", type=Path, default=None,
                         help="trajectory file (default: BENCH_core.json)")
-    parser.add_argument("--ttl", type=float, default=5.0,
-                        help="response cache TTL in seconds (0 disables)")
     args = parser.parse_args(argv)
 
-    app = ServeApp(
-        run_root=args.run_root,
-        bench_path=args.bench,
-        ttl=args.ttl,
-    )
+    app = ServeApp(run_root=args.run_root, bench_path=args.bench)
     server = create_server(app, host=args.host, port=args.port)
     host, port = server.server_address[:2]
     print(f"serving on http://{host}:{port}  (run_root={app.run_root}, "

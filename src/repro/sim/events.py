@@ -69,15 +69,6 @@ NO_MESSAGES: Sequence[Message] = ()
 
 
 @dataclass(frozen=True)
-class ChannelWrite:
-    """A node's attempt to broadcast ``payload`` in a given slot."""
-
-    writer: NodeId
-    payload: Any
-    slot: int
-
-
-@dataclass(frozen=True)
 class ChannelEvent:
     """What every node observes about one resolved channel slot.
 

@@ -448,13 +448,9 @@ class TestDistributedConfig:
     def test_distributed_rejects_sharded_options(self):
         with pytest.raises(ValueError):
             make_executor("distributed", shard=(0, 2))
-        with pytest.raises(ValueError):
-            make_executor("distributed", max_shards=2)
-        with pytest.raises(ValueError):
-            make_executor("distributed", processes=4)
 
     def test_worker_options_rejected_on_other_backends(self):
-        for name in ("serial", "process", "sharded"):
+        for name in ("serial", "sharded"):
             with pytest.raises(ValueError):
                 make_executor(name, workers=2)
 

@@ -11,12 +11,13 @@ load).
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.experiments.executors import (
     ExecutorConfigError,
-    ProcessExecutor,
+    SerialExecutor,
     ShardedExecutor,
     make_executor,
     parse_shard,
@@ -43,14 +44,14 @@ def serial_e4():
 
 
 # ----------------------------------------------------------------------
-# backend matrix: serial vs process vs sharded bit-identity
+# backend matrix: serial vs sharded vs distributed bit-identity
 # ----------------------------------------------------------------------
 class TestExecutorMatrix:
-    def test_process_rows_match_serial(self, serial_e2):
-        result = run_experiment("e2", preset="quick", executor="process",
-                                processes=2)
+    def test_distributed_rows_match_serial(self, serial_e2, tmp_path):
+        result = run_experiment("e2", preset="quick", executor="distributed",
+                                workers=2, run_dir=tmp_path / "run")
         assert result.rows == serial_e2.rows
-        assert result.executor == "process"
+        assert result.executor == "distributed"
         assert result.pending_points == 0
 
     def test_sharded_rows_match_serial(self, serial_e2, tmp_path):
@@ -78,14 +79,7 @@ class TestExecutorMatrix:
         with pytest.raises(ValueError, match="--executor sharded"):
             make_executor("serial", resume=True)
         with pytest.raises(ValueError, match="--executor sharded"):
-            make_executor("process", shard=(0, 2))
-
-    def test_process_worker_count_defaults_to_machine(self):
-        backend = make_executor("process")
-        assert isinstance(backend, ProcessExecutor)
-        assert backend.processes >= 1  # cpu count, never pinned to 2
-        explicit = make_executor("process", processes=7)
-        assert explicit.processes == 7
+            make_executor("serial", shard=(0, 2))
 
 
 # ----------------------------------------------------------------------
@@ -137,7 +131,7 @@ class TestShardedCheckpoints:
     def test_interrupted_run_resumes_to_serial_rows(self, serial_e2, tmp_path):
         run_dir = tmp_path / "run"
         partial = run_experiment("e2", preset="quick", executor="sharded",
-                                 run_dir=run_dir, max_shards=1)
+                                 run_dir=run_dir, shard=(0, 2))
         assert partial.pending_points == 1
         assert len(partial.rows) == 1
         assert partial.rows[0] == serial_e2.rows[0]
@@ -234,7 +228,7 @@ class TestShardedCheckpoints:
     def test_resumed_wall_seconds_accumulates_shard_compute(self, tmp_path):
         run_dir = tmp_path / "run"
         run_experiment("e2", preset="quick", executor="sharded",
-                       run_dir=run_dir, max_shards=1)
+                       run_dir=run_dir, shard=(0, 2))
         resumed = run_experiment("e2", preset="quick", executor="sharded",
                                  run_dir=run_dir, resume=True)
         checkpoints = sorted(run_dir.glob("shard-*.json"))
@@ -283,7 +277,7 @@ class TestResultSchema:
 
     def test_partial_result_serializes_pending(self, tmp_path):
         partial = run_experiment("e2", preset="quick", executor="sharded",
-                                 run_dir=tmp_path / "run", max_shards=1)
+                                 run_dir=tmp_path / "run", shard=(0, 2))
         data = json.loads(partial.to_json())
         assert data["pending_points"] == 1
         assert data["executor"] == "sharded"
@@ -297,10 +291,71 @@ class TestRunnerExecutorWiring:
                            executor=ShardedExecutor(run_dir=tmp_path / "r"),
                            resume=True)
 
-    def test_negative_max_shards_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            run_experiment("e2", preset="quick", executor="sharded",
-                           max_shards=-1)
+
+class TestBackendDecision:
+    """``make_executor`` is the one place options choose a backend.
+
+    Each row is one flag combination: the backend ``make_executor`` builds
+    from it (or ``ValueError`` when the options contradict each other), and
+    ``repro run`` with the same flags must reach the same backend (or exit
+    2), because the CLI hands its flags to ``make_executor`` unchanged.
+    """
+
+    ROWS = [
+        # (name, make_executor options, `repro run` flags, expected)
+        (None, {}, [], "serial"),
+        (None, {"resume": True}, ["--resume"], "sharded"),
+        (None, {"run_dir": Path("r")}, ["--run-dir", "r"], "sharded"),
+        (None, {"shard": (0, 2)}, ["--shard", "1/2"], "sharded"),
+        (None, {"workers": 2}, ["--workers", "2"], "distributed"),
+        (None, {"lease_timeout": 5.0}, ["--lease-timeout", "5"],
+         "distributed"),
+        (None, {"workers": 2, "run_dir": Path("r")},
+         ["--workers", "2", "--run-dir", "r"], "distributed"),
+        (None, {"workers": 2, "shard": (0, 2)},
+         ["--workers", "2", "--shard", "1/2"], ValueError),
+        ("serial", {}, ["--executor", "serial"], "serial"),
+        ("sharded", {"resume": True}, ["--executor", "sharded", "--resume"],
+         "sharded"),
+        ("distributed", {"run_dir": Path("r")},
+         ["--executor", "distributed", "--run-dir", "r"], "distributed"),
+        ("serial", {"run_dir": Path("r")},
+         ["--executor", "serial", "--run-dir", "r"], ValueError),
+        ("distributed", {"shard": (0, 2)},
+         ["--executor", "distributed", "--shard", "1/2"], ValueError),
+        ("sharded", {"workers": 2}, ["--executor", "sharded", "--workers", "2"],
+         ValueError),
+    ]
+
+    @pytest.mark.parametrize("name, options, flags, expected", ROWS)
+    def test_make_executor_and_cli_agree(self, name, options, flags, expected,
+                                         monkeypatch):
+        from repro import cli
+        from repro.experiments.distributed import DistributedExecutor
+
+        backend_types = {"serial": SerialExecutor, "sharded": ShardedExecutor,
+                         "distributed": DistributedExecutor}
+        if expected is ValueError:
+            with pytest.raises(ValueError):
+                make_executor(name, **options)
+        else:
+            assert type(make_executor(name, **options)) is backend_types[expected]
+
+        received = []
+
+        def fake_run_experiment(spec, preset, overrides, executor):
+            received.append(executor)
+            return ExperimentResult(spec.id, "t", spec.columns, [])
+
+        monkeypatch.setattr(cli, "run_experiment", fake_run_experiment)
+        status = cli.main(["run", "e2", "--preset", "quick", "--quiet", *flags])
+        if expected is ValueError:
+            assert status == 2
+            assert received == []
+        else:
+            assert status == 0
+            (backend,) = received
+            assert type(backend) is backend_types[expected]
 
 
 class TestDefaultRunDirectory:
@@ -322,15 +377,6 @@ class TestDefaultRunDirectory:
         assert sorted(p.name for p in dirs[0].glob("shard-*.json")) == [
             "shard-0000.json", "shard-0001.json",
         ]
-
-    def test_processes_with_sharded_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="not supported by the sharded"):
-            run_experiment("e2", preset="quick", resume=True,
-                           run_dir=tmp_path / "r", processes=4)
-
-    def test_explicit_serial_with_processes_rejected(self):
-        with pytest.raises(ValueError, match="--executor process"):
-            make_executor("serial", processes=4)
 
 
 class TestNonFiniteRows:
@@ -358,13 +404,6 @@ class TestNonFiniteRows:
             # strict parsing: the bare Infinity token would raise here
             json.loads(path.read_text(), parse_constant=lambda s: 1 / 0)
 
-    def test_processes_with_executor_instance_rejected(self):
-        from repro.experiments.executors import SerialExecutor
-
-        with pytest.raises(ValueError, match="executor instance"):
-            run_experiment("e2", preset="quick", executor=SerialExecutor(),
-                           processes=8)
-
 
 # ----------------------------------------------------------------------
 # the adversity axis through the executor matrix
@@ -384,9 +423,10 @@ class TestAdversitySharding:
     def serial_adversity(self):
         return run_experiment("e7", preset="quick", overrides=self.OVERRIDES)
 
-    def test_process_rows_match_serial(self, serial_adversity):
+    def test_distributed_rows_match_serial(self, serial_adversity, tmp_path):
         result = run_experiment("e7", preset="quick", overrides=self.OVERRIDES,
-                                executor="process", processes=2)
+                                executor="distributed", workers=2,
+                                run_dir=tmp_path / "run")
         assert result.rows == serial_adversity.rows
 
     def test_sharded_rows_match_serial(self, serial_adversity, tmp_path):
@@ -399,7 +439,7 @@ class TestAdversitySharding:
         run_dir = tmp_path / "run"
         partial = run_experiment("e7", preset="quick", overrides=self.OVERRIDES,
                                  executor="sharded", run_dir=run_dir,
-                                 max_shards=1)
+                                 shard=(0, 2))
         assert partial.pending_points == 1
         resumed = run_experiment("e7", preset="quick", overrides=self.OVERRIDES,
                                  executor="sharded", run_dir=run_dir,
@@ -466,9 +506,11 @@ class TestXhotPresetSmoke:
     def serial_e10_xhot(self):
         return run_experiment("e10", preset="xhot", overrides=self.E10_OVERRIDES)
 
-    def test_e7_xhot_process_rows_match_serial(self, serial_e7_xhot):
+    def test_e7_xhot_distributed_rows_match_serial(self, serial_e7_xhot,
+                                                   tmp_path):
         result = run_experiment("e7", preset="xhot", overrides=self.E7_OVERRIDES,
-                                executor="process", processes=2)
+                                executor="distributed", workers=2,
+                                run_dir=tmp_path / "run")
         assert result.rows == serial_e7_xhot.rows
 
     def test_e7_xhot_sharded_rows_match_serial(self, serial_e7_xhot, tmp_path):
@@ -476,10 +518,12 @@ class TestXhotPresetSmoke:
                                 executor="sharded", run_dir=tmp_path / "run")
         assert result.rows == serial_e7_xhot.rows
 
-    def test_e10_xhot_process_rows_match_serial(self, serial_e10_xhot):
+    def test_e10_xhot_distributed_rows_match_serial(self, serial_e10_xhot,
+                                                    tmp_path):
         result = run_experiment("e10", preset="xhot",
                                 overrides=self.E10_OVERRIDES,
-                                executor="process", processes=2)
+                                executor="distributed", workers=2,
+                                run_dir=tmp_path / "run")
         assert result.rows == serial_e10_xhot.rows
 
     def test_e10_xhot_sharded_resumes_to_serial_rows(self, serial_e10_xhot,
@@ -488,7 +532,7 @@ class TestXhotPresetSmoke:
         partial = run_experiment("e10", preset="xhot",
                                  overrides=self.E10_OVERRIDES,
                                  executor="sharded", run_dir=run_dir,
-                                 max_shards=1)
+                                 shard=(0, 2))
         assert partial.pending_points == 1
         resumed = run_experiment("e10", preset="xhot",
                                  overrides=self.E10_OVERRIDES,

@@ -1,9 +1,9 @@
 """Tests for the declarative experiment layer: registry, runner, CLI, trajectory.
 
 Covers the acceptance criteria of the spec-registry refactor: every
-experiment e1–e11 is registered with valid presets, the unified runner
+experiment e1–e13 is registered with valid presets, the unified runner
 produces structured rows that render to the historical tables and round-trip
-through JSON, process-pool execution is bit-identical to serial execution,
+through JSON, parallel (distributed) execution is bit-identical to serial,
 and the ``python -m repro`` CLI exposes ``list``/``run``/``bench``.
 """
 
@@ -93,20 +93,6 @@ class TestRegistryCompleteness:
                 presets={name: {"sizes": (4,)} for name in REQUIRED_PRESETS},
             )(lambda n: {"n": n})
 
-    def test_reimport_of_same_module_keeps_first_registration(self):
-        # executing an eNN module as a script registers its spec under
-        # __main__; load_all() then imports the same file as the package
-        # module — the second registration must be a no-op, not an error
-        spec = get_experiment("e1")
-        redecorated = register_experiment(
-            id="e1",
-            title="dup from re-import",
-            columns=spec.columns,
-            presets=spec.presets,
-        )(spec.point_fn)
-        assert get_experiment("e1") is spec
-        assert redecorated.spec is spec
-
     def test_missing_preset_rejected(self):
         with pytest.raises(ValueError, match="missing preset"):
             register_experiment(
@@ -164,10 +150,12 @@ class TestRunner:
         assert "Infinity" not in text
         assert json.loads(text)["rows"][0]["GL_error_factor"] == "inf"
 
-    def test_parallel_is_bit_identical_to_serial(self):
+    def test_parallel_is_bit_identical_to_serial(self, tmp_path):
         for experiment_id in ("e3", "e9"):
             serial = run_experiment(experiment_id, preset="quick")
-            parallel = run_experiment(experiment_id, preset="quick", processes=2)
+            parallel = run_experiment(experiment_id, preset="quick",
+                                      executor="distributed", workers=2,
+                                      run_dir=tmp_path / experiment_id)
             assert parallel.rows == serial.rows
             assert parallel.to_table().render() == serial.to_table().render()
 

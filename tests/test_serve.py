@@ -1,12 +1,11 @@
-"""``repro serve`` tests: endpoint schemas, ETag/TTL caching.
+"""``repro serve`` tests: endpoint schemas, ETag revalidation.
 
 The contract under test (see ``docs/architecture.md``, "Distributed
 execution & serving"): every endpoint serves deterministic JSON, a run
 endpoint's payload is exactly :class:`ExperimentResult`'s serialization
 (so clients of result *files* and of the API share one schema), ETags are
-strong hashes of the exact body honoured with 304s, responses are
-memoised for a TTL.  The clock is injected, so cache expiry is
-deterministic.
+strong hashes of the exact body honoured with 304s, and every request
+reads the corpus afresh, so a changed file shows on the next request.
 """
 
 from __future__ import annotations
@@ -19,22 +18,9 @@ import pytest
 
 from repro.experiments.registry import all_experiments
 from repro.experiments.runner import ExperimentResult, run_experiment
-from repro.serve import ServeApp, TTLCache, create_server
+from repro.serve import ServeApp, create_server
 
 RUN_NAME = "e2-quick"
-
-
-class FakeClock:
-    """A manually-advanced clock for deterministic TTL behaviour."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
 
 
 def write_bench(path, labels):
@@ -160,7 +146,7 @@ class TestEndpoints:
 
 
 # ----------------------------------------------------------------------
-# ETag + TTL caching
+# ETag revalidation
 # ----------------------------------------------------------------------
 class TestCaching:
     def test_etag_round_trip_304(self, corpus):
@@ -189,34 +175,24 @@ class TestCaching:
         )
         assert status == 304
 
-    def test_ttl_serves_cached_body_then_expires(self, corpus, tmp_path):
-        clock = FakeClock()
-        bench = tmp_path / "bench.json"
-        write_bench(bench, {"before": 2.0, "after": 1.0})
-        app = ServeApp(run_root=corpus["run_root"], bench_path=bench,
-                       ttl=5.0, clock=clock)
-        _, headers, _ = app.respond("/bench/trajectory")
-        etag = headers["ETag"]
-        # the file changes, but within the TTL the cached body is served
-        write_bench(bench, {"before": 2.0, "after": 1.0, "newer": 0.5})
-        clock.advance(4.9)
-        _, headers, body = app.respond("/bench/trajectory")
-        assert headers["ETag"] == etag
-        assert "newer" not in body_json(body)["labels"]
-        # past the TTL the new corpus is read and the ETag moves
-        clock.advance(0.2)
-        _, headers, body = app.respond("/bench/trajectory")
-        assert headers["ETag"] != etag
-        assert body_json(body)["labels"] == ["before", "after", "newer"]
-
-    def test_zero_ttl_disables_caching(self, corpus, tmp_path):
-        bench = tmp_path / "bench.json"
-        write_bench(bench, {"before": 2.0})
-        app = ServeApp(run_root=corpus["run_root"], bench_path=bench, ttl=0.0)
-        _, first_headers, _ = app.respond("/bench/trajectory")
-        write_bench(bench, {"before": 2.0, "after": 1.0})
-        _, second_headers, _ = app.respond("/bench/trajectory")
-        assert second_headers["ETag"] != first_headers["ETag"]
+    def test_changed_checkpoint_served_on_the_next_request(self, corpus,
+                                                            tmp_path):
+        run_root = tmp_path / "runs"
+        run_experiment("e2", preset="quick", shard=(0, 2),
+                       run_dir=run_root / RUN_NAME)
+        app = ServeApp(run_root=run_root, bench_path=corpus["bench"])
+        _, headers, body = app.respond(f"/runs/{RUN_NAME}")
+        assert body_json(body)["pending_points"] == 1
+        run_experiment("e2", preset="quick", shard=(1, 2),
+                       run_dir=run_root / RUN_NAME)
+        status, fresh_headers, fresh = app.respond(
+            f"/runs/{RUN_NAME}", "", headers["ETag"]
+        )
+        assert status == 200
+        assert fresh_headers["ETag"] != headers["ETag"]
+        assert body_json(fresh)["rows"] == corpus["serial"].rows
+        # clients are told to revalidate rather than reuse a stored body
+        assert fresh_headers["Cache-Control"] == "no-cache"
 
     def test_distinct_queries_cached_separately(self, corpus):
         app = make_app(corpus)
@@ -226,18 +202,10 @@ class TestCaching:
 
     def test_error_responses_not_cached(self, corpus, tmp_path):
         bench = tmp_path / "bench.json"
-        app = ServeApp(run_root=corpus["run_root"], bench_path=bench, ttl=60.0)
+        app = ServeApp(run_root=corpus["run_root"], bench_path=bench)
         assert app.respond("/bench/trajectory")[0] == 404
         write_bench(bench, {"before": 2.0})
         assert app.respond("/bench/trajectory")[0] == 200
-
-    def test_ttl_cache_unit(self):
-        clock = FakeClock()
-        cache = TTLCache(10.0, clock)
-        cache.put("k", b"body", '"etag"')
-        assert cache.get("k") == (b"body", '"etag"')
-        clock.advance(10.1)
-        assert cache.get("k") is None
 
 
 # ----------------------------------------------------------------------
