@@ -23,12 +23,12 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, Optional
 
 from repro.core.global_function.semigroup import GlobalSensitiveFunction
+from repro.core.partition.forest import SpanningForest
 from repro.protocols.collision.base import run_contention
 from repro.protocols.collision.capetanakis import CapetanakisContender
 from repro.protocols.collision.metcalfe_boggs import MetcalfeBoggsContender
 from repro.protocols.spanning.broadcast_convergecast import TreeAggregationFlyweight
 from repro.protocols.spanning.bfs import build_bfs_forest
-from repro.protocols.spanning.tree_utils import children_map
 from repro.sim.adversity import AdversityState
 from repro.sim.channel import SlottedChannel
 from repro.sim.metrics import MetricsRecorder, MetricsSnapshot
@@ -88,21 +88,12 @@ def compute_on_point_to_point_only(
     recorder.set_phase(None)
 
     recorder.set_phase("aggregate")
-    children = children_map(parents)
-    node_inputs = {
-        node: {
-            "parent": parents[node],
-            "children": tuple(children[node]),
-            "value": inputs[node],
-            "combine": function.combine,
-            "redistribute": True,
-        }
-        for node in nodes
-    }
+    forest = SpanningForest.on_graph(graph, parents)
     network = MultimediaNetwork(graph, seed=seed)
     simulation = network.run(
-        TreeAggregationFlyweight,
-        inputs=node_inputs,
+        TreeAggregationFlyweight.over(
+            forest, inputs, function.combine, redistribute=True
+        ),
         metrics=recorder,
         adversity=adversity,
     )

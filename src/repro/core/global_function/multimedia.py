@@ -149,15 +149,9 @@ def compute_global_function(
     # ------------------------------------------------------------------
     rounds_before = recorder.rounds
     recorder.set_phase("local")
-    node_inputs = forest.node_inputs()
-    for node, extra in node_inputs.items():
-        extra["value"] = inputs[node]
-        extra["combine"] = function.combine
-        extra["redistribute"] = False
     network = MultimediaNetwork(graph, seed=seed)
     simulation = network.run(
-        TreeAggregationFlyweight,
-        inputs=node_inputs,
+        TreeAggregationFlyweight.over(forest, inputs, function.combine),
         metrics=recorder,
         adversity=adversity,
     )

@@ -184,15 +184,11 @@ class MultimediaMST:
         recorded metrics) are identical to the per-phase rescan's.
         """
         self._metrics.set_phase("merge")
-        initial_of: Dict[NodeId, NodeId] = {
-            node: forest.core_of(node) for node in self._graph.nodes()
-        }
-        initial_members: Dict[NodeId, List[NodeId]] = {
-            fragment.core: fragment.members for fragment in forest.fragments
-        }
-        initial_radius: Dict[NodeId, int] = {
-            fragment.core: fragment.radius for fragment in forest.fragments
-        }
+        # initial fragments are named by their core slot; the forest's core
+        # column is every node's home fragment, over the CSR slots
+        csr = self._graph.csr()
+        slot_home = forest.root
+        initial_cores = forest.core_slots
         # the MST edges inside the initial fragments are already known
         mst_keys: Set[Tuple[NodeId, NodeId]] = {
             edge_key(child, parent) for child, parent in forest.tree_edges()
@@ -205,23 +201,23 @@ class MultimediaMST:
 
         # every node knows the composition of every current fragment; we track
         # it centrally as a mapping initial fragment -> current fragment id
-        current_of: Dict[NodeId, NodeId] = {core: core for core in initial_members}
+        current_of: Dict[int, int] = {core: core for core in initial_cores}
 
         # boundary columns: per initial fragment, its links to other initial
         # fragments sorted by (weight, node, neighbor) — the comparison order
-        # the per-phase minimum always used
-        boundary: Dict[NodeId, List[Tuple[float, NodeId, NodeId]]] = {
-            core: [] for core in initial_members
+        # the per-phase minimum always used.  Each entry also carries the
+        # neighbor's initial fragment, which never decides a comparison:
+        # the first three fields are already unique
+        boundary: Dict[int, List[Tuple[float, NodeId, NodeId, int]]] = {
+            core: [] for core in initial_cores
         }
-        # walk the CSR rows (the graph's neighbour order) with a
-        # per-slot home column, so the inner test indexes a list instead of
-        # hashing a node identifier per directed edge
-        csr = self._graph.csr()
+        # walk the CSR rows (the graph's neighbour order) with the per-slot
+        # home column, so the inner test indexes a column instead of hashing
+        # a node identifier per directed edge
         offsets = csr.offsets
         csr_targets = csr.targets
         csr_weights = csr.weights
         csr_nodes = csr.nodes
-        slot_home = [initial_of[node] for node in csr_nodes]
         start = 0
         for i in range(csr.n):
             end = offsets[i + 1]
@@ -230,12 +226,14 @@ class MultimediaMST:
             node = csr_nodes[i]
             for k in range(start, end):
                 target = csr_targets[k]
-                if slot_home[target] != home:
-                    links.append((csr_weights[k], node, csr_nodes[target]))
+                far = slot_home[target]
+                if far != home:
+                    links.append((csr_weights[k], node, csr_nodes[target], far))
             start = end
         for links in boundary.values():
             links.sort()
-        boundary_start: Dict[NodeId, int] = {core: 0 for core in initial_members}
+        boundary_start: Dict[int, int] = {core: 0 for core in initial_cores}
+        max_initial_radius = forest.max_radius()
 
         records: List[MergePhaseRecord] = []
         phase = 0
@@ -250,22 +248,19 @@ class MultimediaMST:
             # The minimum is the first boundary-column entry whose far side is
             # in a different current fragment; entries skipped on the way are
             # internal for good and the start pointer prunes them permanently.
-            candidate_per_initial: Dict[NodeId, Tuple[float, NodeId, NodeId]] = {}
-            for core, members in initial_members.items():
+            candidate_per_initial: Dict[int, Tuple[float, NodeId, NodeId, int]] = {}
+            for core in initial_cores:
                 current_core = current_of[core]
                 links = boundary[core]
                 index = boundary_start[core]
                 limit = len(links)
-                while (
-                    index < limit
-                    and current_of[initial_of[links[index][2]]] == current_core
-                ):
+                while index < limit and current_of[links[index][3]] == current_core:
                     index += 1
                 boundary_start[core] = index
                 if index < limit:
                     candidate_per_initial[core] = links[index]
-                self._metrics.record_messages(2 * max(0, len(members) - 1))
-            rounds += 2 * max(initial_radius.values(), default=0)
+                self._metrics.record_messages(2 * (forest.size(core) - 1))
+            rounds += 2 * max_initial_radius
 
             # Step 2: the cores broadcast their candidates in their scheduled
             # slots; every node hears everything and updates locally
@@ -274,15 +269,15 @@ class MultimediaMST:
 
             # every node now computes the minimum outgoing link of every
             # current fragment and merges along those links (local work)
-            best_per_current: Dict[NodeId, Tuple[float, NodeId, NodeId]] = {}
+            best_per_current: Dict[int, Tuple[float, NodeId, NodeId, int]] = {}
             for core, candidate in candidate_per_initial.items():
                 current = current_of[core]
                 if current not in best_per_current or candidate < best_per_current[current]:
                     best_per_current[current] = candidate
-            merge_map: Dict[NodeId, NodeId] = {}
-            for current, (weight, u, v) in best_per_current.items():
+            merge_map: Dict[int, int] = {}
+            for current, (weight, u, v, far) in best_per_current.items():
                 mst_keys.add(edge_key(u, v))
-                merge_map[current] = current_of[initial_of[v]]
+                merge_map[current] = current_of[far]
 
             # contract the merge graph (union along chosen links)
             current_of = _contract(current_of, merge_map)
@@ -301,16 +296,16 @@ class MultimediaMST:
 
 
 def _contract(
-    current_of: Dict[NodeId, NodeId],
-    merge_map: Dict[NodeId, NodeId],
-) -> Dict[NodeId, NodeId]:
+    current_of: Dict[int, int],
+    merge_map: Dict[int, int],
+) -> Dict[int, int]:
     """Union current fragments along the chosen minimum outgoing links."""
-    parent: Dict[NodeId, NodeId] = {}
+    parent: Dict[int, int] = {}
     currents = set(current_of.values())
     for current in currents:
         parent[current] = current
 
-    def find(x: NodeId) -> NodeId:
+    def find(x: int) -> int:
         """Return ``x``'s current-fragment root with path halving."""
         while parent[x] != x:
             parent[x] = parent[parent[x]]

@@ -6,7 +6,7 @@ local (point-to-point) stage finishes in O(√n) time, and few enough in number
 that the global (channel) stage finishes in Õ(√n) slots.
 """
 
-from repro.core.partition.forest import Fragment, SpanningForest
+from repro.core.partition.forest import SpanningForest
 from repro.core.partition.deterministic import (
     DeterministicPartitioner,
     DeterministicPartitionResult,
@@ -22,7 +22,6 @@ from repro.core.partition.validation import (
 )
 
 __all__ = [
-    "Fragment",
     "SpanningForest",
     "DeterministicPartitioner",
     "DeterministicPartitionResult",

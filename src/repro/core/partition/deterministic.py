@@ -67,9 +67,9 @@ import math
 from array import array
 from itertools import groupby
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Hashable, List, Optional, Sequence, Tuple
 
-from repro.core.partition.forest import Fragment, SpanningForest, find_root_indexed
+from repro.core.partition.forest import SpanningForest, find_root_indexed
 from repro.protocols.symmetry.cole_vishkin import log_star
 from repro.protocols.symmetry.mis import MIS_COMMUNICATION_ROUNDS, RED, mis_columns
 from repro.protocols.symmetry.three_coloring import three_color_columns
@@ -288,18 +288,8 @@ class DeterministicPartitioner:
             )
 
         self._metrics.set_phase(None)
-        # translate to node objects once: fragments in first-appearance
-        # order, members in graph iteration order
-        labels = self._graph.nodes()
-        fragments = []
-        for core in cores:
-            fragment_parents: Dict[NodeId, Optional[NodeId]] = {}
-            for slot in members[core] or (core,):
-                up = parent_idx[slot]
-                fragment_parents[labels[slot]] = labels[up] if up >= 0 else None
-            fragments.append(Fragment(core=labels[core], parents=fragment_parents))
         return DeterministicPartitionResult(
-            forest=SpanningForest(fragments),
+            forest=SpanningForest(nodes, parent_idx),
             metrics=self._metrics.snapshot(),
             phases=phase_records,
             busy_rounds=busy_total,

@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, Hashable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import random
 
@@ -97,7 +97,7 @@ class _Workspace(NamedTuple):
     edge ``j``'s position in its ``edge_u`` endpoint's range.
     """
 
-    nodes: List[NodeId]
+    nodes: Sequence[NodeId]
     rank: List[int]
     unrank: List[int]
     offsets: array
@@ -187,7 +187,8 @@ class RandomizedPartitioner:
         # the node enumeration, tie-break ranks and adjacency structure are
         # invariant across Las-Vegas restarts: build them once and hand each
         # attempt a fresh copy of only the mutable per-run state
-        nodes: List[NodeId] = list(self._graph.nodes())
+        csr = self._graph.csr()
+        nodes = csr.nodes
         n = self._n
         rank: List[int] = [0] * n
         unrank: List[int] = [0] * n
@@ -203,7 +204,6 @@ class RandomizedPartitioner:
         # the algorithm computes depends on it: per-neighbour BFS winners
         # are minima, and the message/outgoing-link checks are order-free
         # aggregates.
-        csr = self._graph.csr()
         offsets = csr.offsets
         edge_u, edge_v, _ = csr.canonical_edges()
         adj = array("q", bytes(8 * len(csr.targets)))
@@ -354,16 +354,7 @@ class RandomizedPartitioner:
                 "the final iteration promotes every free node, so every node "
                 "must be labelled when the loop ends"
             )
-        # translate the index-space parent array back to a node-keyed map in
-        # graph iteration order (the order the historical dict-based state
-        # kept), so the forest's fragment enumeration is unchanged
-        nodes = workspace.nodes
-        parent_map: Dict[NodeId, Optional[NodeId]] = {}
-        for i, node in enumerate(nodes):
-            up = parent[i]
-            parent_map[node] = nodes[up] if up >= 0 else None
-        forest = SpanningForest.from_parent_map(parent_map)
-        return forest, records
+        return SpanningForest(workspace.nodes, parent), records
 
     # ------------------------------------------------------------------
     def _grow_bfs(

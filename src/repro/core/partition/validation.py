@@ -34,7 +34,6 @@ class PartitionReport:
         max_radius: largest fragment radius.
         covers_all_nodes: every network node belongs to exactly one fragment.
         edges_exist: every tree edge is a link of the network.
-        fragments_are_trees: every fragment is a valid rooted tree.
         subtrees_of_mst: every tree edge belongs to the network's MST
             (``None`` when the check was not requested).
         violations: human-readable descriptions of every failed check.
@@ -47,7 +46,6 @@ class PartitionReport:
     max_radius: int
     covers_all_nodes: bool
     edges_exist: bool
-    fragments_are_trees: bool
     subtrees_of_mst: Optional[bool] = None
     violations: List[str] = field(default_factory=list)
 
@@ -103,18 +101,14 @@ def validate_partition(
     violations: List[str] = []
     n = graph.num_nodes()
 
-    # structural checks -------------------------------------------------
-    fragments_are_trees = True
-    for fragment in forest.fragments:
-        try:
-            fragment.validate()
-        except ValueError as exc:
-            fragments_are_trees = False
-            violations.append(f"fragment {fragment.core!r} is not a tree: {exc}")
-
+    # structural checks: the forest constructor already rejected cycles
+    # and dangling parents, so coverage and links are what is left
     covered = set(forest.covered_nodes())
     network_nodes = set(graph.nodes())
-    covers_all = covered == network_nodes
+    repeated = forest.num_nodes() - len(covered)
+    covers_all = covered == network_nodes and not repeated
+    if repeated:
+        violations.append(f"{repeated} node(s) appear in the forest twice")
     if not covers_all:
         missing = network_nodes - covered
         extra = covered - network_nodes
@@ -174,7 +168,6 @@ def validate_partition(
         max_radius=max_radius,
         covers_all_nodes=covers_all,
         edges_exist=edges_exist,
-        fragments_are_trees=fragments_are_trees,
         subtrees_of_mst=subtrees_of_mst,
         violations=violations,
     )

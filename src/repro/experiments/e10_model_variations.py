@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Dict, Sequence
 
 from repro.analysis.statistics import mean
+from repro.core.partition.forest import SpanningForest
 from repro.core.size_estimation import (
     compute_size_deterministically,
     estimate_size_randomized,
@@ -23,7 +24,6 @@ from repro.experiments.harness import make_topology
 from repro.experiments.registry import register_experiment
 from repro.protocols.spanning.broadcast_convergecast import TreeAggregationFlyweight
 from repro.protocols.spanning.bfs import build_bfs_forest
-from repro.protocols.spanning.tree_utils import children_map
 from repro.sim.adversity import ABORTED, ADVERSITY_KINDS, adversity_state
 from repro.sim.errors import AdversityAbort
 from repro.sim.multimedia import MultimediaNetwork
@@ -32,19 +32,15 @@ from repro.sim.synchronizer import ChannelSynchronizer
 DEFAULT_SEEDS = (1, 2, 3)
 
 
-def _aggregation_inputs(graph, root):
+def _count_nodes(graph, root):
+    """Return the factory counting the nodes up a BFS tree rooted at ``root``."""
     parents, _, _ = build_bfs_forest(graph, [root])
-    children = children_map(parents)
-    return {
-        node: {
-            "parent": parents[node],
-            "children": tuple(children[node]),
-            "value": 1,
-            "combine": lambda a, b: a + b,
-            "redistribute": True,
-        }
-        for node in graph.nodes()
-    }
+    return TreeAggregationFlyweight.over(
+        SpanningForest.on_graph(graph, parents),
+        dict.fromkeys(graph.nodes(), 1),
+        lambda a, b: a + b,
+        redistribute=True,
+    )
 
 
 @register_experiment(
@@ -104,20 +100,20 @@ def sweep_point(
     graph = make_topology(topology, n, seed=11)
     true_n = graph.num_nodes()
     root = min(graph.nodes())
-    inputs = _aggregation_inputs(graph, root)
+    count_nodes = _count_nodes(graph, root)
 
     # Corollary 4: run the same aggregation synchronously and under the
     # channel synchronizer on an asynchronous network
     try:
         sync_run = MultimediaNetwork(graph, seed=3).run(
-            TreeAggregationFlyweight, inputs=inputs,
+            count_nodes,
             adversity=adversity_state(adversity, "e10", n, topology, "sync"),
         )
     except AdversityAbort:
         sync_run = None
     try:
         async_run = ChannelSynchronizer(graph, max_link_delay=3, seed=3).run(
-            TreeAggregationFlyweight, inputs=inputs,
+            count_nodes,
             adversity=adversity_state(adversity, "e10", n, topology, "async"),
         )
     except AdversityAbort:

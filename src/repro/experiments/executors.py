@@ -324,23 +324,19 @@ def ensure_manifest(
             different digest (another experiment, preset, parameterisation,
             or shard layout).
     """
-    manifest_path = run_dir / MANIFEST_NAME
-    if manifest_path.exists():
-        try:
-            manifest = json.loads(manifest_path.read_text())
-            existing = manifest["digest"]
-        except (OSError, ValueError, KeyError):
-            existing = None  # unreadable manifest: rewrite it below
-        if existing is not None and existing != digest:
+    manifest = read_manifest(run_dir)
+    # a missing or unreadable manifest is (re)written below
+    if manifest is not None:
+        existing = manifest["digest"]
+        if existing != digest:
             raise ExecutorConfigError(
                 f"run directory {run_dir} belongs to a different sweep "
                 f"(manifest digest {existing[:10]}… != {digest[:10]}…); "
                 "pass a fresh --run-dir or matching parameters"
             )
-        if existing == digest:
-            return
+        return
     _write_json_atomic(
-        manifest_path,
+        run_dir / MANIFEST_NAME,
         {
             "schema": MANIFEST_SCHEMA,
             "experiment": experiment_id,
@@ -456,22 +452,33 @@ def merge_checkpoints(
     return rows_by_index, compute_seconds
 
 
-def _manifest_shard_count(run_dir: Path) -> Optional[int]:
-    """Return the shard count recorded in ``run_dir``'s manifest, if any.
+def read_manifest(run_dir: Path) -> Optional[Dict[str, Any]]:
+    """Return ``run_dir``'s manifest, or ``None`` when missing or malformed.
 
-    ``None`` when the manifest is missing, unreadable, or carries a
-    nonsensical count — the caller then falls back to its own default, and
-    the subsequent digest verification still decides whether the directory
-    may be used at all.
+    Well formed means a JSON object whose ``experiment``, ``preset`` and
+    ``digest`` are strings, ``params`` is an object, ``num_points`` an int
+    ≥ 0 and ``shard_count`` an int ≥ 1.  Every reader goes through here, so
+    a corrupt manifest is treated as absent — rewritten by
+    :func:`ensure_manifest`, skipped by the serving side — never a crash.
     """
     try:
         data = json.loads((run_dir / MANIFEST_NAME).read_text())
-        count = data["shard_count"]
-    except (OSError, ValueError, KeyError):
+    except (OSError, ValueError):
         return None
-    if isinstance(count, int) and count >= 1:
-        return count
-    return None
+    if not isinstance(data, dict):
+        return None
+    if not all(isinstance(data.get(key), str)
+               for key in ("experiment", "preset", "digest")):
+        return None
+    if not isinstance(data.get("params"), dict):
+        return None
+    num_points = data.get("num_points")
+    shard_count = data.get("shard_count")
+    if type(num_points) is not int or num_points < 0:
+        return None
+    if type(shard_count) is not int or shard_count < 1:
+        return None
+    return data
 
 
 class RunDir(NamedTuple):
@@ -503,9 +510,8 @@ def open_run_dir(
     path = resolve_run_dir(spec.id, preset, params, num_points, run_dir)
     count = shard_count
     if count is None:
-        count = _manifest_shard_count(path)
-    if count is None:
-        count = max(1, num_points)
+        manifest = read_manifest(path)
+        count = manifest["shard_count"] if manifest else max(1, num_points)
     if count < 1:
         raise ExecutorConfigError(f"shard count must be positive, got {count}")
     digest = sweep_digest(spec.id, preset, params, num_points, count)

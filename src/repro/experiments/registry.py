@@ -176,6 +176,8 @@ class ExperimentSpec:
                 if (isinstance(template, (tuple, list))
                         and not isinstance(value, (tuple, list))):
                     value = (value,)
+                if template is not None:
+                    self._check_override(key, value, template)
                 params[key] = value
         topology = params.get("topology")
         if topology is not None and self.topologies and topology not in self.topologies:
@@ -197,6 +199,24 @@ class ExperimentSpec:
             )
         return params
 
+    def _check_override(self, key: str, value: Any, template: Any) -> None:
+        """Reject an override whose type does not match its preset template.
+
+        Raises:
+            ValueError: on a type mismatch (see :func:`_conforms`), or a
+                ``sizes`` entry below 1.
+        """
+        if not _conforms(value, template):
+            raise ValueError(
+                f"experiment {self.id!r} expects {key}: {_shape(template)}, "
+                f"got {value!r}"
+            )
+        if key == "sizes" and any(size < 1 for size in value):
+            raise ValueError(
+                f"experiment {self.id!r} needs every size to be at least 1, "
+                f"got {value!r}"
+            )
+
     def points(self, params: Mapping[str, Any]) -> List[PointParams]:
         """Expand resolved parameters into the per-point parameter dicts."""
         return self.points_fn(params)
@@ -206,6 +226,33 @@ class ExperimentSpec:
         if callable(self.title):
             return self.title(params)
         return self.title
+
+
+def _conforms(value: Any, template: Any) -> bool:
+    """True when ``value`` has the type shape of the preset value ``template``.
+
+    A tuple and a list are interchangeable, and their elements must conform
+    to the template's first element; an int is accepted where a float is
+    expected; a bool is never accepted as a number, nor a number as a bool.
+    """
+    if isinstance(template, (tuple, list)):
+        if not isinstance(value, (tuple, list)):
+            return False
+        return not template or all(_conforms(item, template[0]) for item in value)
+    if isinstance(value, bool) or isinstance(template, bool):
+        return type(value) is type(template)
+    if isinstance(template, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(template))
+
+
+def _shape(template: Any) -> str:
+    """Describe the type shape :func:`_conforms` checks against ``template``."""
+    if isinstance(template, (tuple, list)):
+        return f"sequence of {_shape(template[0])}" if template else "sequence"
+    if isinstance(template, float):
+        return "number"
+    return type(template).__name__
 
 
 _REGISTRY: Dict[str, ExperimentSpec] = {}

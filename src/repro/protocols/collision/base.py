@@ -62,6 +62,7 @@ class ChannelContender:
     GEOMETRIC_CONTENTION = False
 
     def __init__(self, identity: NodeId, payload: Any = None) -> None:
+        """Create a contender named ``identity`` that will broadcast ``payload``."""
         self.identity = identity
         self.payload = payload
         self._succeeded_in_slot: Optional[int] = None

@@ -79,6 +79,7 @@ class CapetanakisContender(ChannelContender):
     """
 
     def __init__(self, identity: int, universe_size: int, payload=None) -> None:
+        """Join the tree splitting over ``[0, universe_size)`` as ``identity``."""
         if not 0 <= identity < universe_size:
             raise ValueError(
                 f"identity {identity} outside universe [0, {universe_size})"
@@ -88,6 +89,7 @@ class CapetanakisContender(ChannelContender):
         self._universe = universe_size
 
     def wants_to_transmit(self, slot: int) -> bool:
+        """Transmit when the interval on top of the shared stack holds this identity."""
         interval = self._stack.current()
         if interval is None:
             return False
@@ -95,6 +97,7 @@ class CapetanakisContender(ChannelContender):
         return low <= self.identity < high
 
     def observe(self, event: ChannelEvent, transmitted: bool) -> None:
+        """Record a success and advance the shared stack past the slot."""
         super().observe(event, transmitted)
         self._stack.advance(event)
 
@@ -112,6 +115,7 @@ class CapetanakisListener:
     """
 
     def __init__(self, universe_size: int) -> None:
+        """Track the tree splitting over ``[0, universe_size)`` without contending."""
         self._stack = _SharedStack(universe_size)
         self.heard: List = []
 

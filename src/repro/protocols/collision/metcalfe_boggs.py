@@ -64,6 +64,7 @@ class MetcalfeBoggsContender(ChannelContender):
         payload=None,
         seed: Optional[int] = None,
     ) -> None:
+        """Create a contender expecting ``estimated_contenders`` rivals in all."""
         if estimated_contenders < 1:
             raise ValueError("the contender estimate must be at least 1")
         if rng is not None and seed is not None:
@@ -99,6 +100,7 @@ class MetcalfeBoggsContender(ChannelContender):
         return max(1, self._initial_estimate - self._successes_seen)
 
     def wants_to_transmit(self, slot: int) -> bool:
+        """Transmit with probability 1 / (contenders still unresolved)."""
         draw = self._draw
         if draw is None:
             draw = self._materialise_rng().random
@@ -111,6 +113,7 @@ class MetcalfeBoggsContender(ChannelContender):
         return True
 
     def observe(self, event: ChannelEvent, transmitted: bool) -> None:
+        """Count a heard success, and record it when it was this contender's."""
         # inlined base behaviour: this runs once per contender per slot
         if event.state is SlotState.SUCCESS:
             self._successes_seen += 1

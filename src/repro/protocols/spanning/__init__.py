@@ -6,36 +6,22 @@ partitioning algorithm and by the point-to-point baselines) and
 broadcast-and-respond / propagation of information with feedback (PIF,
 Segall 1983), the primitive behind Step 1 of the deterministic partition and
 the local stage of the global-sensitive-function algorithms.  The module also
-provides plain-graph tree utilities (re-rooting, depths, children maps) used
-by the orchestrated fragment algorithms.
+provides parent-map tree utilities (re-rooting, depths, children maps) used
+by the point-to-point MST baseline.
 """
 
 from repro.protocols.spanning.bfs import build_bfs_forest
-from repro.protocols.spanning.broadcast_convergecast import (
-    TreeAggregationFlyweight,
-    simulate_broadcast,
-    simulate_convergecast,
-    simulate_pif,
-)
+from repro.protocols.spanning.broadcast_convergecast import TreeAggregationFlyweight
 from repro.protocols.spanning.tree_utils import (
     children_map,
     node_depths,
     reroot,
-    subtree_sizes,
-    tree_edges,
-    validate_parent_map,
 )
 
 __all__ = [
     "build_bfs_forest",
     "TreeAggregationFlyweight",
-    "simulate_broadcast",
-    "simulate_convergecast",
-    "simulate_pif",
     "children_map",
     "node_depths",
     "reroot",
-    "subtree_sizes",
-    "tree_edges",
-    "validate_parent_map",
 ]

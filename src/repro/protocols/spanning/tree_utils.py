@@ -1,46 +1,20 @@
 """Utilities for trees represented as parent maps.
 
-Throughout the library a rooted tree (or forest) over the point-to-point
-topology is represented as a mapping ``node → parent`` with roots mapping to
-``None``.  These helpers compute the derived quantities the algorithms and
-the validators need: children lists, depths, subtree sizes, re-rooting (used
-when fragments merge over a selected outgoing edge), and structural
-validation.
+A rooted tree (or forest) kept as a mapping ``node → parent``, roots
+mapping to ``None``.  The point-to-point MST baseline keeps its fragments
+this way and uses the depths and re-rooting helpers here; the children map
+describes a BFS tree to the per-node reference protocols.  Partition
+forests are slot columns instead
+(:class:`~repro.core.partition.forest.SpanningForest`).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional
 
 NodeId = Hashable
 ParentMap = Dict[NodeId, Optional[NodeId]]
-
-
-def validate_parent_map(parents: ParentMap) -> None:
-    """Check that ``parents`` describes a forest (no cycles, closed under parents).
-
-    Nodes already proven to reach a root are never re-walked, so the check
-    is linear overall instead of linear per node.
-
-    Raises:
-        ValueError: if a referenced parent is missing or a cycle exists.
-    """
-    for node, parent in parents.items():
-        if parent is not None and parent not in parents:
-            raise ValueError(f"parent {parent!r} of {node!r} is not in the map")
-    safe: Set[NodeId] = set()
-    for start in parents:
-        path: List[NodeId] = []
-        on_path: Set[NodeId] = set()
-        current = start
-        while current is not None and current not in safe:
-            if current in on_path:
-                raise ValueError("parent map contains a cycle")
-            path.append(current)
-            on_path.add(current)
-            current = parents[current]
-        safe.update(path)
 
 
 def children_map(parents: ParentMap) -> Dict[NodeId, List[NodeId]]:
@@ -52,16 +26,11 @@ def children_map(parents: ParentMap) -> Dict[NodeId, List[NodeId]]:
     return children
 
 
-def roots_of(parents: ParentMap) -> List[NodeId]:
-    """Return every root (node whose parent is ``None``)."""
-    return [node for node, parent in parents.items() if parent is None]
-
-
 def node_depths(parents: ParentMap) -> Dict[NodeId, int]:
     """Return each node's depth (hop distance to its root).
 
     Single BFS pass from the roots over a children index, rather than
-    chasing parent chains per node: the partitioners call this once per
+    chasing parent chains per node: the MST baseline calls this once per
     phase, so the constant factor matters.
 
     Raises:
@@ -92,64 +61,6 @@ def node_depths(parents: ParentMap) -> Dict[NodeId, int]:
     return depths
 
 
-def tree_radius(parents: ParentMap) -> int:
-    """Return the maximum depth over all nodes (the forest's radius from roots)."""
-    if not parents:
-        return 0
-    return max(node_depths(parents).values())
-
-
-def subtree_sizes(parents: ParentMap) -> Dict[NodeId, int]:
-    """Return each node's subtree size (itself plus all descendants).
-
-    Computed by accumulating along a reversed breadth-first order (children
-    before parents), which is a single pass and never recurses, so it is
-    safe on path-like trees of any depth.
-    """
-    children = children_map(parents)
-    order: List[NodeId] = roots_of(parents)
-    cursor = 0
-    while cursor < len(order):
-        order.extend(children[order[cursor]])
-        cursor += 1
-    sizes: Dict[NodeId, int] = {node: 1 for node in parents}
-    for node in reversed(order):
-        parent = parents[node]
-        if parent is not None:
-            sizes[parent] += sizes[node]
-    return sizes
-
-
-def tree_edges(parents: ParentMap) -> List[Tuple[NodeId, NodeId]]:
-    """Return the (child, parent) edges of the forest."""
-    return [(node, parent) for node, parent in parents.items() if parent is not None]
-
-
-def members_by_root(parents: ParentMap) -> Dict[NodeId, List[NodeId]]:
-    """Return ``root → list of nodes in its tree`` (roots included)."""
-    result: Dict[NodeId, List[NodeId]] = {root: [] for root in roots_of(parents)}
-    root_of: Dict[NodeId, NodeId] = {}
-
-    def find_root(node: NodeId) -> NodeId:
-        chain = []
-        current = node
-        while current not in root_of:
-            parent = parents[current]
-            if parent is None:
-                root_of[current] = current
-                break
-            chain.append(current)
-            current = parent
-        root = root_of[current]
-        for member in chain:
-            root_of[member] = root
-        return root
-
-    for node in parents:
-        result[find_root(node)].append(node)
-    return result
-
-
 def reroot(parents: ParentMap, members: List[NodeId], new_root: NodeId) -> None:
     """Re-root the tree containing ``members`` at ``new_root`` in place.
 
@@ -172,25 +83,3 @@ def reroot(parents: ParentMap, members: List[NodeId], new_root: NodeId) -> None:
     for index in range(len(path) - 1, 0, -1):
         parents[path[index]] = path[index - 1]
     parents[new_root] = None
-
-
-def path_to_root(parents: ParentMap, node: NodeId) -> List[NodeId]:
-    """Return the path from ``node`` to its root, inclusive."""
-    path = [node]
-    current = parents[node]
-    while current is not None:
-        path.append(current)
-        current = parents[current]
-    return path
-
-
-def breadth_first_order(parents: ParentMap, root: NodeId) -> List[NodeId]:
-    """Return the nodes of ``root``'s tree in breadth-first order."""
-    children = children_map(parents)
-    order: List[NodeId] = []
-    queue = deque([root])
-    while queue:
-        node = queue.popleft()
-        order.append(node)
-        queue.extend(children[node])
-    return order

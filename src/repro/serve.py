@@ -44,9 +44,9 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.experiments.executors import (
-    MANIFEST_NAME,
     default_run_root,
     merge_checkpoints,
+    read_manifest,
     shard_indices,
 )
 from repro.experiments.registry import all_experiments, get_experiment, load_all
@@ -167,23 +167,23 @@ class ServeApp:
         if not self.run_root.is_dir():
             return summaries
         for run_dir in sorted(self.run_root.iterdir()):
-            manifest = _read_manifest(run_dir)
+            manifest = read_manifest(run_dir)
             if manifest is None:
                 continue
             merged = self._merge(manifest, run_dir)
             summary = {
                 "name": run_dir.name,
-                "experiment": manifest.get("experiment"),
-                "preset": manifest.get("preset"),
-                "num_points": manifest.get("num_points"),
-                "shard_count": manifest.get("shard_count"),
-                "digest": manifest.get("digest"),
+                "experiment": manifest["experiment"],
+                "preset": manifest["preset"],
+                "num_points": manifest["num_points"],
+                "shard_count": manifest["shard_count"],
+                "digest": manifest["digest"],
             }
             if merged is not None:
                 rows_by_index, _ = merged
                 summary["completed_points"] = len(rows_by_index)
                 summary["pending_points"] = (
-                    int(manifest["num_points"]) - len(rows_by_index)
+                    manifest["num_points"] - len(rows_by_index)
                 )
             summaries.append(summary)
         return summaries
@@ -200,7 +200,7 @@ class ServeApp:
         if not name or "/" in name or name in (".", ".."):
             return 404, {"error": "unknown run", "run": name}
         run_dir = self.run_root / name
-        manifest = _read_manifest(run_dir)
+        manifest = read_manifest(run_dir)
         if manifest is None:
             return 404, {"error": "unknown run", "run": name}
         merged = self._merge(manifest, run_dir)
@@ -208,21 +208,21 @@ class ServeApp:
             return 404, {
                 "error": "run references an unknown experiment",
                 "run": name,
-                "experiment": manifest.get("experiment"),
+                "experiment": manifest["experiment"],
             }
         rows_by_index, compute_seconds = merged
         spec = get_experiment(manifest["experiment"])
-        params = dict(manifest.get("params", {}))
+        params = dict(manifest["params"])
         result = ExperimentResult(
             experiment_id=spec.id,
             title=spec.render_title(params),
             columns=spec.columns,
             rows=[rows_by_index[i] for i in sorted(rows_by_index)],
             params=params,
-            preset=manifest.get("preset", "default"),
+            preset=manifest["preset"],
             wall_seconds=compute_seconds,
             invocation_seconds=0.0,
-            pending_points=int(manifest["num_points"]) - len(rows_by_index),
+            pending_points=manifest["num_points"] - len(rows_by_index),
             executor="serve-merge",
         )
         return 200, result.to_json_dict()
@@ -230,17 +230,17 @@ class ServeApp:
     def _merge(
         self, manifest: Mapping[str, Any], run_dir: Path
     ) -> Optional[Tuple[Dict[int, Dict[str, Any]], float]]:
-        """Digest-validated checkpoint merge; ``None`` on an unknown spec."""
+        """Digest-validated checkpoint merge; ``None`` on an unknown spec.
+
+        ``manifest`` is one :func:`read_manifest` accepted, so only the
+        experiment id can still fail to resolve.
+        """
         try:
             spec = get_experiment(manifest["experiment"])
-            plan = shard_indices(
-                int(manifest["num_points"]), int(manifest["shard_count"])
-            )
-        except (KeyError, TypeError, ValueError):
+        except KeyError:
             return None
-        return merge_checkpoints(
-            run_dir, plan, spec.columns, manifest["digest"]
-        )
+        plan = shard_indices(manifest["num_points"], manifest["shard_count"])
+        return merge_checkpoints(run_dir, plan, spec.columns, manifest["digest"])
 
     def _trajectory(self) -> Tuple[int, Dict[str, Any]]:
         """The benchmark trajectory, labels ordered by sequence."""
@@ -290,16 +290,6 @@ class ServeApp:
 def _body_bytes(payload: Mapping[str, Any]) -> bytes:
     """Serialize a payload deterministically (stable bodies → stable ETags)."""
     return json.dumps(payload, indent=2, sort_keys=True).encode("utf-8") + b"\n"
-
-
-def _read_manifest(run_dir: Path) -> Optional[Dict[str, Any]]:
-    """Read a run directory's manifest; ``None`` when absent/unreadable."""
-    if not run_dir.is_dir():
-        return None
-    data = _read_json(run_dir / MANIFEST_NAME)
-    if not isinstance(data, dict) or "digest" not in data:
-        return None
-    return data
 
 
 def _read_json(path: Path) -> Optional[Any]:

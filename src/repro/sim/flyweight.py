@@ -39,7 +39,7 @@ fingerprints.
 from __future__ import annotations
 
 from typing import (
-    Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union,
+    Any, Dict, Hashable, List, Optional, Sequence, Tuple, Union,
 )
 
 from repro.sim.events import ChannelEvent, Message
@@ -70,12 +70,10 @@ class FlyweightEnvironment:
         n: the number of nodes when the protocol is told it, else ``None``.
         streams: the per-node random substream family
             (:class:`~repro.sim.substreams.NodeStreams`).
-        inputs: per-node input mapping for the current run; assigned by
-            the simulator per run.
     """
 
     __slots__ = ("csr", "nodes", "neighbors", "link_weights", "n", "streams",
-                 "inputs", "_slot_of")
+                 "_slot_of")
 
     def __init__(self, csr: CSRView, n: Optional[int],
                  streams: Optional[NodeStreams]) -> None:
@@ -86,7 +84,6 @@ class FlyweightEnvironment:
         self.link_weights = CSRRows(csr, weighted=True)
         self.n = n
         self.streams = streams
-        self.inputs: Mapping[NodeId, Dict[str, Any]] = {}
         self._slot_of: Optional[Dict[NodeId, int]] = csr.index_of
 
     @property

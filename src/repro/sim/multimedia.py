@@ -131,7 +131,6 @@ class MultimediaNetwork:
     def run(
         self,
         protocol_factory: ProtocolFactory,
-        inputs: Optional[Dict[NodeId, Dict[str, Any]]] = None,
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         metrics: Optional[MetricsRecorder] = None,
         adversity: Optional[AdversityState] = None,
@@ -150,7 +149,6 @@ class MultimediaNetwork:
             protocol_factory: the :class:`~repro.sim.flyweight.FlyweightProtocol`
                 class (or any callable building one from the run's
                 :class:`~repro.sim.flyweight.FlyweightEnvironment`).
-            inputs: optional per-node input dictionaries.
             max_rounds: safety bound; exceeded means a protocol bug.
             metrics: an externally owned recorder to charge (used when an
                 algorithm composes several runs); a fresh one is created
@@ -184,7 +182,6 @@ class MultimediaNetwork:
         env = FlyweightEnvironment(
             csr, csr.n if self._n_known else None, self._streams
         )
-        env.inputs = inputs if inputs is not None else {}
         protocol: FlyweightProtocol = protocol_factory(env)
 
         deliver = network.deliver

@@ -115,7 +115,6 @@ class ChannelSynchronizer:
     def run(
         self,
         protocol_factory: ProtocolFactory,
-        inputs: Optional[Dict[NodeId, Dict[str, Any]]] = None,
         max_pulses: int = 1_000_000,
         adversity: Optional[AdversityState] = None,
     ) -> SynchronizerReport:
@@ -162,7 +161,6 @@ class ChannelSynchronizer:
             csr.n if self._n_known else None,
             NodeStreams(self._seed, STREAM_SCOPE),
         )
-        env.inputs = inputs if inputs is not None else {}
         protocol: FlyweightProtocol = protocol_factory(env)
         message_driven = protocol.MESSAGE_DRIVEN
         # on identity-labelled graphs node = slot: the loops skip both label

@@ -27,9 +27,7 @@ from repro.topology.properties import (
     connected_components,
     diameter,
     eccentricity,
-    graph_radius,
     is_connected,
-    shortest_path_lengths,
 )
 from repro.topology.weights import (
     assign_distinct_weights,
@@ -54,9 +52,7 @@ __all__ = [
     "connected_components",
     "diameter",
     "eccentricity",
-    "graph_radius",
     "is_connected",
-    "shortest_path_lengths",
     "assign_distinct_weights",
     "assign_random_weights",
     "ensure_distinct_weights",

@@ -8,8 +8,7 @@ diameter of the point-to-point network.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, Hashable, List
 
 from repro.topology.graph import CSRView, WeightedGraph
 
@@ -56,28 +55,6 @@ def breadth_first_levels(graph: WeightedGraph, source: NodeId) -> Dict[NodeId, i
                     next_frontier.append(target)
         frontier = next_frontier
     return levels
-
-
-def bfs_tree_parents(graph: WeightedGraph, source: NodeId) -> Dict[NodeId, Optional[NodeId]]:
-    """Return a BFS-tree parent map rooted at ``source`` (root maps to ``None``)."""
-    csr = graph.csr()
-    start = _source_slot(csr, source)
-    nodes = csr.nodes
-    offsets = csr.offsets
-    targets = csr.targets
-    seen = bytearray(csr.n)
-    seen[start] = 1
-    parents: Dict[NodeId, Optional[NodeId]] = {nodes[start]: None}
-    queue = deque([start])
-    while queue:
-        slot = queue.popleft()
-        node = nodes[slot]
-        for target in targets[offsets[slot]:offsets[slot + 1]]:
-            if not seen[target]:
-                seen[target] = 1
-                parents[nodes[target]] = node
-                queue.append(target)
-    return parents
 
 
 def connected_components(graph: WeightedGraph) -> List[List[NodeId]]:
@@ -201,51 +178,3 @@ def approximate_diameter(graph: WeightedGraph) -> int:
             farthest = node
     second_levels = breadth_first_levels(graph, farthest)
     return max(first_ecc, max(second_levels.values()))
-
-
-def graph_radius(graph: WeightedGraph) -> int:
-    """Return the hop radius (minimum eccentricity) of a connected ``graph``."""
-    n = graph.num_nodes()
-    if n == 0:
-        raise ValueError("the radius of an empty graph is undefined")
-    rows = _slot_rows(graph)
-    return min(_slot_eccentricity(rows, n, start) for start in range(n))
-
-
-def shortest_path_lengths(graph: WeightedGraph) -> Dict[NodeId, Dict[NodeId, int]]:
-    """Return all-pairs hop distances (only reachable pairs are present)."""
-    return {node: breadth_first_levels(graph, node) for node in graph.nodes()}
-
-
-def tree_radius_from_root(parents: Dict[NodeId, Optional[NodeId]], root: NodeId) -> int:
-    """Return the depth of the deepest node in a parent-map tree rooted at ``root``.
-
-    The ``parents`` map must describe a tree: every non-root node maps to its
-    parent and the root maps to ``None``.
-
-    Raises:
-        ValueError: if ``root`` is not in the map, or a cycle is detected.
-    """
-    if root not in parents:
-        raise ValueError("root is not part of the parent map")
-    if parents[root] is not None:
-        raise ValueError("the root of a parent-map tree must map to None")
-    depth_cache: Dict[NodeId, int] = {root: 0}
-
-    def depth(node: NodeId) -> int:
-        """Return ``node``'s depth, path-caching every ancestor on the way."""
-        chain = []
-        current = node
-        while current not in depth_cache:
-            chain.append(current)
-            current = parents[current]
-            if current is None:
-                raise ValueError("parent map contains a second root")
-            if len(chain) > len(parents):
-                raise ValueError("parent map contains a cycle")
-        base = depth_cache[current]
-        for offset, member in enumerate(reversed(chain), start=1):
-            depth_cache[member] = base + offset
-        return depth_cache[node]
-
-    return max(depth(node) for node in parents) if parents else 0

@@ -289,17 +289,17 @@ class PerNode(FlyweightProtocol):
     """
 
     def __init__(self, env: FlyweightEnvironment,
-                 factory: Callable[[NodeContext], NodeProtocol]) -> None:
+                 factory: Callable[[NodeContext], NodeProtocol],
+                 extras: Dict[NodeId, Dict[str, Any]]) -> None:
         """Build one context and one protocol instance per slot."""
         super().__init__(env)
-        inputs = env.inputs
         self.protocols: List[NodeProtocol] = [
             factory(NodeContext(
                 node_id=node,
                 neighbors=env.neighbors[slot],
                 link_weights=env.link_weights[slot],
                 n=env.n,
-                extra=dict(inputs.get(node, {})),
+                extra=dict(extras.get(node, {})),
                 rng_factory=env.streams.rng_for,
             ))
             for slot, node in enumerate(env.nodes)
@@ -332,9 +332,13 @@ class PerNode(FlyweightProtocol):
         return {node: p.result for node, p in zip(self.env.nodes, self.protocols)}
 
 
-def per_node(factory: Callable[[NodeContext], NodeProtocol]) -> Callable:
-    """Return a simulator protocol factory running ``factory`` on every node."""
-    return functools.partial(PerNode, factory=factory)
+def per_node(factory: Callable[[NodeContext], NodeProtocol],
+             extras: Optional[Dict[NodeId, Dict[str, Any]]] = None) -> Callable:
+    """Return a simulator protocol factory running ``factory`` on every node.
+
+    ``extras`` maps a node to its per-node inputs (its context's ``extra``).
+    """
+    return functools.partial(PerNode, factory=factory, extras=extras or {})
 
 
 # ----------------------------------------------------------------------

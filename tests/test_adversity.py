@@ -12,11 +12,13 @@ rejects bad adversity input through its usage-error path.
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
 
 from repro.cli import main as cli_main
+from repro.core.partition.forest import SpanningForest
 from repro.experiments.harness import make_topology
 from repro.experiments.registry import get_experiment
 from repro.experiments.runner import run_experiment
@@ -39,7 +41,6 @@ from repro.sim.flyweight import FlyweightProtocol
 from repro.sim.synchronizer import ChannelSynchronizer
 from repro.protocols.spanning.broadcast_convergecast import TreeAggregationFlyweight
 from repro.protocols.spanning.bfs import build_bfs_forest
-from repro.protocols.spanning.tree_utils import children_map
 
 
 # ----------------------------------------------------------------------
@@ -166,8 +167,9 @@ class _RetransmittingFlood(FlyweightProtocol):
     crashed from round 0 has not started yet and holds no token.
     """
 
-    def __init__(self, env):
+    def __init__(self, env, root):
         super().__init__(env)
+        self.root = root
         self.has_token = bytearray(env.num_slots)
         self.holders = 0
 
@@ -183,7 +185,7 @@ class _RetransmittingFlood(FlyweightProtocol):
             self.send(neighbor, "tok")
 
     def on_start(self, slot):
-        if self.env.inputs.get(self.env.nodes[slot], {}).get("root"):
+        if self.env.nodes[slot] == self.root:
             self._take_token(slot)
 
     def on_round(self, slot, inbox, channel):
@@ -204,8 +206,7 @@ class TestCrashRecovery:
             "crash-test", 12,
         )
         result = MultimediaNetwork(graph, seed=3).run(
-            _RetransmittingFlood,
-            inputs={root: {"root": True}},
+            functools.partial(_RetransmittingFlood, root=root),
             adversity=state,
         )
         assert all(result.results.values())
@@ -223,8 +224,7 @@ class TestCrashRecovery:
             "late-start", 8,
         )
         result = MultimediaNetwork(graph, seed=3).run(
-            _RetransmittingFlood,
-            inputs={root: {"root": True}},
+            functools.partial(_RetransmittingFlood, root=root),
             adversity=state,
         )
         assert result.results[victim] is True
@@ -270,18 +270,13 @@ class TestJamAccounting:
 # ----------------------------------------------------------------------
 # bounded aborts: the adversary can wedge a run, never hang it
 # ----------------------------------------------------------------------
-def _aggregation_inputs(graph, root):
+def _aggregation(graph, root):
     parents, _, _ = build_bfs_forest(graph, [root])
-    children = children_map(parents)
-    return {
-        node: {
-            "parent": parents[node],
-            "children": tuple(children[node]),
-            "value": 1,
-            "combine": lambda a, b: a + b,
-        }
-        for node in graph.nodes()
-    }
+    return TreeAggregationFlyweight.over(
+        SpanningForest.on_graph(graph, parents),
+        dict.fromkeys(graph.nodes(), 1),
+        lambda a, b: a + b,
+    )
 
 
 class TestBoundedAbort:
@@ -294,8 +289,7 @@ class TestBoundedAbort:
         )
         with pytest.raises(AdversityAbort) as excinfo:
             MultimediaNetwork(graph, seed=3).run(
-                TreeAggregationFlyweight,
-                inputs=_aggregation_inputs(graph, root),
+                _aggregation(graph, root),
                 adversity=state,
             )
         abort = excinfo.value
@@ -313,8 +307,7 @@ class TestBoundedAbort:
         )
         with pytest.raises(AdversityAbort) as excinfo:
             MultimediaNetwork(graph, seed=3).run(
-                TreeAggregationFlyweight,
-                inputs=_aggregation_inputs(graph, root),
+                _aggregation(graph, root),
                 adversity=state,
             )
         assert excinfo.value.rounds == 40
@@ -328,8 +321,7 @@ class TestBoundedAbort:
         )
         with pytest.raises(AdversityAbort):
             ChannelSynchronizer(graph, max_link_delay=3, seed=3).run(
-                TreeAggregationFlyweight,
-                inputs=_aggregation_inputs(graph, root),
+                _aggregation(graph, root),
                 adversity=state,
             )
 

@@ -273,6 +273,36 @@ class TestCli:
             cli.main(["bench", "--quick", "--only", "e99"])
         assert "unknown experiment" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "assignment,message",
+        (
+            ("sizes=abc", "sequence of int"),
+            ("sizes=(-4,)", "at least 1"),
+            ("sizes=(16.0,)", "sequence of int"),
+            ("sizes=(True,)", "sequence of int"),
+            ("topology=3", "topology: str"),
+        ),
+    )
+    def test_run_mistyped_override_fails_cleanly(self, capsys, assignment, message):
+        assert cli.main(["run", "e1", "--set", assignment]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_override_types_follow_the_preset_template(self):
+        e7 = get_experiment("e7")
+        # a list stands for a tuple, as JSON-decoded overrides send them
+        assert e7.params_for("quick", {"sizes": [16]})["sizes"] == [16]
+        with pytest.raises(ValueError, match="bool"):
+            e7.params_for("quick", {"channel_baseline": 1})
+        e11 = get_experiment("e11")
+        # an int is a number; a bool is not
+        assert e11.params_for("quick", {"intensities": (0, 0.5)})["intensities"] == (0, 0.5)
+        with pytest.raises(ValueError, match="number"):
+            e11.params_for("quick", {"intensities": (True,)})
+        e8 = get_experiment("e8")
+        assert e8.params_for("quick", {"params": [[2, 3]]})["params"] == [[2, 3]]
+        with pytest.raises(ValueError):
+            e8.params_for("quick", {"params": [2, 3]})
+
     def test_run_set_scalar_sequence_value(self, capsys):
         assert cli.main(["run", "e1", "--set", "sizes=16"]) == 0
         out = capsys.readouterr().out

@@ -23,6 +23,7 @@ from oracles import (
     TreeAggregationProtocol,
     per_node,
 )
+from repro.core.partition.forest import SpanningForest
 from repro.experiments.harness import make_topology
 from repro.protocols.collision import (
     GreenbergLadnerFlyweight,
@@ -39,45 +40,58 @@ from repro.sim.synchronizer import ChannelSynchronizer
 from repro.topology.graph import WeightedGraph
 
 
-def aggregation_inputs(graph, redistribute):
-    """Build per-node forest inputs for a BFS tree rooted at the min node.
+def aggregation_factories(graph, redistribute):
+    """Return the (oracle, flyweight) factories aggregating up a BFS tree.
 
-    The combine is tuple concatenation — associative but not commutative —
-    so each aggregate spells out the order the reports arrived in, and a
-    change in dispatch or delivery order shows up in the results.
+    The tree is rooted at the min node; the oracle gets per-node parent and
+    children inputs, the flyweight the same tree as a forest.  The combine
+    is tuple concatenation — associative but not commutative — so each
+    aggregate spells out the order the reports arrived in, and a change in
+    dispatch or delivery order shows up in the results.
     """
     root = min(graph.nodes())
     parents, _, _ = build_bfs_forest(graph, [root])
     children = children_map(parents)
-    return {
+
+    def concat(a, b):
+        return a + b
+
+    extras = {
         node: {
             "parent": parents[node],
             "children": tuple(children[node]),
             "value": (node,),
-            "combine": lambda a, b: a + b,
+            "combine": concat,
             "redistribute": redistribute,
         }
         for node in graph.nodes()
     }
+    values = {node: (node,) for node in graph.nodes()}
+    return (
+        per_node(TreeAggregationProtocol, extras),
+        TreeAggregationFlyweight.over(
+            SpanningForest.on_graph(graph, parents), values, concat, redistribute
+        ),
+    )
 
 
-def outcome(simulator, factory, inputs=None, adversity=None):
+def outcome(simulator, factory, adversity=None):
     """Everything observable about one run: its result or its abort."""
     try:
-        result = simulator.run(factory, inputs=inputs, adversity=adversity)
+        result = simulator.run(factory, adversity=adversity)
     except AdversityAbort as abort:
         result = ("abort", abort.rounds, abort.pending, abort.reason, str(abort))
     counters = adversity.counters() if adversity is not None else None
     return result, counters
 
 
-def differential(simulator_for, oracle, flyweight, inputs=None, preset="none",
+def differential(simulator_for, oracle, flyweight, preset="none",
                  key=("flyweight-test",)):
-    """Run an oracle and its flyweight under one preset; return both outcomes."""
+    """Run an oracle factory and its flyweight under one preset; return both outcomes."""
     outcomes = []
-    for factory in (per_node(oracle), flyweight):
+    for factory in (oracle, flyweight):
         adv = adversity_state(preset, *key, 36, "grid", preset)
-        outcomes.append(outcome(simulator_for(), factory, inputs, adv))
+        outcomes.append(outcome(simulator_for(), factory, adv))
     return outcomes
 
 
@@ -90,13 +104,9 @@ class TestSynchronousEquivalence:
     @pytest.mark.parametrize("redistribute", (False, True))
     def test_results_and_rounds_match_classic(self, kind, n, redistribute):
         graph = make_topology(kind, n, seed=11)
-        inputs = aggregation_inputs(graph, redistribute)
-        classic = MultimediaNetwork(graph, seed=3).run(
-            per_node(TreeAggregationProtocol), inputs=inputs
-        )
-        flyweight = MultimediaNetwork(graph, seed=3).run(
-            TreeAggregationFlyweight, inputs=inputs
-        )
+        oracle, tree_flyweight = aggregation_factories(graph, redistribute)
+        classic = MultimediaNetwork(graph, seed=3).run(oracle)
+        flyweight = MultimediaNetwork(graph, seed=3).run(tree_flyweight)
         assert flyweight == classic
 
 
@@ -123,8 +133,8 @@ class TestChannelProtocolEquivalence:
     def test_outcome_matches_classic_under_preset(self, preset, classic, flyweight):
         graph = make_topology("grid", 36, seed=11)
         first, second = differential(
-            lambda: MultimediaNetwork(graph, seed=3), classic, flyweight,
-            preset=preset, key=("flyweight-channel",),
+            lambda: MultimediaNetwork(graph, seed=3), per_node(classic),
+            flyweight, preset=preset, key=("flyweight-channel",),
         )
         assert first == second
 
@@ -134,7 +144,8 @@ class TestChannelProtocolEquivalence:
         graph = make_topology("grid", 36, seed=11)
         first, second = differential(
             lambda: ChannelSynchronizer(graph, max_link_delay=3, seed=3),
-            classic, flyweight, preset=preset, key=("flyweight-channel-sync",),
+            per_node(classic), flyweight, preset=preset,
+            key=("flyweight-channel-sync",),
         )
         assert first == second
 
@@ -149,8 +160,7 @@ class TestAdversityEquivalence:
         graph = make_topology("grid", 36, seed=11)
         first, second = differential(
             lambda: MultimediaNetwork(graph, seed=3),
-            TreeAggregationProtocol, TreeAggregationFlyweight,
-            inputs=aggregation_inputs(graph, True), preset=preset,
+            *aggregation_factories(graph, True), preset=preset,
         )
         assert first == second
 
@@ -159,12 +169,10 @@ class TestSynchronizerEquivalence:
     @pytest.mark.parametrize("kind,n", TOPOLOGIES)
     def test_report_matches_classic(self, kind, n):
         graph = make_topology(kind, n, seed=11)
-        inputs = aggregation_inputs(graph, True)
-        classic = ChannelSynchronizer(graph, max_link_delay=3, seed=3).run(
-            per_node(TreeAggregationProtocol), inputs=inputs
-        )
+        oracle, tree_flyweight = aggregation_factories(graph, True)
+        classic = ChannelSynchronizer(graph, max_link_delay=3, seed=3).run(oracle)
         flyweight = ChannelSynchronizer(graph, max_link_delay=3, seed=3).run(
-            TreeAggregationFlyweight, inputs=inputs
+            tree_flyweight
         )
         assert flyweight == classic
 
@@ -173,8 +181,7 @@ class TestSynchronizerEquivalence:
         graph = make_topology("grid", 36, seed=11)
         first, second = differential(
             lambda: ChannelSynchronizer(graph, max_link_delay=3, seed=3),
-            TreeAggregationProtocol, TreeAggregationFlyweight,
-            inputs=aggregation_inputs(graph, True), preset=preset,
+            *aggregation_factories(graph, True), preset=preset,
             key=("flyweight-sync",),
         )
         assert first == second
@@ -193,7 +200,7 @@ class TestBFSOracle:
             for node in graph.nodes()
         }
         result = MultimediaNetwork(graph, seed=3).run(
-            per_node(BFSTreeProtocol), inputs=inputs
+            per_node(BFSTreeProtocol, inputs)
         )
         parents, root_of, labels = build_bfs_forest(graph, roots, depth_limit)
         for node, state in result.results.items():
@@ -255,15 +262,29 @@ class TestCSREnvironment:
         with pytest.raises(IndexError):
             env.neighbors[graph.num_nodes()]
 
+    def test_forest_must_follow_the_slot_order(self):
+        graph = make_topology("grid", 9, seed=11)
+        parents, _, _ = build_bfs_forest(graph, [0])
+        # the BFS visit order is a valid forest but not the slot order
+        shuffled = SpanningForest.from_parent_map(parents)
+        factory = TreeAggregationFlyweight.over(
+            shuffled, dict.fromkeys(graph.nodes(), 1), lambda a, b: a + b
+        )
+        with pytest.raises(ValueError, match="slot order"):
+            MultimediaNetwork(graph, seed=1).run(factory)
+        in_order = SpanningForest.from_parent_map(
+            {node: parents[node] for node in graph.nodes()}
+        )
+        result = MultimediaNetwork(graph, seed=1).run(TreeAggregationFlyweight.over(
+            in_order, dict.fromkeys(graph.nodes(), 1), lambda a, b: a + b
+        ))
+        assert result.results[0] == 9
+
     def test_fault_free_run_aggregates_on_scale_free(self):
         graph = make_topology("scale_free", 512, seed=7)
-        inputs = aggregation_inputs(graph, redistribute=True)
-        result = MultimediaNetwork(graph, seed=1).run(
-            TreeAggregationFlyweight, inputs=inputs
-        )
-        report = ChannelSynchronizer(graph, seed=1).run(
-            TreeAggregationFlyweight, inputs=inputs
-        )
+        _, tree_flyweight = aggregation_factories(graph, redistribute=True)
+        result = MultimediaNetwork(graph, seed=1).run(tree_flyweight)
+        report = ChannelSynchronizer(graph, seed=1).run(tree_flyweight)
         root = min(graph.nodes())
         assert sorted(result.results[root]) == graph.nodes()
         assert sorted(report.results[root]) == graph.nodes()

@@ -67,7 +67,7 @@ class TestInvariants:
 
     def test_empty_network_passes_the_mst_check(self):
         report = validate_partition(
-            SpanningForest([]), WeightedGraph(), check_mst_subtrees=True
+            SpanningForest((), []), WeightedGraph(), check_mst_subtrees=True
         )
         assert report.ok and report.subtrees_of_mst
 

@@ -4,43 +4,45 @@ import math
 
 import pytest
 
-from repro.core.partition.forest import Fragment, SpanningForest
+from repro.core.partition.forest import SpanningForest
 from repro.core.partition.validation import validate_partition
 from repro.topology.generators import grid_graph, path_graph
+from repro.topology.graph import WeightedGraph
 from repro.topology.weights import assign_distinct_weights
 
 
 def path_forest():
     """Two fragments covering a 6-node path: {0,1,2} rooted at 0, {3,4,5} at 5."""
-    left = Fragment(core=0, parents={0: None, 1: 0, 2: 1})
-    right = Fragment(core=5, parents={5: None, 4: 5, 3: 4})
-    return SpanningForest([left, right])
+    return SpanningForest.from_parent_map({0: None, 1: 0, 2: 1, 5: None, 4: 5, 3: 4})
 
 
 class TestFragment:
     def test_basic_properties(self):
-        fragment = Fragment(core=0, parents={0: None, 1: 0, 2: 1, 3: 1})
-        assert fragment.size == 4
-        assert fragment.radius == 2
-        assert sorted(fragment.members) == [0, 1, 2, 3]
-        assert fragment.level() == 2
-        assert sorted(fragment.children()[1]) == [2, 3]
-        assert (3, 1) in fragment.tree_edges()
+        forest = SpanningForest.from_parent_map({0: None, 1: 0, 2: 1, 3: 1})
+        assert forest.size(0) == 4
+        assert forest.max_radius() == 2
+        assert sorted(forest.covered_nodes()) == [0, 1, 2, 3]
+        assert (3, 1) in forest.tree_edges()
 
     def test_singleton_default(self):
-        fragment = Fragment(core=7)
-        assert fragment.size == 1
-        assert fragment.radius == 0
+        forest = SpanningForest.from_parent_map({7: None})
+        assert forest.size(0) == 1
+        assert forest.max_radius() == 0
 
-    def test_core_must_be_root(self):
-        with pytest.raises(ValueError):
-            Fragment(core=1, parents={0: None, 1: 0})
+    def test_core_is_the_root(self):
+        forest = SpanningForest.from_parent_map({1: 0, 0: None})
+        assert forest.cores == [0]
+        assert forest.core_of(1) == 0
 
-    def test_validate_detects_second_root(self):
-        fragment = Fragment(core=0, parents={0: None, 1: 0})
-        fragment.parents[2] = None
-        with pytest.raises(ValueError):
-            fragment.validate()
+    def test_constructor_rejects_cycle_and_missing_parent(self):
+        with pytest.raises(ValueError, match="cycle"):
+            SpanningForest.from_parent_map({0: None, 1: 2, 2: 1})
+        with pytest.raises(ValueError, match="not in the map"):
+            SpanningForest.from_parent_map({0: None, 1: 5})
+        with pytest.raises(ValueError, match="out of range"):
+            SpanningForest((0, 1), [-1, 2])
+        with pytest.raises(ValueError, match="entries"):
+            SpanningForest((0, 1), [-1])
 
 
 class TestSpanningForest:
@@ -49,15 +51,17 @@ class TestSpanningForest:
         assert forest.num_fragments() == 2
         assert forest.num_nodes() == 6
         assert forest.core_of(2) == 0
-        assert forest.fragment_of(4).core == 5
+        assert forest.core_of(4) == 5
         assert forest.max_radius() == 2
         assert forest.min_size() == 3
+        with pytest.raises(KeyError):
+            forest.core_of(9)
 
     def test_overlapping_fragments_rejected(self):
-        a = Fragment(core=0, parents={0: None, 1: 0})
-        b = Fragment(core=1, parents={1: None})
-        with pytest.raises(ValueError):
-            SpanningForest([a, b])
+        forest = SpanningForest((0, 1, 1), [-1, 0, -1])
+        report = validate_partition(forest, path_graph(2))
+        assert not report.covers_all_nodes
+        assert any("twice" in v for v in report.violations)
 
     def test_from_parent_map_round_trip(self):
         parents = {0: None, 1: 0, 2: 1, 5: None, 4: 5, 3: 4}
@@ -65,12 +69,25 @@ class TestSpanningForest:
         assert forest.num_fragments() == 2
         assert forest.parent_map() == parents
 
-    def test_node_inputs_describe_structure(self):
-        forest = path_forest()
-        inputs = forest.node_inputs()
-        assert inputs[1]["parent"] == 0
-        assert inputs[1]["children"] == (2,)
-        assert inputs[1]["core"] == 0
+    def test_order_contract(self):
+        # cores in first-appearance order over the enumeration; the parent
+        # map and tree edges grouped by core, members in enumeration order
+        forest = SpanningForest.from_parent_map(
+            {3: 7, 1: None, 7: None, 4: 1, 0: 3}
+        )
+        assert forest.cores == [7, 1]
+        assert list(forest.parent_map()) == [3, 7, 0, 1, 4]
+        assert forest.tree_edges() == [(3, 7), (0, 3), (4, 1)]
+        assert forest.core_slots == (2, 1)
+        assert forest.root == (2, 1, 2, 1, 2)
+
+    def test_on_graph_uses_the_slot_order(self):
+        graph = WeightedGraph.from_edges([("b", "a"), ("a", "c")])
+        forest = SpanningForest.on_graph(graph, {"c": "a", "a": None, "b": "a"})
+        assert forest.nodes == graph.csr().nodes
+        assert forest.parent == (1, -1, 1)
+        with pytest.raises(ValueError):
+            SpanningForest.on_graph(graph, {"a": None})
 
 
 class TestValidatePartition:
@@ -89,10 +106,8 @@ class TestValidatePartition:
 
     def test_non_link_tree_edge_detected(self):
         graph = path_graph(6)
-        bad = SpanningForest(
-            [Fragment(core=0, parents={0: None, 2: 0}),
-             Fragment(core=1, parents={1: None}),
-             Fragment(core=3, parents={3: None, 4: 3, 5: 4})]
+        bad = SpanningForest.from_parent_map(
+            {0: None, 2: 0, 1: None, 3: None, 4: 3, 5: 4}
         )
         report = validate_partition(bad, graph)
         assert not report.edges_exist
@@ -100,9 +115,7 @@ class TestValidatePartition:
 
     def test_bound_violations_reported(self):
         graph = grid_graph(4, 4)
-        singletons = SpanningForest(
-            [Fragment(core=node) for node in graph.nodes()]
-        )
+        singletons = SpanningForest.from_parent_map(dict.fromkeys(graph.nodes()))
         report = validate_partition(
             singletons, graph,
             min_size_bound=math.sqrt(16),

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import http.client
 import json
+import shutil
 import threading
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.experiments.registry import all_experiments
 from repro.experiments.runner import ExperimentResult, run_experiment
 from repro.serve import ServeApp, create_server
@@ -57,6 +59,43 @@ def make_app(corpus, **kwargs):
 
 def body_json(body):
     return json.loads(body.decode("utf-8"))
+
+
+# each corruption turns the corpus run's valid manifest into one that
+# every reader must treat as absent
+MANIFEST_CORRUPTIONS = {
+    "not_json": lambda manifest: "{",
+    "not_a_dict": lambda manifest: [1, 2],
+    "digest_not_str": lambda manifest: {**manifest, "digest": 7},
+    "params_not_dict": lambda manifest: {**manifest, "params": [1, 2]},
+    "negative_points": lambda manifest: {**manifest, "num_points": -3},
+    "bool_points": lambda manifest: {**manifest, "num_points": True},
+    "zero_shards": lambda manifest: {**manifest, "shard_count": 0},
+    "no_experiment": lambda manifest: {
+        key: value for key, value in manifest.items() if key != "experiment"
+    },
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(MANIFEST_CORRUPTIONS))
+def test_corrupt_manifest_is_treated_as_absent(corpus, tmp_path, corruption):
+    run_root = tmp_path / "runs"
+    run_dir = run_root / RUN_NAME
+    shutil.copytree(corpus["run_root"] / RUN_NAME, run_dir)
+    manifest_path = run_dir / "manifest.json"
+    corrupt = MANIFEST_CORRUPTIONS[corruption](json.loads(manifest_path.read_text()))
+    manifest_path.write_text(corrupt if isinstance(corrupt, str) else json.dumps(corrupt))
+
+    app = ServeApp(run_root=run_root, bench_path=corpus["bench"])
+    assert app.respond(f"/runs/{RUN_NAME}")[0] == 404
+    status, _, body = app.respond("/runs")
+    assert status == 200 and body_json(body)["runs"] == []
+
+    # the CLI either reuses the directory (rewriting the manifest) or
+    # refuses it with a usage error; it never crashes
+    code = cli_main(["run", "e2", "--preset", "quick", "--run-dir", str(run_dir),
+                     "--quiet"])
+    assert code in (0, 2)
 
 
 # ----------------------------------------------------------------------

@@ -109,7 +109,7 @@ class TestMultimediaNetwork:
 
     def test_contexts_receive_inputs_and_n(self):
         network = MultimediaNetwork(path_graph(4), seed=1)
-        seen = network.run(per_node(ReportsContext), inputs={0: {"value": 42}}).results
+        seen = network.run(per_node(ReportsContext, {0: {"value": 42}})).results
         assert seen[0] == ({"value": 42}, 4)
         assert seen[2] == ({}, 4)
         assert seen[3][1] == 4

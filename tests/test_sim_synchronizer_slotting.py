@@ -83,10 +83,10 @@ class TestChannelSynchronizer:
         root = 0
         inputs = _sum_inputs(graph, root)
         sync = MultimediaNetwork(graph, seed=1).run(
-            per_node(TreeAggregationProtocol), inputs=inputs
+            per_node(TreeAggregationProtocol, inputs)
         )
         report = ChannelSynchronizer(graph, max_link_delay=4, seed=1).run(
-            per_node(TreeAggregationProtocol), inputs=inputs
+            per_node(TreeAggregationProtocol, inputs)
         )
         assert report.results[root] == sync.results[root] == 16
         assert all(value == 16 for value in report.results.values())
@@ -95,7 +95,7 @@ class TestChannelSynchronizer:
         graph = grid_graph(3, 3)
         inputs = _sum_inputs(graph, 0)
         report = ChannelSynchronizer(graph, max_link_delay=2, seed=3).run(
-            per_node(TreeAggregationProtocol), inputs=inputs
+            per_node(TreeAggregationProtocol, inputs)
         )
         assert report.ack_messages == report.algorithm_messages
         assert report.message_overhead_factor == pytest.approx(2.0)
