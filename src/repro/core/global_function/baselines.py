@@ -81,14 +81,13 @@ def compute_on_point_to_point_only(
     if leader is None:
         leader = min(nodes, key=repr)
     recorder.set_phase("bfs")
-    parents, _, labels = build_bfs_forest(graph, [leader])
-    depth = max(labels.values()) if labels else 0
-    recorder.record_round(depth)
+    parent, _, labels = build_bfs_forest(graph, [leader])
+    recorder.record_round(max(labels, default=0))
     recorder.record_messages(2 * graph.num_edges())
     recorder.set_phase(None)
 
     recorder.set_phase("aggregate")
-    forest = SpanningForest.on_graph(graph, parents)
+    forest = SpanningForest(graph.csr().nodes, parent)
     network = MultimediaNetwork(graph, seed=seed)
     simulation = network.run(
         TreeAggregationFlyweight.over(

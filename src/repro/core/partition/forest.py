@@ -9,7 +9,9 @@ know its parent, its children and its core, which is exactly the information
 the distributed executions leave behind at the nodes.
 
 The forest is one immutable set of columns over a node enumeration — for a
-partition, the graph's CSR slot order.  ``parent[slot]`` is the parent's
+partition or a BFS tree (the parent column
+:func:`~repro.protocols.spanning.bfs.build_bfs_forest` writes), the graph's
+CSR slot order.  ``parent[slot]`` is the parent's
 slot (``-1`` for a core) and ``root[slot]`` the core's slot; a node's
 children are the slots whose parent it is, which a consumer holding the CSR
 rows reads off its own row.  The constructor derives everything else once
@@ -24,10 +26,7 @@ order.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple
-
-if TYPE_CHECKING:
-    from repro.topology.graph import WeightedGraph
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 NodeId = Hashable
 
@@ -53,7 +52,8 @@ class SpanningForest:
 
         Raises:
             ValueError: if the columns differ in length, a parent slot is
-                out of range, or the parent column has a cycle.
+                out of range (``-1`` is the only negative one), or the
+                parent column has a cycle.
         """
         n = len(nodes)
         if len(parent) != n:
@@ -70,10 +70,10 @@ class SpanningForest:
             current = start
             while root[current] < 0:
                 up = parent[current]
-                if up < 0:
+                if up == -1:
                     root[current] = current
                     break
-                if up >= n:
+                if up < 0 or up >= n:
                     raise ValueError(
                         f"parent slot {up} of {nodes[current]!r} is out of range"
                     )
@@ -127,30 +127,6 @@ class SpanningForest:
             else:
                 raise ValueError(f"parent {up!r} of {node!r} is not in the map")
         return cls(nodes, column)
-
-    @classmethod
-    def on_graph(
-        cls, graph: "WeightedGraph", parents: Dict[NodeId, Optional[NodeId]]
-    ) -> "SpanningForest":
-        """Build the forest ``parents`` spans, enumerated in ``graph``'s slot order.
-
-        The layout tree aggregation runs on: the forest's columns line up
-        with the graph's CSR slots.  ``parents`` must map every node of the
-        graph.
-
-        Raises:
-            ValueError: if a node of the graph has no entry in ``parents``,
-                or the map has a cycle.
-        """
-        csr = graph.csr()
-        slot = csr.slot
-        column: List[int] = []
-        for node in csr.nodes:
-            if node not in parents:
-                raise ValueError(f"node {node!r} has no parent entry")
-            up = parents[node]
-            column.append(-1 if up is None else slot(up))
-        return cls(csr.nodes, column)
 
     # ------------------------------------------------------------------
     # accessors

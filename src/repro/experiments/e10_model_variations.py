@@ -34,9 +34,9 @@ DEFAULT_SEEDS = (1, 2, 3)
 
 def _count_nodes(graph, root):
     """Return the factory counting the nodes up a BFS tree rooted at ``root``."""
-    parents, _, _ = build_bfs_forest(graph, [root])
+    parent, _, _ = build_bfs_forest(graph, [root])
     return TreeAggregationFlyweight.over(
-        SpanningForest.on_graph(graph, parents),
+        SpanningForest(graph.csr().nodes, parent),
         dict.fromkeys(graph.nodes(), 1),
         lambda a, b: a + b,
         redistribute=True,

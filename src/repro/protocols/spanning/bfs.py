@@ -12,13 +12,17 @@ strictly reduces their label.
 :func:`build_bfs_forest` is a sequential reference used by validators and by
 orchestrated algorithms that charge the (well-known) cost of a synchronous
 BFS analytically: ``depth`` rounds and at most one message per link per
-direction.  The per-node protocol it stands for is kept as a test oracle
-(``tests/oracles.py``), checked against this function.
+direction.  It writes the slot columns a
+:class:`~repro.core.partition.forest.SpanningForest` is made of, so a
+consumer builds the tree as ``SpanningForest(csr.nodes, parent)`` without a
+node-keyed map in between.  The per-node protocol it stands for is kept as a
+test oracle (``tests/oracles.py``), checked against this function.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
+from array import array
+from typing import Hashable, List, Optional, Tuple
 
 from repro.topology.graph import WeightedGraph
 
@@ -29,12 +33,15 @@ def build_bfs_forest(
     graph: WeightedGraph,
     roots: List[NodeId],
     depth_limit: Optional[int] = None,
-) -> Tuple[Dict[NodeId, Optional[NodeId]], Dict[NodeId, NodeId], Dict[NodeId, int]]:
+) -> Tuple[array, array, array]:
     """Grow BFS trees from ``roots`` simultaneously (sequential reference).
 
     Ties between roots reaching a node at the same distance are broken in
     favour of the smaller root (by ``repr`` order, matching the protocol's
-    "least id" rule).
+    "least id" rule).  The growth is level-synchronous — FIFO within a
+    level, neighbours in row order — which is the visit order of a
+    node-at-a-time queue, so each node's parent is the first node in that
+    order to reach it.
 
     Args:
         graph: the point-to-point topology.
@@ -43,7 +50,10 @@ def build_bfs_forest(
             every root remain unlabelled.
 
     Returns:
-        ``(parents, root_of, labels)`` — only labelled nodes appear.
+        ``(parent, root, label)``, three ``array('q')`` columns over the
+        graph's CSR slots: the parent's slot (``-1`` at a root), the root's
+        slot, and the hop distance to it.  An unlabelled node reads ``-1``
+        in all three.  The tree depth is ``max(label)``.
 
     Raises:
         ValueError: if ``roots`` is empty or contains a node not in the graph.
@@ -54,38 +64,31 @@ def build_bfs_forest(
         if not graph.has_node(root):
             raise ValueError(f"root {root!r} is not a node of the graph")
     csr = graph.csr()
-    nodes = csr.nodes
     offsets = csr.offsets
     targets = csr.targets
+    parent = array("q", [-1]) * csr.n
+    root_of = array("q", [-1]) * csr.n
+    labels = array("q", [-1]) * csr.n
     seen = bytearray(csr.n)
-    parents: Dict[NodeId, Optional[NodeId]] = {}
-    root_of: Dict[NodeId, NodeId] = {}
-    labels: Dict[NodeId, int] = {}
     frontier: List[int] = []
     for root in sorted(roots, key=repr):
         slot = csr.slot(root)
         seen[slot] = 1
-        root = nodes[slot]
-        parents[root] = None
-        root_of[root] = root
-        labels[root] = 0
+        root_of[slot] = slot
+        labels[slot] = 0
         frontier.append(slot)
-    # level by level (FIFO within a level, neighbours in row order): the
-    # visit order of a node-at-a-time queue
     label = 0
     while frontier and (depth_limit is None or label < depth_limit):
         label += 1
         next_frontier: List[int] = []
         for slot in frontier:
-            node = nodes[slot]
-            root = root_of[node]
+            root = root_of[slot]
             for target in targets[offsets[slot]:offsets[slot + 1]]:
                 if not seen[target]:
                     seen[target] = 1
-                    neighbor = nodes[target]
-                    labels[neighbor] = label
-                    parents[neighbor] = node
-                    root_of[neighbor] = root
+                    labels[target] = label
+                    parent[target] = slot
+                    root_of[target] = root
                     next_frontier.append(target)
         frontier = next_frontier
-    return parents, root_of, labels
+    return parent, root_of, labels

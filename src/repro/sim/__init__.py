@@ -13,9 +13,10 @@ One round of the point-to-point network and one slot of the channel take one
 time unit each and are aligned, following the paper's assumption that the
 message delay and the slot length are of the same order of magnitude.
 
-The package also provides the asynchronous point-to-point engine and the
-channel synchronizer of Section 7.1, plus the slotted-from-unslotted
-conversion of Section 7.2.
+The package also provides the channel synchronizer of Section 7.1, which
+runs a synchronous protocol over an asynchronous point-to-point network on
+an integer clock, plus the slotted-from-unslotted conversion of Section
+7.2.
 """
 
 from repro.sim.adversity import (

@@ -285,10 +285,13 @@ class MultimediaNetwork:
                         rounds_used, pending, reason="stalled (no progress)"
                     )
         else:
+            # a run that finishes on exactly its last budgeted round has
+            # finished
             pending = protocol.active_count
             if adversity is None:
-                raise SimulationTimeout(max_rounds, pending)
-            if pending:
+                if pending or network.has_in_flight():
+                    raise SimulationTimeout(max_rounds, pending)
+            elif pending:
                 raise AdversityAbort(budget, pending)
 
         return SimulationResult(

@@ -34,7 +34,6 @@ from typing import Any, Dict, Hashable, List, Optional
 
 from repro.sim.adversity import AdversityState
 from repro.sim.channel import SlottedChannel
-from repro.sim.engine import EventQueue
 from repro.sim.errors import AdversityAbort, SimulationTimeout
 from repro.sim.events import NO_MESSAGES, Message
 from repro.sim.flyweight import FlyweightEnvironment, FlyweightProtocol
@@ -104,9 +103,20 @@ class ChannelSynchronizer:
                 asynchronous time units.
             seed: master seed for delays and per-node random sources.
             n_known: whether nodes are told ``n``.
+
+        Raises:
+            ValueError: if ``max_link_delay`` is not an ``int`` of at least 1
+                (a ``bool`` is refused too).
         """
-        if max_link_delay < 1:
-            raise ValueError("max_link_delay must be at least 1")
+        if (
+            isinstance(max_link_delay, bool)
+            or not isinstance(max_link_delay, int)
+            or max_link_delay < 1
+        ):
+            raise ValueError(
+                f"max_link_delay must be an integer of at least 1, "
+                f"got {max_link_delay!r}"
+            )
         self._graph = graph
         self._max_delay = max_link_delay
         self._seed = seed
@@ -120,14 +130,27 @@ class ChannelSynchronizer:
     ) -> SynchronizerReport:
         """Execute the protocol until every node halts.
 
+        Asynchronous time is an integer clock.  Every delay is an integer in
+        ``[1, max_link_delay]`` and every event is scheduled from an integer
+        time, so the in-flight state is two maps keyed by arrival time: the
+        messages delivered then, in schedule order, and the number of
+        acknowledgements arriving then (an acknowledgement only lowers the
+        busy tone, so a count is enough).  After a pulse the clock walks the
+        due times in order until nothing is in flight; every slot before the
+        last due time carries the busy tone, and the last one is idle and
+        generates the next pulse.  Each delay is drawn with the rejection
+        loop ``randint(1, max_link_delay)`` runs on ``getrandbits``, so the
+        delay stream is the one the seed has always produced.
+
         The busy-tone accounting, the channel resolution point and the
         delay-draw order (acting slots in node order, messages in send
-        order) are fixed by the slot order.  Without adversity, a
-        ``MESSAGE_DRIVEN`` protocol is dispatched only on the slots whose
-        inbox received mail since their last dispatch (the keys of the
-        inbox dict the delivery callback fills, created on first mail and
-        taken whole at each pulse) — profiling e10 at n = 102400 showed
-        ~2 × 10⁸ empty-inbox dispatch calls, which this removes wholesale.
+        order, acknowledgements in delivery order) are fixed by the slot
+        order.  Without adversity, a ``MESSAGE_DRIVEN`` protocol is
+        dispatched only on the slots whose inbox received mail since their
+        last dispatch (the keys of the inbox dict the deliveries fill,
+        created on first mail and taken whole at each pulse) — profiling e10
+        at n = 102400 showed ~2 × 10⁸ empty-inbox dispatch calls, which this
+        removes wholesale.
 
         With an ``adversity`` state attached, the schedule's faults apply at
         this layer's natural seams: a crashed node skips its pulses (its
@@ -136,7 +159,8 @@ class ChannelSynchronizer:
         because its acknowledgement is then never sent, the busy tone stays
         up forever, which the run detects as a deadlock and converts into an
         :class:`~repro.sim.errors.AdversityAbort` instead of spinning — and
-        the pulse budget shrinks to the schedule's round budget.
+        the pulse budget shrinks to the schedule's round budget.  A run that
+        finishes on exactly its last budgeted pulse has finished.
 
         Raises:
             SimulationTimeout: if the pulse budget is exhausted.
@@ -153,7 +177,9 @@ class ChannelSynchronizer:
         # per-node substream family and every seeded synchronizer result
         # depends on it, so it stays a master draw
         master = random.Random(self._seed)
-        delay_rng = random.Random(master.randrange(2**63))
+        getrandbits = random.Random(master.randrange(2**63)).getrandbits
+        max_delay = self._max_delay
+        bits = max_delay.bit_length()
 
         csr = self._graph.csr()
         env = FlyweightEnvironment(
@@ -173,58 +199,47 @@ class ChannelSynchronizer:
         on_round = protocol.on_round
         sends = protocol._sends
         channel_writes = protocol._writes
-        max_delay = self._max_delay
 
-        queue = EventQueue()
         channel = SlottedChannel(
             adversity=adv.channel_adversity() if adv is not None else None
         )
+        # arrival time → the messages delivered then, in schedule order, and
+        # arrival time → the acknowledgements arriving then; every event is
+        # due 1..max_delay after the time it was scheduled at
+        mail_due: Dict[int, List[Message]] = {}
+        acks_due: Dict[int, int] = {}
         # receiver → mail delivered since its last dispatch; an inbox is
         # created on first mail, so the keys are exactly the nodes with mail
         # (the message-driven fast path walks them instead of every node)
         pending_inbox: Dict[NodeId, List[Message]] = {}
-        counters = {"algorithm": 0, "ack": 0, "busy_slots": 0, "unacked": 0}
-        schedule = queue.schedule
+        now = 0
+        algorithm = 0  # messages sent
+        acked = 0  # acknowledgements arrived
+        busy_slots = 0
 
-        def deliver(message: Message) -> None:
-            """Deliver one link message (or lose it) and schedule its ack."""
-            if adv is not None and adv.drop_message(
-                loss_rng, message.sender, message.receiver, pulses
-            ):
-                # lost in transit: never delivered, never acknowledged
-                return
-            inbox = pending_inbox.get(message.receiver)
-            if inbox is None:
-                pending_inbox[message.receiver] = [message]
-            else:
-                inbox.append(message)
-            # acknowledgement travels back over the same link
-            counters["ack"] += 1
-            schedule(delay_rng.randint(1, max_delay), ack)
+        def schedule_sends(node: NodeId, pulse: int, at: int) -> int:
+            """Schedule one slot's queued sends from time ``at``.
 
-        def ack() -> None:
-            """Count one acknowledgement arrival (lowers the busy tone)."""
-            counters["unacked"] -= 1
-
-        def dispatch_sends(node: NodeId, pulse: int) -> None:
-            """Schedule one slot's queued sends and clear the shared buffer.
-
-            Delay draws happen in send order.
+            Delay draws happen in send order.  Clears the shared buffer and
+            returns the number of messages sent.
             """
-            counters["algorithm"] += len(sends)
-            counters["unacked"] += len(sends)
-            randint = delay_rng.randint
             for receiver, payload in sends:
-                schedule(
-                    randint(1, max_delay),
-                    deliver,
-                    _new_tuple(Message, (node, receiver, payload, pulse)),
-                )
+                r = getrandbits(bits)
+                while r >= max_delay:
+                    r = getrandbits(bits)
+                due = at + 1 + r
+                message = _new_tuple(Message, (node, receiver, payload, pulse))
+                bucket = mail_due.get(due)
+                if bucket is None:
+                    mail_due[due] = [message]
+                else:
+                    bucket.append(message)
+            count = len(sends)
             del sends[:]
+            return count
 
         # pulse 0: on_start (deferred past the crash window for a node that
         # starts the run crashed — it joins at its first up pulse)
-        pulses = 0
         started = bytearray(num_slots)
         for slot in range(num_slots):
             if halted[slot]:
@@ -236,41 +251,52 @@ class ChannelSynchronizer:
             started[slot] = 1
             on_start(slot)
             if sends:
-                dispatch_sends(node, 0)
+                algorithm += schedule_sends(node, 0, now)
         pulses = 1
 
         fast_path = adv is None and message_driven
         while pulses < max_pulses:
-            if protocol.active_count == 0 and queue.is_empty():
+            if protocol.active_count == 0 and not mail_due and not acks_due:
                 break
-            # advance asynchronous time one slot at a time; the busy tone is
-            # raised while any message remains unacknowledged or in flight.
-            # Event times are integral (integer delays from integral starts),
-            # so a stretch of slots with no events is uniformly busy and can
-            # be accounted for in one arithmetic jump.
-            while True:
-                if adv is not None and counters["unacked"] > 0 and queue.is_empty():
-                    # a dropped message's acknowledgement will never arrive,
-                    # so the busy tone would stay up forever
-                    raise AdversityAbort(
-                        pulses,
-                        protocol.active_count,
-                        reason="busy-tone deadlock (lost message)",
-                    )
-                next_time = queue.peek_time()
-                if next_time is not None:
-                    dead = int(next_time - queue.now) - 1
-                    if dead > 0:
-                        # the stretch is known event-free, so the clock jumps
-                        # over it in O(1) instead of walking slot by slot
-                        counters["busy_slots"] += dead
-                        queue.fast_forward(queue.now + dead)
-                slot_end = queue.now + 1.0
-                queue.run_until(slot_end)
-                if counters["unacked"] > 0 or not queue.is_empty():
-                    counters["busy_slots"] += 1
-                else:
-                    break
+            # run the clock to the next idle slot, walking the due times in
+            # order: the busy tone is up while anything is in flight
+            start = now
+            while mail_due or acks_due:
+                now = min([*mail_due, *acks_due])
+                delivered = mail_due.pop(now, None)
+                if delivered is not None:
+                    for message in delivered:
+                        receiver = message.receiver
+                        if adv is not None and adv.drop_message(
+                            loss_rng, message.sender, receiver, pulses
+                        ):
+                            # lost in transit: never delivered, never
+                            # acknowledged
+                            continue
+                        inbox = pending_inbox.get(receiver)
+                        if inbox is None:
+                            pending_inbox[receiver] = [message]
+                        else:
+                            inbox.append(message)
+                        # the acknowledgement travels back over the link
+                        r = getrandbits(bits)
+                        while r >= max_delay:
+                            r = getrandbits(bits)
+                        due = now + 1 + r
+                        acks_due[due] = acks_due.get(due, 0) + 1
+                acked += acks_due.pop(now, 0)
+            # the slot of the last due time is idle (with nothing in flight,
+            # the next slot is), and every slot before it is busy
+            now = max(now, start + 1)
+            busy_slots += now - start - 1
+            if acked < algorithm:
+                # nothing is due, yet a dropped message's acknowledgement
+                # will never arrive: the busy tone would stay up forever
+                raise AdversityAbort(
+                    pulses,
+                    protocol.active_count,
+                    reason="busy-tone deadlock (lost message)",
+                )
             # idle slot observed: generate the next pulse
             event = channel.resolve_slot(pulses - 1, channel_writes)
             if channel_writes:
@@ -294,7 +320,7 @@ class ChannelSynchronizer:
                         node = slot if labels is None else labels[slot]
                         on_round(slot, mail[node], public)
                         if sends:
-                            dispatch_sends(node, pulses)
+                            algorithm += schedule_sends(node, pulses, now)
             else:
                 for slot in range(num_slots):
                     if halted[slot]:
@@ -311,26 +337,29 @@ class ChannelSynchronizer:
                             if node in pending_inbox:
                                 on_round(slot, pending_inbox.pop(node), public)
                             if sends:
-                                dispatch_sends(node, pulses)
+                                algorithm += schedule_sends(node, pulses, now)
                             continue
                     if node in pending_inbox:
                         on_round(slot, pending_inbox.pop(node), public)
                     elif not message_driven:
                         on_round(slot, NO_MESSAGES, public)
                     if sends:
-                        dispatch_sends(node, pulses)
+                        algorithm += schedule_sends(node, pulses, now)
             pulses += 1
         else:
             pending = protocol.active_count
-            if adv is not None:
-                raise AdversityAbort(max_pulses, pending)
-            raise SimulationTimeout(max_pulses, pending)
+            if pending or mail_due or acks_due:
+                if adv is not None:
+                    raise AdversityAbort(max_pulses, pending)
+                raise SimulationTimeout(max_pulses, pending)
 
         return SynchronizerReport(
             pulses=pulses,
-            asynchronous_time=queue.now,
-            algorithm_messages=counters["algorithm"],
-            ack_messages=counters["ack"],
-            busy_tone_slots=counters["busy_slots"],
+            asynchronous_time=float(now),
+            algorithm_messages=algorithm,
+            # the run ends with nothing in flight: every acknowledgement
+            # sent has arrived
+            ack_messages=acked,
+            busy_tone_slots=busy_slots,
             results=protocol.results_by_node(),
         )

@@ -266,6 +266,8 @@ def _stitch_components(n: int, edge_u: array, edge_v: array, positions) -> Weigh
                     if best is None or dist < best[0]:
                         best = (dist, u, v)
         assert best is not None
+        # the graph just built may share these columns as its canonical
+        # ones; it is dropped here, before they grow
         edge_u.append(best[1])
         edge_v.append(best[2])
 

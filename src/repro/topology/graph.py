@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import numbers
 from array import array
+from itertools import islice
+from operator import le, lt
 from typing import (
     Dict,
     Hashable,
@@ -167,7 +169,9 @@ class CSRView:
     the order the edges at ``i`` appeared in the stream the graph was built
     from, and :meth:`WeightedGraph.neighbors` yields exactly that row.  The
     view is never modified after construction, so every derived column
-    (:meth:`canonical_edges`, :meth:`is_connected`) is cached on it.
+    (:meth:`canonical_edges`, :meth:`is_connected`) is cached on it; a view
+    built from a canonical stream starts with that stream as its canonical
+    columns.
     """
 
     __slots__ = (
@@ -191,6 +195,7 @@ class CSRView:
         nodes: Sequence[NodeId],
         index_of: Optional[Dict[NodeId, int]],
         identity: bool,
+        canonical: Optional[Tuple[array, array, array]] = None,
     ) -> None:
         """Bind the column arrays; built by the graph, not by callers."""
         self.n = n
@@ -200,7 +205,7 @@ class CSRView:
         self.nodes = nodes
         self.index_of = index_of
         self.identity = identity
-        self._canonical: Optional[Tuple[array, array, array]] = None
+        self._canonical = canonical
         self._connected: Optional[bool] = None
 
     @property
@@ -269,8 +274,11 @@ class CSRView:
         One entry per undirected edge, endpoints as slot indices with
         ``edge_u[j] < edge_v[j]``, in exactly the order
         :meth:`WeightedGraph.edges` enumerates (by first endpoint's slot,
-        then row order).  Computed once per view and cached, so repeated consumers
-        (weight assignment, the partition scan builders) share the arrays.
+        then row order).  A graph built from a canonical edge stream (see
+        :meth:`WeightedGraph._from_csr_edges`) already holds them; otherwise
+        they are computed once per view by a scan of the rows.  Either way
+        they are cached, so repeated consumers (weight assignment, the
+        partition scan builders) share the arrays and must not modify them.
         """
         if self._canonical is None:
             offsets = self.offsets
@@ -355,6 +363,11 @@ class CSRView:
         return nbr, weight, back
 
 
+def _column(typecode: str, values: Sequence) -> array:
+    """Return ``values`` as an ``array(typecode)``, shared when it already is one."""
+    if type(values) is array and values.typecode == typecode:
+        return values
+    return array(typecode, values)
 
 
 class WeightedGraph:
@@ -403,6 +416,16 @@ class WeightedGraph:
         stream order, so node ``i``'s row lists its edges in the order they
         appear in the stream, and :meth:`total_weight` is the stream-order
         sum of the weights.
+
+        A *canonical* stream — ``edge_u`` nondecreasing and
+        ``edge_u[j] < edge_v[j]`` — is exactly the
+        :meth:`CSRView.canonical_edges` order of the graph it builds, so the
+        view keeps the stream as its canonical columns instead of scanning
+        the rows for them later (unit weights become an all-``1.0``
+        column).  Every reweighted copy emits a canonical stream, and so do
+        the path, complete, grid and hypercube generators.  Columns that are
+        already ``array('q')``/``array('d')`` are shared, not copied, so the
+        caller must not modify them after the build.
         """
         m = len(edge_u)
         degree = array("q", bytes(8 * n)) if n else array("q")
@@ -445,12 +468,27 @@ class WeightedGraph:
                 weights[cv] = w
                 cursor[v] = cv + 1
                 total += w
+        canonical = None
+        if all(map(lt, edge_u, edge_v)) and all(
+            map(le, edge_u, islice(edge_u, 1, None))
+        ):
+            canonical = (
+                _column("q", edge_u),
+                _column("q", edge_v),
+                array("d", [1.0]) * m
+                if edge_weights is None
+                else _column("d", edge_weights),
+            )
         if nodes is None:
-            view = CSRView(n, offsets, targets, weights, range(n), None, True)
+            view = CSRView(
+                n, offsets, targets, weights, range(n), None, True, canonical
+            )
         else:
             if index_of is None:
                 index_of = {node: i for i, node in enumerate(nodes)}
-            view = CSRView(n, offsets, targets, weights, nodes, index_of, False)
+            view = CSRView(
+                n, offsets, targets, weights, nodes, index_of, False, canonical
+            )
         graph = cls.__new__(cls)
         graph._bind(view, total)
         return graph

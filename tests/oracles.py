@@ -341,6 +341,43 @@ def per_node(factory: Callable[[NodeContext], NodeProtocol],
     return functools.partial(PerNode, factory=factory, extras=extras or {})
 
 
+def bfs_maps(graph, columns) -> Tuple[Dict, Dict, Dict]:
+    """Turn ``build_bfs_forest``'s slot columns into node-keyed maps.
+
+    Returns ``(parents, root_of, labels)`` — parent node (``None`` at a
+    root), root node and hop label — over the labelled nodes only, in the
+    visit order of a level-by-level BFS: the roots in ``repr`` order, then
+    level by level, each node's children in its row order.  That is the
+    order a node-at-a-time queue visits them in, and the order the parent
+    and children inputs of the oracles are built in.
+    """
+    parent, root, label = columns
+    csr = graph.csr()
+    nodes, offsets, targets = csr.nodes, csr.offsets, csr.targets
+    level = sorted(
+        (slot for slot in range(csr.n) if label[slot] == 0),
+        key=lambda slot: repr(nodes[slot]),
+    )
+    visit: List[int] = []
+    while level:
+        visit.extend(level)
+        level = [
+            target
+            for slot in level
+            for target in targets[offsets[slot]:offsets[slot + 1]]
+            if parent[target] == slot
+        ]
+    assert len(visit) == sum(1 for value in label if value >= 0)
+    return (
+        {
+            nodes[slot]: nodes[parent[slot]] if parent[slot] >= 0 else None
+            for slot in visit
+        },
+        {nodes[slot]: nodes[root[slot]] for slot in visit},
+        {nodes[slot]: label[slot] for slot in visit},
+    )
+
+
 # ----------------------------------------------------------------------
 # the per-node twins of the library's flyweights, plus distributed BFS
 # ----------------------------------------------------------------------

@@ -271,9 +271,9 @@ class TestJamAccounting:
 # bounded aborts: the adversary can wedge a run, never hang it
 # ----------------------------------------------------------------------
 def _aggregation(graph, root):
-    parents, _, _ = build_bfs_forest(graph, [root])
+    parent, _, _ = build_bfs_forest(graph, [root])
     return TreeAggregationFlyweight.over(
-        SpanningForest.on_graph(graph, parents),
+        SpanningForest(graph.csr().nodes, parent),
         dict.fromkeys(graph.nodes(), 1),
         lambda a, b: a + b,
     )

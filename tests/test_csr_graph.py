@@ -13,14 +13,17 @@ existing suites.
 from __future__ import annotations
 
 import random
+from array import array
 
 import pytest
 
+from repro.experiments.harness import make_topology
 from repro.topology.generators import (
     barabasi_albert_graph,
     erdos_renyi_graph,
     grid_graph,
     path_graph,
+    ring_graph,
 )
 from repro.topology.graph import WeightedGraph, is_identity_enumeration
 from repro.topology.properties import breadth_first_levels
@@ -186,6 +189,92 @@ class TestGeneratorBuiltGraphs:
         graph.relabeled({node: f"v{node}" for node in graph.nodes()})
         assert (graph.nodes(), graph.edges(), csr_as_adjacency(graph)) == before
         assert graph.total_weight() == 12.0
+
+
+def scan_canonical_edges(csr):
+    """The canonical edge columns, read off the CSR rows independently of
+    the view: every entry to a higher slot, by slot, in row order."""
+    edge_u, edge_v, edge_w = [], [], []
+    for u in range(csr.n):
+        for k in range(csr.offsets[u], csr.offsets[u + 1]):
+            if csr.targets[k] > u:
+                edge_u.append(u)
+                edge_v.append(csr.targets[k])
+                edge_w.append(csr.weights[k])
+    return edge_u, edge_v, edge_w
+
+
+def assert_canonical_matches_scan(graph):
+    columns = graph.csr().canonical_edges()
+    assert [column.typecode for column in columns] == ["q", "q", "d"]
+    assert tuple(map(list, columns)) == scan_canonical_edges(graph.csr())
+
+
+CANONICAL_CASES = {
+    **{
+        kind: (lambda kind=kind: make_topology(kind, 120, seed=4))
+        for kind in ("grid", "ring", "geometric", "scale_free", "ad_hoc")
+    },
+    # unit weights, and the stream's wrap-around edge (n - 1, 0) is not
+    # canonical
+    "ring_graph": lambda: ring_graph(9),
+    # every edge is (new node, older node): a non-canonical stream
+    "barabasi_albert": lambda: barabasi_albert_graph(80, 2, seed=3),
+    "grid_graph": lambda: grid_graph(5, 7),
+    "path_graph": lambda: path_graph(6),
+    "from_edges_canonical": lambda: WeightedGraph.from_edges(
+        [(0, 1, 4), (0, 3, 2.5), (1, 2, 1), (2, 3, 7)]
+    ),
+    "from_edges_reversed": lambda: WeightedGraph.from_edges(
+        [(1, 0, 4), (2, 1, 1), (3, 2, 7), (3, 0, 2.5)]
+    ),
+    "from_edges_unsorted": lambda: WeightedGraph.from_edges(
+        [(1, 2), (0, 3), (0, 1), (2, 3)]
+    ),
+    "from_edges_labelled": lambda: WeightedGraph.from_edges(
+        [("a", "b", 3.0), ("a", "c", 1.0), ("c", "b", 2.0)], nodes=["a", "b", "c"]
+    ),
+}
+
+
+class TestCanonicalColumns:
+    """``canonical_edges`` kept from a canonical build stream, or scanned
+    from the rows otherwise, is always what a scan of the rows reads."""
+
+    @pytest.mark.parametrize("name", sorted(CANONICAL_CASES))
+    def test_matches_a_scan_of_the_rows(self, name):
+        graph = CANONICAL_CASES[name]()
+        assert_canonical_matches_scan(graph)
+        assert_canonical_matches_scan(assign_distinct_weights(graph, seed=5))
+
+    def test_a_canonical_stream_becomes_the_columns(self):
+        edge_u = array("q", [0, 0, 1, 2])
+        edge_v = array("q", [1, 3, 2, 3])
+        edge_w = array("d", [4.0, 2.5, 1.0, 7.0])
+        columns = WeightedGraph._from_csr_edges(4, edge_u, edge_v, edge_w).csr().canonical_edges()
+        assert columns[0] is edge_u and columns[1] is edge_v and columns[2] is edge_w
+
+    def test_unit_weight_stream_gets_a_unit_weight_column(self):
+        graph = WeightedGraph._from_csr_edges(3, [0, 1], [1, 2])
+        edge_u, edge_v, edge_w = graph.csr().canonical_edges()
+        assert (list(edge_u), list(edge_v), list(edge_w)) == ([0, 1], [1, 2], [1.0, 1.0])
+        assert edge_u.typecode == "q" and edge_w.typecode == "d"
+
+    @pytest.mark.parametrize(
+        "edge_u, edge_v",
+        (([1, 0], [2, 1]), ([0, 2], [1, 1]), ([0, 1, 0], [1, 2, 2])),
+        ids=("u_decreases", "u_above_v", "u_not_sorted"),
+    )
+    def test_a_non_canonical_stream_is_not_kept(self, edge_u, edge_v):
+        graph = WeightedGraph._from_csr_edges(3, array("q", edge_u), array("q", edge_v))
+        assert graph.csr().canonical_edges()[0] != array("q", edge_u)
+        assert_canonical_matches_scan(graph)
+
+    def test_reweighting_shares_the_source_endpoints(self):
+        graph = grid_graph(4, 4)
+        source_u, source_v, _ = graph.csr().canonical_edges()
+        copy_u, copy_v, _ = assign_distinct_weights(graph, seed=1).csr().canonical_edges()
+        assert copy_u is source_u and copy_v is source_v
 
 
 class TestDegenerateShapes:

@@ -21,6 +21,7 @@ from oracles import (
     GreenbergLadnerEstimator,
     RandomizedLeaderElection,
     TreeAggregationProtocol,
+    bfs_maps,
     per_node,
 )
 from repro.core.partition.forest import SpanningForest
@@ -50,7 +51,8 @@ def aggregation_factories(graph, redistribute):
     dispatch or delivery order shows up in the results.
     """
     root = min(graph.nodes())
-    parents, _, _ = build_bfs_forest(graph, [root])
+    columns = build_bfs_forest(graph, [root])
+    parents, _, _ = bfs_maps(graph, columns)
     children = children_map(parents)
 
     def concat(a, b):
@@ -70,7 +72,7 @@ def aggregation_factories(graph, redistribute):
     return (
         per_node(TreeAggregationProtocol, extras),
         TreeAggregationFlyweight.over(
-            SpanningForest.on_graph(graph, parents), values, concat, redistribute
+            SpanningForest(graph.csr().nodes, columns[0]), values, concat, redistribute
         ),
     )
 
@@ -202,7 +204,9 @@ class TestBFSOracle:
         result = MultimediaNetwork(graph, seed=3).run(
             per_node(BFSTreeProtocol, inputs)
         )
-        parents, root_of, labels = build_bfs_forest(graph, roots, depth_limit)
+        parents, root_of, labels = bfs_maps(
+            graph, build_bfs_forest(graph, roots, depth_limit)
+        )
         for node, state in result.results.items():
             assert state["label"] == labels.get(node)
             assert state["root"] == root_of.get(node)
@@ -264,7 +268,7 @@ class TestCSREnvironment:
 
     def test_forest_must_follow_the_slot_order(self):
         graph = make_topology("grid", 9, seed=11)
-        parents, _, _ = build_bfs_forest(graph, [0])
+        parents, _, _ = bfs_maps(graph, build_bfs_forest(graph, [0]))
         # the BFS visit order is a valid forest but not the slot order
         shuffled = SpanningForest.from_parent_map(parents)
         factory = TreeAggregationFlyweight.over(

@@ -7,7 +7,6 @@ import pytest
 from repro.core.partition.forest import SpanningForest
 from repro.core.partition.validation import validate_partition
 from repro.topology.generators import grid_graph, path_graph
-from repro.topology.graph import WeightedGraph
 from repro.topology.weights import assign_distinct_weights
 
 
@@ -81,13 +80,14 @@ class TestSpanningForest:
         assert forest.core_slots == (2, 1)
         assert forest.root == (2, 1, 2, 1, 2)
 
-    def test_on_graph_uses_the_slot_order(self):
-        graph = WeightedGraph.from_edges([("b", "a"), ("a", "c")])
-        forest = SpanningForest.on_graph(graph, {"c": "a", "a": None, "b": "a"})
-        assert forest.nodes == graph.csr().nodes
-        assert forest.parent == (1, -1, 1)
-        with pytest.raises(ValueError):
-            SpanningForest.on_graph(graph, {"a": None})
+    @pytest.mark.parametrize("bad", (-2, -5))
+    def test_parent_below_minus_one_rejected(self, bad):
+        # -1 is the only root marker: any other negative slot is garbage,
+        # not a second way to spell a core
+        with pytest.raises(ValueError, match="out of range"):
+            SpanningForest(range(3), [bad, 0, 1])
+        with pytest.raises(ValueError, match="out of range"):
+            SpanningForest(range(3), [-1, bad, 1])
 
 
 class TestValidatePartition:

@@ -9,10 +9,11 @@ from typing import List
 import pytest
 
 from oracles import NodeProtocol, per_node
+from repro.experiments.e10_model_variations import _count_nodes
 from repro.sim.errors import ProtocolError, SimulationTimeout
 from repro.sim.events import ChannelEvent, Message
 from repro.sim.multimedia import MultimediaNetwork
-from repro.topology.generators import complete_graph, path_graph, ring_graph
+from repro.topology.generators import complete_graph, grid_graph, path_graph, ring_graph
 
 
 class FloodMax(NodeProtocol):
@@ -95,6 +96,20 @@ class TestMultimediaNetwork:
         network = MultimediaNetwork(path_graph(3))
         with pytest.raises(SimulationTimeout):
             network.run(per_node(NeverHalts), max_rounds=20)
+
+    def test_run_finishing_on_its_last_round_returns(self):
+        graph = grid_graph(4, 4)
+        count = _count_nodes(graph, 0)
+        unbounded = MultimediaNetwork(graph, seed=1).run(count)
+        budget = unbounded.rounds
+        assert budget == 13
+        on_budget = MultimediaNetwork(graph, seed=1).run(count, max_rounds=budget)
+        assert on_budget.rounds == budget
+        assert on_budget.results == unbounded.results
+        assert on_budget.metrics == unbounded.metrics
+        with pytest.raises(SimulationTimeout) as short:
+            MultimediaNetwork(graph, seed=1).run(count, max_rounds=budget - 1)
+        assert short.value.rounds == budget - 1 and short.value.pending > 0
 
     def test_two_messages_on_one_link_rejected(self):
         network = MultimediaNetwork(path_graph(2))

@@ -2,10 +2,12 @@
 
 import pytest
 
-from oracles import TreeAggregationProtocol, per_node
+from oracles import TreeAggregationProtocol, bfs_maps, per_node
+from repro.experiments.e10_model_variations import _count_nodes
 from repro.protocols.spanning.bfs import build_bfs_forest
 from repro.protocols.spanning.tree_utils import children_map
-from repro.sim.engine import EventQueue
+from repro.sim.adversity import adversity_state
+from repro.sim.errors import AdversityAbort, SimulationTimeout
 from repro.sim.multimedia import MultimediaNetwork
 from repro.sim.slotting import (
     UnslottedChannel,
@@ -17,7 +19,7 @@ from repro.topology.generators import grid_graph
 
 
 def _sum_inputs(graph, root):
-    parents, _, _ = build_bfs_forest(graph, [root])
+    parents, _, _ = bfs_maps(graph, build_bfs_forest(graph, [root]))
     children = children_map(parents)
     return {
         node: {
@@ -29,52 +31,6 @@ def _sum_inputs(graph, root):
         }
         for node in graph.nodes()
     }
-
-
-class TestEventQueue:
-    def test_events_run_in_time_order(self):
-        queue = EventQueue()
-        seen = []
-        queue.schedule(5, lambda: seen.append("late"))
-        queue.schedule(1, lambda: seen.append("early"))
-        queue.run_all()
-        assert seen == ["early", "late"]
-        assert queue.now == 5
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            EventQueue().schedule(-1, lambda: None)
-
-    def test_run_until(self):
-        queue = EventQueue()
-        seen = []
-        queue.schedule(1, lambda: seen.append(1))
-        queue.schedule(3, lambda: seen.append(3))
-        queue.run_until(2)
-        assert seen == [1]
-
-    def test_fast_forward_jumps_event_free_stretch(self):
-        queue = EventQueue()
-        seen = []
-        queue.schedule(10, lambda: seen.append(10))
-        queue.fast_forward(9.0)
-        assert queue.now == 9.0
-        assert seen == []
-        queue.run_all()
-        assert seen == [10]
-
-    def test_fast_forward_refuses_to_skip_events(self):
-        queue = EventQueue()
-        queue.schedule(2, lambda: None)
-        with pytest.raises(ValueError):
-            queue.fast_forward(2.0)
-
-    def test_fast_forward_refuses_past(self):
-        queue = EventQueue()
-        queue.schedule(1, lambda: None)
-        queue.run_all()
-        with pytest.raises(ValueError):
-            queue.fast_forward(0.5)
 
 
 class TestChannelSynchronizer:
@@ -103,6 +59,45 @@ class TestChannelSynchronizer:
     def test_invalid_delay_rejected(self):
         with pytest.raises(ValueError):
             ChannelSynchronizer(grid_graph(2, 2), max_link_delay=0)
+
+    @pytest.mark.parametrize(
+        "delay", (0, -3, 2.5, 3.0, "3", True, False, None), ids=repr
+    )
+    def test_delay_must_be_a_positive_int(self, delay):
+        with pytest.raises(ValueError, match=f"got {delay!r}"):
+            ChannelSynchronizer(grid_graph(2, 2), max_link_delay=delay)
+
+    def test_run_finishing_on_its_last_pulse_returns(self):
+        graph = grid_graph(4, 4)
+        unbounded = ChannelSynchronizer(graph, seed=1).run(_count_nodes(graph, 0))
+        budget = unbounded.pulses
+        assert budget == 13
+        on_budget = ChannelSynchronizer(graph, seed=1).run(
+            _count_nodes(graph, 0), max_pulses=budget
+        )
+        assert on_budget == unbounded
+        with pytest.raises(SimulationTimeout) as short:
+            ChannelSynchronizer(graph, seed=1).run(
+                _count_nodes(graph, 0), max_pulses=budget - 1
+            )
+        assert short.value.rounds == budget - 1 and short.value.pending > 0
+
+    def test_run_finishing_on_its_last_pulse_returns_under_adversity(self):
+        graph = grid_graph(4, 4)
+
+        def run(**budget):
+            return ChannelSynchronizer(graph, seed=1).run(
+                _count_nodes(graph, 0),
+                adversity=adversity_state("jam", "budget", 16),
+                **budget,
+            )
+
+        unbounded = run()
+        assert run(max_pulses=unbounded.pulses) == unbounded
+        with pytest.raises(AdversityAbort) as short:
+            run(max_pulses=unbounded.pulses - 1)
+        assert short.value.rounds == unbounded.pulses - 1
+        assert short.value.pending > 0
 
 
 class TestSlottedFromUnslotted:

@@ -4,7 +4,7 @@ from collections import deque
 
 import pytest
 
-from oracles import BFSTreeProtocol, TreeAggregationProtocol, per_node
+from oracles import BFSTreeProtocol, TreeAggregationProtocol, bfs_maps, per_node
 from repro.core.partition.forest import SpanningForest
 from repro.protocols.spanning.bfs import build_bfs_forest
 from repro.protocols.spanning.tree_utils import children_map, node_depths, reroot
@@ -65,20 +65,20 @@ def queue_bfs_forest(graph, roots, depth_limit=None):
 class TestBuildBFSForest:
     def test_single_root_matches_reference_levels(self):
         graph = grid_graph(4, 4)
-        parents, root_of, labels = build_bfs_forest(graph, [0])
+        parents, root_of, labels = bfs_maps(graph, build_bfs_forest(graph, [0]))
         assert labels == breadth_first_levels(graph, 0)
         assert set(root_of.values()) == {0}
         assert SpanningForest.from_parent_map(parents).cores == [0]
 
     def test_multi_root_assigns_nearest(self):
         graph = path_graph(9)
-        parents, root_of, labels = build_bfs_forest(graph, [0, 8])
+        parents, root_of, labels = bfs_maps(graph, build_bfs_forest(graph, [0, 8]))
         assert root_of[1] == 0 and root_of[7] == 8
         assert labels[4] == 4
 
     def test_depth_limit(self):
         graph = path_graph(10)
-        _, _, labels = build_bfs_forest(graph, [0], depth_limit=3)
+        _, _, labels = bfs_maps(graph, build_bfs_forest(graph, [0], depth_limit=3))
         assert max(labels.values()) == 3
         assert 9 not in labels
 
@@ -98,7 +98,7 @@ class TestBuildBFSForest:
         nodes = graph.nodes()
         roots = nodes[:: len(nodes) // num_roots][:num_roots]
         expected = queue_bfs_forest(graph, roots, depth_limit)
-        actual = build_bfs_forest(graph, roots, depth_limit)
+        actual = bfs_maps(graph, build_bfs_forest(graph, roots, depth_limit))
         for got, want in zip(actual, expected):
             # same entries, parents included, inserted in the same order
             assert list(got.items()) == list(want.items())
@@ -108,9 +108,18 @@ class TestBuildBFSForest:
         graph = graph.relabeled({node: f"n{node:02d}" for node in graph.nodes()})
         roots = ["n07", "n31", "n00"]
         expected = queue_bfs_forest(graph, roots)
-        actual = build_bfs_forest(graph, roots)
+        actual = bfs_maps(graph, build_bfs_forest(graph, roots))
         for got, want in zip(actual, expected):
             assert list(got.items()) == list(want.items())
+
+    def test_returns_slot_columns(self):
+        graph = path_graph(6)
+        parent, root, label = build_bfs_forest(graph, [1], depth_limit=3)
+        assert [column.typecode for column in (parent, root, label)] == ["q"] * 3
+        # node 5 is beyond the depth limit: -1 in every column
+        assert list(parent) == [1, -1, 1, 2, 3, -1]
+        assert list(root) == [1, 1, 1, 1, 1, -1]
+        assert list(label) == [1, 0, 1, 2, 3, -1]
 
     def test_requires_valid_roots(self):
         graph = path_graph(3)
@@ -147,7 +156,7 @@ class TestBFSTreeProtocol:
 class TestBroadcastConvergecast:
     def test_protocol_aggregates_sum_on_grid(self):
         graph = grid_graph(4, 4)
-        parents, _, _ = build_bfs_forest(graph, [0])
+        parents, _, _ = bfs_maps(graph, build_bfs_forest(graph, [0]))
         children = children_map(parents)
         inputs = {
             node: {
@@ -166,7 +175,7 @@ class TestBroadcastConvergecast:
 
     def test_protocol_without_redistribution_only_root_knows(self):
         graph = path_graph(5)
-        parents, _, _ = build_bfs_forest(graph, [0])
+        parents, _, _ = bfs_maps(graph, build_bfs_forest(graph, [0]))
         children = children_map(parents)
         inputs = {
             node: {
