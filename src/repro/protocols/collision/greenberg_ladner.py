@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Hashable, List, Optional
+from typing import Hashable, Iterable, List, Mapping, Optional
 
 from repro.sim.channel import SlottedChannel
 from repro.sim.events import ChannelEvent, Message
@@ -118,17 +118,26 @@ class GreenbergLadnerFlyweight(FlyweightProtocol):
         if rng.random() < 1.0 / (2.0 ** self._round[slot]):
             self.channel_write(self.env.nodes[slot], "busy")
 
-    def on_start(self, slot: int) -> None:
-        """Flip the round-1 coin for ``slot``."""
-        self._flip_and_maybe_write(slot)
+    def on_start(self, slots: Iterable[int]) -> None:
+        """Flip the round-1 coin for each slot."""
+        halted = self.halted
+        for slot in slots:
+            if not halted[slot]:
+                self._flip_and_maybe_write(slot)
 
-    def on_round(self, slot: int, inbox: List[Message], channel: ChannelEvent) -> None:
+    def on_round(self, slots: Iterable[int], inboxes: Mapping[int, List[Message]],
+                 channel: ChannelEvent) -> None:
         """Halt on the first idle slot, otherwise advance and flip again."""
-        if channel.is_idle() and channel.slot >= 0:
-            rounds = self._round[slot]
-            self.halt_slot(
-                slot, MultiplicityEstimate(rounds=rounds, estimate=2 ** (rounds - 1))
-            )
-            return
-        self._round[slot] += 1
-        self._flip_and_maybe_write(slot)
+        halted = self.halted
+        rounds = self._round
+        done = channel.is_idle() and channel.slot >= 0
+        for slot in slots:
+            if halted[slot]:
+                continue
+            if done:
+                self.halt_slot(slot, MultiplicityEstimate(
+                    rounds=rounds[slot], estimate=2 ** (rounds[slot] - 1)
+                ))
+            else:
+                rounds[slot] += 1
+                self._flip_and_maybe_write(slot)

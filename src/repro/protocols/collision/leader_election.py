@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Hashable, List, Optional, Sequence
+from typing import Hashable, Iterable, List, Mapping, Optional, Sequence
 
 from repro.sim.channel import SlottedChannel
 from repro.sim.events import ChannelEvent, Message
@@ -127,15 +127,27 @@ class RandomizedLeaderElectionFlyweight(FlyweightProtocol):
             self.channel_write(node, node)
             self._transmitted[slot] = 1
 
-    def on_start(self, slot: int) -> None:
-        """Flip the first coin for ``slot``."""
-        self._flip(slot)
+    def on_start(self, slots: Iterable[int]) -> None:
+        """Flip the first coin for each slot."""
+        halted = self.halted
+        for slot in slots:
+            if not halted[slot]:
+                self._flip(slot)
 
-    def on_round(self, slot: int, inbox: List[Message], channel: ChannelEvent) -> None:
+    def on_round(self, slots: Iterable[int], inboxes: Mapping[int, List[Message]],
+                 channel: ChannelEvent) -> None:
         """Halt on a success; withdraw non-transmitters on a collision."""
-        if channel.is_success():
-            self.halt_slot(slot, channel.payload)
-            return
-        if channel.is_collision() and self._candidate[slot] and not self._transmitted[slot]:
-            self._candidate[slot] = 0
-        self._flip(slot)
+        halted = self.halted
+        candidate = self._candidate
+        transmitted = self._transmitted
+        success = channel.is_success()
+        collision = channel.is_collision()
+        for slot in slots:
+            if halted[slot]:
+                continue
+            if success:
+                self.halt_slot(slot, channel.payload)
+                continue
+            if collision and candidate[slot] and not transmitted[slot]:
+                candidate[slot] = 0
+            self._flip(slot)

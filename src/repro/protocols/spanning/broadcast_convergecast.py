@@ -21,7 +21,11 @@ from __future__ import annotations
 
 import functools
 from array import array
-from typing import TYPE_CHECKING, Any, Callable, Hashable, List, Mapping
+from collections import Counter
+from itertools import filterfalse, repeat
+from typing import (
+    TYPE_CHECKING, Any, Callable, Hashable, Iterable, List, Mapping, Sequence,
+)
 
 from repro.sim.events import ChannelEvent, Message
 from repro.sim.flyweight import FlyweightEnvironment, FlyweightProtocol
@@ -46,16 +50,17 @@ class TreeAggregationFlyweight(FlyweightProtocol):
     Output (``results``): the tree aggregate for roots (and for every node
     when ``redistribute`` is set); ``None`` otherwise.
 
-    The per-node state lives in slot-indexed columns: the pending-children
-    counts in an ``array('l')``, the reported flags in a ``bytearray``, the
-    accumulators in one list; the parent column is the forest's own.
+    The per-node state lives in slot-indexed columns: the children and
+    pending-children counts in ``array('l')`` columns, the reported flags in
+    a ``bytearray``, the accumulators in one list; the parent column is the
+    forest's own.
 
     The protocol is message-driven (a node with an empty inbox can never
     change state: it either already reported or is waiting for mail), so
-    without adversity the simulator loops dispatch only slots with mail — the property
-    that makes n = 10⁵ aggregations cost O(messages), not
-    O(rounds × nodes).  Each child reports at most once and only true
-    children report, so the pending counts need no per-sender check.
+    the simulator loops dispatch only slots with mail — the property that
+    makes n = 10⁵ aggregations cost O(messages), not O(rounds × nodes).
+    Each child reports at most once and only true children report, so the
+    pending counts need no per-sender check.
     """
 
     MESSAGE_DRIVEN = True
@@ -104,61 +109,94 @@ class TreeAggregationFlyweight(FlyweightProtocol):
                 "the forest must enumerate the simulated graph's nodes in slot order"
             )
         parent = forest.parent
-        pending = array("l", [0]) * env.num_slots
-        for up in parent:
-            if up >= 0:
-                pending[up] += 1
+        children = Counter(parent)
+        pending = array("l", map(children.get, range(env.num_slots), repeat(0)))
         self._nodes = nodes
         self._parent = parent
+        self._children = array("l", pending)
         self._pending = pending
-        self._acc: List[Any] = [values[node] for node in nodes]
+        self._acc: List[Any] = list(map(values.__getitem__, nodes))
         self._redistribute = redistribute
         self._reported = bytearray(env.num_slots)
         self._combine = combine
 
     def _send_down(self, slot: int, final: tuple) -> None:
-        """Send ``final`` to this slot's children, in CSR row order."""
+        """Send ``final`` to this slot's children (it has some), in CSR row order."""
+        left = self._children[slot]
         csr = self.env.csr
         nodes = self._nodes
         parent = self._parent
-        send = self.send
+        send = self._sends.append
         for target in csr.targets[csr.offsets[slot]:csr.offsets[slot + 1]]:
             if parent[target] == slot:
-                send(nodes[target], final)
+                send((slot, nodes[target], final))
+                left -= 1
+                if not left:
+                    return
 
-    def _report(self, slot: int) -> None:
-        """Send this slot's aggregate up (or, for a root, resolve its tree)."""
-        self._reported[slot] = 1
-        up = self._parent[slot]
-        if up >= 0:
-            self.send(self._nodes[up], ("aggregate", self._acc[slot]))
-            if not self._redistribute:
-                self.halt_slot(slot, None)
-        else:
-            if self._redistribute:
-                self._send_down(slot, ("final", self._acc[slot]))
-            self.halt_slot(slot, self._acc[slot])
-
-    def on_start(self, slot: int) -> None:
+    def on_start(self, slots: Iterable[int]) -> None:
         """Leaves (no pending children) report immediately."""
-        if not self._pending[slot]:
-            self._report(slot)
+        self._fold(filterfalse(self._pending.__getitem__, slots), {})
 
-    def on_round(self, slot: int, inbox: List[Message],
+    def on_round(self, slots: Iterable[int],
+                 inboxes: Mapping[int, Sequence[Message]],
                  channel: ChannelEvent) -> None:
-        """Fold child reports into the accumulator; forward a final value down."""
+        """Fold child reports into the accumulators; forward final values down."""
+        self._fold(slots, inboxes)
+
+    def _fold(self, slots: Iterable[int],
+              inboxes: Mapping[int, Sequence[Message]]) -> None:
+        """Fold each slot's mail, then report every slot that heard all children.
+
+        A non-root reports its aggregate to its parent (and halts, unless the
+        aggregate is redistributed); a root resolves its tree.  A final
+        value is passed on to the children, and the slot halts with it.
+        """
+        halted = self.halted
+        results = self.results
         pending = self._pending
-        for message in inbox:
-            kind, payload = message.payload
-            if kind == "aggregate":
-                pending[slot] -= 1
-                self._acc[slot] = self._combine(self._acc[slot], payload)
-            else:  # "final"
-                self._send_down(slot, ("final", payload))
-                self.halt_slot(slot, payload)
-                return
-        if not (pending[slot] or self._reported[slot]):
-            self._report(slot)
+        children = self._children
+        acc = self._acc
+        combine = self._combine
+        reported = self._reported
+        parent = self._parent
+        nodes = self._nodes
+        send = self._sends.append
+        halt_on_report = not self._redistribute
+        # halt_slot inlined: ``halts`` settles active_count at the end
+        halts = 0
+        for slot in slots:
+            if halted[slot]:
+                continue
+            for message in inboxes.get(slot, ()):
+                payload = message[2]
+                kind, value = payload
+                if kind == "aggregate":
+                    pending[slot] -= 1
+                    acc[slot] = combine(acc[slot], value)
+                else:  # "final"
+                    if children[slot]:
+                        self._send_down(slot, payload)
+                    halted[slot] = 1
+                    results[slot] = value
+                    halts += 1
+                    break
+            else:
+                if pending[slot] or reported[slot]:
+                    continue
+                reported[slot] = 1
+                up = parent[slot]
+                if up < 0:
+                    if children[slot] and not halt_on_report:
+                        self._send_down(slot, ("final", acc[slot]))
+                    self.halt_slot(slot, acc[slot])
+                    continue
+                send((slot, nodes[up], ("aggregate", acc[slot])))
+                if halt_on_report:
+                    # a reporting non-root halts with None
+                    halted[slot] = 1
+                    halts += 1
+        self.active_count -= halts
 
 
 def _same_enumeration(left, right) -> bool:

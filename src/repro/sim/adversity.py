@@ -58,7 +58,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, fields, replace
-from typing import Dict, Hashable, Mapping, Optional, Tuple, Union
+from typing import Dict, Hashable, Mapping, Optional, Set, Tuple, Union
 
 from repro.topology.graph import WeightedGraph
 
@@ -368,6 +368,25 @@ class AdversityState:
     # ------------------------------------------------------------------
     # fault predicates (called by the injection sites)
     # ------------------------------------------------------------------
+    @property
+    def has_crash_windows(self) -> bool:
+        """Return ``True`` when some node of the bound topology is crash-prone."""
+        return bool(self._crash_offsets)
+
+    def crashed_nodes(self, round_index: int) -> Set[NodeId]:
+        """Return the nodes inside a crash window in ``round_index``.
+
+        The same answer as :meth:`node_crashed` for every node, in one pass
+        over the crash-prone nodes instead of one call per node.
+        """
+        spec = self.spec
+        period = spec.crash_period
+        length = spec.crash_length
+        return {
+            node for node, offset in self._crash_offsets.items()
+            if (round_index - offset) % period < length
+        }
+
     def node_crashed(self, node: NodeId, round_index: int) -> bool:
         """Return ``True`` when ``node`` is inside a crash window."""
         offsets = self._crash_offsets

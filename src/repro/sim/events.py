@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Hashable, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Hashable, NamedTuple, Optional, Tuple
 
 NodeId = Hashable
 
@@ -59,13 +59,6 @@ class Message(NamedTuple):
             f"Message({self.sender!r}->{self.receiver!r} @r{self.round_sent}: "
             f"{self.payload!r})"
         )
-
-
-# The inbox handed to every node without mail.  Immutable on purpose: the
-# simulators share one instance across all quiet nodes and rounds, so a
-# protocol that tried to mutate its inbox (never part of the contract) fails
-# loudly instead of silently corrupting other nodes' observations.
-NO_MESSAGES: Sequence[Message] = ()
 
 
 @dataclass(frozen=True)

@@ -9,27 +9,29 @@ inverts the layout:
 * **one** instance per run holds all per-node state in columnar slots —
   ``bytearray``/``array``/list columns indexed by a dense slot id assigned
   in node order — instead of n objects holding one attribute each;
-* the simulator calls ``on_start(slot)`` / ``on_round(slot, inbox, event)``
-  with the slot index; helpers (:meth:`FlyweightProtocol.send`,
+* the simulator makes **one** call per round: ``on_start(slots)`` on the
+  start pulse, ``on_round(slots, inboxes, event)`` afterwards, with the
+  slots to dispatch in slot order; helpers (:meth:`FlyweightProtocol.send`,
   :meth:`FlyweightProtocol.halt_slot`) update the shared columns;
-* sends accumulate in one contiguous per-round buffer; the simulator slices
-  each acting node's segment off the tail, preserving the exact per-node
-  message grouping (and therefore delivery order);
+* every send records its sender slot in one per-round buffer, which the
+  simulator hands whole to the network's checked accept after the call, so
+  sends keep their slot order (and therefore delivery order);
 * per-node randomness comes from the :mod:`repro.sim.substreams` family on
   the environment — derived on demand, never pre-built.
 
-A flyweight may additionally declare ``MESSAGE_DRIVEN = True``: its
-``on_round`` with an empty inbox is a no-op (it reacts to mail only, never
-to channel feedback or the passage of rounds).  Without adversity the
-simulator loops then dispatch **only slots with mail** — on a 10⁵-node
-aggregation whose waves keep most nodes quiet this removes ~99% of all
-dispatch calls, which profiling showed to be the real wall (≈2 × 10⁸
-empty-inbox calls per e10 sweep point at n = 102400).
+A flyweight may additionally declare ``MESSAGE_DRIVEN = True``: a slot with
+an empty inbox is a no-op for it (it reacts to mail only, never to channel
+feedback or the passage of rounds).  The simulator loops then dispatch
+**only slots with mail** — on a 10⁵-node aggregation whose waves keep most
+nodes quiet this skips ~99% of all slot visits, which profiling showed to
+be the real wall (≈2 × 10⁸ empty-inbox visits per e10 sweep point at
+n = 102400).
 
 Equivalence contract: a flyweight must be indistinguishable — same messages
 in the same order, same channel writes, same metrics, same results — from
-n independent per-node instances of the protocol it mirrors.  Under
-adversity the loops scan every slot so fault draws stay in one fixed order.
+n independent per-node instances of the protocol it mirrors.  Under an
+adversity schedule with crash windows the loops scan every slot, so crash
+skips and deferred starts keep one fixed order.
 ``tests/oracles.py`` keeps per-node reference protocols and an adapter that
 runs them on these same loops; ``tests/test_flyweight.py`` pins every
 flyweight against its oracle, and the v3 goldens pin the adversity
@@ -39,7 +41,7 @@ fingerprints.
 from __future__ import annotations
 
 from typing import (
-    Any, Dict, Hashable, List, Optional, Sequence, Tuple, Union,
+    Any, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
 )
 
 from repro.sim.events import ChannelEvent, Message
@@ -61,10 +63,9 @@ class FlyweightEnvironment:
 
     Attributes:
         csr: the graph's CSR view the environment describes.
-        nodes: node ids in slot order (``nodes[slot]`` is the id of ``slot``);
-            a ``range`` on identity-labelled graphs, where node = slot (the
-            simulator loops use the slot itself there: a range subscript
-            builds a fresh int and costs several times a tuple's).
+        nodes: node ids in slot order (``nodes[slot]`` is the id of ``slot``;
+            ``csr.slot(node)`` is the inverse); a ``range`` on
+            identity-labelled graphs, where node = slot.
         neighbors: per-slot neighbour-id tuples, in row order.
         link_weights: per-slot ``{neighbour: weight}`` dicts, in row order.
         n: the number of nodes when the protocol is told it, else ``None``.
@@ -72,8 +73,7 @@ class FlyweightEnvironment:
             (:class:`~repro.sim.substreams.NodeStreams`).
     """
 
-    __slots__ = ("csr", "nodes", "neighbors", "link_weights", "n", "streams",
-                 "_slot_of")
+    __slots__ = ("csr", "nodes", "neighbors", "link_weights", "n", "streams")
 
     def __init__(self, csr: CSRView, n: Optional[int],
                  streams: Optional[NodeStreams]) -> None:
@@ -84,19 +84,6 @@ class FlyweightEnvironment:
         self.link_weights = CSRRows(csr, weighted=True)
         self.n = n
         self.streams = streams
-        self._slot_of: Optional[Dict[NodeId, int]] = csr.index_of
-
-    @property
-    def slot_of(self) -> Dict[NodeId, int]:
-        """Return the inverse mapping, node id → slot index.
-
-        Shared with the CSR view on relabelled graphs; on
-        identity-labelled graphs (node = slot, which the simulators exploit
-        directly) it is built on first use.
-        """
-        if self._slot_of is None:
-            self._slot_of = {slot: slot for slot in range(self.csr.n)}
-        return self._slot_of
 
     @property
     def num_slots(self) -> int:
@@ -145,42 +132,47 @@ class CSRRows:
 class FlyweightProtocol:
     """Base class for slot-indexed shared-instance protocols.
 
-    Subclasses override :meth:`on_start` and :meth:`on_round` (both take a
-    slot index) and keep all per-node state in columns sized
+    Subclasses override :meth:`on_start` and :meth:`on_round` (both take the
+    round's slot batch) and keep all per-node state in columns sized
     ``env.num_slots``.  Within the callbacks they may call :meth:`send`,
     :meth:`channel_write` and :meth:`halt_slot`.
 
+    Both callbacks visit their slots in the order given and **skip a slot
+    whose** ``halted`` **flag is set when its turn comes**: an earlier slot
+    of the same batch may have halted it.
+
     The one-message-per-link-per-round rule is **not** re-validated here:
     flyweight send patterns are structurally duplicate-free.  Link adjacency
-    is still validated by the network's ``accept_sends``.
+    is still validated by the round's accept
+    (:func:`~repro.sim.network.file_round`).
     """
 
-    #: Set by subclasses whose ``on_round`` ignores empty inboxes entirely;
-    #: lets the simulator loops dispatch only slots with mail when no
-    #: adversity is attached.
+    #: Set by subclasses for which a slot with an empty inbox is a no-op;
+    #: the simulator loops then dispatch only slots with mail.
     MESSAGE_DRIVEN = False
 
     def __init__(self, env: FlyweightEnvironment) -> None:
         """Allocate the sim-facing columns for ``env.num_slots`` slots."""
         self.env = env
         num_slots = env.num_slots
-        #: 1 once the slot's node has halted (sim skips its dispatch).
+        #: 1 once the slot's node has halted (it is never dispatched again).
         self.halted = bytearray(num_slots)
         #: per-slot declared local outputs.
         self.results: List[Any] = [None] * num_slots
         #: number of slots that have not halted yet.
         self.active_count = num_slots
-        # contiguous per-round action buffers; the simulator slices each
-        # acting slot's tail segment and clears them once per round
-        self._sends: List[Tuple[NodeId, Any]] = []
+        # the round's actions, in slot order; the simulator hands them on and
+        # clears them once per round: (sender slot, receiver, payload) sends
+        # and (node, payload) channel writes
+        self._sends: List[Tuple[int, NodeId, Any]] = []
         self._writes: List[Tuple[NodeId, Any]] = []
 
     # ------------------------------------------------------------------
     # API for subclasses
     # ------------------------------------------------------------------
-    def send(self, neighbor: NodeId, payload: Any) -> None:
-        """Queue ``payload`` for the current slot's node to ``neighbor``."""
-        self._sends.append((neighbor, payload))
+    def send(self, slot: int, neighbor: NodeId, payload: Any) -> None:
+        """Queue ``payload`` from ``slot``'s node to its neighbour ``neighbor``."""
+        self._sends.append((slot, neighbor, payload))
 
     def channel_write(self, node: NodeId, payload: Any) -> None:
         """Attempt to broadcast ``payload`` as ``node`` in the current slot."""
@@ -196,21 +188,22 @@ class FlyweightProtocol:
     # ------------------------------------------------------------------
     # callbacks to override
     # ------------------------------------------------------------------
-    def on_start(self, slot: int) -> None:
-        """Called once per slot, on its first dispatch, before its sends are collected.
+    def on_start(self, slots: Iterable[int]) -> None:
+        """Start each slot of ``slots``, on its first dispatch.
 
-        That is round 0 unless the slot's node starts the run crashed; a slot
-        already halted is never started.
+        That is the start pulse (round 0) unless the slot's node starts the
+        run crashed; a slot halted by then is never started.
         """
 
-    def on_round(self, slot: int, inbox: Sequence[Message],
+    def on_round(self, slots: Iterable[int],
+                 inboxes: Mapping[int, Sequence[Message]],
                  channel: ChannelEvent) -> None:
-        """Called with a slot's newly delivered messages and slot feedback.
+        """Run one round for each slot of ``slots``.
 
-        A ``MESSAGE_DRIVEN`` subclass is never called with an empty inbox
-        when no adversity is attached; under adversity the full scan may
-        still pass one, and the subclass must treat it as a no-op to honour
-        its declaration.
+        ``inboxes`` maps a slot to its newly delivered messages, in delivery
+        order; a slot without mail has no entry (a ``MESSAGE_DRIVEN``
+        protocol is only ever given slots with mail).  ``channel`` is the
+        public view of the previous channel slot, the same for every slot.
         """
         raise NotImplementedError
 

@@ -12,20 +12,26 @@ holds every node's state in slot-indexed columns, slot = node order.
 Round semantics (batched delivery)
 ----------------------------------
 
-Each round of :meth:`MultimediaNetwork.run` is one pass over the *active*
-(non-halted, non-crashed) slots in slot order:
+Each round of :meth:`MultimediaNetwork.run` makes one protocol call for the
+*active* (non-halted, non-crashed) slots, in slot order:
 
-1. the network hands over every inbox in one batch — all messages sent in
-   round ``r − 1`` are delivered together at the start of round ``r``
+1. the network hands over every inbox in one batch, keyed by receiver slot
+   — all messages sent in round ``r − 1`` are delivered together at the
+   start of round ``r``
    (:meth:`~repro.sim.network.PointToPointNetwork.deliver` hands its whole
    in-flight dict over rather than filtering message by message);
-2. every active slot observes its batch plus the public view of the previous
-   channel slot via :meth:`~repro.sim.flyweight.FlyweightProtocol.on_round`
-   (a slot's first dispatch runs
-   :meth:`~repro.sim.flyweight.FlyweightProtocol.on_start` first, and
-   ``on_round`` only if the node already has mail);
-3. the slot's queued sends are accepted for round ``r + 1`` and its channel
-   write, if any, joins the current slot;
+2. round 0 is the start pulse, one
+   :meth:`~repro.sim.flyweight.FlyweightProtocol.on_start` call; every
+   later round is one
+   :meth:`~repro.sim.flyweight.FlyweightProtocol.on_round` call with the
+   slots to dispatch, their inboxes and the public view of the previous
+   channel slot.  Those are the slots with mail for a ``MESSAGE_DRIVEN``
+   protocol and every slot otherwise; under crash windows a scan picks them
+   and may split the round into a few calls (:func:`dispatch_round`);
+3. the round's send buffer — each send tagged with its sender slot, in slot
+   order — is accepted for round ``r + 1`` in one checked pass
+   (:meth:`~repro.sim.network.PointToPointNetwork.accept_round`), and the
+   round's channel writes join the current slot;
 4. the slot resolves once after every node has acted, so no node sees the
    current slot's outcome early.
 
@@ -41,12 +47,12 @@ only for receivers with mail.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.sim.adversity import AdversityState
 from repro.sim.channel import SlottedChannel
 from repro.sim.errors import AdversityAbort, SimulationTimeout
-from repro.sim.events import NO_MESSAGES, ChannelEvent, idle_event
+from repro.sim.events import ChannelEvent, Message, idle_event
 from repro.sim.flyweight import FlyweightEnvironment, FlyweightProtocol
 from repro.sim.metrics import MetricsRecorder, MetricsSnapshot
 from repro.sim.network import PointToPointNetwork
@@ -137,13 +143,14 @@ class MultimediaNetwork:
     ) -> SimulationResult:
         """Run one shared protocol instance over every node until all halt.
 
-        Slots are dispatched in node order, each acting slot's sends are
-        accepted as one batch, and the channel slot resolves once after all
-        nodes acted.  Without adversity, a ``MESSAGE_DRIVEN`` protocol is
-        dispatched only on the slots that received mail — a no-op skip by
-        the declaration, and the flat win at scale.  With adversity, every
-        round scans the slots so crash skips, deferred starts and the
-        network's fault draws follow one fixed order.
+        Each round is one protocol call over the slots to dispatch, in node
+        order; the round's sends are accepted as one batch, and the channel
+        slot resolves once after all nodes acted.  A ``MESSAGE_DRIVEN``
+        protocol is dispatched only on the slots that received mail — a
+        no-op skip by the declaration, and the flat win at scale.  Under an
+        adversity schedule with crash windows, every round scans the slots
+        (:func:`dispatch_round`) so crash skips and deferred starts follow
+        one fixed order.
 
         Args:
             protocol_factory: the :class:`~repro.sim.flyweight.FlyweightProtocol`
@@ -185,31 +192,20 @@ class MultimediaNetwork:
         protocol: FlyweightProtocol = protocol_factory(env)
 
         deliver = network.deliver
-        accept_sends = network.accept_sends
+        accept_round = network.accept_round
         resolve_slot = channel.resolve_slot
         record_round = recorder.record_round
-        # on identity-labelled graphs node = slot: the loops skip both label
-        # lookups, and the inbox keys are the slots themselves
-        labels = None if csr.identity else env.nodes
-        slot_of = None if csr.identity else env.slot_of
         num_slots = env.num_slots
-        halted = protocol.halted
-        on_start = protocol.on_start
-        on_round = protocol.on_round
         sends = protocol._sends
         writes = protocol._writes
-        message_driven = protocol.MESSAGE_DRIVEN
 
         if adversity is None:
             budget = max_rounds
-            node_crashed = count_crash_round = None
+            started = None
         else:
             budget = min(max_rounds, adversity.round_budget(num_slots))
             patience = adversity.stall_patience()
-            node_crashed = adversity.node_crashed
-            count_crash_round = adversity.count_crash_round
-        fast_path = adversity is None and message_driven
-        started = bytearray(num_slots)
+            started = bytearray(num_slots)
         quiet_streak = 0
 
         last_event: ChannelEvent = idle_event(-1)
@@ -219,49 +215,11 @@ class MultimediaNetwork:
                 break
 
             inboxes = deliver(round_index)
-            public_event = last_event.public_view()
-            mark = 0
-            if fast_path and round_index:
-                # only slots with mail can change state; dispatch them in
-                # slot (= node) order so message emission order matches a
-                # full scan exactly
-                if slot_of is None:
-                    order = sorted(inboxes)
-                else:
-                    order = sorted([slot_of[node] for node in inboxes])
-                for slot in order:
-                    if halted[slot]:
-                        continue
-                    node = slot if labels is None else labels[slot]
-                    on_round(slot, inboxes[node], public_event)
-                    if len(sends) > mark:
-                        accept_sends(node, sends[mark:], round_index)
-                        mark = len(sends)
-            else:
-                get_inbox = inboxes.get
-                for slot in range(num_slots):
-                    if halted[slot]:
-                        continue
-                    node = slot if labels is None else labels[slot]
-                    if node_crashed is not None and node_crashed(node, round_index):
-                        count_crash_round()
-                        continue
-                    inbox = get_inbox(node)
-                    if not started[slot]:
-                        started[slot] = 1
-                        on_start(slot)
-                        # nodes may also react immediately
-                        if inbox:
-                            on_round(slot, inbox, public_event)
-                    elif inbox:
-                        on_round(slot, inbox, public_event)
-                    elif not message_driven:
-                        on_round(slot, NO_MESSAGES, public_event)
-                    if len(sends) > mark:
-                        accept_sends(node, sends[mark:], round_index)
-                        mark = len(sends)
-            acted_any = mark > 0 or bool(writes)
-            if mark:
+            dispatch_round(protocol, inboxes, last_event.public_view(),
+                           round_index, adversity, started)
+            acted_any = bool(sends) or bool(writes)
+            if sends:
+                accept_round(sends, round_index)
                 del sends[:]
             last_event = resolve_slot(round_index, writes)
             if writes:
@@ -300,3 +258,67 @@ class MultimediaNetwork:
             results=protocol.results_by_node(),
             channel_history=channel.history,
         )
+
+
+def dispatch_round(
+    protocol: FlyweightProtocol,
+    inboxes: Mapping[int, Sequence[Message]],
+    event: ChannelEvent,
+    round_index: int,
+    adversity: Optional[AdversityState],
+    started: Optional[bytearray],
+) -> None:
+    """Make one round's (or pulse's) protocol calls, in slot order.
+
+    Without crash windows, round 0 is one ``on_start`` call for every slot,
+    and each later round one ``on_round`` call: for every slot, or for a
+    ``MESSAGE_DRIVEN`` protocol the slots with mail only (none, no call).
+
+    With crash windows, the slots are scanned.  Halted slots are skipped,
+    and a slot whose node is inside a crash window is skipped and charged
+    one crash round.  The rest go to the protocol in as few calls as keep
+    them in slot order: a run of slots that start now (their first up
+    round, marked in ``started``) is one ``on_start`` call, and a run of
+    started slots is one ``on_round`` call (the slots with mail only, for a
+    ``MESSAGE_DRIVEN`` protocol).  A starting slot with mail joins the next
+    ``on_round`` call.
+    """
+    message_driven = protocol.MESSAGE_DRIVEN
+    if adversity is None or not adversity.has_crash_windows:
+        # every node starts in round 0 and is up ever after
+        if not round_index:
+            protocol.on_start(range(protocol.env.num_slots))
+        elif not message_driven:
+            protocol.on_round(range(protocol.env.num_slots), inboxes, event)
+        elif inboxes:
+            protocol.on_round(sorted(inboxes), inboxes, event)
+        return
+    halted = protocol.halted
+    crashed = adversity.crashed_nodes(round_index)
+    starting: List[int] = []
+    batch: List[int] = []
+    for slot, node in enumerate(protocol.env.nodes):
+        if halted[slot]:
+            continue
+        if node in crashed:
+            adversity.count_crash_round()
+            continue
+        if not started[slot]:
+            started[slot] = 1
+            if batch:
+                protocol.on_round(batch, inboxes, event)
+                batch = []
+            starting.append(slot)
+            if slot in inboxes:
+                protocol.on_start(starting)
+                starting = []
+                batch.append(slot)
+        elif not message_driven or slot in inboxes:
+            if starting:
+                protocol.on_start(starting)
+                starting = []
+            batch.append(slot)
+    if starting:
+        protocol.on_start(starting)
+    if batch:
+        protocol.on_round(batch, inboxes, event)

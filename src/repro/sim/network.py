@@ -1,24 +1,29 @@
-"""The synchronous point-to-point network.
+"""The synchronous point-to-point network and the round's checked accept.
 
 The network delivers every message exactly one round after it was sent
 (synchronous model, Section 2).  It validates that messages travel only over
 existing links and charges every delivery to the shared
 :class:`~repro.sim.metrics.MetricsRecorder`.
 
+Both simulators share one message plane.  A flyweight's sends carry their
+sender slot, and after each dispatch pass the round's whole send buffer goes
+through :func:`file_round`: one pass that checks each send against its own
+sender's CSR row, stamps it as a :class:`~repro.sim.events.Message` and
+files it under its key.  :meth:`PointToPointNetwork.accept_round` keys the
+round by receiver slot — its inboxes — and charges it with one metrics
+call; the channel synchronizer keys it by the arrival times it draws.
+
 The network keeps no per-node state: in-flight mail lives in one
-``receiver → inbox`` dict whose inboxes are created on a receiver's first
-mail of the round, so its insertion order is first-mail order.  Link
-validation reads the graph's CSR rows, and the connectivity check is the
-graph's own, computed once per graph.  :meth:`PointToPointNetwork.deliver`
-hands the whole dict over and starts a new one when every in-flight message
-is ready (which in the synchronous round loop is always — sends happen
-strictly before the next round's delivery).  Per-message filtering survives only as a slow path
-for callers that pre-load future rounds, and for the adversity schedule.
+``receiver slot → inbox`` dict whose inboxes are created on a receiver's
+first mail, so its insertion order is first-mail order, and
+:meth:`PointToPointNetwork.deliver` hands the whole dict over.  The
+connectivity check is the graph's own, computed once per graph.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Collection, Dict, Hashable, List, Optional, Sequence, Tuple
+from operator import itemgetter, length_hint
+from typing import TYPE_CHECKING, Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.sim.errors import ProtocolError, TopologyError
 
@@ -26,11 +31,91 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.sim.adversity import AdversityState
 from repro.sim.events import Message
 from repro.sim.metrics import MetricsRecorder
-from repro.topology.graph import WeightedGraph
+from repro.topology.graph import CSRView, WeightedGraph
 
 NodeId = Hashable
+#: one queued send: (sender slot, receiver node, payload)
+Send = Tuple[int, NodeId, Any]
 
 _new_tuple = tuple.__new__
+_receiver = itemgetter(1)
+
+#: Rows longer than this are checked through a set: a hub messaging many
+#: neighbours costs one set build, not a row scan per message.
+_HUB_DEGREE = 16
+
+
+def file_round(csr: CSRView, sends: Sequence[Send], round_index: int,
+               keys: Iterable[Hashable], bins: Dict[Hashable, List[Message]]) -> int:
+    """Check, stamp and file the round's ``sends``, in send order.
+
+    Each send is checked against its own sender's CSR row (re-read whenever
+    the sender changes, so interleaved senders are each checked against
+    their own row), stamped as a :class:`~repro.sim.events.Message` with the
+    sender's node id and ``round_index``, and appended to ``bins[key]`` for
+    its key from ``keys`` (a bin is created on first use, so ``bins`` keeps
+    first-use order).
+
+    Returns:
+        The number of sends filed: all of them, unless one goes to a node
+        that is not its sender's neighbour.  Filing stops before that send;
+        the caller charges what was filed and raises :func:`stray_error`.
+    """
+    offsets = csr.offsets
+    targets = csr.targets
+    find = targets.index
+    nodes = None if csr.identity else csr.nodes
+    get_bin = bins.get
+    current = sender = links = None
+    unfiled = iter(sends)
+    for (slot, receiver, payload), key in zip(unfiled, keys):
+        if slot != current:
+            current = slot
+            lo = offsets[slot]
+            hi = offsets[slot + 1]
+            if nodes is None:
+                # short identity rows are searched in place, without a copy
+                sender = slot
+                links = set(targets[lo:hi]) if hi - lo > _HUB_DEGREE else None
+            else:
+                sender = nodes[slot]
+                links = [nodes[target] for target in targets[lo:hi]]
+                if hi - lo > _HUB_DEGREE:
+                    links = set(links)
+        if links is None:
+            try:
+                find(receiver, lo, hi)
+            except ValueError:
+                return len(sends) - 1 - length_hint(unfiled)
+        elif receiver not in links:
+            return len(sends) - 1 - length_hint(unfiled)
+        message = _new_tuple(Message, (sender, receiver, payload, round_index))
+        filed = get_bin(key)
+        if filed is None:
+            bins[key] = [message]
+        else:
+            filed.append(message)
+    return len(sends)
+
+
+def stray_error(csr: CSRView, send: Send) -> ProtocolError:
+    """Return the error for ``send``, whose receiver is not its sender's neighbour."""
+    slot, receiver, _ = send
+    sender = slot if csr.identity else csr.nodes[slot]
+    return ProtocolError(
+        f"node {sender!r} attempted to send over a non-existent link to {receiver!r}"
+    )
+
+
+def receiver_slots(csr: CSRView, items: Iterable[Any]) -> Iterable[Optional[int]]:
+    """Return the receiver slot of each send or message, lazily and in order.
+
+    A receiver that is no node of the graph maps to ``None``.
+    """
+    receivers = map(_receiver, items)
+    if csr.identity:
+        return receivers
+    return map(csr.index_of.get, receivers)
 
 
 class PointToPointNetwork:
@@ -67,9 +152,9 @@ class PointToPointNetwork:
         self._graph = graph
         self._csr = csr
         self.metrics = metrics if metrics is not None else MetricsRecorder()
-        # receiver -> queued messages, in first-mail order; only receivers
-        # with mail have an entry
-        self._inboxes: Dict[NodeId, List[Message]] = {}
+        # receiver slot -> queued messages, in first-mail order; only
+        # receivers with mail have an entry
+        self._inboxes: Dict[int, List[Message]] = {}
         self._in_flight = 0
         self._latest_round_sent = -1
         self._delivered_total = 0
@@ -100,159 +185,93 @@ class PointToPointNetwork:
         """Return the number of messages delivered since construction."""
         return self._delivered_total
 
-    def accept_sends(
-        self,
-        sender: NodeId,
-        sends: Sequence[Tuple[NodeId, object]],
-        round_index: int,
-    ) -> None:
-        """Accept the messages ``sender`` emits in ``round_index``.
+    def accept_round(self, sends: Sequence[Send], round_index: int) -> None:
+        """Accept the round's ``sends`` for delivery at round ``round_index + 1``.
 
-        The messages will be delivered at the start of round
-        ``round_index + 1``.
+        One :func:`file_round` pass into the inboxes, then one metrics
+        charge and one in-flight update for the whole round.
 
         Raises:
-            ProtocolError: if a destination is not adjacent to ``sender``.
-                The messages before it stay queued and counted, so a
-                caller that catches the error still sees the one-round
-                delivery delay; it and the rest are dropped.
+            ProtocolError: if a receiver is not adjacent to its sender.  The
+                messages before it stay queued and counted, so a caller that
+                catches the error still sees the one-round delivery delay;
+                it and the rest are dropped.
         """
         csr = self._csr
-        if csr.identity and sender.__class__ is int and 0 <= sender < csr.n:
-            links: Collection[NodeId] = csr.targets[
-                csr.offsets[sender]:csr.offsets[sender + 1]
-            ]
-        else:
-            links = self._links(sender)
-        if len(sends) > 1:
-            # a hub's batch: one set build instead of a row scan per send
-            links = set(links)
-        inboxes = self._inboxes
-        get_inbox = inboxes.get
-        count = 0
-        for receiver, payload in sends:
-            if receiver not in links:
-                self._queued(count, round_index)
-                raise ProtocolError(
-                    f"node {sender!r} attempted to send over a non-existent "
-                    f"link to {receiver!r}"
-                )
-            message = _new_tuple(Message, (sender, receiver, payload, round_index))
-            inbox = get_inbox(receiver)
-            if inbox is None:
-                inboxes[receiver] = [message]
-            else:
-                inbox.append(message)
-            count += 1
-        self._queued(count, round_index)
-
-    def _links(self, sender: NodeId) -> Collection[NodeId]:
-        """Return the neighbour labels of ``sender`` (empty if it is no node)."""
-        csr = self._csr
-        if csr.identity:
-            if not self._graph.has_node(sender):
-                return ()
-            slot = int(sender)
-            return csr.targets[csr.offsets[slot]:csr.offsets[slot + 1]]
-        slot = csr.index_of.get(sender)
-        if slot is None:
-            return ()
-        nodes = csr.nodes
-        return [nodes[t] for t in csr.targets[csr.offsets[slot]:csr.offsets[slot + 1]]]
-
-    def _queued(self, count: int, round_index: int) -> None:
-        """Charge ``count`` newly queued messages sent in ``round_index``."""
-        if count:
-            self.metrics.record_messages(count)
-            self._in_flight += count
+        filed = file_round(csr, sends, round_index, receiver_slots(csr, sends),
+                           self._inboxes)
+        if filed:
+            self.metrics.record_messages(filed)
+            self._in_flight += filed
             if round_index > self._latest_round_sent:
                 self._latest_round_sent = round_index
+        if filed < len(sends):
+            raise stray_error(csr, sends[filed])
 
-    def deliver(self, round_index: int) -> Dict[NodeId, List[Message]]:
+    def deliver(self, round_index: int) -> Dict[int, List[Message]]:
         """Return and clear the inboxes for the start of ``round_index``.
 
-        Only messages sent in earlier rounds are delivered; in the
-        synchronous model that is every in-flight message, so the common case
-        hands the whole in-flight dict over (receivers in first-mail order)
-        and starts a new one instead of filtering each message by its send
-        round.
+        The inboxes are keyed by receiver slot, in first-mail order.  Only
+        messages sent in earlier rounds are delivered; in the synchronous
+        model that is every in-flight message, so the common case hands the
+        whole in-flight dict over and starts a new one.
 
         With an adversity state attached, every due message runs the fault
         gauntlet instead: dropped when the receiver is crashed this round,
         when the link is inside a churn window, or on an independent loss
         draw; surviving messages may be deferred one round on an independent
-        delay draw (re-drawn each round, so delays are geometric).  The
-        fault-free path is untouched — zero adversity means the exact
-        pre-adversity delivery semantics and randomness.
+        delay draw (re-drawn each round, so delays are geometric).  Zero
+        adversity means the exact pre-adversity delivery semantics and
+        randomness.
         """
         inboxes = self._inboxes
         if not inboxes:
             return {}
-        if self._adversity is not None:
-            return self._deliver_under_adversity(round_index)
-        if self._latest_round_sent < round_index:
+        if self._adversity is None and self._latest_round_sent < round_index:
             # fast path: every queued message was sent in an earlier round
             self._inboxes = {}
             self._delivered_total += self._in_flight
             self._in_flight = 0
             return inboxes
-        # slow path: some messages are stamped for this round or later
-        # (only reachable by driving the network by hand in tests)
-        delivered: Dict[NodeId, List[Message]] = {}
-        kept_inboxes: Dict[NodeId, List[Message]] = {}
-        count = 0
-        for receiver, inbox in inboxes.items():
-            ready = [msg for msg in inbox if msg.round_sent < round_index]
-            if len(ready) < len(inbox):
-                kept_inboxes[receiver] = [
-                    msg for msg in inbox if msg.round_sent >= round_index
-                ]
-            if ready:
-                delivered[receiver] = ready
-                count += len(ready)
-        self._inboxes = kept_inboxes
-        self._in_flight -= count
-        self._delivered_total += count
-        return delivered
+        return self._deliver_filtered(round_index)
 
-    def _deliver_under_adversity(self, round_index: int) -> Dict[NodeId, List[Message]]:
-        """Delivery slow path applying the attached adversity schedule.
+    def _deliver_filtered(self, round_index: int) -> Dict[int, List[Message]]:
+        """Delivery slow path, one message at a time.
 
-        Draw order is fixed — receivers in first-mail order, messages in
-        inbox order, loss before delay — so a given substream seed always
-        produces the same fault trace.
+        Holds back messages stamped ``round_index`` or later (only queued by
+        driving the network by hand in tests) and applies the attached
+        adversity schedule.  Draw order is fixed — receivers in first-mail
+        order, messages in inbox order, loss before delay — so a given
+        substream seed always produces the same fault trace.
         """
         state = self._adversity
-        spec = state.spec
         rng = self._fault_rng
-        loss_rate = spec.loss_rate
-        delay_rate = spec.delay_rate
-        delivered: Dict[NodeId, List[Message]] = {}
-        kept_inboxes: Dict[NodeId, List[Message]] = {}
+        loss_rate = delay_rate = 0.0
+        if state is not None:
+            loss_rate = state.spec.loss_rate
+            delay_rate = state.spec.delay_rate
+        delivered: Dict[int, List[Message]] = {}
+        kept_inboxes: Dict[int, List[Message]] = {}
         count = 0
         in_flight = 0
         for receiver, inbox in self._inboxes.items():
             ready: List[Message] = []
             kept: List[Message] = []
-            receiver_crashed = state.node_crashed(receiver, round_index)
+            node = inbox[0].receiver
+            crashed = state is not None and state.node_crashed(node, round_index)
             for msg in inbox:
                 if msg.round_sent >= round_index:
                     kept.append(msg)
-                    continue
-                if receiver_crashed:
+                elif state is None:
+                    ready.append(msg)
+                elif (crashed or state.link_down(msg.sender, node, round_index)
+                      or (loss_rate and rng.random() < loss_rate)):
                     state.count_drop()
-                    continue
-                if state.link_down(msg.sender, receiver, round_index):
-                    state.count_drop()
-                    continue
-                if loss_rate and rng.random() < loss_rate:
-                    state.count_drop()
-                    continue
-                if delay_rate and rng.random() < delay_rate:
+                elif delay_rate and rng.random() < delay_rate:
                     state.count_delay()
                     kept.append(msg)
-                    continue
-                ready.append(msg)
+                else:
+                    ready.append(msg)
             if kept:
                 kept_inboxes[receiver] = kept
                 in_flight += len(kept)

@@ -18,7 +18,7 @@ synchronous :class:`~repro.sim.flyweight.FlyweightProtocol` over an
 asynchronous network with bounded random link delays and reports both cost
 measures so the experiment can verify the corollary empirically.  It is the
 same engine shape as :class:`~repro.sim.multimedia.MultimediaNetwork`: one
-pulse loop over the protocol's slots, which under no adversity dispatches a
+pulse loop making one protocol call per pulse, which dispatches a
 ``MESSAGE_DRIVEN`` protocol only on the slots that received mail.
 
 The synchronous algorithm may itself use the channel; following Section 7.2
@@ -35,15 +35,14 @@ from typing import Any, Dict, Hashable, List, Optional
 from repro.sim.adversity import AdversityState
 from repro.sim.channel import SlottedChannel
 from repro.sim.errors import AdversityAbort, SimulationTimeout
-from repro.sim.events import NO_MESSAGES, Message
+from repro.sim.events import Message, idle_event
 from repro.sim.flyweight import FlyweightEnvironment, FlyweightProtocol
-from repro.sim.multimedia import ProtocolFactory
+from repro.sim.multimedia import ProtocolFactory, dispatch_round
+from repro.sim.network import file_round, receiver_slots, stray_error
 from repro.sim.substreams import NodeStreams
 from repro.topology.graph import WeightedGraph
 
 NodeId = Hashable
-
-_new_tuple = tuple.__new__
 
 #: Substream scope for per-node random sources under the synchronizer (kept
 #: distinct from the synchronous sim's scope so a shared master seed never
@@ -142,15 +141,20 @@ class ChannelSynchronizer:
         loop ``randint(1, max_link_delay)`` runs on ``getrandbits``, so the
         delay stream is the one the seed has always produced.
 
-        The busy-tone accounting, the channel resolution point and the
+        Each pulse is one protocol call, like a round of
+        :class:`~repro.sim.multimedia.MultimediaNetwork`, and the pulse's
+        sends go through the network's checked filing pass
+        (:func:`~repro.sim.network.file_round`) after their delay draws,
+        so a send over a non-existent link raises the same
+        :class:`~repro.sim.errors.ProtocolError` on both simulators.  The
+        busy-tone accounting, the channel resolution point and the
         delay-draw order (acting slots in node order, messages in send
         order, acknowledgements in delivery order) are fixed by the slot
-        order.  Without adversity, a ``MESSAGE_DRIVEN`` protocol is
-        dispatched only on the slots whose inbox received mail since their
-        last dispatch (the keys of the inbox dict the deliveries fill,
-        created on first mail and taken whole at each pulse) — profiling e10
-        at n = 102400 showed ~2 × 10⁸ empty-inbox dispatch calls, which this
-        removes wholesale.
+        order.  A ``MESSAGE_DRIVEN`` protocol is dispatched only on the
+        slots whose inbox received mail since their last dispatch (the keys
+        of the inbox dict the deliveries fill, created on first mail and
+        taken whole at each pulse) — profiling e10 at n = 102400 showed
+        ~2 × 10⁸ empty-inbox visits, which this removes wholesale.
 
         With an ``adversity`` state attached, the schedule's faults apply at
         this layer's natural seams: a crashed node skips its pulses (its
@@ -163,6 +167,7 @@ class ChannelSynchronizer:
         finishes on exactly its last budgeted pulse has finished.
 
         Raises:
+            ProtocolError: if a node sends over a non-existent link.
             SimulationTimeout: if the pulse budget is exhausted.
             AdversityAbort: if an adversity schedule deadlocks the busy tone
                 or exhausts the budget.
@@ -188,15 +193,8 @@ class ChannelSynchronizer:
             NodeStreams(self._seed, STREAM_SCOPE),
         )
         protocol: FlyweightProtocol = protocol_factory(env)
-        message_driven = protocol.MESSAGE_DRIVEN
-        # on identity-labelled graphs node = slot: the loops skip both label
-        # lookups, and the inbox keys are the slots themselves
-        labels = None if csr.identity else env.nodes
-        slot_of = None if csr.identity else env.slot_of
-        num_slots = env.num_slots
-        halted = protocol.halted
-        on_start = protocol.on_start
-        on_round = protocol.on_round
+        labels = env.nodes
+        started = None if adv is None else bytearray(env.num_slots)
         sends = protocol._sends
         channel_writes = protocol._writes
 
@@ -208,53 +206,41 @@ class ChannelSynchronizer:
         # due 1..max_delay after the time it was scheduled at
         mail_due: Dict[int, List[Message]] = {}
         acks_due: Dict[int, int] = {}
-        # receiver → mail delivered since its last dispatch; an inbox is
-        # created on first mail, so the keys are exactly the nodes with mail
-        # (the message-driven fast path walks them instead of every node)
-        pending_inbox: Dict[NodeId, List[Message]] = {}
+        # receiver slot → mail delivered since its last dispatch; an inbox is
+        # created on first mail, so the keys are exactly the slots with mail
+        # (the message-driven fast path dispatches them instead of every slot)
+        pending_inbox: Dict[int, List[Message]] = {}
         now = 0
         algorithm = 0  # messages sent
         acked = 0  # acknowledgements arrived
         busy_slots = 0
 
-        def schedule_sends(node: NodeId, pulse: int, at: int) -> int:
-            """Schedule one slot's queued sends from time ``at``.
+        def accept(pulse: int, at: int) -> int:
+            """Accept the pulse's sends, scheduled from time ``at``.
 
-            Delay draws happen in send order.  Clears the shared buffer and
-            returns the number of messages sent.
+            One delay draw per message in send order, then the network's
+            checked filing pass into the arrival-time buckets.  Clears the
+            send buffer and returns the number of messages sent.
             """
-            for receiver, payload in sends:
+            due = []
+            for _ in sends:
                 r = getrandbits(bits)
                 while r >= max_delay:
                     r = getrandbits(bits)
-                due = at + 1 + r
-                message = _new_tuple(Message, (node, receiver, payload, pulse))
-                bucket = mail_due.get(due)
-                if bucket is None:
-                    mail_due[due] = [message]
-                else:
-                    bucket.append(message)
-            count = len(sends)
+                due.append(at + 1 + r)
+            filed = file_round(csr, sends, pulse, due, mail_due)
+            if filed < len(sends):
+                raise stray_error(csr, sends[filed])
             del sends[:]
-            return count
+            return filed
 
         # pulse 0: on_start (deferred past the crash window for a node that
         # starts the run crashed — it joins at its first up pulse)
-        started = bytearray(num_slots)
-        for slot in range(num_slots):
-            if halted[slot]:
-                continue
-            node = slot if labels is None else labels[slot]
-            if adv is not None and adv.node_crashed(node, 0):
-                adv.count_crash_round()
-                continue
-            started[slot] = 1
-            on_start(slot)
-            if sends:
-                algorithm += schedule_sends(node, 0, now)
+        dispatch_round(protocol, {}, idle_event(-1), 0, adv, started)
+        if sends:
+            algorithm += accept(0, now)
         pulses = 1
 
-        fast_path = adv is None and message_driven
         while pulses < max_pulses:
             if protocol.active_count == 0 and not mail_due and not acks_due:
                 break
@@ -265,10 +251,9 @@ class ChannelSynchronizer:
                 now = min([*mail_due, *acks_due])
                 delivered = mail_due.pop(now, None)
                 if delivered is not None:
-                    for message in delivered:
-                        receiver = message.receiver
+                    for receiver, message in zip(receiver_slots(csr, delivered), delivered):
                         if adv is not None and adv.drop_message(
-                            loss_rng, message.sender, receiver, pulses
+                            loss_rng, message.sender, message.receiver, pulses
                         ):
                             # lost in transit: never delivered, never
                             # acknowledged
@@ -301,50 +286,19 @@ class ChannelSynchronizer:
             event = channel.resolve_slot(pulses - 1, channel_writes)
             if channel_writes:
                 del channel_writes[:]
-            public = event.public_view()
-            if fast_path:
-                if pending_inbox:
-                    # take every inbox at once (deliveries only happen while
-                    # the clock runs, never during dispatch); slot (= node)
-                    # order keeps the delay-draw order of a full scan
-                    mail = pending_inbox
-                    pending_inbox = {}
-                    if slot_of is None:
-                        order = sorted(mail)
-                    else:
-                        order = sorted([slot_of[node] for node in mail])
-                    for slot in order:
-                        if halted[slot]:
-                            # halted nodes keep absorbing (and ignoring) mail
-                            continue
-                        node = slot if labels is None else labels[slot]
-                        on_round(slot, mail[node], public)
-                        if sends:
-                            algorithm += schedule_sends(node, pulses, now)
-            else:
-                for slot in range(num_slots):
-                    if halted[slot]:
-                        continue
-                    node = slot if labels is None else labels[slot]
-                    if adv is not None:
-                        if adv.node_crashed(node, pulses):
-                            adv.count_crash_round()
-                            continue
-                        if not started[slot]:
-                            # first up pulse after starting the run crashed
-                            started[slot] = 1
-                            on_start(slot)
-                            if node in pending_inbox:
-                                on_round(slot, pending_inbox.pop(node), public)
-                            if sends:
-                                algorithm += schedule_sends(node, pulses, now)
-                            continue
-                    if node in pending_inbox:
-                        on_round(slot, pending_inbox.pop(node), public)
-                    elif not message_driven:
-                        on_round(slot, NO_MESSAGES, public)
-                    if sends:
-                        algorithm += schedule_sends(node, pulses, now)
+            # take every inbox at once: deliveries only happen while the
+            # clock runs, never during dispatch
+            mail = pending_inbox
+            pending_inbox = {}
+            if adv is not None and adv.has_crash_windows:
+                # a crashed node's inbox buffers until it recovers
+                crashed = adv.crashed_nodes(pulses)
+                for slot, inbox in mail.items():
+                    if labels[slot] in crashed:
+                        pending_inbox[slot] = inbox
+            dispatch_round(protocol, mail, event.public_view(), pulses, adv, started)
+            if sends:
+                algorithm += accept(pulses, now)
             pulses += 1
         else:
             pending = protocol.active_count

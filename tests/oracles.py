@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import functools
 import random
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 from repro.protocols.collision.greenberg_ladner import MultiplicityEstimate
 from repro.sim.errors import ProtocolError
@@ -37,6 +39,12 @@ from repro.sim.flyweight import FlyweightEnvironment, FlyweightProtocol
 
 NodeId = Hashable
 Combine = Callable[[Any, Any], Any]
+
+# The inbox handed to every node without mail.  Immutable on purpose: the
+# adapter shares one instance across all quiet nodes and rounds, so a
+# protocol that tried to mutate its inbox (never part of the contract) fails
+# loudly instead of silently corrupting other nodes' observations.
+NO_MESSAGES: Sequence[Message] = ()
 
 
 class NodeContext:
@@ -237,7 +245,7 @@ class NodeProtocol:
 
         ``inbox`` must be treated as read-only: nodes without mail all share
         one immutable empty sequence
-        (:data:`~repro.sim.events.NO_MESSAGES`).
+        (:data:`NO_MESSAGES`).
         """
         raise NotImplementedError
 
@@ -282,8 +290,9 @@ class NodeProtocol:
 class PerNode(FlyweightProtocol):
     """A flyweight holding one per-node protocol instance per slot.
 
-    Each callback runs the slot's instance and forwards what it did into the
-    shared columns: its collected sends into the send buffer, its channel
+    Each callback runs the instances of its slots in order, skipping a slot
+    halted by then, and forwards what each did into the shared columns: its
+    collected sends into the send buffer (tagged with its slot), its channel
     write into the write buffer, and its halt into :meth:`halt_slot`.  The
     engine then sees exactly the per-node grouping and order of actions.
     """
@@ -312,20 +321,26 @@ class PerNode(FlyweightProtocol):
         protocol = self.protocols[slot]
         if protocol._acted:
             outbox, payload, wrote = protocol._collect_actions()
-            self._sends.extend(outbox)
+            for neighbor, message in outbox:
+                self.send(slot, neighbor, message)
             if wrote:
                 self._writes.append((self.env.nodes[slot], payload))
         if protocol.halted:
             self.halt_slot(slot)
 
-    def on_start(self, slot: int) -> None:
-        self.protocols[slot].on_start()
-        self._forward(slot)
+    def on_start(self, slots: Iterable[int]) -> None:
+        for slot in slots:
+            if not self.halted[slot]:
+                self.protocols[slot].on_start()
+                self._forward(slot)
 
-    def on_round(self, slot: int, inbox: Sequence[Message],
+    def on_round(self, slots: Iterable[int],
+                 inboxes: Mapping[int, Sequence[Message]],
                  channel: ChannelEvent) -> None:
-        self.protocols[slot].on_round(inbox, channel)
-        self._forward(slot)
+        for slot in slots:
+            if not self.halted[slot]:
+                self.protocols[slot].on_round(inboxes.get(slot, NO_MESSAGES), channel)
+                self._forward(slot)
 
     def results_by_node(self) -> Dict[NodeId, Any]:
         """Read each instance's result (set with or without halting)."""

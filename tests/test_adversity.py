@@ -182,15 +182,17 @@ class _RetransmittingFlood(FlyweightProtocol):
                     self.halt_slot(each, True)
                 return
         for neighbor in self.env.neighbors[slot]:
-            self.send(neighbor, "tok")
+            self.send(slot, neighbor, "tok")
 
-    def on_start(self, slot):
-        if self.env.nodes[slot] == self.root:
-            self._take_token(slot)
+    def on_start(self, slots):
+        for slot in slots:
+            if not self.halted[slot] and self.env.nodes[slot] == self.root:
+                self._take_token(slot)
 
-    def on_round(self, slot, inbox, channel):
-        if inbox or self.has_token[slot]:
-            self._take_token(slot)
+    def on_round(self, slots, inboxes, channel):
+        for slot in slots:
+            if not self.halted[slot] and (slot in inboxes or self.has_token[slot]):
+                self._take_token(slot)
 
 
 class TestCrashRecovery:
@@ -212,6 +214,17 @@ class TestCrashRecovery:
         assert all(result.results.values())
         # the victim actually lost rounds to its crash window
         assert state.crash_node_rounds > 0
+
+    @pytest.mark.parametrize("preset", ["crash", "loss"])
+    def test_crashed_nodes_match_the_per_node_predicate(self, preset):
+        graph = make_topology("grid", 64, seed=11)
+        state = adversity_state(preset, "crashed-set", 64)
+        state.bind_topology(graph)
+        assert state.has_crash_windows is (preset == "crash")
+        for round_index in range(200):
+            assert state.crashed_nodes(round_index) == {
+                node for node in graph.nodes() if state.node_crashed(node, round_index)
+            }
 
     def test_crashed_from_round_zero_gets_deferred_start(self):
         graph = make_topology("ring", 8, seed=11)

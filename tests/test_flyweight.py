@@ -98,6 +98,12 @@ def differential(simulator_for, oracle, flyweight, preset="none",
 
 
 TOPOLOGIES = (("grid", 36), ("ring", 24), ("scale_free", 48))
+
+
+def relabelled(kind, n):
+    """A copy of ``make_topology``'s graph whose labels are not its slots."""
+    graph = make_topology(kind, n, seed=11)
+    return graph.relabeled({node: f"v{node}" for node in graph.nodes()})
 FAULT_PRESETS = sorted(name for name in ADVERSITY_PRESETS if name != "none")
 
 
@@ -105,7 +111,15 @@ class TestSynchronousEquivalence:
     @pytest.mark.parametrize("kind,n", TOPOLOGIES)
     @pytest.mark.parametrize("redistribute", (False, True))
     def test_results_and_rounds_match_classic(self, kind, n, redistribute):
-        graph = make_topology(kind, n, seed=11)
+        self.check(make_topology(kind, n, seed=11), redistribute)
+
+    @pytest.mark.parametrize("kind,n", TOPOLOGIES)
+    @pytest.mark.parametrize("redistribute", (False, True))
+    def test_relabelled_results_and_rounds_match_classic(self, kind, n, redistribute):
+        self.check(relabelled(kind, n), redistribute)
+
+    @staticmethod
+    def check(graph, redistribute):
         oracle, tree_flyweight = aggregation_factories(graph, redistribute)
         classic = MultimediaNetwork(graph, seed=3).run(oracle)
         flyweight = MultimediaNetwork(graph, seed=3).run(tree_flyweight)
@@ -170,7 +184,14 @@ class TestAdversityEquivalence:
 class TestSynchronizerEquivalence:
     @pytest.mark.parametrize("kind,n", TOPOLOGIES)
     def test_report_matches_classic(self, kind, n):
-        graph = make_topology(kind, n, seed=11)
+        self.check(make_topology(kind, n, seed=11))
+
+    @pytest.mark.parametrize("kind,n", TOPOLOGIES)
+    def test_relabelled_report_matches_classic(self, kind, n):
+        self.check(relabelled(kind, n))
+
+    @staticmethod
+    def check(graph):
         oracle, tree_flyweight = aggregation_factories(graph, True)
         classic = ChannelSynchronizer(graph, max_link_delay=3, seed=3).run(oracle)
         flyweight = ChannelSynchronizer(graph, max_link_delay=3, seed=3).run(
@@ -223,7 +244,7 @@ class TestFlyweightState:
         graph = make_topology("ring", 8, seed=11)
         env = FlyweightEnvironment(graph.csr(), graph.num_nodes(), None)
         assert env.num_slots == graph.num_nodes()
-        assert sorted(env.slot_of[node] for node in env.nodes) == list(
+        assert sorted(env.csr.slot(node) for node in env.nodes) == list(
             range(env.num_slots)
         )
 
@@ -232,12 +253,12 @@ class TestFlyweightState:
         env = FlyweightEnvironment(graph.csr(), n=2, streams=None)
 
         class Noop(FlyweightProtocol):
-            def on_round(self, slot, inbox, channel):
+            def on_round(self, slots, inboxes, channel):
                 pass
 
         protocol = Noop(env)
         assert protocol.active_count == 2
-        protocol.halt_slot(env.slot_of["b"], result=7)
+        protocol.halt_slot(env.csr.slot("b"), result=7)
         assert protocol.active_count == 1
         assert protocol.results_by_node() == {"a": None, "b": 7}
 
@@ -255,7 +276,7 @@ class TestCSREnvironment:
         assert list(env.nodes) == graph.nodes()
         assert len(env.neighbors) == len(env.link_weights) == graph.num_nodes()
         for slot, node in enumerate(graph.nodes()):
-            assert env.slot_of[node] == slot
+            assert env.csr.slot(node) == slot
             assert env.neighbors[slot] == tuple(graph.iter_neighbors(node))
             assert env.link_weights[slot] == {
                 neighbour: graph.weight(node, neighbour) for neighbour in graph.neighbors(node)

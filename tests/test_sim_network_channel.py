@@ -1,5 +1,7 @@
 """Unit tests for the point-to-point network and the slotted channel."""
 
+import re
+
 import pytest
 
 from repro.sim.channel import SlottedChannel
@@ -22,7 +24,7 @@ class TestPointToPointNetwork:
 
     def test_delivery_one_round_later(self):
         network = PointToPointNetwork(path_graph(3))
-        network.accept_sends(0, [(1, "hello")], round_index=0)
+        network.accept_round([(0, 1, "hello")], round_index=0)
         assert network.deliver(0) == {}
         inboxes = network.deliver(1)
         assert len(inboxes[1]) == 1
@@ -32,28 +34,28 @@ class TestPointToPointNetwork:
     def test_non_neighbor_send_rejected(self):
         network = PointToPointNetwork(path_graph(3))
         with pytest.raises(ProtocolError):
-            network.accept_sends(0, [(2, "x")], round_index=0)
+            network.accept_round([(0, 2, "x")], round_index=0)
 
     def test_message_counting(self):
         metrics = MetricsRecorder()
         network = PointToPointNetwork(path_graph(4), metrics=metrics)
-        network.accept_sends(1, [(0, "a"), (2, "b")], round_index=0)
+        network.accept_round([(1, 0, "a"), (1, 2, "b")], round_index=0)
         assert metrics.point_to_point_messages == 2
         network.deliver(1)
         assert network.delivered_total == 2
 
     def test_hub_batch_validates_against_its_row(self):
-        # a hub sending to every neighbour in one batch, then batches that
+        # a hub sending to every neighbour in one round, then rounds that
         # end in a stranger
         graph = WeightedGraph.from_edges([(0, leaf) for leaf in range(1, 50)] + [(1, 2)])
         metrics = MetricsRecorder()
         network = PointToPointNetwork(graph, metrics=metrics)
-        sends = [(leaf, leaf) for leaf in range(1, 50)]
-        network.accept_sends(0, sends, round_index=0)
-        network.accept_sends(1, [(0, "a"), (2, "b")], round_index=1)
-        for sender, stray in ((2, [(3, "c")]), (0, sends + [(50, "d")])):
+        sends = [(0, leaf, leaf) for leaf in range(1, 50)]
+        network.accept_round(sends, round_index=0)
+        network.accept_round([(1, 0, "a"), (1, 2, "b")], round_index=1)
+        for stray in ([(2, 3, "c")], sends + [(0, 50, "d")]):
             with pytest.raises(ProtocolError):
-                network.accept_sends(sender, stray, round_index=1)
+                network.accept_round(stray, round_index=1)
         assert metrics.point_to_point_messages == 49 + 2 + 49
         delivered = network.deliver(1)
         assert list(delivered) == list(range(1, 50))
@@ -64,6 +66,34 @@ class TestPointToPointNetwork:
         assert [m.payload for m in delivered[2]] == ["b", 2]
         assert not network.has_in_flight()
         assert network.delivered_total == 100
+
+    @pytest.mark.parametrize("hub", [False, True], ids=["row", "hub"])
+    @pytest.mark.parametrize("relabel", [False, True], ids=["identity", "labels"])
+    def test_interleaved_senders_are_checked_against_their_own_rows(self, hub, relabel):
+        # sender A, then B, then A again with a receiver that is B's neighbour
+        # but not A's: a link cache kept from B must not let it through
+        leaves = range(3, 3 + (20 if hub else 1))
+        graph = WeightedGraph.from_edges(
+            [(0, 1), (1, 2)] + [(0, leaf) for leaf in leaves]
+        )
+        label = (lambda node: f"v{node}") if relabel else (lambda node: node)
+        if relabel:
+            graph = graph.relabeled({node: label(node) for node in graph.nodes()})
+        slot = graph.csr().index_of or {node: node for node in graph.nodes()}
+        a, b = slot[label(0)], slot[label(1)]
+        metrics = MetricsRecorder()
+        network = PointToPointNetwork(graph, metrics=metrics)
+        batch = [(a, label(1), "a"), (b, label(2), "b"), (a, label(2), "stray")]
+        with pytest.raises(ProtocolError, match=re.escape(
+            f"node {label(0)!r} attempted to send over a non-existent link to "
+            f"{label(2)!r}"
+        )):
+            network.accept_round(batch, round_index=0)
+        assert metrics.point_to_point_messages == 2
+        delivered = network.deliver(1)
+        assert [m.payload for m in delivered[slot[label(1)]]] == ["a"]
+        assert [m.payload for m in delivered[slot[label(2)]]] == ["b"]
+        assert [m.sender for m in delivered[slot[label(2)]]] == [label(1)]
 
 
 class TestSlottedChannel:
