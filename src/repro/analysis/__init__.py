@@ -8,9 +8,8 @@ from repro.analysis.complexity import (
     mst_time_bound,
     rand_partition_message_bound,
     rand_partition_time_bound,
-    ratio_to_bound,
 )
-from repro.analysis.statistics import mean, population_std, summarize
+from repro.analysis.statistics import mean
 from repro.analysis.reporting import Table, format_table
 
 __all__ = [
@@ -21,10 +20,7 @@ __all__ = [
     "mst_time_bound",
     "rand_partition_message_bound",
     "rand_partition_time_bound",
-    "ratio_to_bound",
     "mean",
-    "population_std",
-    "summarize",
     "Table",
     "format_table",
 ]

@@ -8,7 +8,7 @@ divide their *measured* round and message counts by these curves and report
 the ratio as a table column (``rounds/bound``, ``messages/bound``): a claim
 "the algorithm runs in O(f(n))" is reproduced when the ratios stay within a
 constant band as ``n`` grows — they may oscillate, but must not trend
-upward.  :func:`ratio_to_bound` computes those ratio sequences.
+upward.
 
 The iterated-logarithm helpers come from the modules that own them
 (:func:`~repro.protocols.symmetry.cole_vishkin.log_star` for base-2,
@@ -39,7 +39,6 @@ __all__ = [
     "global_rand_time_bound",
     "mst_time_bound",
     "mst_message_bound",
-    "ratio_to_bound",
     "PowerLawFit",
     "fit_power_law",
 ]
@@ -141,25 +140,6 @@ def mst_message_bound(n: int, m: int) -> float:
     so the e9 table states which claim it divides by.
     """
     return det_partition_message_bound(n, m)
-
-
-def ratio_to_bound(measured: Sequence[float], bound: Sequence[float]) -> list:
-    """Return the element-wise ratios measured[i] / bound[i].
-
-    A reproduction of an O(f(n)) claim succeeds when these ratios do not grow
-    with ``n`` (they may oscillate within a constant band).
-
-    Raises:
-        ValueError: if the sequences have different lengths or a bound is zero.
-    """
-    if len(measured) != len(bound):
-        raise ValueError("sequences must have the same length")
-    ratios = []
-    for value, reference in zip(measured, bound):
-        if reference == 0:
-            raise ValueError("bound values must be non-zero")
-        ratios.append(value / reference)
-    return ratios
 
 
 class PowerLawFit(NamedTuple):

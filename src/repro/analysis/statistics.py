@@ -1,20 +1,18 @@
-"""Small summary-statistics helpers used by the experiment harness.
+"""The summary statistic the experiment sweeps aggregate seeds with.
 
 The randomized experiment sweeps (e3/e4/e6) run each instance across several
-seeds and report per-size aggregates; these helpers compute them.  Kept
-dependency-free (no numpy) so the core library stays pure-stdlib — a
-constraint the repository holds everywhere (see ROADMAP.md) — and the tests
-cross-check the results against numpy where it happens to be available.
+seeds and report per-size means.  Kept dependency-free (no numpy) so the
+core library stays pure-stdlib — a constraint the repository holds
+everywhere (see ROADMAP.md) — and the tests cross-check the result against
+numpy where it happens to be available.
 
-Every function rejects empty input with :class:`ValueError` rather than
+:func:`mean` rejects empty input with :class:`ValueError` rather than
 returning a quiet ``nan``: an empty sample reaching an experiment aggregate
 means a sweep produced no rows, which should fail loudly.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Sequence
 
 
@@ -30,61 +28,3 @@ def mean(values: Sequence[float]) -> float:
     if not values:
         raise ValueError("cannot average zero values")
     return sum(values) / len(values)
-
-
-def population_std(values: Sequence[float]) -> float:
-    """Return the population standard deviation (zero for a single value).
-
-    The *population* form (divide by ``len(values)``, not ``len - 1``) is
-    deliberate: a sweep's seed set is the entire population the table row
-    describes, not a sample from a larger one.
-
-    Args:
-        values: a non-empty sample.
-
-    Raises:
-        ValueError: if ``values`` is empty.
-    """
-    if not values:
-        raise ValueError("cannot take the deviation of zero values")
-    centre = mean(values)
-    return math.sqrt(sum((value - centre) ** 2 for value in values) / len(values))
-
-
-@dataclass(frozen=True)
-class Summary:
-    """Five-number-ish summary of a sample.
-
-    Attributes:
-        count: number of observations.
-        mean: arithmetic mean.
-        std: population standard deviation (see :func:`population_std`).
-        minimum: smallest observation.
-        maximum: largest observation.
-    """
-
-    count: int
-    mean: float
-    std: float
-    minimum: float
-    maximum: float
-
-
-def summarize(values: Sequence[float]) -> Summary:
-    """Return a :class:`Summary` of ``values``.
-
-    Args:
-        values: a non-empty sample.
-
-    Raises:
-        ValueError: if ``values`` is empty.
-    """
-    if not values:
-        raise ValueError("cannot summarise zero values")
-    return Summary(
-        count=len(values),
-        mean=mean(values),
-        std=population_std(values),
-        minimum=min(values),
-        maximum=max(values),
-    )

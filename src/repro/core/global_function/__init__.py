@@ -14,7 +14,6 @@ experiment (E7).
 
 from repro.core.global_function.semigroup import (
     GlobalSensitiveFunction,
-    BOOLEAN_OR,
     INTEGER_ADDITION,
     INTEGER_MAXIMUM,
     INTEGER_MINIMUM,
@@ -32,7 +31,6 @@ from repro.core.global_function.baselines import (
 
 __all__ = [
     "GlobalSensitiveFunction",
-    "BOOLEAN_OR",
     "INTEGER_ADDITION",
     "INTEGER_MAXIMUM",
     "INTEGER_MINIMUM",

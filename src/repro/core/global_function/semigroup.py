@@ -5,17 +5,17 @@ x_1 • x_2 • … • x_n``.  ``F_n`` is *global sensitive* when, for every n-
 in its domain and every position ``i``, some change of ``x_i`` alone changes
 the value — i.e. no n−1 operands determine the result.  Addition over the
 integers, minimum over the integers (without a least element in the domain),
-and XOR are the paper's examples; all are provided here, along with the
-machinery to check the sensitivity property on finite domains (used by the
-property-based tests).
+and XOR are the paper's examples; all are provided here.  The property-based
+tests check the sensitivity property on sampled inputs
+(``tests/oracles.py:check_global_sensitivity``).
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -28,20 +28,11 @@ class GlobalSensitiveFunction:
         identity: an optional identity element; when present it lets empty
             partial aggregates be represented (the algorithms never need it
             for non-empty fragments but the tests exercise it).
-        perturb: given an operand, return a different operand from the domain
-            — the witness ``y_i`` of the sensitivity definition.  Used by the
-            validators to confirm global sensitivity on sampled inputs.
-        witness: optional replacement for ``perturb`` that sees the whole
-            operand tuple; needed for functions such as minimum, where a
-            valid witness must undercut the global minimum rather than just
-            differ from the local operand.
     """
 
     name: str
     combine: Callable[[Any, Any], Any]
     identity: Optional[Any] = None
-    perturb: Callable[[Any], Any] = field(default=lambda value: value + 1)
-    witness: Optional[Callable[[Sequence[Any], int], Any]] = None
 
     def evaluate(self, operands: Sequence[Any]) -> Any:
         """Return the semigroup product of ``operands``.
@@ -58,71 +49,19 @@ class GlobalSensitiveFunction:
             return self.identity
         return reduce(self.combine, items)
 
-    def is_sensitive_at(self, operands: Sequence[Any], index: int) -> bool:
-        """Return ``True`` when changing ``operands[index]`` changes the value."""
-        original = self.evaluate(operands)
-        modified = list(operands)
-        if self.witness is not None:
-            modified[index] = self.witness(operands, index)
-        else:
-            modified[index] = self.perturb(modified[index])
-        return self.evaluate(modified) != original
-
-    def check_global_sensitivity(self, operands: Sequence[Any]) -> bool:
-        """Return ``True`` when the function is sensitive in every position."""
-        return all(self.is_sensitive_at(operands, index) for index in range(len(operands)))
-
     def __repr__(self) -> str:
         """Return the function's name for debugging."""
         return f"GlobalSensitiveFunction({self.name!r})"
 
 
-def _perturb_int(value: int) -> int:
-    return value + 1
-
-
-def _perturb_min(value: int) -> int:
-    # for minimum, decreasing an operand always changes the result when the
-    # domain has no least element (the paper's caveat); decreasing below the
-    # current operand is a valid witness on the integers
-    return value - 1
-
-
-def _perturb_bit(value: int) -> int:
-    return value ^ 1
-
-
 #: Addition over the integers — the canonical global sensitive function.
-INTEGER_ADDITION = GlobalSensitiveFunction(
-    name="sum", combine=operator.add, identity=0, perturb=_perturb_int
-)
+INTEGER_ADDITION = GlobalSensitiveFunction(name="sum", combine=operator.add, identity=0)
 
-#: Minimum over the integers (global sensitive because ℤ has no least element):
-#: the sensitivity witness for any position undercuts the current minimum.
-INTEGER_MINIMUM = GlobalSensitiveFunction(
-    name="min", combine=min, identity=None, perturb=_perturb_min,
-    witness=lambda operands, index: min(operands) - 1,
-)
+#: Minimum over the integers (global sensitive because ℤ has no least element).
+INTEGER_MINIMUM = GlobalSensitiveFunction(name="min", combine=min)
 
 #: Maximum over the integers (global sensitive because ℤ has no greatest element).
-INTEGER_MAXIMUM = GlobalSensitiveFunction(
-    name="max", combine=max, identity=None, perturb=_perturb_int,
-    witness=lambda operands, index: max(operands) + 1,
-)
+INTEGER_MAXIMUM = GlobalSensitiveFunction(name="max", combine=max)
 
 #: Addition modulo two (exclusive or), the paper's third example.
-XOR = GlobalSensitiveFunction(
-    name="xor", combine=operator.xor, identity=0, perturb=_perturb_bit
-)
-
-#: Boolean OR — included as a counter-example: it is NOT global sensitive
-#: (once some operand is True, the others do not matter).  The validators use
-#: it to confirm the sensitivity checker can tell the difference.
-BOOLEAN_OR = GlobalSensitiveFunction(
-    name="or", combine=operator.or_, identity=False, perturb=lambda value: not value
-)
-
-
-def standard_functions() -> List[GlobalSensitiveFunction]:
-    """Return the global sensitive functions exercised by the experiments."""
-    return [INTEGER_ADDITION, INTEGER_MINIMUM, INTEGER_MAXIMUM, XOR]
+XOR = GlobalSensitiveFunction(name="xor", combine=operator.xor, identity=0)

@@ -27,9 +27,6 @@ import math
 from dataclasses import dataclass
 from typing import List
 
-from repro.topology.graph import WeightedGraph
-from repro.topology.properties import diameter
-
 
 def point_to_point_lower_bound(d: int) -> int:
     """Return the Ω(d) bound: at least ``d`` rounds on a diameter-``d`` network."""
@@ -50,15 +47,6 @@ def multimedia_lower_bound(n: int, d: int) -> int:
     if n < 0 or d < 0:
         raise ValueError("n and d cannot be negative")
     return int(min(d, math.sqrt(n)) // 4)
-
-
-def multimedia_upper_bound_randomized(n: int) -> float:
-    """Return the randomized expected upper bound O(√n log* n)."""
-    from repro.protocols.symmetry.cole_vishkin import log_star
-
-    if n < 2:
-        return 1.0
-    return math.sqrt(n) * max(1, log_star(n))
 
 
 @dataclass
@@ -107,24 +95,3 @@ def claim4_sensitivity_trace(n: int, d: int, max_steps: int | None = None) -> Ad
         if value > 0:
             horizon = index
     return AdversaryTrace(n=n, d=d, steps=steps, horizon=horizon)
-
-
-def lower_bound_for_graph(graph: WeightedGraph, medium: str) -> int:
-    """Return the applicable lower bound for ``graph`` and ``medium``.
-
-    Args:
-        graph: the point-to-point topology.
-        medium: ``"point-to-point"``, ``"channel"`` or ``"multimedia"``.
-
-    Raises:
-        ValueError: on an unknown medium.
-    """
-    n = graph.num_nodes()
-    if medium == "channel":
-        return broadcast_lower_bound(n)
-    d = diameter(graph)
-    if medium == "point-to-point":
-        return point_to_point_lower_bound(d)
-    if medium == "multimedia":
-        return multimedia_lower_bound(n, d)
-    raise ValueError(f"unknown medium {medium!r}")

@@ -89,20 +89,3 @@ def kruskal_mst(graph: WeightedGraph) -> MSTEdges:
             chosen.append(edge)
             total += edge.weight
     return MSTEdges(edges=chosen, total_weight=total)
-
-
-def same_tree(first: MSTEdges, second: MSTEdges) -> bool:
-    """Return ``True`` when two MSTs consist of exactly the same edges."""
-    return first.edge_keys() == second.edge_keys()
-
-
-def spanning_tree_weight(graph: WeightedGraph, keys: Set[Tuple[NodeId, NodeId]]) -> float:
-    """Return the total weight of the edges named by ``keys`` in ``graph``.
-
-    Raises:
-        KeyError: if a key does not name an edge of the graph.
-    """
-    total = 0.0
-    for u, v in keys:
-        total += graph.weight(u, v)
-    return total

@@ -105,29 +105,6 @@ class SpanningForest:
         self._sizes = sizes
         self._radii = radii
 
-    @classmethod
-    def from_parent_map(
-        cls, parents: Dict[NodeId, Optional[NodeId]]
-    ) -> "SpanningForest":
-        """Build a forest from a node → parent map (roots map to ``None``).
-
-        The enumeration is the map's key order.
-
-        Raises:
-            ValueError: if a referenced parent is missing or a cycle exists.
-        """
-        nodes = tuple(parents)
-        slot_of = {node: slot for slot, node in enumerate(nodes)}
-        column: List[int] = []
-        for node, up in parents.items():
-            if up is None:
-                column.append(-1)
-            elif up in slot_of:
-                column.append(slot_of[up])
-            else:
-                raise ValueError(f"parent {up!r} of {node!r} is not in the map")
-        return cls(nodes, column)
-
     # ------------------------------------------------------------------
     # accessors
     # ------------------------------------------------------------------

@@ -22,7 +22,7 @@ from repro.experiments.executors import (
     ShardedExecutor,
     make_executor,
 )
-from repro.experiments.harness import make_topology, sweep_sizes
+from repro.experiments.harness import make_topology
 from repro.experiments.registry import (
     ExperimentSpec,
     all_experiments,
@@ -43,5 +43,4 @@ __all__ = [
     "make_topology",
     "register_experiment",
     "run_experiment",
-    "sweep_sizes",
 ]

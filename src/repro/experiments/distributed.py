@@ -95,6 +95,7 @@ from repro.experiments.executors import (
     open_run_dir,
     shard_indices,
     sweep_digest,
+    valid_compute_seconds,
     write_checkpoint,
 )
 from repro.experiments.registry import (
@@ -143,7 +144,7 @@ def send_request(
         raise DistributedProtocolError("oversized reply from coordinator")
     try:
         reply = json.loads(line.decode("utf-8"))
-    except ValueError as error:
+    except (ValueError, RecursionError) as error:
         raise DistributedProtocolError(f"malformed reply: {error}") from None
     if not isinstance(reply, dict):
         raise DistributedProtocolError("reply is not a JSON object")
@@ -186,7 +187,7 @@ class _CoordinatorHandler(socketserver.StreamRequestHandler):
             message = json.loads(line.decode("utf-8"))
             if not isinstance(message, dict):
                 raise ValueError("request is not a JSON object")
-        except (OSError, ValueError, UnicodeDecodeError) as error:
+        except (OSError, ValueError, UnicodeDecodeError, RecursionError) as error:
             reply: Dict[str, Any] = {"op": "error", "reason": str(error)}
         else:
             reply = self.server.coordinator.handle(message, long_poll=True)
@@ -421,7 +422,7 @@ class ShardCoordinator:
                 )
             if op == "submit":
                 return self._submit(message)
-        except (TypeError, ValueError, KeyError) as error:
+        except (TypeError, ValueError, KeyError, RecursionError) as error:
             return {"op": "error", "reason": f"malformed {op}: {error}"}
         return {"op": "error", "reason": f"unknown op {op!r}"}
 
@@ -521,33 +522,46 @@ class ShardCoordinator:
                 return self._reject(worker, shard, "stale sweep digest")
             if message.get("indices") != list(self._plan[shard]):
                 return self._reject(worker, shard, "shard indices mismatch")
-            rows = decode_wire(message.get("rows"))
-            expected = len(self._plan[shard])
-            if not isinstance(rows, list) or len(rows) != expected:
-                return self._reject(worker, shard, "row count mismatch")
-            if any(
-                not isinstance(row, dict) or set(self._spec.columns) - set(row)
-                for row in rows
-            ):
-                return self._reject(worker, shard, "row schema mismatch")
             try:
-                compute_seconds = float(message.get("compute_seconds", 0.0))
-            except (TypeError, ValueError):
-                compute_seconds = 0.0
-            write_checkpoint(
-                self._run_dir,
-                shard,
-                self._shard_count,
-                self._plan[shard],
-                rows,
-                compute_seconds,
-                self._digest,
-            )
+                problem = self._checkpoint(shard, message)
+            except RecursionError:
+                problem = "rows nested too deeply"
+            if problem is not None:
+                return self._reject(worker, shard, problem)
             self._completed.add(shard)
             self._leases.pop(shard, None)
             self.stats["accepted"] += 1
             self._changed.notify_all()
             return {"op": "accepted", "duplicate": False}
+
+    def _checkpoint(self, shard: int, message: Mapping[str, Any]) -> Optional[str]:
+        """Check a submission's rows and time, then write its checkpoint.
+
+        Lock held by the caller.  Returns the rejection reason, or ``None``
+        once the checkpoint is written.
+        """
+        rows = decode_wire(message.get("rows"))
+        expected = len(self._plan[shard])
+        if not isinstance(rows, list) or len(rows) != expected:
+            return "row count mismatch"
+        if any(
+            not isinstance(row, dict) or set(self._spec.columns) - set(row)
+            for row in rows
+        ):
+            return "row schema mismatch"
+        compute_seconds = message.get("compute_seconds")
+        if not valid_compute_seconds(compute_seconds):
+            return "malformed compute_seconds"
+        write_checkpoint(
+            self._run_dir,
+            shard,
+            self._shard_count,
+            self._plan[shard],
+            rows,
+            compute_seconds,
+            self._digest,
+        )
+        return None
 
     def _reject(self, worker: str, shard: Any, reason: str) -> Dict[str, Any]:
         """Refuse a submission; re-queue the shard if this worker held it.

@@ -71,6 +71,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 import time
@@ -379,6 +380,20 @@ def write_checkpoint(
     )
 
 
+def valid_compute_seconds(value: Any) -> bool:
+    """Return ``True`` when ``value`` is a usable shard ``compute_seconds``.
+
+    It must be an ``int`` or ``float`` (a ``bool`` is neither here), finite
+    and non-negative.  Checkpoint files and worker submissions are both held
+    to it, so a NaN, a negative time or a string never reaches a merged
+    ``wall_seconds``.
+    """
+    return (
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        and math.isfinite(value) and value >= 0
+    )
+
+
 def load_checkpoint(
     run_dir: Path,
     shard: int,
@@ -388,8 +403,10 @@ def load_checkpoint(
 ) -> Optional[Dict[str, Any]]:
     """Load and validate one shard checkpoint; ``None`` when unusable.
 
-    A missing, truncated, corrupt, foreign (digest mismatch), or
-    schema-mismatched file is reported as absent rather than fatal, so
+    A missing, truncated, corrupt (nested too deeply to parse included),
+    foreign (digest mismatch), or schema-mismatched file, or one whose
+    ``compute_seconds`` fails :func:`valid_compute_seconds`, is reported as
+    absent rather than fatal, so
     recovery is always "re-run the shard" — the checkpoint directory can
     never wedge a sweep, and a stale checkpoint from a
     differently-parameterised sweep is never merged even when the manifest
@@ -399,7 +416,7 @@ def load_checkpoint(
     path = _shard_path(run_dir, shard)
     try:
         data = json.loads(path.read_text())
-    except (OSError, ValueError):
+    except (OSError, ValueError, RecursionError):
         return None
     try:
         if data["digest"] != digest:
@@ -414,11 +431,13 @@ def load_checkpoint(
             for row in rows
         ):
             return None
+        if not valid_compute_seconds(data["compute_seconds"]):
+            return None
         return {
             "rows": rows,
             "compute_seconds": float(data["compute_seconds"]),
         }
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, RecursionError):
         return None
 
 
@@ -458,12 +477,13 @@ def read_manifest(run_dir: Path) -> Optional[Dict[str, Any]]:
     Well formed means a JSON object whose ``experiment``, ``preset`` and
     ``digest`` are strings, ``params`` is an object, ``num_points`` an int
     ≥ 0 and ``shard_count`` an int ≥ 1.  Every reader goes through here, so
-    a corrupt manifest is treated as absent — rewritten by
-    :func:`ensure_manifest`, skipped by the serving side — never a crash.
+    a corrupt manifest (one nested too deeply to parse included) is treated
+    as absent — rewritten by :func:`ensure_manifest`, skipped by the serving
+    side — never a crash.
     """
     try:
         data = json.loads((run_dir / MANIFEST_NAME).read_text())
-    except (OSError, ValueError):
+    except (OSError, ValueError, RecursionError):
         return None
     if not isinstance(data, dict):
         return None

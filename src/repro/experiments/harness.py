@@ -1,8 +1,6 @@
-"""Shared topology construction and size sweeps for the experiments."""
+"""Shared topology construction for the experiments."""
 
 from __future__ import annotations
-
-from typing import Callable, Dict, List, Sequence
 
 from repro.topology.generators import (
     ad_hoc_affectance_graph,
@@ -66,19 +64,3 @@ def topology_diameter(kind: str, graph: WeightedGraph) -> int:
     if n <= EXACT_DIAMETER_MAX_N:
         return diameter(graph)
     return approximate_diameter(graph)
-
-
-def sweep_sizes(
-    sizes: Sequence[int],
-    runner: Callable[[WeightedGraph], Dict[str, float]],
-    topology: str = "grid",
-    seed: int = 11,
-) -> List[Dict[str, float]]:
-    """Run ``runner`` on one topology per size and collect its row dictionaries."""
-    rows: List[Dict[str, float]] = []
-    for n in sizes:
-        graph = make_topology(topology, n, seed=seed)
-        row = {"n": graph.num_nodes(), "m": graph.num_edges()}
-        row.update(runner(graph))
-        rows.append(row)
-    return rows

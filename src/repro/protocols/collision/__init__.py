@@ -6,9 +6,8 @@ network.  The conflict-resolution protocols are **contender state machines**
 algorithms embed to schedule a set of contenders (e.g. fragment roots) on
 the channel slot by slot with
 :func:`~repro.protocols.collision.base.run_contention`.  The
-Greenberg–Ladner estimator and the randomized leader election are also
-provided as flyweights runnable stand-alone on a
-:class:`~repro.sim.multimedia.MultimediaNetwork`.
+Greenberg–Ladner multiplicity estimator runs against a bare
+:class:`~repro.sim.channel.SlottedChannel`.
 """
 
 from repro.protocols.collision.base import (
@@ -24,14 +23,7 @@ from repro.protocols.collision.geometric import (
 )
 from repro.protocols.collision.capetanakis import CapetanakisContender
 from repro.protocols.collision.metcalfe_boggs import MetcalfeBoggsContender
-from repro.protocols.collision.greenberg_ladner import (
-    GreenbergLadnerFlyweight,
-    estimate_multiplicity,
-)
-from repro.protocols.collision.leader_election import (
-    RandomizedLeaderElectionFlyweight,
-    elect_leader,
-)
+from repro.protocols.collision.greenberg_ladner import estimate_multiplicity
 
 __all__ = [
     "ChannelContender",
@@ -43,8 +35,5 @@ __all__ = [
     "success_given_busy",
     "CapetanakisContender",
     "MetcalfeBoggsContender",
-    "GreenbergLadnerFlyweight",
     "estimate_multiplicity",
-    "RandomizedLeaderElectionFlyweight",
-    "elect_leader",
 ]

@@ -18,26 +18,17 @@ O(k·b) = O(k log n) slots, which is exactly the bound the paper invokes when
 it schedules the O(√n) fragment roots deterministically in O(√n log n) time
 (Sections 5 and 6).
 
-The implementation is a :class:`ChannelContender`, so both contenders and
-passive listeners (who only need the shared stack) can follow the protocol;
-the stack evolution depends only on the publicly observable slot states.
+The implementation is a :class:`ChannelContender`; the stack evolution
+depends only on the publicly observable slot states, so a passive listener
+could follow the protocol as well.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.protocols.collision.base import ChannelContender
 from repro.sim.events import ChannelEvent
-
-NodeId = Hashable
-
-
-def universe_bits(universe_size: int) -> int:
-    """Return the number of identifier bits needed for ``universe_size`` ids."""
-    if universe_size < 1:
-        raise ValueError("the identifier universe must be non-empty")
-    return max(1, (universe_size - 1).bit_length())
 
 
 class _SharedStack:
@@ -86,7 +77,6 @@ class CapetanakisContender(ChannelContender):
             )
         super().__init__(identity, payload)
         self._stack = _SharedStack(universe_size)
-        self._universe = universe_size
 
     def wants_to_transmit(self, slot: int) -> bool:
         """Transmit when the interval on top of the shared stack holds this identity."""
@@ -100,42 +90,3 @@ class CapetanakisContender(ChannelContender):
         """Record a success and advance the shared stack past the slot."""
         super().observe(event, transmitted)
         self._stack.advance(event)
-
-    @property
-    def pending_intervals(self) -> int:
-        """Return the number of identifier intervals still to be explored."""
-        return len(self._stack.intervals)
-
-
-class CapetanakisListener:
-    """A passive participant that tracks the shared stack and heard payloads.
-
-    Non-contending nodes use this to know when the resolution is over: the
-    protocol terminates exactly when the shared stack empties.
-    """
-
-    def __init__(self, universe_size: int) -> None:
-        """Track the tree splitting over ``[0, universe_size)`` without contending."""
-        self._stack = _SharedStack(universe_size)
-        self.heard: List = []
-
-    def observe(self, event: ChannelEvent) -> None:
-        """Track one resolved slot."""
-        if event.is_success():
-            self.heard.append(event.payload)
-        self._stack.advance(event)
-
-    @property
-    def finished(self) -> bool:
-        """Return ``True`` once every identifier interval has been retired."""
-        return not self._stack.intervals
-
-
-def deterministic_schedule_bound(num_contenders: int, universe_size: int) -> int:
-    """Return the worst-case slot bound O(k log N) for the tree protocol.
-
-    Used by the experiments to compare measured slot counts against the bound
-    the paper charges for root scheduling.
-    """
-    bits = universe_bits(universe_size)
-    return max(1, 2 * num_contenders * (bits + 1))

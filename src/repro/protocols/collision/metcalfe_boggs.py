@@ -94,11 +94,6 @@ class MetcalfeBoggsContender(ChannelContender):
         """Return the private source, materialising a seed-deferred one."""
         return self._rng if self._rng is not None else self._materialise_rng()
 
-    @property
-    def remaining_estimate(self) -> int:
-        """Return the current estimate of unresolved contenders (at least 1)."""
-        return max(1, self._initial_estimate - self._successes_seen)
-
     def wants_to_transmit(self, slot: int) -> bool:
         """Transmit with probability 1 / (contenders still unresolved)."""
         draw = self._draw
@@ -144,19 +139,3 @@ class MetcalfeBoggsContender(ChannelContender):
         self._successes_seen = successes_seen
         if slot is not None:
             self._succeeded_in_slot = slot
-
-
-def expected_slots_per_success(estimate: int) -> float:
-    """Return the expected number of slots per success for ``estimate`` contenders.
-
-    With ``k`` contenders each transmitting with probability ``1/k`` the
-    per-slot success probability is ``(1 − 1/k)^{k−1} ≥ 1/e``, so the expected
-    number of slots until a success is at most ``e``.  Experiments compare the
-    measured slot counts against ``e·k``.
-    """
-    if estimate < 1:
-        raise ValueError("estimate must be at least 1")
-    if estimate == 1:
-        return 1.0
-    p_success = (1.0 - 1.0 / estimate) ** (estimate - 1)
-    return 1.0 / p_success

@@ -2,8 +2,7 @@
 
 A rooted tree (or forest) kept as a mapping ``node → parent``, roots
 mapping to ``None``.  The point-to-point MST baseline keeps its fragments
-this way and uses the depths and re-rooting helpers here; the children map
-describes a BFS tree to the per-node reference protocols.  Partition
+this way and uses the depths and re-rooting helpers here.  Partition
 forests are slot columns instead
 (:class:`~repro.core.partition.forest.SpanningForest`).
 """
@@ -15,15 +14,6 @@ from typing import Dict, Hashable, List, Optional
 
 NodeId = Hashable
 ParentMap = Dict[NodeId, Optional[NodeId]]
-
-
-def children_map(parents: ParentMap) -> Dict[NodeId, List[NodeId]]:
-    """Return ``node → list of children`` for a parent map."""
-    children: Dict[NodeId, List[NodeId]] = {node: [] for node in parents}
-    for node, parent in parents.items():
-        if parent is not None:
-            children[parent].append(node)
-    return children
 
 
 def node_depths(parents: ParentMap) -> Dict[NodeId, int]:

@@ -15,37 +15,21 @@ vertices are ``0..k-1`` and whose parents are an int column (``-1`` for a
 root): :func:`~repro.protocols.symmetry.cole_vishkin.cole_vishkin_columns`,
 :func:`~repro.protocols.symmetry.three_coloring.three_color_columns` and
 :func:`~repro.protocols.symmetry.mis.mis_columns`.  The deterministic
-partitioner runs the kernels on the fragment forest F directly; the
-dict-based functions are thin adapters that enumerate their vertices, call
-the kernel and map the result back.
+partitioner runs the kernels on the fragment forest F directly.
 """
 
 from repro.protocols.symmetry.cole_vishkin import (
-    cole_vishkin_step,
+    cole_vishkin_columns,
     color_bit_length,
     log_star,
 )
-from repro.protocols.symmetry.three_coloring import (
-    ColoringResult,
-    is_legal_coloring,
-    three_color_rooted_forest,
-)
-from repro.protocols.symmetry.mis import (
-    MISResult,
-    is_independent_set,
-    is_maximal_independent_set,
-    mis_from_three_coloring,
-)
+from repro.protocols.symmetry.three_coloring import three_color_columns
+from repro.protocols.symmetry.mis import mis_columns
 
 __all__ = [
-    "cole_vishkin_step",
+    "cole_vishkin_columns",
     "color_bit_length",
     "log_star",
-    "ColoringResult",
-    "is_legal_coloring",
-    "three_color_rooted_forest",
-    "MISResult",
-    "is_independent_set",
-    "is_maximal_independent_set",
-    "mis_from_three_coloring",
+    "three_color_columns",
+    "mis_columns",
 ]

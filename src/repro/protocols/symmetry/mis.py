@@ -21,12 +21,7 @@ constant radius.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Set
-
-from repro.protocols.symmetry.cole_vishkin import forest_columns
-
-NodeId = Hashable
+from typing import List, Sequence
 
 RED = 0
 GREEN = 1
@@ -35,54 +30,6 @@ BLUE = 2
 #: Number of parent→child communication rounds Steps 4 and 5 need: one for the
 #: shift-down, one for the blue pass and one for the green pass.
 MIS_COMMUNICATION_ROUNDS = 3
-
-
-@dataclass
-class MISResult:
-    """The MIS produced by Steps 4–5 and the recoloured forest.
-
-    Attributes:
-        independent_set: the red vertices (contains every root of the forest).
-        colors: the final colouring (red vertices are exactly the MIS).
-        communication_rounds: rounds of parent↔child communication used.
-    """
-
-    independent_set: Set[NodeId]
-    colors: Dict[NodeId, int]
-    communication_rounds: int
-
-
-def mis_from_three_coloring(
-    parents: Dict[NodeId, Optional[NodeId]],
-    colors: Dict[NodeId, int],
-) -> MISResult:
-    """Run Steps 4 and 5 of the partitioning algorithm on forest ``parents``.
-
-    A dict adapter over :func:`mis_columns`: the vertices are enumerated in
-    ``parents`` order, the kernel runs on the columns, and the colours are
-    mapped back.
-
-    Args:
-        parents: rooted forest (roots map to ``None``).
-        colors: a legal 3-colouring with colours in ``{0, 1, 2}`` (0 = red).
-
-    Returns:
-        The :class:`MISResult`; the red set is a maximal independent set of
-        the forest and contains every root.
-
-    Raises:
-        ValueError: if a parent is not a key of ``parents``, or the
-            colouring is illegal or uses colours outside ``{0, 1, 2}``.
-    """
-    vertices, parent = forest_columns(parents)
-    final = mis_columns(parent, [colors[vertex] for vertex in vertices])
-    return MISResult(
-        independent_set={
-            vertex for vertex, color in zip(vertices, final) if color == RED
-        },
-        colors=dict(zip(vertices, final)),
-        communication_rounds=MIS_COMMUNICATION_ROUNDS,
-    )
 
 
 def mis_columns(parent: Sequence[int], colors: Sequence[int]) -> List[int]:
@@ -148,33 +95,3 @@ def _color_other_than(first: int, second: int) -> int:
         if candidate != first and candidate != second:
             return candidate
     raise AssertionError("two excluded colours always leave one of three available")
-
-
-def is_independent_set(
-    parents: Dict[NodeId, Optional[NodeId]],
-    vertices: Set[NodeId],
-) -> bool:
-    """Return ``True`` when no two vertices of ``vertices`` are adjacent in the forest."""
-    for node, parent in parents.items():
-        if parent is not None and node in vertices and parent in vertices:
-            return False
-    return True
-
-
-def is_maximal_independent_set(
-    parents: Dict[NodeId, Optional[NodeId]],
-    vertices: Set[NodeId],
-) -> bool:
-    """Return ``True`` when ``vertices`` is independent and cannot be extended."""
-    if not is_independent_set(parents, vertices):
-        return False
-    # a vertex outside the set must have a neighbour (parent or child) in it
-    covered = set(vertices)
-    for node, parent in parents.items():
-        if parent is None:
-            continue
-        if parent in vertices:
-            covered.add(node)
-        if node in vertices:
-            covered.add(parent)
-    return all(node in covered for node in parents)

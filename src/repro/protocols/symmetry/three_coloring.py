@@ -21,78 +21,12 @@ records the number of such rounds for the caller's complexity accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.protocols.symmetry.cole_vishkin import (
     cole_vishkin_columns,
     colors_after_step,
-    forest_columns,
 )
-
-NodeId = Hashable
-
-
-@dataclass
-class ColoringResult:
-    """A legal colouring of a rooted forest together with its round count.
-
-    Attributes:
-        colors: mapping vertex → colour in ``{0, 1, 2}``.
-        communication_rounds: number of parent→child communication rounds the
-            distributed execution of the algorithm needs (CV iterations plus
-            the three shift-down rounds); the deterministic partition charges
-            ``O(2^i)`` time and ``O(fragment sizes)`` messages per round.
-    """
-
-    colors: Dict[NodeId, int]
-    communication_rounds: int
-
-
-def is_legal_coloring(
-    colors: Dict[NodeId, int],
-    parents: Dict[NodeId, Optional[NodeId]],
-) -> bool:
-    """Return ``True`` when no vertex shares a colour with its parent."""
-    for node, parent in parents.items():
-        if parent is not None and colors[node] == colors[parent]:
-            return False
-    return True
-
-
-def three_color_rooted_forest(
-    parents: Dict[NodeId, Optional[NodeId]],
-    identifiers: Optional[Dict[NodeId, int]] = None,
-) -> ColoringResult:
-    """3-colour a rooted forest with the GPS algorithm.
-
-    A dict adapter over :func:`three_color_columns`: the vertices are
-    enumerated in ``parents`` order, the kernel runs on the columns, and the
-    colours are mapped back.
-
-    Args:
-        parents: rooted-forest structure; roots map to ``None``.  Every parent
-            referenced must itself be a key of the mapping.
-        identifiers: distinct non-negative integers used as initial colours;
-            defaults to enumerating the vertices.  In the paper these are the
-            fragment (core) identifiers, which are distinct by construction.
-
-    Returns:
-        A :class:`ColoringResult` with colours in ``{0, 1, 2}``.
-
-    Raises:
-        ValueError: if a parent is missing from the map, identifiers repeat,
-            or the structure contains a cycle.
-    """
-    vertices, parent = forest_columns(parents)
-    ids = (
-        range(len(vertices)) if identifiers is None
-        else [int(identifiers[vertex]) for vertex in vertices]
-    )
-    colors, rounds = three_color_columns(parent, ids)
-    return ColoringResult(
-        colors=dict(zip(vertices, colors)), communication_rounds=rounds
-    )
 
 
 def three_color_columns(
@@ -104,8 +38,7 @@ def three_color_columns(
     The one implementation of Step 3: the forest's vertices are ``0..k-1``,
     ``parent[v]`` is ``v``'s parent (``-1`` for a root) and
     ``identifiers[v]`` its distinct initial colour.  The deterministic
-    partitioner runs it on the fragment forest F directly;
-    :func:`three_color_rooted_forest` adapts it to dicts.
+    partitioner runs it on the fragment forest F directly.
 
     Returns:
         ``(colors, communication_rounds)`` with ``colors[v]`` in ``{0, 1, 2}``.

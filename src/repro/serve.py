@@ -296,7 +296,7 @@ def _read_json(path: Path) -> Optional[Any]:
     """Read a JSON file; ``None`` when absent or unparseable."""
     try:
         return json.loads(path.read_text())
-    except (OSError, ValueError):
+    except (OSError, ValueError, RecursionError):
         return None
 
 

@@ -15,8 +15,7 @@ message delay and the slot length are of the same order of magnitude.
 
 The package also provides the channel synchronizer of Section 7.1, which
 runs a synchronous protocol over an asynchronous point-to-point network on
-an integer clock, plus the slotted-from-unslotted conversion of Section
-7.2.
+an integer clock.
 """
 
 from repro.sim.adversity import (
@@ -43,7 +42,6 @@ from repro.sim.network import PointToPointNetwork
 from repro.sim.channel import SlottedChannel
 from repro.sim.multimedia import MultimediaNetwork, SimulationResult
 from repro.sim.synchronizer import ChannelSynchronizer, SynchronizerReport
-from repro.sim.slotting import UnslottedChannel, slotted_from_unslotted
 
 __all__ = [
     "ADVERSITY_KINDS",
@@ -72,6 +70,4 @@ __all__ = [
     "SimulationResult",
     "ChannelSynchronizer",
     "SynchronizerReport",
-    "UnslottedChannel",
-    "slotted_from_unslotted",
 ]

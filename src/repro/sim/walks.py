@@ -3,7 +3,7 @@
 The mean-first-passage-time experiment (e12, after arXiv:0908.0976) measures
 how long an unbiased random walk takes to first hit a distinguished *hub*
 node, as a function of instance size, on scale-free families sharing one
-degree sequence.  This module supplies the three pieces that workload needs:
+degree sequence.  This module supplies the two pieces that workload needs:
 
 * :func:`hub_node` — the canonical trap: the maximum-degree slot (ties break
   to the smallest slot, so the choice is deterministic);
@@ -13,11 +13,11 @@ degree sequence.  This module supplies the three pieces that workload needs:
   adjacency dicts, no per-step allocation), each walker driven by its own
   hash-derived substream (:func:`~repro.sim.substreams.substream_seed`, scope
   ``"sim.walks"``) so the result is independent of batching order, process
-  and executor;
-* :func:`exact_mfpt` — the absorbing-chain reference solve
-  ``(I − Q)·t = 1`` by Gaussian elimination (stdlib floats, no third-party
-  linear algebra), against which the statistical tests calibrate the engine
-  on small graphs.
+  and executor.
+
+The statistical tests calibrate the engine on small graphs against the
+exact absorbing-chain solve kept with the test oracles
+(``tests/oracles.py:exact_mfpt``).
 
 Walks are unbiased (uniform over neighbours) and ignore edge weights; the
 graphs the experiment walks carry unit weights anyway.
@@ -174,79 +174,3 @@ def mean_first_passage_time(
         max_steps=max_steps,
         capped=len(active),
     )
-
-
-def exact_mfpt(graph: WeightedGraph, target: int) -> List[float]:
-    """Solve the absorbing-chain system ``(I − Q)·t = 1`` exactly.
-
-    ``Q`` is the walk's transition matrix restricted to the transient
-    (non-target) nodes; the solution ``t[u]`` is the expected number of
-    steps an unbiased walk starting at slot ``u`` needs to first reach
-    ``target``.  Plain Gaussian elimination with partial pivoting over
-    stdlib floats — O(n³), intended as the reference the statistical tests
-    hold the Monte-Carlo engine to on small graphs, not as a production
-    path.
-
-    Returns:
-        A list indexed by slot; ``t[target] == 0.0``.
-
-    Raises:
-        ValueError: on a target outside the slot range, a graph with fewer
-            than two nodes, an isolated transient node, or a transient node
-            with no path to the target (singular system).
-    """
-    csr = graph.csr()
-    n = csr.n
-    if n < 2:
-        raise ValueError("the absorbing chain needs at least two nodes")
-    if not 0 <= target < n:
-        raise ValueError(f"target slot {target} outside 0..{n - 1}")
-    offsets = csr.offsets
-    neighbours = csr.targets
-    transient = [u for u in range(n) if u != target]
-    column = {u: r for r, u in enumerate(transient)}
-    size = n - 1
-    # dense augmented rows [I - Q | 1]
-    rows = [[0.0] * (size + 1) for _ in range(size)]
-    for r, u in enumerate(transient):
-        lo = offsets[u]
-        degree = offsets[u + 1] - lo
-        if degree == 0:
-            raise ValueError(f"isolated slot {u} can never reach the target")
-        row = rows[r]
-        row[r] += 1.0
-        row[size] = 1.0
-        p = 1.0 / degree
-        for k in range(lo, lo + degree):
-            v = neighbours[k]
-            if v != target:
-                row[column[v]] -= p
-    # Gaussian elimination with partial pivoting
-    for col in range(size):
-        pivot = max(range(col, size), key=lambda r: abs(rows[r][col]))
-        if abs(rows[pivot][col]) < 1e-12:
-            raise ValueError(
-                "singular absorbing chain: some node cannot reach the target"
-            )
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-        pivot_row = rows[col]
-        inv = 1.0 / pivot_row[col]
-        for r in range(col + 1, size):
-            factor = rows[r][col] * inv
-            if factor == 0.0:
-                continue
-            row = rows[r]
-            for c in range(col, size + 1):
-                row[c] -= factor * pivot_row[c]
-    solution = [0.0] * size
-    for r in range(size - 1, -1, -1):
-        row = rows[r]
-        acc = row[size]
-        for c in range(r + 1, size):
-            acc -= row[c] * solution[c]
-        solution[r] = acc / row[r]
-    result = [0.0] * n
-    for r, u in enumerate(transient):
-        result[u] = solution[r]
-    return result

@@ -26,14 +26,9 @@ from repro.topology.properties import (
     breadth_first_levels,
     connected_components,
     diameter,
-    eccentricity,
     is_connected,
 )
-from repro.topology.weights import (
-    assign_distinct_weights,
-    assign_random_weights,
-    ensure_distinct_weights,
-)
+from repro.topology.weights import assign_distinct_weights
 
 __all__ = [
     "Edge",
@@ -51,9 +46,6 @@ __all__ = [
     "breadth_first_levels",
     "connected_components",
     "diameter",
-    "eccentricity",
     "is_connected",
     "assign_distinct_weights",
-    "assign_random_weights",
-    "ensure_distinct_weights",
 ]

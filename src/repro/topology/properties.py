@@ -80,19 +80,6 @@ def is_connected(graph: WeightedGraph) -> bool:
     return graph.csr().is_connected()
 
 
-def eccentricity(graph: WeightedGraph, node: NodeId) -> int:
-    """Return the eccentricity of ``node`` (max hop distance to any node).
-
-    Raises:
-        ValueError: if the graph is not connected, because eccentricity is
-            undefined then.
-    """
-    levels = breadth_first_levels(graph, node)
-    if len(levels) != graph.num_nodes():
-        raise ValueError("eccentricity is undefined on a disconnected graph")
-    return max(levels.values()) if levels else 0
-
-
 def _slot_rows(graph: WeightedGraph) -> List[List[int]]:
     """Return per-slot neighbour lists (Python ints) from the CSR view.
 

@@ -10,6 +10,11 @@ instance per slot and forwards each instance's sends, channel write and halt
 into the shared columns.  The differential tests in ``test_flyweight.py``
 then run an oracle and its library flyweight on the very same engine.
 
+The end of the module holds the other references the tests hold the
+library to: exact solves (the absorbing-chain MFPT), checkers (legal
+colourings, maximal independent sets, identical spanning trees,
+global sensitivity) and the paper's contention bounds.
+
 In each round a node
 
 1. observes the messages delivered to it (sent by neighbours in the previous
@@ -27,11 +32,21 @@ nodes ``n`` when known, and a private random source.
 from __future__ import annotations
 
 import functools
+import math
+import operator
 import random
 from typing import (
     Any, Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
 )
 
+from repro.core.global_function.semigroup import (
+    INTEGER_ADDITION,
+    INTEGER_MAXIMUM,
+    INTEGER_MINIMUM,
+    XOR,
+    GlobalSensitiveFunction,
+)
+from repro.core.partition.forest import SpanningForest
 from repro.protocols.collision.greenberg_ladner import MultiplicityEstimate
 from repro.sim.errors import ProtocolError
 from repro.sim.events import ChannelEvent, Message
@@ -394,7 +409,8 @@ def bfs_maps(graph, columns) -> Tuple[Dict, Dict, Dict]:
 
 
 # ----------------------------------------------------------------------
-# the per-node twins of the library's flyweights, plus distributed BFS
+# per-node protocols: the tree-aggregation flyweight's twin, distributed
+# BFS, and the channel protocols the v4 goldens pin
 # ----------------------------------------------------------------------
 
 class BFSTreeProtocol(NodeProtocol):
@@ -638,3 +654,247 @@ class RandomizedLeaderElection(NodeProtocol):
         if channel.is_collision() and self._candidate and not self._transmitted:
             self._candidate = False
         self._flip()
+
+
+# ----------------------------------------------------------------------
+# forests and trees given as node -> parent maps
+# ----------------------------------------------------------------------
+
+def children_map(parents: Mapping[NodeId, Optional[NodeId]]) -> Dict[NodeId, List[NodeId]]:
+    """Return ``node → list of children`` for a parent map."""
+    children: Dict[NodeId, List[NodeId]] = {node: [] for node in parents}
+    for node, parent in parents.items():
+        if parent is not None:
+            children[parent].append(node)
+    return children
+
+
+def spanning_forest(parents: Mapping[NodeId, Optional[NodeId]]) -> SpanningForest:
+    """Build a :class:`SpanningForest` from a node → parent map (roots map to ``None``).
+
+    The enumeration is the map's key order.
+
+    Raises:
+        ValueError: if a referenced parent is missing or a cycle exists.
+    """
+    nodes = tuple(parents)
+    slot_of = {node: slot for slot, node in enumerate(nodes)}
+    column: List[int] = []
+    for node, up in parents.items():
+        if up is None:
+            column.append(-1)
+        elif up in slot_of:
+            column.append(slot_of[up])
+        else:
+            raise ValueError(f"parent {up!r} of {node!r} is not in the map")
+    return SpanningForest(nodes, column)
+
+
+def same_tree(first, second) -> bool:
+    """Return ``True`` when two MSTs consist of exactly the same edges."""
+    return first.edge_keys() == second.edge_keys()
+
+
+def spanning_tree_weight(graph, keys) -> float:
+    """Return the total weight of the edges named by ``keys`` in ``graph``.
+
+    Raises:
+        KeyError: if a key does not name an edge of the graph.
+    """
+    total = 0.0
+    for u, v in keys:
+        total += graph.weight(u, v)
+    return total
+
+
+# ----------------------------------------------------------------------
+# symmetry breaking: checkers over a forest held in columns (vertices
+# 0..k-1, ``parent[v]`` the parent slot, -1 at a root)
+# ----------------------------------------------------------------------
+
+def is_legal_coloring(colors: Sequence[int], parent: Sequence[int]) -> bool:
+    """Return ``True`` when no vertex shares a colour with its parent."""
+    return all(up < 0 or colors[vertex] != colors[up] for vertex, up in enumerate(parent))
+
+
+def is_independent_set(parent: Sequence[int], vertices: Set[int]) -> bool:
+    """Return ``True`` when no two vertices of ``vertices`` are adjacent in the forest."""
+    return not any(
+        up >= 0 and vertex in vertices and up in vertices
+        for vertex, up in enumerate(parent)
+    )
+
+
+def is_maximal_independent_set(parent: Sequence[int], vertices: Set[int]) -> bool:
+    """Return ``True`` when ``vertices`` is independent and cannot be extended."""
+    if not is_independent_set(parent, vertices):
+        return False
+    # a vertex outside the set must have a neighbour (parent or child) in it
+    covered = set(vertices)
+    for vertex, up in enumerate(parent):
+        if up < 0:
+            continue
+        if up in vertices:
+            covered.add(vertex)
+        if vertex in vertices:
+            covered.add(up)
+    return all(vertex in covered for vertex in range(len(parent)))
+
+
+# ----------------------------------------------------------------------
+# global sensitivity (Section 5)
+# ----------------------------------------------------------------------
+
+#: Boolean OR — a counter-example: it is NOT global sensitive (once some
+#: operand is True, the others do not matter), so the checker must reject it.
+BOOLEAN_OR = GlobalSensitiveFunction(name="or", combine=operator.or_, identity=False)
+
+#: each function's sensitivity witness ``y_i``: a replacement for operand
+#: ``i`` that must change the product.  Minimum and maximum need the whole
+#: tuple, since the witness must undercut (overshoot) the global extreme.
+SENSITIVITY_WITNESSES: Dict[str, Callable[[Sequence[Any], int], Any]] = {
+    "sum": lambda operands, index: operands[index] + 1,
+    "min": lambda operands, index: min(operands) - 1,
+    "max": lambda operands, index: max(operands) + 1,
+    "xor": lambda operands, index: operands[index] ^ 1,
+    "or": lambda operands, index: not operands[index],
+}
+
+
+def standard_functions() -> List[GlobalSensitiveFunction]:
+    """Return the library's global sensitive functions."""
+    return [INTEGER_ADDITION, INTEGER_MINIMUM, INTEGER_MAXIMUM, XOR]
+
+
+def is_sensitive_at(function: GlobalSensitiveFunction, operands: Sequence[Any],
+                    index: int) -> bool:
+    """Return ``True`` when changing ``operands[index]`` changes the value."""
+    modified = list(operands)
+    modified[index] = SENSITIVITY_WITNESSES[function.name](operands, index)
+    return function.evaluate(modified) != function.evaluate(operands)
+
+
+def check_global_sensitivity(function: GlobalSensitiveFunction,
+                             operands: Sequence[Any]) -> bool:
+    """Return ``True`` when the function is sensitive in every position."""
+    return all(is_sensitive_at(function, operands, index) for index in range(len(operands)))
+
+
+# ----------------------------------------------------------------------
+# channel contention bounds
+# ----------------------------------------------------------------------
+
+def universe_bits(universe_size: int) -> int:
+    """Return the number of identifier bits needed for ``universe_size`` ids."""
+    if universe_size < 1:
+        raise ValueError("the identifier universe must be non-empty")
+    return max(1, (universe_size - 1).bit_length())
+
+
+def deterministic_schedule_bound(num_contenders: int, universe_size: int) -> int:
+    """Return Capetanakis' worst-case slot bound O(k log N), as 2·k·(bits + 1)."""
+    bits = universe_bits(universe_size)
+    return max(1, 2 * num_contenders * (bits + 1))
+
+
+def expected_slots_per_success(estimate: int) -> float:
+    """Return the expected number of slots per success for ``estimate`` contenders.
+
+    With ``k`` contenders each transmitting with probability ``1/k`` the
+    per-slot success probability is ``(1 − 1/k)^{k−1} ≥ 1/e``, so the
+    expected number of slots until a success is at most ``e``
+    (Metcalfe–Boggs).
+    """
+    if estimate < 1:
+        raise ValueError("estimate must be at least 1")
+    if estimate == 1:
+        return 1.0
+    p_success = (1.0 - 1.0 / estimate) ** (estimate - 1)
+    return 1.0 / p_success
+
+
+def estimate_error_factor(true_value: int, estimate: int) -> float:
+    """Return the multiplicative error ``max(est/true, true/est)`` of an estimate."""
+    if true_value <= 0 or estimate <= 0:
+        return math.inf
+    return max(estimate / true_value, true_value / estimate)
+
+
+# ----------------------------------------------------------------------
+# random walks
+# ----------------------------------------------------------------------
+
+def exact_mfpt(graph, target: int) -> List[float]:
+    """Solve the absorbing-chain system ``(I − Q)·t = 1`` exactly.
+
+    ``Q`` is the walk's transition matrix restricted to the transient
+    (non-target) nodes; the solution ``t[u]`` is the expected number of
+    steps an unbiased walk starting at slot ``u`` needs to first reach
+    ``target``.  Plain Gaussian elimination with partial pivoting over
+    stdlib floats — O(n³), the reference the statistical tests hold the
+    Monte-Carlo engine (:func:`repro.sim.walks.mean_first_passage_time`)
+    to on small graphs.
+
+    Returns:
+        A list indexed by slot; ``t[target] == 0.0``.
+
+    Raises:
+        ValueError: on a target outside the slot range, a graph with fewer
+            than two nodes, an isolated transient node, or a transient node
+            with no path to the target (singular system).
+    """
+    csr = graph.csr()
+    n = csr.n
+    if n < 2:
+        raise ValueError("the absorbing chain needs at least two nodes")
+    if not 0 <= target < n:
+        raise ValueError(f"target slot {target} outside 0..{n - 1}")
+    offsets = csr.offsets
+    neighbours = csr.targets
+    transient = [u for u in range(n) if u != target]
+    column = {u: r for r, u in enumerate(transient)}
+    size = n - 1
+    # dense augmented rows [I - Q | 1]
+    rows = [[0.0] * (size + 1) for _ in range(size)]
+    for r, u in enumerate(transient):
+        lo = offsets[u]
+        degree = offsets[u + 1] - lo
+        if degree == 0:
+            raise ValueError(f"isolated slot {u} can never reach the target")
+        row = rows[r]
+        row[r] += 1.0
+        row[size] = 1.0
+        p = 1.0 / degree
+        for k in range(lo, lo + degree):
+            v = neighbours[k]
+            if v != target:
+                row[column[v]] -= p
+    # Gaussian elimination with partial pivoting
+    for col in range(size):
+        pivot = max(range(col, size), key=lambda r: abs(rows[r][col]))
+        if abs(rows[pivot][col]) < 1e-12:
+            raise ValueError(
+                "singular absorbing chain: some node cannot reach the target"
+            )
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+        pivot_row = rows[col]
+        inv = 1.0 / pivot_row[col]
+        for r in range(col + 1, size):
+            factor = rows[r][col] * inv
+            if factor == 0.0:
+                continue
+            row = rows[r]
+            for c in range(col, size + 1):
+                row[c] -= factor * pivot_row[c]
+    solution = [0.0] * size
+    for r in range(size - 1, -1, -1):
+        row = rows[r]
+        acc = row[size]
+        for c in range(r + 1, size):
+            acc -= row[c] * solution[c]
+        solution[r] = acc / row[r]
+    result = [0.0] * n
+    for r, u in enumerate(transient):
+        result[u] = solution[r]
+    return result

@@ -10,10 +10,9 @@ from repro.analysis.complexity import (
     global_rand_time_bound,
     mst_time_bound,
     rand_partition_message_bound,
-    ratio_to_bound,
 )
 from repro.analysis.reporting import Table, format_table
-from repro.analysis.statistics import mean, population_std, summarize
+from repro.analysis.statistics import mean
 
 try:
     import numpy as np
@@ -44,38 +43,19 @@ class TestComplexityCurves:
         with pytest.raises(ValueError):
             det_partition_message_bound(10, -1)
 
-    def test_ratio_to_bound(self):
-        assert ratio_to_bound([10, 20], [5, 10]) == [2.0, 2.0]
-        with pytest.raises(ValueError):
-            ratio_to_bound([1], [1, 2])
-        with pytest.raises(ValueError):
-            ratio_to_bound([1], [0])
-
 
 class TestStatistics:
-    def test_mean_and_std(self):
+    def test_mean(self):
         assert mean([2, 4, 6]) == 4
-        assert population_std([2, 2, 2]) == 0.0
-        assert population_std([0, 2]) == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             mean([])
-        with pytest.raises(ValueError):
-            summarize([])
-
-    def test_summary(self):
-        summary = summarize([1.0, 3.0, 5.0])
-        assert summary.count == 3
-        assert summary.mean == 3.0
-        assert summary.minimum == 1.0
-        assert summary.maximum == 5.0
 
     @pytest.mark.skipif(np is None, reason="numpy unavailable")
     def test_matches_numpy(self):
         values = [1.5, 2.25, 8.0, -3.0, 0.5]
         assert mean(values) == pytest.approx(float(np.mean(values)))
-        assert population_std(values) == pytest.approx(float(np.std(values)))
 
 
 class TestReporting:

@@ -28,6 +28,7 @@ import multiprocessing
 import os
 import random
 import signal
+import socket
 import threading
 import time
 
@@ -44,8 +45,10 @@ from repro.experiments.distributed import (
 from repro.experiments.executors import (
     ExecutorConfigError,
     ensure_manifest,
+    load_checkpoint,
     make_executor,
     merge_checkpoints,
+    read_manifest,
     shard_indices,
     sweep_digest,
     write_checkpoint,
@@ -53,6 +56,7 @@ from repro.experiments.executors import (
 from repro.experiments.registry import ExperimentSpec, get_experiment
 from repro.experiments.runner import run_experiment
 from repro.experiments.serialization import decode_wire, encode_wire
+from repro.serve import ServeApp
 
 INTEGRATION = pytest.mark.skipif(
     os.environ.get("REPRO_SKIP_DISTRIBUTED") == "1",
@@ -334,6 +338,165 @@ class TestCoordinatorProtocol:
         hopped = decode_wire(json.loads(json.dumps(description["params"])))
         assert hopped == params
         assert description["digest"] == digest
+
+
+# ----------------------------------------------------------------------
+# hostile input: JSON nested past the recursion limit, and malformed
+# compute times, are refused like any other malformed input
+# ----------------------------------------------------------------------
+#: nested far past the interpreter's recursion limit
+DEEP_JSON = "[" * 200_000
+
+
+def nested_list(depth):
+    """A list nested ``depth`` levels deep."""
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def leased_coordinator(tmp_path, clock=None):
+    """A one-shard synthetic sweep's coordinator, its shard leased to ``w``.
+
+    Returns ``(coordinator, lease, digest)``; the run directory is
+    ``tmp_path / "run"``.
+    """
+    run_dir = tmp_path / "run"
+    spec, points, digest = synthetic_sweep(1, 1, run_dir)
+    coordinator = ShardCoordinator(
+        spec, "quick", {}, points, 1, digest, run_dir, lease_timeout=10.0,
+        clock=clock or FakeClock(),
+    )
+    lease = coordinator.handle({"op": "lease", "worker": "w"})
+    assert lease["op"] == "assign"
+    return coordinator, lease, digest
+
+
+def assert_rejected_and_requeued(coordinator, run_dir, message, reason):
+    """The submission is rejected, nothing is written, the shard re-leases."""
+    assert coordinator.handle(message) == {"op": "rejected", "reason": reason}
+    assert not (run_dir / "shard-0000.json").exists()
+    assert coordinator.handle({"op": "lease", "worker": "w"})["op"] == "assign"
+
+
+def deep_manifest(tmp_path):
+    (tmp_path / "manifest.json").write_text(DEEP_JSON)
+    assert read_manifest(tmp_path) is None
+
+
+def deep_checkpoint(tmp_path):
+    (tmp_path / "shard-0000.json").write_text(DEEP_JSON)
+    assert load_checkpoint(tmp_path, 0, [0], ("i",), "digest") is None
+
+
+def deep_submitted_rows(tmp_path):
+    coordinator, lease, digest = leased_coordinator(tmp_path)
+    message = submit_message("w", 0, digest, lease["indices"], [])
+    message["rows"] = nested_list(900)
+    assert_rejected_and_requeued(
+        coordinator, tmp_path / "run", message, "rows nested too deeply"
+    )
+
+
+def deep_request_line(tmp_path):
+    coordinator, _, digest = leased_coordinator(tmp_path, clock=time.monotonic)
+    address = coordinator.start()
+    try:
+        with socket.create_connection(address, timeout=10) as sock:
+            sock.sendall(DEEP_JSON.encode() + b"\n")
+            with sock.makefile("rb") as stream:
+                reply = json.loads(stream.readline())
+        assert reply["op"] == "error"
+        assert send_request(address, {"op": "describe"})["digest"] == digest
+    finally:
+        coordinator.stop()
+
+
+def deep_reply(tmp_path):
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        def answer():
+            connection, _ = server.accept()
+            with connection:
+                connection.makefile("rb").readline()
+                connection.sendall(DEEP_JSON.encode() + b"\n")
+
+        thread = threading.Thread(target=answer, daemon=True)
+        thread.start()
+        with pytest.raises(DistributedProtocolError, match="malformed reply"):
+            send_request(server.getsockname()[:2], {"op": "describe"})
+        thread.join(10)
+
+
+def deep_manifest_served(tmp_path):
+    (tmp_path / "runs" / "hostile").mkdir(parents=True)
+    (tmp_path / "runs" / "hostile" / "manifest.json").write_text(DEEP_JSON)
+    app = ServeApp(run_root=tmp_path / "runs", bench_path=tmp_path / "none.json")
+    status, _, body = app.respond("/runs")
+    assert status == 200
+    assert json.loads(body)["runs"] == []
+
+
+def deep_trajectory_served(tmp_path):
+    (tmp_path / "BENCH_core.json").write_text(DEEP_JSON)
+    app = ServeApp(run_root=tmp_path / "runs", bench_path=tmp_path / "BENCH_core.json")
+    status, _, _ = app.respond("/bench/trajectory")
+    assert status == 404
+
+
+@pytest.mark.parametrize("reader", (
+    deep_manifest, deep_checkpoint, deep_submitted_rows, deep_request_line,
+    deep_reply, deep_manifest_served, deep_trajectory_served,
+), ids=lambda reader: reader.__name__)
+def test_deeply_nested_json_is_refused_not_raised(tmp_path, reader):
+    reader(tmp_path)
+
+
+BAD_COMPUTE_SECONDS = ("nan", -5, "3", True, math.inf)
+
+
+@pytest.mark.parametrize("value", BAD_COMPUTE_SECONDS, ids=repr)
+def test_checkpoint_with_bad_compute_seconds_is_absent(tmp_path, value):
+    write_checkpoint(tmp_path, 0, 1, [0], rows_for([0]), 0.5, "digest")
+    path = tmp_path / "shard-0000.json"
+    assert load_checkpoint(tmp_path, 0, [0], ("i", "value"), "digest") is not None
+    data = json.loads(path.read_text())
+    data["compute_seconds"] = value
+    path.write_text(json.dumps(data))  # inf is written as Infinity
+    assert load_checkpoint(tmp_path, 0, [0], ("i", "value"), "digest") is None
+
+
+@pytest.mark.parametrize("value", BAD_COMPUTE_SECONDS, ids=repr)
+def test_submission_with_bad_compute_seconds_is_rejected(tmp_path, value):
+    coordinator, lease, digest = leased_coordinator(tmp_path)
+    message = submit_message("w", 0, digest, lease["indices"], rows_for(lease["indices"]))
+    message["compute_seconds"] = value
+    assert_rejected_and_requeued(
+        coordinator, tmp_path / "run", message, "malformed compute_seconds"
+    )
+
+
+#: the check must not over-reject: ints, floats and zero are all usable
+GOOD_COMPUTE_SECONDS = (0, 0.0, 3, 2.5)
+
+
+@pytest.mark.parametrize("value", GOOD_COMPUTE_SECONDS, ids=repr)
+def test_checkpoint_with_good_compute_seconds_is_loaded(tmp_path, value):
+    write_checkpoint(tmp_path, 0, 1, [0], rows_for([0]), value, "digest")
+    loaded = load_checkpoint(tmp_path, 0, [0], ("i", "value"), "digest")
+    assert loaded == {"rows": rows_for([0]), "compute_seconds": float(value)}
+
+
+@pytest.mark.parametrize("value", GOOD_COMPUTE_SECONDS, ids=repr)
+def test_submission_with_good_compute_seconds_is_accepted(tmp_path, value):
+    coordinator, lease, digest = leased_coordinator(tmp_path)
+    message = submit_message("w", 0, digest, lease["indices"], rows_for(lease["indices"]))
+    message["compute_seconds"] = value
+    assert coordinator.handle(message) == {"op": "accepted", "duplicate": False}
+    loaded = load_checkpoint(
+        tmp_path / "run", 0, lease["indices"], ("i", "value"), digest
+    )
+    assert loaded["compute_seconds"] == float(value)
 
 
 # ----------------------------------------------------------------------

@@ -57,11 +57,6 @@ class TestHarness:
         ring = harness.make_topology("ring", 64, seed=5)
         assert harness.topology_diameter("ring", ring) == 32
 
-    def test_sweep_sizes(self):
-        rows = harness.sweep_sizes((16, 36), lambda g: {"nodes": g.num_nodes()})
-        assert len(rows) == 2
-        assert rows[0]["nodes"] == rows[0]["n"]
-
 
 class TestExperimentsProduceRows:
     def test_e1_all_bounds_hold(self):

@@ -18,21 +18,16 @@ import pytest
 
 from oracles import (
     BFSTreeProtocol,
-    GreenbergLadnerEstimator,
-    RandomizedLeaderElection,
     TreeAggregationProtocol,
     bfs_maps,
+    children_map,
     per_node,
+    spanning_forest,
 )
 from repro.core.partition.forest import SpanningForest
 from repro.experiments.harness import make_topology
-from repro.protocols.collision import (
-    GreenbergLadnerFlyweight,
-    RandomizedLeaderElectionFlyweight,
-)
 from repro.protocols.spanning.bfs import build_bfs_forest
 from repro.protocols.spanning.broadcast_convergecast import TreeAggregationFlyweight
-from repro.protocols.spanning.tree_utils import children_map
 from repro.sim.adversity import ADVERSITY_PRESETS, adversity_state
 from repro.sim.errors import AdversityAbort
 from repro.sim.flyweight import FlyweightEnvironment, FlyweightProtocol
@@ -124,50 +119,6 @@ class TestSynchronousEquivalence:
         classic = MultimediaNetwork(graph, seed=3).run(oracle)
         flyweight = MultimediaNetwork(graph, seed=3).run(tree_flyweight)
         assert flyweight == classic
-
-
-CHANNEL_PAIRS = (
-    (GreenbergLadnerEstimator, GreenbergLadnerFlyweight),
-    (RandomizedLeaderElection, RandomizedLeaderElectionFlyweight),
-)
-
-
-class TestChannelProtocolEquivalence:
-    """Channel-feedback protocols, no mail."""
-
-    @pytest.mark.parametrize("kind,n", TOPOLOGIES)
-    @pytest.mark.parametrize("classic,flyweight", CHANNEL_PAIRS)
-    def test_results_and_rounds_match_classic(self, kind, n, classic, flyweight):
-        graph = make_topology(kind, n, seed=11)
-        for seed in (3, 9):
-            classic_run = MultimediaNetwork(graph, seed=seed).run(per_node(classic))
-            flyweight_run = MultimediaNetwork(graph, seed=seed).run(flyweight)
-            assert flyweight_run == classic_run
-
-    @pytest.mark.parametrize("preset", FAULT_PRESETS)
-    @pytest.mark.parametrize("classic,flyweight", CHANNEL_PAIRS)
-    def test_outcome_matches_classic_under_preset(self, preset, classic, flyweight):
-        graph = make_topology("grid", 36, seed=11)
-        first, second = differential(
-            lambda: MultimediaNetwork(graph, seed=3), per_node(classic),
-            flyweight, preset=preset, key=("flyweight-channel",),
-        )
-        assert first == second
-
-    @pytest.mark.parametrize("preset", sorted(ADVERSITY_PRESETS))
-    @pytest.mark.parametrize("classic,flyweight", CHANNEL_PAIRS)
-    def test_synchronizer_outcome_matches_classic(self, preset, classic, flyweight):
-        graph = make_topology("grid", 36, seed=11)
-        first, second = differential(
-            lambda: ChannelSynchronizer(graph, max_link_delay=3, seed=3),
-            per_node(classic), flyweight, preset=preset,
-            key=("flyweight-channel-sync",),
-        )
-        assert first == second
-
-    @pytest.mark.parametrize("flyweight", [pair[1] for pair in CHANNEL_PAIRS])
-    def test_detected_as_flyweight(self, flyweight):
-        assert issubclass(flyweight, FlyweightProtocol)
 
 
 class TestAdversityEquivalence:
@@ -291,13 +242,13 @@ class TestCSREnvironment:
         graph = make_topology("grid", 9, seed=11)
         parents, _, _ = bfs_maps(graph, build_bfs_forest(graph, [0]))
         # the BFS visit order is a valid forest but not the slot order
-        shuffled = SpanningForest.from_parent_map(parents)
+        shuffled = spanning_forest(parents)
         factory = TreeAggregationFlyweight.over(
             shuffled, dict.fromkeys(graph.nodes(), 1), lambda a, b: a + b
         )
         with pytest.raises(ValueError, match="slot order"):
             MultimediaNetwork(graph, seed=1).run(factory)
-        in_order = SpanningForest.from_parent_map(
+        in_order = spanning_forest(
             {node: parents[node] for node in graph.nodes()}
         )
         result = MultimediaNetwork(graph, seed=1).run(TreeAggregationFlyweight.over(

@@ -1,8 +1,7 @@
 """SHA-256 pins of topology generator outputs the goldens do not cover.
 
 Goldens v1–v5 build every topology through ``make_topology``, so the
-generators it never calls (and ``relabeled``/``ensure_distinct_weights``) are
-unpinned there.  Each digest here covers the node order, every node's row
+generators it never calls (and ``relabeled``) are unpinned there.  Each digest here covers the node order, every node's row
 (neighbours in row order, with weights), ``edges()`` and ``total_weight()``.
 Print the current digests with
 
@@ -26,7 +25,6 @@ from repro.topology.generators import (
     ray_graph,
     torus_graph,
 )
-from repro.topology.weights import ensure_distinct_weights
 
 
 def _labelled(graph):
@@ -50,11 +48,7 @@ INPUTS = {
 }
 
 
-def _distinct_input():
-    return ensure_distinct_weights(erdos_renyi_graph(60, 0.05, seed=2))
-
-
-def graph_digest(graph, with_total=True) -> str:
+def graph_digest(graph) -> str:
     payload = {
         "nodes": [repr(node) for node in graph.nodes()],
         "rows": [
@@ -62,24 +56,18 @@ def graph_digest(graph, with_total=True) -> str:
             for u in graph.nodes()
         ],
         "edges": [[repr(e.u), repr(e.v), e.weight] for e in graph.edges()],
+        "total_weight": graph.total_weight(),
     }
-    if with_total:
-        payload["total_weight"] = graph.total_weight()
     return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
 
 
 def current_digests():
-    digests = {name: graph_digest(build()) for name, build in INPUTS.items()}
-    # total_weight() is left out: ensure_distinct_weights' total is pinned
-    # against a fresh sum below instead
-    digests["ensure_distinct_60"] = graph_digest(_distinct_input(), with_total=False)
-    return digests
+    return {name: graph_digest(build()) for name, build in INPUTS.items()}
 
 
 EXPECTED = {
     'ad_hoc_400_stitched': 'c60e5357572ca99341fbf2834a27cdb1d5601a7d8c50a6d12d836063bf6a7a8e',
     'complete_9': '1ea76114a9599f49b6ca7cab845079eb67f5d266a91ba67cc38684e1a1b44723',
-    'ensure_distinct_60': 'aacb6db228d77ef63e4a27aaebb3d221bbacdfdc4ac5b565eda63b1c40ec21df',
     'erdos_renyi_60': 'b6f855a8c743481948c47528772daede6faf4243fc9a325ca0ed99f2295e30b5',
     'erdos_renyi_60_loose': '517cc99b1f1917204a5f487927b03dfeec58767acfd89f77c0320d27089808a3',
     'erdos_renyi_60_str': 'b369241ee6e8fa7d8f309346d30d13c5d57eb8d21661b1557e885b731d1d9cb0',
@@ -94,19 +82,7 @@ EXPECTED = {
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_generator_digest(name):
-    build = INPUTS.get(name)
-    if build is None:
-        assert graph_digest(_distinct_input(), with_total=False) == EXPECTED[name]
-    else:
-        assert graph_digest(build()) == EXPECTED[name]
-
-
-def test_ensure_distinct_weights_total_is_the_edge_sum():
-    graph = _distinct_input()
-    total = 0.0
-    for edge in graph.edges():
-        total += edge.weight
-    assert graph.total_weight() == total
+    assert graph_digest(INPUTS[name]()) == EXPECTED[name]
 
 
 if __name__ == "__main__":

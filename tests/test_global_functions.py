@@ -4,18 +4,18 @@ and the single-medium baselines."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import BOOLEAN_OR, check_global_sensitivity, standard_functions
+
 from repro.core.global_function.baselines import (
     compute_on_channel_only,
     compute_on_point_to_point_only,
 )
 from repro.core.global_function.multimedia import compute_global_function
 from repro.core.global_function.semigroup import (
-    BOOLEAN_OR,
     INTEGER_ADDITION,
     INTEGER_MAXIMUM,
     INTEGER_MINIMUM,
     XOR,
-    standard_functions,
 )
 from repro.core.partition.deterministic import DeterministicPartitioner
 from repro.topology.generators import ring_graph
@@ -35,13 +35,13 @@ class TestSemigroups:
             INTEGER_MINIMUM.evaluate([])
 
     def test_sensitivity_checks(self):
-        assert INTEGER_ADDITION.check_global_sensitivity([4, 5, 6])
-        assert INTEGER_MINIMUM.check_global_sensitivity([4, 5, 6])
-        assert XOR.check_global_sensitivity([0, 1, 0])
+        assert check_global_sensitivity(INTEGER_ADDITION, [4, 5, 6])
+        assert check_global_sensitivity(INTEGER_MINIMUM, [4, 5, 6])
+        assert check_global_sensitivity(XOR, [0, 1, 0])
 
     def test_boolean_or_is_not_global_sensitive(self):
         # once one operand is True the others cannot change the value
-        assert not BOOLEAN_OR.check_global_sensitivity([True, False, False])
+        assert not check_global_sensitivity(BOOLEAN_OR, [True, False, False])
 
     def test_standard_functions_list(self):
         names = {fn.name for fn in standard_functions()}
@@ -50,8 +50,8 @@ class TestSemigroups:
     @given(st.lists(st.integers(min_value=-1000, max_value=1000), min_size=1, max_size=30))
     @settings(max_examples=50, deadline=None)
     def test_property_addition_and_xor_always_sensitive(self, operands):
-        assert INTEGER_ADDITION.check_global_sensitivity(operands)
-        assert XOR.check_global_sensitivity(operands)
+        assert check_global_sensitivity(INTEGER_ADDITION, operands)
+        assert check_global_sensitivity(XOR, operands)
 
     @given(
         st.lists(st.integers(min_value=-100, max_value=100), min_size=1, max_size=20),

@@ -2,9 +2,10 @@
 
 import math
 
+from oracles import same_tree
 from repro.core.global_function.multimedia import compute_global_function
 from repro.core.global_function.semigroup import INTEGER_ADDITION, INTEGER_MINIMUM
-from repro.core.mst.kruskal import kruskal_mst, same_tree
+from repro.core.mst.kruskal import kruskal_mst
 from repro.core.mst.multimedia_mst import MultimediaMST
 from repro.core.partition.deterministic import DeterministicPartitioner
 from repro.core.partition.randomized import RandomizedPartitioner

@@ -7,9 +7,7 @@ import pytest
 from repro.core.lower_bounds import (
     broadcast_lower_bound,
     claim4_sensitivity_trace,
-    lower_bound_for_graph,
     multimedia_lower_bound,
-    multimedia_upper_bound_randomized,
     point_to_point_lower_bound,
 )
 from repro.core.size_estimation import (
@@ -34,18 +32,6 @@ class TestBoundFormulas:
         assert multimedia_lower_bound(10_000, 4) == 1          # d dominates
         assert multimedia_lower_bound(64, 1000) == 2            # √n dominates
         assert multimedia_lower_bound(10_000, 1000) == 25
-
-    def test_lower_bound_for_graph_dispatch(self):
-        graph = ring_graph(20)
-        assert lower_bound_for_graph(graph, "point-to-point") == diameter(graph)
-        assert lower_bound_for_graph(graph, "channel") == 10
-        assert lower_bound_for_graph(graph, "multimedia") == int(math.sqrt(20) // 4)
-        with pytest.raises(ValueError):
-            lower_bound_for_graph(graph, "carrier-pigeon")
-
-    def test_upper_bound_exceeds_lower_bound(self):
-        for n in (64, 256, 1024, 4096):
-            assert multimedia_upper_bound_randomized(n) >= multimedia_lower_bound(n, n)
 
 
 class TestClaim4Adversary:

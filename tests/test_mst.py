@@ -3,9 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import same_tree, spanning_tree_weight
+
 from repro.analysis.complexity import mst_time_bound
 from repro.core.mst.ghs_baseline import PointToPointMST
-from repro.core.mst.kruskal import kruskal_mst, same_tree, spanning_tree_weight
+from repro.core.mst.kruskal import kruskal_mst
 from repro.core.mst.multimedia_mst import MultimediaMST
 from repro.topology.generators import (
     erdos_renyi_graph,

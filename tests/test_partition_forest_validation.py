@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from oracles import spanning_forest
 from repro.core.partition.forest import SpanningForest
 from repro.core.partition.validation import validate_partition
 from repro.topology.generators import grid_graph, path_graph
@@ -12,32 +13,32 @@ from repro.topology.weights import assign_distinct_weights
 
 def path_forest():
     """Two fragments covering a 6-node path: {0,1,2} rooted at 0, {3,4,5} at 5."""
-    return SpanningForest.from_parent_map({0: None, 1: 0, 2: 1, 5: None, 4: 5, 3: 4})
+    return spanning_forest({0: None, 1: 0, 2: 1, 5: None, 4: 5, 3: 4})
 
 
 class TestFragment:
     def test_basic_properties(self):
-        forest = SpanningForest.from_parent_map({0: None, 1: 0, 2: 1, 3: 1})
+        forest = spanning_forest({0: None, 1: 0, 2: 1, 3: 1})
         assert forest.size(0) == 4
         assert forest.max_radius() == 2
         assert sorted(forest.covered_nodes()) == [0, 1, 2, 3]
         assert (3, 1) in forest.tree_edges()
 
     def test_singleton_default(self):
-        forest = SpanningForest.from_parent_map({7: None})
+        forest = spanning_forest({7: None})
         assert forest.size(0) == 1
         assert forest.max_radius() == 0
 
     def test_core_is_the_root(self):
-        forest = SpanningForest.from_parent_map({1: 0, 0: None})
+        forest = spanning_forest({1: 0, 0: None})
         assert forest.cores == [0]
         assert forest.core_of(1) == 0
 
     def test_constructor_rejects_cycle_and_missing_parent(self):
         with pytest.raises(ValueError, match="cycle"):
-            SpanningForest.from_parent_map({0: None, 1: 2, 2: 1})
+            spanning_forest({0: None, 1: 2, 2: 1})
         with pytest.raises(ValueError, match="not in the map"):
-            SpanningForest.from_parent_map({0: None, 1: 5})
+            spanning_forest({0: None, 1: 5})
         with pytest.raises(ValueError, match="out of range"):
             SpanningForest((0, 1), [-1, 2])
         with pytest.raises(ValueError, match="entries"):
@@ -64,14 +65,14 @@ class TestSpanningForest:
 
     def test_from_parent_map_round_trip(self):
         parents = {0: None, 1: 0, 2: 1, 5: None, 4: 5, 3: 4}
-        forest = SpanningForest.from_parent_map(parents)
+        forest = spanning_forest(parents)
         assert forest.num_fragments() == 2
         assert forest.parent_map() == parents
 
     def test_order_contract(self):
         # cores in first-appearance order over the enumeration; the parent
         # map and tree edges grouped by core, members in enumeration order
-        forest = SpanningForest.from_parent_map(
+        forest = spanning_forest(
             {3: 7, 1: None, 7: None, 4: 1, 0: 3}
         )
         assert forest.cores == [7, 1]
@@ -106,7 +107,7 @@ class TestValidatePartition:
 
     def test_non_link_tree_edge_detected(self):
         graph = path_graph(6)
-        bad = SpanningForest.from_parent_map(
+        bad = spanning_forest(
             {0: None, 2: 0, 1: None, 3: None, 4: 3, 5: 4}
         )
         report = validate_partition(bad, graph)
@@ -115,7 +116,7 @@ class TestValidatePartition:
 
     def test_bound_violations_reported(self):
         graph = grid_graph(4, 4)
-        singletons = SpanningForest.from_parent_map(dict.fromkeys(graph.nodes()))
+        singletons = spanning_forest(dict.fromkeys(graph.nodes()))
         report = validate_partition(
             singletons, graph,
             min_size_bound=math.sqrt(16),

@@ -1,19 +1,13 @@
-"""Tests for the channel synchronizer (7.1) and slotted-from-unslotted (7.2)."""
+"""Tests for the channel synchronizer (Section 7.1)."""
 
 import pytest
 
-from oracles import TreeAggregationProtocol, bfs_maps, per_node
+from oracles import TreeAggregationProtocol, bfs_maps, children_map, per_node
 from repro.experiments.e10_model_variations import _count_nodes
 from repro.protocols.spanning.bfs import build_bfs_forest
-from repro.protocols.spanning.tree_utils import children_map
 from repro.sim.adversity import adversity_state
 from repro.sim.errors import AdversityAbort, SimulationTimeout
 from repro.sim.multimedia import MultimediaNetwork
-from repro.sim.slotting import (
-    UnslottedChannel,
-    slotted_from_unslotted,
-    verify_slot_semantics,
-)
 from repro.sim.synchronizer import ChannelSynchronizer
 from repro.topology.generators import grid_graph
 
@@ -98,63 +92,3 @@ class TestChannelSynchronizer:
             run(max_pulses=unbounded.pulses - 1)
         assert short.value.rounds == unbounded.pulses - 1
         assert short.value.pending > 0
-
-
-class TestSlottedFromUnslotted:
-    def test_disjoint_transmissions_become_successes(self):
-        channel = UnslottedChannel()
-        channel.transmit(1, "a", 0.0)
-        channel.transmit(2, "b", 5.0)
-        events = slotted_from_unslotted(channel)
-        assert [e.state.value for e in events] == ["success", "success"]
-        assert verify_slot_semantics(events)
-
-    def test_overlapping_transmissions_collide(self):
-        channel = UnslottedChannel()
-        channel.transmit(1, "a", 0.0)
-        channel.transmit(2, "b", 0.5)
-        events = slotted_from_unslotted(channel)
-        assert len(events) == 1
-        assert events[0].is_collision()
-
-    def test_guard_time_extends_slot(self):
-        channel = UnslottedChannel()
-        channel.transmit(1, "a", 0.0)
-        channel.transmit(2, "b", 1.2)
-        assert len(slotted_from_unslotted(channel, guard_time=0.0)) == 2
-        assert len(slotted_from_unslotted(channel, guard_time=0.5)) == 1
-
-    def test_number_by_time_counts_idle_gaps(self):
-        channel = UnslottedChannel()
-        channel.transmit(1, "a", 0.0)
-        channel.transmit(2, "b", 5.5)
-        dense = slotted_from_unslotted(channel)
-        assert [e.slot for e in dense] == [0, 1]
-        timed = slotted_from_unslotted(channel, number_by_time=True)
-        # the first period ends at 1.0; 4 whole idle slots fit before 5.5
-        assert [e.slot for e in timed] == [0, 5]
-        assert timed[-1].slot + 1 - len(timed) == 4  # fast-forwarded idles
-        assert verify_slot_semantics(timed)
-
-    def test_number_by_time_counts_leading_idle(self):
-        channel = UnslottedChannel()
-        channel.transmit(1, "a", 3.25)
-        (event,) = slotted_from_unslotted(channel, number_by_time=True)
-        assert event.slot == 3
-
-    def test_number_by_time_contiguous_matches_dense(self):
-        channel = UnslottedChannel()
-        channel.transmit(1, "a", 0.0)
-        channel.transmit(2, "b", 1.0)
-        channel.transmit(3, "c", 2.0)
-        dense = slotted_from_unslotted(channel)
-        timed = slotted_from_unslotted(channel, number_by_time=True)
-        assert [e.slot for e in dense] == [e.slot for e in timed] == [0, 1, 2]
-
-    def test_negative_start_rejected(self):
-        with pytest.raises(ValueError):
-            UnslottedChannel().transmit(1, "a", -1.0)
-
-    def test_negative_guard_rejected(self):
-        with pytest.raises(ValueError):
-            slotted_from_unslotted(UnslottedChannel(), guard_time=-0.1)

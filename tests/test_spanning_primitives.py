@@ -4,10 +4,16 @@ from collections import deque
 
 import pytest
 
-from oracles import BFSTreeProtocol, TreeAggregationProtocol, bfs_maps, per_node
-from repro.core.partition.forest import SpanningForest
+from oracles import (
+    BFSTreeProtocol,
+    TreeAggregationProtocol,
+    bfs_maps,
+    children_map,
+    per_node,
+    spanning_forest,
+)
 from repro.protocols.spanning.bfs import build_bfs_forest
-from repro.protocols.spanning.tree_utils import children_map, node_depths, reroot
+from repro.protocols.spanning.tree_utils import node_depths, reroot
 from repro.experiments.harness import make_topology
 from repro.sim.multimedia import MultimediaNetwork
 from repro.topology.generators import grid_graph, path_graph
@@ -68,7 +74,7 @@ class TestBuildBFSForest:
         parents, root_of, labels = bfs_maps(graph, build_bfs_forest(graph, [0]))
         assert labels == breadth_first_levels(graph, 0)
         assert set(root_of.values()) == {0}
-        assert SpanningForest.from_parent_map(parents).cores == [0]
+        assert spanning_forest(parents).cores == [0]
 
     def test_multi_root_assigns_nearest(self):
         graph = path_graph(9)

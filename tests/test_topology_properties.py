@@ -8,7 +8,6 @@ from repro.topology.properties import (
     breadth_first_levels,
     connected_components,
     diameter,
-    eccentricity,
     is_connected,
 )
 
@@ -43,16 +42,6 @@ class TestDistances:
     def test_diameter_and_radius_of_path(self):
         graph = path_graph(7)
         assert diameter(graph) == 6
-
-    def test_eccentricity(self):
-        graph = path_graph(5)
-        assert eccentricity(graph, 0) == 4
-        assert eccentricity(graph, 2) == 2
-
-    def test_eccentricity_disconnected_raises(self):
-        graph = WeightedGraph.from_edges([], nodes=[0, 1])
-        with pytest.raises(ValueError):
-            eccentricity(graph, 0)
 
     def test_diameter_of_empty_graph_raises(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from oracles import exact_mfpt
 from repro.experiments.e12_random_walk_mfpt import (
     FAMILIES,
     build_family,
@@ -14,7 +15,6 @@ from repro.experiments.e12_random_walk_mfpt import (
 from repro.sim.substreams import substream_seed
 from repro.sim.walks import (
     WALK_SCOPE,
-    exact_mfpt,
     hub_node,
     mean_first_passage_time,
 )
