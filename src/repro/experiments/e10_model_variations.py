@@ -123,19 +123,11 @@ def sweep_point(
 
     if size_protocols:
         det = compute_size_deterministically(graph, seed=1)
-        estimates = [
-            estimate_size_randomized(graph, seed=seed).estimate for seed in seeds
-        ]
-        error = mean(
-            [
-                max(est / true_n, true_n / est) if est else float("inf")
-                for est in estimates
-            ]
-        )
+        runs = [estimate_size_randomized(graph, seed=seed) for seed in seeds]
         size_columns = {
             "det_size_exact": det.n == true_n,
-            "mean_GL_estimate": mean(estimates),
-            "GL_error_factor": error,
+            "mean_GL_estimate": mean([run.estimate for run in runs]),
+            "GL_error_factor": mean([run.error_factor for run in runs]),
         }
     else:
         size_columns = {

@@ -13,8 +13,8 @@ from repro.topology.graph import WeightedGraph
 from repro.topology.properties import approximate_diameter, diameter
 from repro.topology.weights import assign_distinct_weights
 
-# above this size, exact diameter (n BFS passes) costs more than the whole
-# experiment on the low-diameter topologies; fall back to the double sweep
+# above this size the experiment rows carry the double-sweep bound, not the
+# exact diameter: exact costs n BFS passes where its bounds do not prune
 EXACT_DIAMETER_MAX_N = 1024
 
 

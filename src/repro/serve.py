@@ -242,14 +242,32 @@ class ServeApp:
         plan = shard_indices(manifest["num_points"], manifest["shard_count"])
         return merge_checkpoints(run_dir, plan, spec.columns, manifest["digest"])
 
-    def _trajectory(self) -> Tuple[int, Dict[str, Any]]:
-        """The benchmark trajectory, labels ordered by sequence."""
+    def _read_trajectory(self) -> Tuple[Optional[Dict[str, Any]], Dict[str, Any]]:
+        """Return ``(data, error)``: the trajectory file's object, or ``None``
+        and the 404 body saying why.
+
+        The file must hold a JSON object whose ``runs`` (when present) maps
+        each label to an object; anything else is answered like a missing
+        file, never an error page.
+        """
         data = _read_json(self.bench_path)
         if data is None:
-            return 404, {
-                "error": "no trajectory file",
+            return None, {"error": "no trajectory file", "path": str(self.bench_path)}
+        runs = data.get("runs", {}) if isinstance(data, dict) else None
+        if not isinstance(runs, dict) or not all(
+            isinstance(entry, dict) for entry in runs.values()
+        ):
+            return None, {
+                "error": "malformed trajectory file",
                 "path": str(self.bench_path),
             }
+        return data, {}
+
+    def _trajectory(self) -> Tuple[int, Dict[str, Any]]:
+        """The benchmark trajectory, labels ordered by sequence."""
+        data, error = self._read_trajectory()
+        if data is None:
+            return 404, error
         payload = dict(data)
         payload["labels"] = label_order(data.get("runs", {}))
         return 200, payload
@@ -258,12 +276,9 @@ class ServeApp:
         self, params: Mapping[str, List[str]]
     ) -> Tuple[int, Dict[str, Any]]:
         """Per-experiment speedups between two trajectory labels."""
-        data = _read_json(self.bench_path)
+        data, error = self._read_trajectory()
         if data is None:
-            return 404, {
-                "error": "no trajectory file",
-                "path": str(self.bench_path),
-            }
+            return 404, error
         runs = data.get("runs", {})
         ordered = label_order(runs)
         before = params.get("from", ordered[-2:-1] or [None])[0]

@@ -29,6 +29,7 @@ import itertools
 import math
 import random
 from array import array
+from bisect import bisect_right
 from typing import Iterable, List, Optional, Tuple
 
 from repro.topology.graph import WeightedGraph
@@ -228,33 +229,73 @@ def random_geometric_graph(
     if radius is None:
         radius = math.sqrt(2.0 * math.log(max(n, 2)) / n)
     positions = {node: (rng.random(), rng.random()) for node in range(n)}
+    # bucket the nodes into square cells of side at least the radius, so
+    # every pair within reach lies in the 3×3 cell neighbourhood of either
+    # endpoint; each node then tests only the higher-numbered nodes of its
+    # neighbourhood, in increasing order, so the pairs come out in the
+    # all-pairs scan's ascending (u, v) order
+    limit = radius * radius
+    cells = _cells_per_side(abs(radius), n)
+    buckets: dict = {}
+    cell_of = []
+    for node in range(n):
+        x, y = positions[node]
+        key = (int(x * cells), int(y * cells))
+        cell_of.append(key)
+        buckets.setdefault(key, []).append(node)
     edge_u = array("q")
     edge_v = array("q")
-    for u, v in itertools.combinations(range(n), 2):
-        du = positions[u][0] - positions[v][0]
-        dv = positions[u][1] - positions[v][1]
-        if du * du + dv * dv <= radius * radius:
-            edge_u.append(u)
-            edge_v.append(v)
+    for u in range(n):
+        cx, cy = cell_of[u]
+        candidates = []
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                members = buckets.get((cx + dx, cy + dy))
+                if members:
+                    candidates.extend(members[bisect_right(members, u):])
+        candidates.sort()
+        ux, uy = positions[u]
+        for v in candidates:
+            vx, vy = positions[v]
+            du = ux - vx
+            dv = uy - vy
+            if du * du + dv * dv <= limit:
+                edge_u.append(u)
+                edge_v.append(v)
     if ensure_connected:
         return _stitch_components(n, edge_u, edge_v, positions)
     return WeightedGraph._from_csr_edges(n, edge_u, edge_v)
 
 
+def _cells_per_side(reach: float, n: int) -> int:
+    """Return how many grid cells per side of the unit square to bucket by.
+
+    Cells are wider than ``reach`` by a margin that absorbs the rounding of
+    ``x * cells``, so two points within ``reach`` of each other never land
+    more than one cell apart; at most about ``√n`` cells per side.  A zero
+    or NaN reach, or one above about a third, is one cell: the all-pairs scan.
+    """
+    if not reach > 0:
+        return 1
+    return max(1, int(min(1.0 / reach, math.isqrt(n) + 1)) - 1)
+
+
 def _stitch_components(n: int, edge_u: array, edge_v: array, positions) -> WeightedGraph:
     """Build the graph, bridging its components via nearest pairs.
 
-    While the graph is disconnected, the closest pair between the first
-    component and any other is appended to the edge columns and the graph is
-    rebuilt, one bridge at a time.
+    While the edge stream is disconnected, the closest pair between the
+    first component and any other is added to it, one bridge at a time; the
+    components are read off a throwaway graph over the current stream, and
+    each bridge makes new columns rather than growing the ones that graph
+    holds.  The connected stream is built into the returned graph, whose
+    rows are left unfilled.
     """
     from repro.topology.properties import connected_components
 
-    while True:
-        graph = WeightedGraph._from_csr_edges(n, edge_u, edge_v)
-        components = connected_components(graph)
-        if len(components) <= 1:
-            return graph
+    while not _stream_connected(n, edge_u, edge_v):
+        components = connected_components(
+            WeightedGraph._from_csr_edges(n, edge_u, edge_v)
+        )
         base = components[0]
         best = None
         for other in components[1:]:
@@ -266,10 +307,9 @@ def _stitch_components(n: int, edge_u: array, edge_v: array, positions) -> Weigh
                     if best is None or dist < best[0]:
                         best = (dist, u, v)
         assert best is not None
-        # the graph just built may share these columns as its canonical
-        # ones; it is dropped here, before they grow
-        edge_u.append(best[1])
-        edge_v.append(best[2])
+        edge_u = edge_u + array("q", (best[1],))
+        edge_v = edge_v + array("q", (best[2],))
+    return WeightedGraph._from_csr_edges(n, edge_u, edge_v)
 
 
 def barabasi_albert_graph(
@@ -407,44 +447,28 @@ def flower_graph(u: int, v: int, generations: int) -> WeightedGraph:
     return WeightedGraph._from_csr_edges(next_id, edge_u, edge_v)
 
 
-def _csr_edges_connected(n: int, edge_u: array, edge_v: array) -> bool:
-    """True when the edge columns describe one connected graph on ``n`` slots."""
+def _stream_connected(n: int, edge_u: array, edge_v: array) -> bool:
+    """True when the edge columns describe one connected graph on ``n`` slots.
+
+    Union–find with path halving straight over the columns: no rows are
+    built, and the scan stops at the edge that joins the last two
+    components.
+    """
     if n <= 1:
         return True
-    m = len(edge_u)
-    degree = array("q", bytes(8 * n))
-    for j in range(m):
-        degree[edge_u[j]] += 1
-        degree[edge_v[j]] += 1
-    offsets = array("q", bytes(8 * (n + 1)))
-    run = 0
-    for i in range(n):
-        run += degree[i]
-        offsets[i + 1] = run
-    cursor = offsets[:n]
-    targets = array("q", bytes(16 * m))
-    for j in range(m):
-        a = edge_u[j]
-        b = edge_v[j]
-        targets[cursor[a]] = b
-        cursor[a] += 1
-        targets[cursor[b]] = a
-        cursor[b] += 1
-    seen = bytearray(n)
-    seen[0] = 1
-    frontier = [0]
-    visited = 1
-    while frontier:
-        next_frontier = []
-        for node in frontier:
-            for k in range(offsets[node], offsets[node + 1]):
-                t = targets[k]
-                if not seen[t]:
-                    seen[t] = 1
-                    visited += 1
-                    next_frontier.append(t)
-        frontier = next_frontier
-    return visited == n
+    parent = list(range(n))
+    components = n
+    for u, v in zip(edge_u, edge_v):
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+            components -= 1
+            if components == 1:
+                return True
+    return False
 
 
 def degree_preserving_rewire(
@@ -465,10 +489,10 @@ def degree_preserving_rewire(
     (arXiv:0908.0976, experiment e12).
 
     When ``ensure_connected`` is set and the input is connected, swaps are
-    committed in windows: after each window a BFS over the edge columns
-    checks connectivity, rolling the whole window back (and halving the
-    window) if the swaps disconnected the graph — per-swap BFS would cost
-    O(m·(n+m)) and is unaffordable at ``n ≥ 10^5``, while windowed checks
+    committed in windows: after each window a union–find pass over the edge
+    columns checks connectivity, rolling the whole window back (and halving
+    the window) if the swaps disconnected the graph — a per-swap check would
+    cost O(m·(n+m)) and is unaffordable at ``n ≥ 10^5``, while windowed checks
     amortise to O((n+m)·log) for the common all-connected case.  A
     disconnected input skips the checks and is simply rewired.
 
@@ -505,7 +529,7 @@ def degree_preserving_rewire(
     for j in range(m):
         a, b = edge_u[j], edge_v[j]
         present.add((a, b) if a < b else (b, a))
-    checking = ensure_connected and _csr_edges_connected(n, edge_u, edge_v)
+    checking = ensure_connected and _stream_connected(n, edge_u, edge_v)
     undo: list = []
     window = 64
 
@@ -546,7 +570,7 @@ def degree_preserving_rewire(
         if checking:
             undo.append((j, k, old1, old2, new1, new2))
             if len(undo) >= window:
-                if _csr_edges_connected(n, edge_u, edge_v):
+                if _stream_connected(n, edge_u, edge_v):
                     undo.clear()
                     window = min(window * 2, 65536)
                 else:
@@ -554,7 +578,7 @@ def degree_preserving_rewire(
                     undo.clear()
                     window = max(1, window // 2)
     if checking and undo:
-        if not _csr_edges_connected(n, edge_u, edge_v):
+        if not _stream_connected(n, edge_u, edge_v):
             rollback()
         undo.clear()
     return WeightedGraph._from_csr_edges(

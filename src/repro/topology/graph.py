@@ -3,13 +3,15 @@
 The paper's point-to-point network is one fixed graph: every algorithm reads
 it and none changes it.  :class:`WeightedGraph` is therefore immutable — a
 thin wrapper over exactly one compressed-sparse-row :class:`CSRView`
-(stdlib ``array('q')`` offsets/targets plus a parallel weight column), built
-once by a counting-sort fill over an edge stream.  Node identifiers are
-arbitrary hashable values (the generators use ``0..n-1``), edges are
-undirected and carry a weight, and row order is the edge-stream order, so
-iteration is deterministic.  Determinism matters because the paper's
-algorithms break ties by node identifier and because every experiment must
-be reproducible from a seed.
+(stdlib ``array('q')`` offsets/targets plus a parallel weight column).  The
+view keeps the edge stream it was built from and fills its rows from it by
+one counting-sort pass the first time a row is read, so a graph that is
+only reweighted, relabelled or rewired (each reads the stream, never a row)
+is never filled.  Node identifiers are arbitrary hashable values (the
+generators use ``0..n-1``), edges are undirected and carry a weight, and
+row order is the edge-stream order, so iteration is deterministic.
+Determinism matters because the paper's algorithms break ties by node
+identifier and because every experiment must be reproducible from a seed.
 
 Graphs are built by the generators (slot edge columns through
 :meth:`WeightedGraph._from_csr_edges`) or from labelled ``(u, v[, w])``
@@ -25,7 +27,7 @@ from __future__ import annotations
 import numbers
 from array import array
 from itertools import islice
-from operator import le, lt
+from operator import gt, le, lt
 from typing import (
     Dict,
     Hashable,
@@ -165,13 +167,18 @@ class CSRView:
     ever built; arbitrary hashable labels get a ``tuple`` plus a label→slot
     dict.
 
+    The view holds the edge stream it was built from (slot columns
+    ``edge_u``/``edge_v`` and a weight column, ``None`` for unit weights)
+    and fills the three row columns from it on their first read
+    (:meth:`__getattr__`); after that they are plain slots and cost nothing
+    extra.  Consumers that read only the stream — :meth:`canonical_edges`,
+    :attr:`num_edges`, :meth:`total_weight` — never trigger the fill.
+
     Row order is edge-stream order: node ``i``'s row lists its neighbours in
     the order the edges at ``i`` appeared in the stream the graph was built
     from, and :meth:`WeightedGraph.neighbors` yields exactly that row.  The
     view is never modified after construction, so every derived column
-    (:meth:`canonical_edges`, :meth:`is_connected`) is cached on it; a view
-    built from a canonical stream starts with that stream as its canonical
-    columns.
+    (:meth:`canonical_edges`, :meth:`is_connected`) is cached on it.
     """
 
     __slots__ = (
@@ -182,6 +189,9 @@ class CSRView:
         "nodes",
         "index_of",
         "identity",
+        "_edge_u",
+        "_edge_v",
+        "_edge_w",
         "_canonical",
         "_connected",
     )
@@ -189,29 +199,109 @@ class CSRView:
     def __init__(
         self,
         n: int,
-        offsets: array,
-        targets: array,
-        weights: array,
+        edge_u: array,
+        edge_v: array,
+        edge_w: Optional[array],
         nodes: Sequence[NodeId],
         index_of: Optional[Dict[NodeId, int]],
         identity: bool,
-        canonical: Optional[Tuple[array, array, array]] = None,
     ) -> None:
-        """Bind the column arrays; built by the graph, not by callers."""
+        """Bind the edge stream; built by the graph, not by callers."""
         self.n = n
-        self.offsets = offsets
-        self.targets = targets
-        self.weights = weights
+        self._edge_u = edge_u
+        self._edge_v = edge_v
+        self._edge_w = edge_w
         self.nodes = nodes
         self.index_of = index_of
         self.identity = identity
-        self._canonical = canonical
+        self._canonical: Optional[Tuple[array, array, array]] = None
         self._connected: Optional[bool] = None
+
+    def __getattr__(self, name: str) -> array:
+        """Fill the row columns on the first read of any of them.
+
+        Python calls this only for a slot that is still unset, so once the
+        fill has bound ``offsets``, ``targets`` and ``weights`` their reads
+        never come here again.
+        """
+        if name not in ("offsets", "targets", "weights"):
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        self._fill()
+        return object.__getattribute__(self, name)
+
+    def _fill(self) -> None:
+        """Build the rows from the edge stream by one counting-sort pass.
+
+        Each edge is placed at its endpoints' cursors in stream order, so
+        node ``i``'s row lists its edges in the order they appear in the
+        stream.
+        """
+        n = self.n
+        edge_u = self._edge_u
+        edge_v = self._edge_v
+        edge_weights = self._edge_w
+        m = len(edge_u)
+        degree = array("q", bytes(8 * n)) if n else array("q")
+        for u in edge_u:
+            degree[u] += 1
+        for v in edge_v:
+            degree[v] += 1
+        offsets = array("q", bytes(8 * (n + 1)))
+        run = 0
+        for i in range(n):
+            run += degree[i]
+            offsets[i + 1] = run
+        cursor = offsets[:n]
+        targets = array("q", bytes(16 * m))
+        if edge_weights is None:
+            weights = array("d", [1.0]) * (2 * m)
+            for j in range(m):
+                u = edge_u[j]
+                v = edge_v[j]
+                cu = cursor[u]
+                targets[cu] = v
+                cursor[u] = cu + 1
+                cv = cursor[v]
+                targets[cv] = u
+                cursor[v] = cv + 1
+        else:
+            weights = array("d", bytes(16 * m))
+            for j in range(m):
+                u = edge_u[j]
+                v = edge_v[j]
+                w = edge_weights[j]
+                cu = cursor[u]
+                targets[cu] = v
+                weights[cu] = w
+                cursor[u] = cu + 1
+                cv = cursor[v]
+                targets[cv] = u
+                weights[cv] = w
+                cursor[v] = cv + 1
+        self.offsets = offsets
+        self.targets = targets
+        self.weights = weights
 
     @property
     def num_edges(self) -> int:
         """Return ``m``, the number of undirected edges."""
-        return len(self.targets) // 2
+        return len(self._edge_u)
+
+    def total_weight(self) -> float:
+        """Return the sum of the edge weights, left to right in stream order.
+
+        A plain running sum on purpose: ``sum()`` over floats compensates
+        its rounding on Python 3.12+, which would change the value.
+        """
+        edge_w = self._edge_w
+        if edge_w is None:
+            return float(len(self._edge_u))
+        total = 0.0
+        for w in edge_w:
+            total += w
+        return total
 
     def slot(self, node: NodeId) -> int:
         """Return the slot index of ``node``.
@@ -274,29 +364,36 @@ class CSRView:
         One entry per undirected edge, endpoints as slot indices with
         ``edge_u[j] < edge_v[j]``, in exactly the order
         :meth:`WeightedGraph.edges` enumerates (by first endpoint's slot,
-        then row order).  A graph built from a canonical edge stream (see
-        :meth:`WeightedGraph._from_csr_edges`) already holds them; otherwise
-        they are computed once per view by a scan of the rows.  Either way
-        they are cached, so repeated consumers (weight assignment, the
-        partition scan builders) share the arrays and must not modify them.
+        then row order).  Row order is stream order, so this is the edge
+        stream, each edge written low endpoint first, stably sorted on its
+        low endpoint; no row is read.  A *canonical* stream — ``edge_u``
+        nondecreasing and ``edge_u[j] < edge_v[j]`` — already is that order
+        and is returned as it is (unit weights become an all-``1.0``
+        column).  The columns are computed once per view and cached, so
+        repeated consumers (weight assignment, the partition scan builders)
+        share the arrays and must not modify them.
         """
         if self._canonical is None:
-            offsets = self.offsets
-            targets = self.targets
-            weights = self.weights
-            edge_u = array("q")
-            edge_v = array("q")
-            edge_w = array("d")
-            start = 0
-            for u in range(self.n):
-                end = offsets[u + 1]
-                for k in range(start, end):
-                    t = targets[k]
-                    if t > u:
-                        edge_u.append(u)
-                        edge_v.append(t)
-                        edge_w.append(weights[k])
-                start = end
+            edge_u = self._edge_u
+            edge_v = self._edge_v
+            edge_w = self._edge_w
+            ordered = all(map(lt, edge_u, edge_v))
+            if not (ordered and all(map(le, edge_u, islice(edge_u, 1, None)))):
+                if ordered:
+                    low, high = list(edge_u), edge_v
+                elif all(map(gt, edge_u, edge_v)):
+                    low, high = list(edge_v), edge_u
+                else:
+                    low = [u if u < v else v for u, v in zip(edge_u, edge_v)]
+                    high = [v if u < v else u for u, v in zip(edge_u, edge_v)]
+                # a stable sort keeps each node's edges in stream order
+                order = sorted(range(len(low)), key=low.__getitem__)
+                edge_u = array("q", [low[j] for j in order])
+                edge_v = array("q", [high[j] for j in order])
+                if edge_w is not None:
+                    edge_w = array("d", [edge_w[j] for j in order])
+            if edge_w is None:
+                edge_w = array("d", [1.0]) * len(edge_u)
             self._canonical = (edge_u, edge_v, edge_w)
         return self._canonical
 
@@ -380,14 +477,10 @@ class WeightedGraph:
 
     def __init__(self) -> None:
         """Create the empty graph (:meth:`from_edges` builds a populated one)."""
-        self._bind(
-            CSRView(0, array("q", [0]), array("q"), array("d"), range(0), None, True),
-            0.0,
-        )
+        self._bind(CSRView(0, array("q"), array("q"), None, range(0), None, True))
 
-    def _bind(self, csr: CSRView, total_weight: float) -> None:
+    def _bind(self, csr: CSRView) -> None:
         self._csr = csr
-        self._total_weight = total_weight
         self._edges: Optional[List[Edge]] = None
 
     # ------------------------------------------------------------------
@@ -412,85 +505,23 @@ class WeightedGraph:
         self loop or repeat an edge; the generators guarantee that, and
         :meth:`from_edges` checks it for caller input.
 
-        The counting-sort fill places each edge at its endpoints' cursors in
-        stream order, so node ``i``'s row lists its edges in the order they
-        appear in the stream, and :meth:`total_weight` is the stream-order
-        sum of the weights.
-
-        A *canonical* stream — ``edge_u`` nondecreasing and
-        ``edge_u[j] < edge_v[j]`` — is exactly the
-        :meth:`CSRView.canonical_edges` order of the graph it builds, so the
-        view keeps the stream as its canonical columns instead of scanning
-        the rows for them later (unit weights become an all-``1.0``
-        column).  Every reweighted copy emits a canonical stream, and so do
-        the path, complete, grid and hypercube generators.  Columns that are
-        already ``array('q')``/``array('d')`` are shared, not copied, so the
-        caller must not modify them after the build.
+        The graph keeps the stream: its rows are filled from it on first
+        read (:meth:`CSRView._fill`), in stream order, and
+        :meth:`total_weight` is the stream-order sum of the weights.
+        Columns that are already ``array('q')``/``array('d')`` are shared,
+        not copied, so the caller must not modify them after the build.
         """
-        m = len(edge_u)
-        degree = array("q", bytes(8 * n)) if n else array("q")
-        for u in edge_u:
-            degree[u] += 1
-        for v in edge_v:
-            degree[v] += 1
-        offsets = array("q", bytes(8 * (n + 1)))
-        run = 0
-        for i in range(n):
-            run += degree[i]
-            offsets[i + 1] = run
-        cursor = offsets[:n]
-        targets = array("q", bytes(16 * m))
-        total = 0.0
-        if edge_weights is None:
-            weights = array("d", [1.0]) * (2 * m)
-            for j in range(m):
-                u = edge_u[j]
-                v = edge_v[j]
-                cu = cursor[u]
-                targets[cu] = v
-                cursor[u] = cu + 1
-                cv = cursor[v]
-                targets[cv] = u
-                cursor[v] = cv + 1
-            total = float(m)
-        else:
-            weights = array("d", bytes(16 * m))
-            for j in range(m):
-                u = edge_u[j]
-                v = edge_v[j]
-                w = edge_weights[j]
-                cu = cursor[u]
-                targets[cu] = v
-                weights[cu] = w
-                cursor[u] = cu + 1
-                cv = cursor[v]
-                targets[cv] = u
-                weights[cv] = w
-                cursor[v] = cv + 1
-                total += w
-        canonical = None
-        if all(map(lt, edge_u, edge_v)) and all(
-            map(le, edge_u, islice(edge_u, 1, None))
-        ):
-            canonical = (
-                _column("q", edge_u),
-                _column("q", edge_v),
-                array("d", [1.0]) * m
-                if edge_weights is None
-                else _column("d", edge_weights),
-            )
+        edge_u = _column("q", edge_u)
+        edge_v = _column("q", edge_v)
+        edge_w = None if edge_weights is None else _column("d", edge_weights)
         if nodes is None:
-            view = CSRView(
-                n, offsets, targets, weights, range(n), None, True, canonical
-            )
+            view = CSRView(n, edge_u, edge_v, edge_w, range(n), None, True)
         else:
             if index_of is None:
                 index_of = {node: i for i, node in enumerate(nodes)}
-            view = CSRView(
-                n, offsets, targets, weights, nodes, index_of, False, canonical
-            )
+            view = CSRView(n, edge_u, edge_v, edge_w, nodes, index_of, False)
         graph = cls.__new__(cls)
-        graph._bind(view, total)
+        graph._bind(view)
         return graph
 
     @classmethod
@@ -650,7 +681,7 @@ class WeightedGraph:
 
     def total_weight(self) -> float:
         """Return the sum of all edge weights, in edge-stream order."""
-        return self._total_weight
+        return self._csr.total_weight()
 
     def __contains__(self, node: NodeId) -> bool:
         """Return ``True`` when ``node`` is a node of the graph."""

@@ -8,7 +8,7 @@ diameter of the point-to-point network.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List
+from typing import Dict, Hashable, List, Tuple
 
 from repro.topology.graph import CSRView, WeightedGraph
 
@@ -83,10 +83,10 @@ def is_connected(graph: WeightedGraph) -> bool:
 def _slot_rows(graph: WeightedGraph) -> List[List[int]]:
     """Return per-slot neighbour lists (Python ints) from the CSR view.
 
-    One O(m) materialisation shared by the all-sources sweeps below: list
-    rows make the inner BFS loop iterate existing int objects instead of
-    allocating an ``array`` slice (and boxing its entries) per visited node,
-    which is what dominates when every node is a BFS source.
+    One O(m) materialisation shared by all of :func:`diameter`'s BFS passes:
+    list rows make the inner BFS loop iterate existing int objects instead
+    of allocating an ``array`` slice (and boxing its entries) per visited
+    node, which is what dominates when many nodes are BFS sources.
     """
     csr = graph.csr()
     targets = list(csr.targets)
@@ -94,39 +94,51 @@ def _slot_rows(graph: WeightedGraph) -> List[List[int]]:
     return [targets[offsets[i]:offsets[i + 1]] for i in range(csr.n)]
 
 
-def _slot_eccentricity(rows: List[List[int]], n: int, start: int) -> int:
-    """Return the eccentricity of slot ``start`` over ``rows``.
+def _slot_distances(rows: List[List[int]], n: int, start: int) -> Tuple[List[int], int]:
+    """Return every slot's hop distance from ``start``, and ``start``'s eccentricity.
 
     Raises:
         ValueError: if the sweep does not reach all ``n`` slots.
     """
-    seen = bytearray(n)
-    seen[start] = 1
+    distance = [-1] * n
+    distance[start] = 0
     visited = 1
     frontier = [start]
     depth = 0
     while frontier:
+        depth += 1
         next_frontier: List[int] = []
         for slot in frontier:
             for target in rows[slot]:
-                if not seen[target]:
-                    seen[target] = 1
+                if distance[target] < 0:
+                    distance[target] = depth
                     next_frontier.append(target)
-        if not next_frontier:
-            break
-        depth += 1
         visited += len(next_frontier)
         frontier = next_frontier
     if visited != n:
         raise ValueError("eccentricity is undefined on a disconnected graph")
-    return depth
+    return distance, depth - 1
 
 
 def diameter(graph: WeightedGraph) -> int:
     """Return the hop diameter of a connected ``graph``.
 
-    Every node is a BFS source, so the sweep runs on shared slot rows
-    (:func:`_slot_rows`) and tracks only depths — no per-source level map.
+    Exact, by eccentricity bounds (Takes & Kosters, *Determining the
+    diameter of small world networks*, CIKM 2011).  A BFS from ``v`` bounds
+    every node ``w`` at distance ``d`` by
+    ``max(d, ecc(v) − d) ≤ ecc(w) ≤ ecc(v) + d``; a node whose upper bound
+    cannot beat the largest eccentricity bound found so far cannot be the
+    diameter's endpoint and is dropped.  Sources alternate between the
+    largest upper bound and the smallest lower bound, and the search stops
+    when no candidate is left, or when the largest eccentricity found meets
+    ``2·ecc(v)`` for some source ``v``.  On the §5.2 ray graphs and the
+    scale-free and ad-hoc kinds a handful of BFS passes settle it.
+
+    When two passes in a row neither raise the best bound nor drop more
+    than their own sources — every node of a vertex-transitive graph (ring,
+    torus, hypercube) has the same eccentricity, so no bound ever prunes —
+    the remaining candidates get the plain per-node sweep instead, which
+    costs no more than bounding them one by one.
 
     Raises:
         ValueError: if the graph is empty or disconnected.
@@ -135,7 +147,49 @@ def diameter(graph: WeightedGraph) -> int:
     if n == 0:
         raise ValueError("the diameter of an empty graph is undefined")
     rows = _slot_rows(graph)
-    return max(_slot_eccentricity(rows, n, start) for start in range(n))
+    lower = [0] * n
+    upper = [n] * n
+    candidates = list(range(n))
+    best = 0  # the largest eccentricity lower bound: best <= diameter
+    ceiling = n  # min 2·ecc(v) over the sources: diameter <= ceiling
+    barren = 0  # consecutive passes that neither raised best nor pruned
+    from_top = True
+    while candidates:
+        if from_top:
+            source = max(candidates, key=upper.__getitem__)
+        else:
+            source = min(candidates, key=lower.__getitem__)
+        from_top = not from_top
+        distance, ecc = _slot_distances(rows, n, source)
+        before = best
+        if ecc > best:
+            best = ecc
+        if 2 * ecc < ceiling:
+            ceiling = 2 * ecc
+        if best == ceiling:
+            return best
+        for w in candidates:
+            d = distance[w]
+            low = ecc - d if ecc - d > d else d
+            if low > lower[w]:
+                lower[w] = low
+                if low > best:
+                    best = low
+            if ecc + d < upper[w]:
+                upper[w] = ecc + d
+        kept = [w for w in candidates if upper[w] > best]
+        if best == before and len(kept) + 1 >= len(candidates):
+            barren += 1
+        else:
+            barren = 0
+        candidates = kept
+        if barren == 2:
+            for start in candidates:
+                ecc = _slot_distances(rows, n, start)[1]
+                if ecc > best:
+                    best = ecc
+            return best
+    return best
 
 
 def approximate_diameter(graph: WeightedGraph) -> int:

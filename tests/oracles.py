@@ -13,7 +13,9 @@ then run an oracle and its library flyweight on the very same engine.
 The end of the module holds the other references the tests hold the
 library to: exact solves (the absorbing-chain MFPT), checkers (legal
 colourings, maximal independent sets, identical spanning trees,
-global sensitivity) and the paper's contention bounds.
+global sensitivity), the paper's contention bounds, and the plain
+topology scans the faster library paths replaced (the per-node diameter
+sweep, the canonical-edge row scan, the all-pairs geometric scan).
 
 In each round a node
 
@@ -898,3 +900,91 @@ def exact_mfpt(graph, target: int) -> List[float]:
     for r, u in enumerate(transient):
         result[u] = solution[r]
     return result
+
+
+# ----------------------------------------------------------------------
+# topology
+# ----------------------------------------------------------------------
+
+def diameter_by_sweep(graph) -> int:
+    """Return the hop diameter by one BFS from every node.
+
+    The plain n-pass sweep over the CSR rows, the reference the
+    eccentricity-bound :func:`repro.topology.properties.diameter` is held
+    to.
+
+    Raises:
+        ValueError: if the graph is empty or disconnected (same messages as
+            the library function).
+    """
+    csr = graph.csr()
+    n = csr.n
+    if n == 0:
+        raise ValueError("the diameter of an empty graph is undefined")
+    offsets = csr.offsets
+    rows = [list(csr.targets[offsets[i]:offsets[i + 1]]) for i in range(n)]
+    best = 0
+    for start in range(n):
+        seen = bytearray(n)
+        seen[start] = 1
+        visited = 1
+        frontier = [start]
+        depth = 0
+        while True:
+            next_frontier = []
+            for slot in frontier:
+                for target in rows[slot]:
+                    if not seen[target]:
+                        seen[target] = 1
+                        next_frontier.append(target)
+            if not next_frontier:
+                break
+            depth += 1
+            visited += len(next_frontier)
+            frontier = next_frontier
+        if visited != n:
+            raise ValueError("eccentricity is undefined on a disconnected graph")
+        best = max(best, depth)
+    return best
+
+
+def scan_canonical_edges(csr) -> Tuple[List[int], List[int], List[float]]:
+    """Return the canonical edge columns read off the filled CSR rows.
+
+    Every row entry to a higher slot, by slot, in row order: the order
+    :meth:`repro.topology.graph.CSRView.canonical_edges` must produce from
+    the edge stream without reading a row.
+    """
+    edge_u, edge_v, edge_w = [], [], []
+    for u in range(csr.n):
+        for k in range(csr.offsets[u], csr.offsets[u + 1]):
+            if csr.targets[k] > u:
+                edge_u.append(u)
+                edge_v.append(csr.targets[k])
+                edge_w.append(csr.weights[k])
+    return edge_u, edge_v, edge_w
+
+
+def geometric_pairs_all_pairs(
+    n: int, radius: Optional[float] = None, seed: Optional[int] = None
+) -> List[Tuple[int, int]]:
+    """Return :func:`~repro.topology.generators.random_geometric_graph`'s pairs.
+
+    The all-pairs scan the cell-bucketed generator replaced: the same
+    positions (drawn from the same seeded stream), every pair ``u < v``
+    tested in ascending ``(u, v)`` order with the same
+    ``du * du + dv * dv <= radius * radius`` test.  Before any stitching
+    bridge.
+    """
+    rng = random.Random(seed)
+    if radius is None:
+        radius = math.sqrt(2.0 * math.log(max(n, 2)) / n)
+    positions = {node: (rng.random(), rng.random()) for node in range(n)}
+    pairs = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            du = positions[u][0] - positions[v][0]
+            dv = positions[u][1] - positions[v][1]
+            if du * du + dv * dv <= radius * radius:
+                pairs.append((u, v))
+    return pairs

@@ -1,6 +1,7 @@
 """Differential tests for the columnar CSR graph core (``topology/graph.py``).
 
-A graph is one CSR view built by a counting-sort fill over an edge stream.
+A graph is one CSR view over an edge stream; a counting-sort fill builds
+its rows on the first row read, and ``TestLazyFill`` pins which reads do.
 These tests pin the fill against a plain reference model — nested dicts
 filled edge by edge from the same stream — for identity-labelled and
 arbitrarily-labelled graphs, plus the degenerate shapes (empty, single node,
@@ -17,15 +18,19 @@ from array import array
 
 import pytest
 
+from oracles import scan_canonical_edges
 from repro.experiments.harness import make_topology
 from repro.topology.generators import (
+    ad_hoc_affectance_graph,
     barabasi_albert_graph,
+    degree_preserving_rewire,
     erdos_renyi_graph,
     grid_graph,
     path_graph,
+    random_geometric_graph,
     ring_graph,
 )
-from repro.topology.graph import WeightedGraph, is_identity_enumeration
+from repro.topology.graph import CSRView, WeightedGraph, is_identity_enumeration
 from repro.topology.properties import breadth_first_levels
 from repro.topology.weights import assign_distinct_weights
 
@@ -193,19 +198,6 @@ class TestGeneratorBuiltGraphs:
         assert graph.total_weight() == 12.0
 
 
-def scan_canonical_edges(csr):
-    """The canonical edge columns, read off the CSR rows independently of
-    the view: every entry to a higher slot, by slot, in row order."""
-    edge_u, edge_v, edge_w = [], [], []
-    for u in range(csr.n):
-        for k in range(csr.offsets[u], csr.offsets[u + 1]):
-            if csr.targets[k] > u:
-                edge_u.append(u)
-                edge_v.append(csr.targets[k])
-                edge_w.append(csr.weights[k])
-    return edge_u, edge_v, edge_w
-
-
 def assert_canonical_matches_scan(graph):
     columns = graph.csr().canonical_edges()
     assert [column.typecode for column in columns] == ["q", "q", "d"]
@@ -223,6 +215,14 @@ CANONICAL_CASES = {
     # every edge is (new node, older node): a non-canonical stream
     "barabasi_albert": lambda: barabasi_albert_graph(80, 2, seed=3),
     "grid_graph": lambda: grid_graph(5, 7),
+    # ascending (u, v) pairs, then a stitching bridge from the first
+    # component (low or high endpoint first)
+    "geometric_graph": lambda: random_geometric_graph(150, seed=3),
+    "geometric_bridged": lambda: random_geometric_graph(60, radius=0.1, seed=2),
+    "ad_hoc_bridged": lambda: ad_hoc_affectance_graph(256, seed=0),
+    "rewired": lambda: degree_preserving_rewire(
+        barabasi_albert_graph(80, 2, seed=3), seed=1
+    ),
     "path_graph": lambda: path_graph(6),
     "from_edges_canonical": lambda: WeightedGraph.from_edges(
         [(0, 1, 4), (0, 3, 2.5), (1, 2, 1), (2, 3, 7)]
@@ -240,8 +240,9 @@ CANONICAL_CASES = {
 
 
 class TestCanonicalColumns:
-    """``canonical_edges`` kept from a canonical build stream, or scanned
-    from the rows otherwise, is always what a scan of the rows reads."""
+    """``canonical_edges``, taken from the edge stream before any row is
+    read (the stream itself when it is canonical, else its stable sort on
+    the low endpoint), is always what a scan of the filled rows reads."""
 
     @pytest.mark.parametrize("name", sorted(CANONICAL_CASES))
     def test_matches_a_scan_of_the_rows(self, name):
@@ -277,6 +278,87 @@ class TestCanonicalColumns:
         source_u, source_v, _ = graph.csr().canonical_edges()
         copy_u, copy_v, _ = assign_distinct_weights(graph, seed=1).csr().canonical_edges()
         assert copy_u is source_u and copy_v is source_v
+
+
+@pytest.fixture
+def fills(monkeypatch):
+    """The views whose rows get filled while the test runs, in fill order."""
+    filled = []
+    fill = CSRView._fill
+
+    def recording(view):
+        filled.append(view)
+        fill(view)
+
+    monkeypatch.setattr(CSRView, "_fill", recording)
+    return filled
+
+
+class TestLazyFill:
+    """A graph fills its rows from its edge stream on the first row read,
+    once; everything that reads only the stream leaves it unfilled."""
+
+    def test_stream_readers_do_not_fill(self, fills):
+        graph = barabasi_albert_graph(200, 2, seed=1)
+        assert graph.num_edges() == graph.csr().num_edges == 2 * (200 - 2)
+        assert graph.total_weight() == float(graph.num_edges())
+        graph.edges()
+        graph.csr().canonical_edges()
+        graph.relabeled({node: f"v{node}" for node in graph.nodes()})
+        assign_distinct_weights(graph, seed=3).edges()
+        degree_preserving_rewire(graph, seed=2)
+        assert fills == []
+
+    def test_first_row_read_fills_once(self, fills):
+        graph = assign_distinct_weights(ring_graph(12), seed=2)
+        csr = graph.csr()
+        assert fills == []
+        assert graph.neighbors(0) == [1, 11]
+        assert len(csr.targets) == 24 and len(csr.weights) == 24
+        graph.degree(5)
+        csr.is_connected()
+        csr.scan_columns()
+        assert fills == [csr]
+
+    def test_unknown_attribute_still_raises(self, fills):
+        with pytest.raises(AttributeError, match="no attribute 'offset'"):
+            path_graph(3).csr().offset
+        assert fills == []
+
+    @pytest.mark.parametrize(
+        "kind", ("grid", "ring", "geometric", "scale_free", "ad_hoc")
+    )
+    def test_make_topology_fills_once(self, fills, monkeypatch, kind):
+        from repro.experiments import harness
+
+        handed = []
+        weigh = harness.assign_distinct_weights
+
+        def recording(graph, seed=None):
+            handed.append(graph)
+            return weigh(graph, seed=seed)
+
+        monkeypatch.setattr(harness, "assign_distinct_weights", recording)
+        graph = make_topology(kind, 120, seed=4)
+        assert fills == []
+        assert graph.csr().is_connected()
+        graph.neighbors(graph.nodes()[0])
+        assert fills == [graph.csr()]
+        assert handed[0].csr() not in fills
+
+    def test_a_stitched_graph_is_returned_unfilled(self, fills):
+        # the stream is disconnected: the component search fills throwaway
+        # graphs, never the graph returned (nor its columns afterwards)
+        graph = ad_hoc_affectance_graph(256, seed=0)
+        assert fills and graph.csr() not in fills
+        columns = tuple(map(list, graph.csr().canonical_edges()))
+        assert graph.csr().is_connected()
+        assert columns == scan_canonical_edges(graph.csr())
+
+    def test_total_weight_is_a_left_to_right_stream_sum(self):
+        # a compensated sum would give 1.0
+        graph = WeightedGraph.from_edges([(0, 1, 1e16), (1, 2, 1.0), (2, 3, -1e16)])
+        assert graph.total_weight() == 0.0
 
 
 class TestDegenerateShapes:

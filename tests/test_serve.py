@@ -178,6 +178,21 @@ class TestEndpoints:
         assert app.respond("/bench/trajectory")[0] == 404
         assert app.respond("/bench/diff")[0] == 404
 
+    @pytest.mark.parametrize(
+        "content",
+        ("[1]", '"x"', '{"runs": []}', '{"runs": {"a": 1, "b": 2}}',
+         '{"runs": {"a": {"sequence": 1}, "b": 2}}'),
+        ids=("list", "string", "runs_list", "runs_of_numbers", "one_bad_entry"),
+    )
+    def test_malformed_trajectory_file_404s(self, corpus, tmp_path, content):
+        bench = tmp_path / "BENCH_core.json"
+        bench.write_text(content)
+        app = ServeApp(run_root=corpus["run_root"], bench_path=bench)
+        for route in ("/bench/trajectory", "/bench/diff"):
+            status, _, body = app.respond(route)
+            assert status == 404
+            assert body_json(body)["error"] == "malformed trajectory file"
+
     def test_unknown_endpoint_404s(self, corpus):
         status, _, body = make_app(corpus).respond("/nope")
         assert status == 404

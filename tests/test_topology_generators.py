@@ -1,7 +1,10 @@
 """Unit tests for the topology generators."""
 
+import math
+
 import pytest
 
+from oracles import geometric_pairs_all_pairs
 from repro.topology.generators import (
     ad_hoc_affectance_graph,
     barabasi_albert_graph,
@@ -86,6 +89,27 @@ class TestRandomTopologies:
         graph = random_geometric_graph(60, seed=2)
         assert is_connected(graph)
         assert graph.num_nodes() == 60
+
+
+class TestGeometricBuckets:
+    """The cell-bucketed geometric generator emits exactly the all-pairs
+    scan's pairs, in its ascending ``(u, v)`` order."""
+
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    @pytest.mark.parametrize(
+        "radius", (None, 0.0, 0.003, 0.05, 0.2, 0.7, 1.5, -0.2, math.nan, math.inf)
+    )
+    @pytest.mark.parametrize("n", (1, 2, 17, 240))
+    def test_matches_the_all_pairs_scan(self, n, radius, seed):
+        graph = random_geometric_graph(n, radius=radius, seed=seed, ensure_connected=False)
+        edge_u, edge_v, _ = graph.csr().canonical_edges()
+        assert list(zip(edge_u, edge_v)) == geometric_pairs_all_pairs(n, radius, seed)
+
+    @pytest.mark.parametrize("n, seed", ((1200, 3), (2000, 7)))
+    def test_matches_at_the_default_radius(self, n, seed):
+        graph = random_geometric_graph(n, seed=seed, ensure_connected=False)
+        edge_u, edge_v, _ = graph.csr().canonical_edges()
+        assert list(zip(edge_u, edge_v)) == geometric_pairs_all_pairs(n, None, seed)
 
 
 class TestRayGraph:
