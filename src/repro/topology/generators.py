@@ -30,7 +30,7 @@ import math
 import random
 from array import array
 from bisect import bisect_right
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.topology.graph import WeightedGraph
 
@@ -235,14 +235,11 @@ def random_geometric_graph(
     # neighbourhood, in increasing order, so the pairs come out in the
     # all-pairs scan's ascending (u, v) order
     limit = radius * radius
-    cells = _cells_per_side(abs(radius), n)
-    buckets: dict = {}
-    cell_of = []
-    for node in range(n):
-        x, y = positions[node]
-        key = (int(x * cells), int(y * cells))
-        cell_of.append(key)
-        buckets.setdefault(key, []).append(node)
+    buckets = _cell_buckets(positions, 1.0 / _cells_per_side(abs(radius), n))
+    cell_of = [None] * n
+    for key, members in buckets.items():
+        for node in members:
+            cell_of[node] = key
     edge_u = array("q")
     edge_v = array("q")
     for u in range(n):
@@ -267,11 +264,23 @@ def random_geometric_graph(
     return WeightedGraph._from_csr_edges(n, edge_u, edge_v)
 
 
+def _cell_buckets(positions: Dict[int, Tuple[float, float]], width: float) -> dict:
+    """Return the nodes of ``positions`` bucketed by square cell.
+
+    Maps each cell ``(int(x / width), int(y / width))`` to its nodes, in
+    ``positions`` order; cells are keyed in order of first occupancy.
+    """
+    buckets: dict = {}
+    for node, (x, y) in positions.items():
+        buckets.setdefault((int(x / width), int(y / width)), []).append(node)
+    return buckets
+
+
 def _cells_per_side(reach: float, n: int) -> int:
     """Return how many grid cells per side of the unit square to bucket by.
 
     Cells are wider than ``reach`` by a margin that absorbs the rounding of
-    ``x * cells``, so two points within ``reach`` of each other never land
+    the cell index (:func:`_cell_buckets`), so two points within ``reach`` of each other never land
     more than one cell apart; at most about ``√n`` cells per side.  A zero
     or NaN reach, or one above about a third, is one cell: the all-pairs scan.
     """
@@ -649,12 +658,7 @@ def ad_hoc_affectance_graph(
     # within the 3×3 cell neighbourhood of either endpoint; each unordered
     # node pair is reached through exactly one cell pair, so the edge stream
     # never repeats an edge
-    cell = base_range * power_spread
-    buckets: dict = {}
-    for node in range(n):
-        x, y = positions[node]
-        key = (int(x / cell), int(y / cell))
-        buckets.setdefault(key, []).append(node)
+    buckets = _cell_buckets(positions, base_range * power_spread)
     edge_u = array("q")
     edge_v = array("q")
     for (cx, cy), members in buckets.items():

@@ -172,7 +172,7 @@ class CSRView:
     and fills the three row columns from it on their first read
     (:meth:`__getattr__`); after that they are plain slots and cost nothing
     extra.  Consumers that read only the stream — :meth:`canonical_edges`,
-    :attr:`num_edges`, :meth:`total_weight` — never trigger the fill.
+    :attr:`num_edges` — never trigger the fill.
 
     Row order is edge-stream order: node ``i``'s row lists its neighbours in
     the order the edges at ``i`` appeared in the stream the graph was built
@@ -288,20 +288,6 @@ class CSRView:
     def num_edges(self) -> int:
         """Return ``m``, the number of undirected edges."""
         return len(self._edge_u)
-
-    def total_weight(self) -> float:
-        """Return the sum of the edge weights, left to right in stream order.
-
-        A plain running sum on purpose: ``sum()`` over floats compensates
-        its rounding on Python 3.12+, which would change the value.
-        """
-        edge_w = self._edge_w
-        if edge_w is None:
-            return float(len(self._edge_u))
-        total = 0.0
-        for w in edge_w:
-            total += w
-        return total
 
     def slot(self, node: NodeId) -> int:
         """Return the slot index of ``node``.
@@ -506,8 +492,7 @@ class WeightedGraph:
         :meth:`from_edges` checks it for caller input.
 
         The graph keeps the stream: its rows are filled from it on first
-        read (:meth:`CSRView._fill`), in stream order, and
-        :meth:`total_weight` is the stream-order sum of the weights.
+        read (:meth:`CSRView._fill`), in stream order.
         Columns that are already ``array('q')``/``array('d')`` are shared,
         not copied, so the caller must not modify them after the build.
         """
@@ -678,10 +663,6 @@ class WeightedGraph:
     def num_edges(self) -> int:
         """Return ``m``, the number of undirected edges."""
         return self._csr.num_edges
-
-    def total_weight(self) -> float:
-        """Return the sum of all edge weights, in edge-stream order."""
-        return self._csr.total_weight()
 
     def __contains__(self, node: NodeId) -> bool:
         """Return ``True`` when ``node`` is a node of the graph."""

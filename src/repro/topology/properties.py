@@ -134,11 +134,10 @@ def diameter(graph: WeightedGraph) -> int:
     ``2·ecc(v)`` for some source ``v``.  On the §5.2 ray graphs and the
     scale-free and ad-hoc kinds a handful of BFS passes settle it.
 
-    When two passes in a row neither raise the best bound nor drop more
-    than their own sources — every node of a vertex-transitive graph (ring,
-    torus, hypercube) has the same eccentricity, so no bound ever prunes —
-    the remaining candidates get the plain per-node sweep instead, which
-    costs no more than bounding them one by one.
+    On a vertex-transitive graph (ring, torus, hypercube) every node has
+    the same eccentricity, so no bound prunes and every node is a source;
+    the experiments never send those here (``harness.topology_diameter``
+    has closed forms for ring and grid).
 
     Raises:
         ValueError: if the graph is empty or disconnected.
@@ -152,7 +151,6 @@ def diameter(graph: WeightedGraph) -> int:
     candidates = list(range(n))
     best = 0  # the largest eccentricity lower bound: best <= diameter
     ceiling = n  # min 2·ecc(v) over the sources: diameter <= ceiling
-    barren = 0  # consecutive passes that neither raised best nor pruned
     from_top = True
     while candidates:
         if from_top:
@@ -161,7 +159,6 @@ def diameter(graph: WeightedGraph) -> int:
             source = min(candidates, key=lower.__getitem__)
         from_top = not from_top
         distance, ecc = _slot_distances(rows, n, source)
-        before = best
         if ecc > best:
             best = ecc
         if 2 * ecc < ceiling:
@@ -177,18 +174,7 @@ def diameter(graph: WeightedGraph) -> int:
                     best = low
             if ecc + d < upper[w]:
                 upper[w] = ecc + d
-        kept = [w for w in candidates if upper[w] > best]
-        if best == before and len(kept) + 1 >= len(candidates):
-            barren += 1
-        else:
-            barren = 0
-        candidates = kept
-        if barren == 2:
-            for start in candidates:
-                ecc = _slot_distances(rows, n, start)[1]
-                if ecc > best:
-                    best = ecc
-            return best
+        candidates = [w for w in candidates if upper[w] > best]
     return best
 
 

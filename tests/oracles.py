@@ -709,6 +709,19 @@ def spanning_tree_weight(graph, keys) -> float:
     return total
 
 
+def edge_weight_sum(graph) -> float:
+    """Return the sum of ``graph``'s edge weights, left to right in
+    :meth:`~repro.topology.graph.WeightedGraph.edges` order.
+
+    A plain running sum on purpose: ``sum()`` over floats compensates its
+    rounding on Python 3.12+, which would change the pinned values.
+    """
+    total = 0.0
+    for w in graph.csr().canonical_edges()[2]:
+        total += w
+    return total
+
+
 # ----------------------------------------------------------------------
 # symmetry breaking: checkers over a forest held in columns (vertices
 # 0..k-1, ``parent[v]`` the parent slot, -1 at a root)

@@ -2,7 +2,8 @@
 
 Goldens v1–v5 build every topology through ``make_topology``, so the
 generators it never calls (and ``relabeled``) are unpinned there.  Each digest here covers the node order, every node's row
-(neighbours in row order, with weights), ``edges()`` and ``total_weight()``.
+(neighbours in row order, with weights), ``edges()`` and the left-to-right sum of the
+weights in ``edges()`` order.
 Print the current digests with
 
     PYTHONPATH=src python tests/test_generator_digests.py
@@ -15,6 +16,7 @@ import json
 
 import pytest
 
+from oracles import edge_weight_sum
 from repro.topology.generators import (
     ad_hoc_affectance_graph,
     complete_graph,
@@ -56,7 +58,7 @@ def graph_digest(graph) -> str:
             for u in graph.nodes()
         ],
         "edges": [[repr(e.u), repr(e.v), e.weight] for e in graph.edges()],
-        "total_weight": graph.total_weight(),
+        "total_weight": edge_weight_sum(graph),
     }
     return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
 

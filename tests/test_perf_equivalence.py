@@ -54,6 +54,8 @@ from pathlib import Path
 
 import pytest
 
+from oracles import edge_weight_sum
+
 GOLDEN_DIR = Path(__file__).parent / "data" / "goldens"
 GOLDEN_V1 = GOLDEN_DIR / "v1" / "equivalence_golden.json"
 GOLDEN_V2 = GOLDEN_DIR / "v2" / "equivalence_golden.json"
@@ -85,7 +87,7 @@ def _compute_deterministic_state():
         state[f"graph/{kind}/{n}"] = {
             "n": graph.num_nodes(),
             "m": graph.num_edges(),
-            "total_weight": graph.total_weight(),
+            "total_weight": edge_weight_sum(graph),
             "edges": [[edge.u, edge.v, edge.weight] for edge in graph.edges()],
         }
 
