@@ -280,9 +280,10 @@ def _cells_per_side(reach: float, n: int) -> int:
     """Return how many grid cells per side of the unit square to bucket by.
 
     Cells are wider than ``reach`` by a margin that absorbs the rounding of
-    the cell index (:func:`_cell_buckets`), so two points within ``reach`` of each other never land
-    more than one cell apart; at most about ``√n`` cells per side.  A zero
-    or NaN reach, or one above about a third, is one cell: the all-pairs scan.
+    the cell index (:func:`_cell_buckets`), so two points within ``reach``
+    of each other never land more than one cell apart; at most about ``√n``
+    cells per side.  A zero or NaN reach, or one above about a third, is
+    one cell: the all-pairs scan.
     """
     if not reach > 0:
         return 1

@@ -132,7 +132,9 @@ def diameter(graph: WeightedGraph) -> int:
     largest upper bound and the smallest lower bound, and the search stops
     when no candidate is left, or when the largest eccentricity found meets
     ``2·ecc(v)`` for some source ``v``.  On the §5.2 ray graphs and the
-    scale-free and ad-hoc kinds a handful of BFS passes settle it.
+    geometric and ad-hoc kinds a few dozen BFS passes at most settle it;
+    scale-free graphs, whose eccentricities crowd into two or three
+    values, need about a third of their nodes as sources at n = 1024.
 
     On a vertex-transitive graph (ring, torus, hypercube) every node has
     the same eccentricity, so no bound prunes and every node is a source;
