@@ -692,6 +692,167 @@ def spanning_forest(parents: Mapping[NodeId, Optional[NodeId]]) -> SpanningFores
     return SpanningForest(nodes, column)
 
 
+def node_depths(parents: Mapping[NodeId, Optional[NodeId]]) -> Dict[NodeId, int]:
+    """Return each node's hop distance to its root, by one BFS from the roots.
+
+    Raises:
+        KeyError: if a node's parent chain leaves the map or cycles.
+    """
+    depths: Dict[NodeId, int] = {}
+    children = children_map(parents)
+    frontier = [node for node, parent in parents.items() if parent is None]
+    depth = 0
+    while frontier:
+        for node in frontier:
+            depths[node] = depth
+        frontier = [child for node in frontier for child in children[node]]
+        depth += 1
+    if len(depths) != len(parents):
+        unreachable = next(node for node in parents if node not in depths)
+        raise KeyError(f"{unreachable!r} is not reachable from any root")
+    return depths
+
+
+def reroot(parents: Dict[NodeId, Optional[NodeId]], new_root: NodeId) -> None:
+    """Re-root the tree holding ``new_root`` there, in place, by reversing
+    the parent pointers on the path to the old root."""
+    path = [new_root]
+    while parents[path[-1]] is not None:
+        path.append(parents[path[-1]])
+    for index in range(len(path) - 1, 0, -1):
+        parents[path[index]] = path[index - 1]
+    parents[new_root] = None
+
+
+def p2p_mst_by_dicts(graph):
+    """Return :class:`~repro.core.mst.ghs_baseline.PointToPointMST`'s result,
+    computed on node-keyed dicts.
+
+    The point-to-point GHS baseline as first written: fragments are a
+    node → parent map and a node → core map, each node scans its links in
+    ``(weight, repr(neighbour))`` order past a set of rejected edge keys,
+    the fragment graph's components are found by a DFS over a core → core
+    map (rooted at the larger-``repr`` end of the component's 2-cycle), and
+    every phase re-walks the whole forest for depths.  Same charges: Step 1's
+    broadcast-and-respond, two messages per link test, and per merge two
+    messages per spliced node plus one per merged node; a phase's rounds are
+    twice the largest radius, twice the most tests one node made, and the
+    largest merged radius.
+    """
+    from repro.core.mst.ghs_baseline import PointToPointMSTResult
+    from repro.core.mst.kruskal import MSTEdges
+    from repro.sim.metrics import MetricsRecorder
+    from repro.topology.graph import Edge, edge_key
+
+    metrics = MetricsRecorder()
+    nodes = graph.nodes()
+    links: Dict[NodeId, List[Tuple[float, NodeId, Tuple[NodeId, NodeId]]]] = {
+        node: [] for node in nodes
+    }
+    for u, v, w in graph.edges():
+        key = edge_key(u, v)
+        links[u].append((w, v, key))
+        links[v].append((w, u, key))
+    for row in links.values():
+        row.sort(key=lambda link: (link[0], repr(link[1])))
+    parents: Dict[NodeId, Optional[NodeId]] = {v: None for v in nodes}
+    core_of: Dict[NodeId, NodeId] = {v: v for v in nodes}
+    link_pos: Dict[NodeId, int] = {v: 0 for v in nodes}
+    rejected: Set[Tuple[NodeId, NodeId]] = set()
+    mst_keys: Set[Tuple[NodeId, NodeId]] = set()
+
+    metrics.set_phase("ghs")
+    phases = 0
+    while True:
+        members: Dict[NodeId, List[NodeId]] = {}
+        for node, core in core_of.items():
+            members.setdefault(core, []).append(node)
+        if len(members) <= 1:
+            break
+        phases += 1
+        depths = node_depths(parents)
+        rounds = 2 * max(depths.values())
+        metrics.record_messages(2 * (len(nodes) - len(members)))
+
+        chosen: Dict[NodeId, Tuple[float, NodeId, NodeId]] = {}
+        max_tests = total_tests = 0
+        for core, fragment in members.items():
+            best = None
+            for node in fragment:
+                tests = 0
+                row = links[node]
+                index = link_pos[node]
+                while index < len(row):
+                    weight, neighbor, key = row[index]
+                    if key in rejected:
+                        index += 1
+                        continue
+                    tests += 1
+                    if core_of[neighbor] == core:
+                        rejected.add(key)
+                        index += 1
+                        continue
+                    if best is None or (weight, node, neighbor) < best:
+                        best = (weight, node, neighbor)
+                    break
+                link_pos[node] = index
+                total_tests += tests
+                max_tests = max(max_tests, tests)
+            if best is not None:
+                chosen[core] = best
+        metrics.record_messages(2 * total_tests)
+        rounds += 2 * max_tests
+
+        # the fragment graph's weakly connected components, each rooted at
+        # the larger-repr end of its 2-cycle (or at a core that chose nothing)
+        out_edge = {core: core_of[v] for core, (_, _, v) in chosen.items()}
+        adjacency: Dict[NodeId, List[NodeId]] = {}
+        for source, target in out_edge.items():
+            adjacency.setdefault(source, []).append(target)
+            adjacency.setdefault(target, []).append(source)
+        seen: Set[NodeId] = set()
+        merged: List[List[NodeId]] = []
+        for start in adjacency:
+            if start in seen:
+                continue
+            seen.add(start)
+            stack, group = [start], []
+            while stack:
+                vertex = stack.pop()
+                group.append(vertex)
+                for neighbor in adjacency[vertex]:
+                    if neighbor not in seen:
+                        seen.add(neighbor)
+                        stack.append(neighbor)
+            root = next(
+                vertex if vertex not in out_edge
+                else max(vertex, out_edge[vertex], key=repr)
+                for vertex in group
+                if vertex not in out_edge or out_edge.get(out_edge[vertex]) == vertex
+            )
+            spliced = 0
+            for core in group:
+                if core != root:
+                    _, u, v = chosen[core]
+                    mst_keys.add(edge_key(u, v))
+                    reroot(parents, u)
+                    parents[u] = v
+                    spliced += len(members[core])
+            new_members = [node for core in group for node in members[core]]
+            for node in new_members:
+                core_of[node] = root
+            metrics.record_messages(2 * spliced + len(new_members))
+            merged.append(new_members)
+        depths = node_depths(parents)
+        rounds += max(max(depths[node] for node in group) for group in merged)
+        metrics.record_round(rounds)
+    metrics.set_phase(None)
+
+    edges = [Edge(u, v, graph.weight(u, v)) for u, v in sorted(mst_keys, key=repr)]
+    mst = MSTEdges(edges=edges, total_weight=sum(edge.weight for edge in edges))
+    return PointToPointMSTResult(mst=mst, metrics=metrics.snapshot(), phases=phases)
+
+
 def same_tree(first, second) -> bool:
     """Return ``True`` when two MSTs consist of exactly the same edges."""
     return first.edge_keys() == second.edge_keys()

@@ -3,12 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import same_tree, spanning_tree_weight
+from oracles import p2p_mst_by_dicts, same_tree, spanning_tree_weight
 
 from repro.analysis.complexity import mst_time_bound
 from repro.core.mst.ghs_baseline import PointToPointMST
 from repro.core.mst.kruskal import kruskal_mst
 from repro.core.mst.multimedia_mst import MultimediaMST
+from repro.experiments.harness import make_topology
 from repro.topology.generators import (
     erdos_renyi_graph,
     grid_graph,
@@ -101,6 +102,34 @@ class TestMultimediaMST:
         assert same_tree(result.mst, kruskal_mst(graph))
 
 
+#: graphs the slot-column baseline must run exactly like the dict engine:
+#: every e9 topology kind at several sizes, a sparse Erdős–Rényi graph, and
+#: graphs labelled by strings and by floats
+BASELINE_CASES = [
+    f"{kind}_{n}"
+    for kind in ("ring", "grid", "geometric", "scale_free", "ad_hoc")
+    for n in (2, 3, 17, 64, 300, 1024)
+] + [
+    "ring_4096", "grid_4096", "scale_free_4096",
+    "erdos_renyi_200", "grid_str_100", "geometric_float_300",
+]
+
+
+def build_case(case):
+    """Return the weighted graph named by a ``BASELINE_CASES`` entry."""
+    kind, _, n = case.rpartition("_")
+    n = int(n)
+    if kind == "erdos_renyi":
+        return assign_distinct_weights(erdos_renyi_graph(n, 0.03, seed=4), seed=4)
+    if kind == "grid_str":
+        graph = make_topology("grid", n, seed=5)
+        return graph.relabeled({node: f"v{node}" for node in graph.nodes()})
+    if kind == "geometric_float":
+        graph = make_topology("geometric", n, seed=6)
+        return graph.relabeled({node: node + 0.5 for node in graph.nodes()})
+    return make_topology(kind, n, seed=11)
+
+
 class TestPointToPointBaseline:
     def test_exact_mst(self, medium_grid):
         result = PointToPointMST(medium_grid).run()
@@ -113,9 +142,10 @@ class TestPointToPointBaseline:
         assert same_tree(result.mst, kruskal_mst(graph))
 
     def test_multimedia_faster_on_large_ring(self):
-        # the crossover sits between n ≈ 1k and 2k on rings (see EXPERIMENTS.md,
-        # E9): beyond it the multimedia algorithm's O(√n log n) time beats the
-        # point-to-point baseline's Θ(n log n), with the gap growing with n
+        # the crossover sits between n ≈ 1k and 2k on rings (see
+        # docs/experiments.md, E9): beyond it the multimedia algorithm's
+        # O(√n log n) time beats the point-to-point baseline's Θ(n log n),
+        # with the gap growing with n
         graph = assign_distinct_weights(ring_graph(2048), seed=2)
         multimedia = MultimediaMST(graph).run()
         baseline = PointToPointMST(graph).run()
@@ -125,3 +155,14 @@ class TestPointToPointBaseline:
     def test_repeated_weights_rejected(self):
         with pytest.raises(ValueError):
             PointToPointMST(ring_graph(5))
+
+    @pytest.mark.parametrize("case", BASELINE_CASES)
+    def test_matches_the_dict_engine(self, case):
+        graph = build_case(case)
+        result = PointToPointMST(graph).run()
+        reference = p2p_mst_by_dicts(graph)
+        assert result.mst.edges == reference.mst.edges
+        assert result.mst.total_weight == reference.mst.total_weight
+        assert result.metrics == reference.metrics
+        assert result.phases == reference.phases
+
