@@ -1,7 +1,7 @@
 """Plain-text table formatting for the experiment reports.
 
 Every experiment prints its results in the same tabular shape that
-EXPERIMENTS.md records, so re-running a benchmark reproduces the documented
+docs/experiments.md records, so re-running a benchmark reproduces the documented
 rows verbatim (up to randomness noted per experiment).  The experiment
 sweeps themselves produce structured row dictionaries (see
 :mod:`repro.experiments.runner`); :func:`table_from_records` lays those out

@@ -128,8 +128,10 @@ def compute_global_function(
     if forest is None:
         rounds_before = recorder.rounds
         if method == "deterministic":
-            weighted = graph if _has_distinct_weights(graph) else assign_distinct_weights(
-                graph, seed=seed
+            weighted = (
+                graph
+                if graph.csr().has_distinct_weights()
+                else assign_distinct_weights(graph, seed=seed)
             )
             target = None
             if tightened_balance and n >= 4:
@@ -215,7 +217,3 @@ def compute_global_function(
         method=method,
     )
 
-
-def _has_distinct_weights(graph: WeightedGraph) -> bool:
-    weights = [edge.weight for edge in graph.edges()]
-    return len(weights) == len(set(weights))

@@ -103,8 +103,7 @@ class MultimediaMST:
             raise ValueError("cannot compute the MST of an empty network")
         if not is_connected(graph):
             raise ValueError("the topology must be connected")
-        weights = [edge.weight for edge in graph.edges()]
-        if len(weights) != len(set(weights)):
+        if not graph.csr().has_distinct_weights():
             raise ValueError(
                 "link weights must be distinct; use assign_distinct_weights()"
             )

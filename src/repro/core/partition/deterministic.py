@@ -40,11 +40,17 @@ enumeration (graph iteration order); node objects appear only at the
 
 * **Link scan.** Every node's incident links, in the GHS ``(weight, repr)``
   order, occupy the node's CSR range of three flat columns (neighbour slot,
-  weight, reverse position; :meth:`~repro.topology.graph.CSRView.scan_columns`,
-  shared with the GHS baseline) plus one ``bytearray`` of dead flags; a per-node
-  ``scan_pos`` only moves past permanently rejected links.  A rejection
-  marks both endpoints' entries dead via the reverse position, so the scan
-  never hashes a node or an edge key.
+  weight, reverse position; :meth:`~repro.topology.graph.CSRView.scan_columns`)
+  plus one ``bytearray`` of dead flags; a per-node ``scan_pos`` only moves
+  past permanently rejected links.  A rejection marks both endpoints'
+  entries dead via the reverse position, so the scan never hashes a node or
+  an edge key.
+* **Shared with the GHS baseline.**  The Step 2 scan
+  (:func:`find_min_outgoing_links`) and the Step 6 splice
+  (:func:`splice_groups`) are module-level kernels over these columns;
+  :class:`~repro.core.mst.ghs_baseline.PointToPointMST` runs both on every
+  fragment with F uncut.  Each caller charges its own messages and rounds
+  from what they return.
 * **Fragment bookkeeping.** ``members``/``sizes``/``radii`` are lists
   indexed by core slot, updated only for the fragments a merge touches; a
   singleton fragment has no member list (``None``).  The live cores are
@@ -233,14 +239,20 @@ class DeterministicPartitioner:
 
             if active:
                 # ------------- Step 2: minimum outgoing links -------------
-                choosers, link_u, link_v, step2_busy = self._find_min_outgoing_links(
-                    active, members, sizes, radii, core_arr, nodes,
+                # substep 1, the "you are active" broadcast, and substep 3,
+                # the convergecast of the minimum to the core, frame the
+                # GHS testing of substep 2 (nodes test in parallel)
+                max_active_radius = max(radii[core] for core in active)
+                relays = sum(sizes[core] - 1 for core in active)
+                choosers, link_u, link_v, total_tests, max_tests = find_min_outgoing_links(
+                    active, members, core_arr, nodes,
                     nbr, weight, back, dead, scan_pos, scan_end,
                 )
-                busy += step2_busy
+                busy += 2 * max_active_radius + 2 * max_tests
+                self._metrics.record_messages(2 * relays + 2 * total_tests)
 
                 # ------------- Steps 3-5: colour F and find the MIS -------
-                f_verts, f_parent = _fragment_forest(
+                f_verts, f_parent = fragment_forest(
                     choosers, link_v, core_arr, f_local, nodes
                 )
                 colors, rounds = three_color_columns(
@@ -257,9 +269,18 @@ class DeterministicPartitioner:
                 self._metrics.record_messages(coloring_rounds * involved_nodes)
 
                 # ------------- Step 6: cut F at the MIS and merge ----------
-                busy += self._merge_groups(
-                    f_verts, f_parent, f_colors, link_u, link_v,
+                spliced, merged, group_radii = splice_groups(
+                    f_verts, _cut_at_mis(f_parent, f_colors), link_u, link_v,
                     parent_idx, core_arr, members, sizes, radii, depths,
+                )
+                # one broadcast over every spliced fragment performs the
+                # re-rooting; the new-core announcement then travels to the
+                # whole merged fragment.  A group takes twice its largest
+                # re-rooted radius, plus its new radius, plus one round
+                self._metrics.record_messages(2 * spliced + merged)
+                busy += max(
+                    (2 * reroot + radius + 1 for reroot, radius in group_radii),
+                    default=0,
                 )
                 # a merged fragment takes the place of its earliest member
                 # fragment, which keeps `cores` in first-appearance order
@@ -296,217 +317,189 @@ class DeterministicPartitioner:
             target_size=self._target,
         )
 
-    # ------------------------------------------------------------------
-    # Step 2: minimum-weight outgoing link of every active fragment
-    # ------------------------------------------------------------------
-    def _find_min_outgoing_links(
-        self,
-        active: List[int],
-        members: List[Optional[List[int]]],
-        sizes: List[int],
-        radii: List[int],
-        core_arr: List[int],
-        nodes: Sequence[NodeId],
-        nbr: array,
-        weight: array,
-        back: array,
-        dead: bytearray,
-        scan_pos: array,
-        scan_end: array,
-    ) -> Tuple[List[int], List[int], List[int], int]:
-        """Return each active core's chosen link and the rounds the step takes.
 
-        Returns ``(choosers, link_u, link_v, busy)``: the active cores that
-        found an outgoing link, in active order, with the link's inside
-        endpoint ``u`` and outside endpoint ``v`` (slots) in the parallel
-        columns.  Per the GHS discipline, every node scans its incident
-        links in increasing weight order, testing each link not yet
-        rejected; internal links are rejected permanently (2 messages each,
-        charged once over the whole execution), and the first outgoing link
-        found is the node's candidate (2 messages, re-tested in later
-        phases).  A rejection flips the dead flag on *both* endpoints'
-        entries (via ``back``), so the partner skips the link without
-        re-testing it.
-        """
-        busy = 0
-        max_active_radius = max(radii[core] for core in active)
-        # substep 1: "you are active" broadcast
-        busy += max_active_radius
-        self._metrics.record_messages(sum(sizes[core] - 1 for core in active))
+# ----------------------------------------------------------------------
+# the GHS kernels, shared with the point-to-point MST baseline
+# ----------------------------------------------------------------------
+def find_min_outgoing_links(
+    cores: Sequence[int],
+    members: List[Optional[List[int]]],
+    core_arr: List[int],
+    nodes: Sequence[NodeId],
+    nbr: array,
+    weight: array,
+    back: array,
+    dead: bytearray,
+    scan_pos: array,
+    scan_end: array,
+) -> Tuple[List[int], List[int], List[int], int, int]:
+    """Return the minimum-weight outgoing link of every fragment in ``cores``.
 
-        choosers: List[int] = []
-        link_u: List[int] = []
-        link_v: List[int] = []
-        max_tests = 0
-        total_tests = 0
-        for core in active:
-            best_w: Optional[float] = None
-            best_u = best_v = -1
-            for node in members[core] or (core,):
-                tests = 0
-                limit = scan_end[node]
-                index = scan_pos[node]
-                while index < limit:
-                    if dead[index]:
-                        index += 1
-                        continue
-                    tests += 1  # test + accept/reject: 2 messages
-                    neighbor = nbr[index]
-                    if core_arr[neighbor] == core:
-                        dead[index] = 1
-                        dead[back[index]] = 1
-                        index += 1
-                        continue
-                    link_weight = weight[index]
-                    # distinct weights decide almost always; the node-object
-                    # tie-break preserves the historical (weight, u, v)
-                    # tuple comparison on graphs with repeated weights
-                    if (
-                        best_w is None
-                        or link_weight < best_w
-                        or (
-                            link_weight == best_w
-                            and (nodes[node], nodes[neighbor])
-                            < (nodes[best_u], nodes[best_v])
-                        )
-                    ):
-                        best_w, best_u, best_v = link_weight, node, neighbor
-                    break
-                scan_pos[node] = index
-                total_tests += tests
-                if tests > max_tests:
-                    max_tests = tests
-            if best_w is not None:
-                choosers.append(core)
-                link_u.append(best_u)
-                link_v.append(best_v)
-        self._metrics.record_messages(2 * total_tests)
-        # substep 2 time: sequential testing, nodes in parallel
-        busy += 2 * max_tests
-        # substep 3: convergecast of the minimum to the core
-        busy += max_active_radius
-        self._metrics.record_messages(sum(sizes[core] - 1 for core in active))
-        return choosers, link_u, link_v, busy
+    Returns ``(choosers, link_u, link_v, total_tests, max_tests)``: the cores
+    that found an outgoing link, in ``cores`` order, with the link's inside
+    endpoint ``u`` and outside endpoint ``v`` (slots) in the parallel
+    columns, then the number of link tests made and the most made by one
+    node.  Per the GHS discipline, every member (``members[core]``, or the
+    core alone for a singleton) scans its links in the order of
+    :meth:`~repro.topology.graph.CSRView.scan_columns` from ``scan_pos``,
+    testing each link not yet ``dead``: an internal link is rejected
+    forever, flipping the dead flag on *both* endpoints' entries (via
+    ``back``) so the partner never re-tests it, and the first outgoing link
+    found is the node's candidate, re-tested in later phases.  A test is
+    two messages; the caller charges them.
+    """
+    choosers: List[int] = []
+    link_u: List[int] = []
+    link_v: List[int] = []
+    max_tests = 0
+    total_tests = 0
+    for core in cores:
+        best_w: Optional[float] = None
+        best_u = best_v = -1
+        for node in members[core] or (core,):
+            tests = 0
+            limit = scan_end[node]
+            index = scan_pos[node]
+            while index < limit:
+                if dead[index]:
+                    index += 1
+                    continue
+                tests += 1  # test + accept/reject: 2 messages
+                neighbor = nbr[index]
+                if core_arr[neighbor] == core:
+                    dead[index] = 1
+                    dead[back[index]] = 1
+                    index += 1
+                    continue
+                link_weight = weight[index]
+                # distinct weights decide almost always; the node-object
+                # tie-break preserves the historical (weight, u, v) tuple
+                # comparison on graphs with repeated weights
+                if (
+                    best_w is None
+                    or link_weight < best_w
+                    or (
+                        link_weight == best_w
+                        and (nodes[node], nodes[neighbor])
+                        < (nodes[best_u], nodes[best_v])
+                    )
+                ):
+                    best_w, best_u, best_v = link_weight, node, neighbor
+                break
+            scan_pos[node] = index
+            total_tests += tests
+            if tests > max_tests:
+                max_tests = tests
+        if best_w is not None:
+            choosers.append(core)
+            link_u.append(best_u)
+            link_v.append(best_v)
+    return choosers, link_u, link_v, total_tests, max_tests
 
-    # ------------------------------------------------------------------
-    # Step 6: merge the fragments of every subtree of the cut forest
-    # ------------------------------------------------------------------
-    def _merge_groups(
-        self,
-        f_verts: List[int],
-        f_parent: List[int],
-        f_colors: List[int],
-        link_u: List[int],
-        link_v: List[int],
-        parent_idx: List[int],
-        core_arr: List[int],
-        members: List[Optional[List[int]]],
-        sizes: List[int],
-        radii: List[int],
-        depths: List[int],
-    ) -> int:
-        """Cut F at red internal vertices and merge each resulting subtree.
 
-        Returns the step's busy rounds.  F-vertex ``x`` is core slot
-        ``f_verts[x]``; a choosing vertex's physical link is
-        ``(link_u[x], link_v[x])``.  The core-slot bookkeeping
-        (``members``/``sizes``/``radii``) and the per-node ``depths`` are
-        updated in place for exactly the fragments a merge touches.
-        """
-        k = len(f_verts)
-        cut = list(f_parent)
-        has_children = bytearray(k)
-        for up in f_parent:
-            if up >= 0:
-                has_children[up] = 1
-        for vertex in range(k):
-            if f_colors[vertex] == RED and has_children[vertex]:
-                cut[vertex] = -1
+def splice_groups(
+    f_verts: List[int],
+    f_parent: List[int],
+    link_u: List[int],
+    link_v: List[int],
+    parent_idx: List[int],
+    core_arr: List[int],
+    members: List[Optional[List[int]]],
+    sizes: List[int],
+    radii: List[int],
+    depths: List[int],
+) -> Tuple[int, int, List[Tuple[int, int]]]:
+    """Merge the fragments of every tree of the fragment forest into one.
 
-        # group the fragments by the root of their subtree in the cut forest
-        # (one sort, no list per group kept alive: the merges are
-        # independent of each other, so any group order gives one result)
-        group_of: List[int] = [-1] * k
-        for vertex in range(k):
-            find_root_indexed(cut, group_of, vertex)
+    F-vertex ``x`` is core slot ``f_verts[x]`` and its F-parent is
+    ``f_parent[x]`` (``-1`` at a root); a vertex with a parent was joined to
+    it over the physical link ``(link_u[x], link_v[x])``.  Every tree with
+    more than one vertex becomes one fragment whose core is the root
+    vertex's core: each other fragment is re-rooted at its link's inside
+    endpoint and hung off the outside endpoint (the distributed "merge
+    broadcast"), every member takes the new core, and the depths of the
+    merged tree are back-filled.  ``parent_idx``, ``core_arr`` and
+    ``depths`` (per node) and ``members``/``sizes``/``radii`` (per core) are
+    updated in place for exactly the fragments a merge touches.
 
-        busy = 0
-        by_group = sorted(range(k), key=group_of.__getitem__)
-        for group_root, run in groupby(by_group, key=group_of.__getitem__):
-            group_vertices = list(run)
-            if len(group_vertices) == 1:
+    Returns ``(spliced, merged, group_radii)``: the nodes of the re-rooted
+    fragments, the nodes of every merged fragment, and per merged tree the
+    largest re-rooted radius and the new radius.
+    """
+    # group the fragments by the root of their tree (one sort, no list per
+    # group kept alive: the merges are independent of each other, so any
+    # group order gives one result)
+    k = len(f_verts)
+    group_of: List[int] = [-1] * k
+    for vertex in range(k):
+        find_root_indexed(f_parent, group_of, vertex)
+
+    spliced = 0
+    merged = 0
+    group_radii: List[Tuple[int, int]] = []
+    by_group = sorted(range(k), key=group_of.__getitem__)
+    for group_root, run in groupby(by_group, key=group_of.__getitem__):
+        group_vertices = list(run)
+        if len(group_vertices) == 1:
+            continue
+        root_slot = f_verts[group_root]
+        reroot_radius = 0
+        new_members: List[int] = []
+        for vertex in group_vertices:
+            slot = f_verts[vertex]
+            old_members = members[slot]
+            if old_members is None:
+                new_members.append(slot)
+            else:
+                new_members.extend(old_members)
+                members[slot] = None
+            if vertex == group_root:
                 continue
-            root_slot = f_verts[group_root]
-            # splice every non-root fragment of the group onto its F-parent
-            # via the selected physical link, re-rooting it at the link's
-            # inside endpoint (this is the distributed "merge broadcast")
-            reroot_radius = 0
-            spliced_nodes = 0
-            new_members: List[int] = []
-            for vertex in group_vertices:
-                slot = f_verts[vertex]
-                old_members = members[slot]
-                if old_members is None:
-                    new_members.append(slot)
-                else:
-                    new_members.extend(old_members)
-                    members[slot] = None
-                if vertex == group_root:
-                    continue
-                u = link_u[vertex]
-                _reroot_indexed(parent_idx, u)
-                parent_idx[u] = link_v[vertex]
-                if radii[slot] > reroot_radius:
-                    reroot_radius = radii[slot]
-                spliced_nodes += sizes[slot]
-            # one broadcast over every spliced fragment performs the
-            # re-rooting and the new-core announcement
-            self._metrics.record_messages(2 * spliced_nodes)
-            for node in new_members:
-                core_arr[node] = root_slot
-            # the new-core announcement travels to the whole merged fragment
-            self._metrics.record_messages(len(new_members))
-            # re-walk just the merged tree to refresh depths and obtain its
-            # new radius (the depth assignment is order-independent): mark
-            # every member unknown, then chase each unknown node's parent
-            # chain to the nearest known depth and back-fill — each node is
-            # walked once, with no children index to build
-            for node in new_members:
-                depths[node] = -1
-            depths[root_slot] = 0
-            new_radius = 0
-            for node in new_members:
-                if depths[node] >= 0:
-                    continue
-                chain: List[int] = []
-                current = node
-                while depths[current] < 0:
-                    chain.append(current)
-                    current = parent_idx[current]
-                depth = depths[current]
-                for link in reversed(chain):
-                    depth += 1
-                    depths[link] = depth
-                if depth > new_radius:
-                    new_radius = depth
-            # keep the member list in ascending slot order.  It is
-            # load-bearing: a link rejection marks BOTH endpoints' scan
-            # entries dead, so whichever member scans first pays the test,
-            # and the per-node test counts feed the busy-rounds accounting
-            new_members.sort()
-            members[root_slot] = new_members
-            sizes[root_slot] = len(new_members)
-            radii[root_slot] = new_radius
-            group_busy = 2 * reroot_radius + new_radius + 1
-            if group_busy > busy:
-                busy = group_busy
-        return busy
+            u = link_u[vertex]
+            _reroot_indexed(parent_idx, u)
+            parent_idx[u] = link_v[vertex]
+            if radii[slot] > reroot_radius:
+                reroot_radius = radii[slot]
+            spliced += sizes[slot]
+        for node in new_members:
+            core_arr[node] = root_slot
+        # re-walk just the merged tree to refresh depths and obtain its new
+        # radius (the depth assignment is order-independent): mark every
+        # member unknown, then chase each unknown node's parent chain to the
+        # nearest known depth and back-fill — each node is walked once, with
+        # no children index to build
+        for node in new_members:
+            depths[node] = -1
+        depths[root_slot] = 0
+        new_radius = 0
+        for node in new_members:
+            if depths[node] >= 0:
+                continue
+            chain: List[int] = []
+            current = node
+            while depths[current] < 0:
+                chain.append(current)
+                current = parent_idx[current]
+            depth = depths[current]
+            for link in reversed(chain):
+                depth += 1
+                depths[link] = depth
+            if depth > new_radius:
+                new_radius = depth
+        # keep the member list in ascending slot order.  It is load-bearing:
+        # a link rejection marks BOTH endpoints' scan entries dead, so
+        # whichever member scans first pays the test, and the per-node test
+        # counts feed the rounds accounting
+        new_members.sort()
+        members[root_slot] = new_members
+        sizes[root_slot] = len(new_members)
+        radii[root_slot] = new_radius
+        merged += len(new_members)
+        group_radii.append((reroot_radius, new_radius))
+    return spliced, merged, group_radii
 
 
-# ----------------------------------------------------------------------
-# module-level helpers
-# ----------------------------------------------------------------------
-def _fragment_forest(
+def fragment_forest(
     choosers: List[int],
     link_v: List[int],
     core_arr: List[int],
@@ -569,11 +562,27 @@ def _core_identifiers(f_verts: List[int], nodes: Sequence[NodeId]) -> List[int]:
     return identifiers
 
 
+def _cut_at_mis(f_parent: List[int], f_colors: List[int]) -> List[int]:
+    """Return F's parent column cut above every red vertex that has children.
+
+    Step 6 of the paper: the MIS contains every root of F, so cutting at its
+    internal vertices leaves trees of constant diameter in F.
+    """
+    cut = list(f_parent)
+    has_children = bytearray(len(f_parent))
+    for up in f_parent:
+        if up >= 0:
+            has_children[up] = 1
+    for vertex, color in enumerate(f_colors):
+        if color == RED and has_children[vertex]:
+            cut[vertex] = -1
+    return cut
+
+
 def _reroot_indexed(parent_idx: List[int], new_root: int) -> None:
     """Re-root a tree at ``new_root`` in the flat parent-index array.
 
-    The index-space twin of :func:`repro.protocols.spanning.tree_utils.reroot`:
-    only the parent pointers along the path from ``new_root`` to the old
+    Only the parent pointers along the path from ``new_root`` to the old
     root are reversed (``-1`` encodes "no parent").
     """
     path = [new_root]

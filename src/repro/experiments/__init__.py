@@ -2,7 +2,7 @@
 
 The paper is a theory paper without measured tables, so its "evaluation" is
 the set of complexity claims and model-separation results listed in
-DESIGN.md §4.  Each ``eNN_*`` module reproduces one of them by declaring an
+docs/experiments.md.  Each ``eNN_*`` module reproduces one of them by declaring an
 :class:`~repro.experiments.registry.ExperimentSpec`: the parameter presets
 (``quick``/``default``/``hot``), the supported topology kinds, the row
 schema, and a per-point sweep function returning structured row
@@ -10,7 +10,7 @@ dictionaries.  The unified runner (:mod:`repro.experiments.runner`) executes
 any spec at any preset through a pluggable execution backend
 (:mod:`repro.experiments.executors` — serial, sharded/checkpointed with
 resume, or distributed) and its results render to the historical
-plain-text tables recorded in EXPERIMENTS.md and serialize to JSON.
+plain-text tables recorded in docs/experiments.md and serialize to JSON.
 ``python -m repro`` (see :mod:`repro.cli`) is the command-line entry point;
 the benchmark trajectory (:mod:`repro.experiments.trajectory`) drives the
 same registry.

@@ -222,12 +222,17 @@ def random_geometric_graph(
     ``ensure_connected`` is set, any remaining components are stitched
     together by connecting each component's closest pair of nodes, which
     keeps the geometric flavour of the topology.
+
+    Raises:
+        ValueError: if ``n < 1`` or ``radius`` is negative or NaN.
     """
     if n < 1:
         raise ValueError("need at least one node")
-    rng = _rng(seed)
     if radius is None:
         radius = math.sqrt(2.0 * math.log(max(n, 2)) / n)
+    elif not radius >= 0:  # NaN fails every comparison
+        raise ValueError(f"radius must be a non-negative number, not {radius!r}")
+    rng = _rng(seed)
     positions = {node: (rng.random(), rng.random()) for node in range(n)}
     # bucket the nodes into square cells of side at least the radius, so
     # every pair within reach lies in the 3×3 cell neighbourhood of either
@@ -235,7 +240,7 @@ def random_geometric_graph(
     # neighbourhood, in increasing order, so the pairs come out in the
     # all-pairs scan's ascending (u, v) order
     limit = radius * radius
-    buckets = _cell_buckets(positions, 1.0 / _cells_per_side(abs(radius), n))
+    buckets = _cell_buckets(positions, 1.0 / _cells_per_side(radius, n))
     cell_of = [None] * n
     for key, members in buckets.items():
         for node in members:
@@ -282,8 +287,8 @@ def _cells_per_side(reach: float, n: int) -> int:
     Cells are wider than ``reach`` by a margin that absorbs the rounding of
     the cell index (:func:`_cell_buckets`), so two points within ``reach``
     of each other never land more than one cell apart; at most about ``√n``
-    cells per side.  A zero or NaN reach, or one above about a third, is
-    one cell: the all-pairs scan.
+    cells per side.  A zero reach, or one above about a third, is one cell:
+    the all-pairs scan.
     """
     if not reach > 0:
         return 1

@@ -81,38 +81,6 @@ def is_identity_enumeration(nodes: Sequence[NodeId]) -> bool:
     return all(type(node) is int and node == i for i, node in enumerate(nodes))
 
 
-def sorted_incident_links(
-    graph: "WeightedGraph",
-) -> Dict[NodeId, List[Tuple[float, NodeId, Tuple[NodeId, NodeId]]]]:
-    """Return every node's incident links as ``(weight, neighbour, edge key)``
-    triples in increasing ``(weight, repr(neighbour))`` order — the GHS scan
-    order, with the canonical key precomputed once per physical link.
-
-    The dict form of :meth:`CSRView.scan_columns`, which defines the order.
-    """
-    csr = graph.csr()
-    nbr, weight, back = csr.scan_columns()
-    nodes = csr.nodes
-    offsets = csr.offsets
-    # a link's key is made at its first entry and picked up at its reverse
-    keys: List[Optional[Tuple[NodeId, NodeId]]] = [None] * len(nbr)
-    links: Dict[NodeId, List[Tuple[float, NodeId, Tuple[NodeId, NodeId]]]] = {}
-    for i, node in enumerate(nodes):
-        start = offsets[i]
-        end = offsets[i + 1]
-        row = []
-        for position, j, w, partner in zip(
-            range(start, end), nbr[start:end], weight[start:end], back[start:end]
-        ):
-            neighbour = nodes[j]
-            key = keys[position]
-            if key is None:
-                key = keys[partner] = edge_key(node, neighbour)
-            row.append((w, neighbour, key))
-        links[node] = row
-    return links
-
-
 class Edge(NamedTuple):
     """An undirected weighted edge.
 
@@ -383,6 +351,15 @@ class CSRView:
             self._canonical = (edge_u, edge_v, edge_w)
         return self._canonical
 
+    def has_distinct_weights(self) -> bool:
+        """Return ``True`` when no two edges share a weight.
+
+        The paper's MST-related algorithms assume distinct weights; read off
+        the :meth:`canonical_edges` weight column, so no row is filled.
+        """
+        edge_w = self.canonical_edges()[2]
+        return len(set(edge_w)) == len(edge_w)
+
     def scan_columns(self) -> Tuple[array, array, array]:
         """Return the GHS scan columns ``(nbr, weight, back)`` over CSR ranges.
 
@@ -391,9 +368,9 @@ class CSRView:
         Gallager–Humblet–Spira nodes test their links; ``nbr[p]`` is the
         neighbour slot, ``weight[p]`` the link weight and ``back[p]`` the
         position of the same link in the neighbour's range.  Every GHS-style
-        scan (the deterministic partitioner, :func:`sorted_incident_links`)
-        reads this one order.  Built fresh per call: the caller owns the
-        arrays.
+        scan (the deterministic partitioner and the point-to-point MST
+        baseline, through one shared kernel) reads this one order.  Built
+        fresh per call: the caller owns the arrays.
         """
         offsets = self.offsets
         size = len(self.targets)
@@ -401,7 +378,7 @@ class CSRView:
         weight = array("d", bytes(8 * size))
         back = array("q", bytes(8 * size))
         edge_u, edge_v, edge_w = self.canonical_edges()
-        if len(set(edge_w)) == len(edge_w):
+        if self.has_distinct_weights():
             # distinct weights (the standard assumption): one stable argsort
             # of the canonical weight column fills every node's range in
             # weight order, and both reverse positions are known at fill time

@@ -13,9 +13,10 @@ then run an oracle and its library flyweight on the very same engine.
 The end of the module holds the other references the tests hold the
 library to: exact solves (the absorbing-chain MFPT), checkers (legal
 colourings, maximal independent sets, identical spanning trees,
-global sensitivity), the paper's contention bounds, and the plain
-topology scans the faster library paths replaced (the per-node diameter
-sweep, the canonical-edge row scan, the all-pairs geometric scan).
+global sensitivity), the paper's contention bounds, and the plain forms
+the faster library paths replaced (the per-node diameter sweep, the
+canonical-edge row scan, the all-pairs geometric scan, and the
+point-to-point MST baseline on node-keyed dicts).
 
 In each round a node
 
@@ -1148,11 +1149,13 @@ def geometric_pairs_all_pairs(
     positions (drawn from the same seeded stream), every pair ``u < v``
     tested in ascending ``(u, v)`` order with the same
     ``du * du + dv * dv <= radius * radius`` test.  Before any stitching
-    bridge.
+    bridge.  A negative or NaN radius is refused, as the generator does.
     """
     rng = random.Random(seed)
     if radius is None:
         radius = math.sqrt(2.0 * math.log(max(n, 2)) / n)
+    elif not radius >= 0:
+        raise ValueError(f"radius must be a non-negative number, not {radius!r}")
     positions = {node: (rng.random(), rng.random()) for node in range(n)}
     pairs = []
     for u in range(n):

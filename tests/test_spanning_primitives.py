@@ -1,4 +1,4 @@
-"""Tests for tree utilities, distributed BFS and broadcast-and-respond."""
+"""Tests for the parent-map helpers, distributed BFS and broadcast-and-respond."""
 
 from collections import deque
 
@@ -13,14 +13,12 @@ from oracles import (
     spanning_forest,
 )
 from repro.protocols.spanning.bfs import build_bfs_forest
-from repro.protocols.spanning.tree_utils import node_depths, reroot
 from repro.experiments.harness import make_topology
 from repro.sim.multimedia import MultimediaNetwork
 from repro.topology.generators import grid_graph, path_graph
 from repro.topology.properties import breadth_first_levels
 
 
-PATH_PARENTS = {0: None, 1: 0, 2: 1, 3: 2, 4: 3}
 STAR_PARENTS = {0: None, 1: 0, 2: 0, 3: 0}
 
 
@@ -28,21 +26,6 @@ class TestTreeUtils:
     def test_children(self):
         children = children_map(STAR_PARENTS)
         assert sorted(children[0]) == [1, 2, 3]
-
-    def test_depths(self):
-        depths = node_depths(PATH_PARENTS)
-        assert depths == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}
-
-    def test_reroot_reverses_path(self):
-        parents = dict(PATH_PARENTS)
-        reroot(parents, list(parents), 4)
-        assert parents[4] is None
-        assert parents[0] == 1
-        assert max(node_depths(parents).values()) == 4
-
-    def test_reroot_missing_node(self):
-        with pytest.raises(KeyError):
-            reroot(dict(PATH_PARENTS), [], 99)
 
 
 def queue_bfs_forest(graph, roots, depth_limit=None):

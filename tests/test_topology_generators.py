@@ -101,6 +101,13 @@ class TestGeometricBuckets:
     )
     @pytest.mark.parametrize("n", (1, 2, 17, 240))
     def test_matches_the_all_pairs_scan(self, n, radius, seed):
+        if radius is not None and not radius >= 0:
+            # a NaN or negative radius names no graph: the generator and the
+            # all-pairs reference both refuse it
+            for build in (random_geometric_graph, geometric_pairs_all_pairs):
+                with pytest.raises(ValueError, match="radius"):
+                    build(n, radius, seed)
+            return
         graph = random_geometric_graph(n, radius=radius, seed=seed, ensure_connected=False)
         edge_u, edge_v, _ = graph.csr().canonical_edges()
         assert list(zip(edge_u, edge_v)) == geometric_pairs_all_pairs(n, radius, seed)
@@ -110,6 +117,18 @@ class TestGeometricBuckets:
         graph = random_geometric_graph(n, seed=seed, ensure_connected=False)
         edge_u, edge_v, _ = graph.csr().canonical_edges()
         assert list(zip(edge_u, edge_v)) == geometric_pairs_all_pairs(n, None, seed)
+
+    @pytest.mark.parametrize("radius", (-0.2, -math.inf, math.nan))
+    def test_rejects_a_negative_or_nan_radius(self, radius):
+        # stitching used to hide these: -0.2 built the radius-0.2 graph and
+        # NaN an edgeless stream that became a nearest-pair tree
+        with pytest.raises(ValueError, match="radius"):
+            random_geometric_graph(50, radius=radius, seed=1)
+
+    def test_zero_and_infinite_radii_stay_valid(self):
+        empty = random_geometric_graph(5, radius=0.0, seed=1, ensure_connected=False)
+        assert empty.num_edges() == 0
+        assert random_geometric_graph(5, radius=math.inf, seed=1).num_edges() == 10
 
 
 class TestRayGraph:

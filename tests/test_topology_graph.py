@@ -5,7 +5,7 @@ import functools
 import pytest
 
 from oracles import edge_weight_sum
-from repro.topology.graph import Edge, WeightedGraph, edge_key, sorted_incident_links
+from repro.topology.graph import Edge, WeightedGraph, edge_key
 
 
 @functools.total_ordering
@@ -207,20 +207,34 @@ class TestWeightedGraph:
         assert edge_weight_sum(WeightedGraph.from_edges([], nodes=[0])) == 0.0
 
 
+def scan_rows(graph):
+    """Return each node's ``(weight, neighbour)`` links in scan-column order."""
+    csr = graph.csr()
+    nbr, weight, _ = csr.scan_columns()
+    return {
+        node: [
+            (weight[p], csr.nodes[nbr[p]])
+            for p in range(csr.offsets[i], csr.offsets[i + 1])
+        ]
+        for i, node in enumerate(csr.nodes)
+    }
+
+
 class TestSortedIncidentLinks:
+    """Every node's incident links in the GHS scan order, as
+    :meth:`CSRView.scan_columns` lays them out."""
+
     def test_distinct_weights_use_global_order(self):
         graph = WeightedGraph.from_edges([(0, 1, 3.0), (0, 2, 1.0), (1, 2, 2.0)])
-        links = sorted_incident_links(graph)
-        assert [(w, v) for w, v, _ in links[0]] == [(1.0, 2), (3.0, 1)]
-        assert [(w, v) for w, v, _ in links[2]] == [(1.0, 0), (2.0, 1)]
-        # the canonical key rides along with every link
-        assert links[0][0][2] == edge_key(0, 2)
+        links = scan_rows(graph)
+        assert links[0] == [(1.0, 2), (3.0, 1)]
+        assert links[1] == [(2.0, 2), (3.0, 0)]
+        assert links[2] == [(1.0, 0), (2.0, 1)]
 
     def test_duplicate_weights_break_ties_by_repr(self):
         graph = WeightedGraph.from_edges([(0, 10, 1.0), (0, 2, 1.0)])
-        links = sorted_incident_links(graph)
         # repr order: "10" < "2"
-        assert [v for _, v, _ in links[0]] == [10, 2]
+        assert [v for _, v in scan_rows(graph)[0]] == [10, 2]
 
     @pytest.mark.parametrize("repeated", [False, True])
     def test_scan_columns_pair_every_link(self, repeated):
@@ -230,16 +244,17 @@ class TestSortedIncidentLinks:
         )
         csr = graph.csr()
         nbr, weight, back = csr.scan_columns()
-        links = sorted_incident_links(graph)
         for i, node in enumerate(csr.nodes):
             row = range(csr.offsets[i], csr.offsets[i + 1])
-            assert [(weight[p], csr.nodes[nbr[p]]) for p in row] == [
-                (w, v) for w, v, _ in links[node]
-            ]
+            # each row holds exactly the node's links, in (weight, repr) order
+            expected = sorted(
+                ((graph.weight(node, v), v) for v in graph.neighbors(node)),
+                key=lambda link: (link[0], repr(link[1])),
+            )
+            assert [(weight[p], csr.nodes[nbr[p]]) for p in row] == expected
             for p in row:
                 # the reverse entry points back here, with the same weight
                 assert back[back[p]] == p
+                assert back[p] != p
                 assert nbr[back[p]] == i
                 assert weight[back[p]] == weight[p]
-        # one key object per physical link, shared by both entries
-        assert links["a"][0][2] is links["b"][0][2]
