@@ -123,12 +123,14 @@ class PointToPointMST:
             # 2-cycle: a broadcast over the spliced fragments re-roots them,
             # then the new core is announced to the whole merged fragment
             f_verts, f_parent = fragment_forest(choosers, link_v, core_arr, f_local, nodes)
-            spliced, merged, group_radii = splice_groups(
+            merge_rounds = 0
+            for spliced, merged, _, radius in splice_groups(
                 f_verts, f_parent, link_u, link_v,
                 parent_idx, core_arr, members, sizes, radii, depths,
-            )
-            self._metrics.record_messages(2 * spliced + merged)
-            rounds += max(radius for _, radius in group_radii)
+            ):
+                self._metrics.record_messages(2 * spliced + merged)
+                merge_rounds = max(merge_rounds, radius)
+            rounds += merge_rounds
             self._metrics.record_round(rounds)
             cores = list(dict.fromkeys([core_arr[core] for core in cores]))
         self._metrics.set_phase(None)

@@ -73,7 +73,7 @@ import math
 from array import array
 from itertools import groupby
 from dataclasses import dataclass
-from typing import Hashable, List, Optional, Sequence, Tuple
+from typing import Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.partition.forest import SpanningForest, find_root_indexed
 from repro.protocols.symmetry.cole_vishkin import log_star
@@ -269,19 +269,17 @@ class DeterministicPartitioner:
                 self._metrics.record_messages(coloring_rounds * involved_nodes)
 
                 # ------------- Step 6: cut F at the MIS and merge ----------
-                spliced, merged, group_radii = splice_groups(
+                merge_busy = 0
+                for spliced, merged, reroot, radius in splice_groups(
                     f_verts, _cut_at_mis(f_parent, f_colors), link_u, link_v,
                     parent_idx, core_arr, members, sizes, radii, depths,
-                )
-                # one broadcast over every spliced fragment performs the
-                # re-rooting; the new-core announcement then travels to the
-                # whole merged fragment.  A group takes twice its largest
-                # re-rooted radius, plus its new radius, plus one round
-                self._metrics.record_messages(2 * spliced + merged)
-                busy += max(
-                    (2 * reroot + radius + 1 for reroot, radius in group_radii),
-                    default=0,
-                )
+                ):
+                    # one broadcast over the group's spliced fragments
+                    # performs the re-rooting; the new-core announcement then
+                    # travels to the whole merged fragment
+                    self._metrics.record_messages(2 * spliced + merged)
+                    merge_busy = max(merge_busy, 2 * reroot + radius + 1)
+                busy += merge_busy
                 # a merged fragment takes the place of its earliest member
                 # fragment, which keeps `cores` in first-appearance order
                 cores = list(dict.fromkeys([core_arr[core] for core in cores]))
@@ -408,7 +406,7 @@ def splice_groups(
     sizes: List[int],
     radii: List[int],
     depths: List[int],
-) -> Tuple[int, int, List[Tuple[int, int]]]:
+) -> Iterator[Tuple[int, int, int, int]]:
     """Merge the fragments of every tree of the fragment forest into one.
 
     F-vertex ``x`` is core slot ``f_verts[x]`` and its F-parent is
@@ -422,9 +420,11 @@ def splice_groups(
     ``depths`` (per node) and ``members``/``sizes``/``radii`` (per core) are
     updated in place for exactly the fragments a merge touches.
 
-    Returns ``(spliced, merged, group_radii)``: the nodes of the re-rooted
-    fragments, the nodes of every merged fragment, and per merged tree the
-    largest re-rooted radius and the new radius.
+    Yields ``(spliced, merged, reroot_radius, new_radius)`` once per merged
+    tree, after merging it: the nodes of its re-rooted fragments, the nodes
+    of the merged fragment, the largest re-rooted radius and the new
+    radius.  The merges happen as the generator is consumed, so a caller
+    must exhaust it; nothing is kept per tree.
     """
     # group the fragments by the root of their tree (one sort, no list per
     # group kept alive: the merges are independent of each other, so any
@@ -434,9 +434,6 @@ def splice_groups(
     for vertex in range(k):
         find_root_indexed(f_parent, group_of, vertex)
 
-    spliced = 0
-    merged = 0
-    group_radii: List[Tuple[int, int]] = []
     by_group = sorted(range(k), key=group_of.__getitem__)
     for group_root, run in groupby(by_group, key=group_of.__getitem__):
         group_vertices = list(run)
@@ -444,6 +441,7 @@ def splice_groups(
             continue
         root_slot = f_verts[group_root]
         reroot_radius = 0
+        spliced = 0
         new_members: List[int] = []
         for vertex in group_vertices:
             slot = f_verts[vertex]
@@ -494,9 +492,7 @@ def splice_groups(
         members[root_slot] = new_members
         sizes[root_slot] = len(new_members)
         radii[root_slot] = new_radius
-        merged += len(new_members)
-        group_radii.append((reroot_radius, new_radius))
-    return spliced, merged, group_radii
+        yield spliced, len(new_members), reroot_radius, new_radius
 
 
 def fragment_forest(

@@ -49,11 +49,15 @@ from repro.core.global_function.semigroup import (
     XOR,
     GlobalSensitiveFunction,
 )
+from repro.core.mst.ghs_baseline import PointToPointMSTResult
+from repro.core.mst.kruskal import MSTEdges
 from repro.core.partition.forest import SpanningForest
 from repro.protocols.collision.greenberg_ladner import MultiplicityEstimate
 from repro.sim.errors import ProtocolError
 from repro.sim.events import ChannelEvent, Message
 from repro.sim.flyweight import FlyweightEnvironment, FlyweightProtocol
+from repro.sim.metrics import MetricsRecorder
+from repro.topology.graph import Edge, edge_key
 
 NodeId = Hashable
 Combine = Callable[[Any, Any], Any]
@@ -740,11 +744,6 @@ def p2p_mst_by_dicts(graph):
     twice the largest radius, twice the most tests one node made, and the
     largest merged radius.
     """
-    from repro.core.mst.ghs_baseline import PointToPointMSTResult
-    from repro.core.mst.kruskal import MSTEdges
-    from repro.sim.metrics import MetricsRecorder
-    from repro.topology.graph import Edge, edge_key
-
     metrics = MetricsRecorder()
     nodes = graph.nodes()
     links: Dict[NodeId, List[Tuple[float, NodeId, Tuple[NodeId, NodeId]]]] = {
