@@ -132,6 +132,7 @@ class PointToPointMST:
                 merge_rounds = max(merge_rounds, radius)
             rounds += merge_rounds
             self._metrics.record_round(rounds)
+            # first-appearance order, as in the partitioner
             cores = list(dict.fromkeys([core_arr[core] for core in cores]))
         self._metrics.set_phase(None)
 

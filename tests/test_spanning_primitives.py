@@ -1,4 +1,4 @@
-"""Tests for the parent-map helpers, distributed BFS and broadcast-and-respond."""
+"""Tests for tree utilities, distributed BFS and broadcast-and-respond."""
 
 from collections import deque
 
