@@ -31,7 +31,7 @@ def main() -> None:
 
     # 3. compute a global sensitive function (the sum of all local inputs)
     #    with the two-stage multimedia algorithm, reusing the partition
-    inputs = {node: int(node) for node in graph.nodes()}
+    inputs = {node: node for node in graph.nodes()}
     result = compute_global_function(
         graph, INTEGER_ADDITION, inputs,
         method="deterministic", forest=partition.forest, seed=1,

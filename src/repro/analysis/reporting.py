@@ -1,9 +1,9 @@
 """Plain-text table formatting for the experiment reports.
 
-Every experiment prints its results in the same tabular shape that
-docs/experiments.md records, so re-running a benchmark reproduces the documented
-rows verbatim (up to randomness noted per experiment).  The experiment
-sweeps themselves produce structured row dictionaries (see
+Every experiment prints its results in one tabular shape, with the columns
+its spec declares (``docs/experiments.md``, generated from the specs, lists
+them; it records no result rows).  The experiment sweeps themselves produce
+structured row dictionaries (see
 :mod:`repro.experiments.runner`); :func:`table_from_records` lays those out
 as a :class:`Table` in the declared column order, and
 :meth:`Table.render`/:func:`format_table` produce the final aligned text.

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Hashable, Optional
+from typing import Dict, Optional
 
 from repro.core.global_function.semigroup import GlobalSensitiveFunction
 from repro.core.partition.forest import SpanningForest
@@ -34,8 +34,6 @@ from repro.sim.channel import SlottedChannel
 from repro.sim.metrics import MetricsRecorder, MetricsSnapshot
 from repro.sim.multimedia import MultimediaNetwork
 from repro.topology.graph import WeightedGraph
-
-NodeId = Hashable
 
 
 @dataclass
@@ -58,8 +56,8 @@ class BaselineResult:
 def compute_on_point_to_point_only(
     graph: WeightedGraph,
     function: GlobalSensitiveFunction,
-    inputs: Dict[NodeId, object],
-    leader: Optional[NodeId] = None,
+    inputs: Dict[int, object],
+    leader: Optional[int] = None,
     seed: Optional[int] = None,
     metrics: Optional[MetricsRecorder] = None,
     adversity: Optional[AdversityState] = None,
@@ -87,7 +85,7 @@ def compute_on_point_to_point_only(
     recorder.set_phase(None)
 
     recorder.set_phase("aggregate")
-    forest = SpanningForest(graph.csr().nodes, parent)
+    forest = SpanningForest(parent)
     network = MultimediaNetwork(graph, seed=seed)
     simulation = network.run(
         TreeAggregationFlyweight.over(
@@ -109,7 +107,7 @@ def compute_on_point_to_point_only(
 def compute_on_channel_only(
     graph: WeightedGraph,
     function: GlobalSensitiveFunction,
-    inputs: Dict[NodeId, object],
+    inputs: Dict[int, object],
     method: str = "randomized",
     seed: Optional[int] = None,
     metrics: Optional[MetricsRecorder] = None,
@@ -135,11 +133,8 @@ def compute_on_channel_only(
     n = len(nodes)
     recorder.set_phase("channel")
     if method == "deterministic":
-        universe = max(n, max((int(node) for node in nodes), default=0) + 1)
         contenders = [
-            CapetanakisContender(
-                identity=int(node), universe_size=universe, payload=inputs[node]
-            )
+            CapetanakisContender(identity=node, universe_size=n, payload=inputs[node])
             for node in nodes
         ]
     else:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, Optional
+from typing import Dict, Optional
 
 import random
 
@@ -42,8 +42,6 @@ from repro.sim.metrics import MetricsRecorder, MetricsSnapshot
 from repro.sim.multimedia import MultimediaNetwork
 from repro.topology.graph import WeightedGraph
 from repro.topology.weights import assign_distinct_weights
-
-NodeId = Hashable
 
 
 @dataclass
@@ -75,7 +73,7 @@ class GlobalComputationResult:
 def compute_global_function(
     graph: WeightedGraph,
     function: GlobalSensitiveFunction,
-    inputs: Dict[NodeId, object],
+    inputs: Dict[int, object],
     method: str = "deterministic",
     seed: Optional[int] = None,
     forest: Optional[SpanningForest] = None,
@@ -170,11 +168,9 @@ def compute_global_function(
     recorder.set_phase("global")
     rng = random.Random(seed)
     if method == "deterministic":
-        universe = max(n, max((int(c) for c in forest.cores), default=0) + 1)
+        # the cores are nodes, so the ids 0..n-1 are their Capetanakis universe
         contenders = [
-            CapetanakisContender(
-                identity=int(core), universe_size=universe, payload=partials[core]
-            )
+            CapetanakisContender(identity=core, universe_size=n, payload=partials[core])
             for core in forest.cores
         ]
     else:

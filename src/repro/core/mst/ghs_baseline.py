@@ -87,7 +87,6 @@ class PointToPointMST:
         """Execute the algorithm and return the MST."""
         graph = self._graph
         csr = graph.csr()
-        nodes = csr.nodes
         n = csr.n
         # every node starts as a depth-0 singleton fragment, its own core;
         # the columns are the deterministic partitioner's (slot-indexed,
@@ -114,7 +113,7 @@ class PointToPointMST:
             self._metrics.record_messages(2 * (n - len(cores)))
             # every fragment finds its minimum-weight outgoing link
             choosers, link_u, link_v, total_tests, max_tests = find_min_outgoing_links(
-                cores, members, core_arr, nodes,
+                cores, members, core_arr,
                 nbr, weight, back, dead, scan_pos, scan_end,
             )
             self._metrics.record_messages(2 * total_tests)
@@ -122,7 +121,7 @@ class PointToPointMST:
             # each tree of F merges, rooted at the larger-repr end of its
             # 2-cycle: a broadcast over the spliced fragments re-roots them,
             # then the new core is announced to the whole merged fragment
-            f_verts, f_parent = fragment_forest(choosers, link_v, core_arr, f_local, nodes)
+            f_verts, f_parent = fragment_forest(choosers, link_v, core_arr, f_local)
             merge_rounds = 0
             for spliced, merged, _, radius in splice_groups(
                 f_verts, f_parent, link_u, link_v,
@@ -137,11 +136,7 @@ class PointToPointMST:
         self._metrics.set_phase(None)
 
         # the last fragment's tree is the MST: one link per non-root node
-        keys = [
-            edge_key(nodes[child], nodes[up])
-            for child, up in enumerate(parent_idx)
-            if up >= 0
-        ]
+        keys = [edge_key(child, up) for child, up in enumerate(parent_idx) if up >= 0]
         edges = [Edge(u, v, graph.weight(u, v)) for u, v in sorted(keys, key=repr)]
         mst = MSTEdges(edges=edges, total_weight=sum(edge.weight for edge in edges))
         return PointToPointMSTResult(

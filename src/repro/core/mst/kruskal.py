@@ -10,12 +10,10 @@ exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Set, Tuple
+from typing import List, Set, Tuple
 
 from repro.topology.graph import Edge, WeightedGraph
 from repro.topology.properties import is_connected
-
-NodeId = Hashable
 
 
 @dataclass
@@ -30,7 +28,7 @@ class MSTEdges:
     edges: List[Edge]
     total_weight: float
 
-    def edge_keys(self) -> Set[Tuple[NodeId, NodeId]]:
+    def edge_keys(self) -> Set[Tuple[int, int]]:
         """Return the canonical undirected keys of the chosen edges."""
         return {edge.key() for edge in self.edges}
 
@@ -40,12 +38,12 @@ class MSTEdges:
 
 
 class _UnionFind:
-    def __init__(self, nodes) -> None:
-        """Make every node its own singleton set."""
-        self._parent: Dict[NodeId, NodeId] = {node: node for node in nodes}
-        self._rank: Dict[NodeId, int] = {node: 0 for node in nodes}
+    def __init__(self, n: int) -> None:
+        """Make each of the nodes ``0..n-1`` its own singleton set."""
+        self._parent: List[int] = list(range(n))
+        self._rank: List[int] = [0] * n
 
-    def find(self, node: NodeId) -> NodeId:
+    def find(self, node: int) -> int:
         """Return ``node``'s set representative with path compression."""
         root = node
         while self._parent[root] != root:
@@ -54,7 +52,7 @@ class _UnionFind:
             self._parent[node], node = root, self._parent[node]
         return root
 
-    def union(self, a: NodeId, b: NodeId) -> bool:
+    def union(self, a: int, b: int) -> bool:
         """Merge the sets of ``a`` and ``b``; ``False`` if already joined."""
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
@@ -81,7 +79,7 @@ def kruskal_mst(graph: WeightedGraph) -> MSTEdges:
         raise ValueError("the MST of an empty graph is undefined")
     if not is_connected(graph):
         raise ValueError("the graph is disconnected; no spanning tree exists")
-    union_find = _UnionFind(graph.nodes())
+    union_find = _UnionFind(graph.num_nodes())
     chosen: List[Edge] = []
     total = 0.0
     for edge in sorted(graph.edges(), key=lambda e: (e.weight, repr(e.key()))):

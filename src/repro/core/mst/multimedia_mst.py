@@ -23,7 +23,7 @@ Total: O(√n log n) time and O(m + n log n log* n) messages.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.mst.kruskal import MSTEdges
 from repro.core.partition.deterministic import DeterministicPartitioner
@@ -35,8 +35,6 @@ from repro.sim.channel import SlottedChannel
 from repro.sim.metrics import MetricsRecorder, MetricsSnapshot
 from repro.topology.graph import Edge, WeightedGraph, edge_key
 from repro.topology.properties import is_connected
-
-NodeId = Hashable
 
 
 @dataclass
@@ -124,11 +122,9 @@ class MultimediaMST:
 
         # ---------------- stage 2: schedule the cores ---------------------
         self._metrics.set_phase("scheduling")
-        universe = max(
-            self._n, max((int(core) for core in forest.cores), default=0) + 1
-        )
+        # the cores are nodes, so the ids 0..n-1 are their Capetanakis universe
         contenders = [
-            CapetanakisContender(identity=int(core), universe_size=universe, payload=core)
+            CapetanakisContender(identity=core, universe_size=self._n, payload=core)
             for core in forest.cores
         ]
         if self._adversity is not None:
@@ -169,8 +165,8 @@ class MultimediaMST:
     def _merge_stage(
         self,
         forest: SpanningForest,
-        schedule: List[NodeId],
-    ) -> Tuple[Set[Tuple[NodeId, NodeId]], List[MergePhaseRecord]]:
+        schedule: List[int],
+    ) -> Tuple[Set[Tuple[int, int]], List[MergePhaseRecord]]:
         """Run the Kruskal-style merge phases and return the MST edge keys.
 
         Each initial fragment's candidate links live in one weight-sorted
@@ -183,13 +179,13 @@ class MultimediaMST:
         recorded metrics) are identical to the per-phase rescan's.
         """
         self._metrics.set_phase("merge")
-        # initial fragments are named by their core slot; the forest's core
-        # column is every node's home fragment, over the CSR slots
+        # initial fragments are named by their core; the forest's core
+        # column is every node's home fragment
         csr = self._graph.csr()
         slot_home = forest.root
-        initial_cores = forest.core_slots
+        initial_cores = forest.cores
         # the MST edges inside the initial fragments are already known
-        mst_keys: Set[Tuple[NodeId, NodeId]] = {
+        mst_keys: Set[Tuple[int, int]] = {
             edge_key(child, parent) for child, parent in forest.tree_edges()
         }
 
@@ -207,27 +203,24 @@ class MultimediaMST:
         # the per-phase minimum always used.  Each entry also carries the
         # neighbor's initial fragment, which never decides a comparison:
         # the first three fields are already unique
-        boundary: Dict[int, List[Tuple[float, NodeId, NodeId, int]]] = {
+        boundary: Dict[int, List[Tuple[float, int, int, int]]] = {
             core: [] for core in initial_cores
         }
-        # walk the CSR rows (the graph's neighbour order) with the per-slot
-        # home column, so the inner test indexes a column instead of hashing
-        # a node identifier per directed edge
+        # walk the CSR rows (the graph's neighbour order) with the per-node
+        # home column
         offsets = csr.offsets
         csr_targets = csr.targets
         csr_weights = csr.weights
-        csr_nodes = csr.nodes
         start = 0
-        for i in range(csr.n):
-            end = offsets[i + 1]
-            home = slot_home[i]
+        for node in range(csr.n):
+            end = offsets[node + 1]
+            home = slot_home[node]
             links = boundary[home]
-            node = csr_nodes[i]
             for k in range(start, end):
                 target = csr_targets[k]
                 far = slot_home[target]
                 if far != home:
-                    links.append((csr_weights[k], node, csr_nodes[target], far))
+                    links.append((csr_weights[k], node, target, far))
             start = end
         for links in boundary.values():
             links.sort()
@@ -247,7 +240,7 @@ class MultimediaMST:
             # The minimum is the first boundary-column entry whose far side is
             # in a different current fragment; entries skipped on the way are
             # internal for good and the start pointer prunes them permanently.
-            candidate_per_initial: Dict[int, Tuple[float, NodeId, NodeId, int]] = {}
+            candidate_per_initial: Dict[int, Tuple[float, int, int, int]] = {}
             for core in initial_cores:
                 current_core = current_of[core]
                 links = boundary[core]
@@ -268,7 +261,7 @@ class MultimediaMST:
 
             # every node now computes the minimum outgoing link of every
             # current fragment and merges along those links (local work)
-            best_per_current: Dict[int, Tuple[float, NodeId, NodeId, int]] = {}
+            best_per_current: Dict[int, Tuple[float, int, int, int]] = {}
             for core, candidate in candidate_per_initial.items():
                 current = current_of[core]
                 if current not in best_per_current or candidate < best_per_current[current]:

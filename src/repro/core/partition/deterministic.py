@@ -34,9 +34,8 @@ report both numbers.
 
 Implementation notes (slot-indexed columns)
 -------------------------------------------
-All per-phase state lives in flat columns indexed by the CSR slot
-enumeration (graph iteration order); node objects appear only at the
-:class:`DeterministicPartitionResult` / :class:`SpanningForest` boundary.
+All per-phase state lives in flat columns indexed by node (a node is its
+CSR slot), and the result's :class:`SpanningForest` is the parent column.
 
 * **Link scan.** Every node's incident links, in the GHS ``(weight, repr)``
   order, occupy the node's CSR range of three flat columns (neighbour slot,
@@ -73,7 +72,7 @@ import math
 from array import array
 from itertools import groupby
 from dataclasses import dataclass
-from typing import Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.partition.forest import SpanningForest, find_root_indexed
 from repro.protocols.symmetry.cole_vishkin import log_star
@@ -82,8 +81,6 @@ from repro.protocols.symmetry.three_coloring import three_color_columns
 from repro.sim.metrics import MetricsRecorder, MetricsSnapshot
 from repro.topology.graph import WeightedGraph
 from repro.topology.properties import is_connected
-
-NodeId = Hashable
 
 
 @dataclass
@@ -188,11 +185,8 @@ class DeterministicPartitioner:
         """Execute the algorithm and return the resulting forest."""
         n = self._n
         log_star_n = max(1, log_star(max(2, n)))
-        # all hot state below is indexed by the CSR slot enumeration (graph
-        # iteration order); `nodes` maps a slot back to its node object and
-        # is a `range` on identity-labelled graphs
+        # all hot state below is indexed by node, which is its CSR slot
         csr = self._graph.csr()
-        nodes = csr.nodes
         # Phase 0 state: every node is a depth-0 singleton fragment whose
         # core is itself (-1 encodes "no parent")
         parent_idx: List[int] = [-1] * n
@@ -245,19 +239,16 @@ class DeterministicPartitioner:
                 max_active_radius = max(radii[core] for core in active)
                 relays = sum(sizes[core] - 1 for core in active)
                 choosers, link_u, link_v, total_tests, max_tests = find_min_outgoing_links(
-                    active, members, core_arr, nodes,
+                    active, members, core_arr,
                     nbr, weight, back, dead, scan_pos, scan_end,
                 )
                 busy += 2 * max_active_radius + 2 * max_tests
                 self._metrics.record_messages(2 * relays + 2 * total_tests)
 
                 # ------------- Steps 3-5: colour F and find the MIS -------
-                f_verts, f_parent = fragment_forest(
-                    choosers, link_v, core_arr, f_local, nodes
-                )
-                colors, rounds = three_color_columns(
-                    f_parent, _core_identifiers(f_verts, nodes)
-                )
+                f_verts, f_parent = fragment_forest(choosers, link_v, core_arr, f_local)
+                # the cores are distinct ints: F-vertex x's identifier is its core
+                colors, rounds = three_color_columns(f_parent, f_verts)
                 f_colors = mis_columns(f_parent, colors)
                 coloring_rounds = rounds + MIS_COMMUNICATION_ROUNDS
                 # each colouring round is a core-to-core exchange routed over
@@ -308,7 +299,7 @@ class DeterministicPartitioner:
 
         self._metrics.set_phase(None)
         return DeterministicPartitionResult(
-            forest=SpanningForest(nodes, parent_idx),
+            forest=SpanningForest(parent_idx),
             metrics=self._metrics.snapshot(),
             phases=phase_records,
             busy_rounds=busy_total,
@@ -323,7 +314,6 @@ def find_min_outgoing_links(
     cores: Sequence[int],
     members: List[Optional[List[int]]],
     core_arr: List[int],
-    nodes: Sequence[NodeId],
     nbr: array,
     weight: array,
     back: array,
@@ -370,17 +360,13 @@ def find_min_outgoing_links(
                     index += 1
                     continue
                 link_weight = weight[index]
-                # distinct weights decide almost always; the node-object
-                # tie-break preserves the historical (weight, u, v) tuple
-                # comparison on graphs with repeated weights
+                # distinct weights decide almost always; the node tie-break
+                # preserves the historical (weight, u, v) tuple comparison on
+                # graphs with repeated weights
                 if (
                     best_w is None
                     or link_weight < best_w
-                    or (
-                        link_weight == best_w
-                        and (nodes[node], nodes[neighbor])
-                        < (nodes[best_u], nodes[best_v])
-                    )
+                    or (link_weight == best_w and (node, neighbor) < (best_u, best_v))
                 ):
                     best_w, best_u, best_v = link_weight, node, neighbor
                 break
@@ -500,7 +486,6 @@ def fragment_forest(
     link_v: List[int],
     core_arr: List[int],
     f_local: List[int],
-    nodes: Sequence[NodeId],
 ) -> Tuple[List[int], List[int]]:
     """Return F as ``(f_verts, f_parent)`` columns.
 
@@ -534,28 +519,11 @@ def fragment_forest(
     for vertex in range(len(choosers)):
         up = f_parent[vertex]
         if up >= 0 and f_parent[up] == vertex:
-            if repr(nodes[f_verts[up]]) > repr(nodes[f_verts[vertex]]):
+            if repr(f_verts[up]) > repr(f_verts[vertex]):
                 f_parent[up] = -1
             else:
                 f_parent[vertex] = -1
     return f_verts, f_parent
-
-
-def _core_identifiers(f_verts: List[int], nodes: Sequence[NodeId]) -> List[int]:
-    """Return distinct integer identifiers for F's vertices (by F-vertex).
-
-    Fragment cores are network nodes; when they are integers they are used
-    directly (they are distinct), otherwise a deterministic enumeration by
-    ``repr`` order among F's vertices is used.
-    """
-    labels = [nodes[slot] for slot in f_verts]
-    if all(isinstance(label, int) for label in labels):
-        return [int(label) for label in labels]
-    reprs = [repr(label) for label in labels]
-    identifiers = [0] * len(labels)
-    for rank, vertex in enumerate(sorted(range(len(labels)), key=reprs.__getitem__)):
-        identifiers[vertex] = rank
-    return identifiers
 
 
 def _cut_at_mis(f_parent: List[int], f_colors: List[int]) -> List[int]:

@@ -8,59 +8,49 @@ global sensitive functions, the MST merge stage) consume one: each node must
 know its parent, its children and its core, which is exactly the information
 the distributed executions leave behind at the nodes.
 
-The forest is one immutable set of columns over a node enumeration — for a
-partition or a BFS tree (the parent column
-:func:`~repro.protocols.spanning.bfs.build_bfs_forest` writes), the graph's
-CSR slot order.  ``parent[slot]`` is the parent's
-slot (``-1`` for a core) and ``root[slot]`` the core's slot; a node's
+The forest is one immutable set of columns over the nodes ``0..n-1`` of a
+graph — a partition, or a BFS tree (the parent column
+:func:`~repro.protocols.spanning.bfs.build_bfs_forest` writes).
+``parent[node]`` is the parent (``-1`` for a core) and ``root[node]`` the
+core; a node's
 children are the slots whose parent it is, which a consumer holding the CSR
 rows reads off its own row.  The constructor derives everything else once
 (cores, per-core sizes and radii) and rejects a parent column that is not a
 forest, so every forest is valid by construction.
 
-Order contract: cores come in first-appearance order over the enumeration,
-and :meth:`SpanningForest.parent_map` / :meth:`SpanningForest.tree_edges`
-list the fragments in that order, each with its members in enumeration
-order.
+Order contract: cores come in first-appearance (ascending) order, and
+:meth:`SpanningForest.tree_edges` lists the fragments in that order, each
+with its members in ascending order.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
-
-NodeId = Hashable
+from typing import Dict, List, Sequence, Tuple
 
 
 class SpanningForest:
     """A node-disjoint collection of rooted fragments, as slot columns.
 
     Attributes:
-        nodes: the node enumeration (``nodes[slot]`` is the node of
-            ``slot``).
-        parent: per-slot parent slot, ``-1`` for a core.
-        root: per-slot core slot.
-        core_slots: the core slots in first-appearance order.
+        parent: per-node parent, ``-1`` for a core.
+        root: per-node core.
+        cores: the cores in first-appearance order.
     """
 
-    __slots__ = ("nodes", "parent", "root", "core_slots", "_sizes", "_radii")
+    __slots__ = ("parent", "root", "cores", "_sizes", "_radii")
 
-    def __init__(self, nodes: Sequence[NodeId], parent: Sequence[int]) -> None:
-        """Build the forest whose slot ``i`` is ``nodes[i]`` with parent ``parent[i]``.
+    def __init__(self, parent: Sequence[int]) -> None:
+        """Build the forest on nodes ``0..n-1`` in which node ``i``'s parent is ``parent[i]``.
 
         One pass walks every slot's parent chain with path caching and
         derives the core column, depths, and per-core sizes and radii.
 
         Raises:
-            ValueError: if the columns differ in length, a parent slot is
-                out of range (``-1`` is the only negative one), or the
-                parent column has a cycle.
+            ValueError: if a parent is out of range (``-1`` is the only
+                negative one), or the parent column has a cycle.
         """
-        n = len(nodes)
-        if len(parent) != n:
-            raise ValueError(
-                f"parent column has {len(parent)} entries for {n} nodes"
-            )
         parent = tuple(parent)
+        n = len(parent)
         root = [-1] * n
         depth = [0] * n
         for start in range(n):
@@ -75,7 +65,7 @@ class SpanningForest:
                     break
                 if up < 0 or up >= n:
                     raise ValueError(
-                        f"parent slot {up} of {nodes[current]!r} is out of range"
+                        f"parent slot {up} of {current} is out of range"
                     )
                 chain.append(current)
                 # a chain longer than the forest revisits a slot: cycle
@@ -98,51 +88,26 @@ class SpanningForest:
             else:
                 sizes[core] = 1
                 radii[core] = depth[slot]
-        self.nodes = nodes
         self.parent = parent
         self.root = tuple(root)
-        self.core_slots = tuple(sizes)
+        self.cores = tuple(sizes)
         self._sizes = sizes
         self._radii = radii
 
     # ------------------------------------------------------------------
     # accessors
     # ------------------------------------------------------------------
-    @property
-    def cores(self) -> List[NodeId]:
-        """Return the cores of the fragments, in first-appearance order."""
-        nodes = self.nodes
-        return [nodes[core] for core in self.core_slots]
-
-    def core_of(self, node: NodeId) -> NodeId:
-        """Return the core of the fragment containing ``node``.
-
-        Constant time on a ``range`` enumeration, a linear search otherwise.
-
-        Raises:
-            KeyError: if the node is not covered by the forest.
-        """
-        try:
-            slot = self.nodes.index(node)
-        except ValueError:
-            raise KeyError(node) from None
-        return self.nodes[self.root[slot]]
-
-    def size(self, core_slot: int) -> int:
-        """Return the number of nodes in the fragment whose core is ``core_slot``."""
-        return self._sizes[core_slot]
+    def size(self, core: int) -> int:
+        """Return the number of nodes in the fragment whose core is ``core``."""
+        return self._sizes[core]
 
     def num_fragments(self) -> int:
         """Return the number of fragments."""
-        return len(self.core_slots)
+        return len(self.cores)
 
     def num_nodes(self) -> int:
         """Return the total number of covered nodes."""
-        return len(self.nodes)
-
-    def covered_nodes(self) -> List[NodeId]:
-        """Return every node covered by the forest, in enumeration order."""
-        return list(self.nodes)
+        return len(self.parent)
 
     def max_radius(self) -> int:
         """Return the largest fragment radius."""
@@ -158,26 +123,16 @@ class SpanningForest:
 
     def _fragment_order(self) -> List[int]:
         """Return the slots grouped by core (first-appearance order)."""
-        groups: Dict[int, List[int]] = {core: [] for core in self.core_slots}
+        groups: Dict[int, List[int]] = {core: [] for core in self.cores}
         for slot, core in enumerate(self.root):
             groups[core].append(slot)
         return [slot for group in groups.values() for slot in group]
 
-    def parent_map(self) -> Dict[NodeId, Optional[NodeId]]:
-        """Return ``node → parent`` (cores map to ``None``), fragment by fragment."""
-        nodes, parent = self.nodes, self.parent
-        return {
-            nodes[slot]: nodes[parent[slot]] if parent[slot] >= 0 else None
-            for slot in self._fragment_order()
-        }
-
-    def tree_edges(self) -> List[Tuple[NodeId, NodeId]]:
+    def tree_edges(self) -> List[Tuple[int, int]]:
         """Return every tree edge as a (child, parent) pair, fragment by fragment."""
-        nodes, parent = self.nodes, self.parent
+        parent = self.parent
         return [
-            (nodes[slot], nodes[parent[slot]])
-            for slot in self._fragment_order()
-            if parent[slot] >= 0
+            (node, parent[node]) for node in self._fragment_order() if parent[node] >= 0
         ]
 
     def __repr__(self) -> str:

@@ -24,12 +24,12 @@ message charges are those of the synchronous message-passing execution
 
 Implementation notes (slot-indexed columns)
 -------------------------------------------
-The orchestration state lives in flat columns indexed by the CSR slot
-enumeration (graph iteration order): labels and parent pointers are lists,
+The orchestration state lives in flat columns indexed by node (a node is
+its CSR slot): labels and parent pointers are lists,
 and the adjacency is three flat columns over the CSR row ranges —
 neighbour slot, reverse position, and a ``bytearray`` of per-link alive
 flags — so the BFS relaxation and link-removal inner loops index columns
-instead of hashing node objects or edge pairs.  The live-link worklist is
+instead of hashing nodes or edge pairs.  The live-link worklist is
 an ``array`` of canonical edge ids.  The deterministic tie-break order
 (``repr`` of the node) is precomputed once as an integer rank, and link
 removal flips the alive flag on *both* endpoints' entries via the reverse
@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 import random
 
@@ -55,8 +55,6 @@ from repro.sim.errors import ProtocolError
 from repro.sim.metrics import MetricsRecorder, MetricsSnapshot
 from repro.topology.graph import WeightedGraph
 from repro.topology.properties import is_connected
-
-NodeId = Hashable
 
 
 def ln_star(n: float) -> int:
@@ -89,15 +87,14 @@ def escalation_sequence(length: int) -> List[float]:
 class _Workspace(NamedTuple):
     """The run-invariant structure every Las-Vegas attempt shares.
 
-    ``nodes`` is the node enumeration (graph iteration order); ``rank`` and
-    ``unrank`` map a slot to its ``repr``-order position and back.  Node
+    ``rank`` and ``unrank`` map a node to its ``repr``-order position and
+    back.  Node
     ``i``'s links occupy positions ``offsets[i]..offsets[i + 1]`` of ``adj``
     (neighbour slot) and ``adj_back`` (the same link's position in the
     neighbour's range), in edge-list order; ``edge_pos[j]`` is canonical
     edge ``j``'s position in its ``edge_u`` endpoint's range.
     """
 
-    nodes: Sequence[NodeId]
     rank: List[int]
     unrank: List[int]
     offsets: array
@@ -184,22 +181,21 @@ class RandomizedPartitioner:
     # ------------------------------------------------------------------
     def run(self) -> RandomizedPartitionResult:
         """Execute the algorithm (with verification when Las Vegas is enabled)."""
-        # the node enumeration, tie-break ranks and adjacency structure are
-        # invariant across Las-Vegas restarts: build them once and hand each
-        # attempt a fresh copy of only the mutable per-run state
+        # the tie-break ranks and adjacency structure are invariant across
+        # Las-Vegas restarts: build them once and hand each attempt a fresh
+        # copy of only the mutable per-run state
         csr = self._graph.csr()
-        nodes = csr.nodes
         n = self._n
         rank: List[int] = [0] * n
         unrank: List[int] = [0] * n
-        reprs = [repr(node) for node in nodes]
+        reprs = list(map(repr, range(n)))
         for position, i in enumerate(sorted(range(n), key=reprs.__getitem__)):
             rank[i] = position
             unrank[position] = i
         del reprs  # n strings, not needed past the ranking
         # adjacency columns and reverse positions come from ONE pass over
-        # the graph's canonical edge columns (already slot indices, so no
-        # node identifier is hashed; both positions are known at fill time).
+        # the graph's canonical edge columns (both positions are known at
+        # fill time).
         # Each node's range is in edge-list order, not row order — nothing
         # the algorithm computes depends on it: per-neighbour BFS winners
         # are minima, and the message/outgoing-link checks are order-free
@@ -220,9 +216,7 @@ class RandomizedPartitioner:
             adj_back[at_u] = at_v
             adj_back[at_v] = at_u
             edge_pos[j] = at_u
-        workspace = _Workspace(
-            nodes, rank, unrank, offsets, adj, adj_back, edge_u, edge_v, edge_pos
-        )
+        workspace = _Workspace(rank, unrank, offsets, adj, adj_back, edge_u, edge_v, edge_pos)
         restarts = 0
         while True:
             forest, iterations = self._run_once(workspace)
@@ -354,7 +348,7 @@ class RandomizedPartitioner:
                 "the final iteration promotes every free node, so every node "
                 "must be labelled when the loop ends"
             )
-        return SpanningForest(workspace.nodes, parent), records
+        return SpanningForest(parent), records
 
     # ------------------------------------------------------------------
     def _grow_bfs(

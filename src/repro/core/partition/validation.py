@@ -32,7 +32,7 @@ class PartitionReport:
         num_fragments: number of trees in the forest.
         min_size / max_size: extreme fragment sizes.
         max_radius: largest fragment radius.
-        covers_all_nodes: every network node belongs to exactly one fragment.
+        covers_all_nodes: the forest's nodes are exactly the network's.
         edges_exist: every tree edge is a link of the network.
         subtrees_of_mst: every tree edge belongs to the network's MST
             (``None`` when the check was not requested).
@@ -102,27 +102,21 @@ def validate_partition(
     n = graph.num_nodes()
 
     # structural checks: the forest constructor already rejected cycles
-    # and dangling parents, so coverage and links are what is left
-    covered = set(forest.covered_nodes())
-    network_nodes = set(graph.nodes())
-    repeated = forest.num_nodes() - len(covered)
-    covers_all = covered == network_nodes and not repeated
-    if repeated:
-        violations.append(f"{repeated} node(s) appear in the forest twice")
-    if not covers_all:
-        missing = network_nodes - covered
-        extra = covered - network_nodes
-        if missing:
-            violations.append(f"{len(missing)} node(s) not covered by the forest")
-        if extra:
-            violations.append(f"{len(extra)} forest node(s) not in the network")
+    # and dangling parents, and every node is in exactly one fragment, so
+    # coverage and links are what is left
+    covered = forest.num_nodes()
+    covers_all = covered == n
+    if covered < n:
+        violations.append(f"{n - covered} node(s) not covered by the forest")
+    elif covered > n:
+        violations.append(f"{covered - n} forest node(s) not in the network")
 
     edges_exist = True
     for child, parent in forest.tree_edges():
         if not graph.has_edge(child, parent):
             edges_exist = False
             violations.append(
-                f"tree edge ({child!r}, {parent!r}) is not a network link"
+                f"tree edge ({child}, {parent}) is not a network link"
             )
 
     # MST-subtree check ---------------------------------------------------
@@ -138,7 +132,7 @@ def validate_partition(
             if edge_key(child, parent) not in mst_keys:
                 subtrees_of_mst = False
                 violations.append(
-                    f"tree edge ({child!r}, {parent!r}) is not an MST edge"
+                    f"tree edge ({child}, {parent}) is not an MST edge"
                 )
 
     # quantitative bounds -------------------------------------------------

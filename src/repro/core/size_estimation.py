@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Hashable, Optional
+from typing import Optional
 
 from repro.core.global_function.multimedia import compute_global_function
 from repro.core.global_function.semigroup import INTEGER_ADDITION
@@ -35,8 +35,6 @@ from repro.protocols.collision.greenberg_ladner import (
 from repro.sim.metrics import MetricsRecorder, MetricsSnapshot
 from repro.topology.graph import WeightedGraph
 from repro.topology.weights import assign_distinct_weights
-
-NodeId = Hashable
 
 
 @dataclass
@@ -78,7 +76,7 @@ def compute_size_deterministically(
     recorder = metrics if metrics is not None else MetricsRecorder()
     true_n = graph.num_nodes()
     if id_bits is None:
-        id_bits = max(1, max(int(node) for node in graph.nodes()).bit_length())
+        id_bits = max(1, (true_n - 1).bit_length())
     weighted = assign_distinct_weights(graph, seed=seed)
 
     phases_used = 0
@@ -98,7 +96,7 @@ def compute_size_deterministically(
         budget = (2 ** exponent) * id_bits * 2
         universe = 2 ** id_bits
         contenders = [
-            CapetanakisContender(identity=int(core) % universe, universe_size=universe, payload=core)
+            CapetanakisContender(identity=core % universe, universe_size=universe, payload=core)
             for core in forest.cores
         ]
         recorder.set_phase("size-scheduling")

@@ -42,7 +42,7 @@ def sweep_point(
 ) -> Dict[str, object]:
     """Compute the network-wide sum deterministically under both balances."""
     graph = make_topology(topology, n, seed=11)
-    inputs = {node: int(node) for node in graph.nodes()}
+    inputs = {node: node for node in graph.nodes()}
     expected = sum(inputs.values())
 
     def variant(tag: str, tightened: bool):

@@ -54,7 +54,7 @@ def sweep_point(
     point where every seed aborts reports an ``"abort"`` row.
     """
     graph = make_topology(topology, n, seed=11)
-    inputs = {node: int(node) + 1 for node in graph.nodes()}
+    inputs = {node: node + 1 for node in graph.nodes()}
     rounds, messages, slots_per_root = [], [], []
     correct = True
     for seed in seeds:

@@ -128,7 +128,7 @@ def sweep_point(
     """
     graph = make_topology(topology, n, seed=11)
     d = topology_diameter(topology, graph)
-    inputs = {node: int(node) for node in graph.nodes()}
+    inputs = {node: node for node in graph.nodes()}
     expected = sum(inputs.values())
     try:
         multimedia = compute_global_function(

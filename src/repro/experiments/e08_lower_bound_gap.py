@@ -67,7 +67,7 @@ def sweep_point(
     n = graph.num_nodes()
     d = diameter(graph)
     trace = claim4_sensitivity_trace(n, d)
-    inputs = {node: int(node) for node in graph.nodes()}
+    inputs = {node: node for node in graph.nodes()}
     state = adversity_state(adversity, "e8", num_rays, ray_length)
     lower = multimedia_lower_bound(n, d)
     upper = global_rand_time_bound(n)

@@ -36,7 +36,7 @@ def _count_nodes(graph, root):
     """Return the factory counting the nodes up a BFS tree rooted at ``root``."""
     parent, _, _ = build_bfs_forest(graph, [root])
     return TreeAggregationFlyweight.over(
-        SpanningForest(graph.csr().nodes, parent),
+        SpanningForest(parent),
         dict.fromkeys(graph.nodes(), 1),
         lambda a, b: a + b,
         redistribute=True,

@@ -122,7 +122,7 @@ def sweep_point(
     column records which side(s) survived.
     """
     graph = make_topology(topology, n, seed=11)
-    inputs = {node: int(node) for node in graph.nodes()}
+    inputs = {node: node for node in graph.nodes()}
     schedule = _schedule(kind, intensity)
     mm_state = adversity_state(
         schedule, "e11", n, topology, kind, intensity, "multimedia"

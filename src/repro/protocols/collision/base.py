@@ -39,12 +39,11 @@ NodeId = Hashable
 class ChannelContender:
     """One contender's state machine for a conflict-resolution protocol.
 
-    Class attribute ``RESOLVES_ONLY_ON_SUCCESS`` declares when ``resolved``
-    can flip: the base implementation (and both concrete protocols) resolve a
-    contender only in a slot it transmitted in that came back *success*.  A
-    subclass whose ``observe``/``resolved`` can report resolution after an
-    idle or collision slot must set it to ``False`` so the scheduler rechecks
-    the worklist after every slot instead of only after successes.
+    A contender is resolved once it has had a successful slot: ``observe``
+    records that slot (``_succeeded_in_slot``) when the contender
+    transmitted in it and it came back *success*, and only then.  The
+    scheduler relies on this, rechecking its worklist after success slots
+    only.
 
     Class attribute ``GEOMETRIC_CONTENTION`` opts a protocol into the
     geometric skip-ahead scheduler
@@ -58,7 +57,6 @@ class ChannelContender:
     and run slot by slot, which preserves their exact slot traces.
     """
 
-    RESOLVES_ONLY_ON_SUCCESS = True
     GEOMETRIC_CONTENTION = False
 
     def __init__(self, identity: NodeId, payload: Any = None) -> None:
@@ -238,17 +236,6 @@ def run_contention(
                 start_slot=start_slot,
                 start_successes=start_successes,
             )
-    # when every contender resolves only in its own successful slot (the
-    # declared default), the worklist can stay untouched after idle and
-    # collision slots; and when none overrides `resolved`, the filter can
-    # read the backing field instead of going through the property
-    success_only = all(
-        type(contender).RESOLVES_ONLY_ON_SUCCESS for contender, _, _ in pending
-    )
-    plain_resolved = all(
-        type(contender).resolved is ChannelContender.resolved
-        for contender, _, _ in pending
-    )
     flags: List[bool] = []
     while pending:
         if used >= max_slots:
@@ -276,25 +263,18 @@ def run_contention(
             collisions += 1
         else:
             idle += 1
-        # one fused pass: deliver the observation and, when this slot could
-        # have resolved someone, rebuild the worklist in the same sweep
-        # (`resolved` depends only on the contender's own state, so filtering
-        # right after its observe() matches the old observe-then-filter)
-        if success_only and state is not SlotState.SUCCESS:
+        # one fused pass: deliver the observation and, after a success slot
+        # (the only kind that resolves a contender), rebuild the worklist in
+        # the same sweep (filtering right after a contender's observe()
+        # matches observe-then-filter: its resolution is its own state)
+        if state is not SlotState.SUCCESS:
             for entry, transmitted in zip(pending, flags):
                 entry[2](public, transmitted)
-        elif plain_resolved:
-            next_pending = []
-            for entry, transmitted in zip(pending, flags):
-                entry[2](public, transmitted)
-                if entry[0]._succeeded_in_slot is None:
-                    next_pending.append(entry)
-            pending = next_pending
         else:
             next_pending = []
             for entry, transmitted in zip(pending, flags):
                 entry[2](public, transmitted)
-                if not entry[0].resolved:
+                if entry[0]._succeeded_in_slot is None:
                     next_pending.append(entry)
             pending = next_pending
         slot += 1

@@ -134,12 +134,11 @@ def disseminate(
     """Run one layer-dissemination protocol to completion and report it.
 
     Args:
-        graph: the ad-hoc network; node labels must be the identity
-            enumeration ``0..n-1`` and the graph should be connected (an
+        graph: the ad-hoc network; it should be connected (an
             unreachable station runs the round budget out).
         affectance: canonical-edge ``(u, v) → α`` map covering every link
             (the generator's ``return_affectance=True`` output).
-        source: the initially informed slot.
+        source: the initially informed node.
         scheduler: one of :data:`SCHEDULERS`.
         seed: master seed of the scheduler substream (only ``decay`` draws).
         adversity: optional fault schedule; its round budget bounds the run.
@@ -148,8 +147,8 @@ def disseminate(
         record_history: attach per-round :class:`RoundTrace` entries.
 
     Raises:
-        ValueError: on an unknown scheduler, a non-identity graph, a source
-            outside the slot range, or a link missing from ``affectance``.
+        ValueError: on an unknown scheduler, a source outside the node
+            range, or a link missing from ``affectance``.
         AdversityAbort: when a run under adversity exhausts its round
             budget (bounded degradation instead of a hang).
         SimulationTimeout: when a fault-free run exhausts its cap.
@@ -160,10 +159,8 @@ def disseminate(
         )
     csr = graph.csr()
     n = csr.n
-    if not csr.identity:
-        raise ValueError("dissemination runs on identity-labelled graphs only")
     if not 0 <= source < n:
-        raise ValueError(f"source slot {source} outside 0..{n - 1}")
+        raise ValueError(f"source {source} outside 0..{n - 1}")
     offsets = csr.offsets
     neighbours = csr.targets
     # per-adjacency-entry signal column: signal[k] is the strength of a

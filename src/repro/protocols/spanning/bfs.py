@@ -12,9 +12,9 @@ strictly reduces their label.
 :func:`build_bfs_forest` is a sequential reference used by validators and by
 orchestrated algorithms that charge the (well-known) cost of a synchronous
 BFS analytically: ``depth`` rounds and at most one message per link per
-direction.  It writes the slot columns a
+direction.  It writes the columns a
 :class:`~repro.core.partition.forest.SpanningForest` is made of, so a
-consumer builds the tree as ``SpanningForest(csr.nodes, parent)`` without a
+consumer builds the tree as ``SpanningForest(parent)`` without a
 node-keyed map in between.  The per-node protocol it stands for is kept as a
 test oracle (``tests/oracles.py``), checked against this function.
 """
@@ -22,16 +22,14 @@ test oracle (``tests/oracles.py``), checked against this function.
 from __future__ import annotations
 
 from array import array
-from typing import Hashable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.topology.graph import WeightedGraph
-
-NodeId = Hashable
 
 
 def build_bfs_forest(
     graph: WeightedGraph,
-    roots: List[NodeId],
+    roots: List[int],
     depth_limit: Optional[int] = None,
 ) -> Tuple[array, array, array]:
     """Grow BFS trees from ``roots`` simultaneously (sequential reference).
@@ -51,8 +49,8 @@ def build_bfs_forest(
 
     Returns:
         ``(parent, root, label)``, three ``array('q')`` columns over the
-        graph's CSR slots: the parent's slot (``-1`` at a root), the root's
-        slot, and the hop distance to it.  An unlabelled node reads ``-1``
+        graph's nodes: the parent (``-1`` at a root), the root, and the hop
+        distance to it.  An unlabelled node reads ``-1``
         in all three.  The tree depth is ``max(label)``.
 
     Raises:
@@ -72,11 +70,10 @@ def build_bfs_forest(
     seen = bytearray(csr.n)
     frontier: List[int] = []
     for root in sorted(roots, key=repr):
-        slot = csr.slot(root)
-        seen[slot] = 1
-        root_of[slot] = slot
-        labels[slot] = 0
-        frontier.append(slot)
+        seen[root] = 1
+        root_of[root] = root
+        labels[root] = 0
+        frontier.append(root)
     label = 0
     while frontier and (depth_limit is None or label < depth_limit):
         label += 1

@@ -23,9 +23,7 @@ import functools
 from array import array
 from collections import Counter
 from itertools import filterfalse, repeat
-from typing import (
-    TYPE_CHECKING, Any, Callable, Hashable, Iterable, List, Mapping, Sequence,
-)
+from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Mapping, Sequence
 
 from repro.sim.events import ChannelEvent, Message
 from repro.sim.flyweight import FlyweightEnvironment, FlyweightProtocol
@@ -33,7 +31,6 @@ from repro.sim.flyweight import FlyweightEnvironment, FlyweightProtocol
 if TYPE_CHECKING:
     from repro.core.partition.forest import SpanningForest
 
-NodeId = Hashable
 Combine = Callable[[Any, Any], Any]
 
 
@@ -41,11 +38,10 @@ class TreeAggregationFlyweight(FlyweightProtocol):
     """Broadcast-and-respond over an already-established forest — columnar state.
 
     Build the simulator's protocol factory with :meth:`over`: the forest
-    gives each node its parent (the forest's parent column, which must be
-    over the simulated graph's slot enumeration) and ``values`` its local
-    operand.  A node's children are the targets in its CSR row whose parent
-    it is, taken in row order — on BFS trees the order in which the BFS
-    adopted them.
+    gives each node its parent (the forest's parent column, over the
+    simulated graph's nodes) and ``values`` its local operand.  A node's
+    children are the targets in its CSR row whose parent it is, taken in row
+    order — on BFS trees the order in which the BFS adopted them.
 
     Output (``results``): the tree aggregate for roots (and for every node
     when ``redistribute`` is set); ``None`` otherwise.
@@ -69,15 +65,15 @@ class TreeAggregationFlyweight(FlyweightProtocol):
     def over(
         cls,
         forest: "SpanningForest",
-        values: Mapping[NodeId, Any],
+        values: Mapping[int, Any],
         combine: Combine,
         redistribute: bool = False,
     ) -> Callable[[FlyweightEnvironment], "TreeAggregationFlyweight"]:
         """Return the protocol factory aggregating ``values`` over ``forest``.
 
         Args:
-            forest: the trees to aggregate on, enumerated in the simulated
-                graph's slot order.
+            forest: the trees to aggregate on, over the simulated graph's
+                nodes.
             values: each node's local operand.
             combine: the semigroup operation (a two-argument callable).
             redistribute: when set, each root broadcasts the aggregate back
@@ -92,26 +88,25 @@ class TreeAggregationFlyweight(FlyweightProtocol):
         self,
         env: FlyweightEnvironment,
         forest: "SpanningForest",
-        values: Mapping[NodeId, Any],
+        values: Mapping[int, Any],
         combine: Combine,
         redistribute: bool = False,
     ) -> None:
         """Load the forest into slot-indexed columns.
 
         Raises:
-            ValueError: if the forest does not enumerate the graph's nodes
-                in slot order.
+            ValueError: if the forest does not span the graph's nodes.
         """
         super().__init__(env)
-        nodes = env.nodes
-        if not _same_enumeration(forest.nodes, nodes):
+        nodes = range(env.num_slots)
+        if forest.num_nodes() != env.num_slots:
             raise ValueError(
-                "the forest must enumerate the simulated graph's nodes in slot order"
+                f"the forest spans {forest.num_nodes()} nodes, "
+                f"the simulated graph {env.num_slots}"
             )
         parent = forest.parent
         children = Counter(parent)
-        pending = array("l", map(children.get, range(env.num_slots), repeat(0)))
-        self._nodes = nodes
+        pending = array("l", map(children.get, nodes, repeat(0)))
         self._parent = parent
         self._children = array("l", pending)
         self._pending = pending
@@ -124,12 +119,11 @@ class TreeAggregationFlyweight(FlyweightProtocol):
         """Send ``final`` to this slot's children (it has some), in CSR row order."""
         left = self._children[slot]
         csr = self.env.csr
-        nodes = self._nodes
         parent = self._parent
         send = self._sends.append
         for target in csr.targets[csr.offsets[slot]:csr.offsets[slot + 1]]:
             if parent[target] == slot:
-                send((slot, nodes[target], final))
+                send((slot, target, final))
                 left -= 1
                 if not left:
                     return
@@ -160,7 +154,6 @@ class TreeAggregationFlyweight(FlyweightProtocol):
         combine = self._combine
         reported = self._reported
         parent = self._parent
-        nodes = self._nodes
         send = self._sends.append
         halt_on_report = not self._redistribute
         # halt_slot inlined: ``halts`` settles active_count at the end
@@ -191,14 +184,10 @@ class TreeAggregationFlyweight(FlyweightProtocol):
                         self._send_down(slot, ("final", acc[slot]))
                     self.halt_slot(slot, acc[slot])
                     continue
-                send((slot, nodes[up], ("aggregate", acc[slot])))
+                send((slot, up, ("aggregate", acc[slot])))
                 if halt_on_report:
                     # a reporting non-root halts with None
                     halted[slot] = 1
                     halts += 1
         self.active_count -= halts
 
-
-def _same_enumeration(left, right) -> bool:
-    """True when two node enumerations list the same nodes in the same order."""
-    return left is right or left == right or list(left) == list(right)

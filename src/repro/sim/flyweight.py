@@ -7,8 +7,8 @@ at n = 10⁵: building 10⁵ objects to exchange 3 × 10⁵ messages.  A flyweig
 inverts the layout:
 
 * **one** instance per run holds all per-node state in columnar slots —
-  ``bytearray``/``array``/list columns indexed by a dense slot id assigned
-  in node order — instead of n objects holding one attribute each;
+  ``bytearray``/``array``/list columns indexed by slot (slot ``i`` is node
+  ``i``) — instead of n objects holding one attribute each;
 * the simulator makes **one** call per round: ``on_start(slots)`` on the
   start pulse, ``on_round(slots, inboxes, event)`` afterwards, with the
   slots to dispatch in slot order; helpers (:meth:`FlyweightProtocol.send`,
@@ -40,15 +40,11 @@ fingerprints.
 
 from __future__ import annotations
 
-from typing import (
-    Any, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
-)
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.sim.events import ChannelEvent, Message
 from repro.sim.substreams import NodeStreams
 from repro.topology.graph import CSRView
-
-NodeId = Hashable
 
 
 class FlyweightEnvironment:
@@ -57,31 +53,22 @@ class FlyweightEnvironment:
     The environment wraps the graph's CSR view
     (:meth:`~repro.topology.graph.WeightedGraph.csr`) instead of copying it:
     building one is O(1), so a simulator builds a fresh environment per run
-    and nothing per node is materialised up front.  The per-slot neighbour
-    and weight rows are derived from the CSR row each time they are indexed
-    — no library protocol reads them, only the per-node test oracles do.
+    and nothing per node is materialised up front.  Slot ``i`` is node
+    ``i``; its neighbours and link weights are its CSR row.
 
     Attributes:
         csr: the graph's CSR view the environment describes.
-        nodes: node ids in slot order (``nodes[slot]`` is the id of ``slot``;
-            ``csr.slot(node)`` is the inverse); a ``range`` on
-            identity-labelled graphs, where node = slot.
-        neighbors: per-slot neighbour-id tuples, in row order.
-        link_weights: per-slot ``{neighbour: weight}`` dicts, in row order.
         n: the number of nodes when the protocol is told it, else ``None``.
         streams: the per-node random substream family
             (:class:`~repro.sim.substreams.NodeStreams`).
     """
 
-    __slots__ = ("csr", "nodes", "neighbors", "link_weights", "n", "streams")
+    __slots__ = ("csr", "n", "streams")
 
     def __init__(self, csr: CSRView, n: Optional[int],
                  streams: Optional[NodeStreams]) -> None:
-        """Wrap ``csr``; O(1) — every column is shared or derived on demand."""
+        """Wrap ``csr``; O(1) — every column is shared."""
         self.csr = csr
-        self.nodes: Sequence[NodeId] = csr.nodes
-        self.neighbors = CSRRows(csr, weighted=False)
-        self.link_weights = CSRRows(csr, weighted=True)
         self.n = n
         self.streams = streams
 
@@ -89,44 +76,6 @@ class FlyweightEnvironment:
     def num_slots(self) -> int:
         """Return the number of node slots."""
         return self.csr.n
-
-
-class CSRRows:
-    """A read-only per-slot column derived from a graph's CSR rows.
-
-    ``rows[slot]`` is the neighbour-id tuple of ``slot`` (or, when
-    ``weighted``, its ``{neighbour: weight}`` dict), in row order — the
-    order :meth:`~repro.topology.graph.WeightedGraph.iter_neighbors` yields.
-    Each index builds the row afresh, so nothing is cached per node.
-    """
-
-    __slots__ = ("_csr", "_weighted")
-
-    def __init__(self, csr: CSRView, weighted: bool) -> None:
-        """Bind the CSR view; ``weighted`` picks dict rows over tuple rows."""
-        self._csr = csr
-        self._weighted = weighted
-
-    def __len__(self) -> int:
-        """Return the number of slots."""
-        return self._csr.n
-
-    def __getitem__(self, slot: int) -> Union[Tuple[NodeId, ...], Dict[NodeId, float]]:
-        """Return the row of ``slot`` (negative indices count from the end)."""
-        csr = self._csr
-        slot = range(csr.n)[slot]
-        offsets = csr.offsets
-        lo = offsets[slot]
-        hi = offsets[slot + 1]
-        targets = csr.targets[lo:hi]
-        if csr.identity:
-            labels: Sequence[NodeId] = targets
-        else:
-            nodes = csr.nodes
-            labels = [nodes[target] for target in targets]
-        if self._weighted:
-            return dict(zip(labels, csr.weights[lo:hi]))
-        return tuple(labels)
 
 
 class FlyweightProtocol:
@@ -162,19 +111,19 @@ class FlyweightProtocol:
         #: number of slots that have not halted yet.
         self.active_count = num_slots
         # the round's actions, in slot order; the simulator hands them on and
-        # clears them once per round: (sender slot, receiver, payload) sends
-        # and (node, payload) channel writes
-        self._sends: List[Tuple[int, NodeId, Any]] = []
-        self._writes: List[Tuple[NodeId, Any]] = []
+        # clears them once per round: (sender, receiver, payload) sends and
+        # (node, payload) channel writes
+        self._sends: List[Tuple[int, int, Any]] = []
+        self._writes: List[Tuple[int, Any]] = []
 
     # ------------------------------------------------------------------
     # API for subclasses
     # ------------------------------------------------------------------
-    def send(self, slot: int, neighbor: NodeId, payload: Any) -> None:
+    def send(self, slot: int, neighbor: int, payload: Any) -> None:
         """Queue ``payload`` from ``slot``'s node to its neighbour ``neighbor``."""
         self._sends.append((slot, neighbor, payload))
 
-    def channel_write(self, node: NodeId, payload: Any) -> None:
+    def channel_write(self, node: int, payload: Any) -> None:
         """Attempt to broadcast ``payload`` as ``node`` in the current slot."""
         self._writes.append((node, payload))
 
@@ -210,7 +159,7 @@ class FlyweightProtocol:
     # ------------------------------------------------------------------
     # simulator-facing plumbing
     # ------------------------------------------------------------------
-    def results_by_node(self) -> Dict[NodeId, Any]:
-        """Return the per-node results keyed by node id (slot order)."""
-        return dict(zip(self.env.nodes, self.results))
+    def results_by_node(self) -> Dict[int, Any]:
+        """Return the per-node results keyed by node."""
+        return dict(enumerate(self.results))
 

@@ -47,7 +47,7 @@ only for receivers with mail.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.sim.adversity import AdversityState
 from repro.sim.channel import SlottedChannel
@@ -59,7 +59,6 @@ from repro.sim.network import PointToPointNetwork
 from repro.sim.substreams import NodeStreams
 from repro.topology.graph import WeightedGraph
 
-NodeId = Hashable
 ProtocolFactory = Callable[[FlyweightEnvironment], FlyweightProtocol]
 
 DEFAULT_MAX_ROUNDS = 1_000_000
@@ -82,7 +81,7 @@ class SimulationResult:
 
     rounds: int
     metrics: MetricsSnapshot
-    results: Dict[NodeId, Any]
+    results: Dict[int, Any]
     channel_history: Tuple[ChannelEvent, ...]
 
 
@@ -297,10 +296,10 @@ def dispatch_round(
     crashed = adversity.crashed_nodes(round_index)
     starting: List[int] = []
     batch: List[int] = []
-    for slot, node in enumerate(protocol.env.nodes):
+    for slot in range(protocol.env.num_slots):
         if halted[slot]:
             continue
-        if node in crashed:
+        if slot in crashed:
             adversity.count_crash_round()
             continue
         if not started[slot]:

@@ -33,9 +33,8 @@ from repro.sim.events import Message
 from repro.sim.metrics import MetricsRecorder
 from repro.topology.graph import CSRView, WeightedGraph
 
-NodeId = Hashable
-#: one queued send: (sender slot, receiver node, payload)
-Send = Tuple[int, NodeId, Any]
+#: one queued send: (sender, receiver, payload)
+Send = Tuple[int, int, Any]
 
 _new_tuple = tuple.__new__
 _receiver = itemgetter(1)
@@ -51,37 +50,28 @@ def file_round(csr: CSRView, sends: Sequence[Send], round_index: int,
 
     Each send is checked against its own sender's CSR row (re-read whenever
     the sender changes, so interleaved senders are each checked against
-    their own row), stamped as a :class:`~repro.sim.events.Message` with the
-    sender's node id and ``round_index``, and appended to ``bins[key]`` for
-    its key from ``keys`` (a bin is created on first use, so ``bins`` keeps
-    first-use order).
+    their own row), stamped as a :class:`~repro.sim.events.Message` with
+    ``round_index``, and appended to ``bins[key]`` for its key from ``keys``
+    (a bin is created on first use, so ``bins`` keeps first-use order).
 
     Returns:
         The number of sends filed: all of them, unless one goes to a node
         that is not its sender's neighbour.  Filing stops before that send;
-        the caller charges what was filed and raises :func:`stray_error`.
+        the caller charges what was filed and raises a ``ProtocolError``.
     """
     offsets = csr.offsets
     targets = csr.targets
     find = targets.index
-    nodes = None if csr.identity else csr.nodes
     get_bin = bins.get
-    current = sender = links = None
+    current = links = None
     unfiled = iter(sends)
-    for (slot, receiver, payload), key in zip(unfiled, keys):
-        if slot != current:
-            current = slot
-            lo = offsets[slot]
-            hi = offsets[slot + 1]
-            if nodes is None:
-                # short identity rows are searched in place, without a copy
-                sender = slot
-                links = set(targets[lo:hi]) if hi - lo > _HUB_DEGREE else None
-            else:
-                sender = nodes[slot]
-                links = [nodes[target] for target in targets[lo:hi]]
-                if hi - lo > _HUB_DEGREE:
-                    links = set(links)
+    for (sender, receiver, payload), key in zip(unfiled, keys):
+        if sender != current:
+            current = sender
+            lo = offsets[sender]
+            hi = offsets[sender + 1]
+            # short rows are searched in place, without a copy
+            links = set(targets[lo:hi]) if hi - lo > _HUB_DEGREE else None
         if links is None:
             try:
                 find(receiver, lo, hi)
@@ -96,26 +86,6 @@ def file_round(csr: CSRView, sends: Sequence[Send], round_index: int,
         else:
             filed.append(message)
     return len(sends)
-
-
-def stray_error(csr: CSRView, send: Send) -> ProtocolError:
-    """Return the error for ``send``, whose receiver is not its sender's neighbour."""
-    slot, receiver, _ = send
-    sender = slot if csr.identity else csr.nodes[slot]
-    return ProtocolError(
-        f"node {sender!r} attempted to send over a non-existent link to {receiver!r}"
-    )
-
-
-def receiver_slots(csr: CSRView, items: Iterable[Any]) -> Iterable[Optional[int]]:
-    """Return the receiver slot of each send or message, lazily and in order.
-
-    A receiver that is no node of the graph maps to ``None``.
-    """
-    receivers = map(_receiver, items)
-    if csr.identity:
-        return receivers
-    return map(csr.index_of.get, receivers)
 
 
 class PointToPointNetwork:
@@ -198,15 +168,17 @@ class PointToPointNetwork:
                 it and the rest are dropped.
         """
         csr = self._csr
-        filed = file_round(csr, sends, round_index, receiver_slots(csr, sends),
-                           self._inboxes)
+        filed = file_round(csr, sends, round_index, map(_receiver, sends), self._inboxes)
         if filed:
             self.metrics.record_messages(filed)
             self._in_flight += filed
             if round_index > self._latest_round_sent:
                 self._latest_round_sent = round_index
         if filed < len(sends):
-            raise stray_error(csr, sends[filed])
+            sender, receiver, _ = sends[filed]
+            raise ProtocolError(
+                f"node {sender} attempted to send over a non-existent link to {receiver!r}"
+            )
 
     def deliver(self, round_index: int) -> Dict[int, List[Message]]:
         """Return and clear the inboxes for the start of ``round_index``.

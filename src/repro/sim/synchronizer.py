@@ -30,19 +30,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.sim.adversity import AdversityState
 from repro.sim.channel import SlottedChannel
-from repro.sim.errors import AdversityAbort, SimulationTimeout
+from repro.sim.errors import AdversityAbort, ProtocolError, SimulationTimeout
 from repro.sim.events import Message, idle_event
 from repro.sim.flyweight import FlyweightEnvironment, FlyweightProtocol
 from repro.sim.multimedia import ProtocolFactory, dispatch_round
-from repro.sim.network import file_round, receiver_slots, stray_error
+from repro.sim.network import file_round
 from repro.sim.substreams import NodeStreams
 from repro.topology.graph import WeightedGraph
-
-NodeId = Hashable
 
 #: Substream scope for per-node random sources under the synchronizer (kept
 #: distinct from the synchronous sim's scope so a shared master seed never
@@ -68,7 +66,7 @@ class SynchronizerReport:
     algorithm_messages: int
     ack_messages: int
     busy_tone_slots: int
-    results: Dict[NodeId, Any]
+    results: Dict[int, Any]
 
     @property
     def total_messages(self) -> int:
@@ -193,7 +191,6 @@ class ChannelSynchronizer:
             NodeStreams(self._seed, STREAM_SCOPE),
         )
         protocol: FlyweightProtocol = protocol_factory(env)
-        labels = env.nodes
         started = None if adv is None else bytearray(env.num_slots)
         sends = protocol._sends
         channel_writes = protocol._writes
@@ -230,7 +227,10 @@ class ChannelSynchronizer:
                 due.append(at + 1 + r)
             filed = file_round(csr, sends, pulse, due, mail_due)
             if filed < len(sends):
-                raise stray_error(csr, sends[filed])
+                sender, receiver, _ = sends[filed]
+                raise ProtocolError(
+                    f"node {sender} attempted to send over a non-existent link to {receiver!r}"
+                )
             del sends[:]
             return filed
 
@@ -251,13 +251,14 @@ class ChannelSynchronizer:
                 now = min([*mail_due, *acks_due])
                 delivered = mail_due.pop(now, None)
                 if delivered is not None:
-                    for receiver, message in zip(receiver_slots(csr, delivered), delivered):
+                    for message in delivered:
                         if adv is not None and adv.drop_message(
                             loss_rng, message.sender, message.receiver, pulses
                         ):
                             # lost in transit: never delivered, never
                             # acknowledged
                             continue
+                        receiver = message.receiver
                         inbox = pending_inbox.get(receiver)
                         if inbox is None:
                             pending_inbox[receiver] = [message]
@@ -294,7 +295,7 @@ class ChannelSynchronizer:
                 # a crashed node's inbox buffers until it recovers
                 crashed = adv.crashed_nodes(pulses)
                 for slot, inbox in mail.items():
-                    if labels[slot] in crashed:
+                    if slot in crashed:
                         pending_inbox[slot] = inbox
             dispatch_round(protocol, mail, event.public_view(), pulses, adv, started)
             if sends:

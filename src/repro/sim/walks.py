@@ -107,8 +107,7 @@ def mean_first_passage_time(
     running them in any other process.
 
     Args:
-        graph: the (connected) graph to walk; node labels must be the
-            identity enumeration ``0..n-1`` (all e12 generators' are).
+        graph: the (connected) graph to walk.
         target: absorbing slot; ``None`` means :func:`hub_node`.
         walkers: batch size (more walkers, tighter estimate).
         seed: master seed of the walker substream family — any repr-stable

@@ -30,27 +30,13 @@ import math
 import random
 from array import array
 from bisect import bisect_right
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.topology.graph import WeightedGraph
 
 
 def _rng(seed: Optional[int]) -> random.Random:
     return random.Random(seed)
-
-
-def _from_pairs(n: int, pairs: Iterable[Tuple[int, int]]) -> WeightedGraph:
-    """Build the unit-weight graph on slots ``0..n-1`` from ``(u, v)`` pairs.
-
-    Rows list each node's edges in ``pairs`` order; the pairs must not
-    repeat an edge.
-    """
-    edge_u = array("q")
-    edge_v = array("q")
-    for u, v in pairs:
-        edge_u.append(u)
-        edge_v.append(v)
-    return WeightedGraph._from_csr_edges(n, edge_u, edge_v)
 
 
 def path_graph(n: int) -> WeightedGraph:
@@ -85,7 +71,7 @@ def complete_graph(n: int) -> WeightedGraph:
     """Return the complete graph on ``n`` nodes (diameter 1)."""
     if n < 1:
         raise ValueError("a complete graph needs at least one node")
-    return _from_pairs(n, itertools.combinations(range(n), 2))
+    return WeightedGraph.from_edges(itertools.combinations(range(n), 2), n=n)
 
 
 def grid_graph(rows: int, cols: int) -> WeightedGraph:
@@ -130,14 +116,14 @@ def hypercube_graph(dimension: int) -> WeightedGraph:
     if dimension < 0:
         raise ValueError("dimension must be non-negative")
     n = 1 << dimension
-    return _from_pairs(
-        n,
+    return WeightedGraph.from_edges(
         (
             (node, node ^ (1 << bit))
             for node in range(n)
             for bit in range(dimension)
             if node ^ (1 << bit) > node
         ),
+        n=n,
     )
 
 
@@ -149,7 +135,7 @@ def random_tree(n: int, seed: Optional[int] = None) -> WeightedGraph:
     """
     if n < 1:
         raise ValueError("a tree needs at least one node")
-    return _from_pairs(n, _random_tree_pairs(n, seed))
+    return WeightedGraph.from_edges(_random_tree_pairs(n, seed), n=n)
 
 
 def _random_tree_pairs(n: int, seed: Optional[int]) -> List[Tuple[int, int]]:
@@ -205,7 +191,7 @@ def erdos_renyi_graph(
             continue
         if rng.random() < probability:
             pairs.append(pair)
-    return _from_pairs(n, pairs)
+    return WeightedGraph.from_edges(pairs, n=n)
 
 
 def random_geometric_graph(
@@ -532,12 +518,8 @@ def degree_preserving_rewire(
     edge_u = array("q", base_u)
     edge_v = array("q", base_v)
     m = len(edge_u)
-    nodes = None if csr.identity else tuple(csr.nodes)
-    index_of = None if csr.identity else dict(csr.index_of)
     if m < 2:
-        return WeightedGraph._from_csr_edges(
-            n, edge_u, edge_v, nodes=nodes, index_of=index_of
-        )
+        return WeightedGraph._from_csr_edges(n, edge_u, edge_v)
     rng = _rng(seed)
     attempts = 2 * m if swaps is None else swaps
     present = set()
@@ -596,9 +578,7 @@ def degree_preserving_rewire(
         if not _stream_connected(n, edge_u, edge_v):
             rollback()
         undo.clear()
-    return WeightedGraph._from_csr_edges(
-        n, edge_u, edge_v, nodes=nodes, index_of=index_of
-    )
+    return WeightedGraph._from_csr_edges(n, edge_u, edge_v)
 
 
 def ad_hoc_affectance_graph(
@@ -733,8 +713,8 @@ def ray_graph(num_rays: int, ray_length: int) -> WeightedGraph:
     # ray r's k-th vertex is 1 + r·ray_length + k, linked to its predecessor
     # (the centre for k = 0)
     n = num_rays * ray_length + 1
-    return _from_pairs(
-        n, ((node - 1 if (node - 1) % ray_length else 0, node) for node in range(1, n))
+    return WeightedGraph.from_edges(
+        ((node - 1 if (node - 1) % ray_length else 0, node) for node in range(1, n)), n=n
     )
 
 

@@ -6,79 +6,35 @@ thin wrapper over exactly one compressed-sparse-row :class:`CSRView`
 (stdlib ``array('q')`` offsets/targets plus a parallel weight column).  The
 view keeps the edge stream it was built from and fills its rows from it by
 one counting-sort pass the first time a row is read, so a graph that is
-only reweighted, relabelled or rewired (each reads the stream, never a row)
-is never filled.  Node identifiers are arbitrary hashable values (the
-generators use ``0..n-1``), edges are undirected and carry a weight, and
-row order is the edge-stream order, so iteration is deterministic.
-Determinism matters because the paper's algorithms break ties by node
-identifier and because every experiment must be reproducible from a seed.
+only reweighted or rewired (each reads the stream, never a row) is never
+filled.  A node *is* its slot: the nodes of an ``n``-node graph are the ints
+``0..n-1`` — the distinct O(log n)-bit identifiers the paper's model gives
+its processors — so no consumer translates between labels and slots.  Edges
+are undirected and carry a weight, and row order is the edge-stream order,
+so iteration is deterministic.  Determinism matters because the paper's
+algorithms break ties by node identifier and because every experiment must
+be reproducible from a seed.
 
 Graphs are built by the generators (slot edge columns through
-:meth:`WeightedGraph._from_csr_edges`) or from labelled ``(u, v[, w])``
-edges (:meth:`WeightedGraph.from_edges`).  A derived graph — a reweighting,
-a relabelling, a rewiring — edits the edge columns and builds a new graph.
-Point queries (:meth:`~WeightedGraph.neighbors`,
-:meth:`~WeightedGraph.weight`, …) read the node's CSR row; hot loops walk
-the columns directly.
+:meth:`WeightedGraph._from_csr_edges`, or ``(u, v)`` pairs through
+:meth:`WeightedGraph.from_edges`) or from caller edges
+(:meth:`WeightedGraph.from_edges`, which checks them).  A derived graph — a
+reweighting, a rewiring — edits the edge columns and builds a new graph.
+Point queries (:meth:`~WeightedGraph.weight`, …) read the node's CSR row;
+hot loops walk the columns directly.
 """
 
 from __future__ import annotations
 
-import numbers
 from array import array
 from itertools import islice
 from operator import gt, le, lt
-from typing import (
-    Dict,
-    Hashable,
-    Iterable,
-    Iterator,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-)
-
-NodeId = Hashable
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 
-def edge_key(u: NodeId, v: NodeId) -> Tuple[NodeId, NodeId]:
-    """Return the canonical (sorted) key for the undirected edge ``{u, v}``.
-
-    Endpoints are ordered by direct comparison when the values are mutually
-    comparable (the common case: integer node identifiers), which is both
-    fast and correct for distinct values.  Incomparable endpoints (mixed
-    types) fall back to ordering by ``(type name, repr)``.  The old
-    repr-only ordering was a hot spot *and* wrong for distinct nodes whose
-    reprs collide: ``edge_key(u, v)`` and ``edge_key(v, u)`` disagreed, so
-    the same physical link could appear under two keys.
-    """
-    try:
-        if u < v:  # type: ignore[operator]
-            return (u, v)
-        if v < u:  # type: ignore[operator]
-            return (v, u)
-    except TypeError:
-        pass
-    if u == v:
-        return (u, v)
-    # incomparable types, or a partial order where neither side is smaller
-    # (e.g. disjoint frozensets): order by (type name, repr) instead
-    if (type(u).__name__, repr(u)) <= (type(v).__name__, repr(v)):
-        return (u, v)
-    return (v, u)
-
-
-def is_identity_enumeration(nodes: Sequence[NodeId]) -> bool:
-    """True when ``nodes`` is exactly the int sequence ``0, 1, …, n-1``.
-
-    Every standard generator numbers its nodes this way, which lets
-    array-indexed hot loops (the partitioners) skip the node→index
-    translation outright.  The type check matters: ``2.0 == 2`` compares
-    equal to its position yet is no use as a list index.
-    """
-    return all(type(node) is int and node == i for i, node in enumerate(nodes))
+def edge_key(u: int, v: int) -> Tuple[int, int]:
+    """Return the canonical (sorted) key for the undirected edge ``{u, v}``."""
+    return (u, v) if u < v else (v, u)
 
 
 class Edge(NamedTuple):
@@ -96,27 +52,11 @@ class Edge(NamedTuple):
             helpers to enforce that.
     """
 
-    u: NodeId
-    v: NodeId
+    u: int
+    v: int
     weight: float = 1.0
 
-    def endpoints(self) -> Tuple[NodeId, NodeId]:
-        """Return both endpoints as a tuple."""
-        return (self.u, self.v)
-
-    def other(self, node: NodeId) -> NodeId:
-        """Return the endpoint different from ``node``.
-
-        Raises:
-            ValueError: if ``node`` is not an endpoint of this edge.
-        """
-        if node == self.u:
-            return self.v
-        if node == self.v:
-            return self.u
-        raise ValueError(f"{node!r} is not an endpoint of {self!r}")
-
-    def key(self) -> Tuple[NodeId, NodeId]:
+    def key(self) -> Tuple[int, int]:
         """Return the canonical undirected key of this edge."""
         return edge_key(self.u, self.v)
 
@@ -126,14 +66,8 @@ class CSRView:
 
     The columnar layout the graph is made of and the hot loops walk:
     ``offsets`` is an ``array('q')`` of length ``n + 1``, ``targets``
-    holds the ``2m`` neighbour *slot indices* row by row, and ``weights`` is
-    the parallel ``array('d')`` weight column.  Slot ``i`` is node
-    ``nodes[i]`` — the graph's node enumeration, so slot space is exactly
-    the index space the partitioners already use.  On identity-labelled
-    graphs (:func:`is_identity_enumeration`) ``nodes`` is a ``range`` and
-    ``index_of`` is ``None``: labels *are* slots and no translation dict is
-    ever built; arbitrary hashable labels get a ``tuple`` plus a label→slot
-    dict.
+    holds the ``2m`` neighbour slots row by row, and ``weights`` is the
+    parallel ``array('d')`` weight column.  Slot ``i`` is node ``i``.
 
     The view holds the edge stream it was built from (slot columns
     ``edge_u``/``edge_v`` and a weight column, ``None`` for unit weights)
@@ -154,9 +88,6 @@ class CSRView:
         "offsets",
         "targets",
         "weights",
-        "nodes",
-        "index_of",
-        "identity",
         "_edge_u",
         "_edge_v",
         "_edge_w",
@@ -170,18 +101,12 @@ class CSRView:
         edge_u: array,
         edge_v: array,
         edge_w: Optional[array],
-        nodes: Sequence[NodeId],
-        index_of: Optional[Dict[NodeId, int]],
-        identity: bool,
     ) -> None:
         """Bind the edge stream; built by the graph, not by callers."""
         self.n = n
         self._edge_u = edge_u
         self._edge_v = edge_v
         self._edge_w = edge_w
-        self.nodes = nodes
-        self.index_of = index_of
-        self.identity = identity
         self._canonical: Optional[Tuple[array, array, array]] = None
         self._connected: Optional[bool] = None
 
@@ -257,31 +182,15 @@ class CSRView:
         """Return ``m``, the number of undirected edges."""
         return len(self._edge_u)
 
-    def slot(self, node: NodeId) -> int:
-        """Return the slot index of ``node``.
+    def slot(self, node: object) -> int:
+        """Return ``node``'s slot, which is ``node`` itself.
 
         Raises:
-            KeyError: if ``node`` is not a node of the graph.
-            TypeError: if ``node`` is unhashable.
+            KeyError: if ``node`` is not a node of the graph — anything but
+                an int in ``0..n-1``.
         """
-        index_of = self.index_of
-        if index_of is not None:
-            return index_of[node]
-        # identity enumeration: the node set is exactly the ints 0..n-1.
-        # Keep dict-lookup ==/hash semantics without delegating to
-        # range.__contains__, whose equality fallback is an O(n) scan for
-        # anything but exact ints
-        hash(node)
-        if isinstance(node, int):  # bools and int subclasses included
-            if 0 <= node < self.n:
-                return int(node)
-        elif isinstance(node, float):
-            if node.is_integer() and 0 <= node < self.n:
-                return int(node)
-        elif isinstance(node, numbers.Number) and node in self.nodes:
-            # exotic numeric aliases (Decimal, Fraction, complex, …): rare
-            # enough that range's linear scan is acceptable
-            return self.nodes.index(node)
+        if type(node) is int and 0 <= node < self.n:
+            return node
         raise KeyError(node)
 
     def is_connected(self) -> bool:
@@ -401,7 +310,7 @@ class CSRView:
         # positions
         targets = self.targets
         row_weights = self.weights
-        reprs = [repr(node) for node in self.nodes]
+        reprs = list(map(repr, range(self.n)))
         first_seen: Dict[Tuple[int, int], int] = {}
         for i in range(self.n):
             start = offsets[i]
@@ -440,7 +349,7 @@ class WeightedGraph:
 
     def __init__(self) -> None:
         """Create the empty graph (:meth:`from_edges` builds a populated one)."""
-        self._bind(CSRView(0, array("q"), array("q"), None, range(0), None, True))
+        self._bind(CSRView(0, array("q"), array("q"), None))
 
     def _bind(self, csr: CSRView) -> None:
         self._csr = csr
@@ -456,17 +365,14 @@ class WeightedGraph:
         edge_u: Sequence[int],
         edge_v: Sequence[int],
         edge_weights: Optional[Sequence[float]] = None,
-        nodes: Optional[Sequence[NodeId]] = None,
-        index_of: Optional[Dict[NodeId, int]] = None,
     ) -> "WeightedGraph":
-        """Build a graph from an edge stream given as slot columns.
+        """Build the graph on nodes ``0..n-1`` from an edge stream of slot columns.
 
-        ``edge_u``/``edge_v`` give one entry per undirected edge as slot
-        indices; ``edge_weights`` is the parallel weight column (``None`` ⇒
-        unit weights).  ``nodes`` maps slots to labels (``None`` ⇒ the
-        identity enumeration ``0..n-1``).  The stream must not contain a
-        self loop or repeat an edge; the generators guarantee that, and
-        :meth:`from_edges` checks it for caller input.
+        ``edge_u``/``edge_v`` give one entry per undirected edge;
+        ``edge_weights`` is the parallel weight column (``None`` ⇒ unit
+        weights).  The stream must not contain a self loop or repeat an
+        edge; the generators guarantee that, and :meth:`from_edges` checks
+        it for caller input.
 
         The graph keeps the stream: its rows are filled from it on first
         read (:meth:`CSRView._fill`), in stream order.
@@ -476,59 +382,51 @@ class WeightedGraph:
         edge_u = _column("q", edge_u)
         edge_v = _column("q", edge_v)
         edge_w = None if edge_weights is None else _column("d", edge_weights)
-        if nodes is None:
-            view = CSRView(n, edge_u, edge_v, edge_w, range(n), None, True)
-        else:
-            if index_of is None:
-                index_of = {node: i for i, node in enumerate(nodes)}
-            view = CSRView(n, edge_u, edge_v, edge_w, nodes, index_of, False)
         graph = cls.__new__(cls)
-        graph._bind(view)
+        graph._bind(CSRView(n, edge_u, edge_v, edge_w))
         return graph
 
     @classmethod
     def from_edges(
         cls,
         edges: Iterable[Sequence],
-        nodes: Iterable[NodeId] = (),
+        n: Optional[int] = None,
     ) -> "WeightedGraph":
-        """Build a graph from labelled ``(u, v)`` or ``(u, v, weight)`` edges.
+        """Build the graph on nodes ``0..n-1`` from ``(u, v)`` or ``(u, v, weight)`` edges.
 
-        Node order is ``nodes`` first, then every other endpoint in order of
-        first appearance in ``edges``; each row lists its edges in stream
-        order.  An edge without a weight has weight ``1.0``.  Labels that are
-        exactly ``0..n-1`` in order make an identity-labelled graph, the
-        form the generators produce.
+        ``n`` defaults to one more than the largest endpoint; a larger ``n``
+        adds isolated nodes.  Each row lists its edges in stream order, and
+        an edge without a weight has weight ``1.0``.
 
         Raises:
-            ValueError: on a self loop or an edge given twice (in either
-                orientation).
+            ValueError: on an endpoint that is not an int in ``0..n-1``, a
+                self loop, or an edge given twice (in either orientation).
         """
-        index_of: Dict[NodeId, int] = {}
-        for node in nodes:
-            index_of.setdefault(node, len(index_of))
         edge_u = array("q")
         edge_v = array("q")
         edge_w = array("d")
         seen = set()
+        top = -1
         for u, v, *weight in edges:
+            for node in (u, v):
+                if type(node) is not int or node < 0:
+                    raise ValueError(f"node {node!r} is not a non-negative int")
             if u == v:
-                raise ValueError(f"self loops are not allowed (node {u!r})")
-            su = index_of.setdefault(u, len(index_of))
-            sv = index_of.setdefault(v, len(index_of))
-            pair = (su, sv) if su < sv else (sv, su)
+                raise ValueError(f"self loops are not allowed (node {u})")
+            pair = edge_key(u, v)
             if pair in seen:
-                raise ValueError(f"edge ({u!r}, {v!r}) is given twice")
+                raise ValueError(f"edge ({u}, {v}) is given twice")
             seen.add(pair)
-            edge_u.append(su)
-            edge_v.append(sv)
+            if pair[1] > top:
+                top = pair[1]
+            edge_u.append(u)
+            edge_v.append(v)
             edge_w.append(weight[0] if weight else 1.0)
-        labels = list(index_of)
-        if is_identity_enumeration(labels):
-            return cls._from_csr_edges(len(labels), edge_u, edge_v, edge_w)
-        return cls._from_csr_edges(
-            len(labels), edge_u, edge_v, edge_w, nodes=tuple(labels), index_of=index_of
-        )
+        if n is None:
+            n = top + 1
+        elif top >= n:
+            raise ValueError(f"node {top} is out of range for n = {n}")
+        return cls._from_csr_edges(n, edge_u, edge_v, edge_w)
 
     # ------------------------------------------------------------------
     # queries
@@ -537,38 +435,35 @@ class WeightedGraph:
         """Return the graph's CSR columns (shared, never modified)."""
         return self._csr
 
-    def has_node(self, node: NodeId) -> bool:
-        """Return ``True`` when ``node`` is in the graph."""
+    def has_node(self, node: object) -> bool:
+        """Return ``True`` when ``node`` is in the graph (an int in ``0..n-1``)."""
         try:
             self._csr.slot(node)
         except KeyError:
             return False
         return True
 
-    def _edge_position(self, u: NodeId, v: NodeId) -> int:
+    def _edge_position(self, u: int, v: int) -> int:
         """Return the position of ``v`` in ``u``'s row (or the reverse), else -1.
 
         Scans the shorter of the two endpoint rows.
         """
         csr = self._csr
-        try:
-            su = csr.slot(u)
-            sv = csr.slot(v)
-        except KeyError:
+        if not (self.has_node(u) and self.has_node(v)):
             return -1
         offsets = csr.offsets
-        if offsets[su + 1] - offsets[su] > offsets[sv + 1] - offsets[sv]:
-            su, sv = sv, su
+        if offsets[u + 1] - offsets[u] > offsets[v + 1] - offsets[v]:
+            u, v = v, u
         try:
-            return csr.targets.index(sv, offsets[su], offsets[su + 1])
+            return csr.targets.index(v, offsets[u], offsets[u + 1])
         except ValueError:
             return -1
 
-    def has_edge(self, u: NodeId, v: NodeId) -> bool:
+    def has_edge(self, u: int, v: int) -> bool:
         """Return ``True`` when the undirected edge ``{u, v}`` exists."""
         return self._edge_position(u, v) >= 0
 
-    def weight(self, u: NodeId, v: NodeId) -> float:
+    def weight(self, u: int, v: int) -> float:
         """Return the weight of the edge ``{u, v}``.
 
         Raises:
@@ -579,58 +474,20 @@ class WeightedGraph:
             raise KeyError(f"no edge between {u!r} and {v!r}")
         return self._csr.weights[position]
 
-    def iter_neighbors(self, node: NodeId) -> Iterator[NodeId]:
-        """Iterate over the neighbours of ``node`` in row order.
-
-        Raises:
-            KeyError: if ``node`` is not in the graph.
-        """
-        csr = self._csr
-        slot = csr.slot(node)
-        row = csr.targets[csr.offsets[slot]:csr.offsets[slot + 1]]
-        if csr.identity:
-            return iter(row)
-        return map(csr.nodes.__getitem__, row)
-
-    def neighbors(self, node: NodeId) -> List[NodeId]:
-        """Return the neighbours of ``node`` in row order.
-
-        Raises:
-            KeyError: if ``node`` is not in the graph.
-        """
-        return list(self.iter_neighbors(node))
-
-    def degree(self, node: NodeId) -> int:
-        """Return the degree of ``node``.
-
-        Raises:
-            KeyError: if ``node`` is not in the graph.
-        """
-        csr = self._csr
-        slot = csr.slot(node)
-        return csr.offsets[slot + 1] - csr.offsets[slot]
-
-    def nodes(self) -> List[NodeId]:
-        """Return all nodes in slot order."""
-        return list(self._csr.nodes)
+    def nodes(self) -> List[int]:
+        """Return all nodes, ``0..n-1``."""
+        return list(range(self._csr.n))
 
     def edges(self) -> List[Edge]:
         """Return every undirected edge exactly once.
 
         Edges are listed in :meth:`CSRView.canonical_edges` order: by the
-        first endpoint's slot, then by row order.  The list is built once and
+        first endpoint, then by row order.  The list is built once and
         copied per call, so callers may mutate it.
         """
         if self._edges is None:
-            csr = self._csr
-            edge_u, edge_v, edge_w = csr.canonical_edges()
-            if csr.identity:
-                self._edges = [Edge(u, v, w) for u, v, w in zip(edge_u, edge_v, edge_w)]
-            else:
-                labels = csr.nodes
-                self._edges = [
-                    Edge(labels[u], labels[v], w) for u, v, w in zip(edge_u, edge_v, edge_w)
-                ]
+            edge_u, edge_v, edge_w = self._csr.canonical_edges()
+            self._edges = list(map(Edge, edge_u, edge_v, edge_w))
         return list(self._edges)
 
     def num_nodes(self) -> int:
@@ -641,7 +498,7 @@ class WeightedGraph:
         """Return ``m``, the number of undirected edges."""
         return self._csr.num_edges
 
-    def __contains__(self, node: NodeId) -> bool:
+    def __contains__(self, node: object) -> bool:
         """Return ``True`` when ``node`` is a node of the graph."""
         return self.has_node(node)
 
@@ -649,40 +506,10 @@ class WeightedGraph:
         """Return the number of nodes."""
         return self._csr.n
 
-    def __iter__(self) -> Iterator[NodeId]:
-        """Iterate over the nodes in slot order."""
-        return iter(self._csr.nodes)
+    def __iter__(self) -> Iterator[int]:
+        """Iterate over the nodes ``0..n-1``."""
+        return iter(range(self._csr.n))
 
     def __repr__(self) -> str:
         """Return a compact ``n``/``m`` summary for debugging."""
         return f"WeightedGraph(n={self.num_nodes()}, m={self.num_edges()})"
-
-    # ------------------------------------------------------------------
-    # derived graphs
-    # ------------------------------------------------------------------
-    def relabeled(self, mapping: Optional[Dict[NodeId, NodeId]] = None) -> "WeightedGraph":
-        """Return a copy with node identifiers replaced via ``mapping``.
-
-        When ``mapping`` is ``None`` the nodes are renamed ``0..n-1`` in
-        slot order, which is what the simulator expects.  The copy is built
-        from the canonical edge stream, so node ``i``'s row lists first the
-        edges to lower slots (by slot), then those to higher slots (in row
-        order).
-
-        Raises:
-            KeyError: if ``mapping`` misses a node.
-            ValueError: if ``mapping`` sends two nodes to the same label.
-        """
-        csr = self._csr
-        edge_u, edge_v, edge_w = csr.canonical_edges()
-        if mapping is None:
-            return self._from_csr_edges(csr.n, edge_u, edge_v, edge_w)
-        labels = [mapping[node] for node in csr.nodes]
-        if is_identity_enumeration(labels):
-            return self._from_csr_edges(csr.n, edge_u, edge_v, edge_w)
-        index_of = {label: i for i, label in enumerate(labels)}
-        if len(index_of) != csr.n:
-            raise ValueError("relabeling mapping is not injective")
-        return self._from_csr_edges(
-            csr.n, edge_u, edge_v, edge_w, nodes=tuple(labels), index_of=index_of
-        )

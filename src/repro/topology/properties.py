@@ -8,22 +8,12 @@ diameter of the point-to-point network.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Tuple
+from typing import Dict, List, Tuple
 
-from repro.topology.graph import CSRView, WeightedGraph
-
-NodeId = Hashable
+from repro.topology.graph import WeightedGraph
 
 
-def _source_slot(csr: CSRView, source: NodeId) -> int:
-    """Return ``source``'s slot, with the error message the BFS helpers raise."""
-    try:
-        return csr.slot(source)
-    except KeyError:
-        raise KeyError(f"{source!r} is not a node of the graph") from None
-
-
-def breadth_first_levels(graph: WeightedGraph, source: NodeId) -> Dict[NodeId, int]:
+def breadth_first_levels(graph: WeightedGraph, source: int) -> Dict[int, int]:
     """Return a mapping ``node -> hop distance from source``.
 
     Nodes unreachable from ``source`` do not appear in the result.
@@ -31,18 +21,18 @@ def breadth_first_levels(graph: WeightedGraph, source: NodeId) -> Dict[NodeId, i
     Raises:
         KeyError: if ``source`` is not a node of ``graph``.
     """
+    if not graph.has_node(source):
+        raise KeyError(f"{source!r} is not a node of the graph")
     csr = graph.csr()
-    start = _source_slot(csr, source)
     offsets = csr.offsets
     targets = csr.targets
-    nodes = csr.nodes
     # frontier-at-a-time sweep over the CSR rows: same visit order as the
     # node-at-a-time deque (FIFO within each level, neighbours in row
     # order), with byte-flag visit marks instead of per-neighbour hashing
     seen = bytearray(csr.n)
-    seen[start] = 1
-    levels: Dict[NodeId, int] = {source: 0}
-    frontier = [start]
+    seen[source] = 1
+    levels: Dict[int, int] = {source: 0}
+    frontier = [source]
     depth = 0
     while frontier:
         depth += 1
@@ -51,16 +41,16 @@ def breadth_first_levels(graph: WeightedGraph, source: NodeId) -> Dict[NodeId, i
             for target in targets[offsets[slot]:offsets[slot + 1]]:
                 if not seen[target]:
                     seen[target] = 1
-                    levels[nodes[target]] = depth
+                    levels[target] = depth
                     next_frontier.append(target)
         frontier = next_frontier
     return levels
 
 
-def connected_components(graph: WeightedGraph) -> List[List[NodeId]]:
+def connected_components(graph: WeightedGraph) -> List[List[int]]:
     """Return the connected components of ``graph`` as lists of nodes."""
     seen = set()
-    components: List[List[NodeId]] = []
+    components: List[List[int]] = []
     for start in graph.nodes():
         if start in seen:
             continue

@@ -33,21 +33,6 @@ def assign_distinct_weights(
     weights = list(range(1, len(edge_u) + 1))
     rng.shuffle(weights)
     # assign in canonical edge order; array('d') conversion is exactly
-    # float(weight)
-    return _weighted_copy(csr, edge_u, edge_v, array("d", weights))
-
-
-def _weighted_copy(csr, edge_u, edge_v, weights) -> WeightedGraph:
-    """Build the reweighted copy of a graph from its canonical edge stream.
-
-    ``csr`` is the source graph's columns; ``weights`` pairs with its
-    canonical edge columns, so each row of the copy lists the edges to lower
-    slots first (by slot), then the rest in the source's row order.  Node
-    labels (and the label→slot dict, when the enumeration is not the
-    identity) are shared with the source — both are immutable.
-    """
-    if csr.identity:
-        return WeightedGraph._from_csr_edges(csr.n, edge_u, edge_v, weights)
-    return WeightedGraph._from_csr_edges(
-        csr.n, edge_u, edge_v, weights, nodes=csr.nodes, index_of=csr.index_of
-    )
+    # float(weight).  Each row of the copy lists the edges to lower slots
+    # first (by slot), then the rest in the source's row order
+    return WeightedGraph._from_csr_edges(csr.n, edge_u, edge_v, array("d", weights))

@@ -327,13 +327,13 @@ class PerNode(FlyweightProtocol):
         self.protocols: List[NodeProtocol] = [
             factory(NodeContext(
                 node_id=node,
-                neighbors=env.neighbors[slot],
-                link_weights=env.link_weights[slot],
+                neighbors=neighbors(env.csr, node),
+                link_weights=link_weights(env.csr, node),
                 n=env.n,
                 extra=dict(extras.get(node, {})),
                 rng_factory=env.streams.rng_for,
             ))
-            for slot, node in enumerate(env.nodes)
+            for node in range(env.num_slots)
         ]
         for slot, protocol in enumerate(self.protocols):
             if protocol.halted:
@@ -346,7 +346,7 @@ class PerNode(FlyweightProtocol):
             for neighbor, message in outbox:
                 self.send(slot, neighbor, message)
             if wrote:
-                self._writes.append((self.env.nodes[slot], payload))
+                self._writes.append((slot, payload))
         if protocol.halted:
             self.halt_slot(slot)
 
@@ -366,7 +366,7 @@ class PerNode(FlyweightProtocol):
 
     def results_by_node(self) -> Dict[NodeId, Any]:
         """Read each instance's result (set with or without halting)."""
-        return {node: p.result for node, p in zip(self.env.nodes, self.protocols)}
+        return {node: p.result for node, p in enumerate(self.protocols)}
 
 
 def per_node(factory: Callable[[NodeContext], NodeProtocol],
@@ -378,8 +378,30 @@ def per_node(factory: Callable[[NodeContext], NodeProtocol],
     return functools.partial(PerNode, factory=factory, extras=extras or {})
 
 
+def neighbors(csr, node: int) -> Tuple[int, ...]:
+    """Return ``node``'s neighbours in CSR row order.
+
+    Raises:
+        KeyError: if ``node`` is not a node of the graph.
+    """
+    slot = csr.slot(node)
+    return tuple(csr.targets[csr.offsets[slot]:csr.offsets[slot + 1]])
+
+
+def degree(graph, node: int) -> int:
+    """Return the number of ``node``'s incident links."""
+    return len(neighbors(graph.csr(), node))
+
+
+def link_weights(csr, node: int) -> Dict[int, float]:
+    """Return ``node``'s ``{neighbour: weight}`` row, in CSR row order."""
+    lo = csr.offsets[node]
+    hi = csr.offsets[node + 1]
+    return dict(zip(csr.targets[lo:hi], csr.weights[lo:hi]))
+
+
 def bfs_maps(graph, columns) -> Tuple[Dict, Dict, Dict]:
-    """Turn ``build_bfs_forest``'s slot columns into node-keyed maps.
+    """Turn ``build_bfs_forest``'s columns into node-keyed maps.
 
     Returns ``(parents, root_of, labels)`` — parent node (``None`` at a
     root), root node and hop label — over the labelled nodes only, in the
@@ -390,11 +412,8 @@ def bfs_maps(graph, columns) -> Tuple[Dict, Dict, Dict]:
     """
     parent, root, label = columns
     csr = graph.csr()
-    nodes, offsets, targets = csr.nodes, csr.offsets, csr.targets
-    level = sorted(
-        (slot for slot in range(csr.n) if label[slot] == 0),
-        key=lambda slot: repr(nodes[slot]),
-    )
+    offsets, targets = csr.offsets, csr.targets
+    level = sorted((slot for slot in range(csr.n) if label[slot] == 0), key=repr)
     visit: List[int] = []
     while level:
         visit.extend(level)
@@ -406,12 +425,9 @@ def bfs_maps(graph, columns) -> Tuple[Dict, Dict, Dict]:
         ]
     assert len(visit) == sum(1 for value in label if value >= 0)
     return (
-        {
-            nodes[slot]: nodes[parent[slot]] if parent[slot] >= 0 else None
-            for slot in visit
-        },
-        {nodes[slot]: nodes[root[slot]] for slot in visit},
-        {nodes[slot]: label[slot] for slot in visit},
+        {slot: parent[slot] if parent[slot] >= 0 else None for slot in visit},
+        {slot: root[slot] for slot in visit},
+        {slot: label[slot] for slot in visit},
     )
 
 
@@ -676,25 +692,38 @@ def children_map(parents: Mapping[NodeId, Optional[NodeId]]) -> Dict[NodeId, Lis
     return children
 
 
-def spanning_forest(parents: Mapping[NodeId, Optional[NodeId]]) -> SpanningForest:
+def spanning_forest(parents: Mapping[int, Optional[int]]) -> SpanningForest:
     """Build a :class:`SpanningForest` from a node → parent map (roots map to ``None``).
 
-    The enumeration is the map's key order.
+    The map's keys must be the nodes ``0..n-1``, in any order.
 
     Raises:
-        ValueError: if a referenced parent is missing or a cycle exists.
+        ValueError: if a key is outside ``0..n-1``, a referenced parent is
+            missing, or a cycle exists.
     """
-    nodes = tuple(parents)
-    slot_of = {node: slot for slot, node in enumerate(nodes)}
-    column: List[int] = []
+    column = [-1] * len(parents)
     for node, up in parents.items():
-        if up is None:
-            column.append(-1)
-        elif up in slot_of:
-            column.append(slot_of[up])
-        else:
-            raise ValueError(f"parent {up!r} of {node!r} is not in the map")
-    return SpanningForest(nodes, column)
+        if not 0 <= node < len(column):
+            raise ValueError(f"node {node!r} is outside 0..{len(column) - 1}")
+        if up is not None:
+            if up not in parents:
+                raise ValueError(f"parent {up!r} of {node!r} is not in the map")
+            column[node] = up
+    return SpanningForest(column)
+
+
+def parent_map(forest: SpanningForest) -> Dict[int, Optional[int]]:
+    """Return ``node → parent`` (cores map to ``None``), fragment by fragment:
+    cores in first-appearance order, each fragment's members ascending."""
+    fragments: Dict[int, List[int]] = {core: [] for core in forest.cores}
+    for node, core in enumerate(forest.root):
+        fragments[core].append(node)
+    parent = forest.parent
+    return {
+        node: parent[node] if parent[node] >= 0 else None
+        for members in fragments.values()
+        for node in members
+    }
 
 
 def node_depths(parents: Mapping[NodeId, Optional[NodeId]]) -> Dict[NodeId, int]:

@@ -17,6 +17,7 @@ import random
 
 import pytest
 
+from oracles import neighbors
 from repro.cli import main as cli_main
 from repro.core.partition.forest import SpanningForest
 from repro.experiments.harness import make_topology
@@ -181,12 +182,12 @@ class _RetransmittingFlood(FlyweightProtocol):
                 for each in range(self.env.num_slots):
                     self.halt_slot(each, True)
                 return
-        for neighbor in self.env.neighbors[slot]:
+        for neighbor in neighbors(self.env.csr, slot):
             self.send(slot, neighbor, "tok")
 
     def on_start(self, slots):
         for slot in slots:
-            if not self.halted[slot] and self.env.nodes[slot] == self.root:
+            if not self.halted[slot] and slot == self.root:
                 self._take_token(slot)
 
     def on_round(self, slots, inboxes, channel):
@@ -286,7 +287,7 @@ class TestJamAccounting:
 def _aggregation(graph, root):
     parent, _, _ = build_bfs_forest(graph, [root])
     return TreeAggregationFlyweight.over(
-        SpanningForest(graph.csr().nodes, parent),
+        SpanningForest(parent),
         dict.fromkeys(graph.nodes(), 1),
         lambda a, b: a + b,
     )

@@ -3,9 +3,8 @@
 A graph is one CSR view over an edge stream; a counting-sort fill builds
 its rows on the first row read, and ``TestLazyFill`` pins which reads do.
 These tests pin the fill against a plain reference model — nested dicts
-filled edge by edge from the same stream — for identity-labelled and
-arbitrarily-labelled graphs, plus the degenerate shapes (empty, single node,
-isolated nodes) and the node-membership rules.  The golden byte-identity
+filled edge by edge from the same stream — plus the degenerate shapes
+(empty, single node, isolated nodes) and the node-membership rule.  The golden byte-identity
 assertion rides in ``tests/test_perf_equivalence.py``; topology-level
 equivalence of the CSR consumers (BFS, partition, MST) is pinned by the
 existing suites.
@@ -18,7 +17,7 @@ from array import array
 
 import pytest
 
-from oracles import edge_weight_sum, scan_canonical_edges
+from oracles import edge_weight_sum, neighbors, scan_canonical_edges
 from repro.experiments.harness import make_topology
 from repro.topology.generators import (
     ad_hoc_affectance_graph,
@@ -30,7 +29,7 @@ from repro.topology.generators import (
     random_geometric_graph,
     ring_graph,
 )
-from repro.topology.graph import CSRView, WeightedGraph, is_identity_enumeration
+from repro.topology.graph import CSRView, WeightedGraph
 from repro.topology.properties import breadth_first_levels
 from repro.topology.weights import assign_distinct_weights
 
@@ -42,8 +41,8 @@ def csr_as_adjacency(graph):
     for slot in range(csr.n):
         row = {}
         for position in range(csr.offsets[slot], csr.offsets[slot + 1]):
-            row[csr.nodes[csr.targets[position]]] = csr.weights[position]
-        adjacency[csr.nodes[slot]] = row
+            row[csr.targets[position]] = csr.weights[position]
+        adjacency[slot] = row
     return adjacency
 
 
@@ -66,8 +65,7 @@ def assert_csr_matches(graph, nodes, edges):
     assert list(rebuilt) == list(expected)
     for node in expected:
         assert list(rebuilt[node]) == list(expected[node])
-        assert graph.neighbors(node) == list(expected[node])
-        assert graph.degree(node) == len(expected[node])
+        assert neighbors(graph.csr(), node) == tuple(expected[node])
         for neighbour, weight in expected[node].items():
             assert graph.weight(node, neighbour) == weight
 
@@ -104,62 +102,19 @@ class TestCSRMatchesDict:
     def test_random_identity_graphs(self, seed):
         labels = list(range(40))
         edges = random_stream(labels, seed, edge_probability=0.15)
-        graph = WeightedGraph.from_edges(edges, nodes=labels)
-        assert graph.csr().identity
+        graph = WeightedGraph.from_edges(edges, n=len(labels))
         assert_csr_matches(graph, labels, edges)
-
-    @pytest.mark.parametrize("seed", (1, 2, 3))
-    def test_random_string_labeled_graphs(self, seed):
-        labels = [f"host-{i}" for i in range(25)]
-        edges = random_stream(labels, seed)
-        graph = WeightedGraph.from_edges(edges, nodes=labels)
-        csr = graph.csr()
-        assert not csr.identity
-        assert csr.index_of == {label: slot for slot, label in enumerate(labels)}
-        assert_csr_matches(graph, labels, edges)
-
-    def test_float_labeled_graph(self):
-        labels = [0.5, 1.5, 2.25, -3.0, 4.125]
-        edges = random_stream(labels, seed=7, edge_probability=0.8)
-        graph = WeightedGraph.from_edges(edges, nodes=labels)
-        assert not graph.csr().identity
-        assert_csr_matches(graph, labels, edges)
-
-    def test_mixed_hashable_labels(self):
-        edges = [("a", (1, 2), 1.0), ((1, 2), frozenset({3}), 2.0), ("a", frozenset({3}), 3.0)]
-        graph = WeightedGraph.from_edges(edges)
-        assert_csr_matches(graph, [], edges)
-
-    def test_node_order_without_declared_nodes_is_first_appearance(self):
-        edges = random_stream([f"n{i}" for i in range(12)], seed=4, edge_probability=0.5)
-        graph = WeightedGraph.from_edges(edges)
-        assert_csr_matches(graph, [], edges)
 
     def test_canonical_edges_match_edges_enumeration(self):
         graph = erdos_renyi_graph(30, 0.2, seed=9)
         csr = graph.csr()
         edge_u, edge_v, edge_w = csr.canonical_edges()
-        canonical = [
-            (csr.nodes[u], csr.nodes[v], w)
-            for u, v, w in zip(edge_u, edge_v, edge_w)
-        ]
+        canonical = list(zip(edge_u, edge_v, edge_w))
         assert canonical == [tuple(edge) for edge in graph.edges()]
-
-    def test_weight_assignment_on_labeled_graph(self):
-        labels = [f"s{i}" for i in range(12)]
-        graph = WeightedGraph.from_edges(random_stream(labels, seed=5, edge_probability=0.5))
-        weighted = assign_distinct_weights(graph, seed=2)
-        assert weighted.nodes() == graph.nodes()
-        assert sorted(e.weight for e in weighted.edges()) == list(
-            map(float, range(1, graph.num_edges() + 1))
-        )
-        # the copy is built from the reweighted canonical edge stream
-        assert_csr_matches(weighted, weighted.nodes(), weighted.edges())
-
 
 class TestGeneratorBuiltGraphs:
     """Graphs the generators fill from slot columns, against the reference
-    model and against a relabelled-edge rebuild through ``from_edges``."""
+    model and against a rebuild of their edges through ``from_edges``."""
 
     @pytest.mark.parametrize("attachment", (1, 2, 3))
     def test_barabasi_albert_matches_reference_model(self, attachment):
@@ -182,7 +137,7 @@ class TestGeneratorBuiltGraphs:
         # the rebuild lists each edge in canonical order, so its rows may
         # differ from the generator's; the weights drawn must not
         graph = build()
-        rebuilt = WeightedGraph.from_edges(graph.edges(), nodes=graph.nodes())
+        rebuilt = WeightedGraph.from_edges(graph.edges(), n=graph.num_nodes())
         assert rebuilt.edges() == graph.edges()
         assert (
             assign_distinct_weights(rebuilt, seed=3).edges()
@@ -193,7 +148,7 @@ class TestGeneratorBuiltGraphs:
         graph = grid_graph(3, 3)
         before = (graph.nodes(), graph.edges(), csr_as_adjacency(graph))
         assign_distinct_weights(graph, seed=1)
-        graph.relabeled({node: f"v{node}" for node in graph.nodes()})
+        degree_preserving_rewire(graph, seed=1)
         assert (graph.nodes(), graph.edges(), csr_as_adjacency(graph)) == before
         assert edge_weight_sum(graph) == 12.0
 
@@ -232,9 +187,6 @@ CANONICAL_CASES = {
     ),
     "from_edges_unsorted": lambda: WeightedGraph.from_edges(
         [(1, 2), (0, 3), (0, 1), (2, 3)]
-    ),
-    "from_edges_labelled": lambda: WeightedGraph.from_edges(
-        [("a", "b", 3.0), ("a", "c", 1.0), ("c", "b", 2.0)], nodes=["a", "b", "c"]
     ),
 }
 
@@ -304,7 +256,6 @@ class TestLazyFill:
         assert edge_weight_sum(graph) == float(graph.num_edges())
         graph.edges()
         graph.csr().canonical_edges()
-        graph.relabeled({node: f"v{node}" for node in graph.nodes()})
         assign_distinct_weights(graph, seed=3).edges()
         degree_preserving_rewire(graph, seed=2)
         assert fills == []
@@ -313,9 +264,9 @@ class TestLazyFill:
         graph = assign_distinct_weights(ring_graph(12), seed=2)
         csr = graph.csr()
         assert fills == []
-        assert graph.neighbors(0) == [1, 11]
+        assert neighbors(csr, 0) == (1, 11)
         assert len(csr.targets) == 24 and len(csr.weights) == 24
-        graph.degree(5)
+        neighbors(csr, 5)
         csr.is_connected()
         csr.scan_columns()
         assert fills == [csr]
@@ -342,7 +293,7 @@ class TestLazyFill:
         graph = make_topology(kind, 120, seed=4)
         assert fills == []
         assert graph.csr().is_connected()
-        graph.neighbors(graph.nodes()[0])
+        neighbors(graph.csr(), 0)
         assert fills == [graph.csr()]
         assert handed[0].csr() not in fills
 
@@ -368,14 +319,14 @@ class TestDegenerateShapes:
         assert_csr_matches(graph, [], [])
 
     def test_single_node(self):
-        graph = WeightedGraph.from_edges([], nodes=[0])
+        graph = WeightedGraph.from_edges([], n=1)
         csr = graph.csr()
         assert csr.n == 1 and csr.num_edges == 0
         assert list(csr.offsets) == [0, 0]
         assert_csr_matches(graph, [0], [])
 
     def test_isolated_nodes_between_connected_ones(self):
-        graph = WeightedGraph.from_edges([(0, 4, 2.0)], nodes=range(5))
+        graph = WeightedGraph.from_edges([(0, 4, 2.0)], n=5)
         csr = graph.csr()
         assert [csr.offsets[i + 1] - csr.offsets[i] for i in range(5)] == [
             1, 0, 0, 0, 1
@@ -385,15 +336,7 @@ class TestDegenerateShapes:
 
 
 class TestIdentityDetection:
-    def test_identity_enumeration_cases(self):
-        assert is_identity_enumeration([0, 1, 2])
-        assert is_identity_enumeration([])
-        assert not is_identity_enumeration([1, 2, 3])
-        assert not is_identity_enumeration(["a", "b"])
-
-    def test_bfs_accepts_float_alias_source_on_identity_graph(self):
-        graph = path_graph(5)
-        assert breadth_first_levels(graph, 2.0) == breadth_first_levels(graph, 2)
+    """A node is its slot: BFS sources are checked against ``0..n-1``."""
 
     def test_bfs_rejects_unknown_source(self):
         graph = path_graph(3)
@@ -404,29 +347,19 @@ class TestIdentityDetection:
 
 
 class TestHasNodeOnIdentityGraph:
-    """``has_node`` on an identity-labelled graph must keep dict-lookup
-    semantics without falling into range's O(n) equality scan."""
+    """The nodes of an ``n``-node graph are exactly the ints ``0..n-1``."""
 
     def test_int_and_numeric_alias_membership(self):
         graph = path_graph(5)
         assert graph.has_node(0) and graph.has_node(4)
         assert not graph.has_node(5) and not graph.has_node(-1)
-        # numeric aliases hash/compare equal to their int, like dict keys
-        assert graph.has_node(2.0) and 2.0 in graph
+        # a numeric alias of a node is no node: it is no int
+        assert not graph.has_node(2.0) and 2.0 not in graph
         assert not graph.has_node(2.5)
-        assert graph.has_node(True)  # True == 1
-        assert graph.neighbors(2.0) == [1, 3]
+        assert not graph.has_node(True)
 
     def test_non_numeric_labels_are_absent(self):
         graph = path_graph(5)
         assert not graph.has_node("2")
         assert not graph.has_node((2,))
         assert "2" not in graph
-
-    def test_unhashable_label_raises_like_dict_lookup(self):
-        graph = path_graph(5)
-        with pytest.raises(TypeError):
-            graph.has_node([2])
-        labelled = WeightedGraph.from_edges([("a", "b")])
-        with pytest.raises(TypeError):
-            labelled.has_node([2])

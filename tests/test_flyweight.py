@@ -22,7 +22,6 @@ from oracles import (
     bfs_maps,
     children_map,
     per_node,
-    spanning_forest,
 )
 from repro.core.partition.forest import SpanningForest
 from repro.experiments.harness import make_topology
@@ -67,7 +66,7 @@ def aggregation_factories(graph, redistribute):
     return (
         per_node(TreeAggregationProtocol, extras),
         TreeAggregationFlyweight.over(
-            SpanningForest(graph.csr().nodes, columns[0]), values, concat, redistribute
+            SpanningForest(columns[0]), values, concat, redistribute
         ),
     )
 
@@ -95,10 +94,6 @@ def differential(simulator_for, oracle, flyweight, preset="none",
 TOPOLOGIES = (("grid", 36), ("ring", 24), ("scale_free", 48))
 
 
-def relabelled(kind, n):
-    """A copy of ``make_topology``'s graph whose labels are not its slots."""
-    graph = make_topology(kind, n, seed=11)
-    return graph.relabeled({node: f"v{node}" for node in graph.nodes()})
 FAULT_PRESETS = sorted(name for name in ADVERSITY_PRESETS if name != "none")
 
 
@@ -107,11 +102,6 @@ class TestSynchronousEquivalence:
     @pytest.mark.parametrize("redistribute", (False, True))
     def test_results_and_rounds_match_classic(self, kind, n, redistribute):
         self.check(make_topology(kind, n, seed=11), redistribute)
-
-    @pytest.mark.parametrize("kind,n", TOPOLOGIES)
-    @pytest.mark.parametrize("redistribute", (False, True))
-    def test_relabelled_results_and_rounds_match_classic(self, kind, n, redistribute):
-        self.check(relabelled(kind, n), redistribute)
 
     @staticmethod
     def check(graph, redistribute):
@@ -136,10 +126,6 @@ class TestSynchronizerEquivalence:
     @pytest.mark.parametrize("kind,n", TOPOLOGIES)
     def test_report_matches_classic(self, kind, n):
         self.check(make_topology(kind, n, seed=11))
-
-    @pytest.mark.parametrize("kind,n", TOPOLOGIES)
-    def test_relabelled_report_matches_classic(self, kind, n):
-        self.check(relabelled(kind, n))
 
     @staticmethod
     def check(graph):
@@ -195,12 +181,12 @@ class TestFlyweightState:
         graph = make_topology("ring", 8, seed=11)
         env = FlyweightEnvironment(graph.csr(), graph.num_nodes(), None)
         assert env.num_slots == graph.num_nodes()
-        assert sorted(env.csr.slot(node) for node in env.nodes) == list(
+        assert [env.csr.slot(node) for node in graph.nodes()] == list(
             range(env.num_slots)
         )
 
     def test_halt_slot_bookkeeping(self):
-        graph = WeightedGraph.from_edges([("a", "b")])
+        graph = WeightedGraph.from_edges([(0, 1)])
         env = FlyweightEnvironment(graph.csr(), n=2, streams=None)
 
         class Noop(FlyweightProtocol):
@@ -209,50 +195,26 @@ class TestFlyweightState:
 
         protocol = Noop(env)
         assert protocol.active_count == 2
-        protocol.halt_slot(env.csr.slot("b"), result=7)
+        protocol.halt_slot(1, result=7)
         assert protocol.active_count == 1
-        assert protocol.results_by_node() == {"a": None, "b": 7}
+        assert protocol.results_by_node() == {0: None, 1: 7}
 
 
 class TestCSREnvironment:
-    """The environment's per-slot rows are derived from the CSR snapshot."""
+    """A flyweight run reads its forest and rows over the graph's CSR slots."""
 
-    @pytest.mark.parametrize("relabel", [False, True], ids=["identity", "labels"])
-    def test_rows_match_the_graph(self, relabel):
-        graph = make_topology("scale_free", 64, seed=5)
-        if relabel:
-            graph = graph.relabeled({node: f"v{node}" for node in graph.nodes()})
-        env = FlyweightEnvironment(graph.csr(), graph.num_nodes(), None)
-        assert env.csr.identity is not relabel
-        assert list(env.nodes) == graph.nodes()
-        assert len(env.neighbors) == len(env.link_weights) == graph.num_nodes()
-        for slot, node in enumerate(graph.nodes()):
-            assert env.csr.slot(node) == slot
-            assert env.neighbors[slot] == tuple(graph.iter_neighbors(node))
-            assert env.link_weights[slot] == {
-                neighbour: graph.weight(node, neighbour) for neighbour in graph.neighbors(node)
-            }
-            # row order, not just contents: the oracles iterate both
-            assert list(env.link_weights[slot]) == list(graph.iter_neighbors(node))
-        assert env.neighbors[-1] == env.neighbors[graph.num_nodes() - 1]
-        with pytest.raises(IndexError):
-            env.neighbors[graph.num_nodes()]
-
-    def test_forest_must_follow_the_slot_order(self):
+    def test_forest_must_span_the_graph(self):
         graph = make_topology("grid", 9, seed=11)
-        parents, _, _ = bfs_maps(graph, build_bfs_forest(graph, [0]))
-        # the BFS visit order is a valid forest but not the slot order
-        shuffled = spanning_forest(parents)
+        parent, _, _ = build_bfs_forest(graph, [0])
+        # a forest over the graph's first eight nodes only
+        short = SpanningForest(parent[:8])
         factory = TreeAggregationFlyweight.over(
-            shuffled, dict.fromkeys(graph.nodes(), 1), lambda a, b: a + b
+            short, dict.fromkeys(graph.nodes(), 1), lambda a, b: a + b
         )
-        with pytest.raises(ValueError, match="slot order"):
+        with pytest.raises(ValueError, match="spans 8 nodes"):
             MultimediaNetwork(graph, seed=1).run(factory)
-        in_order = spanning_forest(
-            {node: parents[node] for node in graph.nodes()}
-        )
         result = MultimediaNetwork(graph, seed=1).run(TreeAggregationFlyweight.over(
-            in_order, dict.fromkeys(graph.nodes(), 1), lambda a, b: a + b
+            SpanningForest(parent), dict.fromkeys(graph.nodes(), 1), lambda a, b: a + b
         ))
         assert result.results[0] == 9
 

@@ -2,11 +2,11 @@
 
 The v1 golden pins the deterministic partition on grids only.  These digests
 extend the pin to the inputs whose code paths differ: scale-free and ad-hoc
-topologies at n = 4096, non-integer labels (strings, floats), and integer
-labels with repeated weights — where the GHS scan's tie-break and F's
-``repr``-order 2-cycle break decide the result (``repr(10) < repr(9)``, so
-``repr`` order is not numeric order).  One randomized (Monte Carlo) run pins
-the Section 4 partitioner on scale-free n = 4096.
+topologies at n = 4096, and repeated weights — where the GHS scan's
+tie-break and F's ``repr``-order 2-cycle break decide the result
+(``repr(10) < repr(9)``, so ``repr`` order is not numeric order).  One
+randomized (Monte Carlo) run pins the Section 4 partitioner on scale-free
+n = 4096.
 
 Each digest covers the forest parent map (in forest order), the cores, the
 per-phase records, the busy rounds and the metrics snapshot.  Print the
@@ -24,19 +24,17 @@ import random
 
 import pytest
 
+from oracles import parent_map
 from repro.core.partition.deterministic import DeterministicPartitioner
 from repro.core.partition.randomized import RandomizedPartitioner
 from repro.experiments.harness import make_topology
-from repro.topology.generators import grid_graph
 from repro.topology.graph import WeightedGraph
-from repro.topology.weights import assign_distinct_weights
 
 
-def _repeated_weight_graph(relabel=None) -> WeightedGraph:
+def _repeated_weight_graph() -> WeightedGraph:
     """A connected 48-node random graph with weights drawn from {1, 2, 3}."""
     rng = random.Random(27)
     n = 48
-    label = relabel or (lambda node: node)
     edges = []
     for node in range(1, n):
         edges.append((node, rng.randrange(node), float(rng.randint(1, 3))))
@@ -46,32 +44,20 @@ def _repeated_weight_graph(relabel=None) -> WeightedGraph:
         if u != v and frozenset((u, v)) not in present:
             present.add(frozenset((u, v)))
             edges.append((u, v, float(rng.randint(1, 3))))
-    return WeightedGraph.from_edges(
-        ((label(u), label(v), w) for u, v, w in edges), nodes=map(label, range(n))
-    )
-
-
-def _grid(labeler) -> WeightedGraph:
-    graph = assign_distinct_weights(grid_graph(8, 8), seed=11)
-    return graph.relabeled({node: labeler(node) for node in graph.nodes()})
+    return WeightedGraph.from_edges(edges, n=n)
 
 
 DETERMINISTIC_INPUTS = {
     "scale_free_4096": lambda: make_topology("scale_free", 4096, seed=3),
     "ad_hoc_4096": lambda: make_topology("ad_hoc", 4096, seed=3),
-    "grid_8x8_str": lambda: _grid(lambda node: f"node-{node}"),
-    "grid_8x8_float": lambda: _grid(float),
     "repeated_weights_int": _repeated_weight_graph,
-    "repeated_weights_sparse_int": lambda: _repeated_weight_graph(
-        lambda node: (node * 7919) % 100_003
-    ),
 }
 
 
 def _digest(result, extra) -> str:
     forest = result.forest
     payload = {
-        "parents": [[repr(node), repr(parent)] for node, parent in forest.parent_map().items()],
+        "parents": [[repr(node), repr(parent)] for node, parent in parent_map(forest).items()],
         "cores": [repr(core) for core in forest.cores],
         "records": extra,
         "metrics": dataclasses.asdict(result.metrics),
@@ -103,10 +89,7 @@ def randomized_digest() -> str:
 
 EXPECTED_DETERMINISTIC = {
     'ad_hoc_4096': '5e6864380e873f6b9cfff40a1af19156010209cc376ba797372d8a730976c131',
-    'grid_8x8_float': '20102b655ba455916e81550068d68fa71d47fd4b57cc3fd56effb29539000530',
-    'grid_8x8_str': '9e8a024d82a439fcb5826dbfff8089f9b743a85ee25a5455bbcb1b39683d8bf6',
     'repeated_weights_int': 'db0167efb817e32cd434ca3d76d0fb65f9db13293acaa23e951800c0ee25051b',
-    'repeated_weights_sparse_int': 'e85f950331e9f72d6c3d2fa5832bf74a1fa0eead9b20ca5bf001efdcbf04f706',
     'scale_free_4096': 'f5e844aba588a9cdbd9745cf93550f5e050c952dff03c573461bfe44884a32f7',
 }
 

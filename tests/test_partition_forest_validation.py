@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from oracles import spanning_forest
+from oracles import parent_map, spanning_forest
 from repro.core.partition.forest import SpanningForest
 from repro.core.partition.validation import validate_partition
 from repro.topology.generators import grid_graph, path_graph
@@ -21,18 +21,18 @@ class TestFragment:
         forest = spanning_forest({0: None, 1: 0, 2: 1, 3: 1})
         assert forest.size(0) == 4
         assert forest.max_radius() == 2
-        assert sorted(forest.covered_nodes()) == [0, 1, 2, 3]
+        assert forest.num_nodes() == 4
         assert (3, 1) in forest.tree_edges()
 
     def test_singleton_default(self):
-        forest = spanning_forest({7: None})
+        forest = spanning_forest({0: None})
         assert forest.size(0) == 1
         assert forest.max_radius() == 0
 
     def test_core_is_the_root(self):
         forest = spanning_forest({1: 0, 0: None})
-        assert forest.cores == [0]
-        assert forest.core_of(1) == 0
+        assert forest.cores == (0,)
+        assert forest.root[1] == 0
 
     def test_constructor_rejects_cycle_and_missing_parent(self):
         with pytest.raises(ValueError, match="cycle"):
@@ -40,9 +40,7 @@ class TestFragment:
         with pytest.raises(ValueError, match="not in the map"):
             spanning_forest({0: None, 1: 5})
         with pytest.raises(ValueError, match="out of range"):
-            SpanningForest((0, 1), [-1, 2])
-        with pytest.raises(ValueError, match="entries"):
-            SpanningForest((0, 1), [-1])
+            SpanningForest([-1, 2])
 
 
 class TestSpanningForest:
@@ -50,45 +48,40 @@ class TestSpanningForest:
         forest = path_forest()
         assert forest.num_fragments() == 2
         assert forest.num_nodes() == 6
-        assert forest.core_of(2) == 0
-        assert forest.core_of(4) == 5
+        assert forest.root[2] == 0
+        assert forest.root[4] == 5
         assert forest.max_radius() == 2
         assert forest.min_size() == 3
-        with pytest.raises(KeyError):
-            forest.core_of(9)
 
-    def test_overlapping_fragments_rejected(self):
-        forest = SpanningForest((0, 1, 1), [-1, 0, -1])
+    def test_forest_beyond_the_network_reported(self):
+        forest = SpanningForest([-1, 0, -1])
         report = validate_partition(forest, path_graph(2))
         assert not report.covers_all_nodes
-        assert any("twice" in v for v in report.violations)
+        assert report.violations == ["1 forest node(s) not in the network"]
 
     def test_from_parent_map_round_trip(self):
         parents = {0: None, 1: 0, 2: 1, 5: None, 4: 5, 3: 4}
         forest = spanning_forest(parents)
         assert forest.num_fragments() == 2
-        assert forest.parent_map() == parents
+        assert parent_map(forest) == parents
 
     def test_order_contract(self):
-        # cores in first-appearance order over the enumeration; the parent
-        # map and tree edges grouped by core, members in enumeration order
-        forest = spanning_forest(
-            {3: 7, 1: None, 7: None, 4: 1, 0: 3}
-        )
-        assert forest.cores == [7, 1]
-        assert list(forest.parent_map()) == [3, 7, 0, 1, 4]
-        assert forest.tree_edges() == [(3, 7), (0, 3), (4, 1)]
-        assert forest.core_slots == (2, 1)
-        assert forest.root == (2, 1, 2, 1, 2)
+        # cores in first-appearance order over the nodes; the parent map
+        # and tree edges grouped by core, members in ascending order
+        forest = spanning_forest({3: 2, 1: None, 2: None, 4: 1, 0: 3})
+        assert forest.cores == (2, 1)
+        assert list(parent_map(forest)) == [0, 2, 3, 1, 4]
+        assert forest.tree_edges() == [(0, 3), (3, 2), (4, 1)]
+        assert forest.root == (2, 1, 2, 2, 1)
 
     @pytest.mark.parametrize("bad", (-2, -5))
     def test_parent_below_minus_one_rejected(self, bad):
         # -1 is the only root marker: any other negative slot is garbage,
         # not a second way to spell a core
         with pytest.raises(ValueError, match="out of range"):
-            SpanningForest(range(3), [bad, 0, 1])
+            SpanningForest([bad, 0, 1])
         with pytest.raises(ValueError, match="out of range"):
-            SpanningForest(range(3), [-1, bad, 1])
+            SpanningForest([-1, bad, 1])
 
 
 class TestValidatePartition:

@@ -65,14 +65,14 @@ class TestPartition:
     def test_reproducible_given_seed(self, medium_grid):
         first = RandomizedPartitioner(medium_grid, seed=9).run()
         second = RandomizedPartitioner(medium_grid, seed=9).run()
-        assert first.forest.parent_map() == second.forest.parent_map()
+        assert first.forest.parent == second.forest.parent
         assert first.metrics.rounds == second.metrics.rounds
 
     def test_different_seeds_can_differ(self, medium_grid):
         first = RandomizedPartitioner(medium_grid, seed=1).run()
         second = RandomizedPartitioner(medium_grid, seed=2).run()
         assert (
-            first.forest.parent_map() != second.forest.parent_map()
+            first.forest.parent != second.forest.parent
             or first.num_fragments != second.num_fragments
             or True  # identical outcomes are possible, the test only checks no crash
         )
@@ -87,7 +87,7 @@ class TestPartition:
     def test_rejects_bad_graphs(self):
         with pytest.raises(ValueError):
             RandomizedPartitioner(WeightedGraph())
-        disconnected = WeightedGraph.from_edges([], nodes=[0, 1])
+        disconnected = WeightedGraph.from_edges([], n=2)
         with pytest.raises(ValueError):
             RandomizedPartitioner(disconnected)
 
@@ -148,38 +148,3 @@ class TestLasVegas:
         with pytest.raises(TypeError, match="bug inside"):
             partitioner.run()
         assert metrics.current_phase is None
-
-
-class TestNonIntegerNodes:
-    """The hot loops index nodes 0..n-1; when the graph's own labels are NOT
-    that enumeration (the `identity` fast path is off), the general
-    translation path must produce an equally valid, deterministic result."""
-
-    def _relabeled_grid(self):
-        graph = grid_graph(8, 8)
-        return graph.relabeled({node: f"node-{node}" for node in graph.nodes()})
-
-    def test_string_labelled_partition_is_valid(self):
-        graph = self._relabeled_grid()
-        result = RandomizedPartitioner(graph, seed=3, las_vegas=True).run()
-        report = validate_partition(result.forest, graph)
-        assert report.ok, report.violations
-        assert result.forest.max_radius() <= 4 * math.sqrt(graph.num_nodes())
-
-    def test_string_labelled_partition_is_deterministic(self):
-        first = RandomizedPartitioner(self._relabeled_grid(), seed=3).run()
-        second = RandomizedPartitioner(self._relabeled_grid(), seed=3).run()
-        assert first.forest.parent_map() == second.forest.parent_map()
-        assert (
-            first.metrics.point_to_point_messages
-            == second.metrics.point_to_point_messages
-        )
-
-    def test_float_labels_do_not_take_identity_fast_path(self):
-        # 2.0 == 2 compares equal to its index but is not usable as one;
-        # the identity fast path must reject it and the general path run
-        graph = grid_graph(4, 4)
-        floats = graph.relabeled({node: float(node) for node in graph.nodes()})
-        result = RandomizedPartitioner(floats, seed=3, las_vegas=True).run()
-        report = validate_partition(result.forest, floats)
-        assert report.ok, report.violations

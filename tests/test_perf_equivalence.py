@@ -54,7 +54,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import edge_weight_sum
+from oracles import edge_weight_sum, parent_map
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "goldens"
 GOLDEN_V1 = GOLDEN_DIR / "v1" / "equivalence_golden.json"
@@ -95,10 +95,10 @@ def _compute_deterministic_state():
     for kind, n in (("grid", 64), ("grid", 144)):
         graph = make_topology(kind, n, seed=11)
         result = DeterministicPartitioner(graph).run()
-        parent_map = result.forest.parent_map()
+        parents = parent_map(result.forest)
         state[f"det_partition/{kind}/{n}"] = {
             "parents": sorted(
-                [node, parent] for node, parent in parent_map.items()
+                [node, parent] for node, parent in parents.items()
                 if parent is not None
             ),
             "cores": sorted(result.forest.cores),
@@ -141,10 +141,10 @@ def _compute_stream_state():
         for seed in seeds:
             graph = make_topology(kind, n, seed=11)
             result = RandomizedPartitioner(graph, seed=seed, las_vegas=True).run()
-            parent_map = result.forest.parent_map()
+            parents = parent_map(result.forest)
             state[f"rand_partition/{kind}/{n}/seed{seed}"] = {
                 "parents": sorted(
-                    [node, parent] for node, parent in parent_map.items()
+                    [node, parent] for node, parent in parents.items()
                     if parent is not None
                 ),
                 "cores": sorted(result.forest.cores),

@@ -10,6 +10,10 @@ read off the source with :mod:`ast`:
   outside a package ``__init__``.  Strings and docstrings do not count, nor
   do references inside the definition itself; the defining module's other
   code does;
+* the same holds for the public methods of :data:`METHOD_CLASSES` (the
+  graph and forest types, whose methods had grown callers only in tests),
+  listed as ``Class.method``; a reference inside the method's own body does
+  not count;
 * a decorated definition (the ``@register_experiment`` sweeps) counts as
   used, and so does a name on :data:`ALLOWED`, each entry with the user
   that keeps it.  An entry that is no longer needed fails the test;
@@ -39,6 +43,10 @@ ALLOWED: Dict[str, str] = {
 }
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+#: classes whose public methods the guard covers as well
+METHOD_CLASSES = ("WeightedGraph", "CSRView", "Edge", "SpanningForest")
 
 
 def parse_tree(root: Path) -> List[Tuple[Path, ast.Module]]:
@@ -50,15 +58,35 @@ def parse_tree(root: Path) -> List[Tuple[Path, ast.Module]]:
 
 
 def public_definitions(modules) -> Dict[str, List[str]]:
-    """Undecorated public top-level defs outside ``__init__``: name → modules."""
+    """Undecorated public top-level defs outside ``__init__``, and the public
+    methods of :data:`METHOD_CLASSES` as ``Class.method``: name → modules."""
     found: Dict[str, List[str]] = {}
     for path, tree in modules:
         if path.name == "__init__.py":
             continue
         for node in tree.body:
-            if (isinstance(node, DEFINITIONS) and not node.name.startswith("_")
-                    and not node.decorator_list):
+            if not isinstance(node, DEFINITIONS):
+                continue
+            if not node.name.startswith("_") and not node.decorator_list:
                 found.setdefault(node.name, []).append(str(path))
+            if isinstance(node, ast.ClassDef) and node.name in METHOD_CLASSES:
+                for item in node.body:
+                    if isinstance(item, FUNCTIONS) and not item.name.startswith("_"):
+                        found.setdefault(f"{node.name}.{item.name}", []).append(str(path))
+    return found
+
+
+def _references(tree, count_imports: bool) -> Set[str]:
+    """Names ``tree`` refers to; an attribute reference counts as ``.name``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+            found.add("." + node.attr)
+        elif isinstance(node, ast.alias) and count_imports:
+            found.add(node.name.rpartition(".")[2])
     return found
 
 
@@ -68,14 +96,17 @@ def referenced_names(modules) -> Set[str]:
     for path, tree in modules:
         count_imports = path.name != "__init__.py"
         for statement in tree.body:
-            found = set()
-            for node in ast.walk(statement):
-                if isinstance(node, ast.Name):
-                    found.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    found.add(node.attr)
-                elif isinstance(node, ast.alias) and count_imports:
-                    found.add(node.name.rpartition(".")[2])
+            if isinstance(statement, ast.ClassDef):
+                # each method's body on its own, so a method's reference to
+                # itself does not count
+                found = set()
+                for item in [*statement.decorator_list, *statement.bases, *statement.body]:
+                    inner = _references(item, count_imports)
+                    if isinstance(item, FUNCTIONS):
+                        inner.discard("." + item.name)
+                    found |= inner
+            else:
+                found = _references(statement, count_imports)
             if isinstance(statement, DEFINITIONS):
                 found.discard(statement.name)
             names |= found
@@ -83,12 +114,16 @@ def referenced_names(modules) -> Set[str]:
 
 
 def unreferenced(modules) -> Dict[str, List[str]]:
-    """Public definitions that no code in ``modules`` refers to."""
+    """Public definitions that no code in ``modules`` refers to.
+
+    A method is reached through an attribute, so only an attribute
+    reference of its name counts for it.
+    """
     used = referenced_names(modules)
     return {
         name: paths
         for name, paths in public_definitions(modules).items()
-        if name not in used
+        if ("." + name.partition(".")[2] if "." in name else name) not in used
     }
 
 
@@ -192,6 +227,15 @@ RULE_CASES = {
     ),
     "private_definition_ignored": (
         {"mod.py": "def _internal():\n    pass\n"}, set(),
+    ),
+    "unreferenced_method_of_a_covered_class_flagged": (
+        {"mod.py": "class Edge:\n    def other(self):\n        return self.other()\n\n"
+                   "    def key(self):\n        pass\n\n"
+                   "Edge().key()\n"},
+        {"Edge.other"},
+    ),
+    "method_of_an_uncovered_class_ignored": (
+        {"mod.py": "class Box:\n    def orphan(self):\n        pass\n\nBox()\n"}, set(),
     ),
 }
 

@@ -68,7 +68,7 @@ def arrival_order(name: str, delay: int) -> str:
     graph = GRAPHS[name]()
     parent, _, _ = build_bfs_forest(graph, [0])
     concat = TreeAggregationFlyweight.over(
-        SpanningForest(graph.csr().nodes, parent),
+        SpanningForest(parent),
         {node: (node,) for node in graph.nodes()},
         operator.add,
         redistribute=True,

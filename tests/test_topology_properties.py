@@ -45,7 +45,7 @@ class TestConnectivity:
 
     def test_is_connected(self):
         assert is_connected(ring_graph(5))
-        graph = WeightedGraph.from_edges([], nodes=[0, 1])
+        graph = WeightedGraph.from_edges([], n=2)
         assert not is_connected(graph)
 
     def test_empty_graph_is_connected(self):
@@ -130,9 +130,9 @@ class TestExactDiameter:
     @pytest.mark.parametrize(
         "graph",
         (
-            WeightedGraph.from_edges([], nodes=[0, 1]),
+            WeightedGraph.from_edges([], n=2),
             WeightedGraph.from_edges([(0, 1), (2, 3)]),
-            WeightedGraph.from_edges([(0, 1), (1, 2)], nodes=[0, 1, 2, "far"]),
+            WeightedGraph.from_edges([(0, 1), (1, 2)], n=4),
             erdos_renyi_graph(40, 0.02, seed=1, ensure_connected=False),
         ),
         ids=("two_isolated", "two_edges", "isolated_label", "sparse_er"),
@@ -172,6 +172,6 @@ class TestApproximateDiameter:
 
         with pytest.raises(ValueError):
             approximate_diameter(WeightedGraph())
-        disconnected = WeightedGraph.from_edges([], nodes=[0, 1])
+        disconnected = WeightedGraph.from_edges([], n=2)
         with pytest.raises(ValueError):
             approximate_diameter(disconnected)

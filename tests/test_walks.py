@@ -66,7 +66,7 @@ class TestExactMFPT:
             assert times[u] == pytest.approx(d * (n - d))
 
     def test_unreachable_target_is_singular(self):
-        graph = WeightedGraph.from_edges([(0, 1), (2, 3)], nodes=range(4))
+        graph = WeightedGraph.from_edges([(0, 1), (2, 3)], n=4)
         with pytest.raises(ValueError):
             exact_mfpt(graph, target=0)
 
