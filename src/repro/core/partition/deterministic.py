@@ -401,8 +401,9 @@ def splice_groups(
     more than one vertex becomes one fragment whose core is the root
     vertex's core: each other fragment is re-rooted at its link's inside
     endpoint and hung off the outside endpoint (the distributed "merge
-    broadcast"), every member takes the new core, and the depths of the
-    merged tree are back-filled.  ``parent_idx``, ``core_arr`` and
+    broadcast"), every member of those fragments takes the new core, and
+    their depths are back-filled; the root vertex's fragment keeps its core,
+    parents and depths.  ``parent_idx``, ``core_arr`` and
     ``depths`` (per node) and ``members``/``sizes``/``radii`` (per core) are
     updated in place for exactly the fragments a merge touches.
 
@@ -427,36 +428,32 @@ def splice_groups(
             continue
         root_slot = f_verts[group_root]
         reroot_radius = 0
-        spliced = 0
-        new_members: List[int] = []
+        moved: List[int] = []
         for vertex in group_vertices:
+            if vertex == group_root:
+                continue
             slot = f_verts[vertex]
             old_members = members[slot]
             if old_members is None:
-                new_members.append(slot)
+                moved.append(slot)
             else:
-                new_members.extend(old_members)
+                moved.extend(old_members)
                 members[slot] = None
-            if vertex == group_root:
-                continue
             u = link_u[vertex]
             _reroot_indexed(parent_idx, u)
             parent_idx[u] = link_v[vertex]
             if radii[slot] > reroot_radius:
                 reroot_radius = radii[slot]
-            spliced += sizes[slot]
-        for node in new_members:
-            core_arr[node] = root_slot
-        # re-walk just the merged tree to refresh depths and obtain its new
-        # radius (the depth assignment is order-independent): mark every
-        # member unknown, then chase each unknown node's parent chain to the
+        # the root's fragment keeps its core, its parents and so its depths:
+        # relabel and re-walk just the spliced fragments' nodes.  Mark each
+        # unknown, then chase each unknown node's parent chain to the
         # nearest known depth and back-fill — each node is walked once, with
-        # no children index to build
-        for node in new_members:
+        # no children index to build (the order does not matter)
+        for node in moved:
+            core_arr[node] = root_slot
             depths[node] = -1
-        depths[root_slot] = 0
-        new_radius = 0
-        for node in new_members:
+        new_radius = radii[root_slot]
+        for node in moved:
             if depths[node] >= 0:
                 continue
             chain: List[int] = []
@@ -474,11 +471,15 @@ def splice_groups(
         # a link rejection marks BOTH endpoints' scan entries dead, so
         # whichever member scans first pays the test, and the per-node test
         # counts feed the rounds accounting
+        new_members = members[root_slot]
+        if new_members is None:
+            new_members = [root_slot]
+        new_members.extend(moved)
         new_members.sort()
         members[root_slot] = new_members
         sizes[root_slot] = len(new_members)
         radii[root_slot] = new_radius
-        yield spliced, len(new_members), reroot_radius, new_radius
+        yield len(moved), len(new_members), reroot_radius, new_radius
 
 
 def fragment_forest(

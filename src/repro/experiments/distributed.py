@@ -68,6 +68,12 @@ Shutdown is an announcement, not a refused connection: once every shard is
 complete the coordinator keeps answering ``done`` until each worker it has
 seen has been told so (bounded by one wait window, so a dead worker cannot
 hold it), and only then stops serving.  Local workers exit on their own.
+The stop itself wakes the accept loop through a socket pair, so it costs no
+poll interval.
+
+Pending shards lease largest first: every preset lists its points in
+ascending size, so the shard holding the latest point goes out first and
+the sweep's longest point starts at once instead of behind a short one.
 """
 
 from __future__ import annotations
@@ -76,6 +82,7 @@ import json
 import math
 import multiprocessing
 import os
+import selectors
 import socket
 import socketserver
 import threading
@@ -163,11 +170,43 @@ class _Lease:
 
 
 class _CoordinatorServer(socketserver.ThreadingTCPServer):
-    """Threaded TCP server dispatching wire messages to the coordinator."""
+    """Threaded TCP server dispatching wire messages to the coordinator.
+
+    Its accept loop selects on the listening socket and on one end of a
+    socket pair; :meth:`wake` writes to the other end, so a stop ends the
+    loop at once instead of at the next poll.
+    """
 
     allow_reuse_address = True
     daemon_threads = True
     coordinator: "ShardCoordinator"
+
+    def __init__(self, address: Tuple[str, int], handler: type) -> None:
+        """Bind and listen on ``address``, then open the wake-up pair."""
+        super().__init__(address, handler)
+        self._waker, self._wakeup = socket.socketpair()
+
+    def serve_until_woken(self) -> None:
+        """Accept and dispatch connections until :meth:`wake` is called."""
+        with selectors.DefaultSelector() as selector:
+            selector.register(self, selectors.EVENT_READ)
+            selector.register(self._wakeup, selectors.EVENT_READ)
+            while True:
+                ready = selector.select()
+                if any(key.fileobj is self._wakeup for key, _ in ready):
+                    return
+                # the listening socket is readable: accept without blocking
+                self._handle_request_noblock()
+
+    def wake(self) -> None:
+        """End :meth:`serve_until_woken` (callable from any thread)."""
+        self._waker.send(b"\0")
+
+    def server_close(self) -> None:
+        """Close the listening socket and the wake-up pair."""
+        super().server_close()
+        self._waker.close()
+        self._wakeup.close()
 
 
 class _CoordinatorHandler(socketserver.StreamRequestHandler):
@@ -255,8 +294,15 @@ class ShardCoordinator:
         self._host = host
         self._port = port
         done = set(completed)
+        # longest first (Graham's LPT rule): presets list their points in
+        # ascending size, so the shard holding the latest point leases first
+        # and the largest point never waits for a worker to free up
         self._pending = deque(
-            shard for shard in range(shard_count) if shard not in done
+            sorted(
+                (shard for shard in range(shard_count) if shard not in done),
+                key=lambda shard: self._plan[shard][-1:],  # empty shards last
+                reverse=True,
+            )
         )
         self._leases: Dict[int, _Lease] = {}
         self._completed = done
@@ -295,8 +341,7 @@ class ShardCoordinator:
         self.bind()
         if self._thread is None:
             self._thread = threading.Thread(
-                target=self._server.serve_forever,
-                kwargs={"poll_interval": 0.05},
+                target=self._server.serve_until_woken,
                 name="repro-coordinator",
                 daemon=True,
             )
@@ -307,7 +352,7 @@ class ShardCoordinator:
         """Stop serving and release the socket (idempotent)."""
         if self._server is not None:
             if self._thread is not None:
-                self._server.shutdown()
+                self._server.wake()
                 self._thread.join(timeout=5.0)
                 self._thread = None
             self._server.server_close()

@@ -58,9 +58,9 @@ def _count_nodes(graph, root):
         "quick": {"sizes": (16, 36), "seeds": (1,), "topology": "grid"},
         "default": {"sizes": (36, 64, 100), "seeds": (1, 2, 3), "topology": "grid"},
         "hot": {"sizes": (1024, 4096), "seeds": (1, 2), "topology": "grid"},
-        # the synchronizer at scale: the size protocols are partition-bound
-        # (ROADMAP Open item 2) and are gated off so the preset times the
-        # sim layer it exists to watch
+        # the synchronizer at scale: the size protocols spend their time in
+        # the partition, not the synchronizer, so they are gated off and
+        # the preset times the sim layer it exists to watch
         "xhot": {
             "sizes": (102400,), "seeds": (1,), "topology": "grid",
             "size_protocols": False,

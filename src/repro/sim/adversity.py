@@ -58,11 +58,9 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, fields, replace
-from typing import Dict, Hashable, Mapping, Optional, Set, Tuple, Union
+from typing import Dict, Mapping, Optional, Set, Tuple, Union
 
-from repro.topology.graph import WeightedGraph
-
-NodeId = Hashable
+from repro.topology.graph import WeightedGraph, edge_key
 
 #: Cell value experiments write into columns whose run aborted under faults.
 ABORTED = "abort"
@@ -106,7 +104,7 @@ class AdversitySpec:
     crash_rate: float = 0.0
     crash_length: int = 8
     crash_period: int = 64
-    crash_nodes: Tuple[NodeId, ...] = ()
+    crash_nodes: Tuple[int, ...] = ()
     loss_rate: float = 0.0
     delay_rate: float = 0.0
     jam_rate: float = 0.0
@@ -324,8 +322,8 @@ class AdversityState:
         self._spawn = random.Random(seed)
         self._layout_rng = self.spawn_rng()
         self._bound = False
-        self._crash_offsets: Dict[NodeId, int] = {}
-        self._churn_offsets: Dict[Tuple[NodeId, NodeId], int] = {}
+        self._crash_offsets: Dict[int, int] = {}
+        self._churn_offsets: Dict[Tuple[int, int], int] = {}
         self.messages_dropped = 0
         self.messages_delayed = 0
         self.slots_jammed = 0
@@ -357,13 +355,10 @@ class AdversityState:
                     self._crash_offsets[node] = rng.randrange(spec.crash_period)
         if spec.churn_rate > 0.0:
             for edge in graph.edges():
-                key = self._link_key(edge.u, edge.v)
                 if rng.random() < spec.churn_rate:
-                    self._churn_offsets[key] = rng.randrange(spec.churn_period)
-
-    @staticmethod
-    def _link_key(u: NodeId, v: NodeId) -> Tuple[NodeId, NodeId]:
-        return (u, v) if repr(u) <= repr(v) else (v, u)
+                    self._churn_offsets[edge_key(edge.u, edge.v)] = rng.randrange(
+                        spec.churn_period
+                    )
 
     # ------------------------------------------------------------------
     # fault predicates (called by the injection sites)
@@ -373,7 +368,7 @@ class AdversityState:
         """Return ``True`` when some node of the bound topology is crash-prone."""
         return bool(self._crash_offsets)
 
-    def crashed_nodes(self, round_index: int) -> Set[NodeId]:
+    def crashed_nodes(self, round_index: int) -> Set[int]:
         """Return the nodes inside a crash window in ``round_index``.
 
         The same answer as :meth:`node_crashed` for every node, in one pass
@@ -387,7 +382,7 @@ class AdversityState:
             if (round_index - offset) % period < length
         }
 
-    def node_crashed(self, node: NodeId, round_index: int) -> bool:
+    def node_crashed(self, node: int, round_index: int) -> bool:
         """Return ``True`` when ``node`` is inside a crash window."""
         offsets = self._crash_offsets
         if not offsets:
@@ -398,12 +393,12 @@ class AdversityState:
         spec = self.spec
         return (round_index - offset) % spec.crash_period < spec.crash_length
 
-    def link_down(self, u: NodeId, v: NodeId, round_index: int) -> bool:
+    def link_down(self, u: int, v: int, round_index: int) -> bool:
         """Return ``True`` when the ``{u, v}`` link is inside a churn window."""
         offsets = self._churn_offsets
         if not offsets:
             return False
-        offset = offsets.get(self._link_key(u, v))
+        offset = offsets.get(edge_key(u, v))
         if offset is None:
             return False
         spec = self.spec
@@ -412,8 +407,8 @@ class AdversityState:
     def drop_message(
         self,
         rng: random.Random,
-        sender: NodeId,
-        receiver: NodeId,
+        sender: int,
+        receiver: int,
         round_index: int,
     ) -> bool:
         """Decide (and count) whether one delivered message is lost.

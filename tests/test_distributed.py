@@ -29,6 +29,7 @@ import os
 import random
 import signal
 import socket
+import statistics
 import threading
 import time
 
@@ -53,7 +54,11 @@ from repro.experiments.executors import (
     sweep_digest,
     write_checkpoint,
 )
-from repro.experiments.registry import ExperimentSpec, get_experiment
+from repro.experiments.registry import (
+    ExperimentSpec,
+    all_experiments,
+    get_experiment,
+)
 from repro.experiments.runner import run_experiment
 from repro.experiments.serialization import decode_wire, encode_wire
 from repro.serve import ServeApp
@@ -153,13 +158,14 @@ class TestWireCodec:
 # coordinator protocol: deterministic direct-handle scenarios
 # ----------------------------------------------------------------------
 class TestCoordinatorProtocol:
-    def make(self, tmp_path, num_points=6, shard_count=3, lease_timeout=10.0):
+    def make(self, tmp_path, num_points=6, shard_count=3, lease_timeout=10.0,
+             completed=()):
         clock = FakeClock()
         run_dir = tmp_path / "run"
         spec, points, digest = synthetic_sweep(num_points, shard_count, run_dir)
         coordinator = ShardCoordinator(
             spec, "quick", {}, points, shard_count, digest, run_dir,
-            lease_timeout=lease_timeout, clock=clock,
+            completed=completed, lease_timeout=lease_timeout, clock=clock,
         )
         return coordinator, clock, digest, run_dir
 
@@ -338,6 +344,49 @@ class TestCoordinatorProtocol:
         hopped = decode_wire(json.loads(json.dumps(description["params"])))
         assert hopped == params
         assert description["digest"] == digest
+
+    def granted(self, coordinator):
+        """The shards one worker is granted, in order, until it must wait."""
+        shards = []
+        while True:
+            reply = coordinator.handle({"op": "lease", "worker": "w"})
+            if reply["op"] != "assign":
+                return shards
+            shards.append(reply["shard"])
+
+    def test_fresh_sweep_leases_the_last_shard_first(self, tmp_path):
+        coordinator, _, _, _ = self.make(tmp_path, num_points=4, shard_count=4)
+        assert self.granted(coordinator) == [3, 2, 1, 0]
+
+    def test_resumed_sweep_skips_its_completed_shards_in_that_order(
+        self, tmp_path
+    ):
+        coordinator, _, _, _ = self.make(
+            tmp_path, num_points=5, shard_count=5, completed=(1, 4)
+        )
+        assert self.granted(coordinator) == [3, 2, 0]
+
+    def test_the_shard_holding_the_last_point_leases_first(self, tmp_path):
+        # round-robin striping puts point 4 in shard 0 ([0, 2, 4]) ...
+        coordinator, _, _, _ = self.make(tmp_path, num_points=5, shard_count=2)
+        assert self.granted(coordinator) == [0, 1]
+        # ... and shards beyond the point count are empty: they go last
+        coordinator, _, _, _ = self.make(
+            tmp_path / "wide", num_points=2, shard_count=4
+        )
+        assert self.granted(coordinator) == [1, 0, 2, 3]
+
+
+@pytest.mark.parametrize("spec", all_experiments(), ids=lambda spec: spec.id)
+def test_every_preset_ends_on_its_largest_point(spec):
+    # the coordinator leases the shard holding the last point first, which
+    # is the longest-processing-time rule only while each preset's last
+    # point is its largest
+    for preset in spec.presets:
+        sizes = [point["n"] for point in spec.points(spec.params_for(preset))
+                 if "n" in point]
+        if sizes:
+            assert sizes[-1] == max(sizes), (spec.id, preset, sizes)
 
 
 # ----------------------------------------------------------------------
@@ -936,6 +985,21 @@ class _ParkSignal(ShardCoordinator):
 
 @INTEGRATION
 class TestLongPollAndShutdown:
+    def test_idle_stop_returns_without_waiting_for_a_poll(self, tmp_path):
+        run_dir = tmp_path / "run"
+        spec, points, digest = synthetic_sweep(1, 1, run_dir)
+        stops = []
+        for _ in range(20):
+            coordinator = ShardCoordinator(spec, "quick", {}, points, 1,
+                                           digest, run_dir)
+            coordinator.start()
+            start = time.perf_counter()
+            coordinator.stop()
+            stops.append(time.perf_counter() - start)
+        # an accept loop that polled for the stop every 50 ms would take
+        # about that long here; a woken one returns in well under a ms
+        assert statistics.median(stops) < 0.025
+
     def test_parked_lease_wakes_on_rejected_submission(self, tmp_path):
         run_dir = tmp_path / "run"
         spec, points, digest = synthetic_sweep(1, 1, run_dir)
