@@ -57,30 +57,27 @@ def compute_on_point_to_point_only(
     graph: WeightedGraph,
     function: GlobalSensitiveFunction,
     inputs: Dict[int, object],
-    leader: Optional[int] = None,
+    leader: int = 0,
     seed: Optional[int] = None,
     metrics: Optional[MetricsRecorder] = None,
     adversity: Optional[AdversityState] = None,
 ) -> BaselineResult:
     """Compute the function using only the point-to-point network.
 
-    A BFS spanning tree is grown from the ``leader`` (the minimum-identifier
-    node by default — the paper's Ω(d) bound holds even with a distinguished
-    leader), the operands are converge-cast to the leader and the result is
-    broadcast back down so every node learns it.  The BFS construction is
-    charged its textbook synchronous cost (eccentricity-of-leader rounds, at
-    most two messages per link); the aggregation runs as a genuine
-    message-passing protocol on the simulator — which is where an
-    ``adversity`` schedule bites (the analytically charged BFS stage is out
-    of its reach).
+    A BFS spanning tree is grown from the ``leader`` (node 0, the minimum
+    identifier, by default — the paper's Ω(d) bound holds even with a
+    distinguished leader), the operands are converge-cast to the leader and
+    the result is broadcast back down so every node learns it.  The BFS
+    construction is charged its textbook synchronous cost
+    (eccentricity-of-leader rounds, at most two messages per link); the
+    aggregation runs as a genuine message-passing protocol on the simulator
+    — which is where an ``adversity`` schedule bites (the analytically
+    charged BFS stage is out of its reach).
     """
     recorder = metrics if metrics is not None else MetricsRecorder()
-    nodes = graph.nodes()
-    if leader is None:
-        leader = min(nodes, key=repr)
     recorder.set_phase("bfs")
-    parent, _, labels = build_bfs_forest(graph, [leader])
-    recorder.record_round(max(labels, default=0))
+    parent, labels = build_bfs_forest(graph, leader)
+    recorder.record_round(max(labels))
     recorder.record_messages(2 * graph.num_edges())
     recorder.set_phase(None)
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import List, Set, Tuple
 
 from repro.topology.graph import Edge, WeightedGraph
-from repro.topology.properties import is_connected
 
 
 @dataclass
@@ -77,7 +76,7 @@ def kruskal_mst(graph: WeightedGraph) -> MSTEdges:
     """
     if graph.num_nodes() == 0:
         raise ValueError("the MST of an empty graph is undefined")
-    if not is_connected(graph):
+    if not graph.csr().is_connected():
         raise ValueError("the graph is disconnected; no spanning tree exists")
     union_find = _UnionFind(graph.num_nodes())
     chosen: List[Edge] = []

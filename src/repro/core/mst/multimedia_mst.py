@@ -34,7 +34,6 @@ from repro.sim.adversity import AdversityState
 from repro.sim.channel import SlottedChannel
 from repro.sim.metrics import MetricsRecorder, MetricsSnapshot
 from repro.topology.graph import Edge, WeightedGraph, edge_key
-from repro.topology.properties import is_connected
 
 
 @dataclass
@@ -99,7 +98,7 @@ class MultimediaMST:
         """
         if graph.num_nodes() == 0:
             raise ValueError("cannot compute the MST of an empty network")
-        if not is_connected(graph):
+        if not graph.csr().is_connected():
             raise ValueError("the topology must be connected")
         if not graph.csr().has_distinct_weights():
             raise ValueError(

@@ -80,7 +80,6 @@ from repro.protocols.symmetry.mis import MIS_COMMUNICATION_ROUNDS, RED, mis_colu
 from repro.protocols.symmetry.three_coloring import three_color_columns
 from repro.sim.metrics import MetricsRecorder, MetricsSnapshot
 from repro.topology.graph import WeightedGraph
-from repro.topology.properties import is_connected
 
 
 @dataclass
@@ -166,7 +165,7 @@ class DeterministicPartitioner:
         """
         if graph.num_nodes() == 0:
             raise ValueError("cannot partition an empty network")
-        if not is_connected(graph):
+        if not graph.csr().is_connected():
             raise ValueError("the point-to-point topology must be connected")
         self._graph = graph
         self._n = graph.num_nodes()

@@ -10,7 +10,7 @@ the distributed executions leave behind at the nodes.
 
 The forest is one immutable set of columns over the nodes ``0..n-1`` of a
 graph — a partition, or a BFS tree (the parent column
-:func:`~repro.protocols.spanning.bfs.build_bfs_forest` writes).
+:func:`~repro.protocols.spanning.bfs.build_bfs_forest` returns).
 ``parent[node]`` is the parent (``-1`` for a core) and ``root[node]`` the
 core; a node's
 children are the slots whose parent it is, which a consumer holding the CSR

@@ -54,7 +54,6 @@ from repro.protocols.collision.metcalfe_boggs import MetcalfeBoggsContender
 from repro.sim.errors import ProtocolError
 from repro.sim.metrics import MetricsRecorder, MetricsSnapshot
 from repro.topology.graph import WeightedGraph
-from repro.topology.properties import is_connected
 
 
 def ln_star(n: float) -> int:
@@ -169,7 +168,7 @@ class RandomizedPartitioner:
         """
         if graph.num_nodes() == 0:
             raise ValueError("cannot partition an empty network")
-        if not is_connected(graph):
+        if not graph.csr().is_connected():
             raise ValueError("the point-to-point topology must be connected")
         self._graph = graph
         self._n = graph.num_nodes()
@@ -364,6 +363,10 @@ class RandomizedPartitioner:
         unrank: List[int],
     ) -> int:
         """Relax labels outward from the new centres; returns messages sent.
+
+        Not a :meth:`~repro.topology.graph.CSRView.bfs` call: it relaxes
+        existing labels by strict improvement over the alive links only and
+        counts the messages each improvement sends.
 
         A node adopts a neighbour's announcement only when it strictly reduces
         its label (ties between simultaneous announcements go to the least

@@ -34,7 +34,7 @@ DEFAULT_SEEDS = (1, 2, 3)
 
 def _count_nodes(graph, root):
     """Return the factory counting the nodes up a BFS tree rooted at ``root``."""
-    parent, _, _ = build_bfs_forest(graph, [root])
+    parent, _ = build_bfs_forest(graph, root)
     return TreeAggregationFlyweight.over(
         SpanningForest(parent),
         dict.fromkeys(graph.nodes(), 1),

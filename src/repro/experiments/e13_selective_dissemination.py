@@ -35,7 +35,6 @@ from repro.protocols.dissemination import SCHEDULERS, disseminate
 from repro.sim.adversity import ABORTED, ADVERSITY_KINDS, adversity_state
 from repro.sim.errors import AdversityAbort
 from repro.topology.generators import ad_hoc_affectance_graph
-from repro.topology.properties import breadth_first_levels
 
 DEFAULT_SIZES = (64, 128, 256, 512)
 
@@ -76,7 +75,7 @@ def sweep_point(n: int, adversity: object = None) -> Dict[str, object]:
         n, seed=11, return_affectance=True
     )
     source = 0
-    layers = max(breadth_first_levels(graph, source).values())
+    layers = max(graph.csr().bfs(source)[0])
     rounds: Dict[str, Optional[int]] = {}
     faults = 0
     for scheduler in SCHEDULERS:

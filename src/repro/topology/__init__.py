@@ -5,8 +5,8 @@ assumes an arbitrary-topology point-to-point network.  This package provides
 the graph data structure used throughout the reproduction, a collection of
 topology generators (including the ray graphs used in the paper's lower-bound
 argument, Section 5.2), utilities to assign the distinct link weights assumed
-by the MST-related algorithms, and graph-property helpers (diameter, radius,
-connectivity) needed by the experiments.
+by the MST-related algorithms, and the hop diameter the experiments need (the
+graph's breadth-first search is :meth:`~repro.topology.graph.CSRView.bfs`).
 """
 
 from repro.topology.graph import Edge, WeightedGraph
@@ -22,12 +22,7 @@ from repro.topology.generators import (
     ring_graph,
     torus_graph,
 )
-from repro.topology.properties import (
-    breadth_first_levels,
-    connected_components,
-    diameter,
-    is_connected,
-)
+from repro.topology.properties import diameter
 from repro.topology.weights import assign_distinct_weights
 
 __all__ = [
@@ -43,9 +38,6 @@ __all__ = [
     "ray_graph",
     "ring_graph",
     "torus_graph",
-    "breadth_first_levels",
-    "connected_components",
     "diameter",
-    "is_connected",
     "assign_distinct_weights",
 ]

@@ -286,17 +286,22 @@ def _stitch_components(n: int, edge_u: array, edge_v: array, positions) -> Weigh
 
     While the edge stream is disconnected, the closest pair between the
     first component and any other is added to it, one bridge at a time; the
-    components are read off a throwaway graph over the current stream, and
-    each bridge makes new columns rather than growing the ones that graph
-    holds.  The connected stream is built into the returned graph, whose
-    rows are left unfilled.
+    components are read off a throwaway graph over the current stream (one
+    BFS from each smallest unseen slot, members in visit order), and each
+    bridge makes new columns rather than growing the ones that graph holds.
+    The connected stream is built into the returned graph, whose rows are
+    left unfilled.
     """
-    from repro.topology.properties import connected_components
-
     while not _stream_connected(n, edge_u, edge_v):
-        components = connected_components(
-            WeightedGraph._from_csr_edges(n, edge_u, edge_v)
-        )
+        csr = WeightedGraph._from_csr_edges(n, edge_u, edge_v).csr()
+        seen = bytearray(n)
+        components = []
+        for start in range(n):
+            if not seen[start]:
+                component = csr.bfs(start)[2]
+                for slot in component:
+                    seen[slot] = 1
+                components.append(component)
         base = components[0]
         best = None
         for other in components[1:]:

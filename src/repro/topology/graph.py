@@ -193,32 +193,46 @@ class CSRView:
             return node
         raise KeyError(node)
 
+    def bfs(self, source: int) -> Tuple[List[int], List[int], List[int]]:
+        """Breadth-first search from ``source``: the one graph BFS of the library.
+
+        Returns ``(distance, parent, order)``: the hop distance and BFS-tree
+        parent of every slot (``-1`` where unreached; ``source``'s parent is
+        ``-1`` too), and the reached slots in visit order — level by level,
+        FIFO within a level, neighbours in row order, which is the order of
+        a node-at-a-time queue.  The eccentricity of ``source`` within its
+        component is ``distance[order[-1]]``.
+
+        Raises:
+            KeyError: if ``source`` is not a node of the graph.
+        """
+        offsets = self.offsets
+        targets = self.targets
+        distance = [-1] * self.n
+        parent = [-1] * self.n
+        distance[self.slot(source)] = 0
+        order = [source]
+        visit = order.append
+        # the list is the FIFO queue: iteration reaches the slots appended
+        # while it runs
+        for slot in order:
+            depth = distance[slot] + 1
+            for target in targets[offsets[slot]:offsets[slot + 1]]:
+                if distance[target] < 0:
+                    distance[target] = depth
+                    parent[target] = slot
+                    visit(target)
+        return distance, parent, order
+
     def is_connected(self) -> bool:
         """Return ``True`` when the graph is connected (the empty graph counts).
 
-        One frontier sweep over the rows from slot 0, computed once per view
-        and cached, so every consumer of the graph (the partitioners, the MST
-        stages, each simulation run) shares it.
+        One :meth:`bfs` from slot 0, computed once per view and cached, so
+        every consumer of the graph (the partitioners, the MST stages, each
+        simulation run) shares it.
         """
         if self._connected is None:
-            offsets = self.offsets
-            targets = self.targets
-            seen = bytearray(self.n)
-            frontier = []
-            if self.n:
-                seen[0] = 1
-                frontier.append(0)
-            reached = len(frontier)
-            while frontier:
-                next_frontier: List[int] = []
-                for slot in frontier:
-                    for target in targets[offsets[slot]:offsets[slot + 1]]:
-                        if not seen[target]:
-                            seen[target] = 1
-                            next_frontier.append(target)
-                reached += len(next_frontier)
-                frontier = next_frontier
-            self._connected = reached == self.n
+            self._connected = self.n == 0 or len(self.bfs(0)[2]) == self.n
         return self._connected
 
     def canonical_edges(self) -> Tuple[array, array, array]:

@@ -38,6 +38,7 @@ import functools
 import math
 import operator
 import random
+from collections import deque
 from typing import (
     Any, Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
 )
@@ -400,20 +401,20 @@ def link_weights(csr, node: int) -> Dict[int, float]:
     return dict(zip(csr.targets[lo:hi], csr.weights[lo:hi]))
 
 
-def bfs_maps(graph, columns) -> Tuple[Dict, Dict, Dict]:
+def bfs_maps(graph, columns) -> Tuple[Dict, Dict]:
     """Turn ``build_bfs_forest``'s columns into node-keyed maps.
 
-    Returns ``(parents, root_of, labels)`` — parent node (``None`` at a
-    root), root node and hop label — over the labelled nodes only, in the
-    visit order of a level-by-level BFS: the roots in ``repr`` order, then
-    level by level, each node's children in its row order.  That is the
-    order a node-at-a-time queue visits them in, and the order the parent
-    and children inputs of the oracles are built in.
+    Returns ``(parents, labels)`` — parent node (``None`` at the root) and
+    hop label — over the labelled nodes only, in the visit order of a
+    level-by-level BFS: the root, then level by level, each node's children
+    in its row order.  That is the order a node-at-a-time queue visits them
+    in, and the order the parent and children inputs of the oracles are
+    built in.
     """
-    parent, root, label = columns
+    parent, label = columns
     csr = graph.csr()
     offsets, targets = csr.offsets, csr.targets
-    level = sorted((slot for slot in range(csr.n) if label[slot] == 0), key=repr)
+    level = [slot for slot in range(csr.n) if label[slot] == 0]
     visit: List[int] = []
     while level:
         visit.extend(level)
@@ -426,9 +427,38 @@ def bfs_maps(graph, columns) -> Tuple[Dict, Dict, Dict]:
     assert len(visit) == sum(1 for value in label if value >= 0)
     return (
         {slot: parent[slot] if parent[slot] >= 0 else None for slot in visit},
-        {slot: root[slot] for slot in visit},
         {slot: label[slot] for slot in visit},
     )
+
+
+def queue_bfs_forest(graph, roots, depth_limit=None) -> Tuple[Dict, Dict, Dict]:
+    """Grow BFS trees from ``roots`` by a node-at-a-time FIFO queue.
+
+    The reference both :meth:`repro.topology.graph.CSRView.bfs` (one root,
+    no limit) and the distributed BFS oracle (several roots, a depth limit)
+    are held to.  The roots start the queue in ``repr`` order — the
+    protocol's "least id" rule — and a node at ``depth_limit`` does not
+    expand.  Returns ``(parents, root_of, labels)`` maps over the labelled
+    nodes, each in visit order.
+    """
+    parents, root_of, labels = {}, {}, {}
+    queue = deque()
+    for root in sorted(roots, key=repr):
+        parents[root] = None
+        root_of[root] = root
+        labels[root] = 0
+        queue.append(root)
+    while queue:
+        node = queue.popleft()
+        if depth_limit is not None and labels[node] >= depth_limit:
+            continue
+        for neighbor in neighbors(graph.csr(), node):
+            if neighbor not in labels:
+                labels[neighbor] = labels[node] + 1
+                parents[neighbor] = node
+                root_of[neighbor] = root_of[node]
+                queue.append(neighbor)
+    return parents, root_of, labels
 
 
 # ----------------------------------------------------------------------

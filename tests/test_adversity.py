@@ -285,7 +285,7 @@ class TestJamAccounting:
 # bounded aborts: the adversary can wedge a run, never hang it
 # ----------------------------------------------------------------------
 def _aggregation(graph, root):
-    parent, _, _ = build_bfs_forest(graph, [root])
+    parent, _ = build_bfs_forest(graph, root)
     return TreeAggregationFlyweight.over(
         SpanningForest(parent),
         dict.fromkeys(graph.nodes(), 1),

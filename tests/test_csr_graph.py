@@ -17,7 +17,7 @@ from array import array
 
 import pytest
 
-from oracles import edge_weight_sum, neighbors, scan_canonical_edges
+from oracles import edge_weight_sum, neighbors, queue_bfs_forest, scan_canonical_edges
 from repro.experiments.harness import make_topology
 from repro.topology.generators import (
     ad_hoc_affectance_graph,
@@ -30,7 +30,6 @@ from repro.topology.generators import (
     ring_graph,
 )
 from repro.topology.graph import CSRView, WeightedGraph
-from repro.topology.properties import breadth_first_levels
 from repro.topology.weights import assign_distinct_weights
 
 
@@ -331,7 +330,7 @@ class TestDegenerateShapes:
         assert [csr.offsets[i + 1] - csr.offsets[i] for i in range(5)] == [
             1, 0, 0, 0, 1
         ]
-        assert breadth_first_levels(graph, 3) == {3: 0}
+        assert csr.bfs(3) == ([-1, -1, -1, 0, -1], [-1] * 5, [3])
         assert_csr_matches(graph, range(5), [(0, 4, 2.0)])
 
 
@@ -341,9 +340,49 @@ class TestIdentityDetection:
     def test_bfs_rejects_unknown_source(self):
         graph = path_graph(3)
         with pytest.raises(KeyError):
-            breadth_first_levels(graph, 99)
+            graph.csr().bfs(99)
         with pytest.raises(KeyError):
-            breadth_first_levels(WeightedGraph(), 0)
+            WeightedGraph().csr().bfs(0)
+
+
+class TestBFSKernel:
+    """``CSRView.bfs`` field for field against the node-at-a-time queue."""
+
+    @staticmethod
+    def assert_matches_queue(graph, source):
+        distance, parent, order = graph.csr().bfs(source)
+        parents, _, labels = queue_bfs_forest(graph, [source])
+        slots = range(graph.num_nodes())
+        assert order == list(labels)
+        assert distance == [labels.get(slot, -1) for slot in slots]
+        assert parent == [
+            -1 if parents.get(slot) is None else parents[slot] for slot in slots
+        ]
+
+    @pytest.mark.parametrize(
+        "kind", ("grid", "ring", "geometric", "scale_free", "ad_hoc")
+    )
+    def test_five_kinds(self, kind):
+        graph = make_topology(kind, 150, seed=7)
+        n = graph.num_nodes()
+        for source in (0, n // 2, n - 1):
+            self.assert_matches_queue(graph, source)
+
+    def test_disconnected_graph(self):
+        graph = WeightedGraph.from_edges([(0, 2), (2, 1), (3, 4), (1, 5)], n=7)
+        for source in (0, 1, 4):
+            self.assert_matches_queue(graph, source)
+        assert sorted(graph.csr().bfs(1)[2]) == [0, 1, 2, 5]
+
+    def test_isolated_source(self):
+        graph = WeightedGraph.from_edges([(0, 2), (2, 1), (3, 4), (1, 5)], n=7)
+        self.assert_matches_queue(graph, 6)
+        assert graph.csr().bfs(6) == ([-1] * 6 + [0], [-1] * 7, [6])
+
+    def test_single_node(self):
+        graph = WeightedGraph.from_edges([], n=1)
+        self.assert_matches_queue(graph, 0)
+        assert graph.csr().bfs(0) == ([0], [-1], [0])
 
 
 class TestHasNodeOnIdentityGraph:

@@ -13,7 +13,6 @@ from repro.sim.adversity import ABORTED, adversity_state
 from repro.sim.errors import AdversityAbort
 from repro.topology.generators import ad_hoc_affectance_graph
 from repro.topology.graph import WeightedGraph
-from repro.topology.properties import breadth_first_levels
 
 
 def build_instance(edges, affectance_overrides=None, n=None):
@@ -76,7 +75,7 @@ class TestCompleteness:
         graph, affectance = ad_hoc_affectance_graph(
             64, seed=11, return_affectance=True
         )
-        layers = max(breadth_first_levels(graph, 0).values())
+        layers = max(graph.csr().bfs(0)[0])
         for scheduler in SCHEDULERS:
             result = disseminate(graph, affectance, scheduler=scheduler)
             assert result.rounds >= layers

@@ -17,11 +17,9 @@ class TestHarness:
             harness.make_topology("hyperloop", 30)
 
     def test_make_topology_new_kinds_connected_and_deterministic(self):
-        from repro.topology.properties import is_connected
-
         for kind in ("scale_free", "ad_hoc"):
             graph = harness.make_topology(kind, 100, seed=7)
-            assert is_connected(graph)
+            assert graph.csr().is_connected()
             again = harness.make_topology(kind, 100, seed=7)
             assert graph.edges() == again.edges()
 

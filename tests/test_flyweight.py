@@ -22,6 +22,7 @@ from oracles import (
     bfs_maps,
     children_map,
     per_node,
+    queue_bfs_forest,
 )
 from repro.core.partition.forest import SpanningForest
 from repro.experiments.harness import make_topology
@@ -45,8 +46,8 @@ def aggregation_factories(graph, redistribute):
     dispatch or delivery order shows up in the results.
     """
     root = min(graph.nodes())
-    columns = build_bfs_forest(graph, [root])
-    parents, _, _ = bfs_maps(graph, columns)
+    columns = build_bfs_forest(graph, root)
+    parents, _ = bfs_maps(graph, columns)
     children = children_map(parents)
 
     def concat(a, b):
@@ -148,7 +149,11 @@ class TestSynchronizerEquivalence:
 
 
 class TestBFSOracle:
-    """Distributed BFS (the oracle) against the sequential reference."""
+    """Distributed BFS (the oracle) against the sequential reference.
+
+    One unlimited tree is ``build_bfs_forest``'s; several roots or a depth
+    limit are held to the node-at-a-time queue that function is pinned to.
+    """
 
     @pytest.mark.parametrize("kind,n", TOPOLOGIES)
     @pytest.mark.parametrize("num_roots,depth_limit", ((1, None), (3, None), (3, 2)))
@@ -162,9 +167,11 @@ class TestBFSOracle:
         result = MultimediaNetwork(graph, seed=3).run(
             per_node(BFSTreeProtocol, inputs)
         )
-        parents, root_of, labels = bfs_maps(
-            graph, build_bfs_forest(graph, roots, depth_limit)
-        )
+        if num_roots == 1 and depth_limit is None:
+            _, labels = bfs_maps(graph, build_bfs_forest(graph, roots[0]))
+            root_of = dict.fromkeys(labels, roots[0])
+        else:
+            _, root_of, labels = queue_bfs_forest(graph, roots, depth_limit)
         for node, state in result.results.items():
             assert state["label"] == labels.get(node)
             assert state["root"] == root_of.get(node)
@@ -205,7 +212,7 @@ class TestCSREnvironment:
 
     def test_forest_must_span_the_graph(self):
         graph = make_topology("grid", 9, seed=11)
-        parent, _, _ = build_bfs_forest(graph, [0])
+        parent, _ = build_bfs_forest(graph, 0)
         # a forest over the graph's first eight nodes only
         short = SpanningForest(parent[:8])
         factory = TreeAggregationFlyweight.over(

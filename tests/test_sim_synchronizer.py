@@ -13,7 +13,7 @@ from repro.topology.generators import grid_graph
 
 
 def _sum_inputs(graph, root):
-    parents, _, _ = bfs_maps(graph, build_bfs_forest(graph, [root]))
+    parents, _ = bfs_maps(graph, build_bfs_forest(graph, root))
     children = children_map(parents)
     return {
         node: {

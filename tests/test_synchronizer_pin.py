@@ -66,7 +66,7 @@ def outcome(name: str, delay: int, adversity=None) -> tuple:
 def arrival_order(name: str, delay: int) -> str:
     """Concatenate node tuples up the BFS tree; digest the root's result."""
     graph = GRAPHS[name]()
-    parent, _, _ = build_bfs_forest(graph, [0])
+    parent, _ = build_bfs_forest(graph, 0)
     concat = TreeAggregationFlyweight.over(
         SpanningForest(parent),
         {node: (node,) for node in graph.nodes()},

@@ -20,7 +20,7 @@ from repro.topology.generators import (
     ring_graph,
     torus_graph,
 )
-from repro.topology.properties import diameter, is_connected
+from repro.topology.properties import diameter
 
 
 class TestBasicTopologies:
@@ -69,7 +69,7 @@ class TestRandomTopologies:
     def test_random_tree_is_a_tree(self):
         graph = random_tree(50, seed=4)
         assert graph.num_edges() == 49
-        assert is_connected(graph)
+        assert graph.csr().is_connected()
 
     def test_random_tree_deterministic_given_seed(self):
         first = random_tree(30, seed=9)
@@ -78,7 +78,7 @@ class TestRandomTopologies:
 
     def test_erdos_renyi_connected(self):
         graph = erdos_renyi_graph(40, 0.05, seed=1)
-        assert is_connected(graph)
+        assert graph.csr().is_connected()
         assert graph.num_nodes() == 40
 
     def test_erdos_renyi_probability_validated(self):
@@ -87,7 +87,7 @@ class TestRandomTopologies:
 
     def test_geometric_connected(self):
         graph = random_geometric_graph(60, seed=2)
-        assert is_connected(graph)
+        assert graph.csr().is_connected()
         assert graph.num_nodes() == 60
 
 
@@ -161,7 +161,7 @@ class TestBarabasiAlbert:
         assert graph.num_nodes() == 500
         # every node after the seed stage contributes exactly `attachment` edges
         assert graph.num_edges() == 2 * (500 - 2)
-        assert is_connected(graph)
+        assert graph.csr().is_connected()
 
     def test_degree_distribution_is_heavy_tailed(self):
         graph = barabasi_albert_graph(2000, attachment=2, seed=11)
@@ -199,7 +199,7 @@ class TestAdHocAffectance:
     def test_connected_and_sparse(self):
         graph = ad_hoc_affectance_graph(400, seed=3)
         assert graph.num_nodes() == 400
-        assert is_connected(graph)
+        assert graph.csr().is_connected()
         # the default range keeps the network in the Θ(log n) degree regime,
         # far sparser than the plain geometric default
         average_degree = 2 * graph.num_edges() / graph.num_nodes()

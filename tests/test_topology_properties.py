@@ -18,38 +18,33 @@ from repro.topology.generators import (
     torus_graph,
 )
 from repro.topology.graph import WeightedGraph
-from repro.topology.properties import (
-    breadth_first_levels,
-    connected_components,
-    diameter,
-    is_connected,
-)
+from repro.topology.properties import approximate_diameter, diameter
 
 
 class TestBFS:
     def test_levels_on_path(self):
-        graph = path_graph(5)
-        levels = breadth_first_levels(graph, 0)
-        assert levels == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}
+        distance, _, _ = path_graph(5).csr().bfs(0)
+        assert distance == [0, 1, 2, 3, 4]
 
     def test_levels_missing_source(self):
         with pytest.raises(KeyError):
-            breadth_first_levels(path_graph(3), 99)
+            path_graph(3).csr().bfs(99)
 
 
 class TestConnectivity:
     def test_connected_components_split(self):
-        graph = WeightedGraph.from_edges([(0, 1), (2, 3)])
-        components = connected_components(graph)
-        assert sorted(sorted(c) for c in components) == [[0, 1], [2, 3]]
+        # a BFS reaches exactly its source's component
+        csr = WeightedGraph.from_edges([(0, 1), (2, 3)]).csr()
+        assert csr.bfs(0)[2] == [0, 1]
+        assert csr.bfs(3)[2] == [3, 2]
 
     def test_is_connected(self):
-        assert is_connected(ring_graph(5))
+        assert ring_graph(5).csr().is_connected()
         graph = WeightedGraph.from_edges([], n=2)
-        assert not is_connected(graph)
+        assert not graph.csr().is_connected()
 
     def test_empty_graph_is_connected(self):
-        assert is_connected(WeightedGraph())
+        assert WeightedGraph().csr().is_connected()
 
 
 class TestDistances:
@@ -163,6 +158,17 @@ class TestApproximateDiameter:
         for seed in (1, 2, 3):
             graph = erdos_renyi_graph(60, 0.08, seed=seed)
             assert approximate_diameter(graph) <= diameter(graph)
+
+    def test_far_end_is_the_first_deepest_slot_visited(self):
+        # a 4-cycle 0-1-4-2 with 3 hanging off 1: the sweep from 0 reaches
+        # 4 before 3 at its deepest level (1's row is 4, 3, 0), and the
+        # second sweep runs from 4 (eccentricity 2), not from the smaller
+        # slot 3 (eccentricity 3, the diameter)
+        graph = WeightedGraph.from_edges([(1, 4), (1, 3), (0, 1), (2, 4), (0, 2)])
+        distance, _, order = graph.csr().bfs(0)
+        assert order == [0, 1, 2, 4, 3] and distance[4] == distance[3] == 2
+        assert approximate_diameter(graph) == 2
+        assert diameter(graph) == 3
 
     def test_rejects_empty_and_disconnected(self):
         import pytest
