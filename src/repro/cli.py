@@ -1,9 +1,9 @@
-"""The ``repro`` command line: list, run, and benchmark the experiments.
+"""The ``repro`` command line: list, run, and serve the experiments.
 
 Everything goes through the declarative registry
 (:mod:`repro.experiments.registry`) and the unified runner
 (:mod:`repro.experiments.runner`), so the CLI exposes exactly the sweeps the
-pytest benches and the benchmark trajectory execute::
+tier-1 tests and the perfbench workloads execute::
 
     python -m repro list
     python -m repro run e7 --topology ad_hoc --preset hot --json out.json
@@ -14,7 +14,6 @@ pytest benches and the benchmark trajectory execute::
     python -m repro run e7 --workers 4                     # coordinator + workers
     python -m repro worker --connect 127.0.0.1:8036        # join a coordinator
     python -m repro serve --port 8035                      # read-side JSON API
-    python -m repro bench --quick
     python -m repro docs --check
 
 Installed as a ``repro`` console script by ``setup.py``.
@@ -143,14 +142,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="reconnect attempts (with exponential backoff) before giving up",
     )
 
-    # `bench` and `serve` are dispatched before this parser runs
-    # (argparse.REMAINDER cannot forward leading --options); the subparsers
-    # exist so the commands show up in `repro --help`.
-    sub.add_parser(
-        "bench",
-        help="time the benchmark suite and merge into BENCH_core.json "
-        "(see `repro bench --help`)",
-    )
+    # `serve` is dispatched before this parser runs (argparse.REMAINDER
+    # cannot forward leading --options); the subparser exists so the
+    # command shows up in `repro --help`.
     sub.add_parser(
         "serve",
         help="serve the experiment/run/benchmark corpus as a JSON API "
@@ -364,11 +358,6 @@ def _command_worker(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``python -m repro`` and the ``repro`` console script."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv[:1] == ["bench"]:
-        # delegate to the trajectory CLI, which owns the bench options
-        from repro.experiments.trajectory import main as bench_main
-
-        return bench_main(argv[1:])
     if argv[:1] == ["serve"]:
         # delegate to the serve CLI, which owns the service options
         from repro.serve import main as serve_main

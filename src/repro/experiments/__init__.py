@@ -11,9 +11,7 @@ any spec at any preset through a pluggable execution backend
 (:mod:`repro.experiments.executors` — serial, sharded/checkpointed with
 resume, or distributed) and its results render to the historical
 plain-text tables recorded in docs/experiments.md and serialize to JSON.
-``python -m repro`` (see :mod:`repro.cli`) is the command-line entry point;
-the benchmark trajectory (:mod:`repro.experiments.trajectory`) drives the
-same registry.
+``python -m repro`` (see :mod:`repro.cli`) is the command-line entry point.
 """
 
 from repro.experiments.executors import (

@@ -2,9 +2,9 @@
 
 The experiment registry (:mod:`repro.experiments.registry`) is the single
 source of truth for what each experiment sweeps — presets, topology kinds,
-row schema, benchmark variants.  This module renders that registry into
-``docs/experiments.md`` so the documentation can never drift from the code:
-CI re-generates the file and fails when the committed copy is stale.
+row schema.  This module renders that registry into ``docs/experiments.md``
+so the documentation can never drift from the code: CI re-generates the
+file and fails when the committed copy is stale.
 
 The output is deterministic: specs are rendered in registry order
 (``e1`` … ``e13``), presets in their canonical ``quick``/``default``/``hot``
@@ -17,6 +17,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List, Mapping
 
+from repro.experiments.executors import checkout_path
 from repro.experiments.registry import (
     REQUIRED_PRESETS,
     ExperimentSpec,
@@ -30,11 +31,11 @@ GENERATED_HEADER = (
 
 #: Wall-clock guidance per preset tier, rendered into the catalog so the
 #: budget a preset is held to is written next to the preset itself.  The
-#: ``quick`` and ``hot`` budgets are what the CI smoke and the benchmark
-#: trajectory effectively enforce; ``xhot`` is the scale-probe budget the
+#: tier-1 suite runs every ``quick`` preset whole; ``hot`` sweeps make up
+#: most of the perfbench workloads; ``xhot`` is the scale-probe budget the
 #: CI xhot smoke checks explicitly (see docs/performance.md).
 PRESET_BUDGETS: Dict[str, str] = {
-    "quick": "≤ 1 s/point (CI smoke)",
+    "quick": "≤ 1 s/point (tier-1 tests)",
     "default": "seconds (interactive)",
     "hot": "≤ 60 s/run (benchmark)",
     "xhot": "≤ 10 s/run (scale probe)",
@@ -84,29 +85,16 @@ def _preset_shape(spec: ExperimentSpec, name: str) -> Dict[str, object]:
     return {"points": len(points), "max_n": max(ns) if ns else None}
 
 
-def _bench_entries(spec: ExperimentSpec, preset: str) -> str:
-    """Render the suite-variant (bench-entry) names built on one preset."""
-    names = [
-        variant.name
-        for variant in (*spec.bench_extras, *spec.quick_extras)
-        if variant.preset == preset
-    ]
-    if not names:
-        return "—"
-    return ", ".join(f"`{name}`" for name in names)
-
-
 def _spec_section(spec: ExperimentSpec) -> List[str]:
     """Render one experiment's catalog section."""
     lines = [f"## {spec.id} — {spec.description}", ""]
-    lines.append("| preset | points | max n | budget | bench entries | parameters |")
-    lines.append("|--------|--------|-------|--------|---------------|------------|")
+    lines.append("| preset | points | max n | budget | parameters |")
+    lines.append("|--------|--------|-------|--------|------------|")
     for name in preset_names(spec):
         shape = _preset_shape(spec, name)
         max_n = "—" if shape["max_n"] is None else str(shape["max_n"])
         lines.append(
             f"| `{name}` | {shape['points']} | {max_n} | {preset_budget(name)} | "
-            f"{_bench_entries(spec, name)} | "
             f"{_format_params(spec.presets[name])} |"
         )
     lines.append("")
@@ -126,21 +114,6 @@ def _spec_section(spec: ExperimentSpec) -> List[str]:
     columns = ", ".join(f"`{column}`" for column in spec.columns)
     lines.append(f"**Row schema:** {columns}")
     lines.append("")
-    variants = []
-    for variant in spec.bench_extras:
-        variants.append((variant, "benchmark trajectory"))
-    for variant in spec.quick_extras:
-        variants.append((variant, "CI quick smoke"))
-    if variants:
-        lines.append("**Suite variants:**")
-        lines.append("")
-        for variant, suite in variants:
-            overrides = _format_params(variant.overrides)
-            detail = f"`{variant.preset}` preset"
-            if variant.overrides:
-                detail += f" with {overrides}"
-            lines.append(f"- `{variant.name}` ({suite}): {detail}")
-        lines.append("")
     return lines
 
 
@@ -152,9 +125,8 @@ def experiments_markdown() -> str:
         "# Experiment catalog",
         "",
         "One entry per registered experiment spec: its parameter presets,",
-        "supported topology kinds, row schema, and the named suite variants",
-        "the benchmark trajectory and the CI smoke run execute.  Run any of",
-        "them with `python -m repro run <id> [--preset P] [--topology T]`;",
+        "supported topology kinds and row schema.  Run any of them with",
+        "`python -m repro run <id> [--preset P] [--topology T]`;",
         "see `python -m repro list` for the same data at the terminal.",
         "",
         "The *points* column is the number of sweep points a preset expands",
@@ -162,10 +134,8 @@ def experiments_markdown() -> str:
         "that preset can checkpoint and resume at — and *max n* is its",
         "largest instance size (see the \"Execution backends\" section of",
         "[architecture.md](architecture.md)).  *Budget* is the wall-clock",
-        "guidance the preset tier is held to, and *bench entries* names the",
-        "suite variants (`BENCH_core.json` / CI smoke rows) built on the",
-        "preset — see [performance.md](performance.md) for how the budgets",
-        "are enforced and how the trajectory is recorded.",
+        "guidance the preset tier is held to — see",
+        "[performance.md](performance.md) for how the budgets are enforced.",
         "",
     ]
     for spec in all_experiments():
@@ -177,15 +147,8 @@ def experiments_markdown() -> str:
 
 
 def default_docs_dir() -> Path:
-    """Return the ``docs/`` directory at the repository root.
-
-    Mirrors :func:`repro.experiments.trajectory.default_output`: falls back
-    to the working directory when the package is not in a ``src/`` checkout.
-    """
-    root = Path(__file__).resolve().parents[3]
-    if (root / "src").is_dir():
-        return root / "docs"
-    return Path.cwd() / "docs"
+    """Return the ``docs/`` directory under :func:`checkout_path`'s root."""
+    return checkout_path("docs")
 
 
 def generated_files(docs_dir: Path) -> Dict[Path, str]:

@@ -32,7 +32,6 @@ from repro.experiments.registry import register_experiment
         "default": {"sizes": (64, 144, 256), "topology": "grid"},
         "hot": {"sizes": (4096, 16384), "topology": "grid"},
     },
-    bench_extras=(("e1_hot", "hot", {}),),
 )
 def sweep_point(n: int, topology: str = "grid") -> Dict[str, object]:
     """Partition one topology and validate every Section 3 bound."""

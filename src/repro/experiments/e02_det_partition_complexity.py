@@ -38,14 +38,9 @@ from repro.experiments.registry import register_experiment
         # round 2); one point, so a sharded/checkpointed run resumes cleanly
         "xhot": {"sizes": (102400,), "topology": "grid"},
         # single instance at n = 10^6 (PR 8's CSR graph core); ~70 s/run —
-        # bench-only, never part of the CI smoke suite
+        # run on demand (`repro run e2 --preset xxhot`), never in CI
         "xxhot": {"sizes": (1000000,), "topology": "grid"},
     },
-    bench_extras=(
-        ("e2_hot", "hot", {}),
-        ("e2_xhot", "xhot", {}),
-        ("e2_xxhot", "xxhot", {}),
-    ),
 )
 def sweep_point(n: int, topology: str = "grid") -> Dict[str, object]:
     """Partition one topology and compare its cost to the Section 3 bounds."""

@@ -35,7 +35,6 @@ DEFAULT_SEEDS = (1, 2, 3, 4, 5)
         "default": {"sizes": (64, 144, 256), "seeds": (1, 2, 3), "topology": "grid"},
         "hot": {"sizes": (4096, 16384), "seeds": (1, 2), "topology": "grid"},
     },
-    bench_extras=(("e3_hot", "hot", {}),),
 )
 def sweep_point(
     n: int, seeds: Sequence[int] = DEFAULT_SEEDS, topology: str = "grid"

@@ -40,14 +40,9 @@ DEFAULT_SEEDS = (1, 2, 3, 4, 5)
         # round 2); one seed keeps the Las-Vegas run within the 10 s budget
         "xhot": {"sizes": (102400,), "seeds": (1,), "topology": "grid"},
         # single instance at n = 10^6 (PR 8's CSR graph core); ~75 s/run —
-        # bench-only, never part of the CI smoke suite
+        # run on demand (`repro run e4 --preset xxhot`), never in CI
         "xxhot": {"sizes": (1000000,), "seeds": (1,), "topology": "grid"},
     },
-    bench_extras=(
-        ("e4_hot", "hot", {}),
-        ("e4_xhot", "xhot", {}),
-        ("e4_xxhot", "xxhot", {}),
-    ),
 )
 def sweep_point(
     n: int, seeds: Sequence[int] = DEFAULT_SEEDS, topology: str = "grid"

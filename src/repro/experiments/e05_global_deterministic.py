@@ -35,7 +35,6 @@ from repro.sim.errors import AdversityAbort
         "default": {"sizes": (64, 144, 256), "topology": "grid"},
         "hot": {"sizes": (1024, 4096), "topology": "grid"},
     },
-    bench_extras=(("e5_hot", "hot", {}),),
 )
 def sweep_point(
     n: int, topology: str = "grid", adversity: object = None

@@ -40,7 +40,6 @@ _FUNCTIONS = (INTEGER_ADDITION, INTEGER_MINIMUM, XOR)
         "default": {"sizes": (64, 144, 256), "seeds": (1, 2, 3), "topology": "grid"},
         "hot": {"sizes": (1024, 4096), "seeds": (1, 2), "topology": "grid"},
     },
-    bench_extras=(("e6_hot", "hot", {}),),
 )
 def sweep_point(
     n: int,

@@ -15,11 +15,10 @@ per slot — minutes of wall clock at ``n ≥ 10^4`` — which is why the ``hot`
 preset disables it by default.  The geometric skip-ahead contention scheduler
 (:mod:`repro.protocols.collision.geometric`) now samples the same schedule
 in O(1) work per busy slot, so the baseline column costs ~0.2 s at
-``n = 10240`` on any topology kind; the ``e7_baseline_hot`` trajectory entry
-records it on the hot scale-free preset within the 2 s/run budget (on ring
-at that size the sweep is dominated by the point-to-point baseline's Θ(n)
-rounds, not the channel stage — enable it per run via
-``--set channel_baseline=true``).
+``n = 10240`` on any topology kind; enable it per run via
+``--set channel_baseline=true`` (on ring at that size the sweep is
+dominated by the point-to-point baseline's Θ(n) rounds, not the channel
+stage).
 """
 
 from __future__ import annotations
@@ -74,9 +73,9 @@ def _title(params: Mapping[str, object]) -> str:
         "quick": {"sizes": (16, 32), "topology": "ring", "channel_baseline": True},
         "default": {"sizes": (128, 256, 512), "topology": "ring",
                     "channel_baseline": True},
-        # the hot preset keeps the measured baseline off so its trajectory
-        # entries stay comparable across labels; e7_baseline_hot turns it on
-        # (affordable since the geometric skip-ahead landed)
+        # the hot preset keeps the measured baseline off; turn it on with
+        # --set channel_baseline=true (affordable since the geometric
+        # skip-ahead landed)
         "hot": {"sizes": (4096, 10240), "topology": "scale_free",
                 "channel_baseline": False},
         # an order of magnitude past hot: the flyweight sim layer keeps the
@@ -84,28 +83,10 @@ def _title(params: Mapping[str, object]) -> str:
         "xhot": {"sizes": (102400,), "topology": "scale_free",
                  "channel_baseline": False},
         # single instance at n = 10^6 (PR 8's CSR graph core); ~130 s/run —
-        # bench-only, never part of the CI smoke suite
+        # run on demand (`repro run e7 --preset xxhot`), never in CI
         "xxhot": {"sizes": (1000000,), "topology": "scale_free",
                   "channel_baseline": False},
     },
-    bench_extras=(
-        ("e7_scale_free_hot", "hot", {}),
-        ("e7_ad_hoc_hot", "hot", {"topology": "ad_hoc"}),
-        ("e7_baseline_hot", "hot", {"channel_baseline": True}),
-        ("e7_loss_hot", "hot",
-         {"sizes": (1024, 4096), "adversity": "loss"}),
-        ("e7_xhot", "xhot", {}),
-        ("e7_xxhot", "xxhot", {}),
-    ),
-    quick_extras=(
-        ("e7_scale_free", "quick",
-         {"sizes": (64, 128), "topology": "scale_free", "channel_baseline": False}),
-        ("e7_ad_hoc", "quick",
-         {"sizes": (64, 128), "topology": "ad_hoc", "channel_baseline": False}),
-        ("e7_baseline", "quick",
-         {"sizes": (256, 512), "topology": "scale_free", "channel_baseline": True}),
-        ("e7_loss", "quick", {"adversity": "loss"}),
-    ),
 )
 def sweep_point(
     n: int,

@@ -57,7 +57,6 @@ def _ray_points(params: Mapping[str, object]) -> List[Dict[str, object]]:
         "default": {"params": ((8, 8), (16, 8), (16, 16))},
         "hot": {"params": ((32, 32), (64, 32))},
     },
-    bench_extras=(("e8_hot", "hot", {}),),
 )
 def sweep_point(
     num_rays: int, ray_length: int, adversity: object = None

@@ -41,7 +41,6 @@ dominates the baseline's Θ(n log n)."""
         "default": {"sizes": (64, 256, 1024, 2048), "topology": "ring"},
         "hot": {"sizes": (4096, 16384), "topology": "ring"},
     },
-    bench_extras=(("e9_hot", "hot", {}),),
 )
 def sweep_point(
     n: int, topology: str = "ring", adversity: object = None

@@ -66,15 +66,6 @@ def _count_nodes(graph, root):
             "size_protocols": False,
         },
     },
-    bench_extras=(
-        ("e10_hot", "hot", {}),
-        ("e10_scale_free", "hot",
-         {"sizes": (256, 1024), "topology": "scale_free"}),
-        ("e10_xhot", "xhot", {}),
-    ),
-    quick_extras=(
-        ("e10_scale_free", "quick", {"sizes": (36,), "topology": "scale_free"}),
-    ),
 )
 def sweep_point(
     n: int,

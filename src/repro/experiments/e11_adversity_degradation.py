@@ -108,7 +108,6 @@ def _grid_points(params: Mapping[str, object]) -> List[Dict[str, object]]:
             "intensities": (0.1,), "topology": "ring",
         },
     },
-    bench_extras=(("e11_hot", "hot", {}),),
 )
 def sweep_point(
     n: int, kind: str, intensity: float, topology: str = "ring"

@@ -146,14 +146,6 @@ def _family_points(params: Mapping[str, object]) -> List[Dict[str, object]]:
             "walkers": 8,
         },
     },
-    bench_extras=(
-        ("e12_hot", "hot", {}),
-        ("e12_xhot", "xhot", {}),
-    ),
-    quick_extras=(
-        ("e12_rewired", "quick",
-         {"families": ("flower_13_rewired", "flower_22_rewired")}),
-    ),
 )
 def sweep_point(
     n: int, family: str, walkers: int = 24, seed: int = 11

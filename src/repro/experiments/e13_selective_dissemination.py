@@ -55,11 +55,6 @@ DEFAULT_SIZES = (64, 128, 256, 512)
         "default": {"sizes": DEFAULT_SIZES},
         "hot": {"sizes": (1024, 2048, 4096)},
     },
-    bench_extras=(
-        ("e13_hot", "hot", {}),
-        ("e13_loss_hot", "hot", {"sizes": (1024,), "adversity": "loss"}),
-    ),
-    quick_extras=(("e13_jam", "quick", {"adversity": "jam"}),),
 )
 def sweep_point(n: int, adversity: object = None) -> Dict[str, object]:
     """Disseminate from the source under every scheduler on one instance.

@@ -245,17 +245,25 @@ def sweep_digest(
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def default_run_root() -> Path:
-    """Return the default parent directory for sharded run directories.
+def checkout_path(name: str) -> Path:
+    """Return ``name`` at the repository root of a ``src/`` checkout.
 
-    ``.repro_runs/`` at the repository root of a ``src/`` checkout, the
-    working directory otherwise (mirroring
-    :func:`repro.experiments.trajectory.default_output`).
+    Falls back to the working directory when the package does not live in
+    a ``src/`` checkout (e.g. an installed wheel).  Every repo-relative
+    default (run directories, ``docs/``, ``BENCH_core.json``) resolves here.
     """
     root = Path(__file__).resolve().parents[3]
     if (root / "src").is_dir():
-        return root / ".repro_runs"
-    return Path.cwd() / ".repro_runs"
+        return root / name
+    return Path.cwd() / name
+
+
+def default_run_root() -> Path:
+    """Return the default parent directory for sharded run directories.
+
+    ``.repro_runs/`` under :func:`checkout_path`'s root.
+    """
+    return checkout_path(".repro_runs")
 
 
 def resolve_run_dir(

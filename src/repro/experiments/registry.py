@@ -6,22 +6,23 @@ its per-point sweep function with :func:`register_experiment`.  The decorated
 function receives the parameters of one sweep point (one instance size, or
 one ray-graph shape) and returns a plain row dictionary keyed by the spec's
 ``columns``.  Everything that *drives* experiments — the unified runner
-(:mod:`repro.experiments.runner`), the benchmark trajectory suite
-(:mod:`repro.experiments.trajectory`), the ``python -m repro`` CLI, the
-pytest benches and CI — resolves specs through this registry instead of
-hard-coding per-experiment size lists, so the consumers can never drift
-apart.  The registry also renders to the committed experiment catalog,
-``docs/experiments.md`` (``python -m repro docs``, freshness-checked by CI).
+(:mod:`repro.experiments.runner`), the ``python -m repro`` CLI, the tier-1
+tests, CI and the perfbench workloads — resolves specs through this
+registry instead of hard-coding per-experiment size lists, so the consumers
+can never drift apart.  The registry also renders to the committed
+experiment catalog, ``docs/experiments.md`` (``python -m repro docs``,
+freshness-checked by CI).
 
 Presets
 -------
 Each spec carries three named parameter presets:
 
-* ``quick``   — tiny instances; the CI smoke suite (seconds in total);
-* ``default`` — the documented benchmark sweep recorded in
-  ``BENCH_core.json`` and regenerated by the pytest benches;
-* ``hot``     — sizes where wall time is measured in seconds, used for the
-  performance trajectory's speedup measurements.
+* ``quick``   — tiny instances; the tier-1 suite runs every one of them
+  whole (seconds in total);
+* ``default`` — the documented sweep ``python -m repro run`` uses when no
+  preset is named;
+* ``hot``     — sizes where wall time is measured in seconds; most perfbench
+  workloads sweep them.
 
 Per-point determinism
 ---------------------
@@ -35,7 +36,7 @@ process, and still produce rows bit-identical to a serial run.
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 #: the modules that declare specs; imported (once) by :func:`load_all`
@@ -65,22 +66,6 @@ RowDict = Dict[str, Any]
 PointParams = Dict[str, Any]
 
 
-@dataclass(frozen=True)
-class BenchVariant:
-    """One named entry of the benchmark trajectory (or quick smoke) suite.
-
-    Attributes:
-        name: the label the entry is recorded under in ``BENCH_core.json``
-            (e.g. ``e7_scale_free_hot``).
-        preset: the preset supplying the base parameters.
-        overrides: parameter overrides applied on top of the preset.
-    """
-
-    name: str
-    preset: str
-    overrides: Mapping[str, Any] = field(default_factory=dict)
-
-
 def _points_from_sizes(params: Mapping[str, Any]) -> List[PointParams]:
     """Default sweep expansion: one point per entry of ``params['sizes']``."""
     shared = {key: value for key, value in params.items() if key != "sizes"}
@@ -106,10 +91,6 @@ class ExperimentSpec:
             no adversity at all or — like e11 — sweep their own fault grid).
         points_fn: expands resolved parameters into per-point parameter
             dicts; defaults to one point per entry of ``sizes``.
-        bench_extras: extra trajectory-suite entries beyond the implicit
-            ``(id, 'default')`` one (hot sweeps, topology variants).
-        quick_extras: extra quick-smoke entries beyond the implicit
-            ``(id, 'quick')`` one.
         description: one-line summary shown by ``python -m repro list``.
     """
 
@@ -121,8 +102,6 @@ class ExperimentSpec:
     topologies: Tuple[str, ...] = ()
     adversities: Tuple[str, ...] = ()
     points_fn: Callable[[Mapping[str, Any]], List[PointParams]] = _points_from_sizes
-    bench_extras: Tuple[BenchVariant, ...] = ()
-    quick_extras: Tuple[BenchVariant, ...] = ()
     description: str = ""
 
     def params_for(
@@ -268,8 +247,6 @@ def register_experiment(
     topologies: Sequence[str] = (),
     adversities: Sequence[str] = (),
     points: Optional[Callable[[Mapping[str, Any]], List[PointParams]]] = None,
-    bench_extras: Sequence[Tuple[str, str, Mapping[str, Any]]] = (),
-    quick_extras: Sequence[Tuple[str, str, Mapping[str, Any]]] = (),
     description: str = "",
 ) -> Callable[[Callable[..., RowDict]], Callable[..., RowDict]]:
     """Register the decorated per-point function as an :class:`ExperimentSpec`.
@@ -293,8 +270,6 @@ def register_experiment(
             topologies=tuple(topologies),
             adversities=tuple(adversities),
             points_fn=points if points is not None else _points_from_sizes,
-            bench_extras=tuple(BenchVariant(*entry) for entry in bench_extras),
-            quick_extras=tuple(BenchVariant(*entry) for entry in quick_extras),
             description=description,
         )
         _validate_spec(spec)
@@ -319,12 +294,6 @@ def _validate_spec(spec: ExperimentSpec) -> None:
         if not spec.points(spec.params_for(name)):
             raise ValueError(
                 f"experiment {spec.id!r} preset {name!r} expands to no sweep points"
-            )
-    for variant in spec.bench_extras + spec.quick_extras:
-        if variant.preset not in spec.presets:
-            raise ValueError(
-                f"experiment {spec.id!r} variant {variant.name!r} references "
-                f"unknown preset {variant.preset!r}"
             )
 
 

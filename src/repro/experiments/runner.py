@@ -7,7 +7,7 @@ sharded/checkpointed, or distributed), and returns an
 :class:`ExperimentResult` holding the structured row dictionaries.  The
 result renders to the exact plain-text :class:`~repro.analysis.reporting.Table`
 the experiment modules historically printed **and** serializes to JSON, so
-the CLI, the benchmark trajectory, the pytest benches and CI all consume the
+the CLI, the tier-1 tests, CI and the perfbench workloads all consume the
 same records instead of scraping rendered tables.
 
 Backend determinism: every sweep point carries its own seeds (see

@@ -5,7 +5,8 @@ cache*: the distributed executor (:mod:`repro.experiments.distributed`)
 covers the precompute half, and this module is the serving half — a thin
 stdlib HTTP service (no new dependencies) exposing the experiment
 catalog, the run-directory checkpoints, and the ``BENCH_core.json``
-performance trajectory as JSON:
+performance trajectory (the frozen record of labels ``before`` … ``pr10``)
+as JSON:
 
 ===========================  =========================================
 ``GET /experiments``         the registered experiment catalog
@@ -44,6 +45,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.experiments.executors import (
+    checkout_path,
     default_run_root,
     merge_checkpoints,
     read_manifest,
@@ -51,7 +53,6 @@ from repro.experiments.executors import (
 )
 from repro.experiments.registry import all_experiments, get_experiment, load_all
 from repro.experiments.runner import ExperimentResult
-from repro.experiments.trajectory import default_output, label_order, pair_speedups
 
 JSON_TYPE = "application/json; charset=utf-8"
 
@@ -80,7 +81,8 @@ class ServeApp:
         load_all()
         self.run_root = Path(run_root) if run_root is not None else default_run_root()
         self.bench_path = (
-            Path(bench_path) if bench_path is not None else default_output()
+            Path(bench_path) if bench_path is not None
+            else checkout_path("BENCH_core.json")
         )
 
     # -- the request entry point ---------------------------------------
@@ -269,7 +271,7 @@ class ServeApp:
         if data is None:
             return 404, error
         payload = dict(data)
-        payload["labels"] = label_order(data.get("runs", {}))
+        payload["labels"] = _label_order(data.get("runs", {}))
         return 200, payload
 
     def _diff(
@@ -280,7 +282,7 @@ class ServeApp:
         if data is None:
             return 404, error
         runs = data.get("runs", {})
-        ordered = label_order(runs)
+        ordered = _label_order(runs)
         before = params.get("from", ordered[-2:-1] or [None])[0]
         after = params.get("to", ordered[-1:] or [None])[0]
         if before is None or after is None:
@@ -295,11 +297,33 @@ class ServeApp:
         return 200, {
             "from": before,
             "to": after,
-            "speedups": pair_speedups(
+            "speedups": _pair_speedups(
                 runs[before].get("experiments", {}),
                 runs[after].get("experiments", {}),
             ),
         }
+
+
+def _label_order(runs: Dict[str, Dict[str, object]]) -> List[str]:
+    """Trajectory labels ordered by recorded sequence (oldest first)."""
+    return sorted(runs, key=lambda label: runs[label].get("sequence", 0))
+
+
+def _pair_speedups(
+    before: Dict[str, Dict[str, object]], after: Dict[str, Dict[str, object]]
+) -> Dict[str, float]:
+    """Per-experiment wall-clock speedups between two recorded runs.
+
+    An entry missing from either run, or recorded without ``wall_seconds``
+    on either side, is skipped.
+    """
+    speedups = {}
+    for name, before_entry in before.items():
+        before_seconds = before_entry.get("wall_seconds")
+        after_seconds = after.get(name, {}).get("wall_seconds")
+        if before_seconds and after_seconds:
+            speedups[name] = round(before_seconds / after_seconds, 2)
+    return speedups
 
 
 def _body_bytes(payload: Mapping[str, Any]) -> bytes:

@@ -486,13 +486,13 @@ class TestAdversitySharding:
 class TestXhotPresetSmoke:
     """The flyweight-backed xhot presets must honour the backend contract.
 
-    The scale probes (``e7_xhot``/``e10_xhot``) run the flyweight sim layer
-    and per-node substreams; their rows must stay bit-identical across
+    The xhot presets of e7 and e10 run the flyweight sim layer and
+    per-node substreams; their rows must stay bit-identical across
     backends exactly like the classic presets.  The sweep sizes are
     overridden downward so the smoke exercises the xhot *configuration*
     (scale-free topology, gated size protocols) without the n = 102400
-    wall-clock — the full-size budget is checked by the CI xhot smoke and
-    recorded in ``BENCH_core.json``.
+    wall-clock — the full-size budget is checked by the CI xhot smoke, and
+    perfbench's ``xl_pipeline`` workload times both presets.
     """
 
     E7_OVERRIDES = {"sizes": (64, 128)}

@@ -1,10 +1,11 @@
-"""Tests for the declarative experiment layer: registry, runner, CLI, trajectory.
+"""Tests for the declarative experiment layer: registry, runner, CLI, catalog.
 
 Covers the acceptance criteria of the spec-registry refactor: every
-experiment e1–e13 is registered with valid presets, the unified runner
+experiment e1–e13 is registered with valid presets, every ``quick`` preset
+runs whole and returns rows in its declared schema, the unified runner
 produces structured rows that render to the historical tables and round-trip
 through JSON, parallel (distributed) execution is bit-identical to serial,
-and the ``python -m repro`` CLI exposes ``list``/``run``/``bench``.
+and the ``python -m repro`` CLI exposes ``list``/``run``/``docs``.
 """
 
 import json
@@ -21,9 +22,27 @@ from repro.experiments.registry import (
     register_experiment,
 )
 from repro.experiments.runner import ExperimentResult, run_experiment
-from repro.experiments.trajectory import suite_entries
 
 EXPECTED_IDS = [f"e{i}" for i in range(1, 14)]
+
+#: quick sweeps beyond each spec's plain ``quick`` preset: the topology,
+#: channel-baseline, rewired-family and adversity variants of the smoke run
+QUICK_VARIANTS = {
+    "e7_scale_free": ("e7", {"sizes": (64, 128), "topology": "scale_free",
+                             "channel_baseline": False}),
+    "e7_ad_hoc": ("e7", {"sizes": (64, 128), "topology": "ad_hoc",
+                         "channel_baseline": False}),
+    "e7_baseline": ("e7", {"sizes": (256, 512), "topology": "scale_free",
+                           "channel_baseline": True}),
+    "e7_loss": ("e7", {"adversity": "loss"}),
+    "e10_scale_free": ("e10", {"sizes": (36,), "topology": "scale_free"}),
+    "e12_rewired": ("e12", {"families": ("flower_13_rewired",
+                                         "flower_22_rewired")}),
+    "e13_jam": ("e13", {"adversity": "jam"}),
+}
+
+QUICK_SWEEPS = {spec.id: (spec.id, {}) for spec in all_experiments()}
+QUICK_SWEEPS.update(QUICK_VARIANTS)
 
 
 class TestRegistryCompleteness:
@@ -42,20 +61,17 @@ class TestRegistryCompleteness:
             assert spec.columns
             assert spec.description
 
-    def test_quick_points_match_columns(self):
-        # one real sweep point per experiment: the row keys must equal the
-        # declared schema (order included — rendering relies on it)
-        for spec in all_experiments():
-            point = spec.points(spec.params_for("quick"))[0]
-            row = spec.point_fn(**point)
-            assert list(row) == list(spec.columns), spec.id
-
-    def test_bench_variants_reference_known_presets(self):
-        for spec in all_experiments():
-            for variant in spec.bench_extras + spec.quick_extras:
-                assert variant.preset in spec.presets
-                # overrides must resolve cleanly
-                spec.params_for(variant.preset, variant.overrides)
+    @pytest.mark.parametrize("name", list(QUICK_SWEEPS))
+    def test_quick_sweeps_match_columns(self, name):
+        # every spec's whole quick preset, and each quick variant: every
+        # row's keys must equal the declared schema (order included —
+        # rendering relies on it)
+        experiment_id, overrides = QUICK_SWEEPS[name]
+        result = run_experiment(experiment_id, preset="quick", overrides=overrides)
+        assert result.rows
+        columns = list(get_experiment(experiment_id).columns)
+        for row in result.rows:
+            assert list(row) == columns
 
     def test_unknown_experiment_raises(self):
         with pytest.raises(KeyError, match="unknown experiment"):
@@ -179,35 +195,6 @@ class TestRunner:
             table_from_records("t", ("a", "b"), [{"a": 1}])
 
 
-class TestTrajectorySuite:
-    def test_suite_covers_every_experiment(self):
-        names = [entry.name for entry in suite_entries(quick=False)]
-        for experiment_id in EXPECTED_IDS:
-            assert experiment_id in names
-        # the historical hot/topology variants stay present under their
-        # recorded BENCH_core.json names
-        for name in ("e2_hot", "e4_hot", "e9_hot",
-                     "e7_scale_free_hot", "e7_ad_hoc_hot", "e7_baseline_hot",
-                     "e10_scale_free"):
-            assert name in names
-        assert len(names) == len(set(names))
-
-    def test_quick_suite_covers_every_experiment(self):
-        names = [entry.name for entry in suite_entries(quick=True)]
-        for experiment_id in EXPECTED_IDS:
-            assert experiment_id in names
-        for name in ("e7_scale_free", "e7_ad_hoc", "e7_baseline",
-                     "e10_scale_free"):
-            assert name in names
-        assert len(names) == len(set(names))
-
-    def test_e7_baseline_variants_measure_the_baseline(self):
-        by_name = {entry.name: entry for entry in suite_entries(quick=False)}
-        assert by_name["e7_baseline_hot"].overrides["channel_baseline"] is True
-        quick = {entry.name: entry for entry in suite_entries(quick=True)}
-        assert quick["e7_baseline"].overrides["channel_baseline"] is True
-
-
 class TestCli:
     def test_list_shows_all_experiments(self, capsys):
         assert cli.main(["list"]) == 0
@@ -261,17 +248,12 @@ class TestCli:
         assert cli.main(["run", "e1", "--set", "bogus=1"]) == 2
         assert "does not accept parameter" in capsys.readouterr().err
 
-    def test_bench_quick_only_writes_nothing(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert cli.main(["bench", "--quick", "--only", "e1"]) == 0
-        out = capsys.readouterr().out
-        assert "trajectory file left untouched" in out
-        assert list(tmp_path.iterdir()) == []
-
-    def test_bench_rejects_unknown_entry(self, capsys):
-        with pytest.raises(SystemExit):
-            cli.main(["bench", "--quick", "--only", "e99"])
-        assert "unknown experiment" in capsys.readouterr().err
+    def test_bench_is_an_unknown_command(self, capsys):
+        # the single-sample timing harness is gone; perfbench/ measures
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["bench", "--quick"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "assignment,message",
@@ -308,100 +290,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "16" in out
 
-    def test_bench_only_merges_into_existing_label(self, capsys, tmp_path):
-        output = tmp_path / "traj.json"
-        argv = ["bench", "--quick", "--label", "t", "--output", str(output)]
-        assert cli.main(argv + ["--only", "e1", "--note", "first"]) == 0
-        assert cli.main(argv + ["--only", "e8"]) == 0
-        capsys.readouterr()
-        run = json.loads(output.read_text())["runs"]["t"]
-        # the e8 re-run must not wipe the previously recorded e1 entry, nor
-        # the label's stored note
-        assert {"e1", "e8"} <= set(run["experiments"])
-        assert run["note"] == "first"
-
-    def test_bench_only_probes_do_not_clobber_stored_sweeps(self, capsys, tmp_path):
-        output = tmp_path / "traj.json"
-        argv = ["bench", "--label", "t", "--output", str(output)]
-        # record a full e2 sweep entry (probes disabled)
-        assert cli.main(argv + ["--only", "e2", "--probe-budget", "0"]) == 0
-        # a targeted e1 refresh whose max-n probes also touch e2/e4/e9
-        assert cli.main(argv + ["--only", "e1", "--probe-budget", "0.01"]) == 0
-        capsys.readouterr()
-        recorded = json.loads(output.read_text())["runs"]["t"]["experiments"]
-        # the probe fields merge into the stored e2 sweep instead of
-        # replacing it with a probe-only dict
-        assert "wall_seconds" in recorded["e2"]
-        assert "max_feasible_n" in recorded["e2"]
-
-
-class FakeClock:
-    """Scripted ``perf_counter``: each run's elapsed time is read off a list."""
-
-    def __init__(self, elapsed):
-        self._elapsed = iter(elapsed)
-        self._now = 0.0
-        self._pending = None
-
-    def __call__(self):
-        if self._pending is None:
-            self._pending = next(self._elapsed)
-            return self._now
-        self._now += self._pending
-        self._pending = None
-        return self._now
-
-
-class TestMaxFeasibleProbe:
-    """The probe's boundary decision must not flap on one-sided host noise."""
-
-    def _run_probe(self, monkeypatch, elapsed, budget=2.0):
-        from repro.experiments import trajectory
-
-        calls = []
-        monkeypatch.setattr(trajectory.time, "perf_counter", FakeClock(elapsed))
-        result = trajectory._probe(calls.append, start_n=64, budget=budget)
-        return result, calls
-
-    def test_single_overshoot_near_boundary_is_retimed(self, monkeypatch):
-        # n=64 fits (1.0); n=128's first timing is a noise spike (2.5) but
-        # the re-timing fits (1.9); n=256 overshoots on all three timings
-        result, calls = self._run_probe(
-            monkeypatch, [1.0, 2.5, 1.9, 3.0, 3.0, 3.0]
-        )
-        assert result["max_feasible_n"] == 128
-        assert result["seconds_at_max"] == 1.9
-        assert calls == [64, 128, 128, 256, 256, 256]
-
-    def test_fitting_sizes_cost_one_run(self, monkeypatch):
-        # no overshoots until the final size: every fitting size is timed
-        # exactly once, and the gross terminal overshoot (>= 2x budget) is
-        # conclusive on a single run
-        result, calls = self._run_probe(monkeypatch, [1.0, 1.5, 4.0])
-        assert result["max_feasible_n"] == 128
-        assert calls == [64, 128, 256]
-
-    def test_consistent_overshoot_stops_after_bounded_retries(self, monkeypatch):
-        # overshoots inside the jitter window (budget..2x budget) are
-        # re-timed up to the retry bound before declaring infeasibility
-        result, calls = self._run_probe(monkeypatch, [3.0, 3.0, 3.0])
-        assert result["max_feasible_n"] is None
-        assert result["seconds_at_max"] is None
-        assert calls == [64, 64, 64]
-
-    def test_gross_overshoot_is_conclusive_on_one_run(self, monkeypatch):
-        # host jitter does not double a runtime: a first timing at or above
-        # 2x budget ends the size without burning two more over-budget runs
-        result, calls = self._run_probe(monkeypatch, [1.0, 5.0])
-        assert result["max_feasible_n"] == 64
-        assert calls == [64, 128]
-
-    def test_minimum_of_timings_is_recorded(self, monkeypatch):
-        # the recorded seconds are the minimum timing, not the first
-        result, _ = self._run_probe(monkeypatch, [2.4, 2.2, 1.8, 9.0, 9.0, 9.0])
-        assert result["max_feasible_n"] == 64
-        assert result["seconds_at_max"] == 1.8
-
 
 class TestDocsCatalog:
     def test_markdown_is_deterministic_and_covers_every_spec(self):
@@ -411,9 +299,9 @@ class TestDocsCatalog:
         assert first == experiments_markdown()
         for experiment_id in EXPECTED_IDS:
             assert f"## {experiment_id} — " in first
-        # the catalog documents the presets and the new baseline variants
+        # the catalog documents every preset tier and e7's channel baseline
         assert "| `quick` |" in first and "| `hot` |" in first
-        assert "`e7_baseline_hot`" in first and "`e7_baseline`" in first
+        assert "| `xxhot` |" in first and "`channel_baseline=True`" in first
 
     def test_committed_catalog_is_fresh(self):
         # the same check the CI docs-freshness job runs: the committed

@@ -140,7 +140,7 @@ def _e11_rows_bounded(rows):
 
 
 class TestDefaultPresetClaims:
-    """Row claims checked on the ``default`` preset, the workload ``repro bench`` times."""
+    """Row claims checked on the ``default`` preset, the sweep ``repro run`` runs by default."""
 
     @pytest.mark.parametrize(
         "experiment_id,claim",
