@@ -78,6 +78,7 @@ from repro.core.partition.forest import SpanningForest, find_root_indexed
 from repro.protocols.symmetry.cole_vishkin import log_star
 from repro.protocols.symmetry.mis import MIS_COMMUNICATION_ROUNDS, RED, mis_columns
 from repro.protocols.symmetry.three_coloring import three_color_columns
+from repro.sim.collector import collector_paused
 from repro.sim.metrics import MetricsRecorder, MetricsSnapshot
 from repro.topology.graph import WeightedGraph
 
@@ -180,6 +181,7 @@ class DeterministicPartitioner:
     # ------------------------------------------------------------------
     # public entry point
     # ------------------------------------------------------------------
+    @collector_paused
     def run(self) -> DeterministicPartitionResult:
         """Execute the algorithm and return the resulting forest."""
         n = self._n

@@ -51,6 +51,7 @@ import random
 from repro.core.partition.forest import SpanningForest, find_root_indexed
 from repro.protocols.collision.base import run_contention
 from repro.protocols.collision.metcalfe_boggs import MetcalfeBoggsContender
+from repro.sim.collector import collector_paused
 from repro.sim.errors import ProtocolError
 from repro.sim.metrics import MetricsRecorder, MetricsSnapshot
 from repro.topology.graph import WeightedGraph
@@ -178,6 +179,7 @@ class RandomizedPartitioner:
         self._metrics = metrics if metrics is not None else MetricsRecorder()
 
     # ------------------------------------------------------------------
+    @collector_paused
     def run(self) -> RandomizedPartitionResult:
         """Execute the algorithm (with verification when Las Vegas is enabled)."""
         # the tie-break ranks and adjacency structure are invariant across

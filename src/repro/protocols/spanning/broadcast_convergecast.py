@@ -12,9 +12,11 @@ stage of the global-sensitive-function algorithms.
 (:mod:`repro.sim.flyweight`) over a
 :class:`~repro.core.partition.forest.SpanningForest` established
 beforehand: one shared instance holding all per-node state in columnar
-slots, message-driven so large quiet networks cost no dispatch.  It is
-message-for-message equivalent to the per-node reference protocol in
-``tests/oracles.py`` (``tests/test_flyweight.py`` pins the equivalence).
+slots, message-driven so large quiet networks cost no dispatch.  It sends
+the same messages, in the same order, as the per-node reference protocol in
+``tests/oracles.py``, and ends with the same results, rounds and metrics
+(``tests/test_flyweight.py`` pins the equivalence); only its payloads are
+leaner: the bare value, where the reference tags it with its kind.
 """
 
 from __future__ import annotations
@@ -57,6 +59,12 @@ class TreeAggregationFlyweight(FlyweightProtocol):
     makes n = 10⁵ aggregations cost O(messages), not O(rounds × nodes).
     Each child reports at most once and only true children report, so the
     pending counts need no per-sender check.
+
+    A message carries the bare value — no kind tag, so no tuple per
+    message — and its direction gives its kind: a message from the slot's
+    parent is the final value, any other is a child's report.  Only
+    children report, and the final value comes down only after the slot
+    has reported, so the two never mix.
     """
 
     MESSAGE_DRIVEN = True
@@ -115,8 +123,8 @@ class TreeAggregationFlyweight(FlyweightProtocol):
         self._reported = bytearray(env.num_slots)
         self._combine = combine
 
-    def _send_down(self, slot: int, final: tuple) -> None:
-        """Send ``final`` to this slot's children (it has some), in CSR row order."""
+    def _send_down(self, slot: int, final: Any) -> None:
+        """Send the final value to this slot's children (it has some), in CSR row order."""
         left = self._children[slot]
         csr = self.env.csr
         parent = self._parent
@@ -161,15 +169,15 @@ class TreeAggregationFlyweight(FlyweightProtocol):
         for slot in slots:
             if halted[slot]:
                 continue
+            up = parent[slot]
             for message in inboxes.get(slot, ()):
-                payload = message[2]
-                kind, value = payload
-                if kind == "aggregate":
+                if message[0] != up:  # a child's report
                     pending[slot] -= 1
-                    acc[slot] = combine(acc[slot], value)
-                else:  # "final"
+                    acc[slot] = combine(acc[slot], message[2])
+                else:  # the final value, from the parent
+                    value = message[2]
                     if children[slot]:
-                        self._send_down(slot, payload)
+                        self._send_down(slot, value)
                     halted[slot] = 1
                     results[slot] = value
                     halts += 1
@@ -178,13 +186,12 @@ class TreeAggregationFlyweight(FlyweightProtocol):
                 if pending[slot] or reported[slot]:
                     continue
                 reported[slot] = 1
-                up = parent[slot]
                 if up < 0:
                     if children[slot] and not halt_on_report:
-                        self._send_down(slot, ("final", acc[slot]))
+                        self._send_down(slot, acc[slot])
                     self.halt_slot(slot, acc[slot])
                     continue
-                send((slot, up, ("aggregate", acc[slot])))
+                send((slot, up, acc[slot]))
                 if halt_on_report:
                     # a reporting non-root halts with None
                     halted[slot] = 1

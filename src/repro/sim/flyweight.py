@@ -94,6 +94,13 @@ class FlyweightProtocol:
     flyweight send patterns are structurally duplicate-free.  Link adjacency
     is still validated by the round's accept
     (:func:`~repro.sim.network.file_round`).
+
+    The simulators run their loops with the cyclic garbage collector held
+    (:func:`~repro.sim.collector.collector_paused`): a protocol must not
+    rely on cycle collection mid-run.  Whatever it allocates should be
+    freed by reference counting — columns, payloads and per-round scratch
+    that hold no reference back to the protocol — or it stays in memory
+    until the run returns.
     """
 
     #: Set by subclasses for which a slot with an empty inbox is a no-op;

@@ -34,6 +34,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.sim.adversity import AdversityState
 from repro.sim.channel import SlottedChannel
+from repro.sim.collector import collector_paused
 from repro.sim.errors import AdversityAbort, ProtocolError, SimulationTimeout
 from repro.sim.events import Message, idle_event
 from repro.sim.flyweight import FlyweightEnvironment, FlyweightProtocol
@@ -119,6 +120,7 @@ class ChannelSynchronizer:
         self._seed = seed
         self._n_known = n_known
 
+    @collector_paused
     def run(
         self,
         protocol_factory: ProtocolFactory,

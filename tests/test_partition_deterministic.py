@@ -1,5 +1,6 @@
 """Tests for the deterministic partitioning algorithm (Section 3)."""
 
+import gc
 import math
 
 import pytest
@@ -9,6 +10,7 @@ from repro.analysis.complexity import (
     det_partition_message_bound,
     det_partition_time_bound,
 )
+from repro.core.partition import deterministic
 from repro.core.partition.deterministic import DeterministicPartitioner
 from repro.core.partition.forest import SpanningForest
 from repro.core.partition.validation import validate_partition
@@ -151,3 +153,28 @@ class TestTargetSize:
         second = partition(medium_grid)
         assert first.forest.parent == second.forest.parent
         assert first.metrics.rounds == second.metrics.rounds
+
+
+class TestCollectorPause:
+    """The phase loop holds the cyclic collector and always gives it back."""
+
+    def test_enabled_after_a_normal_return(self, medium_grid):
+        partition(medium_grid)
+        assert gc.isenabled()
+
+    def test_enabled_after_a_raise(self, medium_grid, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bug inside the link scan")
+
+        monkeypatch.setattr(deterministic, "find_min_outgoing_links", broken)
+        with pytest.raises(TypeError, match="bug inside"):
+            partition(medium_grid)
+        assert gc.isenabled()
+
+    def test_a_caller_that_disabled_the_collector_keeps_it_disabled(self, medium_grid):
+        gc.disable()
+        try:
+            partition(medium_grid)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()

@@ -1,5 +1,6 @@
 """Tests for the randomized partitioning algorithm (Section 4)."""
 
+import gc
 import math
 
 import pytest
@@ -148,3 +149,22 @@ class TestLasVegas:
         with pytest.raises(TypeError, match="bug inside"):
             partitioner.run()
         assert metrics.current_phase is None
+        # the run's collector pause ends on the raise too
+        assert gc.isenabled()
+
+
+class TestCollectorPause:
+    """The iteration loop holds the cyclic collector and always gives it back
+    (the raise path is checked in ``test_verification_rejects_only_protocol_errors``)."""
+
+    def test_enabled_after_a_normal_return(self, medium_grid):
+        RandomizedPartitioner(medium_grid, seed=2, las_vegas=True).run()
+        assert gc.isenabled()
+
+    def test_a_caller_that_disabled_the_collector_keeps_it_disabled(self, medium_grid):
+        gc.disable()
+        try:
+            RandomizedPartitioner(medium_grid, seed=2, las_vegas=True).run()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()

@@ -4,14 +4,24 @@ The protocols here are per-node (``tests/oracles.py``) and run on the
 simulator's one loop through the per-node adapter.
 """
 
+import gc
+import inspect
+import operator
+import sys
 from typing import List
 
 import pytest
 
 from oracles import NodeProtocol, per_node
+from repro.core.partition.forest import SpanningForest
 from repro.experiments.e10_model_variations import _count_nodes
-from repro.sim.errors import ProtocolError, SimulationTimeout
+from repro.experiments.harness import make_topology
+from repro.protocols.spanning.bfs import build_bfs_forest
+from repro.protocols.spanning.broadcast_convergecast import TreeAggregationFlyweight
+from repro.sim.adversity import adversity_state
+from repro.sim.errors import AdversityAbort, ProtocolError, SimulationTimeout
 from repro.sim.events import ChannelEvent, Message
+from repro.sim.flyweight import FlyweightProtocol
 from repro.sim.multimedia import MultimediaNetwork
 from repro.topology.generators import complete_graph, grid_graph, path_graph, ring_graph
 
@@ -75,6 +85,94 @@ class DoubleSender(NodeProtocol):
 
     def on_round(self, inbox, channel):
         self.halt()
+
+
+class Stray(FlyweightProtocol):
+    """Node 0 sends to node 2, which is no neighbour of it on a path."""
+
+    def on_start(self, slots):
+        if 0 in slots:
+            self.send(0, 2, "stray")
+
+
+def collections_inside(run, call):
+    """Call ``call()``; return the generation of every collection fired
+    while a frame of ``run`` (unwrapped) was on the stack."""
+    code = inspect.unwrap(run).__code__
+    fired = []
+
+    def callback(phase, info):
+        if phase != "start":
+            return
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code is code:
+                fired.append(info["generation"])
+                return
+            frame = frame.f_back
+
+    gc.callbacks.append(callback)
+    try:
+        call()
+    finally:
+        gc.callbacks.remove(callback)
+    return fired
+
+
+class TestCollectorPause:
+    """The run loop holds the cyclic collector and always gives it back."""
+
+    def test_enabled_after_a_normal_return(self):
+        assert gc.isenabled()
+        MultimediaNetwork(ring_graph(9)).run(per_node(FloodMax))
+        assert gc.isenabled()
+
+    def test_enabled_after_a_stall_abort(self):
+        state = adversity_state(
+            {"name": "loss", "loss_rate": 0.5, "stall_rounds": 4}, "gc-stall", 3
+        )
+        with pytest.raises(AdversityAbort, match="stalled"):
+            MultimediaNetwork(path_graph(3)).run(per_node(NeverHalts), adversity=state)
+        assert gc.isenabled()
+
+    def test_enabled_after_a_send_over_a_missing_link(self):
+        with pytest.raises(ProtocolError, match="non-existent link"):
+            MultimediaNetwork(path_graph(3)).run(Stray)
+        assert gc.isenabled()
+
+    def test_enabled_after_a_timeout(self):
+        with pytest.raises(SimulationTimeout):
+            MultimediaNetwork(path_graph(3)).run(per_node(NeverHalts), max_rounds=20)
+        assert gc.isenabled()
+
+    def test_a_caller_that_disabled_the_collector_keeps_it_disabled(self):
+        gc.disable()
+        try:
+            MultimediaNetwork(ring_graph(9)).run(per_node(FloodMax))
+            assert not gc.isenabled()
+            with pytest.raises(SimulationTimeout):
+                MultimediaNetwork(path_graph(3)).run(per_node(NeverHalts), max_rounds=20)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_no_collection_inside_a_wide_aggregation(self):
+        # a scale-free graph's small diameter packs its 8190 messages into
+        # a few wide rounds: with the collector running, they set off
+        # young-generation passes inside the loop
+        graph = make_topology("scale_free", 4096, seed=11)
+        parent, _ = build_bfs_forest(graph, 0)
+        factory = TreeAggregationFlyweight.over(
+            SpanningForest(parent), list(range(4096)), operator.add, redistribute=True
+        )
+        results = []
+        fired = collections_inside(
+            MultimediaNetwork.run,
+            lambda: results.append(MultimediaNetwork(graph, seed=3).run(factory)),
+        )
+        assert fired == []
+        assert set(results[0].results.values()) == {4096 * 4095 // 2}
+        assert gc.isenabled()
 
 
 class TestMultimediaNetwork:

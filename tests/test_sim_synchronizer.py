@@ -1,15 +1,18 @@
 """Tests for the channel synchronizer (Section 7.1)."""
 
+import gc
+
 import pytest
 
 from oracles import TreeAggregationProtocol, bfs_maps, children_map, per_node
 from repro.experiments.e10_model_variations import _count_nodes
 from repro.protocols.spanning.bfs import build_bfs_forest
 from repro.sim.adversity import adversity_state
-from repro.sim.errors import AdversityAbort, SimulationTimeout
+from repro.sim.errors import AdversityAbort, ProtocolError, SimulationTimeout
 from repro.sim.multimedia import MultimediaNetwork
 from repro.sim.synchronizer import ChannelSynchronizer
-from repro.topology.generators import grid_graph
+from repro.topology.generators import grid_graph, path_graph
+from test_sim_multimedia import NeverHalts, Stray
 
 
 def _sum_inputs(graph, root):
@@ -92,3 +95,41 @@ class TestChannelSynchronizer:
             run(max_pulses=unbounded.pulses - 1)
         assert short.value.rounds == unbounded.pulses - 1
         assert short.value.pending > 0
+
+
+class TestCollectorPause:
+    """The pulse loop holds the cyclic collector and always gives it back."""
+
+    def test_enabled_after_a_normal_return(self):
+        graph = grid_graph(3, 3)
+        ChannelSynchronizer(graph, seed=1).run(_count_nodes(graph, 0))
+        assert gc.isenabled()
+
+    def test_enabled_after_a_busy_tone_deadlock(self):
+        graph = grid_graph(3, 3)
+        state = adversity_state({"name": "loss", "loss_rate": 1.0}, "gc-deadlock", 9)
+        with pytest.raises(AdversityAbort, match="busy-tone deadlock"):
+            ChannelSynchronizer(graph, seed=1).run(_count_nodes(graph, 0), adversity=state)
+        assert gc.isenabled()
+
+    def test_enabled_after_a_send_over_a_missing_link(self):
+        with pytest.raises(ProtocolError, match="non-existent link"):
+            ChannelSynchronizer(path_graph(3)).run(Stray)
+        assert gc.isenabled()
+
+    def test_enabled_after_a_timeout(self):
+        with pytest.raises(SimulationTimeout):
+            ChannelSynchronizer(path_graph(3)).run(per_node(NeverHalts), max_pulses=20)
+        assert gc.isenabled()
+
+    def test_a_caller_that_disabled_the_collector_keeps_it_disabled(self):
+        graph = grid_graph(3, 3)
+        gc.disable()
+        try:
+            ChannelSynchronizer(graph, seed=1).run(_count_nodes(graph, 0))
+            assert not gc.isenabled()
+            with pytest.raises(ProtocolError):
+                ChannelSynchronizer(path_graph(3)).run(Stray)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
