@@ -30,7 +30,6 @@ from repro.protocols.collision.metcalfe_boggs import MetcalfeBoggsContender
 from repro.protocols.spanning.broadcast_convergecast import TreeAggregationFlyweight
 from repro.protocols.spanning.bfs import build_bfs_forest
 from repro.sim.adversity import AdversityState
-from repro.sim.channel import SlottedChannel
 from repro.sim.metrics import MetricsRecorder, MetricsSnapshot
 from repro.sim.multimedia import MultimediaNetwork
 from repro.topology.graph import WeightedGraph
@@ -147,18 +146,8 @@ def compute_on_channel_only(
             )
             for node in nodes
         ]
-    if adversity is not None:
-        channel = SlottedChannel(
-            metrics=recorder, adversity=adversity.channel_adversity()
-        )
-        outcome = run_contention(
-            contenders,
-            metrics=recorder,
-            channel=channel,
-            max_slots=adversity.round_budget(n),
-        )
-    else:
-        outcome = run_contention(contenders, metrics=recorder)
+    # every node contends, so the adversity budget is sized for them all
+    outcome = run_contention(contenders, metrics=recorder, adversity=adversity)
     recorder.set_phase(None)
     value = function.evaluate(outcome.broadcasts)
     return BaselineResult(

@@ -37,7 +37,6 @@ from repro.protocols.collision.metcalfe_boggs import MetcalfeBoggsContender
 from repro.protocols.spanning.broadcast_convergecast import TreeAggregationFlyweight
 from repro.protocols.symmetry.cole_vishkin import log_star
 from repro.sim.adversity import AdversityState
-from repro.sim.channel import SlottedChannel
 from repro.sim.metrics import MetricsRecorder, MetricsSnapshot
 from repro.sim.multimedia import MultimediaNetwork
 from repro.topology.graph import WeightedGraph
@@ -187,18 +186,9 @@ def compute_global_function(
             )
             for core in forest.cores
         ]
-    if adversity is not None:
-        channel = SlottedChannel(
-            metrics=recorder, adversity=adversity.channel_adversity()
-        )
-        outcome = run_contention(
-            contenders,
-            metrics=recorder,
-            channel=channel,
-            max_slots=adversity.round_budget(n),
-        )
-    else:
-        outcome = run_contention(contenders, metrics=recorder)
+    outcome = run_contention(
+        contenders, metrics=recorder, adversity=adversity, network_size=n
+    )
     recorder.set_phase(None)
     global_slots = recorder.rounds - rounds_before
 

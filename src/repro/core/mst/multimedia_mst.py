@@ -31,7 +31,6 @@ from repro.core.partition.forest import SpanningForest
 from repro.protocols.collision.base import run_contention
 from repro.protocols.collision.capetanakis import CapetanakisContender
 from repro.sim.adversity import AdversityState
-from repro.sim.channel import SlottedChannel
 from repro.sim.metrics import MetricsRecorder, MetricsSnapshot
 from repro.topology.graph import Edge, WeightedGraph, edge_key
 
@@ -126,19 +125,12 @@ class MultimediaMST:
             CapetanakisContender(identity=core, universe_size=self._n, payload=core)
             for core in forest.cores
         ]
-        if self._adversity is not None:
-            channel = SlottedChannel(
-                metrics=self._metrics,
-                adversity=self._adversity.channel_adversity(),
-            )
-            schedule_outcome = run_contention(
-                contenders,
-                metrics=self._metrics,
-                channel=channel,
-                max_slots=self._adversity.round_budget(self._n),
-            )
-        else:
-            schedule_outcome = run_contention(contenders, metrics=self._metrics)
+        schedule_outcome = run_contention(
+            contenders,
+            metrics=self._metrics,
+            adversity=self._adversity,
+            network_size=self._n,
+        )
         schedule = schedule_outcome.order
         scheduling_slots = schedule_outcome.slots_used
         self._metrics.set_phase(None)

@@ -93,8 +93,7 @@ class PhaseRecord:
         fragments_before / fragments_after: fragment counts around the phase.
         busy_rounds: rounds of actual activity in the phase.
         charged_rounds: rounds charged after padding to the synchronized
-            phase length ``5 · 2^i · log* n`` (equal to ``busy_rounds`` when
-            synchronization padding is disabled).
+            phase length ``5 · 2^i · log* n``.
         messages: point-to-point messages sent during the phase.
         coloring_rounds: parent→child communication rounds used by the
             3-colouring + MIS computation on the fragment graph F.
@@ -144,7 +143,6 @@ class DeterministicPartitioner:
         self,
         graph: WeightedGraph,
         target_size: Optional[int] = None,
-        synchronized_phases: bool = True,
         metrics: Optional[MetricsRecorder] = None,
     ) -> None:
         """Create a partitioner.
@@ -155,9 +153,6 @@ class DeterministicPartitioner:
             target_size: stop once every fragment has at least this many
                 nodes; defaults to ``⌈√n⌉``.  Section 5.1's tightened variant
                 passes ``⌈√(n / (log n · log* n))⌉``.
-            synchronized_phases: pad every phase to the precomputed length
-                ``5 · 2^i · log* n`` exactly as the paper does; when disabled
-                only the busy rounds are charged.
             metrics: externally owned recorder to charge (the MST algorithm
                 passes its own so all stages share one accountant).
 
@@ -175,7 +170,6 @@ class DeterministicPartitioner:
         )
         if self._target < 1:
             raise ValueError("target_size must be at least 1")
-        self._synchronized = synchronized_phases
         self._metrics = metrics if metrics is not None else MetricsRecorder()
 
     # ------------------------------------------------------------------
@@ -279,9 +273,7 @@ class DeterministicPartitioner:
                 coloring_rounds = 0
 
             # ---------------- phase synchronization ----------------------
-            charged = busy
-            if self._synchronized:
-                charged = max(busy, 5 * (2 ** phase) * log_star_n)
+            charged = max(busy, 5 * (2 ** phase) * log_star_n)
             self._metrics.record_round(charged)
             busy_total += busy
 

@@ -56,6 +56,10 @@ from repro.sim.errors import ProtocolError
 from repro.sim.metrics import MetricsRecorder, MetricsSnapshot
 from repro.topology.graph import WeightedGraph
 
+#: Safety bound on Las-Vegas restarts: each attempt fails its verification
+#: with probability below 1/2, so running past it indicates a bug.
+MAX_RESTARTS = 8
+
 
 def ln_star(n: float) -> int:
     """Return ``ln* n``: iterations of the natural log needed to reach ≤ 1."""
@@ -151,7 +155,6 @@ class RandomizedPartitioner:
         graph: WeightedGraph,
         seed: Optional[int] = None,
         las_vegas: bool = False,
-        max_restarts: int = 8,
         metrics: Optional[MetricsRecorder] = None,
     ) -> None:
         """Create a partitioner.
@@ -161,7 +164,6 @@ class RandomizedPartitioner:
             seed: seed for the coin flips (and the verification scheduling).
             las_vegas: run the Las-Vegas variant (verify the number of roots
                 on the channel and restart on failure).
-            max_restarts: safety bound on Las-Vegas restarts.
             metrics: externally owned complexity recorder.
 
         Raises:
@@ -175,7 +177,6 @@ class RandomizedPartitioner:
         self._n = graph.num_nodes()
         self._rng = random.Random(seed)
         self._las_vegas = las_vegas
-        self._max_restarts = max_restarts
         self._metrics = metrics if metrics is not None else MetricsRecorder()
 
     # ------------------------------------------------------------------
@@ -238,7 +239,7 @@ class RandomizedPartitioner:
                     verified=True,
                 )
             restarts += 1
-            if restarts > self._max_restarts:
+            if restarts > MAX_RESTARTS:
                 raise RuntimeError(
                     "Las-Vegas verification kept failing; this indicates a bug "
                     "because the failure probability per attempt is below 1/2"

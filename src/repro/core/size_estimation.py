@@ -32,6 +32,7 @@ from repro.protocols.collision.greenberg_ladner import (
     MultiplicityEstimate,
     estimate_multiplicity,
 )
+from repro.sim.errors import ProtocolError
 from repro.sim.metrics import MetricsRecorder, MetricsSnapshot
 from repro.topology.graph import WeightedGraph
 from repro.topology.weights import assign_distinct_weights
@@ -56,7 +57,6 @@ class DeterministicSizeResult:
 
 def compute_size_deterministically(
     graph: WeightedGraph,
-    id_bits: Optional[int] = None,
     seed: Optional[int] = None,
     metrics: Optional[MetricsRecorder] = None,
 ) -> DeterministicSizeResult:
@@ -75,8 +75,8 @@ def compute_size_deterministically(
         raise ValueError("cannot size an empty network")
     recorder = metrics if metrics is not None else MetricsRecorder()
     true_n = graph.num_nodes()
-    if id_bits is None:
-        id_bits = max(1, (true_n - 1).bit_length())
+    # the cores are nodes, so the ids 0..n-1 fit in id_bits bits
+    id_bits = max(1, (true_n - 1).bit_length())
     weighted = assign_distinct_weights(graph, seed=seed)
 
     phases_used = 0
@@ -96,19 +96,20 @@ def compute_size_deterministically(
         budget = (2 ** exponent) * id_bits * 2
         universe = 2 ** id_bits
         contenders = [
-            CapetanakisContender(identity=core % universe, universe_size=universe, payload=core)
+            CapetanakisContender(identity=core, universe_size=universe, payload=core)
             for core in forest.cores
         ]
         recorder.set_phase("size-scheduling")
         try:
             outcome = run_contention(contenders, max_slots=budget, metrics=recorder)
-            scheduling_slots = outcome.slots_used
-            recorder.set_phase(None)
-            break
-        except Exception:
-            recorder.set_phase(None)
+        except ProtocolError:
+            # the schedule did not fit its budget: run the next phase
             forest = None
             continue
+        finally:
+            recorder.set_phase(None)
+        scheduling_slots = outcome.slots_used
+        break
     if forest is None:
         raise RuntimeError("the schedule never fit its budget; this is a bug")
 

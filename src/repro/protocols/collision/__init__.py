@@ -3,11 +3,12 @@
 All protocols here are *channel-only*: they never use the point-to-point
 network.  The conflict-resolution protocols are **contender state machines**
 (:class:`~repro.protocols.collision.base.ChannelContender`) that larger
-algorithms embed to schedule a set of contenders (e.g. fragment roots) on
-the channel slot by slot with
-:func:`~repro.protocols.collision.base.run_contention`.  The
-Greenberg–Ladner multiplicity estimator runs against a bare
-:class:`~repro.sim.channel.SlottedChannel`.
+algorithms embed to run a channel stage in one call,
+:func:`~repro.protocols.collision.base.run_contention`, which builds the
+stage's channel and schedules the contenders slot by slot — or, for a fresh
+batch of Metcalfe–Boggs contenders on an unjammed channel, by the geometric
+skip-ahead.  The Greenberg–Ladner multiplicity estimator runs against a
+bare :class:`~repro.sim.channel.SlottedChannel`.
 """
 
 from repro.protocols.collision.base import (

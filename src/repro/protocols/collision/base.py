@@ -3,7 +3,9 @@
 The channel is the paper's Section 2 multiaccess medium: per slot, every
 node may write, and all nodes observe the same three-valued feedback
 (idle / success / collision).  The conflict-resolution protocols built on
-it realise the root-scheduling stages of Sections 5 and 6.
+it realise the channel stages of the algorithms: the fragment roots'
+broadcasts (Section 5.1), the core schedule of the MST (Section 6), the
+Las-Vegas check (Section 4) and the size schedule (Section 7.3).
 
 A *contender* is a node that has something to broadcast (in the paper: a
 fragment root holding a partial result).  A conflict-resolution protocol
@@ -15,19 +17,19 @@ makes public — the node's own identity/payload and the sequence of slot
 outcomes so far — so that *every* node (contender or not) can follow the
 protocol's progress by listening.
 
-:func:`run_contention` drives a set of contenders against a
-:class:`~repro.sim.channel.SlottedChannel` directly (no point-to-point
-network involved), which is how the larger algorithms account for their
-channel stage.
+:func:`run_contention` is a whole channel stage in one call: it builds the
+stage's :class:`~repro.sim.channel.SlottedChannel` (jammed when the
+caller's adversity schedule jams), sizes the slot budget and drives the
+contenders on it, with no point-to-point network involved.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Any, Hashable, List, Optional, Sequence, Tuple
 
 from repro.protocols.collision.geometric import run_geometric_contention
+from repro.sim.adversity import AdversityState
 from repro.sim.channel import SlottedChannel
 from repro.sim.errors import AdversityAbort, ProtocolError
 from repro.sim.events import ChannelEvent, SlotState
@@ -44,20 +46,7 @@ class ChannelContender:
     transmitted in it and it came back *success*, and only then.  The
     scheduler relies on this, rechecking its worklist after success slots
     only.
-
-    Class attribute ``GEOMETRIC_CONTENTION`` opts a protocol into the
-    geometric skip-ahead scheduler
-    (:mod:`repro.protocols.collision.geometric`).  A subclass may set it to
-    ``True`` only when its instances transmit independently per slot with a
-    probability that (a) is shared by every contender with an equal
-    :meth:`contention_signature` and (b) depends only on the publicly heard
-    success count (:meth:`contention_rate`); it must then also implement
-    :meth:`skip_ahead_rng` and :meth:`commit_skip_ahead`.  Deterministic
-    protocols (e.g. Capetanakis tree splitting) keep the default ``False``
-    and run slot by slot, which preserves their exact slot traces.
     """
-
-    GEOMETRIC_CONTENTION = False
 
     def __init__(self, identity: NodeId, payload: Any = None) -> None:
         """Create a contender named ``identity`` that will broadcast ``payload``."""
@@ -92,52 +81,6 @@ class ChannelContender:
         """Return the slot in which this contender succeeded, if any."""
         return self._succeeded_in_slot
 
-    # ------------------------------------------------------------------
-    # geometric skip-ahead capability (see GEOMETRIC_CONTENTION above)
-    # ------------------------------------------------------------------
-    def contention_signature(self) -> object:
-        """Return a value equal across contenders sharing one rate schedule.
-
-        The skip-ahead scheduler only engages when every pending contender
-        reports the same signature — a batch mixing, say, two different
-        contender-count estimates is not a homogeneous Bernoulli field and
-        falls back to the per-slot loop.
-        """
-        raise NotImplementedError
-
-    def contention_rate(self, successes_seen: int) -> float:
-        """Return the per-slot transmit probability after ``successes_seen``.
-
-        Must be a pure function of the publicly heard success count so the
-        scheduler can maintain it centrally instead of delivering every slot
-        outcome to every contender.
-        """
-        raise NotImplementedError
-
-    def contention_successes_seen(self) -> int:
-        """Return how many successes this contender has already heard.
-
-        The scheduler resumes its central success count from here, so a
-        batch that already observed part of a schedule (e.g. survivors of a
-        budget-failed run) keeps contending at the correct rate.
-        """
-        raise NotImplementedError
-
-    def skip_ahead_rng(self) -> "random.Random":
-        """Return the private random source driving this contender's draws."""
-        raise NotImplementedError
-
-    def commit_skip_ahead(self, slot: Optional[int], successes_seen: int) -> None:
-        """Sync local state after a skip-ahead run touched this contender.
-
-        Called with the winning ``slot`` when the contender is scheduled, or
-        with ``slot=None`` when the run failed its budget while the contender
-        was still pending.  ``successes_seen`` counts every success heard so
-        far, including the contender's own.
-        """
-        if slot is not None:
-            self._succeeded_in_slot = slot
-
 
 @dataclass
 class ScheduleOutcome:
@@ -162,46 +105,61 @@ def run_contention(
     contenders: Sequence[ChannelContender],
     max_slots: int = 1_000_000,
     metrics: Optional[MetricsRecorder] = None,
-    channel: Optional[SlottedChannel] = None,
-    start_slot: int = 0,
+    adversity: Optional[AdversityState] = None,
+    network_size: Optional[int] = None,
     skip_ahead: bool = True,
 ) -> ScheduleOutcome:
-    """Schedule ``contenders`` on a slotted channel until all are resolved.
+    """Run one channel stage: schedule ``contenders`` until all are resolved.
 
-    In the model every node hears every slot; the orchestration only delivers
-    observations to the *unresolved* contenders, because a resolved contender
-    never transmits again and its local state can no longer influence the
-    schedule.
+    The stage gets its own :class:`~repro.sim.channel.SlottedChannel`,
+    charging ``metrics``.  In the model every node hears every slot; the
+    orchestration only delivers observations to the *unresolved*
+    contenders, because a resolved contender never transmits again and its
+    local state can no longer influence the schedule.
 
-    When every pending contender opts into ``GEOMETRIC_CONTENTION`` with a
-    shared :meth:`~ChannelContender.contention_signature`, the schedule is
-    sampled by the geometric skip-ahead scheduler
+    When every pending contender is a
+    :class:`~repro.protocols.collision.metcalfe_boggs.MetcalfeBoggsContender`
+    holding one shared estimate and none has heard a success, the schedule
+    is sampled by the geometric skip-ahead scheduler
     (:func:`~repro.protocols.collision.geometric.run_geometric_contention`):
     identical outcome distribution, O(1) work per busy slot, idle runs
     skipped in one draw.  Pass ``skip_ahead=False`` to force the per-slot
     loop (the statistical-equivalence tests compare the two paths).
 
-    A channel carrying a jamming adversity state forces the per-slot loop
-    (the skip-ahead scheduler models a fault-free Bernoulli field, which
-    jamming is not) and converts budget exhaustion into
-    :class:`~repro.sim.errors.AdversityAbort` — under jamming, running out
-    of slots is the adversary's doing, not a protocol bug.
+    Args:
+        contenders: the stage's contenders.
+        max_slots: the slot budget without an adversity schedule.
+        metrics: optional accountant the channel charges per slot.
+        adversity: the caller's adversity schedule.  The channel jams with
+            its jam rate (:meth:`~repro.sim.adversity.AdversityState.channel_adversity`),
+            and the budget is its round budget for ``network_size`` nodes
+            instead of ``max_slots``.  A jammed channel forces the per-slot
+            loop (the skip-ahead models a fault-free Bernoulli field, which
+            jamming is not) and turns budget exhaustion into
+            :class:`~repro.sim.errors.AdversityAbort` — under jamming,
+            running out of slots is the adversary's doing, not a protocol
+            bug.
+        network_size: the number of nodes the stage runs over (sizes the
+            adversity budget); defaults to the number of contenders.
 
     Raises:
-        ProtocolError: if the contenders fail to resolve within ``max_slots``
-            slots, which indicates a protocol bug or an unreachable schedule.
+        ProtocolError: if the contenders fail to resolve within the budget
+            on a channel without jamming, which indicates a protocol bug or
+            an unreachable schedule.
         AdversityAbort: if the budget is exhausted on a jammed channel.
     """
-    channel = channel if channel is not None else SlottedChannel(metrics=metrics)
-    adversity = channel.adversity
+    jam = None
     if adversity is not None:
-        skip_ahead = False
+        jam = adversity.channel_adversity()
+        max_slots = adversity.round_budget(
+            len(contenders) if network_size is None else network_size
+        )
+    channel = SlottedChannel(metrics=metrics, adversity=jam)
     order: List[NodeId] = []
     broadcasts: List[Any] = []
     collisions = 0
     idle = 0
-    slot = start_slot
-    used = 0
+    slot = 0
     # only unresolved contenders can transmit or act on what they hear, so
     # track them in a worklist instead of re-scanning the whole field every
     # slot
@@ -213,36 +171,27 @@ def run_contention(
         for contender in contenders
         if not contender.resolved
     ]
-    if (
-        skip_ahead
-        and pending
-        and all(type(entry[0]).GEOMETRIC_CONTENTION for entry in pending)
-    ):
-        # homogeneity covers the whole public schedule state: the shared
-        # signature *and* an agreed count of successes already heard (a
-        # partially-observed batch resumes at its current rate, not at zero)
-        signatures = {
-            (entry[0].contention_signature(), entry[0].contention_successes_seen())
+    if skip_ahead and jam is None and pending:
+        # imported here: the Metcalfe–Boggs module builds on this one
+        from repro.protocols.collision.metcalfe_boggs import MetcalfeBoggsContender
+
+        first = pending[0][0]
+        if type(first) is MetcalfeBoggsContender and all(
+            type(entry[0]) is MetcalfeBoggsContender
+            and entry[0].estimate == first.estimate
+            and not entry[0].successes_seen
             for entry in pending
-        }
-        if len(signatures) == 1:
-            start_successes = pending[0][0].contention_successes_seen()
+        ):
             return run_geometric_contention(
-                pending,
-                rate=pending[0][0].contention_rate(start_successes),
-                channel=channel,
-                metrics=metrics,
-                max_slots=max_slots,
-                start_slot=start_slot,
-                start_successes=start_successes,
+                [entry[0] for entry in pending], channel, metrics, max_slots
             )
     flags: List[bool] = []
     while pending:
-        if used >= max_slots:
+        if slot >= max_slots:
             if metrics is not None:
-                metrics.record_round(used)
-            if adversity is not None:
-                raise AdversityAbort(used, len(pending))
+                metrics.record_round(slot)
+            if jam is not None:
+                raise AdversityAbort(slot, len(pending))
             raise ProtocolError(
                 f"contention did not resolve within {max_slots} slots"
             )
@@ -254,7 +203,6 @@ def run_contention(
             if transmitted:
                 writes.append((contender.identity, contender.payload))
         event = channel.resolve_slot(slot, writes)
-        public = event.public_view()
         state = event.state
         if state is SlotState.SUCCESS:
             order.append(event.writer)
@@ -269,25 +217,23 @@ def run_contention(
         # matches observe-then-filter: its resolution is its own state)
         if state is not SlotState.SUCCESS:
             for entry, transmitted in zip(pending, flags):
-                entry[2](public, transmitted)
+                entry[2](event, transmitted)
         else:
             next_pending = []
             for entry, transmitted in zip(pending, flags):
-                entry[2](public, transmitted)
+                entry[2](event, transmitted)
                 if entry[0]._succeeded_in_slot is None:
                     next_pending.append(entry)
             pending = next_pending
         slot += 1
-        used += 1
     # rounds are recorded in one batch: every slot is one time unit, and no
     # caller reads the recorder mid-contention
     if metrics is not None:
-        metrics.record_round(used)
+        metrics.record_round(slot)
     return ScheduleOutcome(
-        slots_used=used,
+        slots_used=slot,
         order=order,
         broadcasts=broadcasts,
         collisions=collisions,
         idle=idle,
     )
-

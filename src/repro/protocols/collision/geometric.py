@@ -33,17 +33,23 @@ pins the two implementations against each other.
 
 :func:`run_geometric_contention` is the scheduler fast path; callers go
 through :func:`~repro.protocols.collision.base.run_contention`, which
-delegates here when every pending contender declares the capability.
+delegates here when every pending contender is a Metcalfe–Boggs contender
+with one shared estimate that has heard no success yet, on a channel
+without jamming.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Hashable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Hashable, List, Optional
 
 from repro.sim.channel import SlottedChannel
 from repro.sim.errors import ProtocolError
 from repro.sim.metrics import MetricsRecorder
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.protocols.collision.base import ScheduleOutcome
+    from repro.protocols.collision.metcalfe_boggs import MetcalfeBoggsContender
 
 NodeId = Hashable
 
@@ -134,15 +140,12 @@ def collision_multiplicity(u: float, p: float, m: int) -> int:
 
 
 def run_geometric_contention(
-    contenders: Sequence[Tuple[Any, ...]],
-    rate: float,
+    contenders: List["MetcalfeBoggsContender"],
     channel: SlottedChannel,
     metrics: Optional[MetricsRecorder],
     max_slots: int,
-    start_slot: int,
-    start_successes: int = 0,
-):
-    """Drive homogeneous geometric contenders with idle runs skipped in O(1).
+) -> "ScheduleOutcome":
+    """Drive a fresh Metcalfe–Boggs batch with idle runs skipped in O(1).
 
     This is the fast path of
     :func:`~repro.protocols.collision.base.run_contention`; it produces a
@@ -152,18 +155,14 @@ def run_geometric_contention(
     instead of O(pending) work per slot.
 
     Args:
-        contenders: the pending worklist entries ``(contender, …)`` as built
-            by ``run_contention`` (only element 0 is read here).
-        rate: the shared per-slot transmit probability at zero successes.
+        contenders: the pending contenders, all holding the same
+            ``estimate`` and none having heard a success; the list is
+            consumed.
         channel: the slotted channel busy slots are resolved on; skipped idle
             runs are charged in one batch via
             :meth:`~repro.sim.channel.SlottedChannel.skip_idle_slots`.
         metrics: optional accountant (the channel also feeds it per slot).
         max_slots: slot budget; exceeding it raises like the per-slot loop.
-        start_slot: index of the first slot to contend in.
-        start_successes: successes the batch has already heard (``rate``
-            must be the rate at this count); the central count resumes from
-            here so partially-observed batches contend correctly.
 
     Raises:
         ProtocolError: when the budget is exhausted before every contender is
@@ -172,19 +171,19 @@ def run_geometric_contention(
     # imported lazily to avoid a circular import with base.py
     from repro.protocols.collision.base import ScheduleOutcome
 
-    pending: List[Any] = [entry[0] for entry in contenders]
-    # every slot-level draw comes from one contender's private RNG (the first
-    # pending one at entry) so the run stays deterministic under the caller's
-    # seeding discipline and consumes no global randomness
-    draw = pending[0].skip_ahead_rng().random
+    pending = contenders
+    estimate = pending[0].estimate
+    # every slot-level draw comes from the first contender's private RNG so
+    # the run stays deterministic under the caller's seeding discipline and
+    # consumes no global randomness
+    draw = pending[0].rng.random
     order: List[NodeId] = []
-    broadcasts: List[Any] = []
+    broadcasts: List[object] = []
     collisions = 0
     idle = 0
-    slot = start_slot
-    used = 0
-    successes = start_successes
-    p = rate
+    slot = 0
+    successes = 0
+    p = 1.0 / estimate
     while pending:
         m = len(pending)
         q_idle = (1.0 - p) ** m if p < 1.0 else 0.0
@@ -192,20 +191,17 @@ def run_geometric_contention(
             # the transmit probability underflowed to zero: every slot is
             # certainly idle, so the run can only end in budget exhaustion
             # (the per-slot loop idles its way to the same ProtocolError)
-            run_length = max_slots - used
+            run_length = max_slots - slot
         elif q_idle > 0.0:
             run_length = geometric_idle_run(draw(), q_idle)
         else:
             run_length = 0
-        if used + run_length >= max_slots:
+        if slot + run_length >= max_slots:
             # in per-slot terms the contention would have burned the whole
             # budget on idle slots: account them and fail identically
-            channel.skip_idle_slots(max_slots - used)
-            idle += max_slots - used
-            used = max_slots
-            _commit_pending(pending, successes)
+            channel.skip_idle_slots(max_slots - slot)
             if metrics is not None:
-                metrics.record_round(used)
+                metrics.record_round(max_slots)
             raise ProtocolError(
                 f"contention did not resolve within {max_slots} slots"
             )
@@ -213,7 +209,6 @@ def run_geometric_contention(
             channel.skip_idle_slots(run_length)
             idle += run_length
             slot += run_length
-            used += run_length
         if draw() < success_given_busy(p, m):
             winner_index = int(draw() * m)
             winner = pending[winner_index]
@@ -223,43 +218,32 @@ def run_geometric_contention(
             order.append(event.writer)
             broadcasts.append(event.payload)
             successes += 1
-            winner.commit_skip_ahead(slot, successes)
+            winner._succeeded_in_slot = slot
             # swap-remove keeps the pop O(1); the winner is drawn uniformly,
             # so the worklist order carries no distributional weight
             pending[winner_index] = pending[-1]
             pending.pop()
-            if pending:
-                p = pending[0].contention_rate(successes)
+            p = 1.0 / max(1, estimate - successes)
         else:
             multiplicity = collision_multiplicity(draw(), p, m)
-            # the public outcome of a collision reveals only *that* it
-            # happened; the writer identities recorded on the event exist for
-            # metrics/debugging, so charging the first `multiplicity` pending
-            # contenders keeps the write-attempt accounting exact without
-            # spending draws on the subset's identity
-            writes = tuple(
+            # a collision reveals only *that* it happened, so no draw is
+            # spent on who collided: the first `multiplicity` pending
+            # contenders' writes charge the write-attempt counter exactly
+            channel.resolve_slot(slot, tuple(
                 (contender.identity, contender.payload)
                 for contender in pending[:multiplicity]
-            )
-            channel.resolve_slot(slot, writes)
+            ))
             collisions += 1
         slot += 1
-        used += 1
     if metrics is not None:
-        metrics.record_round(used)
+        metrics.record_round(slot)
     return ScheduleOutcome(
-        slots_used=used,
+        slots_used=slot,
         order=order,
         broadcasts=broadcasts,
         collisions=collisions,
         idle=idle,
     )
-
-
-def _commit_pending(pending: Sequence[Any], successes: int) -> None:
-    """Sync the lazily-maintained contender state before a budget failure."""
-    for contender in pending:
-        contender.commit_skip_ahead(None, successes)
 
 
 __all__ = [

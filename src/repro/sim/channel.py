@@ -4,11 +4,15 @@ Section 2 of the paper: every node can write to and read from each slot; a
 slot is *idle* when no node writes, *success* when exactly one node writes
 (its message is then heard by all nodes), and *collision* when two or more
 nodes write (detected by all nodes, contents lost).
+
+A resolved slot leaves no record on the channel: its outcome is the returned
+:class:`~repro.sim.events.ChannelEvent`, and its cost is charged to the
+attached :class:`~repro.sim.metrics.MetricsRecorder`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Hashable, Optional, Sequence, Tuple
 
 from repro.sim.events import ChannelEvent, SlotState
 from repro.sim.metrics import MetricsRecorder
@@ -20,7 +24,7 @@ NodeId = Hashable
 
 
 class SlottedChannel:
-    """Resolves one slot at a time and keeps a history of slot outcomes.
+    """Resolves one slot at a time and charges each to the metrics.
 
     When an :class:`~repro.sim.adversity.AdversityState` with a positive jam
     rate is attached, each resolved slot is independently forced to read
@@ -36,52 +40,24 @@ class SlottedChannel:
     ) -> None:
         """Create a channel, optionally metered and under a jam schedule."""
         self._metrics = metrics
-        self._history: List[ChannelEvent] = []
-        self._idle_skipped = 0
         self._adversity = adversity
         self._jam_rng = adversity.spawn_rng() if adversity is not None else None
-
-    @property
-    def adversity(self) -> Optional["AdversityState"]:
-        """Return the attached adversity state, if any (jamming only)."""
-        return self._adversity
-
-    @property
-    def slots_elapsed(self) -> int:
-        """Return how many slots have been resolved so far.
-
-        Includes idle slots fast-forwarded over by :meth:`skip_idle_slots`,
-        which are accounted but never materialised as events.
-        """
-        return len(self._history) + self._idle_skipped
-
-    @property
-    def idle_slots_skipped(self) -> int:
-        """Return how many idle slots were accounted without an event."""
-        return self._idle_skipped
 
     def skip_idle_slots(self, count: int) -> None:
         """Charge ``count`` idle slots in one O(1) batch.
 
         The skip-ahead contention scheduler
         (:mod:`repro.protocols.collision.geometric`) knows an idle run's
-        length without resolving its slots one by one; this records the run
-        in the slot accounting (and the metrics, when attached) without
-        appending ``count`` idle events to the history.
+        length without resolving its slots one by one; this charges the run
+        to the metrics, when attached, as ``count`` idle slots.
 
         Raises:
             ValueError: if ``count`` is negative.
         """
         if count < 0:
             raise ValueError("cannot skip a negative number of slots")
-        self._idle_skipped += count
         if self._metrics is not None and count:
             self._metrics.record_idle_slots(count)
-
-    @property
-    def history(self) -> Tuple[ChannelEvent, ...]:
-        """Return every resolved slot, oldest first."""
-        return tuple(self._history)
 
     def resolve_slot(
         self,
@@ -90,55 +66,25 @@ class SlottedChannel:
     ) -> ChannelEvent:
         """Resolve slot ``slot`` given the attempted ``(writer, payload)`` writes.
 
-        Returns the full (non-public) :class:`ChannelEvent`; the simulator
-        hands nodes the :meth:`ChannelEvent.public_view`.
-
-        The idle and success outcomes are the fast path (they are what the
-        round loop resolves almost every slot), so they avoid the generic
-        writer-tuple construction the collision branch pays.
+        Returns the :class:`ChannelEvent` every node observes; the metrics
+        are charged one slot with ``len(writes)`` write attempts.
         """
         attempts = len(writes)
         if self._adversity is not None and self._adversity.jam_slot(self._jam_rng):
             # a jammed slot reads COLLISION to every node regardless of the
             # actual writes; any written payloads are lost
-            event = ChannelEvent(
-                slot=slot,
-                state=SlotState.COLLISION,
-                writers=tuple(writer for writer, _ in writes),
-            )
-            self._history.append(event)
             if self._metrics is not None:
-                self._metrics.record_slot(event.state, attempts, jammed=True)
-            return event
+                self._metrics.record_slot(SlotState.COLLISION, attempts, jammed=True)
+            return ChannelEvent(slot=slot, state=SlotState.COLLISION)
         if attempts == 0:
             event = ChannelEvent(slot=slot, state=SlotState.IDLE)
         elif attempts == 1:
             writer, payload = writes[0]
             event = ChannelEvent(
-                slot=slot,
-                state=SlotState.SUCCESS,
-                payload=payload,
-                writer=writer,
-                writers=(writer,),
+                slot=slot, state=SlotState.SUCCESS, payload=payload, writer=writer
             )
         else:
-            event = ChannelEvent(
-                slot=slot,
-                state=SlotState.COLLISION,
-                writers=tuple(writer for writer, _ in writes),
-            )
-        self._history.append(event)
+            event = ChannelEvent(slot=slot, state=SlotState.COLLISION)
         if self._metrics is not None:
             self._metrics.record_slot(event.state, attempts)
         return event
-
-    def successes(self) -> List[ChannelEvent]:
-        """Return the slots that resolved to SUCCESS, oldest first."""
-        return [event for event in self._history if event.is_success()]
-
-    def utilisation(self) -> float:
-        """Return the fraction of elapsed slots that carried a successful broadcast."""
-        elapsed = self.slots_elapsed
-        if not elapsed:
-            return 0.0
-        return len(self.successes()) / elapsed

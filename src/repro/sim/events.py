@@ -4,14 +4,16 @@ These small immutable records are the vocabulary shared by the simulator and
 every protocol: point-to-point :class:`Message` objects travel over links,
 and each channel slot resolves to a :class:`ChannelEvent` whose
 :class:`SlotState` is exactly the three-valued feedback of the paper's model
-(idle / success / collision).
+(idle / success / collision).  An event holds what every node may observe
+and nothing more: on a success the payload and its writer, on a collision
+only that it happened.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Hashable, NamedTuple, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Hashable, NamedTuple, Optional
 
 NodeId = Hashable
 
@@ -65,6 +67,10 @@ class Message(NamedTuple):
 class ChannelEvent:
     """What every node observes about one resolved channel slot.
 
+    The event is the whole public outcome: a collision reveals only that it
+    happened, so an event carries no record of who wrote.  Both simulators
+    hand the resolved event to the protocol as it is.
+
     Attributes:
         slot: the slot index (aligned with the round number).
         state: idle / success / collision.
@@ -73,18 +79,12 @@ class ChannelEvent:
             SUCCESS, else None.  The paper's model lets a successful message
             carry its sender's identifier inside the O(log n)-bit header, so
             exposing it is not extra power.
-        writers: the identities of all nodes that attempted to write.  This
-            field exists for metrics and debugging only; protocols must not
-            read it on a collision (collision detection reveals only that
-            more than one node wrote), and the simulator's strict mode
-            enforces that by omitting it from the events handed to nodes.
     """
 
     slot: int
     state: SlotState
     payload: Any = None
     writer: Optional[NodeId] = None
-    writers: Tuple[NodeId, ...] = field(default=())
 
     def is_idle(self) -> bool:
         """Return ``True`` when nobody wrote in this slot."""
@@ -97,31 +97,6 @@ class ChannelEvent:
     def is_collision(self) -> bool:
         """Return ``True`` when two or more nodes wrote in this slot."""
         return self.state is SlotState.COLLISION
-
-    def public_view(self) -> "ChannelEvent":
-        """Return the event as protocols are allowed to see it.
-
-        The ``writers`` tuple (who collided) is hidden because the model only
-        reveals *that* a collision happened, not who caused it.
-
-        The view is computed at most once per event: an event that already
-        carries no ``writers`` (idle slots) is its own public view, and the
-        derived event is cached otherwise.  The simulator asks for the view
-        once per node per slot, so this sits on the round-loop fast path.
-        """
-        if not self.writers:
-            return self
-        public = self.__dict__.get("_public_view")
-        if public is None:
-            public = ChannelEvent(
-                slot=self.slot,
-                state=self.state,
-                payload=self.payload,
-                writer=self.writer,
-                writers=(),
-            )
-            object.__setattr__(self, "_public_view", public)
-        return public
 
 
 def idle_event(slot: int) -> ChannelEvent:

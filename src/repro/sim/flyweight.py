@@ -58,18 +58,15 @@ class FlyweightEnvironment:
 
     Attributes:
         csr: the graph's CSR view the environment describes.
-        n: the number of nodes when the protocol is told it, else ``None``.
         streams: the per-node random substream family
             (:class:`~repro.sim.substreams.NodeStreams`).
     """
 
-    __slots__ = ("csr", "n", "streams")
+    __slots__ = ("csr", "streams")
 
-    def __init__(self, csr: CSRView, n: Optional[int],
-                 streams: Optional[NodeStreams]) -> None:
+    def __init__(self, csr: CSRView, streams: Optional[NodeStreams]) -> None:
         """Wrap ``csr``; O(1) — every column is shared."""
         self.csr = csr
-        self.n = n
         self.streams = streams
 
     @property
@@ -159,7 +156,7 @@ class FlyweightProtocol:
         ``inboxes`` maps a slot to its newly delivered messages, in delivery
         order; a slot without mail has no entry (a ``MESSAGE_DRIVEN``
         protocol is only ever given slots with mail).  ``channel`` is the
-        public view of the previous channel slot, the same for every slot.
+        previous channel slot's event, the same for every slot.
         """
         raise NotImplementedError
 

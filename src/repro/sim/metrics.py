@@ -6,7 +6,8 @@ The paper measures algorithms by
   network and one channel slot per time unit), and
 * **messages** — the number of point-to-point messages sent, and
 * **communication complexity** — messages plus time, "this measures the
-  information received over both media" (Section 2).
+  information received over both media" (Section 2): the sum of the two
+  counters above.
 
 A single :class:`MetricsRecorder` is threaded through the simulator so that
 the paper's algorithms and the baselines are charged by the same accountant.
@@ -37,25 +38,6 @@ class MetricsSnapshot:
     phase_rounds: Dict[str, int]
     channel_jammed: int = 0
 
-    @property
-    def communication_complexity(self) -> int:
-        """Messages plus time, the paper's combined measure."""
-        return self.point_to_point_messages + self.rounds
-
-    def as_dict(self) -> Dict[str, int]:
-        """Return the scalar counters as a plain dictionary (for reports)."""
-        return {
-            "rounds": self.rounds,
-            "point_to_point_messages": self.point_to_point_messages,
-            "channel_slots": self.channel_slots,
-            "channel_idle": self.channel_idle,
-            "channel_success": self.channel_success,
-            "channel_collision": self.channel_collision,
-            "channel_write_attempts": self.channel_write_attempts,
-            "channel_jammed": self.channel_jammed,
-            "communication_complexity": self.communication_complexity,
-        }
-
 
 @dataclass
 class MetricsRecorder:
@@ -85,11 +67,6 @@ class MetricsRecorder:
     def set_phase(self, phase: Optional[str]) -> None:
         """Attribute subsequent messages and rounds to ``phase`` (or to none)."""
         self._phase = phase
-
-    @property
-    def current_phase(self) -> Optional[str]:
-        """Return the phase currently being charged, if any."""
-        return self._phase
 
     # ------------------------------------------------------------------
     # recording
@@ -150,11 +127,6 @@ class MetricsRecorder:
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
-    @property
-    def communication_complexity(self) -> int:
-        """Messages plus time (the paper's combined complexity measure)."""
-        return self.point_to_point_messages + self.rounds
-
     def snapshot(self) -> MetricsSnapshot:
         """Return an immutable copy of the current counters."""
         return MetricsSnapshot(
@@ -169,37 +141,3 @@ class MetricsRecorder:
             phase_rounds=dict(self.phase_rounds),
             channel_jammed=self.channel_jammed,
         )
-
-    def merge(self, other: "MetricsRecorder") -> None:
-        """Fold the counters of ``other`` into this recorder.
-
-        Used when an algorithm is composed of sub-simulations (e.g. the MST
-        algorithm reuses the partitioning algorithm) and the total cost must
-        include every stage.
-        """
-        self.rounds += other.rounds
-        self.point_to_point_messages += other.point_to_point_messages
-        self.channel_slots += other.channel_slots
-        self.channel_idle += other.channel_idle
-        self.channel_success += other.channel_success
-        self.channel_collision += other.channel_collision
-        self.channel_write_attempts += other.channel_write_attempts
-        self.channel_jammed += other.channel_jammed
-        for phase, count in other.phase_messages.items():
-            self.phase_messages[phase] = self.phase_messages.get(phase, 0) + count
-        for phase, count in other.phase_rounds.items():
-            self.phase_rounds[phase] = self.phase_rounds.get(phase, 0) + count
-
-    def reset(self) -> None:
-        """Zero every counter and forget the current phase."""
-        self.rounds = 0
-        self.point_to_point_messages = 0
-        self.channel_slots = 0
-        self.channel_idle = 0
-        self.channel_success = 0
-        self.channel_collision = 0
-        self.channel_write_attempts = 0
-        self.channel_jammed = 0
-        self.phase_messages.clear()
-        self.phase_rounds.clear()
-        self._phase = None

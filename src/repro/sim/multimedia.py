@@ -24,8 +24,7 @@ Each round of :meth:`MultimediaNetwork.run` makes one protocol call for the
    :meth:`~repro.sim.flyweight.FlyweightProtocol.on_start` call; every
    later round is one
    :meth:`~repro.sim.flyweight.FlyweightProtocol.on_round` call with the
-   slots to dispatch, their inboxes and the public view of the previous
-   channel slot.  Those are the slots with mail for a ``MESSAGE_DRIVEN``
+   slots to dispatch, their inboxes and the previous channel slot's event.  Those are the slots with mail for a ``MESSAGE_DRIVEN``
    protocol and every slot otherwise; under crash windows a scan picks them
    and may split the round into a few calls (:func:`dispatch_round`);
 3. the round's send buffer — each send tagged with its sender slot, in slot
@@ -56,7 +55,7 @@ caller had it off.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.sim.adversity import AdversityState
 from repro.sim.channel import SlottedChannel
@@ -86,13 +85,11 @@ class SimulationResult:
         rounds: number of time units elapsed until every node halted.
         metrics: snapshot of the shared complexity accountant.
         results: each node's declared local output.
-        channel_history: every resolved channel slot, oldest first.
     """
 
     rounds: int
     metrics: MetricsSnapshot
     results: Dict[int, Any]
-    channel_history: Tuple[ChannelEvent, ...]
 
 
 class MultimediaNetwork:
@@ -108,7 +105,6 @@ class MultimediaNetwork:
         self,
         graph: WeightedGraph,
         seed: Optional[int] = None,
-        n_known: bool = True,
     ) -> None:
         """Create a multimedia network.
 
@@ -117,31 +113,12 @@ class MultimediaNetwork:
                 attached to the multiaccess channel.
             seed: master seed from which per-node private random sources are
                 derived (deterministic given the seed).
-            n_known: whether nodes are told ``n``.  The paper assumes ``n``
-                is known (Section 2) and Section 7 removes the assumption;
-                the size-estimation protocols run with ``n_known=False``.
         """
         self._graph = graph
         self._seed = seed
-        self._n_known = n_known
         # the per-node substream family: cheap, stateless, shared by every
         # run on this object (see repro.sim.substreams)
         self._streams = NodeStreams(seed, STREAM_SCOPE)
-
-    @property
-    def graph(self) -> WeightedGraph:
-        """Return the point-to-point topology."""
-        return self._graph
-
-    @property
-    def num_nodes(self) -> int:
-        """Return ``n``."""
-        return self._graph.num_nodes()
-
-    @property
-    def num_links(self) -> int:
-        """Return ``m``."""
-        return self._graph.num_edges()
 
     @collector_paused
     def run(
@@ -195,10 +172,7 @@ class MultimediaNetwork:
             metrics=recorder,
             adversity=adversity.channel_adversity() if adversity is not None else None,
         )
-        csr = self._graph.csr()
-        env = FlyweightEnvironment(
-            csr, csr.n if self._n_known else None, self._streams
-        )
+        env = FlyweightEnvironment(self._graph.csr(), self._streams)
         protocol: FlyweightProtocol = protocol_factory(env)
 
         deliver = network.deliver
@@ -225,8 +199,8 @@ class MultimediaNetwork:
                 break
 
             inboxes = deliver(round_index)
-            dispatch_round(protocol, inboxes, last_event.public_view(),
-                           round_index, adversity, started)
+            dispatch_round(protocol, inboxes, last_event, round_index,
+                           adversity, started)
             acted_any = bool(sends) or bool(writes)
             if sends:
                 accept_round(sends, round_index)
@@ -266,7 +240,6 @@ class MultimediaNetwork:
             rounds=rounds_used,
             metrics=recorder.snapshot(),
             results=protocol.results_by_node(),
-            channel_history=channel.history,
         )
 
 

@@ -95,7 +95,6 @@ class PointToPointNetwork:
         self,
         graph: WeightedGraph,
         metrics: Optional[MetricsRecorder] = None,
-        require_connected: bool = True,
         adversity: Optional["AdversityState"] = None,
     ) -> None:
         """Create a network over ``graph``.
@@ -104,30 +103,25 @@ class PointToPointNetwork:
             graph: the point-to-point topology.
             metrics: shared complexity accountant; when omitted a private one
                 is created (accessible via :attr:`metrics`).
-            require_connected: the paper's model assumes a connected network;
-                set to ``False`` only for targeted unit tests.
             adversity: optional adversity state; when attached, delivery
                 applies the schedule's crash, churn, loss and delay faults
                 (see :meth:`deliver`).
 
         Raises:
-            TopologyError: if the graph is empty or (when required) not
-                connected.
+            TopologyError: if the graph is empty or not connected (the
+                paper's model assumes a connected network).
         """
         csr = graph.csr()
         if csr.n == 0:
             raise TopologyError("cannot build a network over an empty graph")
-        if require_connected and not csr.is_connected():
+        if not csr.is_connected():
             raise TopologyError("the point-to-point topology must be connected")
-        self._graph = graph
         self._csr = csr
         self.metrics = metrics if metrics is not None else MetricsRecorder()
         # receiver slot -> queued messages, in first-mail order; only
         # receivers with mail have an entry
         self._inboxes: Dict[int, List[Message]] = {}
-        self._in_flight = 0
         self._latest_round_sent = -1
-        self._delivered_total = 0
         self._adversity = adversity
         if adversity is not None:
             adversity.bind_topology(graph)
@@ -135,31 +129,11 @@ class PointToPointNetwork:
         else:
             self._fault_rng = None
 
-    @property
-    def graph(self) -> WeightedGraph:
-        """Return the underlying topology."""
-        return self._graph
-
-    @property
-    def num_nodes(self) -> int:
-        """Return the number of processors ``n``."""
-        return self._csr.n
-
-    @property
-    def num_links(self) -> int:
-        """Return the number of point-to-point links ``m``."""
-        return self._graph.num_edges()
-
-    @property
-    def delivered_total(self) -> int:
-        """Return the number of messages delivered since construction."""
-        return self._delivered_total
-
     def accept_round(self, sends: Sequence[Send], round_index: int) -> None:
         """Accept the round's ``sends`` for delivery at round ``round_index + 1``.
 
         One :func:`file_round` pass into the inboxes, then one metrics
-        charge and one in-flight update for the whole round.
+        charge for the whole round.
 
         Raises:
             ProtocolError: if a receiver is not adjacent to its sender.  The
@@ -171,7 +145,6 @@ class PointToPointNetwork:
         filed = file_round(csr, sends, round_index, map(_receiver, sends), self._inboxes)
         if filed:
             self.metrics.record_messages(filed)
-            self._in_flight += filed
             if round_index > self._latest_round_sent:
                 self._latest_round_sent = round_index
         if filed < len(sends):
@@ -202,8 +175,6 @@ class PointToPointNetwork:
         if self._adversity is None and self._latest_round_sent < round_index:
             # fast path: every queued message was sent in an earlier round
             self._inboxes = {}
-            self._delivered_total += self._in_flight
-            self._in_flight = 0
             return inboxes
         return self._deliver_filtered(round_index)
 
@@ -224,8 +195,6 @@ class PointToPointNetwork:
             delay_rate = state.spec.delay_rate
         delivered: Dict[int, List[Message]] = {}
         kept_inboxes: Dict[int, List[Message]] = {}
-        count = 0
-        in_flight = 0
         for receiver, inbox in self._inboxes.items():
             ready: List[Message] = []
             kept: List[Message] = []
@@ -246,13 +215,9 @@ class PointToPointNetwork:
                     ready.append(msg)
             if kept:
                 kept_inboxes[receiver] = kept
-                in_flight += len(kept)
             if ready:
                 delivered[receiver] = ready
-                count += len(ready)
         self._inboxes = kept_inboxes
-        self._in_flight = in_flight
-        self._delivered_total += count
         return delivered
 
     def has_in_flight(self) -> bool:

@@ -90,7 +90,6 @@ class ChannelSynchronizer:
         graph: WeightedGraph,
         max_link_delay: int = 3,
         seed: Optional[int] = None,
-        n_known: bool = True,
     ) -> None:
         """Create a synchronizer over ``graph``.
 
@@ -100,7 +99,6 @@ class ChannelSynchronizer:
                 integer delay drawn uniformly from ``[1, max_link_delay]``
                 asynchronous time units.
             seed: master seed for delays and per-node random sources.
-            n_known: whether nodes are told ``n``.
 
         Raises:
             ValueError: if ``max_link_delay`` is not an ``int`` of at least 1
@@ -118,7 +116,6 @@ class ChannelSynchronizer:
         self._graph = graph
         self._max_delay = max_link_delay
         self._seed = seed
-        self._n_known = n_known
 
     @collector_paused
     def run(
@@ -187,11 +184,7 @@ class ChannelSynchronizer:
         bits = max_delay.bit_length()
 
         csr = self._graph.csr()
-        env = FlyweightEnvironment(
-            csr,
-            csr.n if self._n_known else None,
-            NodeStreams(self._seed, STREAM_SCOPE),
-        )
+        env = FlyweightEnvironment(csr, NodeStreams(self._seed, STREAM_SCOPE))
         protocol: FlyweightProtocol = protocol_factory(env)
         started = None if adv is None else bytearray(env.num_slots)
         sends = protocol._sends
@@ -299,7 +292,7 @@ class ChannelSynchronizer:
                 for slot, inbox in mail.items():
                     if slot in crashed:
                         pending_inbox[slot] = inbox
-            dispatch_round(protocol, mail, event.public_view(), pulses, adv, started)
+            dispatch_round(protocol, mail, event, pulses, adv, started)
             if sends:
                 algorithm += accept(pulses, now)
             pulses += 1

@@ -330,7 +330,7 @@ class PerNode(FlyweightProtocol):
                 node_id=node,
                 neighbors=neighbors(env.csr, node),
                 link_weights=link_weights(env.csr, node),
-                n=env.n,
+                n=env.num_slots,
                 extra=dict(extras.get(node, {})),
                 rng_factory=env.streams.rng_for,
             ))
@@ -347,7 +347,7 @@ class PerNode(FlyweightProtocol):
             for neighbor, message in outbox:
                 self.send(slot, neighbor, message)
             if wrote:
-                self._writes.append((slot, payload))
+                self.channel_write(slot, payload)
         if protocol.halted:
             self.halt_slot(slot)
 

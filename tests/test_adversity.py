@@ -34,8 +34,10 @@ from repro.sim.adversity import (
     canonical_adversity,
     resolve_adversity,
 )
+from repro.protocols.collision.base import run_contention
+from repro.protocols.collision.capetanakis import CapetanakisContender
 from repro.sim.channel import SlottedChannel
-from repro.sim.errors import AdversityAbort, SimulationTimeout
+from repro.sim.errors import AdversityAbort, ProtocolError, SimulationTimeout
 from repro.sim.metrics import MetricsRecorder
 from repro.sim.multimedia import MultimediaNetwork
 from repro.sim.flyweight import FlyweightProtocol
@@ -279,6 +281,82 @@ class TestJamAccounting:
         channel.resolve_slot(0, [(0, "a"), (1, "b")])
         assert recorder.channel_collision == 1
         assert recorder.channel_jammed == 0
+
+
+# ----------------------------------------------------------------------
+# one channel stage per call: run_contention owns the channel and budget
+# ----------------------------------------------------------------------
+def _capetanakis(ids, universe=64):
+    return [CapetanakisContender(i, universe, payload=i) for i in ids]
+
+
+class TestChannelStage:
+    def test_jammed_budget_exhaustion_aborts(self):
+        state = AdversityState(
+            adversity_spec({"name": "jam", "jam_rate": 1.0, "round_budget": 40}), seed=3
+        )
+        recorder = MetricsRecorder()
+        with pytest.raises(AdversityAbort) as caught:
+            run_contention(_capetanakis([1, 5, 9]), metrics=recorder, adversity=state)
+        assert caught.value.rounds == 40 and caught.value.pending == 3
+        assert recorder.rounds == recorder.channel_jammed == state.slots_jammed == 40
+
+    def test_unjammed_budget_exhaustion_is_a_protocol_error(self):
+        # a schedule without jamming that runs out of its budget is a
+        # protocol failure, not the adversary's doing
+        state = AdversityState(adversity_spec({"name": "loss", "round_budget": 3}), seed=3)
+        recorder = MetricsRecorder()
+        with pytest.raises(ProtocolError):
+            run_contention(
+                _capetanakis([1, 2, 3, 4, 5, 6]), metrics=recorder, adversity=state
+            )
+        assert recorder.rounds == 3 and recorder.channel_jammed == 0
+
+    def test_budget_is_sized_for_the_network(self):
+        # the budget is the schedule's round budget, budget_factor · n + 512,
+        # for network_size nodes (the contenders when it is not given)
+        spec = adversity_spec({"name": "jam", "jam_rate": 1.0, "budget_factor": 1})
+        for network_size, budget in ((64, 576), (None, 515)):
+            with pytest.raises(AdversityAbort) as caught:
+                run_contention(
+                    _capetanakis([1, 5, 9]),
+                    adversity=AdversityState(spec, seed=5),
+                    network_size=network_size,
+                )
+            assert caught.value.rounds == budget
+
+    def test_jammed_slots_counted_like_a_hand_built_channel(self):
+        # the reference: today's per-slot loop over a channel built by hand
+        # from the same state, in the same substream order
+        spec = adversity_spec("jam")
+        ids = [3, 7, 11, 20, 21, 30, 41, 50]
+        recorder = MetricsRecorder()
+        state = AdversityState(spec, seed=12)
+        outcome = run_contention(_capetanakis(ids), metrics=recorder, adversity=state)
+
+        reference = MetricsRecorder()
+        hand_state = AdversityState(spec, seed=12)
+        channel = SlottedChannel(metrics=reference, adversity=hand_state.channel_adversity())
+        pending = _capetanakis(ids)
+        order = []
+        slot = 0
+        while pending:
+            flags = [contender.wants_to_transmit(slot) for contender in pending]
+            event = channel.resolve_slot(slot, [
+                (contender.identity, contender.payload)
+                for contender, transmitted in zip(pending, flags) if transmitted
+            ])
+            if event.is_success():
+                order.append(event.writer)
+            for contender, transmitted in zip(pending, flags):
+                contender.observe(event, transmitted)
+            pending = [contender for contender in pending if not contender.resolved]
+            slot += 1
+        reference.record_round(slot)
+
+        assert state.slots_jammed == hand_state.slots_jammed > 0
+        assert outcome.order == order and outcome.slots_used == slot
+        assert recorder.snapshot() == reference.snapshot()
 
 
 # ----------------------------------------------------------------------

@@ -65,7 +65,7 @@ class TestMetcalfeBoggs:
     def test_all_contenders_eventually_scheduled(self):
         rng = random.Random(1)
         contenders = [
-            MetcalfeBoggsContender(i, estimated_contenders=10, rng=random.Random(rng.random()), payload=i)
+            MetcalfeBoggsContender(i, estimated_contenders=10, seed=rng.random(), payload=i)
             for i in range(10)
         ]
         outcome = run_contention(contenders)
@@ -77,7 +77,7 @@ class TestMetcalfeBoggs:
         totals = []
         for trial in range(5):
             contenders = [
-                MetcalfeBoggsContender(i, k, rng=random.Random(rng.random()))
+                MetcalfeBoggsContender(i, k, seed=rng.random())
                 for i in range(k)
             ]
             totals.append(run_contention(contenders).slots_used)

@@ -6,9 +6,9 @@ simulator and under the channel synchronizer, fault-free and under every
 adversity preset — while holding all per-node state in slot-indexed columns
 on one shared instance.  Both sides run on the same engine: the oracle
 through the per-node adapter (:func:`oracles.per_node`).  Each comparison
-covers everything a run exposes: results, rounds, the metrics snapshot, the
-channel history (or the synchronizer report), the adversity counters, and on
-an abort its rounds, pending count and reason.  The stream-era fingerprints
+covers everything a run exposes: results, rounds, the metrics snapshot
+(with its per-outcome channel counters), the synchronizer report, the
+adversity counters, and on an abort its rounds, pending count and reason.  The stream-era fingerprints
 live in ``tests/test_perf_equivalence.py`` (golden v4).
 """
 
@@ -186,7 +186,7 @@ class TestBFSOracle:
 class TestFlyweightState:
     def test_columns_are_slot_indexed(self):
         graph = make_topology("ring", 8, seed=11)
-        env = FlyweightEnvironment(graph.csr(), graph.num_nodes(), None)
+        env = FlyweightEnvironment(graph.csr(), None)
         assert env.num_slots == graph.num_nodes()
         assert [env.csr.slot(node) for node in graph.nodes()] == list(
             range(env.num_slots)
@@ -194,7 +194,7 @@ class TestFlyweightState:
 
     def test_halt_slot_bookkeeping(self):
         graph = WeightedGraph.from_edges([(0, 1)])
-        env = FlyweightEnvironment(graph.csr(), n=2, streams=None)
+        env = FlyweightEnvironment(graph.csr(), streams=None)
 
         class Noop(FlyweightProtocol):
             def on_round(self, slots, inboxes, channel):

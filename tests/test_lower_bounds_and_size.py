@@ -81,6 +81,18 @@ class TestSizeComputation:
         assert median_error <= 8
         assert all(e.true_n == 100 for e in estimates)
 
+    def test_deterministic_size_propagates_channel_stage_bugs(self, monkeypatch):
+        # only a ProtocolError means "the schedule did not fit its budget";
+        # any other failure inside the channel stage is a bug and surfaces
+        from repro.core import size_estimation
+
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("bug inside the channel stage")
+
+        monkeypatch.setattr(size_estimation, "run_contention", broken)
+        with pytest.raises(ZeroDivisionError, match="bug inside"):
+            compute_size_deterministically(grid_graph(4, 4), seed=1)
+
     def test_empty_graph_rejected(self):
         from repro.topology.graph import WeightedGraph
 

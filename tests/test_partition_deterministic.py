@@ -14,6 +14,7 @@ from repro.core.partition import deterministic
 from repro.core.partition.deterministic import DeterministicPartitioner
 from repro.core.partition.forest import SpanningForest
 from repro.core.partition.validation import validate_partition
+from repro.protocols.symmetry.cole_vishkin import log_star
 from repro.topology.generators import (
     erdos_renyi_graph,
     grid_graph,
@@ -119,10 +120,14 @@ class TestComplexity:
     def test_synchronized_phases_charge_at_least_busy_time(self, medium_grid):
         result = partition(medium_grid)
         assert result.metrics.rounds >= result.busy_rounds
-
-    def test_unsynchronized_mode_charges_busy_time_only(self, medium_grid):
-        result = partition(medium_grid, synchronized_phases=False)
-        assert result.metrics.rounds == result.busy_rounds
+        # every phase is padded to the paper's precomputed length
+        log_star_n = max(1, log_star(max(2, medium_grid.num_nodes())))
+        for record in result.phases:
+            assert record.charged_rounds == max(
+                record.busy_rounds, 5 * 2 ** record.phase * log_star_n
+            )
+        assert sum(record.charged_rounds for record in result.phases) == result.metrics.rounds
+        assert any(record.charged_rounds > record.busy_rounds for record in result.phases)
 
     def test_phase_count_is_logarithmic(self, medium_grid):
         result = partition(medium_grid)

@@ -161,7 +161,7 @@ def _compute_stream_state():
             MetcalfeBoggsContender(
                 identity=i,
                 estimated_contenders=k,
-                rng=random.Random(rng.randrange(2**63)),
+                seed=rng.randrange(2**63),
                 payload=i,
             )
             for i in range(k)

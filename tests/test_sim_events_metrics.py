@@ -13,14 +13,8 @@ class TestChannelEvent:
         assert idle_event(0).is_idle()
         success = ChannelEvent(slot=1, state=SlotState.SUCCESS, payload="x", writer=3)
         assert success.is_success() and not success.is_collision()
-        collision = ChannelEvent(slot=2, state=SlotState.COLLISION, writers=(1, 2))
+        collision = ChannelEvent(slot=2, state=SlotState.COLLISION)
         assert collision.is_collision()
-
-    def test_public_view_hides_writers(self):
-        collision = ChannelEvent(slot=2, state=SlotState.COLLISION, writers=(1, 2))
-        public = collision.public_view()
-        assert public.writers == ()
-        assert public.state is SlotState.COLLISION
 
     def test_message_repr_mentions_endpoints(self):
         message = Message(sender=1, receiver=2, payload="p", round_sent=3)
@@ -56,7 +50,6 @@ class TestMetricsRecorder:
         recorder.record_messages(5)
         assert recorder.rounds == 3
         assert recorder.point_to_point_messages == 5
-        assert recorder.communication_complexity == 8
 
     def test_negative_counts_rejected(self):
         recorder = MetricsRecorder()
@@ -87,30 +80,9 @@ class TestMetricsRecorder:
         assert snapshot.phase_messages == {"local": 4}
         assert snapshot.phase_rounds == {"local": 2, "global": 1}
 
-    def test_merge(self):
-        first = MetricsRecorder()
-        first.record_messages(2)
-        first.record_round(1)
-        second = MetricsRecorder()
-        second.record_messages(3)
-        second.set_phase("x")
-        second.record_round(4)
-        first.merge(second)
-        assert first.point_to_point_messages == 5
-        assert first.rounds == 5
-        assert first.phase_rounds == {"x": 4}
-
-    def test_reset(self):
-        recorder = MetricsRecorder()
-        recorder.record_messages(2)
-        recorder.reset()
-        assert recorder.point_to_point_messages == 0
-        assert recorder.snapshot().as_dict()["rounds"] == 0
-
     def test_snapshot_is_immutable_copy(self):
         recorder = MetricsRecorder()
         recorder.record_messages(1)
         snapshot = recorder.snapshot()
         recorder.record_messages(10)
         assert snapshot.point_to_point_messages == 1
-        assert snapshot.communication_complexity == 1

@@ -227,11 +227,6 @@ class TestMultimediaNetwork:
         assert seen[2] == ({}, 4)
         assert seen[3][1] == 4
 
-    def test_n_unknown_mode(self):
-        network = MultimediaNetwork(path_graph(4), n_known=False)
-        seen = network.run(per_node(ReportsContext)).results
-        assert all(n is None for _, n in seen.values())
-
     def test_seeded_runs_are_reproducible(self):
         graph = ring_graph(7)
         first = MultimediaNetwork(graph, seed=5).run(per_node(FloodMax))

@@ -21,6 +21,7 @@ from collections import Counter
 
 import pytest
 
+from repro.protocols.collision import base
 from repro.protocols.collision.base import run_contention
 from repro.protocols.collision.capetanakis import CapetanakisContender
 from repro.protocols.collision.geometric import (
@@ -29,8 +30,10 @@ from repro.protocols.collision.geometric import (
     success_given_busy,
 )
 from repro.protocols.collision.metcalfe_boggs import MetcalfeBoggsContender
+from repro.sim.adversity import AdversityState, adversity_spec
 from repro.sim.channel import SlottedChannel
 from repro.sim.errors import ProtocolError
+from repro.sim.events import SlotState
 from repro.sim.metrics import MetricsRecorder
 
 
@@ -40,11 +43,25 @@ def _mb_batch(k, seed, estimate=None):
         MetcalfeBoggsContender(
             identity=i,
             estimated_contenders=estimate if estimate is not None else k,
-            rng=random.Random(rng.randrange(2**63)),
+            seed=rng.randrange(2**63),
             payload=i,
         )
         for i in range(k)
     ]
+
+
+@pytest.fixture
+def skip_ahead_batches(monkeypatch):
+    """Record the size of every batch handed to the geometric scheduler."""
+    batches = []
+    real = base.run_geometric_contention
+
+    def spy(contenders, *args):
+        batches.append(len(contenders))
+        return real(contenders, *args)
+
+    monkeypatch.setattr(base, "run_geometric_contention", spy)
+    return batches
 
 
 class TestGeometricSampler:
@@ -215,102 +232,107 @@ class TestRunEquivalence:
         with pytest.raises(ValueError):
             geometric_idle_run(0.5, 1.0)
 
-    def test_partially_observed_batch_resumes_at_current_rate(self):
-        # survivors of a budget-failed run have already heard successes; a
-        # retry must contend at 1/(estimate - heard), not restart at zero,
-        # and must never regress the heard count
-        contenders = _mb_batch(6, seed=41, estimate=6)
-        with pytest.raises(ProtocolError):
-            run_contention(contenders, max_slots=2)
-        survivors = [c for c in contenders if not c.resolved]
-        heard = {c.contention_successes_seen() for c in survivors}
-        assert len(heard) == 1
-        (heard_count,) = heard
-        assert heard_count == len(contenders) - len(survivors)
-        outcome = run_contention(survivors, start_slot=2)
-        assert sorted(outcome.order) == sorted(c.identity for c in survivors)
-        for contender in survivors:
-            # per-slot semantics: a resolved contender froze its count at
-            # the success total it had heard when it was scheduled — which
-            # can only have grown from the pre-retry count
-            assert contender.contention_successes_seen() > heard_count - 1
-            assert contender.contention_successes_seen() <= len(contenders)
+    def test_fresh_homogeneous_batch_takes_the_skip_ahead(self, skip_ahead_batches):
+        run_contention(_mb_batch(8, seed=2))
+        assert skip_ahead_batches == [8]
 
-    def test_mixed_estimates_fall_back_to_per_slot(self):
+    def test_batch_that_heard_a_success_runs_per_slot(self, skip_ahead_batches):
+        contenders = _mb_batch(4, seed=4)
+        contenders[1].successes_seen = 1
+        out = run_contention(contenders)
+        assert skip_ahead_batches == []
+        assert sorted(out.order) == [0, 1, 2, 3]
+
+    def test_jammed_channel_runs_per_slot(self, skip_ahead_batches):
+        state = AdversityState(adversity_spec("jam"), seed=8)
+        out = run_contention(_mb_batch(6, seed=5), adversity=state)
+        assert skip_ahead_batches == []
+        assert sorted(out.order) == list(range(6))
+
+    def test_mixed_estimates_fall_back_to_per_slot(self, skip_ahead_batches):
         # a non-homogeneous batch is not a shared-rate Bernoulli field; the
-        # scheduler must take the per-slot loop (observable: every idle slot
-        # is materialised in the channel history, none skipped)
+        # scheduler must take the per-slot loop
         rng = random.Random(3)
         contenders = [
             MetcalfeBoggsContender(
                 identity=i,
                 estimated_contenders=4 + i,
-                rng=random.Random(rng.randrange(2**63)),
+                seed=rng.randrange(2**63),
                 payload=i,
             )
             for i in range(4)
         ]
-        channel = SlottedChannel()
-        out = run_contention(contenders, channel=channel)
-        assert channel.idle_slots_skipped == 0
-        assert len(channel.history) == out.slots_used
+        metrics = MetricsRecorder()
+        out = run_contention(contenders, metrics=metrics)
+        assert skip_ahead_batches == []
+        assert metrics.channel_slots == out.slots_used
 
-    def test_deterministic_protocols_keep_per_slot_traces(self):
+    def test_deterministic_protocols_keep_per_slot_traces(self, skip_ahead_batches):
         # Capetanakis is deterministic: identical schedule with and without
-        # the skip-ahead flag, every slot materialised
+        # the skip-ahead flag, and never handed to the skip-ahead
         ids = [3, 7, 11, 20, 21, 30]
         runs = []
         for skip_ahead in (True, False):
-            channel = SlottedChannel()
             contenders = [CapetanakisContender(i, 32, payload=i) for i in ids]
-            out = run_contention(contenders, channel=channel, skip_ahead=skip_ahead)
-            assert channel.idle_slots_skipped == 0
+            out = run_contention(contenders, skip_ahead=skip_ahead)
             runs.append((out.order, out.slots_used, out.collisions, out.idle))
         assert runs[0] == runs[1]
+        assert skip_ahead_batches == []
 
 
 class TestFastForwardAccounting:
-    def test_channel_and_metrics_agree_with_outcome(self):
+    def test_channel_and_metrics_agree_with_outcome(self, skip_ahead_batches):
         metrics = MetricsRecorder()
-        channel = SlottedChannel(metrics=metrics)
         contenders = _mb_batch(24, seed=17)
-        out = run_contention(contenders, metrics=metrics, channel=channel)
-        assert channel.idle_slots_skipped == out.idle
-        assert channel.slots_elapsed == out.slots_used
-        assert len(channel.history) == len(out.order) + out.collisions
+        out = run_contention(contenders, metrics=metrics)
+        assert skip_ahead_batches == [24]
         assert metrics.channel_slots == out.slots_used
         assert metrics.channel_idle == out.idle
         assert metrics.channel_collision == out.collisions
         assert metrics.channel_success == len(out.order)
         assert metrics.rounds == out.slots_used
-        # every success event sits at the slot its winner recorded
-        by_winner = {e.writer: e.slot for e in channel.successes()}
-        for contender in contenders:
-            assert by_winner[contender.identity] == contender.success_slot
+        # every winner recorded a distinct slot, in broadcast order
+        slots = [contender.success_slot for contender in contenders]
+        by_slot = sorted(zip(slots, (c.identity for c in contenders)))
+        assert [identity for _, identity in by_slot] == out.order
+        assert len(set(slots)) == len(slots) and max(slots) < out.slots_used
 
-    def test_shared_rng_streams_agree_exactly_on_accounting(self):
-        # where the RNG streams are shared between the paths — i.e. before
-        # the first draw diverges — the accounting has to line up exactly:
-        # run the same seeds through both paths and replay the fast path's
-        # event history through a fresh per-slot accountant
-        contenders = _mb_batch(16, seed=23)
+    def test_shared_rng_streams_agree_exactly_on_accounting(self, monkeypatch):
+        # replay every slot the fast path charged on its channel through a
+        # fresh per-slot accountant: the batched idle runs and the collision
+        # multiplicities must add up to the same snapshot
+        charged = []
+        resolve = SlottedChannel.resolve_slot
+        skip = SlottedChannel.skip_idle_slots
+
+        def resolve_spy(channel, slot, writes):
+            event = resolve(channel, slot, writes)
+            charged.append((event.state, len(writes)))
+            return event
+
+        def skip_spy(channel, count):
+            charged.extend([(SlotState.IDLE, 0)] * count)
+            skip(channel, count)
+
+        monkeypatch.setattr(SlottedChannel, "resolve_slot", resolve_spy)
+        monkeypatch.setattr(SlottedChannel, "skip_idle_slots", skip_spy)
         metrics = MetricsRecorder()
-        channel = SlottedChannel(metrics=metrics)
-        out = run_contention(contenders, metrics=metrics, channel=channel)
+        out = run_contention(_mb_batch(16, seed=23), metrics=metrics)
 
         replay = MetricsRecorder()
-        replay.record_idle_slots(channel.idle_slots_skipped)
-        for event in channel.history:
-            replay.record_slot(event.state, len(event.writers))
+        for state, attempts in charged:
+            replay.record_slot(state, attempts)
         replay.record_round(out.slots_used)
-        assert replay.snapshot().as_dict() == metrics.snapshot().as_dict()
+        assert out.collisions and out.idle
+        assert replay.snapshot() == metrics.snapshot()
 
     def test_utilisation_counts_skipped_slots(self):
-        channel = SlottedChannel()
+        metrics = MetricsRecorder()
+        channel = SlottedChannel(metrics=metrics)
         channel.resolve_slot(0, [("a", "x")])
         channel.skip_idle_slots(3)
-        assert channel.slots_elapsed == 4
-        assert channel.utilisation() == 0.25
+        assert metrics.channel_slots == 4
+        assert metrics.channel_success / metrics.channel_slots == 0.25
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
@@ -321,6 +343,5 @@ class TestFastForwardAccounting:
     def test_write_attempt_accounting_plausible(self):
         # successes contribute exactly one attempt, collisions at least two
         metrics = MetricsRecorder()
-        channel = SlottedChannel(metrics=metrics)
-        out = run_contention(_mb_batch(20, seed=31), metrics=metrics, channel=channel)
+        out = run_contention(_mb_batch(20, seed=31), metrics=metrics)
         assert metrics.channel_write_attempts >= len(out.order) + 2 * out.collisions
