@@ -19,7 +19,7 @@ def main() -> None:
     partition = DeterministicPartitioner(graph).run()
     report = validate_partition(partition.forest, graph, check_mst_subtrees=True)
     print(
-        f"partition: {partition.num_fragments} fragments, "
+        f"partition: {partition.forest.num_fragments()} fragments, "
         f"max radius {partition.forest.max_radius()}, "
         f"min size {partition.forest.min_size()}, "
         f"subtrees of MST: {report.subtrees_of_mst}"

@@ -16,5 +16,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
+    # what the test suites import beyond the package (six tier-1 modules
+    # use hypothesis); CI installs it with `pip install ".[test]"`
+    extras_require={"test": ["pytest", "hypothesis"]},
     entry_points={"console_scripts": ["repro=repro.cli:main"]},
 )

@@ -57,7 +57,6 @@ def compute_on_point_to_point_only(
     function: GlobalSensitiveFunction,
     inputs: Dict[int, object],
     leader: int = 0,
-    seed: Optional[int] = None,
     metrics: Optional[MetricsRecorder] = None,
     adversity: Optional[AdversityState] = None,
 ) -> BaselineResult:
@@ -82,7 +81,7 @@ def compute_on_point_to_point_only(
 
     recorder.set_phase("aggregate")
     forest = SpanningForest(parent)
-    network = MultimediaNetwork(graph, seed=seed)
+    network = MultimediaNetwork(graph)
     simulation = network.run(
         TreeAggregationFlyweight.over(
             forest, inputs, function.combine, redistribute=True

@@ -89,8 +89,9 @@ def compute_global_function(
         method: ``"deterministic"`` (Section 3 partition + Capetanakis
             scheduling) or ``"randomized"`` (Section 4 partition +
             Metcalfe–Boggs scheduling).
-        seed: randomness seed (used by the randomized method and to derive
-            node-local random sources).
+        seed: randomness seed of the distinct weights the deterministic
+            method assigns a graph without them, of the randomized
+            partition and of the roots' Metcalfe–Boggs draws.
         forest: reuse an existing partition instead of computing one; its
             cost is then not charged.
         tightened_balance: deterministic method only — stop the partition at
@@ -148,7 +149,7 @@ def compute_global_function(
     # ------------------------------------------------------------------
     rounds_before = recorder.rounds
     recorder.set_phase("local")
-    network = MultimediaNetwork(graph, seed=seed)
+    network = MultimediaNetwork(graph)
     simulation = network.run(
         TreeAggregationFlyweight.over(forest, inputs, function.combine),
         metrics=recorder,

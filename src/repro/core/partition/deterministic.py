@@ -130,11 +130,6 @@ class DeterministicPartitionResult:
     busy_rounds: int
     target_size: int
 
-    @property
-    def num_fragments(self) -> int:
-        """Return the number of trees in the forest."""
-        return self.forest.num_fragments()
-
 
 class DeterministicPartitioner:
     """Runs the Section 3 algorithm on a weighted multimedia network."""

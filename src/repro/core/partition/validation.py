@@ -60,19 +60,9 @@ class PartitionReport:
         return math.sqrt(self.n)
 
     @property
-    def fragment_count_ratio(self) -> float:
-        """Return (number of fragments) / √n — the paper bounds this by O(1)."""
-        return self.num_fragments / self.sqrt_n if self.n else 0.0
-
-    @property
     def radius_ratio(self) -> float:
         """Return (max radius) / √n — ≤ 8 for the deterministic partition."""
         return self.max_radius / self.sqrt_n if self.n else 0.0
-
-    @property
-    def min_size_ratio(self) -> float:
-        """Return (min size) / √n — ≥ 1 for the deterministic partition."""
-        return self.min_size / self.sqrt_n if self.n else 0.0
 
 
 def validate_partition(

@@ -110,7 +110,13 @@ from repro.experiments.registry import (
     PointParams,
     get_experiment,
 )
-from repro.experiments.serialization import decode_wire, encode_wire
+from repro.experiments.serialization import (
+    NestingError,
+    check_depth,
+    decode_wire,
+    encode_wire,
+    read_json,
+)
 
 #: wire protocol version; bumped on incompatible message changes
 PROTOCOL = 1
@@ -150,8 +156,8 @@ def send_request(
     if len(line) > MAX_MESSAGE_BYTES:
         raise DistributedProtocolError("oversized reply from coordinator")
     try:
-        reply = json.loads(line.decode("utf-8"))
-    except (ValueError, RecursionError) as error:
+        reply = read_json(line.decode("utf-8"))
+    except ValueError as error:
         raise DistributedProtocolError(f"malformed reply: {error}") from None
     if not isinstance(reply, dict):
         raise DistributedProtocolError("reply is not a JSON object")
@@ -223,10 +229,10 @@ class _CoordinatorHandler(socketserver.StreamRequestHandler):
             line = self.rfile.readline(MAX_MESSAGE_BYTES + 1)
             if not line or len(line) > MAX_MESSAGE_BYTES:
                 raise ValueError("missing or oversized request")
-            message = json.loads(line.decode("utf-8"))
+            message = read_json(line.decode("utf-8"))
             if not isinstance(message, dict):
                 raise ValueError("request is not a JSON object")
-        except (OSError, ValueError, UnicodeDecodeError, RecursionError) as error:
+        except (OSError, ValueError) as error:
             reply: Dict[str, Any] = {"op": "error", "reason": str(error)}
         else:
             reply = self.server.coordinator.handle(message, long_poll=True)
@@ -383,12 +389,6 @@ class ShardCoordinator:
             return self._all_complete()
 
     @property
-    def progress(self) -> Tuple[int, int, int]:
-        """Return ``(completed, leased, pending)`` shard counts."""
-        with self._lock:
-            return len(self._completed), len(self._leases), len(self._pending)
-
-    @property
     def wait_window(self) -> float:
         """Seconds a ``lease`` with nothing to grant is parked (or waits)."""
         return min(1.0, self._lease_timeout / 4)
@@ -467,7 +467,7 @@ class ShardCoordinator:
                 )
             if op == "submit":
                 return self._submit(message)
-        except (TypeError, ValueError, KeyError, RecursionError) as error:
+        except (TypeError, ValueError, KeyError) as error:
             return {"op": "error", "reason": f"malformed {op}: {error}"}
         return {"op": "error", "reason": f"unknown op {op!r}"}
 
@@ -567,10 +567,7 @@ class ShardCoordinator:
                 return self._reject(worker, shard, "stale sweep digest")
             if message.get("indices") != list(self._plan[shard]):
                 return self._reject(worker, shard, "shard indices mismatch")
-            try:
-                problem = self._checkpoint(shard, message)
-            except RecursionError:
-                problem = "rows nested too deeply"
+            problem = self._checkpoint(shard, message)
             if problem is not None:
                 return self._reject(worker, shard, problem)
             self._completed.add(shard)
@@ -585,7 +582,12 @@ class ShardCoordinator:
         Lock held by the caller.  Returns the rejection reason, or ``None``
         once the checkpoint is written.
         """
-        rows = decode_wire(message.get("rows"))
+        rows = message.get("rows")
+        try:
+            check_depth(rows)
+        except NestingError:
+            return "rows nested too deeply"
+        rows = decode_wire(rows)
         expected = len(self._plan[shard])
         if not isinstance(rows, list) or len(rows) != expected:
             return "row count mismatch"

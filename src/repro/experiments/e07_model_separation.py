@@ -120,7 +120,7 @@ def sweep_point(
         multimedia = None
     try:
         p2p = compute_on_point_to_point_only(
-            graph, INTEGER_ADDITION, inputs, seed=5,
+            graph, INTEGER_ADDITION, inputs,
             adversity=adversity_state(adversity, "e7", n, topology, "p2p"),
         )
     except AdversityAbort:

@@ -96,7 +96,7 @@ def sweep_point(
     # Corollary 4: run the same aggregation synchronously and under the
     # channel synchronizer on an asynchronous network
     try:
-        sync_run = MultimediaNetwork(graph, seed=3).run(
+        sync_run = MultimediaNetwork(graph).run(
             count_nodes,
             adversity=adversity_state(adversity, "e10", n, topology, "sync"),
         )

@@ -138,7 +138,7 @@ def sweep_point(
         multimedia = None
     try:
         p2p = compute_on_point_to_point_only(
-            graph, INTEGER_ADDITION, inputs, seed=5, adversity=p2p_state
+            graph, INTEGER_ADDITION, inputs, adversity=p2p_state
         )
     except AdversityAbort:
         p2p = None

@@ -94,6 +94,7 @@ from repro.experiments.serialization import (
     decode_nonfinite,
     encode_nonfinite,
     jsonable,
+    read_json,
 )
 
 MANIFEST_SCHEMA = 1
@@ -423,8 +424,8 @@ def load_checkpoint(
     """
     path = _shard_path(run_dir, shard)
     try:
-        data = json.loads(path.read_text())
-    except (OSError, ValueError, RecursionError):
+        data = read_json(path.read_text())
+    except (OSError, ValueError):
         return None
     try:
         if data["digest"] != digest:
@@ -445,7 +446,7 @@ def load_checkpoint(
             "rows": rows,
             "compute_seconds": float(data["compute_seconds"]),
         }
-    except (KeyError, TypeError, ValueError, RecursionError):
+    except (KeyError, TypeError, ValueError):
         return None
 
 
@@ -490,8 +491,8 @@ def read_manifest(run_dir: Path) -> Optional[Dict[str, Any]]:
     side — never a crash.
     """
     try:
-        data = json.loads((run_dir / MANIFEST_NAME).read_text())
-    except (OSError, ValueError, RecursionError):
+        data = read_json((run_dir / MANIFEST_NAME).read_text())
+    except (OSError, ValueError):
         return None
     if not isinstance(data, dict):
         return None

@@ -79,11 +79,6 @@ class ExperimentResult:
     pending_points: int = 0
     executor: str = "serial"
 
-    @property
-    def complete(self) -> bool:
-        """True when every sweep point has a row."""
-        return self.pending_points == 0
-
     def to_table(self) -> Table:
         """Render the rows as the experiment's historical plain-text table."""
         return table_from_records(self.title, self.columns, self.rows)
@@ -133,11 +128,6 @@ class ExperimentResult:
             pending_points=data.get("pending_points", 0),
             executor=data.get("executor", "serial"),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentResult":
-        """Rebuild a result from a JSON string."""
-        return cls.from_json_dict(json.loads(text))
 
 
 def _resolve(experiment: Union[str, ExperimentSpec]) -> ExperimentSpec:

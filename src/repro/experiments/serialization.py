@@ -1,9 +1,10 @@
-"""Strict-JSON normalisation shared by the runner and the executors.
+"""Strict-JSON normalisation and the one reader of untrusted JSON.
 
-Lives in its own module so the two consumers —
-:mod:`repro.experiments.runner` (result files) and
-:mod:`repro.experiments.executors` (sweep digests, manifests) — can both
-import it at module level without importing each other.
+Lives in its own module so its consumers —
+:mod:`repro.experiments.runner` (result files),
+:mod:`repro.experiments.executors` (sweep digests, manifests, checkpoints),
+:mod:`repro.experiments.distributed` (the wire) and :mod:`repro.serve` —
+can all import it at module level without importing each other.
 """
 
 from __future__ import annotations
@@ -11,6 +12,64 @@ from __future__ import annotations
 import json
 import math
 from typing import Any
+
+#: The deepest nesting :func:`read_json` accepts (a scalar is depth 0, a
+#: flat list depth 1).  What this package writes nests at most seven deep,
+#: and 100 stays far below every supported Python's recursion limit.  The
+#: bound, not ``RecursionError``, refuses an over-deep input, so it is
+#: refused for one reason on every interpreter (3.12 inlines comprehensions,
+#: so a recursive decoder gets twice as deep as on 3.11 before the limit).
+MAX_DEPTH = 100
+
+
+class NestingError(ValueError):
+    """Untrusted JSON nests deeper than :data:`MAX_DEPTH`."""
+
+    def __init__(self) -> None:
+        """Carry the one refusal reason every reader reports."""
+        super().__init__(f"JSON nested deeper than {MAX_DEPTH} levels")
+
+
+def read_json(text: str) -> Any:
+    """Parse untrusted JSON ``text``, refusing nesting past :data:`MAX_DEPTH`.
+
+    Every reader of a file or message another process wrote goes through
+    here: manifests, checkpoints, wire messages and the served corpus.
+
+    Raises:
+        NestingError: if the value nests deeper than :data:`MAX_DEPTH`,
+            whether the parser's own recursion guard trips first or the
+            depth check after it.
+        ValueError: if ``text`` is not JSON.
+    """
+    try:
+        value = json.loads(text)
+    except RecursionError:
+        raise NestingError() from None
+    check_depth(value)
+    return value
+
+
+def check_depth(value: Any) -> None:
+    """Raise :class:`NestingError` if ``value`` nests past :data:`MAX_DEPTH`.
+
+    ``value`` is decoded JSON: only its lists and dicts nest.
+    """
+    _check_depth(value, MAX_DEPTH)
+
+
+def _check_depth(value: Any, budget: int) -> None:
+    if isinstance(value, dict):
+        items = value.values()
+    elif isinstance(value, list):
+        items = value
+    else:
+        return
+    if not budget:
+        raise NestingError()
+    for item in items:
+        if isinstance(item, (dict, list)):
+            _check_depth(item, budget - 1)
 
 
 def jsonable(value: Any) -> Any:

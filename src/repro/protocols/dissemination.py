@@ -115,11 +115,6 @@ class DisseminationResult:
     receptions: int
     history: Optional[Tuple[RoundTrace, ...]] = None
 
-    @property
-    def complete(self) -> bool:
-        """True when every station was informed."""
-        return self.informed == self.n
-
 
 def disseminate(
     graph: WeightedGraph,

@@ -37,7 +37,7 @@ from repro.sim.errors import (
 from repro.sim.events import ChannelEvent, Message, SlotState
 from repro.sim.flyweight import FlyweightEnvironment, FlyweightProtocol
 from repro.sim.metrics import MetricsRecorder
-from repro.sim.substreams import NodeStreams, substream_seed
+from repro.sim.substreams import substream_seed
 from repro.sim.network import PointToPointNetwork
 from repro.sim.channel import SlottedChannel
 from repro.sim.multimedia import MultimediaNetwork, SimulationResult
@@ -62,7 +62,6 @@ __all__ = [
     "FlyweightEnvironment",
     "FlyweightProtocol",
     "MetricsRecorder",
-    "NodeStreams",
     "substream_seed",
     "PointToPointNetwork",
     "SlottedChannel",

@@ -16,8 +16,9 @@ inverts the layout:
 * every send records its sender slot in one per-round buffer, which the
   simulator hands whole to the network's checked accept after the call, so
   sends keep their slot order (and therefore delivery order);
-* per-node randomness comes from the :mod:`repro.sim.substreams` family on
-  the environment — derived on demand, never pre-built.
+* the environment carries the topology only: a protocol that draws random
+  numbers brings its own source through its factory (the simulators hand
+  out none).
 
 A flyweight may additionally declare ``MESSAGE_DRIVEN = True``: a slot with
 an empty inbox is a no-op for it (it reacts to mail only, never to channel
@@ -40,10 +41,9 @@ fingerprints.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.sim.events import ChannelEvent, Message
-from repro.sim.substreams import NodeStreams
 from repro.topology.graph import CSRView
 
 
@@ -58,16 +58,13 @@ class FlyweightEnvironment:
 
     Attributes:
         csr: the graph's CSR view the environment describes.
-        streams: the per-node random substream family
-            (:class:`~repro.sim.substreams.NodeStreams`).
     """
 
-    __slots__ = ("csr", "streams")
+    __slots__ = ("csr",)
 
-    def __init__(self, csr: CSRView, streams: Optional[NodeStreams]) -> None:
+    def __init__(self, csr: CSRView) -> None:
         """Wrap ``csr``; O(1) — every column is shared."""
         self.csr = csr
-        self.streams = streams
 
     @property
     def num_slots(self) -> int:

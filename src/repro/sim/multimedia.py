@@ -65,16 +65,11 @@ from repro.sim.events import ChannelEvent, Message, idle_event
 from repro.sim.flyweight import FlyweightEnvironment, FlyweightProtocol
 from repro.sim.metrics import MetricsRecorder, MetricsSnapshot
 from repro.sim.network import PointToPointNetwork
-from repro.sim.substreams import NodeStreams
 from repro.topology.graph import WeightedGraph
 
 ProtocolFactory = Callable[[FlyweightEnvironment], FlyweightProtocol]
 
 DEFAULT_MAX_ROUNDS = 1_000_000
-
-#: Substream scope for per-node random sources in synchronous runs (the
-#: synchronizer uses its own scope so the two sims never correlate).
-STREAM_SCOPE = "sim.multimedia"
 
 
 @dataclass
@@ -101,24 +96,14 @@ class MultimediaNetwork:
     the same topology.
     """
 
-    def __init__(
-        self,
-        graph: WeightedGraph,
-        seed: Optional[int] = None,
-    ) -> None:
-        """Create a multimedia network.
+    def __init__(self, graph: WeightedGraph) -> None:
+        """Create a multimedia network over ``graph``.
 
-        Args:
-            graph: the point-to-point topology; all its nodes are also
-                attached to the multiaccess channel.
-            seed: master seed from which per-node private random sources are
-                derived (deterministic given the seed).
+        All of the point-to-point topology's nodes are also attached to the
+        multiaccess channel.  Nothing here is random: a run's only draws
+        are the adversity schedule's, from its own substreams.
         """
         self._graph = graph
-        self._seed = seed
-        # the per-node substream family: cheap, stateless, shared by every
-        # run on this object (see repro.sim.substreams)
-        self._streams = NodeStreams(seed, STREAM_SCOPE)
 
     @collector_paused
     def run(
@@ -172,7 +157,7 @@ class MultimediaNetwork:
             metrics=recorder,
             adversity=adversity.channel_adversity() if adversity is not None else None,
         )
-        env = FlyweightEnvironment(self._graph.csr(), self._streams)
+        env = FlyweightEnvironment(self._graph.csr())
         protocol: FlyweightProtocol = protocol_factory(env)
 
         deliver = network.deliver

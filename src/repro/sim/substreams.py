@@ -1,39 +1,31 @@
-"""Deterministic per-node random substreams derived from one master seed.
+"""Deterministic random substreams derived from one master seed.
 
-Until PR 7 every simulation seeded its per-node random sources by drawing
-from a *master* ``random.Random`` in node-iteration order — cheap for one
-node, but at n = 10⁵ the 2 × n ``Random`` constructions and master draws
-were a measurable slice of a sweep point, and the derivation was coupled to
-the iteration order (reordering the node loop would silently reseed every
-node).  This module replaces the chain of master draws with the hashed
-substream pattern the adversity layer already uses
-(:func:`repro.sim.adversity.adversity_stream_seed`):
+A layer that needs many independent random sources — one per walker
+(:mod:`repro.sim.walks`), one per dissemination scheduler
+(:mod:`repro.protocols.dissemination`), one per rewired topology — derives
+each one's seed with :func:`substream_seed` instead of drawing it from a
+master ``random.Random``:
 
-* a node's seed is a stable 63-bit sha256 hash of
-  ``(master seed, scope, node id)`` — independent of process, executor,
-  node-iteration order and Python hash randomisation;
-* the per-node ``random.Random`` is only materialised when a protocol
-  actually touches ``ctx.rng`` (most protocols never do), so fault-free
-  deterministic runs construct **zero** per-node generators;
-* distinct ``scope`` strings (one per simulation layer, e.g.
-  ``"sim.multimedia"`` vs ``"sim.synchronizer"``) keep two sims sharing a
-  master seed on the same graph from handing their nodes correlated
-  streams.
+* a source's seed is a stable 63-bit sha256 hash of
+  ``(master seed, scope, key)`` — independent of process, executor,
+  iteration order and Python hash randomisation, so reordering a loop never
+  silently reseeds anything;
+* distinct ``scope`` strings (one per consuming layer, e.g.
+  ``"sim.walks"`` vs ``"protocols.dissemination"``) keep two layers
+  sharing a master seed from drawing correlated streams.
 
-Switching from master-draw chains to hashed substreams changes which values
-a node's generator produces, so PR 7 started golden era **v4** for the
-protocols that consume ``ctx.rng`` (see ``tests/test_perf_equivalence.py``);
-workloads that never touch per-node streams stay pinned by v1–v3.
+The simulators hand their protocols no random source: no ``src`` protocol
+they run draws one.  The per-node reference protocols in
+``tests/oracles.py`` that do (golden era **v4**, see
+``tests/test_perf_equivalence.py``) get theirs from the oracle adapter,
+which derives node ``i``'s generator as
+``random.Random(substream_seed(seed, scope, i))``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import random
-from typing import Hashable
-
-NodeId = Hashable
 
 
 def substream_seed(master_seed: object, scope: str, *key: object) -> int:
@@ -50,34 +42,3 @@ def substream_seed(master_seed: object, scope: str, *key: object) -> int:
     )
     digest = hashlib.sha256(payload.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
-
-
-class NodeStreams:
-    """The per-node substream family of one simulation.
-
-    One instance replaces the old per-run master generator: it holds only
-    the ``(master seed, scope)`` pair and derives any node's seed or
-    generator on demand, in O(1), independent of every other node.  It is
-    therefore safe to share across runs on the same network object — it has
-    no draw position to corrupt.
-    """
-
-    __slots__ = ("_master_seed", "_scope")
-
-    def __init__(self, master_seed: object, scope: str) -> None:
-        """Bind the family to a ``master_seed`` and a consuming ``scope``."""
-        self._master_seed = master_seed
-        self._scope = scope
-
-    @property
-    def scope(self) -> str:
-        """Return the scope string naming the consuming simulation layer."""
-        return self._scope
-
-    def seed_for(self, node: NodeId) -> int:
-        """Return ``node``'s substream seed (stable across processes)."""
-        return substream_seed(self._master_seed, self._scope, node)
-
-    def rng_for(self, node: NodeId) -> random.Random:
-        """Materialise ``node``'s private generator from its substream seed."""
-        return random.Random(substream_seed(self._master_seed, self._scope, node))

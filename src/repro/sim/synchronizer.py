@@ -23,7 +23,8 @@ pulse loop making one protocol call per pulse, which dispatches a
 
 The synchronous algorithm may itself use the channel; following Section 7.2
 we assume an FDMA-provided second channel for the busy tones, so algorithm
-channel writes are resolved once per simulated round on the primary channel.
+channel writes are resolved once per simulated round on the primary channel
+and charged to the report's metrics, as a synchronous run charges its own.
 """
 
 from __future__ import annotations
@@ -38,15 +39,10 @@ from repro.sim.collector import collector_paused
 from repro.sim.errors import AdversityAbort, ProtocolError, SimulationTimeout
 from repro.sim.events import Message, idle_event
 from repro.sim.flyweight import FlyweightEnvironment, FlyweightProtocol
+from repro.sim.metrics import MetricsRecorder, MetricsSnapshot
 from repro.sim.multimedia import ProtocolFactory, dispatch_round
 from repro.sim.network import file_round
-from repro.sim.substreams import NodeStreams
 from repro.topology.graph import WeightedGraph
-
-#: Substream scope for per-node random sources under the synchronizer (kept
-#: distinct from the synchronous sim's scope so a shared master seed never
-#: hands the two layers correlated per-node streams).
-STREAM_SCOPE = "sim.synchronizer"
 
 
 @dataclass
@@ -60,6 +56,10 @@ class SynchronizerReport:
         ack_messages: acknowledgements added by the synchronizer.
         busy_tone_slots: channel slots occupied by busy tones.
         results: each node's declared output.
+        metrics: the run's accountant, comparable with a
+            :class:`~repro.sim.multimedia.MultimediaNetwork` run's: one round
+            per pulse, the algorithm messages and acknowledgements, and the
+            algorithm's channel, one slot per pulse.
     """
 
     pulses: int
@@ -68,6 +68,7 @@ class SynchronizerReport:
     ack_messages: int
     busy_tone_slots: int
     results: Dict[int, Any]
+    metrics: MetricsSnapshot
 
     @property
     def total_messages(self) -> int:
@@ -98,7 +99,7 @@ class ChannelSynchronizer:
             max_link_delay: every message (and acknowledgement) experiences an
                 integer delay drawn uniformly from ``[1, max_link_delay]``
                 asynchronous time units.
-            seed: master seed for delays and per-node random sources.
+            seed: master seed of the link-delay draws.
 
         Raises:
             ValueError: if ``max_link_delay`` is not an ``int`` of at least 1
@@ -175,23 +176,24 @@ class ChannelSynchronizer:
             adv.bind_topology(self._graph)
             loss_rng = adv.spawn_rng()
             max_pulses = min(max_pulses, adv.round_budget(self._graph.num_nodes()))
-        # the delay stream derivation is load-bearing: it predates the
-        # per-node substream family and every seeded synchronizer result
-        # depends on it, so it stays a master draw
+        # the delay stream derivation is load-bearing: every seeded
+        # synchronizer result depends on it, so it stays a master draw
         master = random.Random(self._seed)
         getrandbits = random.Random(master.randrange(2**63)).getrandbits
         max_delay = self._max_delay
         bits = max_delay.bit_length()
 
         csr = self._graph.csr()
-        env = FlyweightEnvironment(csr, NodeStreams(self._seed, STREAM_SCOPE))
+        env = FlyweightEnvironment(csr)
         protocol: FlyweightProtocol = protocol_factory(env)
         started = None if adv is None else bytearray(env.num_slots)
         sends = protocol._sends
         channel_writes = protocol._writes
 
+        recorder = MetricsRecorder()
         channel = SlottedChannel(
-            adversity=adv.channel_adversity() if adv is not None else None
+            metrics=recorder,
+            adversity=adv.channel_adversity() if adv is not None else None,
         )
         # arrival time → the messages delivered then, in schedule order, and
         # arrival time → the acknowledgements arriving then; every event is
@@ -302,6 +304,11 @@ class ChannelSynchronizer:
                 if adv is not None:
                     raise AdversityAbort(max_pulses, pending)
                 raise SimulationTimeout(max_pulses, pending)
+        # the final pulse's channel slot: every earlier one resolved at the
+        # idle slot that generated the next pulse
+        channel.resolve_slot(pulses - 1, channel_writes)
+        recorder.record_round(pulses)
+        recorder.record_messages(algorithm + acked)
 
         return SynchronizerReport(
             pulses=pulses,
@@ -312,4 +319,5 @@ class ChannelSynchronizer:
             ack_messages=acked,
             busy_tone_slots=busy_slots,
             results=protocol.results_by_node(),
+            metrics=recorder.snapshot(),
         )

@@ -58,6 +58,7 @@ from repro.sim.errors import ProtocolError
 from repro.sim.events import ChannelEvent, Message
 from repro.sim.flyweight import FlyweightEnvironment, FlyweightProtocol
 from repro.sim.metrics import MetricsRecorder
+from repro.sim.substreams import substream_seed
 from repro.topology.graph import Edge, edge_key
 
 NodeId = Hashable
@@ -83,8 +84,8 @@ class NodeContext:
             read-only.
         n: the number of processors in the network, when known.
         rng: a private seeded random source for randomized protocols.  When
-            the context was built with an ``rng_factory`` (the per-node
-            substream derivation of :mod:`repro.sim.substreams`), the
+            the context was built with an ``rng_factory`` (the adapter's
+            per-node substream derivation, see :func:`per_node`), the
             generator is materialised on first access — protocols that never
             draw (the common case) cost no ``random.Random`` construction.
         extra: free-form per-node inputs (e.g. the local operand of a global
@@ -318,13 +319,21 @@ class PerNode(FlyweightProtocol):
     collected sends into the send buffer (tagged with its slot), its channel
     write into the write buffer, and its halt into :meth:`halt_slot`.  The
     engine then sees exactly the per-node grouping and order of actions.
+
+    Node ``i``'s ``ctx.rng`` is ``random.Random(substream_seed(seed, scope,
+    i))``, built on its first draw.
     """
 
     def __init__(self, env: FlyweightEnvironment,
                  factory: Callable[[NodeContext], NodeProtocol],
-                 extras: Dict[NodeId, Dict[str, Any]]) -> None:
+                 extras: Dict[NodeId, Dict[str, Any]],
+                 seed: object, scope: str) -> None:
         """Build one context and one protocol instance per slot."""
         super().__init__(env)
+
+        def node_rng(node: NodeId) -> random.Random:
+            return random.Random(substream_seed(seed, scope, node))
+
         self.protocols: List[NodeProtocol] = [
             factory(NodeContext(
                 node_id=node,
@@ -332,7 +341,7 @@ class PerNode(FlyweightProtocol):
                 link_weights=link_weights(env.csr, node),
                 n=env.num_slots,
                 extra=dict(extras.get(node, {})),
-                rng_factory=env.streams.rng_for,
+                rng_factory=node_rng,
             ))
             for node in range(env.num_slots)
         ]
@@ -371,12 +380,16 @@ class PerNode(FlyweightProtocol):
 
 
 def per_node(factory: Callable[[NodeContext], NodeProtocol],
-             extras: Optional[Dict[NodeId, Dict[str, Any]]] = None) -> Callable:
+             extras: Optional[Dict[NodeId, Dict[str, Any]]] = None,
+             seed: object = None, scope: str = "sim.multimedia") -> Callable:
     """Return a simulator protocol factory running ``factory`` on every node.
 
     ``extras`` maps a node to its per-node inputs (its context's ``extra``).
+    ``seed`` and ``scope`` key the nodes' private random sources; the v4
+    goldens pin the draws under the default scope.
     """
-    return functools.partial(PerNode, factory=factory, extras=extras or {})
+    return functools.partial(PerNode, factory=factory, extras=extras or {},
+                             seed=seed, scope=scope)
 
 
 def neighbors(csr, node: int) -> Tuple[int, ...]:

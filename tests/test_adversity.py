@@ -210,7 +210,7 @@ class TestCrashRecovery:
              "crash_length": 3, "crash_period": 8},
             "crash-test", 12,
         )
-        result = MultimediaNetwork(graph, seed=3).run(
+        result = MultimediaNetwork(graph).run(
             functools.partial(_RetransmittingFlood, root=root),
             adversity=state,
         )
@@ -239,7 +239,7 @@ class TestCrashRecovery:
              "crash_length": 4, "crash_period": 64},
             "late-start", 8,
         )
-        result = MultimediaNetwork(graph, seed=3).run(
+        result = MultimediaNetwork(graph).run(
             functools.partial(_RetransmittingFlood, root=root),
             adversity=state,
         )
@@ -380,7 +380,7 @@ class TestBoundedAbort:
             "abort-test", 36,
         )
         with pytest.raises(AdversityAbort) as excinfo:
-            MultimediaNetwork(graph, seed=3).run(
+            MultimediaNetwork(graph).run(
                 _aggregation(graph, root),
                 adversity=state,
             )
@@ -398,7 +398,7 @@ class TestBoundedAbort:
             "budget-test", 36,
         )
         with pytest.raises(AdversityAbort) as excinfo:
-            MultimediaNetwork(graph, seed=3).run(
+            MultimediaNetwork(graph).run(
                 _aggregation(graph, root),
                 adversity=state,
             )

@@ -113,8 +113,8 @@ class TestGreenbergLadner:
             estimate_multiplicity(-1)
 
     def test_protocol_form_agrees_across_nodes(self):
-        network = MultimediaNetwork(ring_graph(16), seed=4)
-        result = network.run(per_node(GreenbergLadnerEstimator))
+        network = MultimediaNetwork(ring_graph(16))
+        result = network.run(per_node(GreenbergLadnerEstimator, seed=4))
         estimates = {value.estimate for value in result.results.values()}
         assert len(estimates) == 1
         assert result.metrics.point_to_point_messages == 0
@@ -122,14 +122,14 @@ class TestGreenbergLadner:
 
 class TestLeaderElection:
     def test_bit_by_bit_protocol_elects_max_everywhere(self):
-        network = MultimediaNetwork(complete_graph(10), seed=1)
+        network = MultimediaNetwork(complete_graph(10))
         result = network.run(per_node(BitByBitLeaderElection))
         assert all(value == 9 for value in result.results.values())
         assert result.metrics.point_to_point_messages == 0
 
     def test_randomized_election_agrees_and_is_valid(self):
-        network = MultimediaNetwork(ring_graph(12), seed=9)
-        result = network.run(per_node(RandomizedLeaderElection))
+        network = MultimediaNetwork(ring_graph(12))
+        result = network.run(per_node(RandomizedLeaderElection, seed=9))
         winners = set(result.results.values())
         assert len(winners) == 1
         assert winners.pop() in set(range(12))

@@ -4,11 +4,7 @@ import pytest
 
 from oracles import neighbors
 from repro.experiments.e13_selective_dissemination import sweep_point
-from repro.protocols.dissemination import (
-    SCHEDULERS,
-    DisseminationResult,
-    disseminate,
-)
+from repro.protocols.dissemination import SCHEDULERS, disseminate
 from repro.sim.adversity import ABORTED, adversity_state
 from repro.sim.errors import AdversityAbort
 from repro.topology.generators import ad_hoc_affectance_graph
@@ -42,7 +38,7 @@ class TestCompleteness:
         # neighbour — the collision-free base case of the physical layer
         graph, affectance = build_instance([(0, i) for i in range(1, 6)])
         result = disseminate(graph, affectance, scheduler=scheduler)
-        assert result.complete
+        assert result.informed == result.n
         assert result.rounds == 1
         assert result.receptions == 5
 
@@ -53,7 +49,7 @@ class TestCompleteness:
         # decay may idle a round whenever its backoff coin comes up silent
         graph, affectance = path_instance(8)
         result = disseminate(graph, affectance, scheduler=scheduler)
-        assert result.complete
+        assert result.informed == result.n
         if scheduler == "decay":
             assert result.rounds >= 7
         else:
@@ -67,7 +63,6 @@ class TestCompleteness:
             n, seed=11, return_affectance=True
         )
         result = disseminate(graph, affectance, scheduler=scheduler)
-        assert result.complete
         assert result.informed == n
         assert result.receptions == n - 1
 
@@ -99,7 +94,7 @@ class TestCompleteness:
         result = disseminate(
             graph, affectance, scheduler="selective", record_history=True
         )
-        assert result.complete
+        assert result.informed == result.n
         assert result.rounds == 2
         last = result.history[-1]
         assert len(set(last.transmitters) & {1, 2}) == 1
@@ -209,7 +204,7 @@ class TestAdversity:
         lossy = disseminate(
             graph, affectance, scheduler=scheduler, adversity=state
         )
-        assert lossy.complete
+        assert lossy.informed == lossy.n
         assert lossy.rounds >= clean.rounds
         assert state.faults_injected > 0
 
@@ -261,10 +256,3 @@ class TestE13Experiment:
         assert row["status"] == "abort:decay,round_robin,selective"
         assert row["sel_vs_rr"] == "-"
         assert row["faults_injected"] > 0
-
-    def test_result_dataclass_complete_property(self):
-        partial = DisseminationResult(
-            scheduler="decay", n=8, rounds=3, informed=5,
-            transmissions=4, receptions=4,
-        )
-        assert not partial.complete

@@ -60,7 +60,13 @@ from repro.experiments.registry import (
     get_experiment,
 )
 from repro.experiments.runner import run_experiment
-from repro.experiments.serialization import decode_wire, encode_wire
+from repro.experiments.serialization import (
+    MAX_DEPTH,
+    NestingError,
+    decode_wire,
+    encode_wire,
+    read_json,
+)
 from repro.serve import ServeApp
 
 INTEGRATION = pytest.mark.skipif(
@@ -501,6 +507,21 @@ def test_deeply_nested_json_is_refused_not_raised(tmp_path, reader):
     reader(tmp_path)
 
 
+@pytest.mark.parametrize("depth", (MAX_DEPTH + 1, 990, len(DEEP_JSON)))
+def test_over_deep_json_gets_one_reason_on_every_interpreter(depth):
+    # 990 levels parse, and decoding them recursed through on Python 3.12
+    # but overflowed on 3.11; the bound refuses them alike, and so the
+    # parser's own overflow
+    text = "[" * depth + "]" * depth
+    with pytest.raises(NestingError, match=f"^JSON nested deeper than {MAX_DEPTH} levels$"):
+        read_json(text)
+
+
+def test_json_at_the_depth_bound_is_read():
+    text = "[" * MAX_DEPTH + "]" * MAX_DEPTH
+    assert read_json(text) == nested_list(MAX_DEPTH - 1)
+
+
 BAD_COMPUTE_SECONDS = ("nan", -5, "3", True, math.inf)
 
 
@@ -898,7 +919,7 @@ class TestWorkerFaults:
         # wait until the hanging worker actually holds a lease before the
         # healthy worker joins, so the fault deterministically occurs
         deadline = time.monotonic() + 30.0
-        while coordinator.progress[1] == 0:
+        while not hanging.hung:
             assert time.monotonic() < deadline
             time.sleep(0.01)
         healthy_thread, healthy_outcome = _start_worker(ShardWorker((host, port)))

@@ -247,7 +247,7 @@ class TestShardedCheckpoints:
 # ----------------------------------------------------------------------
 class TestResultSchema:
     def test_round_trip(self, serial_e2):
-        loaded = ExperimentResult.from_json(serial_e2.to_json())
+        loaded = ExperimentResult.from_json_dict(json.loads(serial_e2.to_json()))
         assert loaded.rows == serial_e2.rows
         assert loaded.pending_points == 0
         assert loaded.executor == serial_e2.executor
@@ -281,7 +281,7 @@ class TestResultSchema:
         data = json.loads(partial.to_json())
         assert data["pending_points"] == 1
         assert data["executor"] == "sharded"
-        assert not ExperimentResult.from_json_dict(data).complete
+        assert ExperimentResult.from_json_dict(data).pending_points == 1
 
 
 class TestRunnerExecutorWiring:

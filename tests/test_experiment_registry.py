@@ -26,16 +26,23 @@ from repro.experiments.runner import ExperimentResult, run_experiment
 EXPECTED_IDS = [f"e{i}" for i in range(1, 14)]
 
 #: quick sweeps beyond each spec's plain ``quick`` preset: the topology,
-#: channel-baseline, rewired-family and adversity variants of the smoke run
+#: channel-baseline, rewired-family and adversity variants of the smoke run,
+#: among them the ``geometric`` kind, a row past ``EXACT_DIAMETER_MAX_N``
+#: (the double-sweep diameter bound) and crash windows in both simulators
 QUICK_VARIANTS = {
     "e7_scale_free": ("e7", {"sizes": (64, 128), "topology": "scale_free",
                              "channel_baseline": False}),
+    "e7_scale_free_1100": ("e7", {"sizes": (1100,), "topology": "scale_free",
+                                  "channel_baseline": False}),
+    "e7_geometric": ("e7", {"sizes": (64,), "topology": "geometric",
+                            "channel_baseline": False}),
     "e7_ad_hoc": ("e7", {"sizes": (64, 128), "topology": "ad_hoc",
                          "channel_baseline": False}),
     "e7_baseline": ("e7", {"sizes": (256, 512), "topology": "scale_free",
                            "channel_baseline": True}),
     "e7_loss": ("e7", {"adversity": "loss"}),
     "e10_scale_free": ("e10", {"sizes": (36,), "topology": "scale_free"}),
+    "e10_crash": ("e10", {"adversity": "crash"}),
     "e12_rewired": ("e12", {"families": ("flower_13_rewired",
                                          "flower_22_rewired")}),
     "e13_jam": ("e13", {"adversity": "jam"}),
@@ -144,7 +151,7 @@ class TestRunner:
 
     def test_json_round_trip(self):
         result = run_experiment("e8", preset="quick")
-        clone = ExperimentResult.from_json(result.to_json())
+        clone = ExperimentResult.from_json_dict(json.loads(result.to_json()))
         assert clone.experiment_id == result.experiment_id
         assert clone.title == result.title
         assert list(clone.columns) == list(result.columns)
@@ -221,7 +228,7 @@ class TestCli:
         ])
         assert code == 0
         capsys.readouterr()
-        loaded = ExperimentResult.from_json(output.read_text())
+        loaded = ExperimentResult.from_json_dict(json.loads(output.read_text()))
         direct = run_experiment(
             "e7", preset="quick",
             overrides={"topology": "grid", "channel_baseline": False},

@@ -107,8 +107,8 @@ class TestSynchronousEquivalence:
     @staticmethod
     def check(graph, redistribute):
         oracle, tree_flyweight = aggregation_factories(graph, redistribute)
-        classic = MultimediaNetwork(graph, seed=3).run(oracle)
-        flyweight = MultimediaNetwork(graph, seed=3).run(tree_flyweight)
+        classic = MultimediaNetwork(graph).run(oracle)
+        flyweight = MultimediaNetwork(graph).run(tree_flyweight)
         assert flyweight == classic
 
 
@@ -117,7 +117,7 @@ class TestAdversityEquivalence:
     def test_outcome_matches_classic_under_preset(self, preset):
         graph = make_topology("grid", 36, seed=11)
         first, second = differential(
-            lambda: MultimediaNetwork(graph, seed=3),
+            lambda: MultimediaNetwork(graph),
             *aggregation_factories(graph, True), preset=preset,
         )
         assert first == second
@@ -164,7 +164,7 @@ class TestBFSOracle:
             node: {"is_root": node in roots, "depth_limit": depth_limit}
             for node in graph.nodes()
         }
-        result = MultimediaNetwork(graph, seed=3).run(
+        result = MultimediaNetwork(graph).run(
             per_node(BFSTreeProtocol, inputs)
         )
         if num_roots == 1 and depth_limit is None:
@@ -186,7 +186,7 @@ class TestBFSOracle:
 class TestFlyweightState:
     def test_columns_are_slot_indexed(self):
         graph = make_topology("ring", 8, seed=11)
-        env = FlyweightEnvironment(graph.csr(), None)
+        env = FlyweightEnvironment(graph.csr())
         assert env.num_slots == graph.num_nodes()
         assert [env.csr.slot(node) for node in graph.nodes()] == list(
             range(env.num_slots)
@@ -194,7 +194,7 @@ class TestFlyweightState:
 
     def test_halt_slot_bookkeeping(self):
         graph = WeightedGraph.from_edges([(0, 1)])
-        env = FlyweightEnvironment(graph.csr(), streams=None)
+        env = FlyweightEnvironment(graph.csr())
 
         class Noop(FlyweightProtocol):
             def on_round(self, slots, inboxes, channel):
@@ -219,8 +219,8 @@ class TestCSREnvironment:
             short, dict.fromkeys(graph.nodes(), 1), lambda a, b: a + b
         )
         with pytest.raises(ValueError, match="spans 8 nodes"):
-            MultimediaNetwork(graph, seed=1).run(factory)
-        result = MultimediaNetwork(graph, seed=1).run(TreeAggregationFlyweight.over(
+            MultimediaNetwork(graph).run(factory)
+        result = MultimediaNetwork(graph).run(TreeAggregationFlyweight.over(
             SpanningForest(parent), dict.fromkeys(graph.nodes(), 1), lambda a, b: a + b
         ))
         assert result.results[0] == 9
@@ -228,7 +228,7 @@ class TestCSREnvironment:
     def test_fault_free_run_aggregates_on_scale_free(self):
         graph = make_topology("scale_free", 512, seed=7)
         _, tree_flyweight = aggregation_factories(graph, redistribute=True)
-        result = MultimediaNetwork(graph, seed=1).run(tree_flyweight)
+        result = MultimediaNetwork(graph).run(tree_flyweight)
         report = ChannelSynchronizer(graph, seed=1).run(tree_flyweight)
         root = min(graph.nodes())
         assert sorted(result.results[root]) == graph.nodes()

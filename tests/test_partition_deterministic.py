@@ -77,12 +77,12 @@ class TestInvariants:
     def test_single_node_network(self):
         graph = WeightedGraph.from_edges([], n=1)
         result = partition(graph)
-        assert result.num_fragments == 1
+        assert result.forest.num_fragments() == 1
 
     def test_two_node_network(self):
         graph = WeightedGraph.from_edges([(0, 1, 1.0)])
         result = partition(graph)
-        assert result.num_fragments == 1
+        assert result.forest.num_fragments() == 1
 
     def test_levels_grow_per_phase(self, medium_grid):
         result = partition(medium_grid)
@@ -141,8 +141,8 @@ class TestTargetSize:
         assert result.target_size == 4
 
     def test_target_larger_than_default_gives_fewer_fragments(self, medium_grid):
-        small = partition(medium_grid, target_size=4).num_fragments
-        large = partition(medium_grid, target_size=16).num_fragments
+        small = partition(medium_grid, target_size=4).forest.num_fragments()
+        large = partition(medium_grid, target_size=16).forest.num_fragments()
         assert large <= small
 
     def test_invalid_inputs_rejected(self):

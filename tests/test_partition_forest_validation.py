@@ -122,5 +122,5 @@ class TestValidatePartition:
         graph = path_graph(6)
         report = validate_partition(path_forest(), graph)
         assert report.sqrt_n == pytest.approx(math.sqrt(6))
-        assert report.fragment_count_ratio == pytest.approx(2 / math.sqrt(6))
-        assert report.min_size_ratio > 1.0
+        assert report.num_fragments == 2
+        assert report.min_size > report.sqrt_n

@@ -258,7 +258,7 @@ def _compute_substream_state():
 
     # the two per-node-source protocols on the simulator, fixed topologies
     graph = make_topology("ring", 16, seed=11)
-    result = MultimediaNetwork(graph, seed=4).run(per_node(GreenbergLadnerEstimator))
+    result = MultimediaNetwork(graph).run(per_node(GreenbergLadnerEstimator, seed=4))
     state["gl_estimator/ring/16/seed4"] = {
         "estimates": sorted(
             {value.estimate for value in result.results.values()}
@@ -266,7 +266,7 @@ def _compute_substream_state():
         "rounds": result.rounds,
     }
     graph = make_topology("ring", 12, seed=11)
-    result = MultimediaNetwork(graph, seed=9).run(per_node(RandomizedLeaderElection))
+    result = MultimediaNetwork(graph).run(per_node(RandomizedLeaderElection, seed=9))
     state["leader_election/ring/12/seed9"] = {
         "winners": sorted(set(result.results.values())),
         "rounds": result.rounds,

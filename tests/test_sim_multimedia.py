@@ -168,7 +168,7 @@ class TestCollectorPause:
         results = []
         fired = collections_inside(
             MultimediaNetwork.run,
-            lambda: results.append(MultimediaNetwork(graph, seed=3).run(factory)),
+            lambda: results.append(MultimediaNetwork(graph).run(factory)),
         )
         assert fired == []
         assert set(results[0].results.values()) == {4096 * 4095 // 2}
@@ -198,15 +198,15 @@ class TestMultimediaNetwork:
     def test_run_finishing_on_its_last_round_returns(self):
         graph = grid_graph(4, 4)
         count = _count_nodes(graph, 0)
-        unbounded = MultimediaNetwork(graph, seed=1).run(count)
+        unbounded = MultimediaNetwork(graph).run(count)
         budget = unbounded.rounds
         assert budget == 13
-        on_budget = MultimediaNetwork(graph, seed=1).run(count, max_rounds=budget)
+        on_budget = MultimediaNetwork(graph).run(count, max_rounds=budget)
         assert on_budget.rounds == budget
         assert on_budget.results == unbounded.results
         assert on_budget.metrics == unbounded.metrics
         with pytest.raises(SimulationTimeout) as short:
-            MultimediaNetwork(graph, seed=1).run(count, max_rounds=budget - 1)
+            MultimediaNetwork(graph).run(count, max_rounds=budget - 1)
         assert short.value.rounds == budget - 1 and short.value.pending > 0
 
     def test_two_messages_on_one_link_rejected(self):
@@ -221,7 +221,7 @@ class TestMultimediaNetwork:
         assert result.metrics.rounds == result.rounds
 
     def test_contexts_receive_inputs_and_n(self):
-        network = MultimediaNetwork(path_graph(4), seed=1)
+        network = MultimediaNetwork(path_graph(4))
         seen = network.run(per_node(ReportsContext, {0: {"value": 42}})).results
         assert seen[0] == ({"value": 42}, 4)
         assert seen[2] == ({}, 4)
@@ -229,7 +229,7 @@ class TestMultimediaNetwork:
 
     def test_seeded_runs_are_reproducible(self):
         graph = ring_graph(7)
-        first = MultimediaNetwork(graph, seed=5).run(per_node(FloodMax))
-        second = MultimediaNetwork(graph, seed=5).run(per_node(FloodMax))
+        first = MultimediaNetwork(graph).run(per_node(FloodMax))
+        second = MultimediaNetwork(graph).run(per_node(FloodMax))
         assert first.results == second.results
         assert first.metrics.point_to_point_messages == second.metrics.point_to_point_messages

@@ -46,7 +46,7 @@ class _StraySender(FlyweightProtocol):
 
 
 def _run_multimedia(graph, factory, adversity=None):
-    return MultimediaNetwork(graph, seed=1).run(factory, adversity=adversity)
+    return MultimediaNetwork(graph).run(factory, adversity=adversity)
 
 
 def _run_synchronizer(graph, factory, adversity=None):
@@ -236,9 +236,9 @@ class TestRoundLoopSemantics:
             def on_round(self, inbox, channel):  # pragma: no cover
                 raise AssertionError("halts at start")
 
-        network = MultimediaNetwork(ring_graph(5), seed=42)
-        first = network.run(per_node(CoinFlip)).results
-        second = network.run(per_node(CoinFlip)).results
+        network = MultimediaNetwork(ring_graph(5))
+        first = network.run(per_node(CoinFlip, seed=42)).results
+        second = network.run(per_node(CoinFlip, seed=42)).results
         assert first == second
 
 
@@ -321,3 +321,36 @@ class TestHaltedInTheSameRound:
         else:
             # every message, the ones to halted slots too, was acknowledged
             assert result.algorithm_messages == result.ack_messages == sent
+
+
+class _WriteAndHalt(FlyweightProtocol):
+    """Every slot writes the channel and halts on the start pulse."""
+
+    def on_start(self, slots):
+        for slot in slots:
+            self.channel_write(slot, slot)
+            self.halt_slot(slot)
+
+    def on_round(self, slots, inboxes, channel):  # pragma: no cover
+        raise AssertionError("every slot halts at the start")
+
+
+class TestChannelCharges:
+    """Both simulators charge the algorithm's channel to the run's metrics."""
+
+    @SIMULATORS
+    def test_writes_on_the_final_pulse_are_resolved(self, simulate):
+        result = simulate(ring_graph(8), _WriteAndHalt)
+        metrics = result.metrics
+        assert metrics.channel_write_attempts == 8
+        assert metrics.channel_collision == 1
+        # one slot per round (per pulse under the synchronizer)
+        assert metrics.channel_slots == metrics.rounds == 1
+
+    def test_synchronizer_counts_pulses_and_every_message(self):
+        graph = ring_graph(6)
+        report = _run_synchronizer(graph, _FirstHaltsAll)
+        assert report.metrics.rounds == report.pulses
+        assert report.metrics.channel_slots == report.pulses
+        assert report.metrics.channel_idle == report.pulses
+        assert report.metrics.point_to_point_messages == report.total_messages

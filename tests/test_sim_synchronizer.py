@@ -35,7 +35,7 @@ class TestChannelSynchronizer:
         graph = grid_graph(4, 4)
         root = 0
         inputs = _sum_inputs(graph, root)
-        sync = MultimediaNetwork(graph, seed=1).run(
+        sync = MultimediaNetwork(graph).run(
             per_node(TreeAggregationProtocol, inputs)
         )
         report = ChannelSynchronizer(graph, max_link_delay=4, seed=1).run(

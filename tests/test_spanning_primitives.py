@@ -83,7 +83,7 @@ class TestBFSTreeProtocol:
     def test_distributed_bfs_matches_reference(self):
         graph = grid_graph(4, 4)
         inputs = {node: {"is_root": node == 0} for node in graph.nodes()}
-        result = MultimediaNetwork(graph, seed=1).run(
+        result = MultimediaNetwork(graph).run(
             per_node(BFSTreeProtocol, inputs)
         )
         reference = graph.csr().bfs(0)[0]
@@ -96,7 +96,7 @@ class TestBFSTreeProtocol:
         inputs = {
             node: {"is_root": node == 0, "depth_limit": 2} for node in graph.nodes()
         }
-        result = MultimediaNetwork(graph, seed=1).run(
+        result = MultimediaNetwork(graph).run(
             per_node(BFSTreeProtocol, inputs)
         )
         assert result.results[2]["label"] == 2
@@ -118,7 +118,7 @@ class TestBroadcastConvergecast:
             }
             for node in graph.nodes()
         }
-        result = MultimediaNetwork(graph, seed=1).run(
+        result = MultimediaNetwork(graph).run(
             per_node(TreeAggregationProtocol, inputs)
         )
         assert all(value == 32 for value in result.results.values())
@@ -136,7 +136,7 @@ class TestBroadcastConvergecast:
             }
             for node in graph.nodes()
         }
-        result = MultimediaNetwork(graph, seed=1).run(
+        result = MultimediaNetwork(graph).run(
             per_node(TreeAggregationProtocol, inputs)
         )
         assert result.results[0] == 5

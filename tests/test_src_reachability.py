@@ -1,140 +1,410 @@
-"""Every public function and class in ``src/repro`` has a caller in ``src/repro``.
+"""Every public function and method in ``src/repro`` runs when it is driven.
 
 Library code that only tests reach belongs in ``tests/`` (a reference the
-tests compare against goes to ``tests/oracles.py``) or nowhere.  The rules,
-read off the source with :mod:`ast`:
+tests compare against goes to ``tests/oracles.py``) or nowhere.  The guard
+finds out by running the code: a fresh interpreter imports every module of
+``src/repro`` and drives it under :func:`sys.setprofile` (and
+:func:`threading.setprofile`, for the worker and server threads) through
 
-* a public (no leading underscore) module-level function or class defined
-  outside a package ``__init__`` must be referenced in code somewhere under
-  ``src/repro``: a ``Name`` or ``Attribute`` node, or an import alias
-  outside a package ``__init__``.  Strings and docstrings do not count, nor
-  do references inside the definition itself; the defining module's other
-  code does;
-* the same holds for the public methods of :data:`METHOD_CLASSES` (the
-  graph, forest, channel, metrics and simulator types, whose methods had
-  grown callers only in tests),
-  listed as ``Class.method``; a reference inside the method's own body does
-  not count;
-* a decorated definition (the ``@register_experiment`` sweeps) counts as
-  used, and so does a name on :data:`ALLOWED`, each entry with the user
-  that keeps it.  An entry that is no longer needed fails the test;
+* every sweep of ``tests/test_experiment_registry.py::QUICK_SWEEPS`` — each
+  spec's ``quick`` preset and the quick variants;
+* ``repro list``, ``repro docs --check``, ``repro docs`` into a scratch
+  directory, and one shard of a sharded ``repro run`` finished by a
+  ``--resume --json`` run that prints its table;
+* one distributed run whose single worker runs on a thread;
+* one ``repro serve`` GET.
+
+The rules:
+
+* every public ``def`` (no leading underscore) — a module function, or a
+  method, property accessor, static- or classmethod of a public class —
+  must have run.  Import counts, so a decorator runs when it decorates.  An
+  abstract body (a docstring, ``pass``, ``...`` or ``raise
+  NotImplementedError``) counts as run when an override of it ran;
+* a public top-level class without a public method (a dataclass of fields,
+  an exception) gives the profiler nothing to see, so it must be referenced
+  in code under ``src/repro`` instead: a ``Name`` or ``Attribute`` node, or
+  an import alias outside a package ``__init__``.  Strings and docstrings
+  do not count, nor do references inside the class itself;
+* a name on :data:`ALLOWED`, each entry with the user that keeps it, is
+  exempt.  An entry that is no longer needed fails the test;
 * each package ``__init__``'s ``__all__`` lists exactly the names it
   imports or assigns.
+
+Names are qualified names (``path_graph``, ``ChannelContender.success_slot``).
+Print what the drive flags, with each name's module, with
+
+    PYTHONPATH=src:tests python tests/test_src_reachability.py SCRATCH_DIR
 """
 
 from __future__ import annotations
 
 import ast
+import contextlib
+import http.client
+import importlib
+import inspect
+import io
+import json
+import multiprocessing
+import os
+import pkgutil
+import socket
+import subprocess
+import sys
+import textwrap
+import threading
+import time
 from pathlib import Path
-from typing import Dict, List, Set, Tuple
+from types import CodeType, FunctionType
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "repro"
 
-#: public names with no caller in ``src/repro``, and who calls them instead
+#: public definitions the drive does not run, and who uses them instead
 ALLOWED: Dict[str, str] = {
+    "complete_graph": "test input (collision, MST, sim tests)",
     "erdos_renyi_graph": "test input (generator digests, CSR and MST tests)",
     "hypercube_graph": "test input (generator digests)",
     "path_graph": "test input across the suite",
     "random_tree": "test input (generator digests, diameter tests)",
     "torus_graph": "examples/datacenter_mst.py",
     "ray_graph_for": "perfbench's tracer wraps it as a topology generator",
-    "fit_exponents": "e12's MFPT-exponent fit: tested, and the planned claim check calls it",
-    "ChannelContender.success_slot": "tests/test_skip_ahead.py: the distribution checks' observable",
-    "FlyweightProtocol.channel_write": "tests/oracles.py: the per-node adapter forwards the "
-                                       "oracles' channel writes (the v4 oracle protocols)",
+    "fit_exponents": "tests/test_walks.py: the e12 exponent-gap check (ROADMAP "
+                     "item 4 gives it a row)",
+    "fit_power_law": "tests/test_walks.py, through fit_exponents",
+    "ChannelContender.success_slot": "tests/test_skip_ahead.py: the distribution "
+                                     "checks' observable",
+    "FlyweightProtocol.send": "tests/oracles.py: the per-node adapter forwards the "
+                              "oracles' sends; the test flyweights",
+    "FlyweightProtocol.channel_write": "tests/oracles.py: the per-node adapter forwards "
+                                       "the oracles' channel writes (the v4 oracle "
+                                       "protocols)",
+    "Executor.execute": "the protocol's declaration: the serial, sharded and "
+                        "distributed executors implement it",
+    "AdversityState.counters": "golden v3's fault fingerprints "
+                               "(tests/test_perf_equivalence.py), test_adversity",
+    "ExperimentResult.from_json_dict": "readers of `repro run --json` files: "
+                                       "tests/test_executors.py, tests/test_serve.py",
 }
 
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-#: classes whose public methods the guard covers as well
-METHOD_CLASSES = (
-    "WeightedGraph", "CSRView", "Edge", "SpanningForest",
-    "SlottedChannel", "ChannelEvent", "ChannelContender", "MetcalfeBoggsContender",
-    "CapetanakisContender", "MetricsRecorder", "MetricsSnapshot",
-    "PointToPointNetwork", "MultimediaNetwork", "ChannelSynchronizer",
-    "FlyweightProtocol", "FlyweightEnvironment",
-)
+# ----------------------------------------------------------------------
+# the runtime rule
+# ----------------------------------------------------------------------
+def record_calls(drive: Callable[[], object]) -> Set[CodeType]:
+    """Run ``drive()`` and return the code of every Python function that ran.
+
+    Calls on the threads ``drive`` starts are recorded too.
+    """
+    ran: Set[CodeType] = set()
+    add = ran.add
+
+    def hook(frame, event, arg):
+        add(frame.f_code)
+
+    threading.setprofile(hook)
+    sys.setprofile(hook)
+    try:
+        drive()
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+    return ran
 
 
-def parse_tree(root: Path) -> List[Tuple[Path, ast.Module]]:
-    """Every module under ``root``, parsed, with its path relative to ``root``."""
-    return [
-        (path.relative_to(root), ast.parse(path.read_text(), filename=str(path)))
-        for path in sorted(root.rglob("*.py"))
-    ]
+def import_all(package: str) -> None:
+    """Import ``package`` and every module under it."""
+    root = importlib.import_module(package)
+    for info in pkgutil.walk_packages(root.__path__, package + "."):
+        importlib.import_module(info.name)
 
 
-def public_definitions(modules) -> Dict[str, List[str]]:
-    """Undecorated public top-level defs outside ``__init__``, and the public
-    methods of :data:`METHOD_CLASSES` as ``Class.method``: name → modules."""
-    found: Dict[str, List[str]] = {}
-    for path, tree in modules:
-        if path.name == "__init__.py":
+def _functions(value) -> List[FunctionType]:
+    """The Python functions behind a class or module attribute."""
+    if isinstance(value, property):
+        found = [value.fget, value.fset, value.fdel]
+    elif isinstance(value, (staticmethod, classmethod)):
+        found = [value.__func__]
+    else:
+        found = [value]
+    found = [inspect.unwrap(item) for item in found if item is not None]
+    return [item for item in found if inspect.isfunction(item)]
+
+
+Bodies = Dict[str, List[Tuple[FunctionType, Optional[type]]]]
+
+
+def _class_bodies(cls: type, found: Bodies) -> None:
+    for name, value in vars(cls).items():
+        if name.startswith("_"):
             continue
-        for node in tree.body:
-            if not isinstance(node, DEFINITIONS):
+        qualname = f"{cls.__qualname__}.{name}"
+        if inspect.isclass(value):
+            if value.__qualname__ == qualname:
+                _class_bodies(value, found)
+            continue
+        for function in _functions(value):
+            if function.__qualname__ == qualname:
+                found.setdefault(qualname, []).append((function, cls))
+
+
+def public_bodies(package: str) -> Bodies:
+    """Every public def of ``package``'s imported modules.
+
+    Returns qualified name → ``(function, defining class or None)`` pairs;
+    a name re-exported elsewhere is listed once, under its own module.
+    """
+    found: Bodies = {}
+    for module_name, module in list(sys.modules.items()):
+        if module_name != package and not module_name.startswith(package + "."):
+            continue
+        for name, value in vars(module).items():
+            if name.startswith("_") or getattr(value, "__module__", None) != module_name:
                 continue
-            if not node.name.startswith("_") and not node.decorator_list:
-                found.setdefault(node.name, []).append(str(path))
-            if isinstance(node, ast.ClassDef) and node.name in METHOD_CLASSES:
-                for item in node.body:
-                    if isinstance(item, FUNCTIONS) and not item.name.startswith("_"):
-                        found.setdefault(f"{node.name}.{item.name}", []).append(str(path))
+            if inspect.isclass(value):
+                if value.__qualname__ == name:
+                    _class_bodies(value, found)
+                continue
+            for function in _functions(value):
+                if function.__qualname__ == name:
+                    found.setdefault(name, []).append((function, None))
     return found
 
 
-def _references(tree, count_imports: bool) -> Set[str]:
-    """Names ``tree`` refers to; an attribute reference counts as ``.name``."""
+def is_abstract(function: FunctionType) -> bool:
+    """True when the body is only a docstring, ``pass``, ``...`` or a
+    ``raise NotImplementedError``."""
+    definition = ast.parse(textwrap.dedent(inspect.getsource(function))).body[0]
+    for statement in definition.body:
+        if isinstance(statement, ast.Pass):
+            continue
+        if isinstance(statement, ast.Expr) and isinstance(statement.value, ast.Constant):
+            continue
+        if isinstance(statement, ast.Raise) and statement.exc is not None:
+            raised = statement.exc.func if isinstance(statement.exc, ast.Call) else statement.exc
+            if isinstance(raised, ast.Name) and raised.id == "NotImplementedError":
+                continue
+        return False
+    return True
+
+
+def _subclasses(cls: type) -> Iterator[type]:
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def _override_ran(function: FunctionType, owner: Optional[type], ran: Set[CodeType]) -> bool:
+    if owner is None or not is_abstract(function):
+        return False
+    name = function.__name__
+    return any(
+        override.__code__ in ran
+        for sub in _subclasses(owner)
+        if name in vars(sub)
+        for override in _functions(vars(sub)[name])
+    )
+
+
+def unrun(package: str, ran: Set[CodeType]) -> Dict[str, List[str]]:
+    """Public defs of ``package`` whose body is not in ``ran``: name → modules."""
+    missing: Dict[str, List[str]] = {}
+    for name, bodies in public_bodies(package).items():
+        for function, owner in bodies:
+            if function.__code__ in ran or _override_ran(function, owner, ran):
+                continue
+            missing.setdefault(name, []).append(function.__module__)
+    return missing
+
+
+# ----------------------------------------------------------------------
+# the static rule: classes without a public method
+# ----------------------------------------------------------------------
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _references(tree: ast.AST, count_imports: bool) -> Set[str]:
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
-            found.add("." + node.attr)
         elif isinstance(node, ast.alias) and count_imports:
             found.add(node.name.rpartition(".")[2])
     return found
 
 
-def referenced_names(modules) -> Set[str]:
-    """Every name some module's code refers to, by the rules above."""
-    names: Set[str] = set()
+def unreferenced_classes(root: Path) -> Dict[str, List[str]]:
+    """Public top-level classes without a public method that no code under
+    ``root`` refers to: name → modules."""
+    modules = [
+        (path.relative_to(root), ast.parse(path.read_text(), filename=str(path)))
+        for path in sorted(root.rglob("*.py"))
+    ]
+    used: Set[str] = set()
     for path, tree in modules:
-        count_imports = path.name != "__init__.py"
         for statement in tree.body:
+            found = _references(statement, path.name != "__init__.py")
             if isinstance(statement, ast.ClassDef):
-                # each method's body on its own, so a method's reference to
-                # itself does not count
-                found = set()
-                for item in [*statement.decorator_list, *statement.bases, *statement.body]:
-                    inner = _references(item, count_imports)
-                    if isinstance(item, FUNCTIONS):
-                        inner.discard("." + item.name)
-                    found |= inner
-            else:
-                found = _references(statement, count_imports)
-            if isinstance(statement, DEFINITIONS):
                 found.discard(statement.name)
-            names |= found
-    return names
+            used |= found
+    missing: Dict[str, List[str]] = {}
+    for path, tree in modules:
+        if path.name == "__init__.py":
+            continue
+        for node in tree.body:
+            if (
+                isinstance(node, ast.ClassDef)
+                and not node.name.startswith("_")
+                and not any(
+                    isinstance(item, FUNCTIONS) and not item.name.startswith("_")
+                    for item in node.body
+                )
+                and node.name not in used
+            ):
+                missing.setdefault(node.name, []).append(str(path))
+    return missing
 
 
-def unreferenced(modules) -> Dict[str, List[str]]:
-    """Public definitions that no code in ``modules`` refers to.
+def flagged(package: str, root: Path, ran: Set[CodeType]) -> Dict[str, List[str]]:
+    """Everything the guard flags in ``package`` (source under ``root``)."""
+    return {**unreferenced_classes(root), **unrun(package, ran)}
 
-    A method is reached through an attribute, so only an attribute
-    reference of its name counts for it.
-    """
-    used = referenced_names(modules)
-    return {
-        name: paths
-        for name, paths in public_definitions(modules).items()
-        if ("." + name.partition(".")[2] if "." in name else name) not in used
-    }
+
+def check_allowed(found: Dict[str, List[str]], allowed: Dict[str, str]):
+    """Return the flagged names not allowed, and the allowed names not flagged."""
+    return (
+        {name: where for name, where in found.items() if name not in allowed},
+        sorted(name for name in allowed if name not in found),
+    )
+
+
+# ----------------------------------------------------------------------
+# the drive of src/repro
+# ----------------------------------------------------------------------
+def _free_port() -> int:
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+class _ThreadContext:
+    """A multiprocessing context whose worker "processes" are threads."""
+
+    Process = threading.Thread
+
+
+def _distributed_run(scratch: Path) -> None:
+    from repro.experiments.distributed import DistributedExecutor
+    from repro.experiments.runner import run_experiment
+
+    spawn = multiprocessing.get_context
+    multiprocessing.get_context = lambda *args: _ThreadContext
+    try:
+        result = run_experiment("e2", preset="quick", executor=DistributedExecutor(
+            workers=1, run_dir=scratch / "distributed"))
+    finally:
+        multiprocessing.get_context = spawn
+    assert result.pending_points == 0
+
+
+def _serve_one_get() -> None:
+    from repro import cli, serve
+
+    servers = []
+    create = serve.create_server
+
+    def keep(*args, **kwargs):
+        servers.append(create(*args, **kwargs))
+        return servers[-1]
+
+    port = _free_port()
+    serve.create_server = keep
+    thread = threading.Thread(target=cli.main, args=(["serve", "--port", str(port)],))
+    thread.start()
+    try:
+        deadline = time.monotonic() + 30
+        while not servers:
+            assert time.monotonic() < deadline, "repro serve did not start"
+            time.sleep(0.01)
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        connection.request("GET", "/runs")
+        response = connection.getresponse()
+        response.read()
+        connection.close()
+        assert response.status == 200
+    finally:
+        serve.create_server = create
+        if servers:
+            servers[0].shutdown()
+        thread.join(30)
+    assert not thread.is_alive(), "repro serve did not stop"
+
+
+def drive_src(scratch: Path) -> None:
+    """Import all of ``repro`` and drive it: sweeps, CLI, distributed, serve."""
+    import_all("repro")
+    from repro import cli
+    from repro.experiments.runner import run_experiment
+    from test_experiment_registry import QUICK_SWEEPS
+
+    for experiment, overrides in QUICK_SWEEPS.values():
+        run_experiment(experiment, preset="quick", overrides=overrides)
+    run_dir = str(scratch / "sharded")
+    for argv in (
+        ["list"],
+        ["docs", "--check"],
+        ["docs", "--output-dir", str(scratch / "docs")],
+        ["run", "e2", "--preset", "quick", "--shard", "1/2", "--run-dir", run_dir, "--quiet"],
+        ["run", "e2", "--preset", "quick", "--resume", "--run-dir", run_dir,
+         "--json", str(scratch / "e2.json")],
+    ):
+        assert cli.main(argv) == 0, argv
+    _distributed_run(scratch)
+    _serve_one_get()
+
+
+def main(argv: List[str]) -> int:
+    """Drive ``src/repro`` in scratch directory ``argv[1]``; print the flagged
+    names as JSON."""
+    scratch = Path(argv[1])
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        ran = record_calls(lambda: drive_src(scratch))
+    print(json.dumps(flagged("repro", SRC, ran), indent=1, sort_keys=True))
+    return 0
+
+
+@pytest.fixture(scope="module")
+def src_flagged(tmp_path_factory):
+    """What the guard flags in ``src/repro``, driven in a fresh interpreter
+    (so that import-time code runs under the profiler too)."""
+    path = [str(SRC.parent), str(TESTS), *filter(None, [os.environ.get("PYTHONPATH")])]
+    completed = subprocess.run(
+        [sys.executable, __file__, str(tmp_path_factory.mktemp("drive"))],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        capture_output=True, text=True, timeout=600,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return json.loads(completed.stdout)
+
+
+def test_every_public_definition_has_a_caller_in_src(src_flagged):
+    missing, _ = check_allowed(src_flagged, ALLOWED)
+    assert not missing, (
+        "public definitions src/repro never runs — delete them, move a test "
+        f"oracle to tests/oracles.py, or allow-list a real user: {missing}"
+    )
+
+
+@pytest.mark.parametrize("name", sorted(ALLOWED))
+def test_allow_list_entry_is_still_needed(src_flagged, name):
+    _, stale = check_allowed(src_flagged, {name: ALLOWED[name]})
+    assert not stale, f"{name} now runs when src/repro is driven, or is gone"
 
 
 def init_exports(path: Path) -> Tuple[List[str], Set[str]]:
@@ -155,29 +425,6 @@ def init_exports(path: Path) -> Tuple[List[str], Set[str]]:
     return exported, bound
 
 
-@pytest.fixture(scope="module")
-def src_modules():
-    return parse_tree(SRC)
-
-
-def test_every_public_definition_has_a_caller_in_src(src_modules):
-    missing = {
-        name: paths
-        for name, paths in unreferenced(src_modules).items()
-        if name not in ALLOWED
-    }
-    assert not missing, (
-        "public definitions no src module uses — delete them, move a test "
-        f"oracle to tests/oracles.py, or allow-list a real user: {missing}"
-    )
-
-
-@pytest.mark.parametrize("name", sorted(ALLOWED))
-def test_allow_list_entry_is_still_needed(src_modules, name):
-    assert name in public_definitions(src_modules), f"{name} is gone from src"
-    assert name in unreferenced(src_modules), f"{name} now has a caller in src"
-
-
 @pytest.mark.parametrize(
     "path", sorted(SRC.rglob("__init__.py")), ids=lambda path: str(path.relative_to(SRC))
 )
@@ -190,70 +437,151 @@ def test_package_all_lists_exactly_its_imports(path):
 # ----------------------------------------------------------------------
 # the rules themselves, on a throwaway package
 # ----------------------------------------------------------------------
-def flagged(tmp_path, files):
-    """Write ``files`` (relative path → source) and return what the guard flags."""
-    for name, source in files.items():
-        path = tmp_path / name
+def flagged_in(tmp_path, files, drive):
+    """Write package ``files`` (relative path → source), import and drive it
+    under the profiler, and return what the guard flags.
+
+    ``drive`` gets a loader: ``load("mod")`` imports the package's ``mod``.
+    """
+    package = f"throwaway_{tmp_path.name}"
+    root = tmp_path / package
+    for name, source in {"__init__.py": "", **files}.items():
+        path = root / name
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(source)
-    return set(unreferenced(parse_tree(tmp_path)))
+    sys.path.insert(0, str(tmp_path))
+    importlib.invalidate_caches()
+    try:
+        def run():
+            import_all(package)
+            drive(lambda name: importlib.import_module(f"{package}.{name}"))
+
+        return set(flagged(package, root, record_calls(run)))
+    finally:
+        sys.path.remove(str(tmp_path))
+        for name in [name for name in sys.modules if name.split(".")[0] == package]:
+            del sys.modules[name]
+
+
+def _nothing(load):
+    pass
 
 
 RULE_CASES = {
     "unreferenced_function_flagged": (
-        {"mod.py": "def orphan():\n    return 1\n"}, {"orphan"},
+        {"mod.py": "def orphan():\n    return 1\n\ndef used():\n    return 2\n"},
+        lambda load: load("mod").used(),
+        {"orphan"},
     ),
     "docstring_mention_does_not_count": (
         {"mod.py": 'def orphan():\n    pass\n\n'
                    'def user():\n    """Calls orphan."""\n\n'
                    'user()\n'},
+        _nothing,
         {"orphan"},
     ),
     "self_reference_does_not_count": (
-        {"mod.py": "def loop(n):\n    return loop(n - 1) if n else 0\n"}, {"loop"},
+        {"mod.py": "def loop(n):\n    return loop(n - 1) if n else 0\n"},
+        _nothing,
+        {"loop"},
     ),
     "init_reexport_does_not_count": (
-        {"pkg/__init__.py": "from pkg.mod import helper\n__all__ = ['helper']\n",
-         "pkg/mod.py": "def helper():\n    pass\n"},
+        {"__init__.py": "from .mod import helper\n__all__ = ['helper']\n",
+         "mod.py": "def helper():\n    pass\n"},
+        _nothing,
         {"helper"},
     ),
     "call_in_same_module_counts": (
-        {"mod.py": "def helper():\n    pass\n\nhelper()\n"}, set(),
-    ),
-    "attribute_reference_counts": (
-        {"a.py": "class Box:\n    pass\n",
-         "b.py": "import a\n\nVALUE = a.Box\n"},
+        {"mod.py": "def helper():\n    pass\n\nhelper()\n"},
+        _nothing,
         set(),
     ),
-    "import_outside_init_counts": (
-        {"a.py": "def helper():\n    pass\n",
-         "b.py": "from a import helper as renamed\n"},
-        set(),
-    ),
-    "decorated_definition_counts_as_used": (
+    "decorator_runs_at_import": (
         {"mod.py": "def register(f):\n    return f\n\n"
                    "@register\ndef sweep():\n    pass\n"},
-        set(),
+        _nothing,
+        {"sweep"},
     ),
     "private_definition_ignored": (
-        {"mod.py": "def _internal():\n    pass\n"}, set(),
+        {"mod.py": "def _internal():\n    pass\n\nclass _Box:\n    def size(self):\n"
+                   "        pass\n"},
+        _nothing,
+        set(),
+    ),
+    "called_method_passes": (
+        {"mod.py": "class Box:\n    def size(self):\n        return 1\n"},
+        lambda load: load("mod").Box().size(),
+        set(),
     ),
     "unreferenced_method_of_a_covered_class_flagged": (
         {"mod.py": "class Edge:\n    def other(self):\n        return self.other()\n\n"
-                   "    def key(self):\n        pass\n\n"
-                   "Edge().key()\n"},
+                   "    def key(self):\n        pass\n"},
+        lambda load: load("mod").Edge().key(),
         {"Edge.other"},
     ),
-    "method_of_an_uncovered_class_ignored": (
-        {"mod.py": "class Box:\n    def orphan(self):\n        pass\n\nBox()\n"}, set(),
+    "method_reached_only_through_a_shared_name_flagged": (
+        {"mod.py": "class Channel:\n    def reset(self):\n        pass\n\n"
+                   "class Recorder:\n    def reset(self):\n        pass\n\n"
+                   "def clear(channel):\n    channel.reset()\n"},
+        lambda load: load("mod").clear(load("mod").Channel()),
+        {"Recorder.reset"},
+    ),
+    "abstract_method_passes_through_an_override": (
+        {"mod.py": "class Base:\n    def step(self):\n        \"\"\"Advance.\"\"\"\n"
+                   "        raise NotImplementedError\n\n"
+                   "class Impl(Base):\n    def step(self):\n        return 1\n"},
+        lambda load: load("mod").Impl().step(),
+        set(),
+    ),
+    "abstract_method_flagged_while_no_override_runs": (
+        {"mod.py": "class Base:\n    def step(self):\n        \"\"\"Advance.\"\"\"\n\n"
+                   "class Impl(Base):\n    def step(self):\n        return 1\n"},
+        lambda load: load("mod").Impl(),
+        {"Base.step", "Impl.step"},
+    ),
+    "accessors_and_static_methods_are_bodies": (
+        {"mod.py": "class Box:\n    @property\n    def size(self):\n        return 1\n\n"
+                   "    @staticmethod\n    def make():\n        return Box()\n"},
+        lambda load: load("mod").Box().size,
+        {"Box.make"},
+    ),
+    "attribute_reference_counts": (
+        {"a.py": "class Box:\n    pass\n",
+         "b.py": "from . import a\n\nVALUE = a.Box\n"},
+        _nothing,
+        set(),
+    ),
+    "import_outside_init_counts": (
+        {"a.py": "class Failure(Exception):\n    pass\n",
+         "b.py": "from .a import Failure as Renamed\n"},
+        _nothing,
+        set(),
+    ),
+    "unreferenced_class_without_methods_flagged": (
+        {"mod.py": "class Record:\n    '''Mentions Record.'''\n\n    size: int = 0\n"},
+        _nothing,
+        {"Record"},
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(RULE_CASES))
 def test_reachability_rule(tmp_path, case):
-    files, expected = RULE_CASES[case]
-    assert flagged(tmp_path, files) == expected
+    files, drive, expected = RULE_CASES[case]
+    assert flagged_in(tmp_path, files, drive) == expected
+
+
+def test_stale_allow_list_entry_is_seen(tmp_path):
+    found = flagged_in(
+        tmp_path, {"mod.py": "def orphan():\n    pass\n\ndef used():\n    pass\n"},
+        lambda load: load("mod").used(),
+    )
+    missing, stale = check_allowed(
+        {name: ["mod"] for name in found},
+        {"orphan": "a user", "used": "no longer needed", "gone": "deleted"},
+    )
+    assert not missing
+    assert stale == ["gone", "used"]
 
 
 def test_init_export_mismatch_is_seen(tmp_path):
@@ -262,3 +590,7 @@ def test_init_export_mismatch_is_seen(tmp_path):
     exported, bound = init_exports(path)
     assert exported == ["kept", "ghost"]
     assert bound == {"kept", "dropped"}
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv))

@@ -1,17 +1,24 @@
-"""Per-node substream derivation tests (``repro.sim.substreams``).
+"""Substream derivation tests (``repro.sim.substreams``).
 
-The v4 stream-era contract: a node's random source is a pure function of
-``(master_seed, scope, node_id)`` — pairwise-distinct across nodes and
-scopes, independent of the order nodes are visited in, and therefore stable
-across serial/process/sharded executors (the backend bit-identity matrix in
-``test_executors.py`` exercises the executor half end to end).
+The stream contract: a substream seed is a pure function of
+``(master_seed, scope, key)`` — pairwise-distinct across keys, scopes and
+masters, independent of the order keys are requested in, and therefore
+stable across serial/process/sharded executors (the backend bit-identity
+matrix in ``test_executors.py`` exercises the executor half end to end).
+The per-node family the v4 goldens pin is derived by the oracle adapter
+(``tests/oracles.py:per_node``): node ``i``'s generator is
+``random.Random(substream_seed(seed, scope, i))``.
 """
 
 from __future__ import annotations
 
 import random
 
-from repro.sim.substreams import NodeStreams, substream_seed
+from oracles import NodeProtocol, per_node
+from repro.sim.flyweight import FlyweightEnvironment
+from repro.sim.multimedia import MultimediaNetwork
+from repro.sim.substreams import substream_seed
+from repro.topology.generators import ring_graph
 
 
 class TestSubstreamSeed:
@@ -44,32 +51,56 @@ class TestSubstreamSeed:
         assert substream_seed(1, "s", 1) != substream_seed(1, "s", "1")
 
 
+
+class _Draw(NodeProtocol):
+    """Halts at the start with one draw from its node's generator."""
+
+    def on_start(self):
+        self.halt(self.ctx.rng.random())
+
+    def on_round(self, inbox, channel):  # pragma: no cover
+        raise AssertionError("halts at the start")
+
+
+def _adapter(seed, scope="sim.multimedia"):
+    """A per-node adapter over a ring of 8, its generators not yet drawn."""
+    return per_node(_Draw, seed=seed, scope=scope)(
+        FlyweightEnvironment(ring_graph(8).csr())
+    )
+
+
+def _first_draw(seed, scope, node):
+    return random.Random(substream_seed(seed, scope, node)).random()
+
+
 class TestNodeStreams:
+    """The adapter's per-node family, as the v4 oracle protocols draw it."""
+
     def test_seed_matches_free_function(self):
-        streams = NodeStreams(7, "sim.multimedia")
-        assert streams.seed_for(3) == substream_seed(7, "sim.multimedia", 3)
+        result = MultimediaNetwork(ring_graph(8)).run(per_node(_Draw, seed=7))
+        assert result.results[3] == _first_draw(7, "sim.multimedia", 3)
 
     def test_rng_for_reproduces_stream(self):
-        streams = NodeStreams(7, "sim.multimedia")
-        draws = [streams.rng_for(3).random() for _ in range(2)]
-        assert draws[0] == draws[1]
-        assert draws[0] == random.Random(streams.seed_for(3)).random()
+        network = MultimediaNetwork(ring_graph(8))
+        first = network.run(per_node(_Draw, seed=7)).results
+        assert network.run(per_node(_Draw, seed=7)).results == first
+        assert first == {node: _first_draw(7, "sim.multimedia", node) for node in range(8)}
 
     def test_independent_of_visit_order(self):
-        streams = NodeStreams(7, "sim.multimedia")
-        forward = {node: streams.seed_for(node) for node in range(16)}
-        backward = {node: streams.seed_for(node) for node in reversed(range(16))}
-        assert forward == backward
+        forward = [p.ctx.rng.random() for p in _adapter(7).protocols]
+        backward = [p.ctx.rng.random() for p in reversed(_adapter(7).protocols)]
+        assert forward == backward[::-1]
 
     def test_fresh_generator_per_call(self):
-        # each call is an independent source positioned at the stream start:
-        # consuming one must not advance another
-        streams = NodeStreams(7, "sim.multimedia")
-        first = streams.rng_for(3)
-        first.random()
-        assert streams.rng_for(3).random() == random.Random(
-            streams.seed_for(3)
-        ).random()
+        # each run's generator starts at the stream start: consuming one
+        # must not advance another
+        first = _adapter(7)
+        first.protocols[3].ctx.rng.random()
+        second = _adapter(7)
+        assert second.protocols[3].ctx.rng.random() == _first_draw(7, "sim.multimedia", 3)
 
     def test_scope_property(self):
-        assert NodeStreams(0, "sim.synchronizer").scope == "sim.synchronizer"
+        adapter = _adapter(0, scope="sim.synchronizer")
+        draws = [p.ctx.rng.random() for p in adapter.protocols]
+        assert draws == [_first_draw(0, "sim.synchronizer", node) for node in range(8)]
+        assert draws != [p.ctx.rng.random() for p in _adapter(0).protocols]
