@@ -112,7 +112,6 @@ from repro.experiments.registry import (
 )
 from repro.experiments.serialization import (
     NestingError,
-    check_depth,
     decode_wire,
     encode_wire,
     read_json,
@@ -582,12 +581,10 @@ class ShardCoordinator:
         Lock held by the caller.  Returns the rejection reason, or ``None``
         once the checkpoint is written.
         """
-        rows = message.get("rows")
         try:
-            check_depth(rows)
+            rows = decode_wire(message.get("rows"))
         except NestingError:
             return "rows nested too deeply"
-        rows = decode_wire(rows)
         expected = len(self._plan[shard])
         if not isinstance(rows, list) or len(rows) != expected:
             return "row count mismatch"

@@ -91,6 +91,7 @@ from typing import (
 
 from repro.experiments.registry import ExperimentSpec, PointParams, RowDict
 from repro.experiments.serialization import (
+    check_depth,
     decode_nonfinite,
     encode_nonfinite,
     jsonable,
@@ -491,7 +492,7 @@ def read_manifest(run_dir: Path) -> Optional[Dict[str, Any]]:
     side — never a crash.
     """
     try:
-        data = read_json((run_dir / MANIFEST_NAME).read_text())
+        data = check_depth(read_json((run_dir / MANIFEST_NAME).read_text()))
     except (OSError, ValueError):
         return None
     if not isinstance(data, dict):

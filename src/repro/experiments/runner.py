@@ -43,7 +43,6 @@ from repro.experiments.registry import (
 )
 
 RESULT_SCHEMA = 2
-_LOADABLE_SCHEMAS = (1, 2)
 
 
 @dataclass
@@ -102,32 +101,6 @@ class ExperimentResult:
     def to_json(self, indent: int = 2) -> str:
         """Serialize to a JSON string."""
         return json.dumps(self.to_json_dict(), indent=indent) + "\n"
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, Any]) -> "ExperimentResult":
-        """Rebuild a result from :meth:`to_json_dict` output.
-
-        Accepts the current schema (2) and the legacy schema 1, whose
-        ``wall_seconds`` doubles as ``invocation_seconds``.
-
-        Raises:
-            ValueError: on an unknown schema version.
-        """
-        if data.get("schema") not in _LOADABLE_SCHEMAS:
-            raise ValueError(f"unsupported result schema: {data.get('schema')!r}")
-        wall = data.get("wall_seconds", 0.0)
-        return cls(
-            experiment_id=data["experiment"],
-            title=data["title"],
-            columns=tuple(data["columns"]),
-            rows=[dict(row) for row in data["rows"]],
-            params=dict(data.get("params", {})),
-            preset=data.get("preset", DEFAULT_PRESET),
-            wall_seconds=wall,
-            invocation_seconds=data.get("invocation_seconds", wall),
-            pending_points=data.get("pending_points", 0),
-            executor=data.get("executor", "serial"),
-        )
 
 
 def _resolve(experiment: Union[str, ExperimentSpec]) -> ExperimentSpec:

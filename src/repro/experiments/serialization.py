@@ -13,12 +13,15 @@ import json
 import math
 from typing import Any
 
-#: The deepest nesting :func:`read_json` accepts (a scalar is depth 0, a
-#: flat list depth 1).  What this package writes nests at most seven deep,
-#: and 100 stays far below every supported Python's recursion limit.  The
-#: bound, not ``RecursionError``, refuses an over-deep input, so it is
-#: refused for one reason on every interpreter (3.12 inlines comprehensions,
-#: so a recursive decoder gets twice as deep as on 3.11 before the limit).
+#: The deepest nesting the readers of untrusted JSON accept (a scalar is
+#: depth 0, a flat list depth 1).  What this package writes nests at most
+#: seven deep, and 100 stays far below every supported Python's recursion
+#: limit.  The bound, not ``RecursionError``, refuses an over-deep value, so
+#: it is refused for one reason on every interpreter (3.12 inlines
+#: comprehensions, so a recursive decoder gets twice as deep as on 3.11
+#: before the limit).  It is checked in the one walk each value gets after
+#: parsing: :func:`decode_wire` or :func:`decode_nonfinite` for values that
+#: are decoded, :func:`check_depth` for values kept whole.
 MAX_DEPTH = 100
 
 
@@ -31,31 +34,35 @@ class NestingError(ValueError):
 
 
 def read_json(text: str) -> Any:
-    """Parse untrusted JSON ``text``, refusing nesting past :data:`MAX_DEPTH`.
+    """Parse untrusted JSON ``text``, refusing what overflows the parser.
 
     Every reader of a file or message another process wrote goes through
-    here: manifests, checkpoints, wire messages and the served corpus.
+    here: manifests, checkpoints, wire messages and the served corpus.  It
+    does not walk the value: the decoder or :func:`check_depth` after it
+    bounds the depth.
 
     Raises:
-        NestingError: if the value nests deeper than :data:`MAX_DEPTH`,
-            whether the parser's own recursion guard trips first or the
-            depth check after it.
+        NestingError: if the parser's own recursion guard trips (far past
+            :data:`MAX_DEPTH`).
         ValueError: if ``text`` is not JSON.
     """
     try:
-        value = json.loads(text)
+        return json.loads(text)
     except RecursionError:
         raise NestingError() from None
-    check_depth(value)
-    return value
 
 
-def check_depth(value: Any) -> None:
-    """Raise :class:`NestingError` if ``value`` nests past :data:`MAX_DEPTH`.
+def check_depth(value: Any) -> Any:
+    """Return decoded JSON ``value``, refusing nesting past :data:`MAX_DEPTH`.
 
-    ``value`` is decoded JSON: only its lists and dicts nest.
+    For values kept whole rather than decoded (manifests, the served
+    trajectory): only their lists and dicts nest.
+
+    Raises:
+        NestingError: if ``value`` nests deeper than :data:`MAX_DEPTH`.
     """
     _check_depth(value, MAX_DEPTH)
+    return value
 
 
 def _check_depth(value: Any, budget: int) -> None:
@@ -117,13 +124,25 @@ def encode_nonfinite(value: Any) -> Any:
 
 
 def decode_nonfinite(value: Any) -> Any:
-    """Reverse :func:`encode_nonfinite`, restoring non-finite floats."""
+    """Reverse :func:`encode_nonfinite`, restoring non-finite floats.
+
+    Raises:
+        NestingError: if ``value`` nests deeper than :data:`MAX_DEPTH`.
+    """
+    return _decode_nonfinite(value, MAX_DEPTH)
+
+
+def _decode_nonfinite(value: Any, budget: int) -> Any:
     if isinstance(value, dict):
+        if not budget:
+            raise NestingError()
         if set(value) == {NONFINITE_KEY} and value[NONFINITE_KEY] in _NONFINITE_NAMES:
             return _NONFINITE_NAMES[value[NONFINITE_KEY]]
-        return {key: decode_nonfinite(item) for key, item in value.items()}
+        return {key: _decode_nonfinite(item, budget - 1) for key, item in value.items()}
     if isinstance(value, list):
-        return [decode_nonfinite(item) for item in value]
+        if not budget:
+            raise NestingError()
+        return [_decode_nonfinite(item, budget - 1) for item in value]
     return value
 
 
@@ -154,13 +173,28 @@ def encode_wire(value: Any) -> Any:
 
 
 def decode_wire(value: Any) -> Any:
-    """Reverse :func:`encode_wire`, restoring tuples and non-finite floats."""
+    """Reverse :func:`encode_wire`, restoring tuples and non-finite floats.
+
+    Raises:
+        NestingError: if ``value`` nests deeper than :data:`MAX_DEPTH` (a
+            tuple marker is two levels: its object and its list).
+    """
+    return _decode_wire(value, MAX_DEPTH)
+
+
+def _decode_wire(value: Any, budget: int) -> Any:
     if isinstance(value, dict):
+        if not budget:
+            raise NestingError()
         if set(value) == {TUPLE_KEY} and isinstance(value[TUPLE_KEY], list):
-            return tuple(decode_wire(item) for item in value[TUPLE_KEY])
+            if budget == 1:
+                raise NestingError()
+            return tuple(_decode_wire(item, budget - 2) for item in value[TUPLE_KEY])
         if set(value) == {NONFINITE_KEY} and value[NONFINITE_KEY] in _NONFINITE_NAMES:
             return _NONFINITE_NAMES[value[NONFINITE_KEY]]
-        return {key: decode_wire(item) for key, item in value.items()}
+        return {key: _decode_wire(item, budget - 1) for key, item in value.items()}
     if isinstance(value, list):
-        return [decode_wire(item) for item in value]
+        if not budget:
+            raise NestingError()
+        return [_decode_wire(item, budget - 1) for item in value]
     return value

@@ -53,7 +53,7 @@ from repro.experiments.executors import (
 )
 from repro.experiments.registry import all_experiments, get_experiment, load_all
 from repro.experiments.runner import ExperimentResult
-from repro.experiments.serialization import read_json
+from repro.experiments.serialization import check_depth, read_json
 
 JSON_TYPE = "application/json; charset=utf-8"
 
@@ -335,7 +335,7 @@ def _body_bytes(payload: Mapping[str, Any]) -> bytes:
 def _read_json(path: Path) -> Optional[Any]:
     """Read a JSON file; ``None`` when absent or unparseable."""
     try:
-        return read_json(path.read_text())
+        return check_depth(read_json(path.read_text()))
     except (OSError, ValueError):
         return None
 

@@ -16,7 +16,9 @@ colourings, maximal independent sets, identical spanning trees,
 global sensitivity), the paper's contention bounds, and the plain forms
 the faster library paths replaced (the per-node diameter sweep, the
 canonical-edge row scan, the all-pairs geometric scan, and the
-point-to-point MST baseline on node-keyed dicts).
+point-to-point MST baseline on node-keyed dicts)), and the reader of
+``repro run --json`` result files that the round-trip tests rebuild
+results with.
 
 In each round a node
 
@@ -53,6 +55,8 @@ from repro.core.global_function.semigroup import (
 from repro.core.mst.ghs_baseline import PointToPointMSTResult
 from repro.core.mst.kruskal import MSTEdges
 from repro.core.partition.forest import SpanningForest
+from repro.experiments.registry import DEFAULT_PRESET
+from repro.experiments.runner import RESULT_SCHEMA, ExperimentResult
 from repro.protocols.collision.greenberg_ladner import MultiplicityEstimate
 from repro.sim.errors import ProtocolError
 from repro.sim.events import ChannelEvent, Message
@@ -311,6 +315,10 @@ class NodeProtocol:
         return outbox, payload, wrote
 
 
+#: the scope of the per-node random sources; the v4 goldens pin its draws
+STREAM_SCOPE = "sim.multimedia"
+
+
 class PerNode(FlyweightProtocol):
     """A flyweight holding one per-node protocol instance per slot.
 
@@ -320,19 +328,19 @@ class PerNode(FlyweightProtocol):
     write into the write buffer, and its halt into :meth:`halt_slot`.  The
     engine then sees exactly the per-node grouping and order of actions.
 
-    Node ``i``'s ``ctx.rng`` is ``random.Random(substream_seed(seed, scope,
-    i))``, built on its first draw.
+    Node ``i``'s ``ctx.rng`` is ``random.Random(substream_seed(seed,
+    STREAM_SCOPE, i))``, built on its first draw.
     """
 
     def __init__(self, env: FlyweightEnvironment,
                  factory: Callable[[NodeContext], NodeProtocol],
                  extras: Dict[NodeId, Dict[str, Any]],
-                 seed: object, scope: str) -> None:
+                 seed: object) -> None:
         """Build one context and one protocol instance per slot."""
         super().__init__(env)
 
         def node_rng(node: NodeId) -> random.Random:
-            return random.Random(substream_seed(seed, scope, node))
+            return random.Random(substream_seed(seed, STREAM_SCOPE, node))
 
         self.protocols: List[NodeProtocol] = [
             factory(NodeContext(
@@ -381,15 +389,14 @@ class PerNode(FlyweightProtocol):
 
 def per_node(factory: Callable[[NodeContext], NodeProtocol],
              extras: Optional[Dict[NodeId, Dict[str, Any]]] = None,
-             seed: object = None, scope: str = "sim.multimedia") -> Callable:
+             seed: object = None) -> Callable:
     """Return a simulator protocol factory running ``factory`` on every node.
 
     ``extras`` maps a node to its per-node inputs (its context's ``extra``).
-    ``seed`` and ``scope`` key the nodes' private random sources; the v4
-    goldens pin the draws under the default scope.
+    ``seed`` keys the nodes' private random sources (see :class:`PerNode`).
     """
     return functools.partial(PerNode, factory=factory, extras=extras or {},
-                             seed=seed, scope=scope)
+                             seed=seed)
 
 
 def neighbors(csr, node: int) -> Tuple[int, ...]:
@@ -1236,3 +1243,31 @@ def geometric_pairs_all_pairs(
             if du * du + dv * dv <= radius * radius:
                 pairs.append((u, v))
     return pairs
+
+
+#: result-file schemas :func:`load_result` reads: the current one, and
+#: schema 1, whose ``wall_seconds`` doubles as ``invocation_seconds``
+LOADABLE_RESULT_SCHEMAS = (1, RESULT_SCHEMA)
+
+
+def load_result(data: Mapping[str, Any]) -> ExperimentResult:
+    """Rebuild a result from :meth:`ExperimentResult.to_json_dict` output.
+
+    Raises:
+        ValueError: on an unknown schema version.
+    """
+    if data.get("schema") not in LOADABLE_RESULT_SCHEMAS:
+        raise ValueError(f"unsupported result schema: {data.get('schema')!r}")
+    wall = data.get("wall_seconds", 0.0)
+    return ExperimentResult(
+        experiment_id=data["experiment"],
+        title=data["title"],
+        columns=tuple(data["columns"]),
+        rows=[dict(row) for row in data["rows"]],
+        params=dict(data.get("params", {})),
+        preset=data.get("preset", DEFAULT_PRESET),
+        wall_seconds=wall,
+        invocation_seconds=data.get("invocation_seconds", wall),
+        pending_points=data.get("pending_points", 0),
+        executor=data.get("executor", "serial"),
+    )

@@ -63,6 +63,8 @@ from repro.experiments.runner import run_experiment
 from repro.experiments.serialization import (
     MAX_DEPTH,
     NestingError,
+    check_depth,
+    decode_nonfinite,
     decode_wire,
     encode_wire,
     read_json,
@@ -507,19 +509,41 @@ def test_deeply_nested_json_is_refused_not_raised(tmp_path, reader):
     reader(tmp_path)
 
 
-@pytest.mark.parametrize("depth", (MAX_DEPTH + 1, 990, len(DEEP_JSON)))
-def test_over_deep_json_gets_one_reason_on_every_interpreter(depth):
-    # 990 levels parse, and decoding them recursed through on Python 3.12
-    # but overflowed on 3.11; the bound refuses them alike, and so the
-    # parser's own overflow
-    text = "[" * depth + "]" * depth
+#: the walks that bound a parsed value: the two decoders, and the check
+#: for values kept whole
+DEPTH_WALKS = (decode_wire, decode_nonfinite, check_depth)
+
+
+@pytest.mark.parametrize("walk", DEPTH_WALKS, ids=lambda walk: walk.__name__)
+@pytest.mark.parametrize("depth", (MAX_DEPTH + 1, 990))
+def test_over_deep_json_gets_one_reason_on_every_interpreter(walk, depth):
+    # decoding 990 levels recursed through on Python 3.12 but overflowed
+    # on 3.11; the bound refuses them alike
     with pytest.raises(NestingError, match=f"^JSON nested deeper than {MAX_DEPTH} levels$"):
-        read_json(text)
+        walk(nested_list(depth - 1))
 
 
-def test_json_at_the_depth_bound_is_read():
-    text = "[" * MAX_DEPTH + "]" * MAX_DEPTH
-    assert read_json(text) == nested_list(MAX_DEPTH - 1)
+def test_parser_overflow_gets_the_same_reason():
+    with pytest.raises(NestingError, match=f"^JSON nested deeper than {MAX_DEPTH} levels$"):
+        read_json(DEEP_JSON)
+
+
+@pytest.mark.parametrize("walk", DEPTH_WALKS, ids=lambda walk: walk.__name__)
+def test_json_at_the_depth_bound_is_read(walk):
+    assert walk(read_json("[" * MAX_DEPTH + "]" * MAX_DEPTH)) == nested_list(MAX_DEPTH - 1)
+
+
+def test_a_tuple_marker_counts_two_levels():
+    # {"__wire_tuple__": [...]} is an object and a list on the wire
+    def wrapped(lists):
+        value = (1,)
+        for _ in range(lists):
+            value = [value]
+        return value
+
+    assert decode_wire(encode_wire(wrapped(MAX_DEPTH - 2))) == wrapped(MAX_DEPTH - 2)
+    with pytest.raises(NestingError):
+        decode_wire(encode_wire(wrapped(MAX_DEPTH - 1)))
 
 
 BAD_COMPUTE_SECONDS = ("nan", -5, "3", True, math.inf)

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import load_result
 from repro.experiments.executors import (
     ExecutorConfigError,
     SerialExecutor,
@@ -247,7 +248,7 @@ class TestShardedCheckpoints:
 # ----------------------------------------------------------------------
 class TestResultSchema:
     def test_round_trip(self, serial_e2):
-        loaded = ExperimentResult.from_json_dict(json.loads(serial_e2.to_json()))
+        loaded = load_result(json.loads(serial_e2.to_json()))
         assert loaded.rows == serial_e2.rows
         assert loaded.pending_points == 0
         assert loaded.executor == serial_e2.executor
@@ -265,7 +266,7 @@ class TestResultSchema:
             "rows": [{"n": 16}],
             "wall_seconds": 2.5,
         }
-        result = ExperimentResult.from_json_dict(legacy)
+        result = load_result(legacy)
         assert result.wall_seconds == 2.5
         assert result.invocation_seconds == 2.5
         assert result.pending_points == 0
@@ -273,7 +274,7 @@ class TestResultSchema:
 
     def test_unknown_schema_rejected(self):
         with pytest.raises(ValueError, match="unsupported result schema"):
-            ExperimentResult.from_json_dict({"schema": 99})
+            load_result({"schema": 99})
 
     def test_partial_result_serializes_pending(self, tmp_path):
         partial = run_experiment("e2", preset="quick", executor="sharded",
@@ -281,7 +282,7 @@ class TestResultSchema:
         data = json.loads(partial.to_json())
         assert data["pending_points"] == 1
         assert data["executor"] == "sharded"
-        assert ExperimentResult.from_json_dict(data).pending_points == 1
+        assert load_result(data).pending_points == 1
 
 
 class TestRunnerExecutorWiring:

@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from oracles import load_result
 from repro import cli
 from repro.analysis.reporting import table_from_records
 from repro.experiments import registry
@@ -151,7 +152,7 @@ class TestRunner:
 
     def test_json_round_trip(self):
         result = run_experiment("e8", preset="quick")
-        clone = ExperimentResult.from_json_dict(json.loads(result.to_json()))
+        clone = load_result(json.loads(result.to_json()))
         assert clone.experiment_id == result.experiment_id
         assert clone.title == result.title
         assert list(clone.columns) == list(result.columns)
@@ -160,7 +161,7 @@ class TestRunner:
 
     def test_from_json_rejects_unknown_schema(self):
         with pytest.raises(ValueError, match="schema"):
-            ExperimentResult.from_json_dict({"schema": 99})
+            load_result({"schema": 99})
 
     def test_to_json_is_strict_for_non_finite_floats(self):
         result = ExperimentResult(
@@ -228,7 +229,7 @@ class TestCli:
         ])
         assert code == 0
         capsys.readouterr()
-        loaded = ExperimentResult.from_json_dict(json.loads(output.read_text()))
+        loaded = load_result(json.loads(output.read_text()))
         direct = run_experiment(
             "e7", preset="quick",
             overrides={"topology": "grid", "channel_baseline": False},

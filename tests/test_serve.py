@@ -17,9 +17,10 @@ import threading
 
 import pytest
 
+from oracles import load_result
 from repro.cli import main as cli_main
 from repro.experiments.registry import all_experiments
-from repro.experiments.runner import ExperimentResult, run_experiment
+from repro.experiments.runner import run_experiment
 from repro.serve import ServeApp, create_server
 
 RUN_NAME = "e2-quick"
@@ -137,7 +138,7 @@ class TestEndpoints:
         # the same deserializer, and the rows equal the serial run's
         reference = corpus["serial"].to_json_dict()
         assert set(payload) == set(reference)
-        loaded = ExperimentResult.from_json_dict(payload)
+        loaded = load_result(payload)
         assert loaded.rows == reference["rows"]
         assert loaded.pending_points == 0
         assert payload["rows"] == reference["rows"]
@@ -290,7 +291,7 @@ class TestHTTPServer:
             run = connection.getresponse()
             payload = json.loads(run.read())
             assert run.status == 200
-            assert ExperimentResult.from_json_dict(payload).rows == (
+            assert load_result(payload).rows == (
                 corpus["serial"].to_json_dict()["rows"]
             )
             connection.close()
