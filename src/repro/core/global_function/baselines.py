@@ -104,7 +104,7 @@ def compute_on_channel_only(
     function: GlobalSensitiveFunction,
     inputs: Dict[int, object],
     method: str = "randomized",
-    seed: Optional[int] = None,
+    seed: int = 0,
     metrics: Optional[MetricsRecorder] = None,
     adversity: Optional[AdversityState] = None,
 ) -> BaselineResult:
@@ -116,7 +116,9 @@ def compute_on_channel_only(
     count as the estimate).  Every node hears every broadcast and combines
     them locally.  An ``adversity`` schedule reaches this baseline only
     through jamming (it is channel-only by construction), which slows the
-    contention and bounds it by the schedule's slot budget.
+    contention and bounds it by the schedule's slot budget.  ``seed`` keys
+    the randomized broadcasts' draws; it is fixed by default, so a call
+    that omits it is reproducible.
 
     Raises:
         ValueError: on an unknown ``method``.

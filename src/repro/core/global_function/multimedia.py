@@ -74,7 +74,7 @@ def compute_global_function(
     function: GlobalSensitiveFunction,
     inputs: Dict[int, object],
     method: str = "deterministic",
-    seed: Optional[int] = None,
+    seed: int = 0,
     forest: Optional[SpanningForest] = None,
     tightened_balance: bool = False,
     metrics: Optional[MetricsRecorder] = None,
@@ -91,7 +91,8 @@ def compute_global_function(
             Metcalfe–Boggs scheduling).
         seed: randomness seed of the distinct weights the deterministic
             method assigns a graph without them, of the randomized
-            partition and of the roots' Metcalfe–Boggs draws.
+            partition and of the roots' Metcalfe–Boggs draws; fixed by
+            default, so a call that omits it is reproducible.
         forest: reuse an existing partition instead of computing one; its
             cost is then not charged.
         tightened_balance: deterministic method only — stop the partition at

@@ -89,11 +89,10 @@ class PointToPointMST:
         n = csr.n
         # every node starts as a depth-0 singleton fragment, its own core;
         # the columns are the deterministic partitioner's (slot-indexed,
-        # -1 for "no parent", members[core] None for a singleton)
+        # -1 for "no parent")
         parent_idx: List[int] = [-1] * n
         core_arr: List[int] = list(range(n))
         depths: List[int] = [0] * n
-        members: List[Optional[List[int]]] = [None] * n
         sizes: List[int] = [1] * n
         radii: List[int] = [0] * n
         f_local: List[int] = [-1] * n
@@ -108,11 +107,12 @@ class PointToPointMST:
         while len(cores) > 1:
             phases += 1
             # count fragment sizes: broadcast-and-respond on every fragment
-            rounds = 2 * max(radii[core] for core in cores)
+            rounds = 2 * max(map(radii.__getitem__, cores))
             self._metrics.record_messages(2 * (n - len(cores)))
-            # every fragment finds its minimum-weight outgoing link
+            # every fragment finds its minimum-weight outgoing link: every
+            # node scans, grouped by fragment, in slot order within each
             choosers, link_u, link_v, total_tests, max_tests = find_min_outgoing_links(
-                cores, members, core_arr,
+                sorted(range(n), key=core_arr.__getitem__), core_arr,
                 nbr, weight, back, dead, scan_pos, scan_end,
             )
             self._metrics.record_messages(2 * total_tests)
@@ -121,17 +121,20 @@ class PointToPointMST:
             # 2-cycle: a broadcast over the spliced fragments re-roots them,
             # then the new core is announced to the whole merged fragment
             f_verts, f_parent = fragment_forest(choosers, link_v, core_arr, f_local)
-            merge_rounds = 0
-            for spliced, merged, _, radius in splice_groups(
-                f_verts, f_parent, link_u, link_v,
-                parent_idx, core_arr, members, sizes, radii, depths,
+            merge_rounds = merge_messages = 0
+            for _, spliced, merged, _, radius in splice_groups(
+                f_verts, f_parent, link_u, link_v, range(n),
+                parent_idx, core_arr, depths, sizes, radii,
             ):
-                self._metrics.record_messages(2 * spliced + merged)
-                merge_rounds = max(merge_rounds, radius)
+                merge_messages += 2 * spliced + merged
+                if radius > merge_rounds:
+                    merge_rounds = radius
+            self._metrics.record_messages(merge_messages)
             rounds += merge_rounds
             self._metrics.record_round(rounds)
-            # first-appearance order, as in the partitioner
-            cores = list(dict.fromkeys([core_arr[core] for core in cores]))
+            # every fragment chose a link, so F's vertices are all the
+            # cores, and its roots are the merged fragments
+            cores = [f_verts[vertex] for vertex, up in enumerate(f_parent) if up < 0]
         self._metrics.set_phase(None)
 
         # the last fragment's tree is the MST: one link per non-root node

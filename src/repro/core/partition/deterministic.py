@@ -50,31 +50,41 @@ CSR slot), and the result's :class:`SpanningForest` is the parent column.
   :class:`~repro.core.mst.ghs_baseline.PointToPointMST` runs both on every
   fragment with F uncut.  Each caller charges its own messages and rounds
   from what they return.
-* **Fragment bookkeeping.** ``members``/``sizes``/``radii`` are lists
-  indexed by core slot, updated only for the fragments a merge touches; a
-  singleton fragment has no member list (``None``).  The live cores are
-  kept in first-appearance order (smallest member slot), the order a full
-  scan over the nodes meets them.
+* **Fragment bookkeeping.** No fragment keeps a member list: ``sizes`` and
+  ``radii`` are lists indexed by core slot, updated only for the fragments a
+  merge touches.  Each phase reads the active fragments' members off the
+  core column in one pass and groups them by one stable sort by core, in
+  ascending slot order within each fragment — the order the GHS test
+  counts need — and the splice finds the moved nodes in that same list
+  (only a choosing fragment is ever absorbed).
+  ``levels[L]`` buckets the cores by level ``⌊log₂ size⌋`` (stale entries
+  are dropped when a bucket is read), so the active set and the smallest
+  size come from the lowest non-empty bucket, and a heap of
+  ``(−radius, core)`` gives Step 1's largest radius: no phase rescans every
+  core.  A phase's merge messages are charged in one call.
 * **Fragment forest F.** F's vertices are numbered ``0..k-1`` per phase
-  (choosing cores first, in active order, then inactive targets) and F,
-  its 2-cycle break, validation, Cole–Vishkin steps, shift-down passes,
-  MIS (:func:`~repro.protocols.symmetry.mis.mis_columns`) and cut all run
-  as passes over int columns.  No node-keyed dict is built.  Every value
-  these passes compute depends only on a vertex and its F-neighbours, not
-  on the numbering, so the results are those of the node-keyed
-  formulation bit for bit (pinned by the v1 goldens and
-  ``tests/test_partition_digests.py``).
+  (choosing cores first, then inactive targets) and F, its 2-cycle break,
+  Cole–Vishkin steps, shift-down passes, MIS
+  (:func:`~repro.protocols.symmetry.mis.mis_columns`) and cut all run as
+  passes over int columns.  No node-keyed dict is built.  F is validated
+  once per phase, by :func:`~repro.protocols.symmetry.three_coloring.three_color_columns`
+  (parents in range, no cycle); the MIS and the splice's walks over the cut
+  forest rely on it.  Every value these passes compute depends only on a
+  vertex and its F-neighbours, not on the numbering, so the results are
+  those of the node-keyed formulation bit for bit (pinned by the v1
+  goldens and ``tests/test_partition_digests.py``).
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from itertools import groupby
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from heapq import heappop, heappush
+from itertools import compress
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.core.partition.forest import SpanningForest, find_root_indexed
+from repro.core.partition.forest import SpanningForest
 from repro.protocols.symmetry.cole_vishkin import log_star
 from repro.protocols.symmetry.mis import MIS_COMMUNICATION_ROUNDS, RED, mis_columns
 from repro.protocols.symmetry.three_coloring import three_color_columns
@@ -180,7 +190,8 @@ class DeterministicPartitioner:
         # Phase 0 state: every node is a depth-0 singleton fragment whose
         # core is itself (-1 encodes "no parent")
         parent_idx: List[int] = [-1] * n
-        core_arr: List[int] = list(range(n))
+        slots: List[int] = list(range(n))  # the node ids, shared by the lists below
+        core_arr: List[int] = slots[:]
         depths: List[int] = [0] * n
         # Each node scans its incident links in (weight, repr) order across
         # all phases (the GHS discipline): the scan columns hold every
@@ -191,79 +202,118 @@ class DeterministicPartitioner:
         scan_pos = csr.offsets[:-1]
         scan_end = csr.offsets[1:]
 
-        # fragment bookkeeping by core slot, maintained incrementally across
-        # phases; members[core] is the ascending member list, or None for a
-        # singleton.  `cores` lists the live cores in first-appearance order
-        members: List[Optional[List[int]]] = [None] * n
+        # fragment bookkeeping by core slot, touched only where a merge
+        # changes it: sizes and radii per core; levels[L] holds the cores
+        # that reached level L (stale entries — absorbed or grown past L —
+        # are dropped when the bucket is next read); the radius heap holds
+        # (-radius, core) for every merged core, stale entries dropped at
+        # its top.  A core absent from the heap is a radius-0 singleton
         sizes: List[int] = [1] * n
         radii: List[int] = [0] * n
-        cores: Sequence[int] = range(n)
-        # slot → F-vertex number, -1 outside F (reset after every phase)
+        max_phases = max(1, math.ceil(math.log2(max(2, self._target))) + 1)
+        levels: List[List[int]] = [[] for _ in range(max_phases)]
+        levels[0] = slots[:]
+        radius_heap: List[Tuple[int, int]] = []
+        fragments = n
+        # slot → F-vertex number, -1 outside F (reset after every phase),
+        # and the active fragments' flags (reset after every scan; a list,
+        # whose item lookup is the cheapest to map over the core column)
         f_local: List[int] = [-1] * n
+        active_flag: List[bool] = [False] * n
 
         phase_records: List[PhaseRecord] = []
         busy_total = 0
-        max_phases = max(1, math.ceil(math.log2(max(2, self._target))) + 1)
 
         self._metrics.set_phase("partition")
         for phase in range(max_phases):
-            if len(cores) <= 1 or min(sizes[core] for core in cores) >= self._target:
+            # every fragment has level ≥ phase (each active fragment of the
+            # previous phase merged), so the smallest fragment is in the
+            # lowest non-empty bucket; none left means every fragment has
+            # outgrown the target
+            lowest: List[int] = []
+            for level in range(phase, max_phases):
+                lowest = levels[level] = [
+                    core for core in levels[level]
+                    if core_arr[core] == core and sizes[core].bit_length() - 1 == level
+                ]
+                if lowest:
+                    break
+            if fragments <= 1 or not lowest or min(map(sizes.__getitem__, lowest)) >= self._target:
                 break
-            active = [
-                core for core in cores if sizes[core].bit_length() - 1 == phase
-            ]
-            fragments_before = len(cores)
+            active = lowest if level == phase else []
+            fragments_before = fragments
             phase_messages_start = self._metrics.point_to_point_messages
             busy = 0
 
             # ---------------- Step 1: count fragment sizes ----------------
             # broadcast-and-respond on every fragment
-            busy += 2 * max(radii[core] for core in cores)
-            self._metrics.record_messages(2 * (n - len(cores)))
+            while radius_heap:
+                top_radius, top = radius_heap[0]
+                if core_arr[top] == top and radii[top] == -top_radius:
+                    break
+                heappop(radius_heap)
+            busy += 2 * (-radius_heap[0][0] if radius_heap else 0)
+            self._metrics.record_messages(2 * (n - fragments))
 
             if active:
                 # ------------- Step 2: minimum outgoing links -------------
                 # substep 1, the "you are active" broadcast, and substep 3,
                 # the convergecast of the minimum to the core, frame the
                 # GHS testing of substep 2 (nodes test in parallel)
-                max_active_radius = max(radii[core] for core in active)
-                relays = sum(sizes[core] - 1 for core in active)
+                max_active_radius = max(map(radii.__getitem__, active))
+                relays = sum(map(sizes.__getitem__, active)) - len(active)
+                # the active fragments' members, grouped by fragment, in
+                # ascending slot order within each
+                for core in active:
+                    active_flag[core] = True
+                members = list(compress(slots, map(active_flag.__getitem__, core_arr)))
+                for core in active:
+                    active_flag[core] = False
+                members.sort(key=core_arr.__getitem__)
                 choosers, link_u, link_v, total_tests, max_tests = find_min_outgoing_links(
-                    active, members, core_arr,
-                    nbr, weight, back, dead, scan_pos, scan_end,
+                    members, core_arr, nbr, weight, back, dead, scan_pos, scan_end,
                 )
                 busy += 2 * max_active_radius + 2 * max_tests
                 self._metrics.record_messages(2 * relays + 2 * total_tests)
 
                 # ------------- Steps 3-5: colour F and find the MIS -------
                 f_verts, f_parent = fragment_forest(choosers, link_v, core_arr, f_local)
-                # the cores are distinct ints: F-vertex x's identifier is its core
+                # the cores are distinct ints: F-vertex x's identifier is
+                # its core.  The colouring validates F (the phase's one
+                # check); the MIS and the splice rely on it
                 colors, rounds = three_color_columns(f_parent, f_verts)
                 f_colors = mis_columns(f_parent, colors)
                 coloring_rounds = rounds + MIS_COMMUNICATION_ROUNDS
                 # each colouring round is a core-to-core exchange routed over
                 # the fragment branches: O(max radius) time, and at most one
                 # relay message per node of every fragment involved in F
-                involved_nodes = sum(sizes[slot] for slot in f_verts)
-                max_involved_radius = max(radii[slot] for slot in f_verts)
+                involved_nodes = sum(map(sizes.__getitem__, f_verts))
+                max_involved_radius = max(map(radii.__getitem__, f_verts))
                 busy += coloring_rounds * (2 * max_involved_radius + 1)
                 self._metrics.record_messages(coloring_rounds * involved_nodes)
 
                 # ------------- Step 6: cut F at the MIS and merge ----------
-                merge_busy = 0
-                for spliced, merged, reroot, radius in splice_groups(
-                    f_verts, _cut_at_mis(f_parent, f_colors), link_u, link_v,
-                    parent_idx, core_arr, members, sizes, radii, depths,
+                # one broadcast over a group's spliced fragments performs the
+                # re-rooting; the new-core announcement then travels to the
+                # whole merged fragment
+                cut = _cut_at_mis(f_parent, f_colors)
+                merge_busy = merge_messages = 0
+                for core, spliced, merged, reroot, radius in splice_groups(
+                    f_verts, cut, link_u, link_v, members,
+                    parent_idx, core_arr, depths, sizes, radii,
                 ):
-                    # one broadcast over the group's spliced fragments
-                    # performs the re-rooting; the new-core announcement then
-                    # travels to the whole merged fragment
-                    self._metrics.record_messages(2 * spliced + merged)
-                    merge_busy = max(merge_busy, 2 * reroot + radius + 1)
+                    merge_messages += 2 * spliced + merged
+                    if 2 * reroot + radius + 1 > merge_busy:
+                        merge_busy = 2 * reroot + radius + 1
+                    heappush(radius_heap, (-radius, core))
+                    level = merged.bit_length() - 1
+                    if level < max_phases and level != (merged - spliced).bit_length() - 1:
+                        levels[level].append(core)
+                self._metrics.record_messages(merge_messages)
                 busy += merge_busy
-                # a merged fragment takes the place of its earliest member
-                # fragment, which keeps `cores` in first-appearance order
-                cores = list(dict.fromkeys([core_arr[core] for core in cores]))
+                # every F-vertex with a parent left in the cut forest was
+                # absorbed into its tree's root fragment
+                fragments -= len(cut) - cut.count(-1)
             else:
                 coloring_rounds = 0
 
@@ -277,7 +327,7 @@ class DeterministicPartitioner:
                     phase=phase,
                     active_fragments=len(active),
                     fragments_before=fragments_before,
-                    fragments_after=len(cores),
+                    fragments_after=fragments,
                     busy_rounds=busy,
                     charged_rounds=charged,
                     messages=self._metrics.point_to_point_messages - phase_messages_start,
@@ -299,8 +349,7 @@ class DeterministicPartitioner:
 # the GHS kernels, shared with the point-to-point MST baseline
 # ----------------------------------------------------------------------
 def find_min_outgoing_links(
-    cores: Sequence[int],
-    members: List[Optional[List[int]]],
+    nodes: Iterable[int],
     core_arr: List[int],
     nbr: array,
     weight: array,
@@ -309,63 +358,79 @@ def find_min_outgoing_links(
     scan_pos: array,
     scan_end: array,
 ) -> Tuple[List[int], List[int], List[int], int, int]:
-    """Return the minimum-weight outgoing link of every fragment in ``cores``.
+    """Return the minimum-weight outgoing link of every fragment ``nodes`` meets.
 
-    Returns ``(choosers, link_u, link_v, total_tests, max_tests)``: the cores
-    that found an outgoing link, in ``cores`` order, with the link's inside
-    endpoint ``u`` and outside endpoint ``v`` (slots) in the parallel
-    columns, then the number of link tests made and the most made by one
-    node.  Per the GHS discipline, every member (``members[core]``, or the
-    core alone for a singleton) scans its links in the order of
+    ``nodes`` are the members of the searching fragments, grouped by
+    fragment, each fragment's members in ascending slot order (a stable
+    sort by core of an ascending list).  Returns ``(choosers, link_u,
+    link_v, total_tests, max_tests)``: the cores that found an outgoing
+    link, in group order, with the link's inside endpoint ``u`` and
+    outside endpoint ``v`` (slots) in the parallel columns, then the number
+    of link tests made and the most made by one node.  Per the GHS
+    discipline, every node scans its links in the order of
     :meth:`~repro.topology.graph.CSRView.scan_columns` from ``scan_pos``,
     testing each link not yet ``dead``: an internal link is rejected
     forever, flipping the dead flag on *both* endpoints' entries (via
     ``back``) so the partner never re-tests it, and the first outgoing link
     found is the node's candidate, re-tested in later phases.  A test is
     two messages; the caller charges them.
+
+    The ascending order is load-bearing: an internal link's two endpoints
+    are members of one fragment, and the one that scans first pays its
+    test, so the per-node test counts (and the rounds they feed) are those
+    of members scanning in slot order.  Fragments are disjoint, so the
+    order of the groups does not matter.
     """
     choosers: List[int] = []
     link_u: List[int] = []
     link_v: List[int] = []
     max_tests = 0
     total_tests = 0
-    for core in cores:
-        best_w: Optional[float] = None
-        best_u = best_v = -1
-        for node in members[core] or (core,):
-            tests = 0
-            limit = scan_end[node]
-            index = scan_pos[node]
-            while index < limit:
-                if dead[index]:
-                    index += 1
-                    continue
-                tests += 1  # test + accept/reject: 2 messages
-                neighbor = nbr[index]
-                if core_arr[neighbor] == core:
-                    dead[index] = 1
-                    dead[back[index]] = 1
-                    index += 1
-                    continue
-                link_weight = weight[index]
-                # distinct weights decide almost always; the node tie-break
-                # preserves the historical (weight, u, v) tuple comparison on
-                # graphs with repeated weights
-                if (
-                    best_w is None
-                    or link_weight < best_w
-                    or (link_weight == best_w and (node, neighbor) < (best_u, best_v))
-                ):
-                    best_w, best_u, best_v = link_weight, node, neighbor
-                break
-            scan_pos[node] = index
-            total_tests += tests
-            if tests > max_tests:
-                max_tests = tests
-        if best_w is not None:
-            choosers.append(core)
-            link_u.append(best_u)
-            link_v.append(best_v)
+    group = -1
+    best_w: Optional[float] = None
+    best_u = best_v = -1
+    for node in nodes:
+        core = core_arr[node]
+        if core != group:
+            if best_w is not None:
+                choosers.append(group)
+                link_u.append(best_u)
+                link_v.append(best_v)
+            group = core
+            best_w = None
+        tests = 0
+        limit = scan_end[node]
+        index = scan_pos[node]
+        while index < limit:
+            if dead[index]:
+                index += 1
+                continue
+            tests += 1  # test + accept/reject: 2 messages
+            neighbor = nbr[index]
+            if core_arr[neighbor] == core:
+                dead[index] = 1
+                dead[back[index]] = 1
+                index += 1
+                continue
+            link_weight = weight[index]
+            # distinct weights decide almost always; the node tie-break
+            # keeps the historical (weight, u, v) tuple comparison on
+            # graphs with repeated weights
+            if (
+                best_w is None
+                or link_weight < best_w
+                or (link_weight == best_w and (node, neighbor) < (best_u, best_v))
+            ):
+                best_w, best_u, best_v = link_weight, node, neighbor
+            break
+        scan_pos[node] = index
+        total_tests += tests
+        if tests > max_tests:
+            max_tests = tests
+    if best_w is not None:
+        choosers.append(group)
+        link_u.append(best_u)
+        link_v.append(best_v)
     return choosers, link_u, link_v, total_tests, max_tests
 
 
@@ -374,100 +439,112 @@ def splice_groups(
     f_parent: List[int],
     link_u: List[int],
     link_v: List[int],
+    members: Iterable[int],
     parent_idx: List[int],
     core_arr: List[int],
-    members: List[Optional[List[int]]],
+    depths: List[int],
     sizes: List[int],
     radii: List[int],
-    depths: List[int],
-) -> Iterator[Tuple[int, int, int, int]]:
+) -> Iterator[Tuple[int, int, int, int, int]]:
     """Merge the fragments of every tree of the fragment forest into one.
 
     F-vertex ``x`` is core slot ``f_verts[x]`` and its F-parent is
-    ``f_parent[x]`` (``-1`` at a root); a vertex with a parent was joined to
-    it over the physical link ``(link_u[x], link_v[x])``.  Every tree with
-    more than one vertex becomes one fragment whose core is the root
-    vertex's core: each other fragment is re-rooted at its link's inside
-    endpoint and hung off the outside endpoint (the distributed "merge
-    broadcast"), every member of those fragments takes the new core, and
-    their depths are back-filled; the root vertex's fragment keeps its core,
-    parents and depths.  ``parent_idx``, ``core_arr`` and
-    ``depths`` (per node) and ``members``/``sizes``/``radii`` (per core) are
-    updated in place for exactly the fragments a merge touches.
+    ``f_parent[x]`` (``-1`` at a root; the column must be a forest); a
+    vertex with a parent was joined to it over the physical link
+    ``(link_u[x], link_v[x])``.  Every tree with more than one vertex
+    becomes one fragment whose core is the root vertex's core: each other
+    fragment is re-rooted at its link's inside endpoint and hung off the
+    outside endpoint (the distributed "merge broadcast"), every member of
+    those fragments takes the new core, and their depths are back-filled;
+    the root vertex's fragment keeps its core, parents and depths.
+    ``parent_idx``, ``core_arr`` and ``depths`` (per node) and
+    ``sizes``/``radii`` (per core) are updated in place for exactly the
+    fragments a merge touches.
 
-    Yields ``(spliced, merged, reroot_radius, new_radius)`` once per merged
-    tree, after merging it: the nodes of its re-rooted fragments, the nodes
-    of the merged fragment, the largest re-rooted radius and the new
-    radius.  The merges happen as the generator is consumed, so a caller
-    must exhaust it; nothing is kept per tree.
+    Only a vertex with an F-parent is absorbed, and only a choosing
+    fragment has one, so the moved nodes are found among ``members``, the
+    nodes of the choosing fragments (the list the link scan walked): no
+    member list is kept per fragment.
+
+    Yields ``(core, spliced, merged, reroot_radius, new_radius)`` once per
+    merged tree, after all trees have merged: its core, the nodes of its
+    re-rooted fragments, the nodes of the merged fragment, the largest
+    re-rooted radius and the new radius.
     """
-    # group the fragments by the root of their tree (one sort, no list per
-    # group kept alive: the merges are independent of each other, so any
-    # group order gives one result)
+    # each vertex's tree root, by one walk per unvisited chain
     k = len(f_verts)
-    group_of: List[int] = [-1] * k
+    group: List[int] = [-1] * k
     for vertex in range(k):
-        find_root_indexed(f_parent, group_of, vertex)
-
-    by_group = sorted(range(k), key=group_of.__getitem__)
-    for group_root, run in groupby(by_group, key=group_of.__getitem__):
-        group_vertices = list(run)
-        if len(group_vertices) == 1:
+        if group[vertex] >= 0:
             continue
-        root_slot = f_verts[group_root]
-        reroot_radius = 0
-        moved: List[int] = []
-        for vertex in group_vertices:
-            if vertex == group_root:
-                continue
-            slot = f_verts[vertex]
-            old_members = members[slot]
-            if old_members is None:
-                moved.append(slot)
-            else:
-                moved.extend(old_members)
-                members[slot] = None
-            u = link_u[vertex]
-            _reroot_indexed(parent_idx, u)
-            parent_idx[u] = link_v[vertex]
-            if radii[slot] > reroot_radius:
-                reroot_radius = radii[slot]
-        # the root's fragment keeps its core, its parents and so its depths:
-        # relabel and re-walk just the spliced fragments' nodes.  Mark each
-        # unknown, then chase each unknown node's parent chain to the
-        # nearest known depth and back-fill — each node is walked once, with
-        # no children index to build (the order does not matter)
-        for node in moved:
-            core_arr[node] = root_slot
-            depths[node] = -1
-        new_radius = radii[root_slot]
-        for node in moved:
-            if depths[node] >= 0:
-                continue
-            chain: List[int] = []
-            current = node
-            while depths[current] < 0:
-                chain.append(current)
-                current = parent_idx[current]
-            depth = depths[current]
-            for link in reversed(chain):
-                depth += 1
-                depths[link] = depth
-            if depth > new_radius:
-                new_radius = depth
-        # keep the member list in ascending slot order.  It is load-bearing:
-        # a link rejection marks BOTH endpoints' scan entries dead, so
-        # whichever member scans first pays the test, and the per-node test
-        # counts feed the rounds accounting
-        new_members = members[root_slot]
-        if new_members is None:
-            new_members = [root_slot]
-        new_members.extend(moved)
-        new_members.sort()
-        members[root_slot] = new_members
-        sizes[root_slot] = len(new_members)
-        radii[root_slot] = new_radius
-        yield len(moved), len(new_members), reroot_radius, new_radius
+        chain: List[int] = []
+        current = vertex
+        while group[current] < 0:
+            up = f_parent[current]
+            if up < 0:
+                group[current] = current
+                break
+            chain.append(current)
+            current = up
+        root = group[current]
+        for link in chain:
+            group[link] = root
+
+    # per merged tree, indexed by its root vertex: the absorbed nodes and
+    # the largest absorbed radius; `into` maps each absorbed core slot to
+    # the core it merges into (-1 elsewhere).  The new radius grows in
+    # place from the root's own: its depths are kept
+    spliced = [0] * k
+    reroot = [0] * k
+    merged_roots: List[int] = []
+    into = [-1] * len(core_arr)
+    for vertex, up in enumerate(f_parent):
+        if up < 0:
+            continue
+        root = group[vertex]
+        slot = f_verts[vertex]
+        into[slot] = f_verts[root]
+        if not spliced[root]:
+            merged_roots.append(root)
+        spliced[root] += sizes[slot]
+        if radii[slot] > reroot[root]:
+            reroot[root] = radii[slot]
+        # re-root the fragment at u: reverse the parent pointers on the
+        # path from u to the old core, and hang u off v
+        previous = link_v[vertex]
+        current = link_u[vertex]
+        while current >= 0:
+            above = parent_idx[current]
+            parent_idx[current] = previous
+            previous = current
+            current = above
+
+    # relabel the moved nodes and back-fill their depths: chase each one's
+    # parent chain up to a node that already carries the new core — a kept
+    # fragment's node, or a moved one done before — so every node is
+    # walked once, and a chain's first node is its deepest
+    for node in members:
+        core = into[core_arr[node]]
+        if core < 0:
+            continue  # not absorbed, or relabelled by an earlier chain
+        chain = []
+        current = node
+        while core_arr[current] != core:
+            chain.append(current)
+            current = parent_idx[current]
+        depth = depths[current] + len(chain)
+        if depth > radii[core]:
+            radii[core] = depth
+        for link in chain:
+            depths[link] = depth
+            core_arr[link] = core
+            depth -= 1
+
+    for root in merged_roots:
+        core = f_verts[root]
+        merged = sizes[core] + spliced[root]
+        sizes[core] = merged
+        yield core, spliced[root], merged, reroot[root], radii[core]
 
 
 def fragment_forest(
@@ -530,19 +607,3 @@ def _cut_at_mis(f_parent: List[int], f_colors: List[int]) -> List[int]:
         if color == RED and has_children[vertex]:
             cut[vertex] = -1
     return cut
-
-
-def _reroot_indexed(parent_idx: List[int], new_root: int) -> None:
-    """Re-root a tree at ``new_root`` in the flat parent-index array.
-
-    Only the parent pointers along the path from ``new_root`` to the old
-    root are reversed (``-1`` encodes "no parent").
-    """
-    path = [new_root]
-    current = parent_idx[new_root]
-    while current >= 0:
-        path.append(current)
-        current = parent_idx[current]
-    for index in range(len(path) - 1, 0, -1):
-        parent_idx[path[index]] = path[index - 1]
-    parent_idx[new_root] = -1

@@ -141,27 +141,3 @@ class SpanningForest:
             f"SpanningForest(fragments={self.num_fragments()}, "
             f"nodes={self.num_nodes()}, max_radius={self.max_radius()})"
         )
-
-
-def find_root_indexed(parent: List[int], cache: List[int], start: int) -> int:
-    """Return the root ``start``'s parent chain leads to, with path caching.
-
-    The index-space root walk the partitioners share: ``parent`` is a flat
-    parent column (``-1`` encodes "no parent"), and ``cache`` memoises roots
-    across calls within one sweep (``-1`` encodes "unknown"); every node on
-    the walked chain is back-filled, so repeated lookups over one forest
-    stay linear overall.
-    """
-    chain: List[int] = []
-    current = start
-    while cache[current] < 0:
-        up = parent[current]
-        if up < 0:
-            cache[current] = current
-            break
-        chain.append(current)
-        current = up
-    root = cache[current]
-    for member in chain:
-        cache[member] = root
-    return root

@@ -25,18 +25,35 @@ message charges are those of the synchronous message-passing execution
 Implementation notes (slot-indexed columns)
 -------------------------------------------
 The orchestration state lives in flat columns indexed by node (a node is
-its CSR slot): labels and parent pointers are lists,
-and the adjacency is three flat columns over the CSR row ranges —
-neighbour slot, reverse position, and a ``bytearray`` of per-link alive
-flags — so the BFS relaxation and link-removal inner loops index columns
-instead of hashing nodes or edge pairs.  The live-link worklist is
-an ``array`` of canonical edge ids.  The deterministic tie-break order
-(``repr`` of the node) is precomputed once as an integer rank, and link
-removal flips the alive flag on *both* endpoints' entries via the reverse
-position.  The random stream is consumed in exactly the historical order
-(coin flips over the free set in repr order), so the outputs stay
-bit-identical to the pre-optimization implementation (pinned by the v2
-goldens and ``tests/test_partition_digests.py``).
+its CSR slot): labels, parent pointers, each labelled node's tree
+centre (``root``) and the BFS round in which it took its label
+(``claimed``, so only a node claimed in a round competes for its parent
+in that round) are lists.  The links are the graph's own CSR rows
+(``offsets``/``targets``); no copy of the adjacency is built.  The only
+column added over them is each row entry's reverse position
+(:meth:`~repro.topology.graph.CSRView.reverse_positions`), with a
+``bytearray`` of per-entry alive flags and a worklist of one entry per
+live link, and link removal — the only reader of the three — flips the
+flag on *both* endpoints' entries.  Removal after an iteration matters
+only to the next one, so it runs at the start of the next iteration, and
+an attempt whose first iteration leaves no node free (the usual case)
+never builds them: until then the BFS reads whole row slices.  Building
+the three per attempt and reading every row through the flags from the
+start (one path) measured 1.47–1.59 s of CPU against 0.83–0.86 s on e4's
+``xhot`` grid (n = 102 400, four attempts) and 0.47–0.62 s against
+0.28–0.36 s on scale-free n = 102 400 (best of three, Python 3.11,
+2-vCPU host).  ``root`` is kept as the BFS relabels (a node takes its new
+parent's centre), so neither the removal nor the free/unfree step walks a
+parent chain.  The deterministic tie-break order (``repr`` of the node)
+is precomputed once as an integer rank (:func:`repr_order`, without
+building a string).  Nothing computed depends on the order of a row or
+of a BFS frontier (see :meth:`RandomizedPartitioner._grow_bfs`).  The
+random stream is consumed in exactly the historical order (coin flips
+over the free set in repr order), so the outputs stay bit-identical to
+the pre-optimization implementation (pinned by the v2 goldens and
+``tests/test_partition_digests.py``, including a graph built from a
+shuffled edge stream and runs whose later iterations meet the labels of
+earlier ones).
 """
 
 from __future__ import annotations
@@ -44,11 +61,13 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from itertools import compress
+from operator import lt
+from typing import List, Optional, Tuple
 
 import random
 
-from repro.core.partition.forest import SpanningForest, find_root_indexed
+from repro.core.partition.forest import SpanningForest
 from repro.protocols.collision.base import run_contention
 from repro.protocols.collision.metcalfe_boggs import MetcalfeBoggsContender
 from repro.sim.collector import collector_paused
@@ -88,25 +107,22 @@ def escalation_sequence(length: int) -> List[float]:
     return values
 
 
-class _Workspace(NamedTuple):
-    """The run-invariant structure every Las-Vegas attempt shares.
+def repr_order(n: int) -> List[int]:
+    """Return ``0..n-1`` sorted by ``repr``, without building a string.
 
-    ``rank`` and ``unrank`` map a node to its ``repr``-order position and
-    back.  Node
-    ``i``'s links occupy positions ``offsets[i]..offsets[i + 1]`` of ``adj``
-    (neighbour slot) and ``adj_back`` (the same link's position in the
-    neighbour's range), in edge-list order; ``edge_pos[j]`` is canonical
-    edge ``j``'s position in its ``edge_u`` endpoint's range.
+    The decimal strings of ``0..n-1`` in lexicographic order are a preorder
+    walk of the decimal trie: ``0`` (a leaf), then each of ``1..9`` followed
+    by its subtree, whose children are ``10x..10x+9`` (those below ``n``).
     """
-
-    rank: List[int]
-    unrank: List[int]
-    offsets: array
-    adj: array
-    adj_back: array
-    edge_u: array
-    edge_v: array
-    edge_pos: array
+    order: List[int] = [0] if n else []
+    pending = list(range(min(9, n - 1), 0, -1))
+    while pending:
+        node = pending.pop()
+        order.append(node)
+        first = 10 * node
+        if first < n:
+            pending.extend(range(min(first + 9, n - 1), first - 1, -1))
+    return order
 
 
 @dataclass
@@ -183,45 +199,16 @@ class RandomizedPartitioner:
     @collector_paused
     def run(self) -> RandomizedPartitionResult:
         """Execute the algorithm (with verification when Las Vegas is enabled)."""
-        # the tie-break ranks and adjacency structure are invariant across
-        # Las-Vegas restarts: build them once and hand each attempt a fresh
-        # copy of only the mutable per-run state
-        csr = self._graph.csr()
-        n = self._n
-        rank: List[int] = [0] * n
-        unrank: List[int] = [0] * n
-        reprs = list(map(repr, range(n)))
-        for position, i in enumerate(sorted(range(n), key=reprs.__getitem__)):
-            rank[i] = position
-            unrank[position] = i
-        del reprs  # n strings, not needed past the ranking
-        # adjacency columns and reverse positions come from ONE pass over
-        # the graph's canonical edge columns (both positions are known at
-        # fill time).
-        # Each node's range is in edge-list order, not row order — nothing
-        # the algorithm computes depends on it: per-neighbour BFS winners
-        # are minima, and the message/outgoing-link checks are order-free
-        # aggregates.
-        offsets = csr.offsets
-        edge_u, edge_v, _ = csr.canonical_edges()
-        adj = array("q", bytes(8 * len(csr.targets)))
-        adj_back = array("q", bytes(8 * len(csr.targets)))
-        edge_pos = array("q", bytes(8 * len(edge_u)))
-        cursor = offsets[:-1]
-        for j, (u, v) in enumerate(zip(edge_u, edge_v)):
-            at_u = cursor[u]
-            at_v = cursor[v]
-            cursor[u] = at_u + 1
-            cursor[v] = at_v + 1
-            adj[at_u] = v
-            adj[at_v] = u
-            adj_back[at_u] = at_v
-            adj_back[at_v] = at_u
-            edge_pos[j] = at_u
-        workspace = _Workspace(rank, unrank, offsets, adj, adj_back, edge_u, edge_v, edge_pos)
+        # the tie-break ranks are invariant across Las-Vegas restarts: build
+        # them once and hand each attempt a fresh copy of only the mutable
+        # per-run state
+        unrank = repr_order(self._n)
+        rank: List[int] = [0] * self._n
+        for position, node in enumerate(unrank):
+            rank[node] = position
         restarts = 0
         while True:
-            forest, iterations = self._run_once(workspace)
+            forest, iterations = self._run_once(rank, unrank)
             if not self._las_vegas:
                 return RandomizedPartitionResult(
                     forest=forest,
@@ -247,10 +234,12 @@ class RandomizedPartitioner:
 
     # ------------------------------------------------------------------
     def _run_once(
-        self, workspace: _Workspace
+        self, rank: List[int], unrank: List[int]
     ) -> Tuple[SpanningForest, List[IterationRecord]]:
-        rank, unrank = workspace.rank, workspace.unrank
-        offsets, adj = workspace.offsets, workspace.adj
+        # the links are the CSR rows themselves (nothing the algorithm
+        # computes depends on the order of a row — see _grow_bfs)
+        csr = self._graph.csr()
+        offsets, targets = csr.offsets, csr.targets
         n = self._n
         sqrt_n = math.sqrt(n)
         depth_limit = max(1, math.ceil(4 * sqrt_n))
@@ -261,74 +250,86 @@ class RandomizedPartitioner:
         ]
         probabilities[-1] = 1.0  # the last iteration promotes every free node
 
-        # per-link alive flags; removing a link flips the flag on BOTH
-        # endpoints' entries (via the reverse positions), so the BFS hot
-        # loop tests one byte instead of hashing an oriented pair
-        alive = bytearray(b"\x01") * len(adj)
+        # per-link alive flags, made with the reverse positions at the first
+        # removal (None while every link is alive); removing a link flips
+        # the flag on BOTH endpoints' entries, so the BFS hot loop tests one
+        # byte instead of hashing an oriented pair
+        alive: Optional[bytearray] = None
         label: List[int] = [-1] * n  # -1 encodes "unlabelled"
         parent: List[int] = [-1] * n  # -1 encodes "no parent"
-        free: Set[int] = set(range(n))
-        # worklist of the canonical edge ids the algorithm still considers:
-        # a removed link is never looked at again, so each iteration only
-        # rescans the survivors
-        live_links = range(len(workspace.edge_u))
+        root: List[int] = [-1] * n  # the node's tree's centre; -1 unlabelled
+        # the BFS round (counted across iterations) in which the node last
+        # took a label; -1 never
+        claimed: List[int] = [-1] * n
+        # the free nodes in repr order, the order the coins are flipped in
+        free: List[int] = list(unrank)
+        # worklist of the links the algorithm still considers (row
+        # positions): a removed link is never looked at again, so each
+        # iteration only rescans the survivors
+        back: Optional[array] = None
+        live_links: Optional[array] = None
         records: List[IterationRecord] = []
 
         self._metrics.set_phase("partition")
+        rng_random = self._rng.random
         for iteration, probability in enumerate(probabilities):
             if not free:
                 break
             free_before = len(free)
             messages_start = self._metrics.point_to_point_messages
 
+            # remove the links the last iteration's trees made internal
+            # that are not tree edges.  Nothing in an iteration reads the
+            # alive flags after its BFS, so the removal runs here, and
+            # not at all after the last iteration
+            if iteration:
+                if alive is None:
+                    back = csr.reverse_positions()
+                    size = len(back)
+                    alive = bytearray(b"\x01") * size
+                    # one entry per link: the one below its partner
+                    live_links = array(
+                        "q", compress(range(size), map(lt, range(size), back))
+                    )
+                live_links = self._remove_internal_links(
+                    parent, root, targets, back, alive, live_links
+                )
+
             # Step 1: coin flips (one synchronized round)
-            rng_random = self._rng.random
-            new_centers = [
-                node for node in sorted(free, key=rank.__getitem__)
-                if rng_random() < probability
-            ]
+            new_centers = [node for node in free if rng_random() < probability]
             for center in new_centers:
                 label[center] = 0
                 parent[center] = -1
+                root[center] = center
             rounds = 1
 
             # Step 2: synchronous BFS growth to depth 4√n from the new centres
             bfs_messages = self._grow_bfs(
-                new_centers, label, parent, offsets, adj, alive, depth_limit,
-                rank, unrank,
+                new_centers, label, parent, root, claimed,
+                iteration * depth_limit, offsets, targets, alive,
+                depth_limit, rank,
             )
             rounds += depth_limit
             self._metrics.record_messages(bfs_messages)
 
-            # remove links internal to a tree but not tree edges
-            live_links = self._remove_internal_links(
-                label, parent, workspace, alive, live_links
-            )
-
-            # Step 3: free/unfree determination (convergecast + broadcast per tree)
-            members: Dict[int, List[int]] = {}
-            root_cache: List[int] = [-1] * n
-            for node in range(n):
-                if label[node] == -1:
-                    continue
-                members.setdefault(
-                    find_root_indexed(parent, root_cache, node), []
-                ).append(node)
-            for group in members.values():
-                has_outgoing_to_unlabeled = False
-                for node in group:
-                    for neighbor in adj[offsets[node]:offsets[node + 1]]:
-                        if label[neighbor] == -1:
-                            has_outgoing_to_unlabeled = True
-                            break
-                    if has_outgoing_to_unlabeled:
-                        break
-                for node in group:
-                    if not has_outgoing_to_unlabeled:
-                        free.discard(node)
-                    elif label[node] <= unfree_label:
-                        free.discard(node)
-                self._metrics.record_messages(2 * max(0, len(group) - 1))
+            # Step 3: free/unfree determination (convergecast + broadcast
+            # per tree).  A tree has an outgoing link to an unlabelled node
+            # when some unlabelled (hence free) node is its neighbour.  The
+            # convergecast and broadcast cost 2·(size − 1) per tree: the
+            # trees are the labelled nodes grouped under the label-0 centres
+            outgoing = bytearray(n)
+            for node in free:
+                if label[node] < 0:
+                    for neighbor in targets[offsets[node]:offsets[node + 1]]:
+                        if root[neighbor] >= 0:
+                            outgoing[root[neighbor]] = 1
+            free = [
+                node for node in free
+                if label[node] < 0
+                or (outgoing[root[node]] and label[node] > unfree_label)
+            ]
+            labelled = n - label.count(-1)
+            self._metrics.record_messages(2 * (labelled - label.count(0)))
             rounds += 2 * depth_limit
 
             self._metrics.record_round(rounds)
@@ -345,7 +346,7 @@ class RandomizedPartitioner:
             )
         self._metrics.set_phase(None)
 
-        if any(value == -1 for value in label):
+        if -1 in label:
             raise AssertionError(
                 "the final iteration promotes every free node, so every node "
                 "must be labelled when the loop ends"
@@ -358,18 +359,21 @@ class RandomizedPartitioner:
         new_centers: List[int],
         label: List[int],
         parent: List[int],
+        root: List[int],
+        claimed: List[int],
+        first_round: int,
         offsets: array,
-        adj: array,
-        alive: bytearray,
+        targets: array,
+        alive: Optional[bytearray],
         depth_limit: int,
         rank: List[int],
-        unrank: List[int],
     ) -> int:
         """Relax labels outward from the new centres; returns messages sent.
 
         Not a :meth:`~repro.topology.graph.CSRView.bfs` call: it relaxes
         existing labels by strict improvement over the alive links only and
-        counts the messages each improvement sends.
+        counts the messages each improvement sends (``alive`` is ``None``
+        while every link is alive).
 
         A node adopts a neighbour's announcement only when it strictly reduces
         its label (ties between simultaneous announcements go to the least
@@ -378,81 +382,90 @@ class RandomizedPartitioner:
         improvement over all its non-removed incident links — each such
         announcement is one message.
 
-        Each announcement is encoded as the single integer
-        ``announced · n + rank(sender)``: with ranks below ``n`` that integer
-        orders exactly like the historical ``(announced, repr(sender))``
-        pair, so each neighbour keeps only its running minimum offer (one
-        int per receiver, no per-receiver offer list), and the chosen parent
-        decodes via ``unrank``.
+        Round ``d`` announces label ``d``: the round-1 senders are the
+        centres (label 0), and every node improved in round ``d`` took label
+        ``d`` and sends in round ``d + 1``.  So a node improves on the first
+        announcement it hears, and a later one in the same round only
+        competes for the parent, won by the ``repr``-least sender (lowest
+        ``rank``).  Only a node claimed in this very round competes
+        (``claimed`` holds the round, counted from ``first_round``, in
+        which each node took its label): a node that kept an equal label
+        from an earlier iteration hears no strict improvement and keeps its
+        parent, as its subtree keeps its root.  Nothing here depends on the
+        order of the senders or of a row.
+
+        ``root`` is kept with the parent: a node takes its new parent's
+        centre.  A node whose parent is relabelled is relabelled too in the
+        same iteration — the parent's label dropped before the last round,
+        so it announces, and beats the node's label (the parent's old one
+        plus 1) — so an untouched node's root stays right.
         """
-        n = len(rank)
         messages = 0
-        frontier = list(new_centers)
-        for _ in range(depth_limit):
+        frontier = new_centers
+        for depth in range(1, depth_limit + 1):
             if not frontier:
                 break
-            best_offer: Dict[int, int] = {}
-            for node in sorted(frontier, key=rank.__getitem__):
-                encoded = (label[node] + 1) * n + rank[node]
-                for position in range(offsets[node], offsets[node + 1]):
-                    if not alive[position]:
-                        continue
-                    messages += 1
-                    neighbor = adj[position]
-                    best = best_offer.get(neighbor)
-                    if best is None or encoded < best:
-                        best_offer[neighbor] = encoded
-            next_frontier: List[int] = []
-            for neighbor, best in best_offer.items():
-                best_label = best // n
-                if best_label > depth_limit:
-                    continue
-                current = label[neighbor]
-                if current == -1 or best_label < current:
-                    label[neighbor] = best_label
-                    parent[neighbor] = unrank[best % n]
-                    next_frontier.append(neighbor)
-            frontier = next_frontier
+            stamp = first_round + depth
+            improved: List[int] = []
+            for node in frontier:
+                tree = root[node]
+                start = offsets[node]
+                end = offsets[node + 1]
+                if alive is None:
+                    messages += end - start
+                    row = targets[start:end]
+                else:
+                    messages += alive.count(1, start, end)
+                    row = compress(targets[start:end], alive[start:end])
+                for neighbor in row:
+                    current = label[neighbor]
+                    if current < 0 or current > depth:
+                        label[neighbor] = depth
+                        parent[neighbor] = node
+                        root[neighbor] = tree
+                        claimed[neighbor] = stamp
+                        improved.append(neighbor)
+                    elif (
+                        claimed[neighbor] == stamp
+                        and rank[node] < rank[parent[neighbor]]
+                    ):
+                        parent[neighbor] = node
+                        root[neighbor] = tree
+            frontier = improved
         return messages
 
     def _remove_internal_links(
         self,
-        label: List[int],
         parent: List[int],
-        workspace: _Workspace,
+        root: List[int],
+        targets: array,
+        back: array,
         alive: bytearray,
-        live_links,
+        live_links: array,
     ) -> array:
         """Drop links whose endpoints share a tree but that are not tree edges.
 
-        Returns the surviving worklist (canonical edge ids) so the next
-        iteration skips removed links without consulting the flags; removal
-        flips the alive flag on both endpoints' entries.
+        ``live_links`` holds one row position per link; the link's other
+        entry is ``back`` of it, and each entry's neighbour is the other
+        endpoint.  Returns the surviving worklist so the next iteration
+        skips removed links without consulting the flags; removal flips the
+        alive flag on both endpoints' entries.
         """
-        edge_u, edge_v, edge_pos = workspace.edge_u, workspace.edge_v, workspace.edge_pos
-        adj_back = workspace.adj_back
-        root_cache: List[int] = [-1] * len(label)
         survivors = array("q")
-        for j in live_links:
-            u = edge_u[j]
-            v = edge_v[j]
+        keep = survivors.append
+        for position in live_links:
+            partner = back[position]
+            u = targets[partner]
+            v = targets[position]
             if parent[u] == v or parent[v] == u:
-                survivors.append(j)
+                keep(position)
                 continue
-            root_u = (
-                -1 if label[u] == -1
-                else find_root_indexed(parent, root_cache, u)
-            )
-            root_v = (
-                -1 if label[v] == -1
-                else find_root_indexed(parent, root_cache, v)
-            )
-            if root_u != -1 and root_u == root_v:
-                position_u = edge_pos[j]
-                alive[position_u] = 0
-                alive[adj_back[position_u]] = 0
+            tree = root[u]
+            if tree >= 0 and tree == root[v]:
+                alive[position] = 0
+                alive[partner] = 0
             else:
-                survivors.append(j)
+                keep(position)
         return survivors
 
     # ------------------------------------------------------------------

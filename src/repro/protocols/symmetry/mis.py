@@ -47,23 +47,25 @@ def mis_columns(parent: Sequence[int], colors: Sequence[int]) -> List[int]:
         ValueError: if the colouring is illegal or uses colours outside
             ``{0, 1, 2}``.
     """
-    for vertex, up in enumerate(parent):
-        if colors[vertex] not in (RED, GREEN, BLUE):
-            raise ValueError(f"vertex {vertex} has a colour outside {{0,1,2}}")
-        if up >= 0 and colors[vertex] == colors[up]:
-            raise ValueError("the supplied colouring is not legal")
     k = len(parent)
+    if k and not RED <= min(colors) <= max(colors) <= BLUE:
+        for vertex in range(k):
+            if colors[vertex] not in (RED, GREEN, BLUE):
+                raise ValueError(f"vertex {vertex} has a colour outside {{0,1,2}}")
 
     # ------------------------------------------------------------------
     # Step 4: shift-down that leaves every root red.  A root's child
     # adopts the root's colour, unless the root is already red, in which
-    # case it picks a colour other than red and its own.
+    # case it picks a colour other than red and its own.  The same pass
+    # checks that the colouring is legal.
     # ------------------------------------------------------------------
     step4 = [RED] * k
     for vertex, up in enumerate(parent):
         if up < 0:
             continue
         shifted = colors[up]
+        if shifted == colors[vertex]:
+            raise ValueError("the supplied colouring is not legal")
         if shifted == RED and parent[up] < 0:
             shifted = _color_other_than(RED, colors[vertex])
         step4[vertex] = shifted

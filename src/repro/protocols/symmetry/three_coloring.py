@@ -124,14 +124,17 @@ def _validate_forest_columns(parent: Sequence[int]) -> None:
         ValueError: if a parent is not a vertex or the structure has a cycle.
     """
     k = len(parent)
-    for vertex, up in enumerate(parent):
-        if up >= k or up < -1:
-            raise ValueError(f"the parent of vertex {vertex} is not a vertex")
+    if k and (max(parent) >= k or min(parent) < -1):
+        for vertex, up in enumerate(parent):
+            if up >= k or up < -1:
+                raise ValueError(f"the parent of vertex {vertex} is not a vertex")
     # cycle detection by walking each vertex towards its root; vertices
     # already proven safe (state 2) are never re-walked, keeping the check
     # linear, and meeting a vertex of the current walk (state 1) is a cycle
     state = bytearray(k)
     for start in range(k):
+        if state[start]:
+            continue
         walk = []
         current = start
         while current >= 0 and not state[current]:

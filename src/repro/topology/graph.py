@@ -227,12 +227,31 @@ class CSRView:
     def is_connected(self) -> bool:
         """Return ``True`` when the graph is connected (the empty graph counts).
 
-        One :meth:`bfs` from slot 0, computed once per view and cached, so
-        every consumer of the graph (the partitioners, the MST stages, each
-        simulation run) shares it.
+        One sweep from slot 0 over a ``bytearray`` of seen flags and an
+        ``array('q')`` queue — about 9 bytes per node, where :meth:`bfs`
+        would build three n-entry lists only to count the reached slots.
+        Computed once per view and cached, so every consumer of the graph
+        (the partitioners, the MST stages, each simulation run) shares it.
         """
         if self._connected is None:
-            self._connected = self.n == 0 or len(self.bfs(0)[2]) == self.n
+            n = self.n
+            if n == 0:
+                self._connected = True
+            else:
+                offsets = self.offsets
+                targets = self.targets
+                seen = bytearray(n)
+                seen[0] = 1
+                queue = array("q", [0])
+                visit = queue.append
+                # the array is the FIFO queue: iteration reaches the slots
+                # appended while it runs
+                for slot in queue:
+                    for target in targets[offsets[slot]:offsets[slot + 1]]:
+                        if not seen[target]:
+                            seen[target] = 1
+                            visit(target)
+                self._connected = len(queue) == n
         return self._connected
 
     def canonical_edges(self) -> Tuple[array, array, array]:
@@ -282,6 +301,27 @@ class CSRView:
         """
         edge_w = self.canonical_edges()[2]
         return len(set(edge_w)) == len(edge_w)
+
+    def reverse_positions(self) -> array:
+        """Return ``back``: ``back[p]`` is row entry ``p``'s position in its neighbour's row.
+
+        The two entries of a link point at each other, so a consumer that
+        flags links per row entry (the randomized partitioner's alive
+        flags) flips both with one lookup.  Built by replaying the edge
+        stream with the fill's cursors, fresh per call: the caller owns the
+        array.
+        """
+        offsets = self.offsets
+        back = array("q", bytes(8 * len(self.targets)))
+        cursor = offsets[:-1]
+        for u, v in zip(self._edge_u, self._edge_v):
+            at_u = cursor[u]
+            at_v = cursor[v]
+            cursor[u] = at_u + 1
+            cursor[v] = at_v + 1
+            back[at_u] = at_v
+            back[at_v] = at_u
+        return back
 
     def scan_columns(self) -> Tuple[array, array, array]:
         """Return the GHS scan columns ``(nbr, weight, back)`` over CSR ranges.

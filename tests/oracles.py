@@ -55,6 +55,7 @@ from repro.core.global_function.semigroup import (
 from repro.core.mst.ghs_baseline import PointToPointMSTResult
 from repro.core.mst.kruskal import MSTEdges
 from repro.core.partition.forest import SpanningForest
+from repro.core.partition.randomized import escalation_sequence
 from repro.experiments.registry import DEFAULT_PRESET
 from repro.experiments.runner import RESULT_SCHEMA, ExperimentResult
 from repro.protocols.collision.greenberg_ladner import MultiplicityEstimate
@@ -63,7 +64,7 @@ from repro.sim.events import ChannelEvent, Message
 from repro.sim.flyweight import FlyweightEnvironment, FlyweightProtocol
 from repro.sim.metrics import MetricsRecorder
 from repro.sim.substreams import substream_seed
-from repro.topology.graph import Edge, edge_key
+from repro.topology.graph import Edge, WeightedGraph, edge_key
 
 NodeId = Hashable
 Combine = Callable[[Any, Any], Any]
@@ -960,6 +961,33 @@ def edge_weight_sum(graph) -> float:
     for w in graph.csr().canonical_edges()[2]:
         total += w
     return total
+
+
+# ----------------------------------------------------------------------
+# randomized partition: inputs whose runs reach a second iteration
+# ----------------------------------------------------------------------
+
+def chorded_path(n: int = 4096) -> WeightedGraph:
+    """An ``n``-node path with a chord over every 50th pair of links.
+
+    A path is the topology on which a first iteration is likeliest to
+    leave nodes free: its labels grow fastest with the distance to a
+    centre.  The chords give the link removal non-tree links to drop.
+    """
+    edges = [(i, i + 1) for i in range(n - 1)]
+    edges += [(i, i + 2) for i in range(0, n - 2, 50)]
+    return WeightedGraph.from_edges(edges, n=n)
+
+
+def damped_escalation(factor: float) -> Callable[[int], List[float]]:
+    """Return ``escalation_sequence`` with every term scaled by ``factor``.
+
+    Patched into :mod:`repro.core.partition.randomized`, it makes fewer
+    centres per iteration, so most runs take several iterations and BFS
+    waves of a later iteration meet nodes labelled in an earlier one (the
+    last iteration still promotes every free node).
+    """
+    return lambda length: [factor * e for e in escalation_sequence(length)]
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ existing suites.
 from __future__ import annotations
 
 import random
+import tracemalloc
 from array import array
 
 import pytest
@@ -332,6 +333,42 @@ class TestDegenerateShapes:
         ]
         assert csr.bfs(3) == ([-1, -1, -1, 0, -1], [-1] * 5, [3])
         assert_csr_matches(graph, range(5), [(0, 4, 2.0)])
+
+
+class TestIsConnected:
+    """The connectivity check: a byte-flag sweep, cached on the view."""
+
+    @pytest.mark.parametrize(
+        "edges, n, expected",
+        (
+            ([], 0, True),
+            ([], 1, True),
+            ([], 2, False),
+            ([(0, 1), (1, 2), (2, 0)], 3, True),
+            ([(0, 1), (2, 3)], 4, False),
+            ([(3, 2), (1, 0), (2, 1)], 4, True),
+        ),
+    )
+    def test_results(self, edges, n, expected):
+        assert WeightedGraph.from_edges(edges, n=n).csr().is_connected() is expected
+
+    def test_cached(self):
+        csr = grid_graph(4, 4).csr()
+        assert csr.is_connected()
+        # a second sweep over emptied rows would reach node 0 alone
+        csr.targets = array("q")
+        assert csr.is_connected()
+
+    def test_peak_stays_under_16_bytes_per_node(self):
+        csr = grid_graph(100, 100).csr()
+        csr.offsets  # fill the rows outside the measured region
+        tracemalloc.start()
+        try:
+            assert csr.is_connected()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * csr.n
 
 
 class TestIdentityDetection:

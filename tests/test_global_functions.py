@@ -165,3 +165,23 @@ class TestBaselines:
         assert multimedia.value == p2p.value == channel.value == 400
         assert multimedia.total_rounds < p2p.rounds
         assert multimedia.total_rounds < channel.rounds
+
+
+class TestSeedlessCalls:
+    """A call that omits the seed runs on the fixed default, not OS entropy."""
+
+    @pytest.mark.parametrize("method", ("deterministic", "randomized"))
+    def test_multimedia_repeats(self, method):
+        # the unweighted ring makes the deterministic method draw weights
+        graph = ring_graph(64)
+        inputs = {node: node for node in graph.nodes()}
+        first = compute_global_function(graph, INTEGER_ADDITION, inputs, method=method)
+        second = compute_global_function(graph, INTEGER_ADDITION, inputs, method=method)
+        assert first == second
+
+    def test_channel_only_repeats(self):
+        graph = ring_graph(64)
+        inputs = {node: node for node in graph.nodes()}
+        first = compute_on_channel_only(graph, INTEGER_ADDITION, inputs)
+        second = compute_on_channel_only(graph, INTEGER_ADDITION, inputs)
+        assert first == second

@@ -6,11 +6,13 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import chorded_path, damped_escalation
 from repro.core.partition import randomized
 from repro.core.partition.randomized import (
     RandomizedPartitioner,
     escalation_sequence,
     ln_star,
+    repr_order,
 )
 from repro.core.partition.validation import validate_partition
 from repro.sim.errors import ProtocolError
@@ -36,6 +38,95 @@ class TestHelpers:
         assert values[1] == pytest.approx(math.e)
         assert values[2] == pytest.approx(math.exp(math.e))
         assert values[3] > values[2]
+
+    @pytest.mark.parametrize(
+        "n", (0, 1, 2, 9, 10, 11, 99, 100, 101, 1000, 4096, 102400)
+    )
+    def test_repr_order_is_the_string_sort(self, n):
+        assert repr_order(n) == sorted(range(n), key=repr)
+
+
+def _caterpillar(spine: int = 2048) -> WeightedGraph:
+    """A path of ``spine`` nodes with one leaf hanging off each."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(i, spine + i) for i in range(spine)]
+    return WeightedGraph.from_edges(edges, n=2 * spine)
+
+
+class TestKeptRoots:
+    """The attempt keeps each node's tree centre as the BFS relabels it."""
+
+    @staticmethod
+    def assert_roots_follow_parents(parent, root):
+        for node in range(len(parent)):
+            centre = node
+            while parent[centre] >= 0:
+                centre = parent[centre]
+            assert root[node] == (centre if root[centre] >= 0 else -1)
+
+    @pytest.mark.parametrize(
+        "build, seed",
+        [(chorded_path, seed) for seed in range(4)]
+        + [(_caterpillar, seed) for seed in (1, 2, 4, 5)],
+    )
+    def test_roots_follow_the_parents_after_every_bfs(self, monkeypatch, build, seed):
+        # damped coins make these runs take several iterations, whose BFS
+        # waves meet nodes labelled in earlier ones (equal labels included);
+        # on the caterpillar a node that wrongly changed parent would leave
+        # its leaf under the old centre
+        monkeypatch.setattr(
+            randomized, "escalation_sequence", damped_escalation(0.15)
+        )
+        seen = []
+        grow = RandomizedPartitioner._grow_bfs
+
+        def spy(self, new_centers, label, parent, root, *args):
+            messages = grow(self, new_centers, label, parent, root, *args)
+            seen.append((list(parent), list(root)))
+            return messages
+
+        monkeypatch.setattr(RandomizedPartitioner, "_grow_bfs", spy)
+        RandomizedPartitioner(build(), seed=seed).run()
+        assert len(seen) > 1
+        for parent, root in seen:
+            self.assert_roots_follow_parents(parent, root)
+
+    def test_an_equal_label_from_an_earlier_iteration_keeps_its_parent(self):
+        # An earlier iteration's tree under centre 0 labels the path
+        # 0 - 1 - 9 - 3 - 10 - 5 - 6 by distance (Y = 3 has label 3 and
+        # parent 9), with a leaf 7 under Y and leaves 2, 4, 8 under 0.
+        # Node 6 (label 6) starts a new tree: its wave gives 10 label 2,
+        # and in round 3 node 10 announces label 3 to Y.  That is no
+        # strict improvement, so Y keeps parent 9 although repr(10) <
+        # repr(9), and the leaf 7 below Y keeps centre 0.
+        path = [0, 1, 9, 3, 10, 5, 6]
+        edges = list(zip(path, path[1:])) + [(3, 7), (0, 2), (0, 4), (0, 8)]
+        graph = WeightedGraph.from_edges(edges, n=11)
+        label = [-1] * 11
+        parent = [-1] * 11
+        for depth, node in enumerate(path):
+            label[node] = depth
+            parent[node] = path[depth - 1] if depth else -1
+        for leaf, above in ((7, 3), (2, 0), (4, 0), (8, 0)):
+            label[leaf] = label[above] + 1
+            parent[leaf] = above
+        root = [0] * 11
+        claimed = list(label)  # the first iteration's BFS rounds
+        label[6], parent[6], root[6] = 0, -1, 6
+        rank = [0] * 11
+        for position, node in enumerate(repr_order(11)):
+            rank[node] = position
+        csr = graph.csr()
+        depth_limit = 8
+        RandomizedPartitioner(graph, seed=0)._grow_bfs(
+            [6], label, parent, root, claimed, depth_limit,
+            csr.offsets, csr.targets, bytearray(b"\x01") * len(csr.targets),
+            depth_limit, rank,
+        )
+        assert [label[node] for node in (5, 10, 3)] == [1, 2, 3]
+        assert parent[3] == 9 and parent[10] == 5
+        assert root[3] == root[7] == 0
+        self.assert_roots_follow_parents(parent, root)
 
 
 class TestPartition:
