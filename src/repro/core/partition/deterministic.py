@@ -82,7 +82,7 @@ from array import array
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import compress
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.partition.forest import SpanningForest
 from repro.protocols.symmetry.cole_vishkin import log_star
@@ -182,7 +182,13 @@ class DeterministicPartitioner:
     # ------------------------------------------------------------------
     @collector_paused
     def run(self) -> DeterministicPartitionResult:
-        """Execute the algorithm and return the resulting forest."""
+        """Execute the algorithm and return the resulting forest.
+
+        Raises:
+            ValueError: if tied link weights make the fragments' minimum
+                outgoing links form a cycle.  Ties that form none are
+                broken by the scan order.
+        """
         n = self._n
         log_star_n = max(1, log_star(max(2, n)))
         # all hot state below is indexed by node, which is its CSR slot
@@ -281,7 +287,18 @@ class DeterministicPartitioner:
                 # the cores are distinct ints: F-vertex x's identifier is
                 # its core.  The colouring validates F (the phase's one
                 # check); the MIS and the splice rely on it
-                colors, rounds = three_color_columns(f_parent, f_verts)
+                try:
+                    colors, rounds = three_color_columns(f_parent, f_verts)
+                except ValueError as error:
+                    # F is built in range from distinct cores, so a cycle
+                    # is its one defect; distinct weights leave only the
+                    # 2-cycles fragment_forest breaks
+                    raise ValueError(
+                        "tied link weights: the fragments' minimum outgoing "
+                        "links form a cycle; the partition needs distinct "
+                        "link weights (use "
+                        "repro.topology.weights.assign_distinct_weights)"
+                    ) from error
                 f_colors = mis_columns(f_parent, colors)
                 coloring_rounds = rounds + MIS_COMMUNICATION_ROUNDS
                 # each colouring round is a core-to-core exchange routed over

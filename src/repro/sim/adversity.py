@@ -58,7 +58,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, fields, replace
-from typing import Dict, Mapping, Optional, Set, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.topology.graph import WeightedGraph, edge_key
 
@@ -323,6 +323,8 @@ class AdversityState:
         self._layout_rng = self.spawn_rng()
         self._bound = False
         self._crash_offsets: Dict[int, int] = {}
+        # window offset -> its crash-prone nodes, in node order
+        self._crash_buckets: List[List[int]] = []
         self._churn_offsets: Dict[Tuple[int, int], int] = {}
         self.messages_dropped = 0
         self.messages_delayed = 0
@@ -353,6 +355,10 @@ class AdversityState:
                     spec.crash_rate > 0.0 and rng.random() < spec.crash_rate
                 ):
                     self._crash_offsets[node] = rng.randrange(spec.crash_period)
+        if self._crash_offsets:
+            self._crash_buckets = [[] for _ in range(spec.crash_period)]
+            for node, offset in self._crash_offsets.items():
+                self._crash_buckets[offset].append(node)
         if spec.churn_rate > 0.0:
             for edge in graph.edges():
                 if rng.random() < spec.churn_rate:
@@ -371,16 +377,30 @@ class AdversityState:
     def crashed_nodes(self, round_index: int) -> Set[int]:
         """Return the nodes inside a crash window in ``round_index``.
 
-        The same answer as :meth:`node_crashed` for every node, in one pass
-        over the crash-prone nodes instead of one call per node.
+        The same answer as :meth:`node_crashed` for every node.  A node is
+        down when its offset is one of the window's last ``crash_length``
+        round residues, so the set is the union of those offsets' buckets:
+        its cost is the number of crashed nodes, not of crash-prone ones.
         """
-        spec = self.spec
-        period = spec.crash_period
-        length = spec.crash_length
-        return {
-            node for node, offset in self._crash_offsets.items()
-            if (round_index - offset) % period < length
-        }
+        buckets = self._crash_buckets
+        if not buckets:
+            return set()
+        period = self.spec.crash_period
+        crashed: Set[int] = set()
+        for back in range(min(self.spec.crash_length, period)):
+            crashed.update(buckets[(round_index - back) % period])
+        return crashed
+
+    def crash_round(self, round_index: int, halted: bytearray) -> Set[int]:
+        """Return :meth:`crashed_nodes` and charge the round to the live ones.
+
+        Each crashed node that has not halted (``halted[node]`` is 0) spends
+        ``round_index`` crashed: one add to ``crash_node_rounds``.  A
+        simulator calls this once per round, before the round's dispatch.
+        """
+        crashed = self.crashed_nodes(round_index)
+        self.crash_node_rounds += len(crashed) - sum(map(halted.__getitem__, crashed))
+        return crashed
 
     def node_crashed(self, node: int, round_index: int) -> bool:
         """Return ``True`` when ``node`` is inside a crash window."""
@@ -442,10 +462,6 @@ class AdversityState:
     def count_delay(self) -> None:
         """Charge one delayed message."""
         self.messages_delayed += 1
-
-    def count_crash_round(self) -> None:
-        """Charge one node-round spent crashed."""
-        self.crash_node_rounds += 1
 
     @property
     def faults_injected(self) -> int:

@@ -31,8 +31,9 @@ n = 102400).
 Equivalence contract: a flyweight must be indistinguishable — same messages
 in the same order, same channel writes, same metrics, same results — from
 n independent per-node instances of the protocol it mirrors.  Under an
-adversity schedule with crash windows the loops scan every slot, so crash
-skips and deferred starts keep one fixed order.
+adversity schedule with crash windows the loops skip the crashed slots and
+start a slot whose node started the run crashed at its first up round, in
+one fixed slot order.
 ``tests/oracles.py`` keeps per-node reference protocols and an adapter that
 runs them on these same loops; ``tests/test_flyweight.py`` pins every
 flyweight against its oracle, and the v3 goldens pin the adversity

@@ -24,9 +24,14 @@ Each round of :meth:`MultimediaNetwork.run` makes one protocol call for the
    :meth:`~repro.sim.flyweight.FlyweightProtocol.on_start` call; every
    later round is one
    :meth:`~repro.sim.flyweight.FlyweightProtocol.on_round` call with the
-   slots to dispatch, their inboxes and the previous channel slot's event.  Those are the slots with mail for a ``MESSAGE_DRIVEN``
-   protocol and every slot otherwise; under crash windows a scan picks them
-   and may split the round into a few calls (:func:`dispatch_round`);
+   slots to dispatch, their inboxes and the previous channel slot's event.
+   Those are the slots with mail for a ``MESSAGE_DRIVEN`` protocol and
+   every slot otherwise.  Under crash windows the crashed slots drop out,
+   a slot whose node started the run crashed is started at its first up
+   round, and the round may split into a few calls; a ``MESSAGE_DRIVEN``
+   round still visits only the slots with mail and those deferred starts
+   (:func:`dispatch_round`), so a crash run costs what a fault-free one
+   does;
 3. the round's send buffer — each send tagged with its sender slot, in slot
    order — is accepted for round ``r + 1`` in one checked pass
    (:meth:`~repro.sim.network.PointToPointNetwork.accept_round`), and the
@@ -55,7 +60,7 @@ caller had it off.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
 from repro.sim.adversity import AdversityState
 from repro.sim.channel import SlottedChannel
@@ -120,9 +125,13 @@ class MultimediaNetwork:
         slot resolves once after all nodes acted.  A ``MESSAGE_DRIVEN``
         protocol is dispatched only on the slots that received mail — a
         no-op skip by the declaration, and the flat win at scale.  Under an
-        adversity schedule with crash windows, every round scans the slots
-        (:func:`dispatch_round`) so crash skips and deferred starts follow
-        one fixed order.
+        adversity schedule with crash windows, each round first reads its
+        crashed set and charges the crash rounds
+        (:meth:`~repro.sim.adversity.AdversityState.crash_round`); the
+        dispatch (:func:`dispatch_round`) then skips the crashed slots and
+        starts the deferred ones in slot order, still visiting only the
+        slots with mail and the deferred starts for a ``MESSAGE_DRIVEN``
+        protocol.
 
         Args:
             protocol_factory: the :class:`~repro.sim.flyweight.FlyweightProtocol`
@@ -168,13 +177,16 @@ class MultimediaNetwork:
         sends = protocol._sends
         writes = protocol._writes
 
+        crashed = deferred = None
         if adversity is None:
             budget = max_rounds
-            started = None
         else:
             budget = min(max_rounds, adversity.round_budget(num_slots))
             patience = adversity.stall_patience()
-            started = bytearray(num_slots)
+            if adversity.has_crash_windows:
+                deferred = set()
+                crash_round = adversity.crash_round
+                halted = protocol.halted
         quiet_streak = 0
 
         last_event: ChannelEvent = idle_event(-1)
@@ -184,8 +196,10 @@ class MultimediaNetwork:
                 break
 
             inboxes = deliver(round_index)
+            if deferred is not None:
+                crashed = crash_round(round_index, halted)
             dispatch_round(protocol, inboxes, last_event, round_index,
-                           adversity, started)
+                           crashed, deferred)
             acted_any = bool(sends) or bool(writes)
             if sends:
                 accept_round(sends, round_index)
@@ -233,26 +247,30 @@ def dispatch_round(
     inboxes: Mapping[int, Sequence[Message]],
     event: ChannelEvent,
     round_index: int,
-    adversity: Optional[AdversityState],
-    started: Optional[bytearray],
+    crashed: Optional[Set[int]],
+    deferred: Optional[Set[int]],
 ) -> None:
     """Make one round's (or pulse's) protocol calls, in slot order.
 
-    Without crash windows, round 0 is one ``on_start`` call for every slot,
-    and each later round one ``on_round`` call: for every slot, or for a
-    ``MESSAGE_DRIVEN`` protocol the slots with mail only (none, no call).
+    Without crash windows (``crashed`` is ``None``), round 0 is one
+    ``on_start`` call for every slot, and each later round one ``on_round``
+    call: for every slot, or for a ``MESSAGE_DRIVEN`` protocol the slots
+    with mail only (none, no call).
 
-    With crash windows, the slots are scanned.  Halted slots are skipped,
-    and a slot whose node is inside a crash window is skipped and charged
-    one crash round.  The rest go to the protocol in as few calls as keep
-    them in slot order: a run of slots that start now (their first up
-    round, marked in ``started``) is one ``on_start`` call, and a run of
-    started slots is one ``on_round`` call (the slots with mail only, for a
-    ``MESSAGE_DRIVEN`` protocol).  A starting slot with mail joins the next
-    ``on_round`` call.
+    With crash windows, ``crashed`` holds the round's crashed nodes and
+    ``deferred`` the slots whose node was crashed in round 0 and has not
+    started yet.  Round 0 starts every slot that is neither halted nor
+    crashed in one ``on_start`` call and defers the crashed ones.  A later
+    round walks, in slot order, every slot, or for a ``MESSAGE_DRIVEN``
+    protocol the slots with mail and the deferred ones: any other slot is a
+    no-op for it.  Halted and crashed slots are skipped.  The rest go to the
+    protocol in as few calls as keep them in slot order: a run of deferred
+    slots that start now is one ``on_start`` call, and a run of started
+    slots is one ``on_round`` call.  A starting slot with mail joins the
+    next ``on_round`` call.
     """
     message_driven = protocol.MESSAGE_DRIVEN
-    if adversity is None or not adversity.has_crash_windows:
+    if crashed is None:
         # every node starts in round 0 and is up ever after
         if not round_index:
             protocol.on_start(range(protocol.env.num_slots))
@@ -261,18 +279,27 @@ def dispatch_round(
         elif inboxes:
             protocol.on_round(sorted(inboxes), inboxes, event)
         return
+    num_slots = protocol.env.num_slots
     halted = protocol.halted
-    crashed = adversity.crashed_nodes(round_index)
-    starting: List[int] = []
+    if not round_index:
+        deferred.update(slot for slot in crashed if not halted[slot])
+        starting = [
+            slot for slot in range(num_slots)
+            if not halted[slot] and slot not in crashed
+        ]
+        if starting:
+            protocol.on_start(starting)
+        return
+    slots: Iterable[int] = (
+        sorted(inboxes.keys() | deferred) if message_driven else range(num_slots)
+    )
+    starting = []
     batch: List[int] = []
-    for slot in range(protocol.env.num_slots):
-        if halted[slot]:
+    for slot in slots:
+        if halted[slot] or slot in crashed:
             continue
-        if slot in crashed:
-            adversity.count_crash_round()
-            continue
-        if not started[slot]:
-            started[slot] = 1
+        if slot in deferred:
+            deferred.remove(slot)
             if batch:
                 protocol.on_round(batch, inboxes, event)
                 batch = []
@@ -281,7 +308,7 @@ def dispatch_round(
                 protocol.on_start(starting)
                 starting = []
                 batch.append(slot)
-        elif not message_driven or slot in inboxes:
+        else:
             if starting:
                 protocol.on_start(starting)
                 starting = []

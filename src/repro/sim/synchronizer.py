@@ -152,7 +152,12 @@ class ChannelSynchronizer:
         slots whose inbox received mail since their last dispatch (the keys
         of the inbox dict the deliveries fill, created on first mail and
         taken whole at each pulse) — profiling e10 at n = 102400 showed
-        ~2 × 10⁸ empty-inbox visits, which this removes wholesale.
+        ~2 × 10⁸ empty-inbox visits, which this removes wholesale.  Crash
+        windows keep it so: each pulse reads its crashed set once
+        (:meth:`~repro.sim.adversity.AdversityState.crash_round`), which
+        holds back the crashed slots' inboxes and goes to the dispatch,
+        and the dispatch adds only the slots whose node started the run
+        crashed and has not started yet.
 
         With an ``adversity`` state attached, the schedule's faults apply at
         this layer's natural seams: a crashed node skips its pulses (its
@@ -186,7 +191,9 @@ class ChannelSynchronizer:
         csr = self._graph.csr()
         env = FlyweightEnvironment(csr)
         protocol: FlyweightProtocol = protocol_factory(env)
-        started = None if adv is None else bytearray(env.num_slots)
+        # the slots whose node starts the run crashed, until they start
+        deferred = set() if adv is not None and adv.has_crash_windows else None
+        crashed = None
         sends = protocol._sends
         channel_writes = protocol._writes
 
@@ -233,7 +240,9 @@ class ChannelSynchronizer:
 
         # pulse 0: on_start (deferred past the crash window for a node that
         # starts the run crashed — it joins at its first up pulse)
-        dispatch_round(protocol, {}, idle_event(-1), 0, adv, started)
+        if deferred is not None:
+            crashed = adv.crash_round(0, protocol.halted)
+        dispatch_round(protocol, {}, idle_event(-1), 0, crashed, deferred)
         if sends:
             algorithm += accept(0, now)
         pulses = 1
@@ -288,13 +297,13 @@ class ChannelSynchronizer:
             # clock runs, never during dispatch
             mail = pending_inbox
             pending_inbox = {}
-            if adv is not None and adv.has_crash_windows:
+            if deferred is not None:
                 # a crashed node's inbox buffers until it recovers
-                crashed = adv.crashed_nodes(pulses)
+                crashed = adv.crash_round(pulses, protocol.halted)
                 for slot, inbox in mail.items():
                     if slot in crashed:
                         pending_inbox[slot] = inbox
-            dispatch_round(protocol, mail, event, pulses, adv, started)
+            dispatch_round(protocol, mail, event, pulses, crashed, deferred)
             if sends:
                 algorithm += accept(pulses, now)
             pulses += 1

@@ -15,8 +15,9 @@ library to: exact solves (the absorbing-chain MFPT), checkers (legal
 colourings, maximal independent sets, identical spanning trees,
 global sensitivity), the paper's contention bounds, and the plain forms
 the faster library paths replaced (the per-node diameter sweep, the
-canonical-edge row scan, the all-pairs geometric scan, and the
-point-to-point MST baseline on node-keyed dicts)), and the reader of
+canonical-edge row scan, the all-pairs geometric scan, the crash-window
+dispatch that scans every slot, and the point-to-point MST baseline on
+node-keyed dicts)), and the reader of
 ``repro run --json`` result files that the round-trip tests rebuild
 results with.
 
@@ -398,6 +399,65 @@ def per_node(factory: Callable[[NodeContext], NodeProtocol],
     """
     return functools.partial(PerNode, factory=factory, extras=extras or {},
                              seed=seed)
+
+
+class ScanDispatch:
+    """The crash-window dispatch as a scan of every slot per round.
+
+    A drop-in for :func:`repro.sim.multimedia.dispatch_round` (same
+    arguments), kept as the reference for its crash path, which walks only
+    the slots that can act.  It ignores the library's ``crashed`` and
+    ``deferred`` sets and reads each slot's state itself: crashes through
+    the per-node predicate ``adversity.node_crashed``, starts in its own
+    n-byte column.  Every crashed, non-halted slot the scan meets adds one
+    to :attr:`crash_node_rounds`.  Runs without crash windows are not its
+    business.
+    """
+
+    def __init__(self, adversity) -> None:
+        """Scan against ``adversity``'s crash windows."""
+        self.adversity = adversity
+        self.started: Optional[bytearray] = None
+        self.crash_node_rounds = 0
+
+    def __call__(self, protocol: FlyweightProtocol,
+                 inboxes: Mapping[int, Sequence[Message]], event: ChannelEvent,
+                 round_index: int, crashed, deferred) -> None:
+        """Make one round's protocol calls, scanning every slot."""
+        assert crashed is not None, "the reference covers crash windows only"
+        num_slots = protocol.env.num_slots
+        if self.started is None:
+            self.started = bytearray(num_slots)
+        started = self.started
+        message_driven = protocol.MESSAGE_DRIVEN
+        halted = protocol.halted
+        starting: List[int] = []
+        batch: List[int] = []
+        for slot in range(num_slots):
+            if halted[slot]:
+                continue
+            if self.adversity.node_crashed(slot, round_index):
+                self.crash_node_rounds += 1
+                continue
+            if not started[slot]:
+                started[slot] = 1
+                if batch:
+                    protocol.on_round(batch, inboxes, event)
+                    batch = []
+                starting.append(slot)
+                if slot in inboxes:
+                    protocol.on_start(starting)
+                    starting = []
+                    batch.append(slot)
+            elif not message_driven or slot in inboxes:
+                if starting:
+                    protocol.on_start(starting)
+                    starting = []
+                batch.append(slot)
+        if starting:
+            protocol.on_start(starting)
+        if batch:
+            protocol.on_round(batch, inboxes, event)
 
 
 def neighbors(csr, node: int) -> Tuple[int, ...]:

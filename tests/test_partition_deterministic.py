@@ -2,6 +2,7 @@
 
 import gc
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -158,6 +159,51 @@ class TestTargetSize:
         second = partition(medium_grid)
         assert first.forest.parent == second.forest.parent
         assert first.metrics.rounds == second.metrics.rounds
+
+
+def _tied_graph(seed, n=300, m=446):
+    """A connected graph whose ``m`` links all weigh 1.0, in shuffled order.
+
+    Node ``v`` hangs off a random earlier node, in a random orientation;
+    random extra pairs fill up the rest.
+    """
+    rng = random.Random(seed)
+    edges = []
+    for v in range(1, n):
+        u = rng.randrange(v)
+        edges.append((u, v) if rng.random() < 0.5 else (v, u))
+    present = {frozenset(edge) for edge in edges}
+    while len(edges) < m:
+        pair = rng.sample(range(n), 2)
+        if frozenset(pair) not in present:
+            present.add(frozenset(pair))
+            edges.append(tuple(pair))
+    rng.shuffle(edges)
+    return WeightedGraph.from_edges([(u, v, 1.0) for u, v in edges], n=n)
+
+
+class TestTiedWeights:
+    """Ties that close a cycle of minimum outgoing links name their cause."""
+
+    @pytest.mark.parametrize("seed", [48, 111, 175])
+    def test_a_cycle_of_tied_links_is_reported(self, seed):
+        with pytest.raises(ValueError, match=r"tied link weights.*assign_distinct_weights"):
+            partition(_tied_graph(seed))
+
+    @pytest.mark.parametrize("seed", [48, 111, 175])
+    def test_distinct_weights_partition_the_same_graph(self, seed):
+        graph = assign_distinct_weights(_tied_graph(seed), seed=seed)
+        result = partition(graph)
+        report = validate_partition(result.forest, graph, check_mst_subtrees=True,
+                                    min_size_bound=result.target_size)
+        assert report.ok, report.violations
+
+    def test_ties_without_a_cycle_still_partition(self):
+        graph = _tied_graph(0)
+        result = partition(graph)
+        report = validate_partition(result.forest, graph,
+                                    min_size_bound=result.target_size)
+        assert report.ok, report.violations
 
 
 class TestCollectorPause:

@@ -9,13 +9,16 @@ halting tests drive small flyweights of their own on both simulators.
 """
 
 import functools
+import random
 import re
 
 import pytest
 
-from oracles import NodeContext, NodeProtocol, neighbors, per_node
+from oracles import NodeContext, NodeProtocol, ScanDispatch, neighbors, per_node
+from repro.experiments.harness import make_topology
+from repro.sim import multimedia, synchronizer
 from repro.sim.adversity import AdversityState, adversity_spec
-from repro.sim.errors import ProtocolError
+from repro.sim.errors import AdversityAbort, ProtocolError
 from repro.sim.flyweight import FlyweightProtocol
 from repro.sim.metrics import MetricsRecorder
 from repro.sim.multimedia import MultimediaNetwork
@@ -294,7 +297,7 @@ class TestHaltedInTheSameRound:
         graph = ring_graph(6)
         adversity = None
         if full_scan:
-            # a crash window forces the scan; it opens long after the run
+            # a crash window takes the crash path; it opens long after the run
             adversity = AdversityState(adversity_spec(
                 {"name": "crash", "crash_rate": 0.0, "crash_nodes": (3,),
                  "crash_length": 1, "crash_period": 1000}
@@ -354,3 +357,148 @@ class TestChannelCharges:
         assert report.metrics.channel_slots == report.pulses
         assert report.metrics.channel_idle == report.pulses
         assert report.metrics.point_to_point_messages == report.total_messages
+
+
+class _CoinActor(FlyweightProtocol):
+    """Sends, writes and halts on draws from one seeded source.
+
+    A dispatched slot sends to each neighbour on a coin flip, writes the
+    channel now and then, and halts on its own after a drawn number of
+    dispatches, with the payloads it heard as its result.  The draws follow
+    the protocol calls, so two runs draw alike exactly when they call alike.
+    """
+
+    #: the most dispatches a slot lives through
+    LIVES = 6
+
+    def __init__(self, env, seed):
+        super().__init__(env)
+        self.rng = random.Random(seed)
+        self.lives = [self.rng.randint(1, self.LIVES) for _ in range(env.num_slots)]
+        self.heard = [[] for _ in range(env.num_slots)]
+
+    def _act(self, slot):
+        rng = self.rng
+        for neighbor in neighbors(self.env.csr, slot):
+            if rng.random() < 0.6:
+                self.send(slot, neighbor, (slot, rng.randrange(100)))
+        if rng.random() < 0.2:
+            self.channel_write(slot, slot)
+        self.lives[slot] -= 1
+        if not self.lives[slot]:
+            self.halt_slot(slot, self.heard[slot])
+
+    def on_start(self, slots):
+        for slot in slots:
+            if not self.halted[slot]:
+                self._act(slot)
+
+    def on_round(self, slots, inboxes, channel):
+        for slot in slots:
+            if not self.halted[slot]:
+                self.heard[slot].extend(m.payload for m in inboxes.get(slot, ()))
+                self._act(slot)
+
+
+class _MailCoinActor(_CoinActor):
+    """A message-driven :class:`_CoinActor`: it acts on mail only.
+
+    Its slots live short enough for a run to end with every slot halted
+    now and then, crashes notwithstanding.
+    """
+
+    MESSAGE_DRIVEN = True
+    LIVES = 2
+
+
+def _crash_schedule(seed, n):
+    """A random crash schedule; now and then ``crash_length >= crash_period``."""
+    rng = random.Random(seed)
+    period = rng.randint(1, 12)
+    return adversity_spec({
+        "name": "crash",
+        "crash_rate": rng.choice([0.1, 0.3, 0.6]),
+        "crash_length": rng.randint(0, period + 3),
+        "crash_period": period,
+        "crash_nodes": tuple(rng.sample(range(n), 2)),
+        "round_budget": 300,
+        "stall_rounds": 32,
+    })
+
+
+def _traced_crash_run(monkeypatch, simulate, graph, protocol_class, spec, seed,
+                      reference):
+    """Run under ``spec``, logging every round's protocol calls.
+
+    With ``reference`` the rounds go through ``oracles.ScanDispatch``.
+    Returns the calls, the outcome (the result, or the abort's fields), the
+    run's ``crash_node_rounds`` and the scan's own count (``None`` without
+    ``reference``).
+    """
+    adversity = AdversityState(spec, seed=seed)
+    dispatch = ScanDispatch(adversity) if reference else multimedia.dispatch_round
+    calls = []
+
+    def traced(protocol, inboxes, event, round_index, crashed, deferred):
+        calls.append(("round", round_index))
+        dispatch(protocol, inboxes, event, round_index, crashed, deferred)
+
+    def factory(env):
+        protocol = protocol_class(env, seed)
+        on_start, on_round = protocol.on_start, protocol.on_round
+
+        def start(slots):
+            calls.append(("on_start", list(slots)))
+            on_start(slots)
+
+        def round_(slots, inboxes, event):
+            calls.append(("on_round", list(slots), event))
+            on_round(slots, inboxes, event)
+
+        protocol.on_start, protocol.on_round = start, round_
+        return protocol
+
+    with monkeypatch.context() as patch:
+        patch.setattr(multimedia, "dispatch_round", traced)
+        patch.setattr(synchronizer, "dispatch_round", traced)
+        try:
+            outcome = simulate(graph, factory, adversity)
+        except AdversityAbort as abort:
+            outcome = ("abort", abort.rounds, abort.pending, abort.reason)
+    scanned = dispatch.crash_node_rounds if reference else None
+    return calls, outcome, adversity.crash_node_rounds, scanned
+
+
+class TestCrashDispatchMatchesTheScan:
+    """The crash path walks only the slots that can act, as the scan would.
+
+    ``oracles.ScanDispatch`` visits every slot every round, as the crash
+    path once did.  On random crash schedules both simulators must make the
+    same protocol calls with the same slot lists, charge the same crash
+    rounds and end the same way.
+    """
+
+    @SIMULATORS
+    @pytest.mark.parametrize("protocol_class", [_CoinActor, _MailCoinActor],
+                             ids=["every-slot", "message-driven"])
+    def test_random_schedules(self, monkeypatch, simulate, protocol_class):
+        deferred_starts = fail_stop = finished = 0
+        for seed in range(40):
+            graph = (ring_graph(10) if seed % 2
+                     else make_topology("scale_free", 24, seed=seed))
+            spec = _crash_schedule(seed, graph.num_nodes())
+            runs = [
+                _traced_crash_run(monkeypatch, simulate, graph, protocol_class,
+                                  spec, seed, reference)
+                for reference in (False, True)
+            ]
+            (calls, outcome, charged, _), (ref_calls, ref_outcome, _, scanned) = runs
+            assert calls == ref_calls, seed
+            assert outcome == ref_outcome, seed
+            assert charged == scanned, seed
+            first = calls.index(("round", 1)) if ("round", 1) in calls else len(calls)
+            deferred_starts += any(call[0] == "on_start" for call in calls[first:])
+            fail_stop += spec.crash_length >= spec.crash_period
+            finished += not isinstance(outcome, tuple)
+        # the schedules reach every case the walk has to get right
+        assert deferred_starts and fail_stop and finished
