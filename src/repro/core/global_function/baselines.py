@@ -7,9 +7,9 @@ to constants for the topologies the experiments use), so the model-separation
 experiment (E7) can compare measured times of the multimedia algorithm
 against each medium on its own:
 
-* **point-to-point only** — grow a BFS tree from a distinguished leader,
-  converge-cast the operands up the tree and broadcast the result back down:
-  Θ(d) rounds, Θ(m + n) messages.
+* **point-to-point only** — grow a BFS tree from a distinguished leader
+  (node 0), converge-cast the operands up the tree and broadcast the result
+  back down: Θ(d) rounds, Θ(m + n) messages.
 * **channel only** — every node must broadcast its operand (no node may be
   silent, by global sensitivity), scheduled either deterministically
   (Capetanakis, Θ(n log n) slots) or randomly (Metcalfe–Boggs, Θ(n) expected
@@ -56,15 +56,14 @@ def compute_on_point_to_point_only(
     graph: WeightedGraph,
     function: GlobalSensitiveFunction,
     inputs: Dict[int, object],
-    leader: int = 0,
     metrics: Optional[MetricsRecorder] = None,
     adversity: Optional[AdversityState] = None,
 ) -> BaselineResult:
     """Compute the function using only the point-to-point network.
 
-    A BFS spanning tree is grown from the ``leader`` (node 0, the minimum
-    identifier, by default — the paper's Ω(d) bound holds even with a
-    distinguished leader), the operands are converge-cast to the leader and
+    A BFS spanning tree is grown from the leader, node 0 (the minimum
+    identifier — the paper's Ω(d) bound holds even with a distinguished
+    leader), the operands are converge-cast to the leader and
     the result is broadcast back down so every node learns it.  The BFS
     construction is charged its textbook synchronous cost
     (eccentricity-of-leader rounds, at most two messages per link); the
@@ -74,7 +73,7 @@ def compute_on_point_to_point_only(
     """
     recorder = metrics if metrics is not None else MetricsRecorder()
     recorder.set_phase("bfs")
-    parent, labels = build_bfs_forest(graph, leader)
+    parent, labels = build_bfs_forest(graph, 0)
     recorder.record_round(max(labels))
     recorder.record_messages(2 * graph.num_edges())
     recorder.set_phase(None)
@@ -90,7 +89,7 @@ def compute_on_point_to_point_only(
         adversity=adversity,
     )
     recorder.set_phase(None)
-    value = simulation.results[leader]
+    value = simulation.results[0]
     return BaselineResult(
         value=value,
         metrics=recorder.snapshot(),

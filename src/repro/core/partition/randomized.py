@@ -169,7 +169,7 @@ class RandomizedPartitioner:
     def __init__(
         self,
         graph: WeightedGraph,
-        seed: Optional[int] = None,
+        seed: int,
         las_vegas: bool = False,
         metrics: Optional[MetricsRecorder] = None,
     ) -> None:

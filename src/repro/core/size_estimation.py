@@ -57,7 +57,7 @@ class DeterministicSizeResult:
 
 def compute_size_deterministically(
     graph: WeightedGraph,
-    seed: Optional[int] = None,
+    seed: int,
     metrics: Optional[MetricsRecorder] = None,
 ) -> DeterministicSizeResult:
     """Compute ``n`` exactly without assuming it is known (Section 7.3).
@@ -154,7 +154,7 @@ class RandomizedSizeEstimate:
 
 def estimate_size_randomized(
     graph: WeightedGraph,
-    seed: Optional[int] = None,
+    seed: int,
     metrics: Optional[MetricsRecorder] = None,
 ) -> RandomizedSizeEstimate:
     """Estimate ``n`` with the Greenberg–Ladner protocol (Section 7.4)."""

@@ -22,8 +22,9 @@ Result schema history
   shard that contributed rows (for a resumed sharded run this spans earlier
   invocations); ``invocation_seconds`` records the final invocation's own
   wall clock, and ``pending_points``/``executor`` record completeness and
-  provenance.  Schema-1 files still load (``invocation_seconds`` defaults to
-  the stored ``wall_seconds``).
+  provenance.  The package writes result files and reads none back; the
+  test suite's loader (``tests/oracles.py:load_result``) still reads schema
+  1, taking ``invocation_seconds`` from the stored ``wall_seconds``.
 """
 
 from __future__ import annotations

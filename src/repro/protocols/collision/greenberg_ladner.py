@@ -25,6 +25,11 @@ from typing import Optional
 from repro.sim.channel import SlottedChannel
 from repro.sim.metrics import MetricsRecorder
 
+#: rounds after which the estimate gives up on an idle slot: round ``i``'s
+#: heads probability ``2^-i`` leaves any realistic population silent long
+#: before it
+MAX_ROUNDS = 128
+
 
 @dataclass
 class MultiplicityEstimate:
@@ -43,9 +48,8 @@ class MultiplicityEstimate:
 
 def estimate_multiplicity(
     num_participants: int,
-    rng: Optional[random.Random] = None,
+    rng: random.Random,
     metrics: Optional[MetricsRecorder] = None,
-    max_rounds: int = 128,
 ) -> MultiplicityEstimate:
     """Run the estimation protocol over ``num_participants`` synchronized nodes.
 
@@ -57,10 +61,9 @@ def estimate_multiplicity(
     """
     if num_participants < 0:
         raise ValueError("cannot estimate a negative multiplicity")
-    rng = rng if rng is not None else random.Random()
     channel = SlottedChannel(metrics=metrics)
     still_flipping = num_participants
-    for round_index in range(1, max_rounds + 1):
+    for round_index in range(1, MAX_ROUNDS + 1):
         probability = 1.0 / (2.0 ** round_index)
         writers = [
             (f"p{i}", "busy")
@@ -74,4 +77,4 @@ def estimate_multiplicity(
             return MultiplicityEstimate(
                 rounds=round_index, estimate=2 ** (round_index - 1)
             )
-    return MultiplicityEstimate(rounds=max_rounds, estimate=2 ** max_rounds)
+    return MultiplicityEstimate(rounds=MAX_ROUNDS, estimate=2 ** MAX_ROUNDS)

@@ -60,7 +60,8 @@ class MetcalfeBoggsContender(ChannelContender):
         identity: NodeId,
         estimated_contenders: int,
         payload=None,
-        seed: Optional[int] = None,
+        *,
+        seed: int,
     ) -> None:
         """Create a contender expecting ``estimated_contenders`` rivals in all."""
         if estimated_contenders < 1:

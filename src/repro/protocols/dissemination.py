@@ -79,19 +79,6 @@ DISSEMINATION_SCOPE = "protocols.dissemination"
 
 
 @dataclass(frozen=True)
-class RoundTrace:
-    """One round of a recorded run: who transmitted, who decoded.
-
-    Attributes:
-        transmitters: the transmitting slots, ascending.
-        received: the slots that decoded the message this round, ascending.
-    """
-
-    transmitters: Tuple[int, ...]
-    received: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class DisseminationResult:
     """Outcome of one dissemination run.
 
@@ -104,7 +91,6 @@ class DisseminationResult:
         receptions: successful decodes (``n - 1`` for a completed fault-free
             run; faults can force re-deliveries, so it may exceed that under
             adversity).
-        history: per-round traces when recording was requested, else ``None``.
     """
 
     scheduler: str
@@ -113,7 +99,6 @@ class DisseminationResult:
     informed: int
     transmissions: int
     receptions: int
-    history: Optional[Tuple[RoundTrace, ...]] = None
 
 
 def disseminate(
@@ -123,8 +108,6 @@ def disseminate(
     scheduler: str = "selective",
     seed: object = 0,
     adversity: Optional[AdversityState] = None,
-    max_rounds: Optional[int] = None,
-    record_history: bool = False,
 ) -> DisseminationResult:
     """Run one layer-dissemination protocol to completion and report it.
 
@@ -136,17 +119,15 @@ def disseminate(
         source: the initially informed node.
         scheduler: one of :data:`SCHEDULERS`.
         seed: master seed of the scheduler substream (only ``decay`` draws).
-        adversity: optional fault schedule; its round budget bounds the run.
-        max_rounds: explicit round cap overriding the default (the
-            adversity budget, or ``16·n + 512`` fault-free).
-        record_history: attach per-round :class:`RoundTrace` entries.
+        adversity: optional fault schedule; its round budget bounds the
+            run, which is ``16·n + 512`` rounds fault-free.
 
     Raises:
         ValueError: on an unknown scheduler, a source outside the node
             range, or a link missing from ``affectance``.
         AdversityAbort: when a run under adversity exhausts its round
             budget (bounded degradation instead of a hang).
-        SimulationTimeout: when a fault-free run exhausts its cap.
+        SimulationTimeout: when a fault-free run exhausts its budget.
     """
     if scheduler not in SCHEDULERS:
         raise ValueError(
@@ -176,8 +157,6 @@ def disseminate(
     else:
         adv_rng = None
         budget = 16 * n + 512
-    if max_rounds is not None:
-        budget = max_rounds
     max_degree = max(
         (offsets[i + 1] - offsets[i] for i in range(n)), default=0
     )
@@ -201,7 +180,6 @@ def disseminate(
     transmissions = 0
     receptions = 0
     rotation = 0
-    history: List[RoundTrace] = []
     while informed_count < n:
         if rounds >= budget:
             if adversity is not None:
@@ -254,10 +232,6 @@ def disseminate(
                 uninformed_neighbours[u] -= 1
             if uninformed_neighbours[v]:
                 frontier[v] = None
-        if record_history:
-            history.append(
-                RoundTrace(tuple(transmitters), tuple(received))
-            )
     return DisseminationResult(
         scheduler=scheduler,
         n=n,
@@ -265,7 +239,6 @@ def disseminate(
         informed=informed_count,
         transmissions=transmissions,
         receptions=receptions,
-        history=tuple(history) if record_history else None,
     )
 
 

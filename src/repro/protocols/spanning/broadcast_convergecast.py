@@ -28,7 +28,8 @@ from itertools import filterfalse, repeat
 from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Mapping, Sequence
 
 from repro.sim.events import ChannelEvent, Message
-from repro.sim.flyweight import FlyweightEnvironment, FlyweightProtocol
+from repro.sim.flyweight import FlyweightProtocol
+from repro.topology.graph import CSRView
 
 if TYPE_CHECKING:
     from repro.core.partition.forest import SpanningForest
@@ -76,7 +77,7 @@ class TreeAggregationFlyweight(FlyweightProtocol):
         values: Mapping[int, Any],
         combine: Combine,
         redistribute: bool = False,
-    ) -> Callable[[FlyweightEnvironment], "TreeAggregationFlyweight"]:
+    ) -> Callable[[CSRView], "TreeAggregationFlyweight"]:
         """Return the protocol factory aggregating ``values`` over ``forest``.
 
         Args:
@@ -94,7 +95,7 @@ class TreeAggregationFlyweight(FlyweightProtocol):
 
     def __init__(
         self,
-        env: FlyweightEnvironment,
+        csr: CSRView,
         forest: "SpanningForest",
         values: Mapping[int, Any],
         combine: Combine,
@@ -105,12 +106,12 @@ class TreeAggregationFlyweight(FlyweightProtocol):
         Raises:
             ValueError: if the forest does not span the graph's nodes.
         """
-        super().__init__(env)
-        nodes = range(env.num_slots)
-        if forest.num_nodes() != env.num_slots:
+        super().__init__(csr)
+        nodes = range(csr.n)
+        if forest.num_nodes() != csr.n:
             raise ValueError(
                 f"the forest spans {forest.num_nodes()} nodes, "
-                f"the simulated graph {env.num_slots}"
+                f"the simulated graph {csr.n}"
             )
         parent = forest.parent
         children = Counter(parent)
@@ -120,13 +121,13 @@ class TreeAggregationFlyweight(FlyweightProtocol):
         self._pending = pending
         self._acc: List[Any] = list(map(values.__getitem__, nodes))
         self._redistribute = redistribute
-        self._reported = bytearray(env.num_slots)
+        self._reported = bytearray(csr.n)
         self._combine = combine
 
     def _send_down(self, slot: int, final: Any) -> None:
         """Send the final value to this slot's children (it has some), in CSR row order."""
         left = self._children[slot]
-        csr = self.env.csr
+        csr = self.csr
         parent = self._parent
         send = self._sends.append
         for target in csr.targets[csr.offsets[slot]:csr.offsets[slot + 1]]:

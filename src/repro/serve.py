@@ -45,9 +45,11 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.experiments.executors import (
+    ExecutionOutcome,
+    RunDir,
     checkout_path,
     default_run_root,
-    merge_checkpoints,
+    merged_outcome,
     read_manifest,
     shard_indices,
 )
@@ -183,11 +185,8 @@ class ServeApp:
                 "digest": manifest["digest"],
             }
             if merged is not None:
-                rows_by_index, _ = merged
-                summary["completed_points"] = len(rows_by_index)
-                summary["pending_points"] = (
-                    manifest["num_points"] - len(rows_by_index)
-                )
+                summary["completed_points"] = len(merged.rows)
+                summary["pending_points"] = merged.pending_points
             summaries.append(summary)
         return summaries
 
@@ -213,27 +212,27 @@ class ServeApp:
                 "run": name,
                 "experiment": manifest["experiment"],
             }
-        rows_by_index, compute_seconds = merged
         spec = get_experiment(manifest["experiment"])
         params = dict(manifest["params"])
         result = ExperimentResult(
             experiment_id=spec.id,
             title=spec.render_title(params),
             columns=spec.columns,
-            rows=[rows_by_index[i] for i in sorted(rows_by_index)],
+            rows=merged.rows,
             params=params,
             preset=manifest["preset"],
-            wall_seconds=compute_seconds,
+            wall_seconds=merged.compute_seconds,
             invocation_seconds=0.0,
-            pending_points=manifest["num_points"] - len(rows_by_index),
+            pending_points=merged.pending_points,
             executor="serve-merge",
         )
         return 200, result.to_json_dict()
 
     def _merge(
         self, manifest: Mapping[str, Any], run_dir: Path
-    ) -> Optional[Tuple[Dict[int, Dict[str, Any]], float]]:
-        """Digest-validated checkpoint merge; ``None`` on an unknown spec.
+    ) -> Optional[ExecutionOutcome]:
+        """The executors' digest-validated checkpoint merge, read-only;
+        ``None`` on an unknown spec.
 
         ``manifest`` is one :func:`read_manifest` accepted, so only the
         experiment id can still fail to resolve.
@@ -243,7 +242,7 @@ class ServeApp:
         except KeyError:
             return None
         plan = shard_indices(manifest["num_points"], manifest["shard_count"])
-        return merge_checkpoints(run_dir, plan, spec.columns, manifest["digest"])
+        return merged_outcome(spec, RunDir(run_dir, plan, manifest["digest"]))
 
     def _read_trajectory(self) -> Tuple[Optional[Dict[str, Any]], Dict[str, Any]]:
         """Return ``(data, error)``: the trajectory file's object, or ``None``

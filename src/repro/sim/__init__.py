@@ -35,7 +35,7 @@ from repro.sim.errors import (
     SimulationTimeout,
 )
 from repro.sim.events import ChannelEvent, Message, SlotState
-from repro.sim.flyweight import FlyweightEnvironment, FlyweightProtocol
+from repro.sim.flyweight import FlyweightProtocol
 from repro.sim.metrics import MetricsRecorder
 from repro.sim.substreams import substream_seed
 from repro.sim.network import PointToPointNetwork
@@ -59,7 +59,6 @@ __all__ = [
     "ChannelEvent",
     "Message",
     "SlotState",
-    "FlyweightEnvironment",
     "FlyweightProtocol",
     "MetricsRecorder",
     "substream_seed",

@@ -30,8 +30,8 @@ Determinism
 
 All fault draws come from one ``random.Random`` seeded per sweep point via
 :func:`adversity_stream_seed` — a stable hash of ``(point key…, "adversity")``
-— so a row is bit-identical no matter which executor (serial, process,
-sharded, resumed) computes it.  The state's substreams (layout, per-network
+— so a row is bit-identical no matter which executor (serial, sharded,
+resumed, distributed) computes it.  The state's substreams (layout, per-network
 loss, per-channel jam) are spawned in construction order, which the
 single-threaded simulation makes deterministic.
 
@@ -286,7 +286,7 @@ def adversity_stream_seed(*key: object) -> int:
     The seed is a stable 63-bit hash of ``(*key, "adversity")`` — typically
     ``(experiment id, point parameters…)`` — independent of process, executor
     and Python hash randomisation, so fault draws are bit-identical across
-    serial, process and sharded/resumed execution.
+    serial, sharded/resumed and distributed execution.
     """
     payload = json.dumps([repr(part) for part in key] + ["adversity"])
     digest = hashlib.sha256(payload.encode("utf-8")).digest()
@@ -435,7 +435,9 @@ class AdversityState:
 
         Applies the churn window first (no randomness consumed), then the
         loss draw.  Used by the synchronizer, whose delivery path has no
-        per-round batching; the synchronous network inlines the same checks.
+        per-round batching, and by the dissemination layer's receptions
+        (:mod:`repro.protocols.dissemination`); the synchronous network
+        inlines the same checks.
         """
         if self.link_down(sender, receiver, round_index):
             self.messages_dropped += 1

@@ -16,9 +16,11 @@ inverts the layout:
 * every send records its sender slot in one per-round buffer, which the
   simulator hands whole to the network's checked accept after the call, so
   sends keep their slot order (and therefore delivery order);
-* the environment carries the topology only: a protocol that draws random
-  numbers brings its own source through its factory (the simulators hand
-  out none).
+* the simulator hands the protocol the graph's CSR view
+  (:meth:`~repro.topology.graph.WeightedGraph.csr`) and nothing else: slot
+  ``i``'s neighbours and link weights are its CSR row, read in place, and
+  a protocol that draws random numbers brings its own source through its
+  factory (the simulators hand out none).
 
 A flyweight may additionally declare ``MESSAGE_DRIVEN = True``: a slot with
 an empty inbox is a no-op for it (it reacts to mail only, never to channel
@@ -48,37 +50,12 @@ from repro.sim.events import ChannelEvent, Message
 from repro.topology.graph import CSRView
 
 
-class FlyweightEnvironment:
-    """Everything a flyweight run needs to know about the network.
-
-    The environment wraps the graph's CSR view
-    (:meth:`~repro.topology.graph.WeightedGraph.csr`) instead of copying it:
-    building one is O(1), so a simulator builds a fresh environment per run
-    and nothing per node is materialised up front.  Slot ``i`` is node
-    ``i``; its neighbours and link weights are its CSR row.
-
-    Attributes:
-        csr: the graph's CSR view the environment describes.
-    """
-
-    __slots__ = ("csr",)
-
-    def __init__(self, csr: CSRView) -> None:
-        """Wrap ``csr``; O(1) — every column is shared."""
-        self.csr = csr
-
-    @property
-    def num_slots(self) -> int:
-        """Return the number of node slots."""
-        return self.csr.n
-
-
 class FlyweightProtocol:
     """Base class for slot-indexed shared-instance protocols.
 
     Subclasses override :meth:`on_start` and :meth:`on_round` (both take the
     round's slot batch) and keep all per-node state in columns sized
-    ``env.num_slots``.  Within the callbacks they may call :meth:`send`,
+    ``csr.n``.  Within the callbacks they may call :meth:`send`,
     :meth:`channel_write` and :meth:`halt_slot`.
 
     Both callbacks visit their slots in the order given and **skip a slot
@@ -102,10 +79,11 @@ class FlyweightProtocol:
     #: the simulator loops then dispatch only slots with mail.
     MESSAGE_DRIVEN = False
 
-    def __init__(self, env: FlyweightEnvironment) -> None:
-        """Allocate the sim-facing columns for ``env.num_slots`` slots."""
-        self.env = env
-        num_slots = env.num_slots
+    def __init__(self, csr: CSRView) -> None:
+        """Allocate the sim-facing columns for the ``csr.n`` slots of ``csr``."""
+        #: the simulated graph's CSR view: slot ``i`` is node ``i``.
+        self.csr = csr
+        num_slots = csr.n
         #: 1 once the slot's node has halted (it is never dispatched again).
         self.halted = bytearray(num_slots)
         #: per-slot declared local outputs.

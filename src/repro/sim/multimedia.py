@@ -44,8 +44,8 @@ traffic; the loop keeps running — resolving idle slots — until the last
 in-flight message has drained.
 
 A run allocates nothing per node beyond the protocol's own columns: the
-environment wraps the graph's CSR view, and the network holds inboxes
-only for receivers with mail.
+protocol reads the graph's CSR view in place, and the network holds
+inboxes only for receivers with mail.
 
 The run loop holds the cyclic garbage collector
 (:func:`~repro.sim.collector.collector_paused`).  A wide round allocates a
@@ -67,14 +67,16 @@ from repro.sim.channel import SlottedChannel
 from repro.sim.collector import collector_paused
 from repro.sim.errors import AdversityAbort, SimulationTimeout
 from repro.sim.events import ChannelEvent, Message, idle_event
-from repro.sim.flyweight import FlyweightEnvironment, FlyweightProtocol
+from repro.sim.flyweight import FlyweightProtocol
 from repro.sim.metrics import MetricsRecorder, MetricsSnapshot
 from repro.sim.network import PointToPointNetwork
-from repro.topology.graph import WeightedGraph
+from repro.topology.graph import CSRView, WeightedGraph
 
-ProtocolFactory = Callable[[FlyweightEnvironment], FlyweightProtocol]
+ProtocolFactory = Callable[[CSRView], FlyweightProtocol]
 
-DEFAULT_MAX_ROUNDS = 1_000_000
+#: safety bound on a run's rounds; a fault-free run that reaches it has a
+#: protocol bug
+MAX_ROUNDS = 1_000_000
 
 
 @dataclass
@@ -114,7 +116,6 @@ class MultimediaNetwork:
     def run(
         self,
         protocol_factory: ProtocolFactory,
-        max_rounds: int = DEFAULT_MAX_ROUNDS,
         metrics: Optional[MetricsRecorder] = None,
         adversity: Optional[AdversityState] = None,
     ) -> SimulationResult:
@@ -135,9 +136,8 @@ class MultimediaNetwork:
 
         Args:
             protocol_factory: the :class:`~repro.sim.flyweight.FlyweightProtocol`
-                class (or any callable building one from the run's
-                :class:`~repro.sim.flyweight.FlyweightEnvironment`).
-            max_rounds: safety bound; exceeded means a protocol bug.
+                class (or any callable building one from the graph's
+                :class:`~repro.topology.graph.CSRView`).
             metrics: an externally owned recorder to charge (used when an
                 algorithm composes several runs); a fresh one is created
                 otherwise.
@@ -145,7 +145,7 @@ class MultimediaNetwork:
                 network/channel layer; a node inside a crash window neither
                 observes nor acts, and its pending ``on_start`` is deferred
                 to its first up round.  The run is bounded by the schedule's
-                round budget (capped by ``max_rounds``) and by a stall
+                round budget (capped by :data:`MAX_ROUNDS`) and by a stall
                 detector: after ``stall_patience()`` consecutive rounds with
                 no deliveries, no actions and an un-jammed idle slot, only
                 further fault draws could change anything, so it aborts.
@@ -166,22 +166,20 @@ class MultimediaNetwork:
             metrics=recorder,
             adversity=adversity.channel_adversity() if adversity is not None else None,
         )
-        env = FlyweightEnvironment(self._graph.csr())
-        protocol: FlyweightProtocol = protocol_factory(env)
+        protocol: FlyweightProtocol = protocol_factory(self._graph.csr())
 
         deliver = network.deliver
         accept_round = network.accept_round
         resolve_slot = channel.resolve_slot
         record_round = recorder.record_round
-        num_slots = env.num_slots
         sends = protocol._sends
         writes = protocol._writes
 
         crashed = deferred = None
         if adversity is None:
-            budget = max_rounds
+            budget = MAX_ROUNDS
         else:
-            budget = min(max_rounds, adversity.round_budget(num_slots))
+            budget = min(MAX_ROUNDS, adversity.round_budget(protocol.csr.n))
             patience = adversity.stall_patience()
             if adversity.has_crash_windows:
                 deferred = set()
@@ -231,7 +229,7 @@ class MultimediaNetwork:
             pending = protocol.active_count
             if adversity is None:
                 if pending or network.has_in_flight():
-                    raise SimulationTimeout(max_rounds, pending)
+                    raise SimulationTimeout(budget, pending)
             elif pending:
                 raise AdversityAbort(budget, pending)
 
@@ -273,13 +271,13 @@ def dispatch_round(
     if crashed is None:
         # every node starts in round 0 and is up ever after
         if not round_index:
-            protocol.on_start(range(protocol.env.num_slots))
+            protocol.on_start(range(protocol.csr.n))
         elif not message_driven:
-            protocol.on_round(range(protocol.env.num_slots), inboxes, event)
+            protocol.on_round(range(protocol.csr.n), inboxes, event)
         elif inboxes:
             protocol.on_round(sorted(inboxes), inboxes, event)
         return
-    num_slots = protocol.env.num_slots
+    num_slots = protocol.csr.n
     halted = protocol.halted
     if not round_index:
         deferred.update(slot for slot in crashed if not halted[slot])

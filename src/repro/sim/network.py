@@ -121,7 +121,6 @@ class PointToPointNetwork:
         # receiver slot -> queued messages, in first-mail order; only
         # receivers with mail have an entry
         self._inboxes: Dict[int, List[Message]] = {}
-        self._latest_round_sent = -1
         self._adversity = adversity
         if adversity is not None:
             adversity.bind_topology(graph)
@@ -137,16 +136,13 @@ class PointToPointNetwork:
 
         Raises:
             ProtocolError: if a receiver is not adjacent to its sender.  The
-                messages before it stay queued and counted, so a caller that
-                catches the error still sees the one-round delivery delay;
-                it and the rest are dropped.
+                messages before it stay queued for the next :meth:`deliver`
+                and counted; it and the rest are dropped.
         """
         csr = self._csr
         filed = file_round(csr, sends, round_index, map(_receiver, sends), self._inboxes)
         if filed:
             self.metrics.record_messages(filed)
-            if round_index > self._latest_round_sent:
-                self._latest_round_sent = round_index
         if filed < len(sends):
             sender, receiver, _ = sends[filed]
             raise ProtocolError(
@@ -156,10 +152,10 @@ class PointToPointNetwork:
     def deliver(self, round_index: int) -> Dict[int, List[Message]]:
         """Return and clear the inboxes for the start of ``round_index``.
 
-        The inboxes are keyed by receiver slot, in first-mail order.  Only
-        messages sent in earlier rounds are delivered; in the synchronous
-        model that is every in-flight message, so the common case hands the
-        whole in-flight dict over and starts a new one.
+        The inboxes are keyed by receiver slot, in first-mail order.  The
+        simulator delivers before it accepts the round's sends, so every
+        in-flight message was sent in an earlier round: without adversity
+        the whole in-flight dict is handed over and a new one started.
 
         With an adversity state attached, every due message runs the fault
         gauntlet instead: dropped when the receiver is crashed this round,
@@ -172,41 +168,31 @@ class PointToPointNetwork:
         inboxes = self._inboxes
         if not inboxes:
             return {}
-        if self._adversity is None and self._latest_round_sent < round_index:
-            # fast path: every queued message was sent in an earlier round
+        if self._adversity is None:
             self._inboxes = {}
             return inboxes
-        return self._deliver_filtered(round_index)
+        return self._deliver_under_adversity(round_index)
 
-    def _deliver_filtered(self, round_index: int) -> Dict[int, List[Message]]:
-        """Delivery slow path, one message at a time.
+    def _deliver_under_adversity(self, round_index: int) -> Dict[int, List[Message]]:
+        """Delivery under the attached adversity schedule, message by message.
 
-        Holds back messages stamped ``round_index`` or later (only queued by
-        driving the network by hand in tests) and applies the attached
-        adversity schedule.  Draw order is fixed — receivers in first-mail
-        order, messages in inbox order, loss before delay — so a given
-        substream seed always produces the same fault trace.
+        Draw order is fixed — receivers in first-mail order, messages in
+        inbox order, loss before delay — so a given substream seed always
+        produces the same fault trace.
         """
         state = self._adversity
         rng = self._fault_rng
-        loss_rate = delay_rate = 0.0
-        if state is not None:
-            loss_rate = state.spec.loss_rate
-            delay_rate = state.spec.delay_rate
+        loss_rate = state.spec.loss_rate
+        delay_rate = state.spec.delay_rate
         delivered: Dict[int, List[Message]] = {}
         kept_inboxes: Dict[int, List[Message]] = {}
         for receiver, inbox in self._inboxes.items():
             ready: List[Message] = []
             kept: List[Message] = []
-            node = inbox[0].receiver
-            crashed = state is not None and state.node_crashed(node, round_index)
+            crashed = state.node_crashed(receiver, round_index)
             for msg in inbox:
-                if msg.round_sent >= round_index:
-                    kept.append(msg)
-                elif state is None:
-                    ready.append(msg)
-                elif (crashed or state.link_down(msg.sender, node, round_index)
-                      or (loss_rate and rng.random() < loss_rate)):
+                if (crashed or state.link_down(msg.sender, receiver, round_index)
+                        or (loss_rate and rng.random() < loss_rate)):
                     state.count_drop()
                 elif delay_rate and rng.random() < delay_rate:
                     state.count_delay()

@@ -38,11 +38,15 @@ from repro.sim.channel import SlottedChannel
 from repro.sim.collector import collector_paused
 from repro.sim.errors import AdversityAbort, ProtocolError, SimulationTimeout
 from repro.sim.events import Message, idle_event
-from repro.sim.flyweight import FlyweightEnvironment, FlyweightProtocol
+from repro.sim.flyweight import FlyweightProtocol
 from repro.sim.metrics import MetricsRecorder, MetricsSnapshot
 from repro.sim.multimedia import ProtocolFactory, dispatch_round
 from repro.sim.network import file_round
 from repro.topology.graph import WeightedGraph
+
+#: safety bound on a run's pulses; a fault-free run that reaches it has a
+#: protocol bug
+MAX_PULSES = 1_000_000
 
 
 @dataclass
@@ -90,7 +94,8 @@ class ChannelSynchronizer:
         self,
         graph: WeightedGraph,
         max_link_delay: int = 3,
-        seed: Optional[int] = None,
+        *,
+        seed: int,
     ) -> None:
         """Create a synchronizer over ``graph``.
 
@@ -122,7 +127,6 @@ class ChannelSynchronizer:
     def run(
         self,
         protocol_factory: ProtocolFactory,
-        max_pulses: int = 1_000_000,
         adversity: Optional[AdversityState] = None,
     ) -> SynchronizerReport:
         """Execute the protocol until every node halts.
@@ -171,12 +175,13 @@ class ChannelSynchronizer:
 
         Raises:
             ProtocolError: if a node sends over a non-existent link.
-            SimulationTimeout: if the pulse budget is exhausted.
+            SimulationTimeout: if the pulse budget (:data:`MAX_PULSES`) is exhausted.
             AdversityAbort: if an adversity schedule deadlocks the busy tone
                 or exhausts the budget.
         """
         adv = adversity
         loss_rng: Optional[random.Random] = None
+        max_pulses = MAX_PULSES
         if adv is not None:
             adv.bind_topology(self._graph)
             loss_rng = adv.spawn_rng()
@@ -189,8 +194,7 @@ class ChannelSynchronizer:
         bits = max_delay.bit_length()
 
         csr = self._graph.csr()
-        env = FlyweightEnvironment(csr)
-        protocol: FlyweightProtocol = protocol_factory(env)
+        protocol: FlyweightProtocol = protocol_factory(csr)
         # the slots whose node starts the run crashed, until they start
         deferred = set() if adv is not None and adv.has_crash_windows else None
         crashed = None

@@ -35,10 +35,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.topology.graph import WeightedGraph
 
 
-def _rng(seed: Optional[int]) -> random.Random:
-    return random.Random(seed)
-
-
 def path_graph(n: int) -> WeightedGraph:
     """Return a simple path on ``n`` nodes (diameter ``n - 1``).
 
@@ -127,7 +123,7 @@ def hypercube_graph(dimension: int) -> WeightedGraph:
     )
 
 
-def random_tree(n: int, seed: Optional[int] = None) -> WeightedGraph:
+def random_tree(n: int, seed: int) -> WeightedGraph:
     """Return a uniformly random labelled tree on ``n`` nodes.
 
     The tree is generated by decoding a random Prüfer sequence, so every
@@ -138,13 +134,13 @@ def random_tree(n: int, seed: Optional[int] = None) -> WeightedGraph:
     return WeightedGraph.from_edges(_random_tree_pairs(n, seed), n=n)
 
 
-def _random_tree_pairs(n: int, seed: Optional[int]) -> List[Tuple[int, int]]:
+def _random_tree_pairs(n: int, seed: int) -> List[Tuple[int, int]]:
     """Return the edges of :func:`random_tree` in Prüfer-decoding order."""
     if n == 1:
         return []
     if n == 2:
         return [(0, 1)]
-    rng = _rng(seed)
+    rng = random.Random(seed)
     sequence = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
     for node in sequence:
@@ -167,7 +163,7 @@ def _random_tree_pairs(n: int, seed: Optional[int]) -> List[Tuple[int, int]]:
 def erdos_renyi_graph(
     n: int,
     probability: float,
-    seed: Optional[int] = None,
+    seed: int,
     ensure_connected: bool = True,
 ) -> WeightedGraph:
     """Return a G(n, p) random graph.
@@ -180,7 +176,7 @@ def erdos_renyi_graph(
         raise ValueError("need at least one node")
     if not 0.0 <= probability <= 1.0:
         raise ValueError("probability must be in [0, 1]")
-    rng = _rng(seed)
+    rng = random.Random(seed)
     if ensure_connected and n > 1:
         pairs = _random_tree_pairs(n, seed=rng.randrange(2**31))
     else:
@@ -197,20 +193,31 @@ def erdos_renyi_graph(
 def random_geometric_graph(
     n: int,
     radius: Optional[float] = None,
-    seed: Optional[int] = None,
-    ensure_connected: bool = True,
+    *,
+    seed: int,
 ) -> WeightedGraph:
-    """Return a random geometric graph on the unit square.
+    """Return a connected random geometric graph on the unit square.
 
     Nodes are placed uniformly at random; two nodes are adjacent when their
     Euclidean distance is below ``radius``.  The default radius
-    ``sqrt(2 ln n / n)`` is slightly above the connectivity threshold.  When
-    ``ensure_connected`` is set, any remaining components are stitched
-    together by connecting each component's closest pair of nodes, which
-    keeps the geometric flavour of the topology.
+    ``sqrt(2 ln n / n)`` is slightly above the connectivity threshold.  Any
+    remaining components are stitched together by connecting each
+    component's closest pair of nodes, which keeps the geometric flavour of
+    the topology.
 
     Raises:
         ValueError: if ``n < 1`` or ``radius`` is negative or NaN.
+    """
+    return _stitch_components(n, *_geometric_links(n, radius, seed))
+
+
+def _geometric_links(
+    n: int, radius: Optional[float], seed: int
+) -> Tuple[array, array, Dict[int, Tuple[float, float]]]:
+    """Return :func:`random_geometric_graph`'s links before any stitching.
+
+    Returns ``(edge_u, edge_v, positions)``: the in-radius pairs ``u < v`` in
+    ascending ``(u, v)`` order, and each node's drawn position.
     """
     if n < 1:
         raise ValueError("need at least one node")
@@ -218,7 +225,7 @@ def random_geometric_graph(
         radius = math.sqrt(2.0 * math.log(max(n, 2)) / n)
     elif not radius >= 0:  # NaN fails every comparison
         raise ValueError(f"radius must be a non-negative number, not {radius!r}")
-    rng = _rng(seed)
+    rng = random.Random(seed)
     positions = {node: (rng.random(), rng.random()) for node in range(n)}
     # bucket the nodes into square cells of side at least the radius, so
     # every pair within reach lies in the 3×3 cell neighbourhood of either
@@ -250,9 +257,7 @@ def random_geometric_graph(
             if du * du + dv * dv <= limit:
                 edge_u.append(u)
                 edge_v.append(v)
-    if ensure_connected:
-        return _stitch_components(n, edge_u, edge_v, positions)
-    return WeightedGraph._from_csr_edges(n, edge_u, edge_v)
+    return edge_u, edge_v, positions
 
 
 def _cell_buckets(positions: Dict[int, Tuple[float, float]], width: float) -> dict:
@@ -321,7 +326,8 @@ def _stitch_components(n: int, edge_u: array, edge_v: array, positions) -> Weigh
 def barabasi_albert_graph(
     n: int,
     attachment: int = 2,
-    seed: Optional[int] = None,
+    *,
+    seed: int,
 ) -> WeightedGraph:
     """Return a scale-free graph grown by preferential attachment.
 
@@ -349,7 +355,7 @@ def barabasi_albert_graph(
     if n <= attachment + 1:
         # too small for the process to bite; the complete graph is the limit
         return complete_graph(n)
-    rng = _rng(seed)
+    rng = random.Random(seed)
     # the first arriving node connects to every seed node, so the seed stage
     # is connected before sampling starts
     edge_u = array("q")
@@ -480,8 +486,8 @@ def _stream_connected(n: int, edge_u: array, edge_v: array) -> bool:
 def degree_preserving_rewire(
     graph: WeightedGraph,
     swaps: Optional[int] = None,
-    seed: Optional[int] = None,
-    ensure_connected: bool = True,
+    *,
+    seed: int,
 ) -> WeightedGraph:
     """Return a randomized copy of ``graph`` with the exact same degree sequence.
 
@@ -494,11 +500,11 @@ def degree_preserving_rewire(
     randomization used by the same-degree-sequence MFPT comparison
     (arXiv:0908.0976, experiment e12).
 
-    When ``ensure_connected`` is set and the input is connected, swaps are
-    committed in windows: after each window a union–find pass over the edge
-    columns checks connectivity, rolling the whole window back (and halving
-    the window) if the swaps disconnected the graph — a per-swap check would
-    cost O(m·(n+m)) and is unaffordable at ``n ≥ 10^5``, while windowed checks
+    When the input is connected, swaps are committed in windows: after each
+    window a union–find pass over the edge columns checks connectivity,
+    rolling the whole window back (and halving the window) if the swaps
+    disconnected the graph — a per-swap check would cost O(m·(n+m)) and is
+    unaffordable at ``n ≥ 10^5``, while windowed checks
     amortise to O((n+m)·log) for the common all-connected case.  A
     disconnected input skips the checks and is simply rewired.
 
@@ -510,7 +516,6 @@ def degree_preserving_rewire(
         swaps: number of swap *attempts* (default ``2 · m``; acceptance is
             typically well above half, so each edge is swapped a few times).
         seed: seed of the private :class:`random.Random` driving the swaps.
-        ensure_connected: preserve connectivity of a connected input.
 
     Raises:
         ValueError: if ``swaps`` is negative.
@@ -525,13 +530,13 @@ def degree_preserving_rewire(
     m = len(edge_u)
     if m < 2:
         return WeightedGraph._from_csr_edges(n, edge_u, edge_v)
-    rng = _rng(seed)
+    rng = random.Random(seed)
     attempts = 2 * m if swaps is None else swaps
     present = set()
     for j in range(m):
         a, b = edge_u[j], edge_v[j]
         present.add((a, b) if a < b else (b, a))
-    checking = ensure_connected and _stream_connected(n, edge_u, edge_v)
+    checking = _stream_connected(n, edge_u, edge_v)
     undo: list = []
     window = 64
 
@@ -588,10 +593,9 @@ def degree_preserving_rewire(
 
 def ad_hoc_affectance_graph(
     n: int,
-    seed: Optional[int] = None,
+    seed: int,
     base_range: Optional[float] = None,
     power_spread: float = 2.0,
-    ensure_connected: bool = True,
     return_affectance: bool = False,
 ) -> WeightedGraph:
     """Return an ad-hoc wireless network with heterogeneous link ranges.
@@ -615,8 +619,8 @@ def ad_hoc_affectance_graph(
     spatial hash (cell side = the maximum range), so construction is
     near-linear in ``n`` instead of the all-pairs scan the plain geometric
     generator performs — the difference between minutes and milliseconds at
-    ``n = 10^4``.  When ``ensure_connected`` is set, leftover components are
-    stitched via their closest pairs (the model assumes a connected network).
+    ``n = 10^4``.  Leftover components are stitched via their closest pairs
+    (the model assumes a connected network).
 
     When ``return_affectance`` is set, the call returns a
     ``(graph, affectance)`` pair instead of the bare graph: ``affectance``
@@ -637,7 +641,7 @@ def ad_hoc_affectance_graph(
         raise ValueError("need at least one node")
     if power_spread < 1.0:
         raise ValueError("power_spread must be at least 1 (max/min range ratio)")
-    rng = _rng(seed)
+    rng = random.Random(seed)
     if base_range is None:
         base_range = math.sqrt(1.5 * math.log(max(n, 2)) / (math.pi * n))
     positions = {}
@@ -677,10 +681,7 @@ def ad_hoc_affectance_graph(
                             else:
                                 edge_u.append(v)
                                 edge_v.append(u)
-    if ensure_connected:
-        graph = _stitch_components(n, edge_u, edge_v, positions)
-    else:
-        graph = WeightedGraph._from_csr_edges(n, edge_u, edge_v)
+    graph = _stitch_components(n, edge_u, edge_v, positions)
     if not return_affectance:
         return graph
     affectance = {}

@@ -12,15 +12,11 @@ from __future__ import annotations
 
 import random
 from array import array
-from typing import Optional
 
 from repro.topology.graph import WeightedGraph
 
 
-def assign_distinct_weights(
-    graph: WeightedGraph,
-    seed: Optional[int] = None,
-) -> WeightedGraph:
+def assign_distinct_weights(graph: WeightedGraph, seed: int) -> WeightedGraph:
     """Return a copy of ``graph`` with distinct positive integer weights.
 
     A random permutation of ``1..m`` is assigned to the edges, so the MST is

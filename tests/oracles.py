@@ -62,10 +62,10 @@ from repro.experiments.runner import RESULT_SCHEMA, ExperimentResult
 from repro.protocols.collision.greenberg_ladner import MultiplicityEstimate
 from repro.sim.errors import ProtocolError
 from repro.sim.events import ChannelEvent, Message
-from repro.sim.flyweight import FlyweightEnvironment, FlyweightProtocol
+from repro.sim.flyweight import FlyweightProtocol
 from repro.sim.metrics import MetricsRecorder
 from repro.sim.substreams import substream_seed
-from repro.topology.graph import Edge, WeightedGraph, edge_key
+from repro.topology.graph import CSRView, Edge, WeightedGraph, edge_key
 
 NodeId = Hashable
 Combine = Callable[[Any, Any], Any]
@@ -334,12 +334,12 @@ class PerNode(FlyweightProtocol):
     STREAM_SCOPE, i))``, built on its first draw.
     """
 
-    def __init__(self, env: FlyweightEnvironment,
+    def __init__(self, csr: CSRView,
                  factory: Callable[[NodeContext], NodeProtocol],
                  extras: Dict[NodeId, Dict[str, Any]],
                  seed: object) -> None:
         """Build one context and one protocol instance per slot."""
-        super().__init__(env)
+        super().__init__(csr)
 
         def node_rng(node: NodeId) -> random.Random:
             return random.Random(substream_seed(seed, STREAM_SCOPE, node))
@@ -347,13 +347,13 @@ class PerNode(FlyweightProtocol):
         self.protocols: List[NodeProtocol] = [
             factory(NodeContext(
                 node_id=node,
-                neighbors=neighbors(env.csr, node),
-                link_weights=link_weights(env.csr, node),
-                n=env.num_slots,
+                neighbors=neighbors(csr, node),
+                link_weights=link_weights(csr, node),
+                n=csr.n,
                 extra=dict(extras.get(node, {})),
                 rng_factory=node_rng,
             ))
-            for node in range(env.num_slots)
+            for node in range(csr.n)
         ]
         for slot, protocol in enumerate(self.protocols):
             if protocol.halted:
@@ -425,7 +425,7 @@ class ScanDispatch:
                  round_index: int, crashed, deferred) -> None:
         """Make one round's protocol calls, scanning every slot."""
         assert crashed is not None, "the reference covers crash windows only"
-        num_slots = protocol.env.num_slots
+        num_slots = protocol.csr.n
         if self.started is None:
             self.started = bytearray(num_slots)
         started = self.started

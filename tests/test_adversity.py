@@ -170,21 +170,21 @@ class _RetransmittingFlood(FlyweightProtocol):
     crashed from round 0 has not started yet and holds no token.
     """
 
-    def __init__(self, env, root):
-        super().__init__(env)
+    def __init__(self, csr, root):
+        super().__init__(csr)
         self.root = root
-        self.has_token = bytearray(env.num_slots)
+        self.has_token = bytearray(csr.n)
         self.holders = 0
 
     def _take_token(self, slot):
         if not self.has_token[slot]:
             self.has_token[slot] = 1
             self.holders += 1
-            if self.holders == self.env.num_slots:
-                for each in range(self.env.num_slots):
+            if self.holders == self.csr.n:
+                for each in range(self.csr.n):
                     self.halt_slot(each, True)
                 return
-        for neighbor in neighbors(self.env.csr, slot):
+        for neighbor in neighbors(self.csr, slot):
             self.send(slot, neighbor, "tok")
 
     def on_start(self, slots):

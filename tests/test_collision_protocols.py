@@ -86,7 +86,7 @@ class TestMetcalfeBoggs:
 
     def test_estimate_must_be_positive(self):
         with pytest.raises(ValueError):
-            MetcalfeBoggsContender(1, estimated_contenders=0)
+            MetcalfeBoggsContender(1, estimated_contenders=0, seed=0)
 
     def test_expected_slots_per_success_bounds(self):
         assert expected_slots_per_success(1) == 1.0
@@ -110,7 +110,7 @@ class TestGreenbergLadner:
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            estimate_multiplicity(-1)
+            estimate_multiplicity(-1, rng=random.Random(0))
 
     def test_protocol_form_agrees_across_nodes(self):
         network = MultimediaNetwork(ring_graph(16))

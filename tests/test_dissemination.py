@@ -4,6 +4,7 @@ import pytest
 
 from oracles import neighbors
 from repro.experiments.e13_selective_dissemination import sweep_point
+from repro.protocols import dissemination
 from repro.protocols.dissemination import SCHEDULERS, disseminate
 from repro.sim.adversity import ABORTED, adversity_state
 from repro.sim.errors import AdversityAbort
@@ -29,6 +30,24 @@ def build_instance(edges, affectance_overrides=None, n=None):
 def path_instance(n):
     """A path 0-1-…-(n-1) with uniform affectance."""
     return build_instance([(i, i + 1) for i in range(n - 1)])
+
+
+def traced_run(monkeypatch, *args, **kwargs):
+    """Run :func:`disseminate`, spying on its physical layer.
+
+    Returns the result and one ``(transmitters, received)`` pair per round
+    that evaluated receptions: every round with transmitters, fault-free.
+    """
+    receptions = dissemination._receptions
+    trace = []
+
+    def spy(transmitters, *rest):
+        received = receptions(transmitters, *rest)
+        trace.append((tuple(transmitters), tuple(received)))
+        return received
+
+    monkeypatch.setattr(dissemination, "_receptions", spy)
+    return disseminate(*args, **kwargs), trace
 
 
 class TestCompleteness:
@@ -85,42 +104,42 @@ class TestCompleteness:
         # round-robin pays one round per transmission by construction
         assert round_robin.rounds == round_robin.transmissions
 
-    def test_selective_resolves_the_equal_signal_collision(self):
+    def test_selective_resolves_the_equal_signal_collision(self, monkeypatch):
         # 1 and 2 both border 3 with equal signal: transmitting together
         # would collide forever, so the family must pick exactly one
         graph, affectance = build_instance(
             [(0, 1), (0, 2), (1, 3), (2, 3)]
         )
-        result = disseminate(
-            graph, affectance, scheduler="selective", record_history=True
+        result, trace = traced_run(
+            monkeypatch, graph, affectance, scheduler="selective"
         )
         assert result.informed == result.n
         assert result.rounds == 2
-        last = result.history[-1]
-        assert len(set(last.transmitters) & {1, 2}) == 1
-        assert last.received == (3,)
+        transmitters, received = trace[-1]
+        assert len(set(transmitters) & {1, 2}) == 1
+        assert received == (3,)
 
 
 class TestHistoryDifferential:
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_recorded_rounds_match_brute_force_physics(self, scheduler):
-        # replay every recorded round against an independent (dict-based)
-        # recomputation of the reception rule: v decodes its strongest
-        # transmitting neighbour iff that signal strictly exceeds the sum
-        # of the other transmitting neighbours' signals
+    def test_recorded_rounds_match_brute_force_physics(self, scheduler, monkeypatch):
+        # replay every round that transmitted against an independent
+        # (dict-based) recomputation of the reception rule: v decodes its
+        # strongest transmitting neighbour iff that signal strictly exceeds
+        # the sum of the other transmitting neighbours' signals
         graph, affectance = ad_hoc_affectance_graph(
             32, seed=7, return_affectance=True
         )
-        result = disseminate(
-            graph, affectance, scheduler=scheduler, record_history=True
+        result, trace = traced_run(
+            monkeypatch, graph, affectance, scheduler=scheduler
         )
         signal = {
             key: 1.0 / max(alpha, 1e-9) for key, alpha in affectance.items()
         }
         adjacency = {u: set(neighbors(graph.csr(), u)) for u in graph.nodes()}
         informed = {0}
-        for trace in result.history:
-            for u in trace.transmitters:
+        for transmitters, received in trace:
+            for u in transmitters:
                 # a transmitter is informed and has an uninformed neighbour
                 assert u in informed
                 assert any(v not in informed for v in adjacency[u])
@@ -128,19 +147,20 @@ class TestHistoryDifferential:
             for v in sorted(set(graph.nodes()) - informed):
                 heard = [
                     signal[(u, v) if u < v else (v, u)]
-                    for u in trace.transmitters
+                    for u in transmitters
                     if u in adjacency[v]
                 ]
                 if heard and 2.0 * max(heard) > sum(heard):
                     expected.append(v)
-            assert list(trace.received) == expected
-            informed.update(trace.received)
+            assert list(received) == expected
+            informed.update(received)
         assert informed == set(graph.nodes())
-        assert len(result.history) == result.rounds
-
-    def test_history_off_by_default(self):
-        graph, affectance = path_instance(4)
-        assert disseminate(graph, affectance).history is None
+        assert sum(map(len, (t for t, _ in trace))) == result.transmissions
+        # only decay's coins can leave a round without transmitters
+        if scheduler == "decay":
+            assert len(trace) <= result.rounds
+        else:
+            assert len(trace) == result.rounds
 
 
 class TestDeterminism:
@@ -209,13 +229,16 @@ class TestAdversity:
         assert state.faults_injected > 0
 
     def test_explicit_round_cap_overrides_the_budget(self):
+        # the schedule's own round_budget replaces the n-scaled default
         graph, affectance = path_instance(16)
         state = adversity_state(
-            {"name": "loss", "loss_rate": 1.0, "delay_rate": 0.0},
+            {"name": "loss", "loss_rate": 1.0, "delay_rate": 0.0,
+             "round_budget": 5},
             "dissemination-cap", 16,
         )
+        assert state.round_budget(16) == 5
         with pytest.raises(AdversityAbort) as excinfo:
-            disseminate(graph, affectance, adversity=state, max_rounds=5)
+            disseminate(graph, affectance, adversity=state)
         assert excinfo.value.rounds == 5
 
 

@@ -30,7 +30,7 @@ from repro.protocols.spanning.bfs import build_bfs_forest
 from repro.protocols.spanning.broadcast_convergecast import TreeAggregationFlyweight
 from repro.sim.adversity import ADVERSITY_PRESETS, adversity_state
 from repro.sim.errors import AdversityAbort
-from repro.sim.flyweight import FlyweightEnvironment, FlyweightProtocol
+from repro.sim.flyweight import FlyweightProtocol
 from repro.sim.multimedia import MultimediaNetwork
 from repro.sim.synchronizer import ChannelSynchronizer
 from repro.topology.graph import WeightedGraph
@@ -184,23 +184,14 @@ class TestBFSOracle:
 
 
 class TestFlyweightState:
-    def test_columns_are_slot_indexed(self):
-        graph = make_topology("ring", 8, seed=11)
-        env = FlyweightEnvironment(graph.csr())
-        assert env.num_slots == graph.num_nodes()
-        assert [env.csr.slot(node) for node in graph.nodes()] == list(
-            range(env.num_slots)
-        )
-
     def test_halt_slot_bookkeeping(self):
         graph = WeightedGraph.from_edges([(0, 1)])
-        env = FlyweightEnvironment(graph.csr())
 
         class Noop(FlyweightProtocol):
             def on_round(self, slots, inboxes, channel):
                 pass
 
-        protocol = Noop(env)
+        protocol = Noop(graph.csr())
         assert protocol.active_count == 2
         protocol.halt_slot(1, result=7)
         assert protocol.active_count == 1

@@ -97,6 +97,6 @@ class TestSizeComputation:
         from repro.topology.graph import WeightedGraph
 
         with pytest.raises(ValueError):
-            estimate_size_randomized(WeightedGraph())
+            estimate_size_randomized(WeightedGraph(), seed=0)
         with pytest.raises(ValueError):
-            compute_size_deterministically(WeightedGraph())
+            compute_size_deterministically(WeightedGraph(), seed=0)

@@ -18,6 +18,7 @@ from repro.experiments.e10_model_variations import _count_nodes
 from repro.experiments.harness import make_topology
 from repro.protocols.spanning.bfs import build_bfs_forest
 from repro.protocols.spanning.broadcast_convergecast import TreeAggregationFlyweight
+from repro.sim import multimedia
 from repro.sim.adversity import adversity_state
 from repro.sim.errors import AdversityAbort, ProtocolError, SimulationTimeout
 from repro.sim.events import ChannelEvent, Message
@@ -140,18 +141,20 @@ class TestCollectorPause:
             MultimediaNetwork(path_graph(3)).run(Stray)
         assert gc.isenabled()
 
-    def test_enabled_after_a_timeout(self):
+    def test_enabled_after_a_timeout(self, monkeypatch):
+        monkeypatch.setattr(multimedia, "MAX_ROUNDS", 20)
         with pytest.raises(SimulationTimeout):
-            MultimediaNetwork(path_graph(3)).run(per_node(NeverHalts), max_rounds=20)
+            MultimediaNetwork(path_graph(3)).run(per_node(NeverHalts))
         assert gc.isenabled()
 
-    def test_a_caller_that_disabled_the_collector_keeps_it_disabled(self):
+    def test_a_caller_that_disabled_the_collector_keeps_it_disabled(self, monkeypatch):
+        monkeypatch.setattr(multimedia, "MAX_ROUNDS", 20)
         gc.disable()
         try:
             MultimediaNetwork(ring_graph(9)).run(per_node(FloodMax))
             assert not gc.isenabled()
             with pytest.raises(SimulationTimeout):
-                MultimediaNetwork(path_graph(3)).run(per_node(NeverHalts), max_rounds=20)
+                MultimediaNetwork(path_graph(3)).run(per_node(NeverHalts))
             assert not gc.isenabled()
         finally:
             gc.enable()
@@ -190,29 +193,33 @@ class TestMultimediaNetwork:
         assert result.metrics.channel_success == 1
         assert result.metrics.point_to_point_messages == 0
 
-    def test_timeout_raised_for_non_terminating_protocol(self):
+    def test_timeout_raised_for_non_terminating_protocol(self, monkeypatch):
+        monkeypatch.setattr(multimedia, "MAX_ROUNDS", 20)
         network = MultimediaNetwork(path_graph(3))
         with pytest.raises(SimulationTimeout):
-            network.run(per_node(NeverHalts), max_rounds=20)
+            network.run(per_node(NeverHalts))
 
-    def test_run_finishing_on_its_last_round_returns(self):
+    def test_run_finishing_on_its_last_round_returns(self, monkeypatch):
         graph = grid_graph(4, 4)
         count = _count_nodes(graph, 0)
         unbounded = MultimediaNetwork(graph).run(count)
         budget = unbounded.rounds
         assert budget == 13
-        on_budget = MultimediaNetwork(graph).run(count, max_rounds=budget)
+        monkeypatch.setattr(multimedia, "MAX_ROUNDS", budget)
+        on_budget = MultimediaNetwork(graph).run(count)
         assert on_budget.rounds == budget
         assert on_budget.results == unbounded.results
         assert on_budget.metrics == unbounded.metrics
+        monkeypatch.setattr(multimedia, "MAX_ROUNDS", budget - 1)
         with pytest.raises(SimulationTimeout) as short:
-            MultimediaNetwork(graph).run(count, max_rounds=budget - 1)
+            MultimediaNetwork(graph).run(count)
         assert short.value.rounds == budget - 1 and short.value.pending > 0
 
-    def test_two_messages_on_one_link_rejected(self):
+    def test_two_messages_on_one_link_rejected(self, monkeypatch):
+        monkeypatch.setattr(multimedia, "MAX_ROUNDS", 5)
         network = MultimediaNetwork(path_graph(2))
         with pytest.raises(ProtocolError):
-            network.run(per_node(DoubleSender), max_rounds=5)
+            network.run(per_node(DoubleSender))
 
     def test_metrics_count_messages_and_rounds(self):
         network = MultimediaNetwork(complete_graph(5))

@@ -33,8 +33,8 @@ class _StraySender(FlyweightProtocol):
     ``extra`` sends (sender slot, receiver, payload) go into the buffer first.
     """
 
-    def __init__(self, env, extra=()):
-        super().__init__(env)
+    def __init__(self, csr, extra=()):
+        super().__init__(csr)
         self.extra = extra
 
     def on_start(self, slots):
@@ -62,27 +62,6 @@ SIMULATORS = pytest.mark.parametrize(
 
 
 class TestBatchedDelivery:
-    def test_future_sends_are_held_back(self):
-        # the slow path: messages stamped for the current round stay queued
-        network = PointToPointNetwork(path_graph(3))
-        network.accept_round([(0, 1, "early")], round_index=0)
-        network.accept_round([(2, 1, "late")], round_index=1)
-        inboxes = network.deliver(1)
-        assert [m.payload for m in inboxes[1]] == ["early"]
-        assert network.has_in_flight()
-        inboxes = network.deliver(2)
-        assert [m.payload for m in inboxes[1]] == ["late"]
-        assert not network.has_in_flight()
-
-    def test_mixed_ready_and_future_in_one_inbox(self):
-        network = PointToPointNetwork(path_graph(3))
-        network.accept_round([(0, 1, "a")], round_index=0)
-        network.accept_round([(2, 1, "b"), (0, 1, "c")], round_index=1)
-        inboxes = network.deliver(1)
-        assert [m.payload for m in inboxes[1]] == ["a"]
-        inboxes = network.deliver(2)
-        assert sorted(m.payload for m in inboxes[1]) == ["b", "c"]
-
     def test_delivered_inboxes_are_fresh_lists(self):
         # a protocol may keep a reference to its inbox; the next round's
         # sends must not appear in it
@@ -102,14 +81,16 @@ class TestBatchedDelivery:
         assert metrics.point_to_point_messages == 1
 
     def test_partial_batch_keeps_one_round_delay(self):
-        # a caller that catches the error must still see the synchronous
-        # model's delay: the queued message is not deliverable in its own
-        # send round
+        # a caller that catches the error still finds the messages before
+        # it queued for the next round, stamped with their send round, and
+        # nothing after it
         network = PointToPointNetwork(path_graph(3))
         with pytest.raises(ProtocolError):
             network.accept_round([(0, 1, "ok"), (0, 2, "bad link")], round_index=0)
-        assert network.deliver(0) == {}
-        assert [m.payload for m in network.deliver(1)[1]] == ["ok"]
+        inboxes = network.deliver(1)
+        assert list(inboxes) == [1]
+        assert [(m.payload, m.round_sent) for m in inboxes[1]] == [("ok", 0)]
+        assert not network.has_in_flight()
 
     def test_failed_round_records_no_round_and_resolves_no_slot(self):
         # the simulator accepts a round before resolving its channel slot
@@ -265,12 +246,12 @@ class _FirstHaltsAll(FlyweightProtocol):
 
     MESSAGE_DRIVEN = True
 
-    def __init__(self, env):
-        super().__init__(env)
+    def __init__(self, csr):
+        super().__init__(csr)
         self.dispatched = []
 
     def _ping(self, slot, payload):
-        for neighbor in neighbors(self.env.csr, slot):
+        for neighbor in neighbors(self.csr, slot):
             self.send(slot, neighbor, payload)
 
     def on_start(self, slots):
@@ -284,7 +265,7 @@ class _FirstHaltsAll(FlyweightProtocol):
                 continue
             self.dispatched.append((slot, [m.payload for m in inboxes[slot]]))
             self._ping(slot, "again")
-            for each in range(self.env.num_slots):
+            for each in range(self.csr.n):
                 self.halt_slot(each, ("halted by", slot))
 
 
@@ -307,8 +288,8 @@ class TestHaltedInTheSameRound:
             assert not any(adversity.node_crashed(3, r) for r in range(10))
         protocols = []
 
-        def factory(env):
-            protocols.append(_FirstHaltsAll(env))
+        def factory(csr):
+            protocols.append(_FirstHaltsAll(csr))
             return protocols[0]
 
         result = simulate(graph, factory, adversity)
@@ -371,15 +352,15 @@ class _CoinActor(FlyweightProtocol):
     #: the most dispatches a slot lives through
     LIVES = 6
 
-    def __init__(self, env, seed):
-        super().__init__(env)
+    def __init__(self, csr, seed):
+        super().__init__(csr)
         self.rng = random.Random(seed)
-        self.lives = [self.rng.randint(1, self.LIVES) for _ in range(env.num_slots)]
-        self.heard = [[] for _ in range(env.num_slots)]
+        self.lives = [self.rng.randint(1, self.LIVES) for _ in range(csr.n)]
+        self.heard = [[] for _ in range(csr.n)]
 
     def _act(self, slot):
         rng = self.rng
-        for neighbor in neighbors(self.env.csr, slot):
+        for neighbor in neighbors(self.csr, slot):
             if rng.random() < 0.6:
                 self.send(slot, neighbor, (slot, rng.randrange(100)))
         if rng.random() < 0.2:
@@ -443,8 +424,8 @@ def _traced_crash_run(monkeypatch, simulate, graph, protocol_class, spec, seed,
         calls.append(("round", round_index))
         dispatch(protocol, inboxes, event, round_index, crashed, deferred)
 
-    def factory(env):
-        protocol = protocol_class(env, seed)
+    def factory(csr):
+        protocol = protocol_class(csr, seed)
         on_start, on_round = protocol.on_start, protocol.on_round
 
         def start(slots):

@@ -7,6 +7,7 @@ import pytest
 from oracles import TreeAggregationProtocol, bfs_maps, children_map, per_node
 from repro.experiments.e10_model_variations import _count_nodes
 from repro.protocols.spanning.bfs import build_bfs_forest
+from repro.sim import synchronizer
 from repro.sim.adversity import adversity_state
 from repro.sim.errors import AdversityAbort, ProtocolError, SimulationTimeout
 from repro.sim.multimedia import MultimediaNetwork
@@ -55,44 +56,43 @@ class TestChannelSynchronizer:
 
     def test_invalid_delay_rejected(self):
         with pytest.raises(ValueError):
-            ChannelSynchronizer(grid_graph(2, 2), max_link_delay=0)
+            ChannelSynchronizer(grid_graph(2, 2), max_link_delay=0, seed=1)
 
     @pytest.mark.parametrize(
         "delay", (0, -3, 2.5, 3.0, "3", True, False, None), ids=repr
     )
     def test_delay_must_be_a_positive_int(self, delay):
         with pytest.raises(ValueError, match=f"got {delay!r}"):
-            ChannelSynchronizer(grid_graph(2, 2), max_link_delay=delay)
+            ChannelSynchronizer(grid_graph(2, 2), max_link_delay=delay, seed=1)
 
-    def test_run_finishing_on_its_last_pulse_returns(self):
+    def test_run_finishing_on_its_last_pulse_returns(self, monkeypatch):
         graph = grid_graph(4, 4)
         unbounded = ChannelSynchronizer(graph, seed=1).run(_count_nodes(graph, 0))
         budget = unbounded.pulses
         assert budget == 13
-        on_budget = ChannelSynchronizer(graph, seed=1).run(
-            _count_nodes(graph, 0), max_pulses=budget
-        )
+        monkeypatch.setattr(synchronizer, "MAX_PULSES", budget)
+        on_budget = ChannelSynchronizer(graph, seed=1).run(_count_nodes(graph, 0))
         assert on_budget == unbounded
+        monkeypatch.setattr(synchronizer, "MAX_PULSES", budget - 1)
         with pytest.raises(SimulationTimeout) as short:
-            ChannelSynchronizer(graph, seed=1).run(
-                _count_nodes(graph, 0), max_pulses=budget - 1
-            )
+            ChannelSynchronizer(graph, seed=1).run(_count_nodes(graph, 0))
         assert short.value.rounds == budget - 1 and short.value.pending > 0
 
-    def test_run_finishing_on_its_last_pulse_returns_under_adversity(self):
+    def test_run_finishing_on_its_last_pulse_returns_under_adversity(self, monkeypatch):
         graph = grid_graph(4, 4)
 
-        def run(**budget):
+        def run():
             return ChannelSynchronizer(graph, seed=1).run(
                 _count_nodes(graph, 0),
                 adversity=adversity_state("jam", "budget", 16),
-                **budget,
             )
 
         unbounded = run()
-        assert run(max_pulses=unbounded.pulses) == unbounded
+        monkeypatch.setattr(synchronizer, "MAX_PULSES", unbounded.pulses)
+        assert run() == unbounded
+        monkeypatch.setattr(synchronizer, "MAX_PULSES", unbounded.pulses - 1)
         with pytest.raises(AdversityAbort) as short:
-            run(max_pulses=unbounded.pulses - 1)
+            run()
         assert short.value.rounds == unbounded.pulses - 1
         assert short.value.pending > 0
 
@@ -114,12 +114,13 @@ class TestCollectorPause:
 
     def test_enabled_after_a_send_over_a_missing_link(self):
         with pytest.raises(ProtocolError, match="non-existent link"):
-            ChannelSynchronizer(path_graph(3)).run(Stray)
+            ChannelSynchronizer(path_graph(3), seed=1).run(Stray)
         assert gc.isenabled()
 
-    def test_enabled_after_a_timeout(self):
+    def test_enabled_after_a_timeout(self, monkeypatch):
+        monkeypatch.setattr(synchronizer, "MAX_PULSES", 20)
         with pytest.raises(SimulationTimeout):
-            ChannelSynchronizer(path_graph(3)).run(per_node(NeverHalts), max_pulses=20)
+            ChannelSynchronizer(path_graph(3), seed=1).run(per_node(NeverHalts))
         assert gc.isenabled()
 
     def test_a_caller_that_disabled_the_collector_keeps_it_disabled(self):
@@ -129,7 +130,7 @@ class TestCollectorPause:
             ChannelSynchronizer(graph, seed=1).run(_count_nodes(graph, 0))
             assert not gc.isenabled()
             with pytest.raises(ProtocolError):
-                ChannelSynchronizer(path_graph(3)).run(Stray)
+                ChannelSynchronizer(path_graph(3), seed=1).run(Stray)
             assert not gc.isenabled()
         finally:
             gc.enable()

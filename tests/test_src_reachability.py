@@ -29,12 +29,26 @@ The rules:
 * a name on :data:`ALLOWED`, each entry with the user that keeps it, is
   exempt.  An entry that is no longer needed fails the test;
 * each package ``__init__``'s ``__all__`` lists exactly the names it
-  imports or assigns.
+  imports or assigns;
+* no ``random.Random`` is seeded from OS entropy by code under
+  ``src/repro`` during the drive: every sweep point carries its own seeds,
+  so a ``None`` seed whose nearest caller outside ``random.py`` lies under
+  ``src/repro`` is a row that cannot be reproduced (``tempfile``'s own name
+  generator, seeded from ``tempfile.py``, does not count);
+* ``src/repro`` has at most :data:`MAX_SETTABLE_OPTIONS` settable options:
+  parameters with a default in a public function, or in a public method
+  (``__init__`` included) of a public class, counted statically.  An
+  option no ``src`` caller sets belongs in a constant, or nowhere.
 
 Names are qualified names (``path_graph``, ``ChannelContender.success_slot``).
-Print what the drive flags, with each name's module, with
+Print what the drive flags, with each name's module, and the unseeded
+generators' callers, with
 
     PYTHONPATH=src:tests python tests/test_src_reachability.py SCRATCH_DIR
+
+and the settable options, per callable, with
+
+    PYTHONPATH=tests python -c "import test_src_reachability as t; print(t.settable_options(t.SRC))"
 """
 
 from __future__ import annotations
@@ -49,6 +63,7 @@ import json
 import multiprocessing
 import os
 import pkgutil
+import random
 import socket
 import subprocess
 import sys
@@ -63,6 +78,10 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "repro"
+
+#: the most settable options ``src/repro`` may have (see
+#: :func:`settable_options`); lower it when a change removes some
+MAX_SETTABLE_OPTIONS = 133
 
 #: public definitions the drive does not run, and who uses them instead
 ALLOWED: Dict[str, str] = {
@@ -224,6 +243,42 @@ def unrun(package: str, ran: Set[CodeType]) -> Dict[str, List[str]]:
 
 
 # ----------------------------------------------------------------------
+# the runtime rule on seeds
+# ----------------------------------------------------------------------
+@contextlib.contextmanager
+def entropy_seeds(root: Path) -> Iterator[List[str]]:
+    """Record the ``random.Random`` generators code under ``root`` seeds
+    from OS entropy while the block runs.
+
+    Wraps ``random.Random.seed``; a ``None`` seed whose nearest frame
+    outside ``random.py`` lies under ``root`` adds ``"path:line in
+    function"`` (the path relative to ``root``) to the yielded list.
+    """
+    records: List[str] = []
+    seed = random.Random.seed
+    library = seed.__code__.co_filename
+    root = root.resolve()
+
+    def recording(self, *args, **kwargs):
+        if (args[0] if args else kwargs.get("a")) is None:
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code.co_filename == library:
+                frame = frame.f_back
+            if frame is not None:
+                path = Path(frame.f_code.co_filename).resolve()
+                if path.is_relative_to(root):
+                    records.append(f"{path.relative_to(root)}:{frame.f_lineno} "
+                                   f"in {frame.f_code.co_name}")
+        return seed(self, *args, **kwargs)
+
+    random.Random.seed = recording
+    try:
+        yield records
+    finally:
+        random.Random.seed = seed
+
+
+# ----------------------------------------------------------------------
 # the static rule: classes without a public method
 # ----------------------------------------------------------------------
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -271,6 +326,44 @@ def unreferenced_classes(root: Path) -> Dict[str, List[str]]:
             ):
                 missing.setdefault(node.name, []).append(str(path))
     return missing
+
+
+# ----------------------------------------------------------------------
+# the static count of settable options
+# ----------------------------------------------------------------------
+def _defaults(function: ast.AST) -> int:
+    arguments = function.args
+    return len(arguments.defaults) + sum(
+        default is not None for default in arguments.kw_defaults
+    )
+
+
+def settable_options(root: Path) -> Dict[str, int]:
+    """Count the settable options of the modules under ``root``.
+
+    Returns ``module:qualified name`` → the number of its parameters with a
+    default, for every public top-level function and every public method
+    (``__init__`` included) of a public top-level class that has any.
+    """
+    found: Dict[str, int] = {}
+    for path in sorted(root.rglob("*.py")):
+        module = str(path.relative_to(root))
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(node, (*FUNCTIONS, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if isinstance(node, FUNCTIONS):
+                members = [(node.name, node)]
+            else:
+                members = [
+                    (f"{node.name}.{item.name}", item) for item in node.body
+                    if isinstance(item, FUNCTIONS)
+                    and (not item.name.startswith("_") or item.name == "__init__")
+                ]
+            for name, function in members:
+                count = _defaults(function)
+                if count:
+                    found[f"{module}:{name}"] = count
+    return found
 
 
 def flagged(package: str, root: Path, ran: Set[CodeType]) -> Dict[str, List[str]]:
@@ -382,18 +475,21 @@ def drive_src(scratch: Path) -> None:
 
 def main(argv: List[str]) -> int:
     """Drive ``src/repro`` in scratch directory ``argv[1]``; print the flagged
-    names as JSON."""
+    names and the generators seeded from OS entropy as JSON."""
     scratch = Path(argv[1])
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()), entropy_seeds(SRC) as unseeded:
         ran = record_calls(lambda: drive_src(scratch))
-    print(json.dumps(flagged("repro", SRC, ran), indent=1, sort_keys=True))
+    print(json.dumps({"flagged": flagged("repro", SRC, ran), "unseeded": unseeded},
+                     indent=1, sort_keys=True))
     return 0
 
 
 @pytest.fixture(scope="module")
-def src_flagged(tmp_path_factory):
-    """What the guard flags in ``src/repro``, driven in a fresh interpreter
-    (so that import-time code runs under the profiler too)."""
+def src_drive(tmp_path_factory):
+    """What the guard finds in ``src/repro``, driven in a fresh interpreter
+    (so that import-time code runs under the profiler too): the flagged
+    names, and the callers of generators seeded from OS entropy."""
     path = [str(SRC.parent), str(TESTS), *filter(None, [os.environ.get("PYTHONPATH")])]
     completed = subprocess.run(
         [sys.executable, __file__, str(tmp_path_factory.mktemp("drive"))],
@@ -404,8 +500,8 @@ def src_flagged(tmp_path_factory):
     return json.loads(completed.stdout)
 
 
-def test_every_public_definition_has_a_caller_in_src(src_flagged):
-    missing, _ = check_allowed(src_flagged, ALLOWED)
+def test_every_public_definition_has_a_caller_in_src(src_drive):
+    missing, _ = check_allowed(src_drive["flagged"], ALLOWED)
     assert not missing, (
         "public definitions src/repro never runs — delete them, move a test "
         f"oracle to tests/oracles.py, or allow-list a real user: {missing}"
@@ -413,9 +509,26 @@ def test_every_public_definition_has_a_caller_in_src(src_flagged):
 
 
 @pytest.mark.parametrize("name", sorted(ALLOWED))
-def test_allow_list_entry_is_still_needed(src_flagged, name):
-    _, stale = check_allowed(src_flagged, {name: ALLOWED[name]})
+def test_allow_list_entry_is_still_needed(src_drive, name):
+    _, stale = check_allowed(src_drive["flagged"], {name: ALLOWED[name]})
     assert not stale, f"{name} now runs when src/repro is driven, or is gone"
+
+
+def test_no_generator_in_src_is_seeded_from_os_entropy(src_drive):
+    assert not src_drive["unseeded"], (
+        "src/repro seeded random.Random from OS entropy — pass the sweep "
+        f"point's seed: {src_drive['unseeded']}"
+    )
+
+
+def test_settable_options_stay_within_the_bound():
+    options = settable_options(SRC)
+    count = sum(options.values())
+    assert count <= MAX_SETTABLE_OPTIONS, (
+        f"src/repro has {count} settable options, over the bound "
+        f"{MAX_SETTABLE_OPTIONS}: give each a caller in src that sets it, or "
+        f"make it a constant ({options})"
+    )
 
 
 def init_exports(path: Path) -> Tuple[List[str], Set[str]]:
@@ -593,6 +706,65 @@ def test_stale_allow_list_entry_is_seen(tmp_path):
     )
     assert not missing
     assert stale == ["gone", "used"]
+
+
+def test_unseeded_generators_are_attributed_to_their_nearest_caller(tmp_path):
+    # a None seed counts where the code under the root asks for it, not
+    # where a library outside the root does on the root's behalf
+    root = tmp_path / "root"
+    root.mkdir()
+    (tmp_path / "entropy_library.py").write_text(
+        "import random\n\ndef fresh():\n    return random.Random()\n"
+    )
+    (root / "entropy_user.py").write_text(
+        "import random\n\nimport entropy_library\n\n"
+        "def unseeded():\n    return random.Random()\n\n"
+        "def seeded():\n    return random.Random(7)\n\n"
+        "def through_a_library():\n    return entropy_library.fresh()\n"
+    )
+    sys.path[:0] = [str(tmp_path), str(root)]
+    try:
+        user = importlib.import_module("entropy_user")
+        with entropy_seeds(root) as records:
+            user.seeded()
+            user.through_a_library()
+            user.unseeded()
+    finally:
+        sys.path.remove(str(tmp_path))
+        sys.path.remove(str(root))
+        sys.modules.pop("entropy_user", None)
+        sys.modules.pop("entropy_library", None)
+    assert records == ["entropy_user.py:6 in unseeded"]
+
+
+def test_settable_options_follow_the_counting_rule(tmp_path):
+    (tmp_path / "mod.py").write_text(textwrap.dedent("""\
+        def public(a, b=1, *, c, d=2):
+            pass
+
+        def _private(a=1):
+            pass
+
+        class Public:
+            def __init__(self, a=1):
+                pass
+
+            def method(self, a, b=None):
+                pass
+
+            def _helper(self, a=1):
+                pass
+
+            def __repr__(self, a=1):
+                pass
+
+        class _Private:
+            def method(self, a=1):
+                pass
+    """))
+    assert settable_options(tmp_path) == {
+        "mod.py:public": 2, "mod.py:Public.__init__": 1, "mod.py:Public.method": 1,
+    }
 
 
 def test_init_export_mismatch_is_seen(tmp_path):

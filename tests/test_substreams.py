@@ -15,7 +15,6 @@ from __future__ import annotations
 import random
 
 from oracles import NodeProtocol, per_node
-from repro.sim.flyweight import FlyweightEnvironment
 from repro.sim.multimedia import MultimediaNetwork
 from repro.sim.substreams import substream_seed
 from repro.topology.generators import ring_graph
@@ -64,9 +63,7 @@ class _Draw(NodeProtocol):
 
 def _adapter(seed):
     """A per-node adapter over a ring of 8, its generators not yet drawn."""
-    return per_node(_Draw, seed=seed)(
-        FlyweightEnvironment(ring_graph(8).csr())
-    )
+    return per_node(_Draw, seed=seed)(ring_graph(8).csr())
 
 
 def _first_draw(seed, scope, node):

@@ -6,6 +6,7 @@ import pytest
 
 from oracles import degree, geometric_pairs_all_pairs
 from repro.topology.generators import (
+    _geometric_links,
     ad_hoc_affectance_graph,
     barabasi_albert_graph,
     complete_graph,
@@ -20,7 +21,20 @@ from repro.topology.generators import (
     ring_graph,
     torus_graph,
 )
+from repro.topology.graph import WeightedGraph
 from repro.topology.properties import diameter
+
+
+def component_count(n, pairs):
+    """The number of connected components of ``pairs`` over ``n`` nodes."""
+    csr = WeightedGraph.from_edges(pairs, n=n).csr()
+    seen = set()
+    count = 0
+    for start in range(n):
+        if start not in seen:
+            count += 1
+            seen.update(csr.bfs(start)[2])
+    return count
 
 
 class TestBasicTopologies:
@@ -83,7 +97,7 @@ class TestRandomTopologies:
 
     def test_erdos_renyi_probability_validated(self):
         with pytest.raises(ValueError):
-            erdos_renyi_graph(10, 1.5)
+            erdos_renyi_graph(10, 1.5, seed=0)
 
     def test_geometric_connected(self):
         graph = random_geometric_graph(60, seed=2)
@@ -92,8 +106,9 @@ class TestRandomTopologies:
 
 
 class TestGeometricBuckets:
-    """The cell-bucketed geometric generator emits exactly the all-pairs
-    scan's pairs, in its ascending ``(u, v)`` order."""
+    """The cell-bucketed geometric links are exactly the all-pairs scan's
+    pairs, in its ascending ``(u, v)`` order; the generator adds only the
+    bridges that stitch their components together."""
 
     @pytest.mark.parametrize("seed", (0, 1, 2))
     @pytest.mark.parametrize(
@@ -104,19 +119,27 @@ class TestGeometricBuckets:
         if radius is not None and not radius >= 0:
             # a NaN or negative radius names no graph: the generator and the
             # all-pairs reference both refuse it
-            for build in (random_geometric_graph, geometric_pairs_all_pairs):
+            for build in (_geometric_links, geometric_pairs_all_pairs):
                 with pytest.raises(ValueError, match="radius"):
                     build(n, radius, seed)
             return
-        graph = random_geometric_graph(n, radius=radius, seed=seed, ensure_connected=False)
-        edge_u, edge_v, _ = graph.csr().canonical_edges()
+        edge_u, edge_v, _ = _geometric_links(n, radius, seed)
         assert list(zip(edge_u, edge_v)) == geometric_pairs_all_pairs(n, radius, seed)
 
     @pytest.mark.parametrize("n, seed", ((1200, 3), (2000, 7)))
     def test_matches_at_the_default_radius(self, n, seed):
-        graph = random_geometric_graph(n, seed=seed, ensure_connected=False)
-        edge_u, edge_v, _ = graph.csr().canonical_edges()
+        edge_u, edge_v, _ = _geometric_links(n, None, seed)
         assert list(zip(edge_u, edge_v)) == geometric_pairs_all_pairs(n, None, seed)
+
+    @pytest.mark.parametrize("radius", (0.0, 0.12, None))
+    def test_the_graph_is_the_links_plus_bridges(self, radius):
+        links = geometric_pairs_all_pairs(60, radius, 1)
+        graph = random_geometric_graph(60, radius, seed=1)
+        edge_u, edge_v, _ = graph.csr().canonical_edges()
+        edges = set(zip(edge_u, edge_v))
+        assert set(links) <= edges
+        assert len(edges) - len(links) == component_count(60, links) - 1
+        assert graph.csr().is_connected()
 
     @pytest.mark.parametrize("radius", (-0.2, -math.inf, math.nan))
     def test_rejects_a_negative_or_nan_radius(self, radius):
@@ -190,9 +213,9 @@ class TestBarabasiAlbert:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            barabasi_albert_graph(0)
+            barabasi_albert_graph(0, seed=0)
         with pytest.raises(ValueError):
-            barabasi_albert_graph(10, attachment=0)
+            barabasi_albert_graph(10, attachment=0, seed=0)
 
 
 class TestAdHocAffectance:
@@ -213,45 +236,41 @@ class TestAdHocAffectance:
         assert a.edges() != c.edges()
 
     @staticmethod
-    def _edge_set(graph):
-        return {tuple(sorted((edge.u, edge.v))) for edge in graph.edges()}
+    def _links(n, **options):
+        """The in-range links: the graph's edges but its stitching bridges,
+        whose affectance exceeds 1."""
+        _, affectance = ad_hoc_affectance_graph(n, return_affectance=True, **options)
+        return {edge for edge, alpha in affectance.items() if alpha <= 1.0}
 
     def test_links_respect_the_smaller_range(self):
         # the same seed draws the same positions and the same range
         # fractions, so growing base_range can only add links (the link rule
         # is distance <= min of the two ranges, both proportional to base)
-        narrow = ad_hoc_affectance_graph(
-            200, seed=4, power_spread=2.0, base_range=0.08, ensure_connected=False
-        )
-        wide = ad_hoc_affectance_graph(
-            200, seed=4, power_spread=2.0, base_range=0.16, ensure_connected=False
-        )
-        assert 0 < narrow.num_edges() < wide.num_edges()
-        assert self._edge_set(narrow) <= self._edge_set(wide)
+        narrow = self._links(200, seed=4, power_spread=2.0, base_range=0.08)
+        wide = self._links(200, seed=4, power_spread=2.0, base_range=0.16)
+        assert 0 < len(narrow) < len(wide)
+        assert narrow <= wide
         # a larger power spread raises both endpoints' ranges (same draws),
         # so it can only add links as well
-        boosted = ad_hoc_affectance_graph(
-            200, seed=4, power_spread=3.0, base_range=0.08, ensure_connected=False
-        )
-        assert self._edge_set(narrow) <= self._edge_set(boosted)
+        boosted = self._links(200, seed=4, power_spread=3.0, base_range=0.08)
+        assert narrow <= boosted
 
     def test_range_extremes(self):
         # ranges covering the whole unit square link every pair; ranges
-        # smaller than any inter-node gap link none
-        everyone = ad_hoc_affectance_graph(
-            40, seed=2, base_range=2.0, ensure_connected=False
-        )
+        # smaller than any inter-node gap link none, and the graph is all
+        # bridges, one fewer than the stations
+        everyone = ad_hoc_affectance_graph(40, seed=2, base_range=2.0)
         assert everyone.num_edges() == 40 * 39 // 2
-        nobody = ad_hoc_affectance_graph(
-            40, seed=2, base_range=1e-9, ensure_connected=False
-        )
-        assert nobody.num_edges() == 0
+        assert len(self._links(40, seed=2, base_range=2.0)) == 40 * 39 // 2
+        nobody = ad_hoc_affectance_graph(40, seed=2, base_range=1e-9)
+        assert nobody.num_edges() == 39
+        assert not self._links(40, seed=2, base_range=1e-9)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            ad_hoc_affectance_graph(0)
+            ad_hoc_affectance_graph(0, seed=0)
         with pytest.raises(ValueError):
-            ad_hoc_affectance_graph(10, power_spread=0.5)
+            ad_hoc_affectance_graph(10, seed=0, power_spread=0.5)
 
 
 class TestAdHocAffectanceExposure:
@@ -279,12 +298,16 @@ class TestAdHocAffectanceExposure:
 
     def test_in_range_links_have_affectance_at_most_one(self):
         # α = distance / min(range_u, range_v): ≤ 1 for genuine radio links,
-        # > 1 only on the stitched connectivity bridges
+        # > 1 only on the stitched connectivity bridges — one fewer than
+        # the components the radio links leave
         graph, affectance = ad_hoc_affectance_graph(
-            200, seed=4, ensure_connected=False, return_affectance=True
+            200, seed=4, base_range=0.05, return_affectance=True
         )
-        assert affectance
-        assert all(0.0 < alpha <= 1.0 for alpha in affectance.values())
+        links = [edge for edge, alpha in affectance.items() if alpha <= 1.0]
+        bridges = len(affectance) - len(links)
+        assert links and bridges
+        assert all(alpha > 0.0 for alpha in affectance.values())
+        assert bridges == component_count(200, links) - 1
 
     def test_stitched_bridges_exceed_one(self):
         # with a tiny range, connectivity stitching must add out-of-range
