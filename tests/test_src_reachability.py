@@ -46,9 +46,10 @@ generators' callers, with
 
     PYTHONPATH=src:tests python tests/test_src_reachability.py SCRATCH_DIR
 
-and the settable options, per callable, with
+and the settable-option count, then the count per callable, with
 
-    PYTHONPATH=tests python -c "import test_src_reachability as t; print(t.settable_options(t.SRC))"
+    PYTHONPATH=tests python -c "import test_src_reachability as t; \\
+        o = t.settable_options(t.SRC); print(sum(o.values()), o)"
 """
 
 from __future__ import annotations
