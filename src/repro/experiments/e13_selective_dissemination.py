@@ -5,7 +5,7 @@ Races the three layer schedulers of
 family packer (after arXiv:1703.01704), the Decay-style randomized
 backoff, and the sequential round-robin baseline — on one shared physical
 layer: the :func:`~repro.topology.generators.ad_hoc_affectance_graph`
-instance with its per-link affectance values exposed.  Every scheduler
+instance, whose link weights are the affectance values.  Every scheduler
 disseminates the same message from the same source under the *same*
 interference arithmetic, so the round-count columns isolate the scheduling
 discipline from the physics.
@@ -66,9 +66,7 @@ def sweep_point(n: int, adversity: object = None) -> Dict[str, object]:
     contributes an ``abort`` cell; the ``status`` column records which
     schedulers survived.
     """
-    graph, affectance = ad_hoc_affectance_graph(
-        n, seed=11, return_affectance=True
-    )
+    graph = ad_hoc_affectance_graph(n, seed=11)
     source = 0
     layers = max(graph.csr().bfs(source)[0])
     rounds: Dict[str, Optional[int]] = {}
@@ -77,7 +75,7 @@ def sweep_point(n: int, adversity: object = None) -> Dict[str, object]:
         state = adversity_state(adversity, "e13", n, scheduler)
         try:
             result = disseminate(
-                graph, affectance, source=source, scheduler=scheduler,
+                graph, source=source, scheduler=scheduler,
                 seed=5, adversity=state,
             )
             rounds[scheduler] = result.rounds

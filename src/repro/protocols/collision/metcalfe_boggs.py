@@ -3,11 +3,15 @@
 The paper's randomized global-computation stage schedules the ≈√n fragment
 roots on the channel using randomized access: because the algorithm has an
 estimate ``k`` of the number of contenders, each unresolved contender simply
-transmits in every slot with probability ``1/k̂`` where ``k̂`` is the current
-estimate of the number of *remaining* contenders.  A slot is successful with
-probability ``≈ 1/e``, so each contender is scheduled in O(1) expected slots
-and all ``k`` contenders are scheduled in O(k) expected slots — the bound the
-paper uses ("O(1) expected time per root", Section 5.1).
+transmits in every slot with probability ``1/k̂``, where ``k̂`` is ``k`` less
+the successes heard so far.  While ``k̂`` tracks the number of *remaining*
+contenders, a slot is successful with probability ``≈ 1/e``, so each
+contender is scheduled in O(1) expected slots and all ``k`` in O(k) — the
+bound the paper uses ("O(1) expected time per root", Section 5.1).  An
+estimate above the true count breaks that bound: with the fixed public
+estimate ``2√n`` its callers pass for about √n roots, the last roots transmit
+at about ``1/√n`` and the schedule takes Θ(√n log n) slots (ROADMAP.md,
+item 3).
 
 Every participant can maintain the same estimate because the number of
 successes so far is public information (success slots are heard by all), so

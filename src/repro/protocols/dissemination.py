@@ -8,7 +8,7 @@ stations transmit until every station is informed.  Reception is governed by
 
 Physical layer (shared by every scheduler)
 ------------------------------------------
-Each link carries an affectance value ``α(u, v)`` (distance over the smaller
+Each link's weight is its affectance ``α(u, v)`` (distance over the smaller
 of the two stations' ranges; see the generator), and a transmission's signal
 strength on the link is ``s(u, v) = 1 / α(u, v)`` — short, well-covered
 links are strong, stitched fringe links are weak.  In a round where the set
@@ -55,8 +55,8 @@ raises :class:`~repro.sim.errors.SimulationTimeout`.
 
 All randomness is hash-derived (:func:`~repro.sim.substreams.substream_seed`,
 scope ``"protocols.dissemination"``), so a run is a pure function of
-``(graph, affectance, source, scheduler, seed, adversity)`` — pinned by
-golden era v5.
+``(graph, source, scheduler, seed, adversity)``, link weights included —
+pinned by golden era v5.
 """
 
 from __future__ import annotations
@@ -103,7 +103,6 @@ class DisseminationResult:
 
 def disseminate(
     graph: WeightedGraph,
-    affectance: Dict[Tuple[int, int], float],
     source: int = 0,
     scheduler: str = "selective",
     seed: object = 0,
@@ -112,10 +111,9 @@ def disseminate(
     """Run one layer-dissemination protocol to completion and report it.
 
     Args:
-        graph: the ad-hoc network; it should be connected (an
+        graph: the ad-hoc network, each link weighted by its affectance
+            (the generator's output); it should be connected (an
             unreachable station runs the round budget out).
-        affectance: canonical-edge ``(u, v) → α`` map covering every link
-            (the generator's ``return_affectance=True`` output).
         source: the initially informed node.
         scheduler: one of :data:`SCHEDULERS`.
         seed: master seed of the scheduler substream (only ``decay`` draws).
@@ -123,8 +121,8 @@ def disseminate(
             run, which is ``16·n + 512`` rounds fault-free.
 
     Raises:
-        ValueError: on an unknown scheduler, a source outside the node
-            range, or a link missing from ``affectance``.
+        ValueError: on an unknown scheduler or a source outside the node
+            range.
         AdversityAbort: when a run under adversity exhausts its round
             budget (bounded degradation instead of a hang).
         SimulationTimeout: when a fault-free run exhausts its budget.
@@ -140,16 +138,9 @@ def disseminate(
     offsets = csr.offsets
     neighbours = csr.targets
     # per-adjacency-entry signal column: signal[k] is the strength of a
-    # transmission crossing the link behind csr.targets[k]
-    signal = [0.0] * len(neighbours)
-    for u in range(n):
-        for k in range(offsets[u], offsets[u + 1]):
-            v = neighbours[k]
-            key = (u, v) if u < v else (v, u)
-            alpha = affectance.get(key)
-            if alpha is None:
-                raise ValueError(f"link {key} missing from the affectance map")
-            signal[k] = 1.0 / max(alpha, 1e-9)
+    # transmission crossing the link behind csr.targets[k], the inverse of
+    # that link's weight (its affectance), floored at 1e-9
+    signal = [1.0 / (1e-9 if 1e-9 > alpha else alpha) for alpha in csr.weights]
     if adversity is not None:
         adversity.bind_topology(graph)
         adv_rng = adversity.spawn_rng()
@@ -157,9 +148,13 @@ def disseminate(
     else:
         adv_rng = None
         budget = 16 * n + 512
-    max_degree = max(
-        (offsets[i + 1] - offsets[i] for i in range(n)), default=0
-    )
+    # frontier bookkeeping: uninformed-neighbour counts let membership decay
+    # lazily instead of rescanning the whole graph every round; only the
+    # source starts informed, so only its neighbours count one fewer
+    uninformed_neighbours = [offsets[u + 1] - offsets[u] for u in range(n)]
+    max_degree = max(uninformed_neighbours, default=0)
+    for k in range(offsets[source], offsets[source + 1]):
+        uninformed_neighbours[neighbours[k]] -= 1
     decay_phase = max(1, int(math.ceil(math.log2(max(2, max_degree)))) + 1)
     rng = random.Random(
         substream_seed(seed, DISSEMINATION_SCOPE, scheduler, source)
@@ -167,14 +162,6 @@ def disseminate(
     informed = bytearray(n)
     informed[source] = 1
     informed_count = 1
-    # frontier bookkeeping: uninformed-neighbour counts let membership decay
-    # lazily instead of rescanning the whole graph every round
-    uninformed_neighbours = [0] * n
-    for u in range(n):
-        uninformed_neighbours[u] = sum(
-            1 for k in range(offsets[u], offsets[u + 1])
-            if not informed[neighbours[k]]
-        )
     frontier = {source: None} if uninformed_neighbours[source] else {}
     rounds = 0
     transmissions = 0

@@ -45,8 +45,9 @@ def hub_node(graph: WeightedGraph) -> int:
     """Return the slot index of the maximum-degree node.
 
     Ties break to the smallest slot, so the hub of a given graph is a pure
-    function of its structure — every consumer (the walk engine, the exact
-    solve, the dissemination source pick) agrees on it.
+    function of its structure — every consumer (the walk engine's default
+    target, e12's rows, the exact solve the tests compare with) agrees on
+    it.
 
     Raises:
         ValueError: on an empty graph.

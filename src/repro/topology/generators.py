@@ -1,7 +1,8 @@
 """Topology generators for the point-to-point side of a multimedia network.
 
 All generators return :class:`~repro.topology.graph.WeightedGraph` instances
-with integer node identifiers ``0..n-1`` and unit edge weights; distinct
+with integer node identifiers ``0..n-1`` and unit edge weights, except the
+ad-hoc generator, whose weights are the links' affectances; distinct
 weights, when needed (MST experiments), are assigned afterwards with
 :func:`repro.topology.weights.assign_distinct_weights`.
 
@@ -30,7 +31,7 @@ import math
 import random
 from array import array
 from bisect import bisect_right
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.topology.graph import WeightedGraph
 
@@ -213,11 +214,11 @@ def random_geometric_graph(
 
 def _geometric_links(
     n: int, radius: Optional[float], seed: int
-) -> Tuple[array, array, Dict[int, Tuple[float, float]]]:
+) -> Tuple[array, array, List[float], List[float]]:
     """Return :func:`random_geometric_graph`'s links before any stitching.
 
-    Returns ``(edge_u, edge_v, positions)``: the in-radius pairs ``u < v`` in
-    ascending ``(u, v)`` order, and each node's drawn position.
+    Returns ``(edge_u, edge_v, xs, ys)``: the in-radius pairs ``u < v`` in
+    ascending ``(u, v)`` order, and each node's drawn coordinates.
     """
     if n < 1:
         raise ValueError("need at least one node")
@@ -226,14 +227,15 @@ def _geometric_links(
     elif not radius >= 0:  # NaN fails every comparison
         raise ValueError(f"radius must be a non-negative number, not {radius!r}")
     rng = random.Random(seed)
-    positions = {node: (rng.random(), rng.random()) for node in range(n)}
+    draws = [rng.random() for _ in range(2 * n)]  # x then y, node by node
+    xs, ys = draws[0::2], draws[1::2]
     # bucket the nodes into square cells of side at least the radius, so
     # every pair within reach lies in the 3×3 cell neighbourhood of either
     # endpoint; each node then tests only the higher-numbered nodes of its
     # neighbourhood, in increasing order, so the pairs come out in the
     # all-pairs scan's ascending (u, v) order
     limit = radius * radius
-    buckets = _cell_buckets(positions, 1.0 / _cells_per_side(radius, n))
+    buckets = _cell_buckets(xs, ys, 1.0 / _cells_per_side(radius, n))
     cell_of = [None] * n
     for key, members in buckets.items():
         for node in members:
@@ -249,25 +251,26 @@ def _geometric_links(
                 if members:
                     candidates.extend(members[bisect_right(members, u):])
         candidates.sort()
-        ux, uy = positions[u]
+        ux = xs[u]
+        uy = ys[u]
         for v in candidates:
-            vx, vy = positions[v]
-            du = ux - vx
-            dv = uy - vy
+            du = ux - xs[v]
+            dv = uy - ys[v]
             if du * du + dv * dv <= limit:
                 edge_u.append(u)
                 edge_v.append(v)
-    return edge_u, edge_v, positions
+    return edge_u, edge_v, xs, ys
 
 
-def _cell_buckets(positions: Dict[int, Tuple[float, float]], width: float) -> dict:
-    """Return the nodes of ``positions`` bucketed by square cell.
+def _cell_buckets(xs: List[float], ys: List[float], width: float) -> dict:
+    """Return the nodes bucketed by square cell.
 
-    Maps each cell ``(int(x / width), int(y / width))`` to its nodes, in
-    ``positions`` order; cells are keyed in order of first occupancy.
+    Maps each cell ``(int(x / width), int(y / width))`` to its nodes in
+    node order (node ``i`` sits at ``(xs[i], ys[i])``); cells are keyed in
+    order of first occupancy.
     """
     buckets: dict = {}
-    for node, (x, y) in positions.items():
+    for node, (x, y) in enumerate(zip(xs, ys)):
         buckets.setdefault((int(x / width), int(y / width)), []).append(node)
     return buckets
 
@@ -286,7 +289,10 @@ def _cells_per_side(reach: float, n: int) -> int:
     return max(1, int(min(1.0 / reach, math.isqrt(n) + 1)) - 1)
 
 
-def _stitch_components(n: int, edge_u: array, edge_v: array, positions) -> WeightedGraph:
+def _stitch_components(
+    n: int, edge_u: array, edge_v: array, xs: List[float], ys: List[float],
+    edge_w: Optional[array] = None, ranges: Optional[List[float]] = None,
+) -> WeightedGraph:
     """Build the graph, bridging its components via nearest pairs.
 
     While the edge stream is disconnected, the closest pair between the
@@ -295,7 +301,9 @@ def _stitch_components(n: int, edge_u: array, edge_v: array, positions) -> Weigh
     BFS from each smallest unseen slot, members in visit order), and each
     bridge makes new columns rather than growing the ones that graph holds.
     The connected stream is built into the returned graph, whose rows are
-    left unfilled.
+    left unfilled.  Without ``edge_w`` the graph has unit weights; with it
+    (the links' affectance column, see :func:`ad_hoc_affectance_graph`)
+    each bridge gets its affectance from ``ranges`` too.
     """
     while not _stream_connected(n, edge_u, edge_v):
         csr = WeightedGraph._from_csr_edges(n, edge_u, edge_v).csr()
@@ -312,15 +320,20 @@ def _stitch_components(n: int, edge_u: array, edge_v: array, positions) -> Weigh
         for other in components[1:]:
             for u in base:
                 for v in other:
-                    du = positions[u][0] - positions[v][0]
-                    dv = positions[u][1] - positions[v][1]
+                    du = xs[u] - xs[v]
+                    dv = ys[u] - ys[v]
                     dist = du * du + dv * dv
                     if best is None or dist < best[0]:
                         best = (dist, u, v)
         assert best is not None
-        edge_u = edge_u + array("q", (best[1],))
-        edge_v = edge_v + array("q", (best[2],))
-    return WeightedGraph._from_csr_edges(n, edge_u, edge_v)
+        dist, u, v = best
+        edge_u = edge_u + array("q", (u,))
+        edge_v = edge_v + array("q", (v,))
+        if edge_w is not None:
+            reach = ranges[v] if ranges[v] < ranges[u] else ranges[u]
+            alpha = math.sqrt(dist) / reach
+            edge_w = edge_w + array("d", (1e-9 if 1e-9 > alpha else alpha,))
+    return WeightedGraph._from_csr_edges(n, edge_u, edge_v, edge_w)
 
 
 def barabasi_albert_graph(
@@ -596,9 +609,8 @@ def ad_hoc_affectance_graph(
     seed: int,
     base_range: Optional[float] = None,
     power_spread: float = 2.0,
-    return_affectance: bool = False,
 ) -> WeightedGraph:
-    """Return an ad-hoc wireless network with heterogeneous link ranges.
+    """Return an ad-hoc wireless network whose link weights are affectances.
 
     Models the dissemination-style ad-hoc networks of the affectance/SINR
     literature (arXiv:1703.01704): ``n`` stations are placed uniformly at
@@ -622,17 +634,15 @@ def ad_hoc_affectance_graph(
     ``n = 10^4``.  Leftover components are stitched via their closest pairs
     (the model assumes a connected network).
 
-    When ``return_affectance`` is set, the call returns a
-    ``(graph, affectance)`` pair instead of the bare graph: ``affectance``
-    maps every canonical edge ``(u, v)`` (``u < v``) to the link's
-    affectance ``dist(u, v) / min(range_u, range_v)`` — the normalized
-    interference weight the selective-family dissemination protocol
-    (arXiv:1703.01704, experiment e13) schedules by.  In-range links have
-    affectance in ``(0, 1]``; stitching bridges (out-of-range by
-    construction) exceed 1, marking them as the weakest links.  The values
-    are computed from the positions and ranges the generator already drew,
-    so requesting them consumes **zero** extra random draws — the returned
-    graph is bit-identical to the default call's.
+    Each link's weight is its affectance
+    ``α(u, v) = max(dist(u, v) / min(range_u, range_v), 1e-9)`` — the
+    normalized interference weight the selective-family dissemination
+    protocol (:func:`repro.protocols.dissemination.disseminate`,
+    experiment e13) schedules by; the floor keeps coincident stations from
+    making an infinitely strong link.  In-range links have affectance in
+    ``(0, 1]``; stitching bridges (out-of-range by construction) exceed 1,
+    marking them as the weakest links.  Callers that need other weights
+    replace them (:func:`repro.topology.weights.assign_distinct_weights`).
 
     Raises:
         ValueError: if ``n < 1`` or ``power_spread < 1``.
@@ -644,58 +654,47 @@ def ad_hoc_affectance_graph(
     rng = random.Random(seed)
     if base_range is None:
         base_range = math.sqrt(1.5 * math.log(max(n, 2)) / (math.pi * n))
-    positions = {}
-    ranges = {}
-    for node in range(n):
-        positions[node] = (rng.random(), rng.random())
-        ranges[node] = base_range * (1.0 + (power_spread - 1.0) * rng.random())
+    draws = [rng.random() for _ in range(3 * n)]  # per node: x, y, range fraction
+    xs, ys = draws[0::3], draws[1::3]
+    spread = power_spread - 1.0
+    ranges = [base_range * (1.0 + spread * fraction) for fraction in draws[2::3]]
     # spatial hash: with cells as wide as the maximum range, every link lies
     # within the 3×3 cell neighbourhood of either endpoint; each unordered
-    # node pair is reached through exactly one cell pair, so the edge stream
-    # never repeats an edge
-    buckets = _cell_buckets(positions, base_range * power_spread)
+    # node pair is reached through exactly one cell pair (a cell and itself
+    # or one of its four forward neighbours), so no edge repeats
+    buckets = _cell_buckets(xs, ys, base_range * power_spread)
     edge_u = array("q")
     edge_v = array("q")
+    edge_w = array("d")
     for (cx, cy), members in buckets.items():
-        for dx in (0, 1):
-            for dy in ((0, 1) if dx == 0 else (-1, 0, 1)):
-                if dx == 0 and dy == 0:
-                    others = members
-                else:
-                    others = buckets.get((cx + dx, cy + dy))
-                    if others is None:
-                        continue
-                for u in members:
-                    ux, uy = positions[u]
-                    reach_u = ranges[u]
-                    for v in others:
-                        if dx == 0 and dy == 0 and v <= u:
-                            continue
-                        dxp = ux - positions[v][0]
-                        dyp = uy - positions[v][1]
-                        reach = min(reach_u, ranges[v])
-                        if dxp * dxp + dyp * dyp <= reach * reach:
-                            if u < v:
-                                edge_u.append(u)
-                                edge_v.append(v)
-                            else:
-                                edge_u.append(v)
-                                edge_v.append(u)
-    graph = _stitch_components(n, edge_u, edge_v, positions)
-    if not return_affectance:
-        return graph
-    affectance = {}
-    for edge in graph.edges():
-        u, v = (edge.u, edge.v) if edge.u < edge.v else (edge.v, edge.u)
-        dxp = positions[u][0] - positions[v][0]
-        dyp = positions[u][1] - positions[v][1]
-        reach = min(ranges[u], ranges[v])
-        # floor the value: coincident stations would otherwise produce an
-        # affectance of exactly 0 (an infinitely strong link downstream)
-        affectance[(u, v)] = max(
-            math.sqrt(dxp * dxp + dyp * dyp) / reach, 1e-9
-        )
-    return graph, affectance
+        for dx, dy in ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1)):
+            same = dx == 0 and dy == 0
+            others = members if same else buckets.get((cx + dx, cy + dy))
+            if others is None:
+                continue
+            for i, u in enumerate(members):
+                ux = xs[u]
+                uy = ys[u]
+                reach_u = ranges[u]
+                # a cell lists its nodes ascending, so within it the later
+                # members are exactly the higher-numbered ones
+                for v in others[i + 1:] if same else others:
+                    dxp = ux - xs[v]
+                    dyp = uy - ys[v]
+                    reach = ranges[v]
+                    if reach_u <= reach:
+                        reach = reach_u
+                    squared = dxp * dxp + dyp * dyp
+                    if squared <= reach * reach:
+                        if u < v:
+                            edge_u.append(u)
+                            edge_v.append(v)
+                        else:
+                            edge_u.append(v)
+                            edge_v.append(u)
+                        alpha = math.sqrt(squared) / reach
+                        edge_w.append(1e-9 if 1e-9 > alpha else alpha)
+    return _stitch_components(n, edge_u, edge_v, xs, ys, edge_w, ranges)
 
 
 def ray_graph(num_rays: int, ray_length: int) -> WeightedGraph:

@@ -1333,6 +1333,36 @@ def geometric_pairs_all_pairs(
     return pairs
 
 
+def ad_hoc_links_all_pairs(
+    n: int, seed: int, base_range: Optional[float] = None, power_spread: float = 2.0
+) -> Dict[Tuple[int, int], float]:
+    """Return :func:`~repro.topology.generators.ad_hoc_affectance_graph`'s
+    in-range links, each with its affectance.
+
+    An all-pairs scan over the same draws (x, y, then the range fraction,
+    node by node): ``(u, v)`` with ``u < v`` is a link when the stations lie
+    within both ranges, and maps to ``max(dist / min(range_u, range_v),
+    1e-9)``.  Before any stitching bridge.
+    """
+    rng = random.Random(seed)
+    if base_range is None:
+        base_range = math.sqrt(1.5 * math.log(max(n, 2)) / (math.pi * n))
+    stations = []
+    for _ in range(n):
+        x = rng.random()
+        y = rng.random()
+        stations.append((x, y, base_range * (1.0 + (power_spread - 1.0) * rng.random())))
+    links = {}
+    for u in range(n):
+        for v in range(u + 1, n):
+            du = stations[u][0] - stations[v][0]
+            dv = stations[u][1] - stations[v][1]
+            reach = min(stations[u][2], stations[v][2])
+            if du * du + dv * dv <= reach * reach:
+                links[(u, v)] = max(math.sqrt(du * du + dv * dv) / reach, 1e-9)
+    return links
+
+
 #: result-file schemas :func:`load_result` reads: the current one, and
 #: schema 1, whose ``wall_seconds`` doubles as ``invocation_seconds``
 LOADABLE_RESULT_SCHEMAS = (1, RESULT_SCHEMA)

@@ -16,15 +16,18 @@ from pathlib import Path
 import pytest
 
 from oracles import load_result
+from repro.experiments import executors
 from repro.experiments.executors import (
     ExecutorConfigError,
     SerialExecutor,
     ShardedExecutor,
+    execute_point,
     make_executor,
     parse_shard,
     shard_indices,
     sweep_digest,
 )
+from repro.experiments.registry import get_experiment
 from repro.experiments.runner import (
     RESULT_SCHEMA,
     ExperimentResult,
@@ -226,10 +229,20 @@ class TestShardedCheckpoints:
         with pytest.raises(ValueError, match="out of range"):
             run_experiment("e2", preset="quick", executor=executor)
 
-    def test_resumed_wall_seconds_accumulates_shard_compute(self, tmp_path):
+    def test_resumed_wall_seconds_accumulates_shard_compute(
+            self, tmp_path, monkeypatch):
+        computed = []
+
+        def spy(spec, point):
+            computed.append(point)
+            return execute_point(spec, point)
+
+        monkeypatch.setattr(executors, "execute_point", spy)
         run_dir = tmp_path / "run"
         run_experiment("e2", preset="quick", executor="sharded",
                        run_dir=run_dir, shard=(0, 2))
+        first_shard = (run_dir / "shard-0000.json").read_bytes()
+        first_points = list(computed)
         resumed = run_experiment("e2", preset="quick", executor="sharded",
                                  run_dir=run_dir, resume=True)
         checkpoints = sorted(run_dir.glob("shard-*.json"))
@@ -239,8 +252,14 @@ class TestShardedCheckpoints:
             for path in checkpoints
         )
         assert resumed.wall_seconds == pytest.approx(total)
-        # the resuming invocation itself computed only the second shard
-        assert resumed.invocation_seconds < resumed.wall_seconds * 2
+        # the resuming invocation computed only the second shard: the first
+        # shard's checkpoint is kept byte for byte, and only the second
+        # point ran
+        assert (run_dir / "shard-0000.json").read_bytes() == first_shard
+        spec = get_experiment("e2")
+        points = spec.points(spec.params_for("quick"))
+        assert first_points == points[:1]
+        assert computed == points
 
 
 # ----------------------------------------------------------------------

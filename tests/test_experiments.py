@@ -139,6 +139,18 @@ def _e11_rows_bounded(rows):
     return True
 
 
+def _e13_selective_tracks_the_layers(rows):
+    for row in rows:
+        # a station learns the message one hop per round at best, so no
+        # scheduler beats the BFS depth; the selective family stays within
+        # twice it and never trails either baseline
+        layers = row["layers"]
+        assert layers <= row["r_selective"] <= 2 * layers
+        assert layers <= row["r_decay"] and layers <= row["r_round_robin"]
+        assert row["r_selective"] <= min(row["r_decay"], row["r_round_robin"])
+    return True
+
+
 class TestDefaultPresetClaims:
     """Row claims checked on the ``default`` preset, the sweep ``repro run`` runs by default."""
 
@@ -147,6 +159,7 @@ class TestDefaultPresetClaims:
         (
             ("e9", _e9_channel_pays_off_at_largest_size),
             ("e11", _e11_rows_bounded),
+            ("e13", _e13_selective_tracks_the_layers),
         ),
     )
     def test_claim_holds(self, experiment_id, claim):

@@ -62,7 +62,7 @@ def current_digests():
 
 
 EXPECTED = {
-    'ad_hoc_400_stitched': 'c60e5357572ca99341fbf2834a27cdb1d5601a7d8c50a6d12d836063bf6a7a8e',
+    'ad_hoc_400_stitched': 'f68781af0fb8eb7409676e2a6b312944e5cb506d403ed3f8ae337e3ce5f36149',
     'complete_9': '1ea76114a9599f49b6ca7cab845079eb67f5d266a91ba67cc38684e1a1b44723',
     'erdos_renyi_60': 'b6f855a8c743481948c47528772daede6faf4243fc9a325ca0ed99f2295e30b5',
     'erdos_renyi_60_loose': '517cc99b1f1917204a5f487927b03dfeec58767acfd89f77c0320d27089808a3',

@@ -334,11 +334,9 @@ def _compute_workload_state():
     # pin the decay coin stream and the (deterministic) family packing;
     # loss-preset runs additionally pin the adversity draws and the abort
     # machinery, counters included
-    graph, affectance = ad_hoc_affectance_graph(
-        48, seed=11, return_affectance=True
-    )
+    graph = ad_hoc_affectance_graph(48, seed=11)
     for scheduler in SCHEDULERS:
-        result = disseminate(graph, affectance, scheduler=scheduler, seed=5)
+        result = disseminate(graph, scheduler=scheduler, seed=5)
         state[f"dissemination/ad_hoc/48/{scheduler}"] = {
             "rounds": result.rounds,
             "transmissions": result.transmissions,
@@ -348,7 +346,7 @@ def _compute_workload_state():
         entry = {}
         try:
             lossy = disseminate(
-                graph, affectance, scheduler=scheduler, seed=5, adversity=adv
+                graph, scheduler=scheduler, seed=5, adversity=adv
             )
             entry["status"] = "ok"
             entry["rounds"] = lossy.rounds

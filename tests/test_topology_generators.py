@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from oracles import degree, geometric_pairs_all_pairs
+from oracles import ad_hoc_links_all_pairs, degree, geometric_pairs_all_pairs
 from repro.topology.generators import (
     _geometric_links,
     ad_hoc_affectance_graph,
@@ -123,12 +123,12 @@ class TestGeometricBuckets:
                 with pytest.raises(ValueError, match="radius"):
                     build(n, radius, seed)
             return
-        edge_u, edge_v, _ = _geometric_links(n, radius, seed)
+        edge_u, edge_v, _, _ = _geometric_links(n, radius, seed)
         assert list(zip(edge_u, edge_v)) == geometric_pairs_all_pairs(n, radius, seed)
 
     @pytest.mark.parametrize("n, seed", ((1200, 3), (2000, 7)))
     def test_matches_at_the_default_radius(self, n, seed):
-        edge_u, edge_v, _ = _geometric_links(n, None, seed)
+        edge_u, edge_v, _, _ = _geometric_links(n, None, seed)
         assert list(zip(edge_u, edge_v)) == geometric_pairs_all_pairs(n, None, seed)
 
     @pytest.mark.parametrize("radius", (0.0, 0.12, None))
@@ -238,9 +238,9 @@ class TestAdHocAffectance:
     @staticmethod
     def _links(n, **options):
         """The in-range links: the graph's edges but its stitching bridges,
-        whose affectance exceeds 1."""
-        _, affectance = ad_hoc_affectance_graph(n, return_affectance=True, **options)
-        return {edge for edge, alpha in affectance.items() if alpha <= 1.0}
+        whose affectance (the link weight) exceeds 1."""
+        graph = ad_hoc_affectance_graph(n, **options)
+        return {edge.key() for edge in graph.edges() if edge.weight <= 1.0}
 
     def test_links_respect_the_smaller_range(self):
         # the same seed draws the same positions and the same range
@@ -274,46 +274,38 @@ class TestAdHocAffectance:
 
 
 class TestAdHocAffectanceExposure:
-    def test_flag_does_not_change_the_graph(self):
-        # the affectance values are computed post hoc from stored positions
-        # and ranges — requesting them must not shift a single RNG draw, so
-        # the graph is identical with and without the flag (this is what
-        # keeps the v1 golden era, which pins these edge lists, untouched)
-        plain = ad_hoc_affectance_graph(128, seed=7)
-        exposed, affectance = ad_hoc_affectance_graph(
-            128, seed=7, return_affectance=True
-        )
-        assert plain.edges() == exposed.edges()
-        assert isinstance(affectance, dict)
+    """Every link's weight is its affectance."""
 
-    def test_affectance_covers_exactly_the_links(self):
-        graph, affectance = ad_hoc_affectance_graph(
-            96, seed=5, return_affectance=True
-        )
-        expected_keys = {
-            (edge.u, edge.v) if edge.u < edge.v else (edge.v, edge.u)
-            for edge in graph.edges()
+    @pytest.mark.parametrize(
+        "n, options",
+        ((96, {"seed": 5}), (200, {"seed": 4, "base_range": 0.05})),
+    )
+    def test_weights_match_the_all_pairs_scan(self, n, options):
+        # the in-range links and their affectances, bit for bit, are the
+        # all-pairs scan's over the same draws; every other edge is a bridge
+        weights = {
+            edge.key(): edge.weight
+            for edge in ad_hoc_affectance_graph(n, **options).edges()
         }
-        assert set(affectance) == expected_keys
+        links = ad_hoc_links_all_pairs(n, **options)
+        assert links.keys() <= weights.keys()
+        assert {edge: weights[edge] for edge in links} == links
+        assert all(weights[edge] > 1.0 for edge in weights.keys() - links.keys())
 
     def test_in_range_links_have_affectance_at_most_one(self):
         # α = distance / min(range_u, range_v): ≤ 1 for genuine radio links,
         # > 1 only on the stitched connectivity bridges — one fewer than
         # the components the radio links leave
-        graph, affectance = ad_hoc_affectance_graph(
-            200, seed=4, base_range=0.05, return_affectance=True
-        )
-        links = [edge for edge, alpha in affectance.items() if alpha <= 1.0]
-        bridges = len(affectance) - len(links)
+        graph = ad_hoc_affectance_graph(200, seed=4, base_range=0.05)
+        links = [edge.key() for edge in graph.edges() if edge.weight <= 1.0]
+        bridges = graph.num_edges() - len(links)
         assert links and bridges
-        assert all(alpha > 0.0 for alpha in affectance.values())
+        assert all(edge.weight > 0.0 for edge in graph.edges())
         assert bridges == component_count(200, links) - 1
 
     def test_stitched_bridges_exceed_one(self):
         # with a tiny range, connectivity stitching must add out-of-range
         # bridges, and their affectance reflects that
-        graph, affectance = ad_hoc_affectance_graph(
-            40, seed=2, base_range=1e-6, return_affectance=True
-        )
+        graph = ad_hoc_affectance_graph(40, seed=2, base_range=1e-6)
         assert graph.num_edges() > 0
-        assert all(alpha > 1.0 for alpha in affectance.values())
+        assert all(edge.weight > 1.0 for edge in graph.edges())
