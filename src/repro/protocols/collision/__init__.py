@@ -5,9 +5,10 @@ network.  The conflict-resolution protocols are **contender state machines**
 (:class:`~repro.protocols.collision.base.ChannelContender`) that larger
 algorithms embed to run a channel stage in one call,
 :func:`~repro.protocols.collision.base.run_contention`, which builds the
-stage's channel and schedules the contenders slot by slot — or, for a fresh
-batch of Metcalfe–Boggs contenders on an unjammed channel, by the geometric
-skip-ahead.  The Greenberg–Ladner multiplicity estimator runs against a
+stage's channel and schedules the contenders: a Capetanakis batch by one
+walk of the protocol's public interval stack, a fresh batch of
+Metcalfe–Boggs contenders on an unjammed channel by the geometric
+skip-ahead, and any other batch slot by slot.  The Greenberg–Ladner multiplicity estimator runs against a
 bare :class:`~repro.sim.channel.SlottedChannel`.
 """
 

@@ -20,13 +20,22 @@ protocol's progress by listening.
 :func:`run_contention` is a whole channel stage in one call: it builds the
 stage's :class:`~repro.sim.channel.SlottedChannel` (jammed when the
 caller's adversity schedule jams), sizes the slot budget and drives the
-contenders on it, with no point-to-point network involved.
+contenders on it, with no point-to-point network involved.  Capetanakis'
+protocol is all public state — one stack of identifier intervals that
+every listener rebuilds from the slot outcomes — so a
+:class:`~repro.protocols.collision.capetanakis.CapetanakisContender` batch
+is scheduled by walking that one stack over the contenders sorted by
+identity (O(log k) work per slot) instead of asking each contender every
+slot; the per-slot state machine is kept as the test reference
+(``tests/oracles.py:SlotByCapetanakis``).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Any, Hashable, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Any, Hashable, List, NoReturn, Optional, Sequence, Tuple
 
 from repro.protocols.collision.geometric import run_geometric_contention
 from repro.sim.adversity import AdversityState
@@ -44,8 +53,10 @@ class ChannelContender:
     A contender is resolved once it has had a successful slot: ``observe``
     records that slot (``_succeeded_in_slot``) when the contender
     transmitted in it and it came back *success*, and only then.  The
-    scheduler relies on this, rechecking its worklist after success slots
-    only.
+    per-slot scheduler relies on this, rechecking its worklist after
+    success slots only.  A protocol whose whole state is public may leave
+    both methods abstract and be scheduled by :func:`run_contention` itself,
+    as Capetanakis' tree walk is.
     """
 
     def __init__(self, identity: NodeId, payload: Any = None) -> None:
@@ -64,12 +75,14 @@ class ChannelContender:
     def observe(self, event: ChannelEvent, transmitted: bool) -> None:
         """Update local state after the slot resolves.
 
+        An override records ``event.slot`` in ``_succeeded_in_slot`` when
+        ``transmitted`` and the slot came back *success*.
+
         Args:
             event: the (public) outcome of the slot.
             transmitted: whether *this* contender transmitted in the slot.
         """
-        if transmitted and event.is_success():
-            self._succeeded_in_slot = event.slot
+        raise NotImplementedError
 
     @property
     def resolved(self) -> bool:
@@ -101,13 +114,18 @@ class ScheduleOutcome:
     idle: int
 
 
+#: sample a fresh homogeneous Metcalfe–Boggs batch by the geometric
+#: skip-ahead; the statistical-equivalence tests turn it off to compare the
+#: skip-ahead with the per-slot loop
+SKIP_AHEAD = True
+
+
 def run_contention(
     contenders: Sequence[ChannelContender],
     max_slots: int = 1_000_000,
     metrics: Optional[MetricsRecorder] = None,
     adversity: Optional[AdversityState] = None,
     network_size: Optional[int] = None,
-    skip_ahead: bool = True,
 ) -> ScheduleOutcome:
     """Run one channel stage: schedule ``contenders`` until all are resolved.
 
@@ -115,16 +133,30 @@ def run_contention(
     charging ``metrics``.  In the model every node hears every slot; the
     orchestration only delivers observations to the *unresolved*
     contenders, because a resolved contender never transmits again and its
-    local state can no longer influence the schedule.
+    local state can no longer influence the schedule.  The unresolved
+    contenders are scheduled one of three ways:
 
-    When every pending contender is a
-    :class:`~repro.protocols.collision.metcalfe_boggs.MetcalfeBoggsContender`
-    holding one shared estimate and none has heard a success, the schedule
-    is sampled by the geometric skip-ahead scheduler
-    (:func:`~repro.protocols.collision.geometric.run_geometric_contention`):
-    identical outcome distribution, O(1) work per busy slot, idle runs
-    skipped in one draw.  Pass ``skip_ahead=False`` to force the per-slot
-    loop (the statistical-equivalence tests compare the two paths).
+    * a batch of
+      :class:`~repro.protocols.collision.capetanakis.CapetanakisContender`
+      is walked down the protocol's one public interval stack
+      (:func:`_walk_interval_tree`): each slot's writers are the contenders
+      whose identities lie in the top interval, found by two bisections,
+      so a slot costs O(log k) Python steps and one list slice rather than
+      a call per contender.  Each call starts a fresh walk over the batch;
+    * when every contender is a
+      :class:`~repro.protocols.collision.metcalfe_boggs.MetcalfeBoggsContender`
+      holding one shared estimate and none has heard a success, the
+      schedule is sampled by the geometric skip-ahead scheduler
+      (:func:`~repro.protocols.collision.geometric.run_geometric_contention`):
+      identical outcome distribution, O(1) work per busy slot, idle runs
+      skipped in one draw (unless :data:`SKIP_AHEAD` is off);
+    * any other batch runs the per-slot loop, which asks every pending
+      contender ``wants_to_transmit`` and hands it the slot's ``observe``.
+
+    The walk and the per-slot loop resolve every slot on the stage's
+    channel, so both draw the same jams, charge the same slots and write
+    attempts and run out of budget alike; the skip-ahead, which never runs
+    jammed, charges each idle run it skips in one batch.
 
     Args:
         contenders: the stage's contenders.
@@ -133,8 +165,8 @@ def run_contention(
         adversity: the caller's adversity schedule.  The channel jams with
             its jam rate (:meth:`~repro.sim.adversity.AdversityState.channel_adversity`),
             and the budget is its round budget for ``network_size`` nodes
-            instead of ``max_slots``.  A jammed channel forces the per-slot
-            loop (the skip-ahead models a fault-free Bernoulli field, which
+            instead of ``max_slots``.  A jammed channel rules out the
+            skip-ahead (which models a fault-free Bernoulli field, which
             jamming is not) and turns budget exhaustion into
             :class:`~repro.sim.errors.AdversityAbort` — under jamming,
             running out of slots is the adversary's doing, not a protocol
@@ -147,6 +179,9 @@ def run_contention(
             on a channel without jamming, which indicates a protocol bug or
             an unreachable schedule.
         AdversityAbort: if the budget is exhausted on a jammed channel.
+        ValueError: if the unresolved contenders mix Capetanakis
+            contenders with other kinds, or Capetanakis contenders over
+            different universes: they share no one interval stack.
     """
     jam = None
     if adversity is not None:
@@ -155,6 +190,131 @@ def run_contention(
             len(contenders) if network_size is None else network_size
         )
     channel = SlottedChannel(metrics=metrics, adversity=jam)
+    pending = [contender for contender in contenders if not contender.resolved]
+    # imported here: both protocol modules build on this one
+    from repro.protocols.collision.capetanakis import CapetanakisContender
+    from repro.protocols.collision.metcalfe_boggs import MetcalfeBoggsContender
+
+    walked = [
+        contender for contender in pending if isinstance(contender, CapetanakisContender)
+    ]
+    if walked:
+        universe = walked[0].universe_size
+        if len(walked) != len(pending) or any(
+            contender.universe_size != universe for contender in walked
+        ):
+            raise ValueError(
+                "a Capetanakis stage holds only Capetanakis contenders over "
+                "one identifier universe"
+            )
+        return _walk_interval_tree(walked, universe, channel, jam, metrics, max_slots)
+    if SKIP_AHEAD and jam is None and pending:
+        first = pending[0]
+        if type(first) is MetcalfeBoggsContender and all(
+            type(contender) is MetcalfeBoggsContender
+            and contender.estimate == first.estimate
+            and not contender.successes_seen
+            for contender in pending
+        ):
+            return run_geometric_contention(pending, channel, metrics, max_slots)
+    return _per_slot(pending, channel, jam, metrics, max_slots)
+
+
+def _exhausted(
+    slot: int,
+    pending: int,
+    jam: Optional[AdversityState],
+    metrics: Optional[MetricsRecorder],
+    max_slots: int,
+) -> NoReturn:
+    """Charge the ``slot`` rounds spent and raise the budget's error."""
+    if metrics is not None:
+        metrics.record_round(slot)
+    if jam is not None:
+        raise AdversityAbort(slot, pending)
+    raise ProtocolError(f"contention did not resolve within {max_slots} slots")
+
+
+def _walk_interval_tree(
+    batch: List[Any],
+    universe: int,
+    channel: SlottedChannel,
+    jam: Optional[AdversityState],
+    metrics: Optional[MetricsRecorder],
+    max_slots: int,
+) -> ScheduleOutcome:
+    """Schedule unresolved Capetanakis contenders by one walk of the stack.
+
+    The interval stack (:mod:`repro.protocols.collision.capetanakis`) is
+    walked once for the whole batch, sorted by identity, so each slot's
+    writers are one bisected run of the batch.
+    """
+    batch.sort(key=attrgetter("identity"))
+    identities = [contender.identity for contender in batch]
+    writes = [(contender.identity, contender.payload) for contender in batch]
+    resolve = channel.resolve_slot
+    success = SlotState.SUCCESS
+    collision = SlotState.COLLISION
+    order: List[NodeId] = []
+    broadcasts: List[Any] = []
+    collisions = 0
+    idle = 0
+    slot = 0
+    unresolved = len(batch)
+    # the stack is never empty while a contender is unresolved: every
+    # identity lies in the root interval, and an interval leaves the stack
+    # only on an idle slot (it holds no contender) or a success (it holds
+    # one, now resolved), so the intervals left cover every unresolved
+    # identity
+    stack = [(0, universe)]
+    while unresolved:
+        if slot >= max_slots:
+            _exhausted(slot, unresolved, jam, metrics, max_slots)
+        low, high = stack.pop()
+        # no resolved contender lies in a popped interval: the stack's
+        # intervals are disjoint, and a retired interval is never revisited,
+        # so this run of the batch is exactly the slot's pending writers
+        first = bisect_left(identities, low)
+        event = resolve(slot, writes[first:bisect_left(identities, high, first)])
+        state = event.state
+        if state is success:
+            batch[first]._succeeded_in_slot = slot
+            order.append(event.writer)
+            broadcasts.append(event.payload)
+            unresolved -= 1
+        elif state is collision:
+            # a jammed slot reads collision to everyone, so a jammed success
+            # (or idle) slot splits its interval like a real collision: a
+            # one-identity interval comes back whole (mid == low)
+            collisions += 1
+            mid = (low + high) // 2
+            stack.append((mid, high))
+            if low < mid:
+                stack.append((low, mid))
+        else:
+            idle += 1
+        slot += 1
+    # rounds are recorded in one batch: every slot is one time unit, and no
+    # caller reads the recorder mid-contention
+    if metrics is not None:
+        metrics.record_round(slot)
+    return ScheduleOutcome(
+        slots_used=slot,
+        order=order,
+        broadcasts=broadcasts,
+        collisions=collisions,
+        idle=idle,
+    )
+
+
+def _per_slot(
+    contenders: List[ChannelContender],
+    channel: SlottedChannel,
+    jam: Optional[AdversityState],
+    metrics: Optional[MetricsRecorder],
+    max_slots: int,
+) -> ScheduleOutcome:
+    """Schedule ``contenders`` slot by slot through their state machines."""
     order: List[NodeId] = []
     broadcasts: List[Any] = []
     collisions = 0
@@ -169,32 +329,11 @@ def run_contention(
     pending = [
         (contender, contender.wants_to_transmit, contender.observe)
         for contender in contenders
-        if not contender.resolved
     ]
-    if skip_ahead and jam is None and pending:
-        # imported here: the Metcalfe–Boggs module builds on this one
-        from repro.protocols.collision.metcalfe_boggs import MetcalfeBoggsContender
-
-        first = pending[0][0]
-        if type(first) is MetcalfeBoggsContender and all(
-            type(entry[0]) is MetcalfeBoggsContender
-            and entry[0].estimate == first.estimate
-            and not entry[0].successes_seen
-            for entry in pending
-        ):
-            return run_geometric_contention(
-                [entry[0] for entry in pending], channel, metrics, max_slots
-            )
     flags: List[bool] = []
     while pending:
         if slot >= max_slots:
-            if metrics is not None:
-                metrics.record_round(slot)
-            if jam is not None:
-                raise AdversityAbort(slot, len(pending))
-            raise ProtocolError(
-                f"contention did not resolve within {max_slots} slots"
-            )
+            _exhausted(slot, len(pending), jam, metrics, max_slots)
         writes: List[Tuple[NodeId, Any]] = []
         flags.clear()
         for contender, wants_to_transmit, _ in pending:

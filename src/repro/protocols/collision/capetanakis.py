@@ -18,44 +18,22 @@ O(k·b) = O(k log n) slots, which is exactly the bound the paper invokes when
 it schedules the O(√n) fragment roots deterministically in O(√n log n) time
 (Sections 5 and 6).
 
-The implementation is a :class:`ChannelContender`; the stack evolution
-depends only on the publicly observable slot states, so a passive listener
-could follow the protocol as well.
+Because the stack evolution depends only on the publicly observable slot
+states, a contender holds no protocol state of its own: a
+:class:`CapetanakisContender` is its identity, universe and payload, and
+:func:`~repro.protocols.collision.base.run_contention` walks the one stack
+over the whole batch.  The per-contender form, in which every contender
+keeps its own copy of the stack and is asked every slot, is the test
+reference (``tests/oracles.py:SlotByCapetanakis``).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
-
 from repro.protocols.collision.base import ChannelContender
-from repro.sim.events import ChannelEvent
-
-
-class _SharedStack:
-    """The interval stack every participant reconstructs from slot outcomes."""
-
-    def __init__(self, universe_size: int) -> None:
-        self.intervals: List[Tuple[int, int]] = [(0, universe_size)]
-
-    def current(self) -> Optional[Tuple[int, int]]:
-        return self.intervals[-1] if self.intervals else None
-
-    def advance(self, event: ChannelEvent) -> None:
-        if not self.intervals:
-            return
-        low, high = self.intervals.pop()
-        if event.is_collision():
-            mid = (low + high) // 2
-            # push right half first so the left half is processed next
-            if mid < high:
-                self.intervals.append((mid, high))
-            if low < mid:
-                self.intervals.append((low, mid))
-        # success and idle both retire the interval
 
 
 class CapetanakisContender(ChannelContender):
-    """One contender's view of the deterministic tree-splitting protocol.
+    """One contender of the deterministic tree-splitting protocol.
 
     Args:
         identity: the contender's identifier; must be an integer in
@@ -76,17 +54,5 @@ class CapetanakisContender(ChannelContender):
                 f"identity {identity} outside universe [0, {universe_size})"
             )
         super().__init__(identity, payload)
-        self._stack = _SharedStack(universe_size)
-
-    def wants_to_transmit(self, slot: int) -> bool:
-        """Transmit when the interval on top of the shared stack holds this identity."""
-        interval = self._stack.current()
-        if interval is None:
-            return False
-        low, high = interval
-        return low <= self.identity < high
-
-    def observe(self, event: ChannelEvent, transmitted: bool) -> None:
-        """Record a success and advance the shared stack past the slot."""
-        super().observe(event, transmitted)
-        self._stack.advance(event)
+        #: the identifier universe ``[0, universe_size)`` the stack starts with.
+        self.universe_size = universe_size

@@ -90,14 +90,6 @@ class ChannelEvent:
         """Return ``True`` when nobody wrote in this slot."""
         return self.state is SlotState.IDLE
 
-    def is_success(self) -> bool:
-        """Return ``True`` when exactly one node wrote in this slot."""
-        return self.state is SlotState.SUCCESS
-
-    def is_collision(self) -> bool:
-        """Return ``True`` when two or more nodes wrote in this slot."""
-        return self.state is SlotState.COLLISION
-
 
 def idle_event(slot: int) -> ChannelEvent:
     """Return an IDLE :class:`ChannelEvent` for ``slot``."""

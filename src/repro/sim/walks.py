@@ -7,12 +7,13 @@ degree sequence.  This module supplies the two pieces that workload needs:
 
 * :func:`hub_node` — the canonical trap: the maximum-degree slot (ties break
   to the smallest slot, so the choice is deterministic);
-* :func:`mean_first_passage_time` — the Monte-Carlo engine: a batch of
-  walkers stepped synchronously over the :class:`~repro.topology.graph.CSRView`
-  columns (``targets[offsets[u] + rng.randrange(degree)]`` per step — no
-  adjacency dicts, no per-step allocation), each walker driven by its own
-  hash-derived substream (:func:`~repro.sim.substreams.substream_seed`, scope
-  ``"sim.walks"``) so the result is independent of batching order, process
+* :func:`mean_first_passage_time` — the Monte-Carlo engine: walkers
+  stepped one at a time to absorption over the
+  :class:`~repro.topology.graph.CSRView` columns (``targets[offsets[u] + r]``
+  per step, ``r`` the draw ``rng.randrange(degree)`` makes — no adjacency
+  dicts, no per-step allocation), each walker driven by its own hash-derived
+  substream (:func:`~repro.sim.substreams.substream_seed`, scope
+  ``"sim.walks"``) so the result is independent of walker order, process
   and executor.
 
 The statistical tests calibrate the engine on small graphs against the
@@ -102,10 +103,10 @@ def mean_first_passage_time(
     Walker ``i`` derives its private generator from
     ``substream_seed(seed, "sim.walks", i)``, draws a uniform start slot
     distinct from the target, and performs an unbiased walk over the CSR
-    columns until it hits the target (or the step cap).  Walkers step
-    synchronously in one batch loop, but since every walker owns its stream
-    the step counts are identical to running them one at a time — and to
-    running them in any other process.
+    columns until it hits the target (or the step cap).  Walkers run one
+    at a time, each to absorption; since every walker owns its stream the
+    step counts are identical to stepping them together in any order — and
+    to running them in any other process.
 
     Args:
         graph: the (connected) graph to walk.
@@ -136,41 +137,41 @@ def mean_first_passage_time(
         max_steps = 500 * n
     offsets = csr.offsets
     neighbours = csr.targets
-    rngs: List[random.Random] = []
-    positions: List[int] = []
+    steps: List[int] = []
+    capped = 0
     for i in range(walkers):
         rng = random.Random(substream_seed(seed, WALK_SCOPE, i))
-        start = rng.randrange(n)
-        while start == target:
-            start = rng.randrange(n)
-        rngs.append(rng)
-        positions.append(start)
-    steps = [0] * walkers
-    active = list(range(walkers))
-    step = 0
-    while active and step < max_steps:
-        step += 1
-        still_walking = []
-        for i in active:
-            u = positions[i]
+        u = rng.randrange(n)
+        while u == target:
+            u = rng.randrange(n)
+        # every later position is some slot's neighbour, so only the start
+        # can be isolated
+        if offsets[u + 1] == offsets[u]:
+            raise ValueError(f"walker stranded on isolated slot {u}")
+        getrandbits = rng.getrandbits
+        step = 0
+        while step < max_steps:
+            step += 1
             lo = offsets[u]
             degree = offsets[u + 1] - lo
-            if degree == 0:
-                raise ValueError(f"walker stranded on isolated slot {u}")
-            nxt = neighbours[lo + rngs[i].randrange(degree)]
-            if nxt == target:
-                steps[i] = step
-            else:
-                positions[i] = nxt
-                still_walking.append(i)
-        active = still_walking
-    for i in active:
-        steps[i] = max_steps
+            # rng.randrange(degree) inlined, draw for draw: CPython 3.10–3.12
+            # draw getrandbits(degree.bit_length()) until it falls below
+            # degree (tests/test_walks.py holds the two equal)
+            bits = degree.bit_length()
+            r = getrandbits(bits)
+            while r >= degree:
+                r = getrandbits(bits)
+            u = neighbours[lo + r]
+            if u == target:
+                break
+        else:
+            capped += 1
+        steps.append(step)
     return WalkSummary(
         walkers=walkers,
         target=target,
         steps=tuple(steps),
         mean_steps=sum(steps) / walkers,
         max_steps=max_steps,
-        capped=len(active),
+        capped=capped,
     )

@@ -74,7 +74,7 @@ class CSRView:
     and fills the three row columns from it on their first read
     (:meth:`__getattr__`); after that they are plain slots and cost nothing
     extra.  Consumers that read only the stream — :meth:`canonical_edges`,
-    :attr:`num_edges` — never trigger the fill.
+    :meth:`canonical_endpoints`, :attr:`num_edges` — never trigger the fill.
 
     Row order is edge-stream order: node ``i``'s row lists its neighbours in
     the order the edges at ``i`` appeared in the stream the graph was built
@@ -92,6 +92,7 @@ class CSRView:
         "_edge_v",
         "_edge_w",
         "_canonical",
+        "_endpoints",
         "_connected",
     )
 
@@ -108,6 +109,7 @@ class CSRView:
         self._edge_v = edge_v
         self._edge_w = edge_w
         self._canonical: Optional[Tuple[array, array, array]] = None
+        self._endpoints: Optional[Tuple[array, array]] = None
         self._connected: Optional[bool] = None
 
     def __getattr__(self, name: str) -> array:
@@ -266,32 +268,53 @@ class CSRView:
         nondecreasing and ``edge_u[j] < edge_v[j]`` — already is that order
         and is returned as it is (unit weights become an all-``1.0``
         column).  The columns are computed once per view and cached, so
-        repeated consumers (weight assignment, the partition scan builders)
-        share the arrays and must not modify them.
+        repeated consumers (:meth:`WeightedGraph.edges`, the partition scan
+        builders) share the arrays and must not modify them.
         """
         if self._canonical is None:
-            edge_u = self._edge_u
-            edge_v = self._edge_v
-            edge_w = self._edge_w
-            ordered = all(map(lt, edge_u, edge_v))
-            if not (ordered and all(map(le, edge_u, islice(edge_u, 1, None)))):
-                if ordered:
-                    low, high = list(edge_u), edge_v
-                elif all(map(gt, edge_u, edge_v)):
-                    low, high = list(edge_v), edge_u
-                else:
-                    low = [u if u < v else v for u, v in zip(edge_u, edge_v)]
-                    high = [v if u < v else u for u, v in zip(edge_u, edge_v)]
-                # a stable sort keeps each node's edges in stream order
-                order = sorted(range(len(low)), key=low.__getitem__)
-                edge_u = array("q", [low[j] for j in order])
-                edge_v = array("q", [high[j] for j in order])
-                if edge_w is not None:
-                    edge_w = array("d", [edge_w[j] for j in order])
+            edge_u, edge_v, edge_w = self._sorted_stream(self._edge_w)
             if edge_w is None:
                 edge_w = array("d", [1.0]) * len(edge_u)
             self._canonical = (edge_u, edge_v, edge_w)
+            self._endpoints = (edge_u, edge_v)
         return self._canonical
+
+    def canonical_endpoints(self) -> Tuple[array, array]:
+        """Return ``(edge_u, edge_v)``: :meth:`canonical_edges` without weights.
+
+        For a consumer that replaces the weights (weight assignment): the
+        stream's weight column is not permuted, nor a unit column built.
+        Cached, and shared with :meth:`canonical_edges` once that has run;
+        a later :meth:`canonical_edges` call sorts the stream again for its
+        weights.
+        """
+        if self._endpoints is None:
+            edge_u, edge_v, _ = self._sorted_stream(None)
+            self._endpoints = (edge_u, edge_v)
+        return self._endpoints
+
+    def _sorted_stream(
+        self, edge_w: Optional[array]
+    ) -> Tuple[array, array, Optional[array]]:
+        """The edge stream in canonical order, ``edge_w`` permuted along."""
+        edge_u = self._edge_u
+        edge_v = self._edge_v
+        ordered = all(map(lt, edge_u, edge_v))
+        if not (ordered and all(map(le, edge_u, islice(edge_u, 1, None)))):
+            if ordered:
+                low, high = list(edge_u), edge_v
+            elif all(map(gt, edge_u, edge_v)):
+                low, high = list(edge_v), edge_u
+            else:
+                low = [u if u < v else v for u, v in zip(edge_u, edge_v)]
+                high = [v if u < v else u for u, v in zip(edge_u, edge_v)]
+            # a stable sort keeps each node's edges in stream order
+            order = sorted(range(len(low)), key=low.__getitem__)
+            edge_u = array("q", [low[j] for j in order])
+            edge_v = array("q", [high[j] for j in order])
+            if edge_w is not None:
+                edge_w = array("d", [edge_w[j] for j in order])
+        return edge_u, edge_v, edge_w
 
     def has_distinct_weights(self) -> bool:
         """Return ``True`` when no two edges share a weight.

@@ -25,7 +25,7 @@ def assign_distinct_weights(graph: WeightedGraph, seed: int) -> WeightedGraph:
     """
     rng = random.Random(seed)
     csr = graph.csr()
-    edge_u, edge_v, _ = csr.canonical_edges()
+    edge_u, edge_v = csr.canonical_endpoints()
     weights = list(range(1, len(edge_u) + 1))
     rng.shuffle(weights)
     # assign in canonical edge order; array('d') conversion is exactly

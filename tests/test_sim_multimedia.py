@@ -21,7 +21,7 @@ from repro.protocols.spanning.broadcast_convergecast import TreeAggregationFlywe
 from repro.sim import multimedia
 from repro.sim.adversity import adversity_state
 from repro.sim.errors import AdversityAbort, ProtocolError, SimulationTimeout
-from repro.sim.events import ChannelEvent, Message
+from repro.sim.events import ChannelEvent, Message, SlotState
 from repro.sim.flyweight import FlyweightProtocol
 from repro.sim.multimedia import MultimediaNetwork
 from repro.topology.generators import complete_graph, grid_graph, path_graph, ring_graph
@@ -59,7 +59,7 @@ class SingleBroadcaster(NodeProtocol):
             self.channel_write(("announce", self.node_id))
 
     def on_round(self, inbox, channel):
-        if channel.is_success():
+        if channel.state is SlotState.SUCCESS:
             self.halt(channel.payload)
 
 

@@ -8,7 +8,7 @@ charging the same slot accounting.  Three layers of guarantees:
   multiplicity) match naive per-slot Bernoulli simulation distribution-wise
   on fixed seed batches;
 * whole contention runs match the forced per-slot implementation
-  (``run_contention(..., skip_ahead=False)``) in success-slot distribution,
+  (``run_contention`` with ``base.SKIP_AHEAD`` patched off) in success-slot distribution,
   slot totals, and outcome mix;
 * where the trajectory is deterministic regardless of the RNG stream (single
   contender, saturated estimate), the two paths agree *exactly*, as does the
@@ -48,6 +48,13 @@ def _mb_batch(k, seed, estimate=None):
         )
         for i in range(k)
     ]
+
+
+def _run(contenders, skip_ahead, **kwargs):
+    """``run_contention`` with the skip-ahead switched on or off."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(base, "SKIP_AHEAD", skip_ahead)
+        return run_contention(contenders, **kwargs)
 
 
 @pytest.fixture
@@ -145,7 +152,7 @@ class TestRunEquivalence:
         totals, idles, collisions, success_slots = [], [], [], []
         for batch in range(batches):
             contenders = _mb_batch(k, seed=1000 + batch, estimate=estimate)
-            out = run_contention(contenders, skip_ahead=skip_ahead)
+            out = _run(contenders, skip_ahead)
             totals.append(out.slots_used)
             idles.append(out.idle)
             collisions.append(out.collisions)
@@ -181,7 +188,7 @@ class TestRunEquivalence:
         # so both paths agree exactly, not just in distribution
         for skip_ahead in (True, False):
             (contender,) = _mb_batch(1, seed=5, estimate=1)
-            out = run_contention([contender], skip_ahead=skip_ahead)
+            out = _run([contender], skip_ahead)
             assert out.slots_used == 1
             assert out.order == [0]
             assert out.idle == 0 and out.collisions == 0
@@ -194,9 +201,8 @@ class TestRunEquivalence:
             contenders = _mb_batch(2, seed=6, estimate=1)
             metrics = MetricsRecorder()
             with pytest.raises(ProtocolError):
-                run_contention(
-                    contenders, max_slots=64, metrics=metrics,
-                    skip_ahead=skip_ahead,
+                _run(
+                    contenders, skip_ahead, max_slots=64, metrics=metrics,
                 )
             assert metrics.rounds == 64
             assert metrics.channel_collision == 64
@@ -221,9 +227,8 @@ class TestRunEquivalence:
             contenders = _mb_batch(2, seed=13, estimate=10**17)
             metrics = MetricsRecorder()
             with pytest.raises(ProtocolError):
-                run_contention(
-                    contenders, max_slots=32, metrics=metrics,
-                    skip_ahead=skip_ahead,
+                _run(
+                    contenders, skip_ahead, max_slots=32, metrics=metrics,
                 )
             assert metrics.rounds == 32
             assert metrics.channel_idle == 32
@@ -268,13 +273,13 @@ class TestRunEquivalence:
         assert metrics.channel_slots == out.slots_used
 
     def test_deterministic_protocols_keep_per_slot_traces(self, skip_ahead_batches):
-        # Capetanakis is deterministic: identical schedule with and without
-        # the skip-ahead flag, and never handed to the skip-ahead
+        # Capetanakis is deterministic and walked, not sampled: identical
+        # schedule with and without the skip-ahead, and never handed to it
         ids = [3, 7, 11, 20, 21, 30]
         runs = []
         for skip_ahead in (True, False):
             contenders = [CapetanakisContender(i, 32, payload=i) for i in ids]
-            out = run_contention(contenders, skip_ahead=skip_ahead)
+            out = _run(contenders, skip_ahead)
             runs.append((out.order, out.slots_used, out.collisions, out.idle))
         assert runs[0] == runs[1]
         assert skip_ahead_batches == []

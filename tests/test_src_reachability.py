@@ -82,7 +82,7 @@ SRC = TESTS.parent / "src" / "repro"
 
 #: the most settable options ``src/repro`` may have (see
 #: :func:`settable_options`); lower it when a change removes some
-MAX_SETTABLE_OPTIONS = 132
+MAX_SETTABLE_OPTIONS = 131
 
 #: public definitions the drive does not run, and who uses them instead
 ALLOWED: Dict[str, str] = {

@@ -137,6 +137,25 @@ class TestEngineAgainstExact:
                 position = nxt
             assert summary.steps[i] == steps
 
+    def test_inline_draw_is_randrange(self):
+        # the engine draws a neighbour index as randrange(degree) does on
+        # CPython 3.10–3.12: getrandbits(degree.bit_length()) until the value
+        # is below degree.  An interpreter that draws otherwise fails here,
+        # not as a silent change of every walk
+        degrees = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 100, 255, 256,
+                   257, 975, 1023, 1024, 1025, 4097, 65535, 65537, 10**6, 2**31 - 1]
+        for seed in range(20):
+            expected = random.Random(seed)
+            inline = random.Random(seed)
+            for _ in range(3):
+                for degree in degrees:
+                    bits = degree.bit_length()
+                    r = inline.getrandbits(bits)
+                    while r >= degree:
+                        r = inline.getrandbits(bits)
+                    assert r == expected.randrange(degree), (seed, degree)
+            assert inline.getstate() == expected.getstate()
+
     def test_step_cap_counts_and_biases_low(self):
         graph = flower_graph(2, 2, 2)
         target = hub_node(graph)
