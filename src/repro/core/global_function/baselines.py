@@ -25,8 +25,8 @@ from typing import Dict, Optional
 from repro.core.global_function.semigroup import GlobalSensitiveFunction
 from repro.core.partition.forest import SpanningForest
 from repro.protocols.collision.base import run_contention
-from repro.protocols.collision.capetanakis import CapetanakisContender
-from repro.protocols.collision.metcalfe_boggs import MetcalfeBoggsContender
+from repro.protocols.collision.capetanakis import Capetanakis
+from repro.protocols.collision.metcalfe_boggs import MetcalfeBoggs
 from repro.protocols.spanning.broadcast_convergecast import TreeAggregationFlyweight
 from repro.protocols.spanning.bfs import build_bfs_forest
 from repro.sim.adversity import AdversityState
@@ -103,7 +103,8 @@ def compute_on_channel_only(
     function: GlobalSensitiveFunction,
     inputs: Dict[int, object],
     method: str = "randomized",
-    seed: int = 0,
+    *,
+    seed: int,
     metrics: Optional[MetricsRecorder] = None,
     adversity: Optional[AdversityState] = None,
 ) -> BaselineResult:
@@ -116,8 +117,8 @@ def compute_on_channel_only(
     them locally.  An ``adversity`` schedule reaches this baseline only
     through jamming (it is channel-only by construction), which slows the
     contention and bounds it by the schedule's slot budget.  ``seed`` keys
-    the randomized broadcasts' draws; it is fixed by default, so a call
-    that omits it is reproducible.
+    the randomized broadcasts' draws; it is required, so every run is
+    reproducible.
 
     Raises:
         ValueError: on an unknown ``method``.
@@ -129,25 +130,14 @@ def compute_on_channel_only(
     n = len(nodes)
     recorder.set_phase("channel")
     if method == "deterministic":
-        contenders = [
-            CapetanakisContender(identity=node, universe_size=n, payload=inputs[node])
-            for node in nodes
-        ]
+        protocol = Capetanakis(n)
     else:
-        rng = random.Random(seed)
-        # eager per-node seed draws (the v2 golden stream), lazy generators:
-        # the skip-ahead scheduler materialises only the first one
-        contenders = [
-            MetcalfeBoggsContender(
-                identity=node,
-                estimated_contenders=max(1, n),
-                seed=rng.randrange(2**63),
-                payload=inputs[node],
-            )
-            for node in nodes
-        ]
+        protocol = MetcalfeBoggs(max(1, n), random.Random(seed))
     # every node contends, so the adversity budget is sized for them all
-    outcome = run_contention(contenders, metrics=recorder, adversity=adversity)
+    outcome = run_contention(
+        protocol, nodes, [inputs[node] for node in nodes], recorder,
+        adversity=adversity,
+    )
     recorder.set_phase(None)
     value = function.evaluate(outcome.broadcasts)
     return BaselineResult(

@@ -32,8 +32,8 @@ from repro.core.partition.deterministic import DeterministicPartitioner
 from repro.core.partition.forest import SpanningForest
 from repro.core.partition.randomized import RandomizedPartitioner
 from repro.protocols.collision.base import run_contention
-from repro.protocols.collision.capetanakis import CapetanakisContender
-from repro.protocols.collision.metcalfe_boggs import MetcalfeBoggsContender
+from repro.protocols.collision.capetanakis import Capetanakis
+from repro.protocols.collision.metcalfe_boggs import MetcalfeBoggs
 from repro.protocols.spanning.broadcast_convergecast import TreeAggregationFlyweight
 from repro.protocols.symmetry.cole_vishkin import log_star
 from repro.sim.adversity import AdversityState
@@ -74,7 +74,8 @@ def compute_global_function(
     function: GlobalSensitiveFunction,
     inputs: Dict[int, object],
     method: str = "deterministic",
-    seed: int = 0,
+    *,
+    seed: int,
     forest: Optional[SpanningForest] = None,
     tightened_balance: bool = False,
     metrics: Optional[MetricsRecorder] = None,
@@ -91,8 +92,8 @@ def compute_global_function(
             Metcalfe–Boggs scheduling).
         seed: randomness seed of the distinct weights the deterministic
             method assigns a graph without them, of the randomized
-            partition and of the roots' Metcalfe–Boggs draws; fixed by
-            default, so a call that omits it is reproducible.
+            partition and of the roots' Metcalfe–Boggs draws; required, so
+            every run is reproducible.
         forest: reuse an existing partition instead of computing one; its
             cost is then not charged.
         tightened_balance: deterministic method only — stop the partition at
@@ -167,29 +168,20 @@ def compute_global_function(
     # ------------------------------------------------------------------
     rounds_before = recorder.rounds
     recorder.set_phase("global")
-    rng = random.Random(seed)
     if method == "deterministic":
         # the cores are nodes, so the ids 0..n-1 are their Capetanakis universe
-        contenders = [
-            CapetanakisContender(identity=core, universe_size=n, payload=partials[core])
-            for core in forest.cores
-        ]
+        protocol = Capetanakis(n)
     else:
-        estimate = max(1, math.ceil(2 * math.sqrt(n)))
-        # seeds are drawn eagerly (same master stream as the eager-rng form)
-        # but generators materialise lazily — the skip-ahead scheduler only
-        # ever draws from the first contender of a homogeneous batch
-        contenders = [
-            MetcalfeBoggsContender(
-                identity=core,
-                estimated_contenders=estimate,
-                seed=rng.randrange(2**63),
-                payload=partials[core],
-            )
-            for core in forest.cores
-        ]
+        protocol = MetcalfeBoggs(
+            max(1, math.ceil(2 * math.sqrt(n))), random.Random(seed)
+        )
     outcome = run_contention(
-        contenders, metrics=recorder, adversity=adversity, network_size=n
+        protocol,
+        forest.cores,
+        [partials[core] for core in forest.cores],
+        recorder,
+        adversity=adversity,
+        network_size=n,
     )
     recorder.set_phase(None)
     global_slots = recorder.rounds - rounds_before

@@ -29,7 +29,7 @@ from repro.core.mst.kruskal import MSTEdges
 from repro.core.partition.deterministic import DeterministicPartitioner
 from repro.core.partition.forest import SpanningForest
 from repro.protocols.collision.base import run_contention
-from repro.protocols.collision.capetanakis import CapetanakisContender
+from repro.protocols.collision.capetanakis import Capetanakis
 from repro.sim.adversity import AdversityState
 from repro.sim.metrics import MetricsRecorder, MetricsSnapshot
 from repro.topology.graph import Edge, WeightedGraph, edge_key
@@ -120,14 +120,13 @@ class MultimediaMST:
 
         # ---------------- stage 2: schedule the cores ---------------------
         self._metrics.set_phase("scheduling")
-        # the cores are nodes, so the ids 0..n-1 are their Capetanakis universe
-        contenders = [
-            CapetanakisContender(identity=core, universe_size=self._n, payload=core)
-            for core in forest.cores
-        ]
+        # the cores are nodes, so the ids 0..n-1 are their Capetanakis
+        # universe; each core broadcasts its own id
         schedule_outcome = run_contention(
-            contenders,
-            metrics=self._metrics,
+            Capetanakis(self._n),
+            forest.cores,
+            forest.cores,
+            self._metrics,
             adversity=self._adversity,
             network_size=self._n,
         )

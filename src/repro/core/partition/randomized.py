@@ -69,7 +69,7 @@ import random
 
 from repro.core.partition.forest import SpanningForest
 from repro.protocols.collision.base import run_contention
-from repro.protocols.collision.metcalfe_boggs import MetcalfeBoggsContender
+from repro.protocols.collision.metcalfe_boggs import MetcalfeBoggs
 from repro.sim.collector import collector_paused
 from repro.sim.errors import ProtocolError
 from repro.sim.metrics import MetricsRecorder, MetricsSnapshot
@@ -473,32 +473,23 @@ class RandomizedPartitioner:
         """Las-Vegas verification: schedule the roots on the channel.
 
         The roots contend on the channel with the Metcalfe–Boggs technique
-        for at most ``8√n`` slots; verification succeeds when every root got
-        a slot and the number of roots is at most ``2√n``... the paper uses
-        the weaker check "all roots scheduled and their number ≤ 2√n"; we
-        allow the forest when the count is within ``4√n`` (the constant the
-        Monte-Carlo analysis actually yields for small n) so that the
-        restart probability stays below 1/2 as the Remark requires.
+        for at most ``8√n`` slots.  The paper's check is "all roots
+        scheduled and their number ≤ 2√n"; verification here succeeds when
+        every root got a slot and there are at most ``⌈4√n⌉`` roots (the
+        constant the Monte-Carlo analysis actually yields for small n), so
+        that the restart probability stays below 1/2 as the Remark requires.
         """
         roots = forest.cores
         sqrt_n = math.sqrt(self._n)
         budget = max(4, math.ceil(8 * sqrt_n))
         estimate = max(1, math.ceil(2 * sqrt_n))
-        # eager seed draws keep the master stream identical to the old
-        # eager-rng form; the generators themselves materialise lazily
-        contenders = [
-            MetcalfeBoggsContender(
-                identity=root,
-                estimated_contenders=estimate,
-                seed=self._rng.randrange(2**63),
-                payload=root,
-            )
-            for root in roots
-        ]
         self._metrics.set_phase("verification")
         try:
+            # the stage draws one seed per root from the master stream, which
+            # the partition keeps drawing from after a rejected forest
             outcome = run_contention(
-                contenders, max_slots=budget, metrics=self._metrics
+                MetcalfeBoggs(estimate, self._rng), roots, roots, self._metrics,
+                max_slots=budget,
             )
         except ProtocolError:
             # the channel could not schedule every root: reject the forest

@@ -27,7 +27,7 @@ from repro.core.global_function.multimedia import compute_global_function
 from repro.core.global_function.semigroup import INTEGER_ADDITION
 from repro.core.partition.deterministic import DeterministicPartitioner
 from repro.protocols.collision.base import run_contention
-from repro.protocols.collision.capetanakis import CapetanakisContender
+from repro.protocols.collision.capetanakis import Capetanakis
 from repro.protocols.collision.greenberg_ladner import (
     MultiplicityEstimate,
     estimate_multiplicity,
@@ -65,7 +65,7 @@ def compute_size_deterministically(
     The reproduction runs the partition to increasing target sizes ``2^i``
     (mirroring "check at the end of each phase ``i`` whether the number of
     fragments is ≤ 2^i"), attempts the Capetanakis schedule with a slot
-    budget of ``2^i · id_bits``, and on the first success counts the nodes
+    budget of ``2^i · id_bits · 2``, and on the first success counts the nodes
     with the global-sum algorithm over the resulting forest.
 
     Raises:
@@ -94,14 +94,12 @@ def compute_size_deterministically(
         )
         forest = partitioner.run().forest
         budget = (2 ** exponent) * id_bits * 2
-        universe = 2 ** id_bits
-        contenders = [
-            CapetanakisContender(identity=core, universe_size=universe, payload=core)
-            for core in forest.cores
-        ]
         recorder.set_phase("size-scheduling")
         try:
-            outcome = run_contention(contenders, max_slots=budget, metrics=recorder)
+            outcome = run_contention(
+                Capetanakis(2 ** id_bits), forest.cores, forest.cores, recorder,
+                max_slots=budget,
+            )
         except ProtocolError:
             # the schedule did not fit its budget: run the next phase
             forest = None
@@ -152,16 +150,12 @@ class RandomizedSizeEstimate:
         return max(self.estimate / self.true_n, self.true_n / self.estimate)
 
 
-def estimate_size_randomized(
-    graph: WeightedGraph,
-    seed: int,
-    metrics: Optional[MetricsRecorder] = None,
-) -> RandomizedSizeEstimate:
+def estimate_size_randomized(graph: WeightedGraph, seed: int) -> RandomizedSizeEstimate:
     """Estimate ``n`` with the Greenberg–Ladner protocol (Section 7.4)."""
     if graph.num_nodes() == 0:
         raise ValueError("cannot size an empty network")
     estimate: MultiplicityEstimate = estimate_multiplicity(
-        graph.num_nodes(), rng=random.Random(seed), metrics=metrics
+        graph.num_nodes(), rng=random.Random(seed)
     )
     return RandomizedSizeEstimate(
         estimate=estimate.estimate,

@@ -1,8 +1,8 @@
 """Geometric skip-ahead for homogeneous randomized contention.
 
 The randomized conflict-resolution stage of the paper (Section 5.1, realised
-by :class:`~repro.protocols.collision.metcalfe_boggs.MetcalfeBoggsContender`)
-has every unresolved contender transmit independently in every slot with the
+by :class:`~repro.protocols.collision.metcalfe_boggs.MetcalfeBoggs`) has
+every unresolved contender transmit independently in every slot with the
 *same* probability ``p = 1/k̂``, where ``k̂`` is the publicly maintained
 estimate of the remaining contenders.  Simulating that process slot by slot
 costs Θ(pending) work per slot — Θ(n²) for the channel-only baseline of the
@@ -32,26 +32,19 @@ versioned (``tests/data/goldens/v2``) and a statistical-equivalence suite
 pins the two implementations against each other.
 
 :func:`run_geometric_contention` is the scheduler fast path; callers go
-through :func:`~repro.protocols.collision.base.run_contention`, which
-delegates here when every pending contender is a Metcalfe–Boggs contender
-with one shared estimate that has heard no success yet, on a channel
-without jamming.
+through :func:`~repro.protocols.collision.base.run_contention`, whose
+Metcalfe–Boggs stages come here on a channel without jamming.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Hashable, List, Optional
+from typing import Any, Callable, List
 
+from repro.protocols.collision.base import NodeId, ScheduleOutcome
 from repro.sim.channel import SlottedChannel
 from repro.sim.errors import ProtocolError
 from repro.sim.metrics import MetricsRecorder
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.protocols.collision.base import ScheduleOutcome
-    from repro.protocols.collision.metcalfe_boggs import MetcalfeBoggsContender
-
-NodeId = Hashable
 
 
 def geometric_idle_run(u: float, idle_probability: float) -> int:
@@ -140,12 +133,15 @@ def collision_multiplicity(u: float, p: float, m: int) -> int:
 
 
 def run_geometric_contention(
-    contenders: List["MetcalfeBoggsContender"],
+    identities: List[NodeId],
+    payloads: List[Any],
+    draw: Callable[[], float],
+    estimate: int,
     channel: SlottedChannel,
-    metrics: Optional[MetricsRecorder],
+    metrics: MetricsRecorder,
     max_slots: int,
-) -> "ScheduleOutcome":
-    """Drive a fresh Metcalfe–Boggs batch with idle runs skipped in O(1).
+) -> ScheduleOutcome:
+    """Drive a fresh Metcalfe–Boggs stage with idle runs skipped in O(1).
 
     This is the fast path of
     :func:`~repro.protocols.collision.base.run_contention`; it produces a
@@ -155,37 +151,31 @@ def run_geometric_contention(
     instead of O(pending) work per slot.
 
     Args:
-        contenders: the pending contenders, all holding the same
-            ``estimate`` and none having heard a success; the list is
-            consumed.
+        identities: the contenders' identities; the list is consumed.
+        payloads: their payloads, in the same order; consumed alike.
+        draw: the uniform source every slot-level variate comes from (the
+            first contender's private generator, so the run stays
+            deterministic under the caller's seeding and consumes no global
+            randomness).
+        estimate: the public contender-count estimate.
         channel: the slotted channel busy slots are resolved on; skipped idle
             runs are charged in one batch via
             :meth:`~repro.sim.channel.SlottedChannel.skip_idle_slots`.
-        metrics: optional accountant (the channel also feeds it per slot).
+        metrics: the accountant (the channel also feeds it per slot).
         max_slots: slot budget; exceeding it raises like the per-slot loop.
 
     Raises:
         ProtocolError: when the budget is exhausted before every contender is
             resolved (the per-slot loop's contract).
     """
-    # imported lazily to avoid a circular import with base.py
-    from repro.protocols.collision.base import ScheduleOutcome
-
-    pending = contenders
-    estimate = pending[0].estimate
-    # every slot-level draw comes from the first contender's private RNG so
-    # the run stays deterministic under the caller's seeding discipline and
-    # consumes no global randomness
-    draw = pending[0].rng.random
     order: List[NodeId] = []
-    broadcasts: List[object] = []
+    broadcasts: List[Any] = []
     collisions = 0
     idle = 0
     slot = 0
-    successes = 0
     p = 1.0 / estimate
-    while pending:
-        m = len(pending)
+    while identities:
+        m = len(identities)
         q_idle = (1.0 - p) ** m if p < 1.0 else 0.0
         if q_idle >= 1.0:
             # the transmit probability underflowed to zero: every slot is
@@ -200,8 +190,7 @@ def run_geometric_contention(
             # in per-slot terms the contention would have burned the whole
             # budget on idle slots: account them and fail identically
             channel.skip_idle_slots(max_slots - slot)
-            if metrics is not None:
-                metrics.record_round(max_slots)
+            metrics.record_round(max_slots)
             raise ProtocolError(
                 f"contention did not resolve within {max_slots} slots"
             )
@@ -210,40 +199,31 @@ def run_geometric_contention(
             idle += run_length
             slot += run_length
         if draw() < success_given_busy(p, m):
-            winner_index = int(draw() * m)
-            winner = pending[winner_index]
+            winner = int(draw() * m)
             event = channel.resolve_slot(
-                slot, ((winner.identity, winner.payload),)
+                slot, ((identities[winner], payloads[winner]),)
             )
             order.append(event.writer)
             broadcasts.append(event.payload)
-            successes += 1
-            winner._succeeded_in_slot = slot
             # swap-remove keeps the pop O(1); the winner is drawn uniformly,
             # so the worklist order carries no distributional weight
-            pending[winner_index] = pending[-1]
-            pending.pop()
-            p = 1.0 / max(1, estimate - successes)
+            identities[winner] = identities[-1]
+            identities.pop()
+            payloads[winner] = payloads[-1]
+            payloads.pop()
+            p = 1.0 / max(1, estimate - len(order))
         else:
             multiplicity = collision_multiplicity(draw(), p, m)
             # a collision reveals only *that* it happened, so no draw is
             # spent on who collided: the first `multiplicity` pending
             # contenders' writes charge the write-attempt counter exactly
             channel.resolve_slot(slot, tuple(
-                (contender.identity, contender.payload)
-                for contender in pending[:multiplicity]
+                zip(identities[:multiplicity], payloads[:multiplicity])
             ))
             collisions += 1
         slot += 1
-    if metrics is not None:
-        metrics.record_round(slot)
-    return ScheduleOutcome(
-        slots_used=slot,
-        order=order,
-        broadcasts=broadcasts,
-        collisions=collisions,
-        idle=idle,
-    )
+    metrics.record_round(slot)
+    return ScheduleOutcome(slot, order, broadcasts, collisions, idle)
 
 
 __all__ = [

@@ -20,10 +20,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.sim.channel import SlottedChannel
-from repro.sim.metrics import MetricsRecorder
 
 #: rounds after which the estimate gives up on an idle slot: round ``i``'s
 #: heads probability ``2^-i`` leaves any realistic population silent long
@@ -49,7 +47,6 @@ class MultiplicityEstimate:
 def estimate_multiplicity(
     num_participants: int,
     rng: random.Random,
-    metrics: Optional[MetricsRecorder] = None,
 ) -> MultiplicityEstimate:
     """Run the estimation protocol over ``num_participants`` synchronized nodes.
 
@@ -61,7 +58,7 @@ def estimate_multiplicity(
     """
     if num_participants < 0:
         raise ValueError("cannot estimate a negative multiplicity")
-    channel = SlottedChannel(metrics=metrics)
+    channel = SlottedChannel()
     still_flipping = num_participants
     for round_index in range(1, MAX_ROUNDS + 1):
         probability = 1.0 / (2.0 ** round_index)
@@ -71,8 +68,6 @@ def estimate_multiplicity(
             if rng.random() < probability
         ]
         event = channel.resolve_slot(round_index - 1, writers)
-        if metrics is not None:
-            metrics.record_round(1)
         if event.is_idle():
             return MultiplicityEstimate(
                 rounds=round_index, estimate=2 ** (round_index - 1)

@@ -15,97 +15,108 @@ item 3).
 
 Every participant can maintain the same estimate because the number of
 successes so far is public information (success slots are heard by all), so
-the protocol needs no extra coordination.  That shared, public rate is also
-what lets :func:`~repro.protocols.collision.base.run_contention` sample a
-fresh batch of these contenders with the geometric skip-ahead
-(:mod:`repro.protocols.collision.geometric`) instead of slot by slot.
+the protocol needs no extra coordination.  That shared, public rate is what
+lets :class:`MetcalfeBoggs` schedule a stage as one loop over the
+contenders' columns, and sample an unjammed stage with the geometric
+skip-ahead (:mod:`repro.protocols.collision.geometric`) instead of slot by
+slot.  The per-contender state machine is the test reference
+(``tests/oracles.py:SlotByMetcalfeBoggs``).
 """
 
 from __future__ import annotations
 
 import random
-from typing import Hashable, Optional
+from dataclasses import dataclass
+from typing import Any, List, Optional, Sequence
 
-from repro.protocols.collision.base import ChannelContender
-from repro.sim.events import ChannelEvent, SlotState
+from repro.protocols.collision.base import NodeId, ScheduleOutcome, _exhausted
+from repro.protocols.collision.geometric import run_geometric_contention
+from repro.sim.adversity import AdversityState
+from repro.sim.channel import SlottedChannel
+from repro.sim.events import SlotState
+from repro.sim.metrics import MetricsRecorder
 
-NodeId = Hashable
+#: sample an unjammed stage by the geometric skip-ahead; the
+#: statistical-equivalence tests turn it off to compare the skip-ahead with
+#: the per-slot loop
+SKIP_AHEAD = True
 
 
-class MetcalfeBoggsContender(ChannelContender):
-    """Randomized p-persistent contender with a shared contender-count estimate.
-
-    The per-slot transmit probability ``1/k̂`` is shared by every contender
-    holding the same estimate and depends only on the publicly heard success
-    count.  So when a batch shares one ``estimate`` and has heard no success
-    yet, :func:`~repro.protocols.collision.base.run_contention` samples it
-    by the geometric skip-ahead, drawing from the first contender's
-    generator: an idle run costs one inverse-transform draw instead of one
-    coin flip per contender per slot.
+@dataclass(frozen=True)
+class MetcalfeBoggs:
+    """Randomized p-persistent access with a shared contender-count estimate.
 
     Args:
-        identity: the contender's identifier (used only for bookkeeping).
-        estimated_contenders: the publicly known estimate ``k`` of how many
-            contenders there are.  The paper supplies this from the expected
-            number of trees in the partition (≈√n).
-        payload: what to broadcast when scheduled.
-        seed: seed of the private random source, which is built on first
-            draw.  Callers seeding whole batches
-            (``seed=master.randrange(2**63)``) draw every seed from the
-            master stream, while the skip-ahead, which only ever draws from
-            the batch's first contender, builds one generator.
+        estimate: the publicly known estimate ``k`` of how many contenders
+            there are.  The paper supplies this from the expected number of
+            trees in the partition (≈√n).
+        rng: the caller's master stream.  A stage draws one
+            ``randrange(2**63)`` seed per contender from it, in input order,
+            and each contender's private source is ``Random(seed)``; the
+            skip-ahead draws every slot-level variate from the first
+            contender's source.
 
     Raises:
-        ValueError: if ``estimated_contenders`` is not positive.
+        ValueError: if ``estimate`` is not positive.
     """
 
-    def __init__(
-        self,
-        identity: NodeId,
-        estimated_contenders: int,
-        payload=None,
-        *,
-        seed: int,
-    ) -> None:
-        """Create a contender expecting ``estimated_contenders`` rivals in all."""
-        if estimated_contenders < 1:
+    estimate: int
+    rng: random.Random
+
+    def __post_init__(self) -> None:
+        """Reject an estimate below one contender."""
+        if self.estimate < 1:
             raise ValueError("the contender estimate must be at least 1")
-        super().__init__(identity, payload)
-        #: the public contender-count estimate ``k``.
-        self.estimate = estimated_contenders
-        #: the successes heard so far (public: every node hears them).
-        self.successes_seen = 0
-        self._seed = seed
-        self._rng: Optional[random.Random] = None
-        # bound method cached on first draw: wants_to_transmit runs once per
-        # contender per slot, where the attribute chain is measurable
-        self._draw = None
 
-    @property
-    def rng(self) -> random.Random:
-        """Return the private source, built from the seed on first use."""
-        if self._rng is None:
-            self._rng = random.Random(self._seed)
-            self._draw = self._rng.random
-        return self._rng
-
-    def wants_to_transmit(self, slot: int) -> bool:
-        """Transmit with probability 1 / (contenders still unresolved)."""
-        draw = self._draw
-        if draw is None:
-            draw = self.rng.random
-        remaining = self.estimate - self.successes_seen
-        if remaining > 1:
-            return draw() < 1.0 / remaining
-        # sole remaining contender: transmit, but still consume one draw so
-        # the random stream is unchanged from the uniform-threshold form
-        draw()
-        return True
-
-    def observe(self, event: ChannelEvent, transmitted: bool) -> None:
-        """Count a heard success, and record it when it was this contender's."""
-        # inlined base behaviour: this runs once per contender per slot
-        if event.state is SlotState.SUCCESS:
-            self.successes_seen += 1
-            if transmitted:
-                self._succeeded_in_slot = event.slot
+    def schedule(
+        self,
+        identities: Sequence[NodeId],
+        payloads: Sequence[Any],
+        channel: SlottedChannel,
+        jam: Optional[AdversityState],
+        metrics: MetricsRecorder,
+        max_slots: int,
+    ) -> ScheduleOutcome:
+        """Schedule the contenders on ``channel``, skipping idle runs if unjammed."""
+        seeds = [self.rng.randrange(2**63) for _ in identities]
+        if SKIP_AHEAD and jam is None and seeds:
+            return run_geometric_contention(
+                list(identities), list(payloads), random.Random(seeds[0]).random,
+                self.estimate, channel, metrics, max_slots,
+            )
+        # each entry is a contender's write and the bound draw of its source
+        pending = [
+            ((identity, payload), random.Random(seed).random)
+            for identity, payload, seed in zip(identities, payloads, seeds)
+        ]
+        resolve = channel.resolve_slot
+        order: List[NodeId] = []
+        broadcasts: List[Any] = []
+        collisions = 0
+        idle = 0
+        slot = 0
+        while pending:
+            if slot >= max_slots:
+                _exhausted(slot, len(pending), jam, metrics, max_slots)
+            # the rate is public: every pending contender heard every success
+            remaining = self.estimate - len(order)
+            # a sole remaining contender transmits for sure, but still draws,
+            # so every contender's stream advances once per slot
+            threshold = 1.0 / remaining if remaining > 1 else 1.0
+            writes = [write for write, draw in pending if draw() < threshold]
+            event = resolve(slot, writes)
+            state = event.state
+            if state is SlotState.SUCCESS:
+                order.append(event.writer)
+                broadcasts.append(event.payload)
+                won = writes[0]
+                pending = [entry for entry in pending if entry[0] is not won]
+            elif state is SlotState.COLLISION:
+                collisions += 1
+            else:
+                idle += 1
+            slot += 1
+        # rounds are recorded in one batch: every slot is one time unit, and
+        # no caller reads the recorder mid-contention
+        metrics.record_round(slot)
+        return ScheduleOutcome(slot, order, broadcasts, collisions, idle)

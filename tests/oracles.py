@@ -16,8 +16,8 @@ colourings, maximal independent sets, identical spanning trees,
 global sensitivity), the paper's contention bounds, and the plain forms
 the faster library paths replaced (the per-node diameter sweep, the
 canonical-edge row scan, the all-pairs geometric scan, the crash-window
-dispatch that scans every slot, the per-slot Capetanakis contenders and
-their slot loop, and the point-to-point MST baseline on node-keyed
+dispatch that scans every slot, the per-slot Capetanakis and
+Metcalfe–Boggs contenders and their slot loop, and the point-to-point MST baseline on node-keyed
 dicts), and the reader of
 ``repro run --json`` result files that the round-trip tests rebuild
 results with.
@@ -60,7 +60,7 @@ from repro.core.partition.forest import SpanningForest
 from repro.core.partition.randomized import escalation_sequence
 from repro.experiments.registry import DEFAULT_PRESET
 from repro.experiments.runner import RESULT_SCHEMA, ExperimentResult
-from repro.protocols.collision.base import ChannelContender, ScheduleOutcome
+from repro.protocols.collision.base import ScheduleOutcome
 from repro.protocols.collision.greenberg_ladner import MultiplicityEstimate
 from repro.sim.channel import SlottedChannel
 from repro.sim.errors import AdversityAbort, ProtocolError
@@ -1127,22 +1127,42 @@ def check_global_sensitivity(function: GlobalSensitiveFunction,
 
 
 # ----------------------------------------------------------------------
-# channel contention: the per-slot Capetanakis reference and the bounds
+# channel contention: the per-slot contender references and the bounds
 # ----------------------------------------------------------------------
+
+class ChannelContender:
+    """One contender's state machine, asked every slot by :func:`per_slot_contention`.
+
+    Each slot the contender says whether it transmits (``wants_to_transmit``)
+    and then hears the slot's public outcome (``observe``), which records
+    ``success_slot`` when it transmitted alone.  Its decision may depend only
+    on its identity, its payload, its private source and the slot outcomes
+    heard so far, which every node hears.
+    """
+
+    def __init__(self, identity: NodeId, payload: Any) -> None:
+        self.identity = identity
+        self.payload = payload
+        self.success_slot: Optional[int] = None
+
+    @property
+    def resolved(self) -> bool:
+        return self.success_slot is not None
+
 
 class SlotByCapetanakis(ChannelContender):
     """Capetanakis' protocol as one contender's state machine.
 
     The reference for :func:`repro.protocols.collision.base.run_contention`'s
-    walk of a :class:`~repro.protocols.collision.capetanakis.CapetanakisContender`
-    batch: every contender keeps its own copy of the public interval stack,
+    walk of a :class:`~repro.protocols.collision.capetanakis.Capetanakis`
+    stage: every contender keeps its own copy of the public interval stack,
     transmits when its identity lies in the top interval and advances the
     stack on every slot it hears (a collision pushes the right half, then
     the left; a success or an idle slot retires the interval).  Drive a
     batch with :func:`per_slot_contention`.
     """
 
-    def __init__(self, identity: int, universe_size: int, payload=None) -> None:
+    def __init__(self, identity: int, universe_size: int, payload: Any) -> None:
         if not 0 <= identity < universe_size:
             raise ValueError(
                 f"identity {identity} outside universe [0, {universe_size})"
@@ -1158,7 +1178,7 @@ class SlotByCapetanakis(ChannelContender):
 
     def observe(self, event: ChannelEvent, transmitted: bool) -> None:
         if transmitted and event.state is SlotState.SUCCESS:
-            self._succeeded_in_slot = event.slot
+            self.success_slot = event.slot
         if not self.intervals:
             return
         low, high = self.intervals.pop()
@@ -1168,6 +1188,39 @@ class SlotByCapetanakis(ChannelContender):
                 self.intervals.append((mid, high))
             if low < mid:
                 self.intervals.append((low, mid))
+
+
+class SlotByMetcalfeBoggs(ChannelContender):
+    """Metcalfe–Boggs access as one contender's state machine.
+
+    The reference for a
+    :class:`~repro.protocols.collision.metcalfe_boggs.MetcalfeBoggs` stage's
+    per-slot loop: every contender counts the successes it hears and
+    transmits each slot with probability ``1/(estimate − successes)`` drawn
+    from its own ``Random(seed)``; with at most one contender left by that
+    count it transmits for sure, and still draws.  Drive a batch with
+    :func:`per_slot_contention`.
+    """
+
+    def __init__(self, identity: NodeId, estimate: int, payload: Any, *,
+                 seed: int) -> None:
+        if estimate < 1:
+            raise ValueError("the contender estimate must be at least 1")
+        super().__init__(identity, payload)
+        self.estimate = estimate
+        self.successes_seen = 0
+        self.rng = random.Random(seed)
+
+    def wants_to_transmit(self, slot: int) -> bool:
+        remaining = self.estimate - self.successes_seen
+        draw = self.rng.random()
+        return remaining <= 1 or draw < 1.0 / remaining
+
+    def observe(self, event: ChannelEvent, transmitted: bool) -> None:
+        if event.state is SlotState.SUCCESS:
+            self.successes_seen += 1
+            if transmitted:
+                self.success_slot = event.slot
 
 
 def per_slot_contention(contenders, max_slots=1_000_000, metrics=None,
@@ -1219,6 +1272,25 @@ def per_slot_contention(contenders, max_slots=1_000_000, metrics=None,
         metrics.record_round(slot)
     return ScheduleOutcome(slots_used=slot, order=order, broadcasts=broadcasts,
                            collisions=collisions, idle=idle)
+
+
+def heard_success_slots(monkeypatch) -> Dict[NodeId, int]:
+    """Spy on every channel's ``resolve_slot``: writer → the slot it succeeded in.
+
+    The returned dict fills as slots resolve, for the library's stages and
+    the references alike (the library keeps no per-contender record).
+    """
+    heard: Dict[NodeId, int] = {}
+    resolve = SlottedChannel.resolve_slot
+
+    def spy(channel, slot, writes):
+        event = resolve(channel, slot, writes)
+        if event.state is SlotState.SUCCESS:
+            heard[event.writer] = slot
+        return event
+
+    monkeypatch.setattr(SlottedChannel, "resolve_slot", spy)
+    return heard
 
 
 def universe_bits(universe_size: int) -> int:

@@ -35,7 +35,7 @@ from repro.sim.adversity import (
     resolve_adversity,
 )
 from repro.protocols.collision.base import run_contention
-from repro.protocols.collision.capetanakis import CapetanakisContender
+from repro.protocols.collision.capetanakis import Capetanakis
 from repro.sim.channel import SlottedChannel
 from repro.sim.errors import AdversityAbort, ProtocolError, SimulationTimeout
 from repro.sim.events import SlotState
@@ -287,8 +287,10 @@ class TestJamAccounting:
 # ----------------------------------------------------------------------
 # one channel stage per call: run_contention owns the channel and budget
 # ----------------------------------------------------------------------
-def _capetanakis(ids, universe=64):
-    return [CapetanakisContender(i, universe, payload=i) for i in ids]
+def _capetanakis(ids, metrics=None, **kwargs):
+    """A Capetanakis stage over ``[0, 64)``, each contender sending its id."""
+    recorder = MetricsRecorder() if metrics is None else metrics
+    return run_contention(Capetanakis(64), ids, ids, recorder, **kwargs)
 
 
 class TestChannelStage:
@@ -298,7 +300,7 @@ class TestChannelStage:
         )
         recorder = MetricsRecorder()
         with pytest.raises(AdversityAbort) as caught:
-            run_contention(_capetanakis([1, 5, 9]), metrics=recorder, adversity=state)
+            _capetanakis([1, 5, 9], metrics=recorder, adversity=state)
         assert caught.value.rounds == 40 and caught.value.pending == 3
         assert recorder.rounds == recorder.channel_jammed == state.slots_jammed == 40
 
@@ -308,9 +310,7 @@ class TestChannelStage:
         state = AdversityState(adversity_spec({"name": "loss", "round_budget": 3}), seed=3)
         recorder = MetricsRecorder()
         with pytest.raises(ProtocolError):
-            run_contention(
-                _capetanakis([1, 2, 3, 4, 5, 6]), metrics=recorder, adversity=state
-            )
+            _capetanakis([1, 2, 3, 4, 5, 6], metrics=recorder, adversity=state)
         assert recorder.rounds == 3 and recorder.channel_jammed == 0
 
     def test_budget_is_sized_for_the_network(self):
@@ -319,8 +319,8 @@ class TestChannelStage:
         spec = adversity_spec({"name": "jam", "jam_rate": 1.0, "budget_factor": 1})
         for network_size, budget in ((64, 576), (None, 515)):
             with pytest.raises(AdversityAbort) as caught:
-                run_contention(
-                    _capetanakis([1, 5, 9]),
+                _capetanakis(
+                    [1, 5, 9],
                     adversity=AdversityState(spec, seed=5),
                     network_size=network_size,
                 )
@@ -334,7 +334,7 @@ class TestChannelStage:
         ids = [3, 7, 11, 20, 21, 30, 41, 50]
         recorder = MetricsRecorder()
         state = AdversityState(spec, seed=12)
-        outcome = run_contention(_capetanakis(ids), metrics=recorder, adversity=state)
+        outcome = _capetanakis(ids, metrics=recorder, adversity=state)
 
         reference = MetricsRecorder()
         hand_state = AdversityState(spec, seed=12)

@@ -1,6 +1,7 @@
 """Tests for the channel conflict-resolution protocols."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,17 +11,20 @@ from oracles import (
     GreenbergLadnerEstimator,
     RandomizedLeaderElection,
     SlotByCapetanakis,
+    SlotByMetcalfeBoggs,
     deterministic_schedule_bound,
     estimate_error_factor,
     expected_slots_per_success,
+    heard_success_slots,
     per_node,
     per_slot_contention,
     universe_bits,
 )
+from repro.protocols.collision import metcalfe_boggs
 from repro.protocols.collision.base import run_contention
-from repro.protocols.collision.capetanakis import CapetanakisContender
+from repro.protocols.collision.capetanakis import Capetanakis
 from repro.protocols.collision.greenberg_ladner import estimate_multiplicity
-from repro.protocols.collision.metcalfe_boggs import MetcalfeBoggsContender
+from repro.protocols.collision.metcalfe_boggs import MetcalfeBoggs
 from repro.sim.adversity import AdversityState, adversity_spec
 from repro.sim.errors import AdversityAbort, ProtocolError
 from repro.sim.metrics import MetricsRecorder
@@ -31,25 +35,26 @@ from repro.topology.generators import complete_graph, ring_graph
 class TestCapetanakis:
     def test_all_contenders_scheduled_exactly_once(self):
         ids = [3, 7, 11, 20, 21, 30]
-        contenders = [CapetanakisContender(i, 32, payload=f"msg{i}") for i in ids]
-        outcome = run_contention(contenders)
+        outcome = run_contention(
+            Capetanakis(32), ids, [f"msg{i}" for i in ids], MetricsRecorder()
+        )
         assert sorted(outcome.order) == sorted(ids)
         assert sorted(outcome.broadcasts) == sorted(f"msg{i}" for i in ids)
 
     def test_slots_within_deterministic_bound(self):
         ids = list(range(0, 64, 3))
-        contenders = [CapetanakisContender(i, 64) for i in ids]
-        outcome = run_contention(contenders)
+        outcome = run_contention(Capetanakis(64), ids, ids, MetricsRecorder())
         assert outcome.slots_used <= deterministic_schedule_bound(len(ids), 64)
 
     def test_single_contender_single_slot(self):
-        outcome = run_contention([CapetanakisContender(5, 8, payload="only")])
+        outcome = run_contention(Capetanakis(8), [5], ["only"], MetricsRecorder())
         assert outcome.slots_used == 1
         assert outcome.broadcasts == ["only"]
 
     def test_identity_outside_universe_rejected(self):
-        with pytest.raises(ValueError):
-            CapetanakisContender(9, 8)
+        for identity in (9, 8, -1):
+            with pytest.raises(ValueError):
+                run_contention(Capetanakis(8), [1, identity], [1, 2], MetricsRecorder())
 
     def test_universe_bits(self):
         assert universe_bits(1) == 1
@@ -60,35 +65,37 @@ class TestCapetanakis:
     @given(st.sets(st.integers(min_value=0, max_value=255), min_size=1, max_size=20))
     @settings(max_examples=25, deadline=None)
     def test_property_every_id_set_resolves(self, ids):
-        contenders = [CapetanakisContender(i, 256, payload=i) for i in sorted(ids)]
-        outcome = run_contention(contenders)
+        ids = sorted(ids)
+        outcome = run_contention(Capetanakis(256), ids, ids, MetricsRecorder())
         assert sorted(outcome.order) == sorted(ids)
         assert outcome.slots_used <= deterministic_schedule_bound(len(ids), 256)
 
 
-def _stage(schedule, kind, ids, universe, jam_rate, budget, seed):
-    """Run one Capetanakis stage; return everything it makes observable."""
-    contenders = [kind(i, universe, payload=("payload", i)) for i in ids]
-    recorder = MetricsRecorder()
-    if jam_rate is None:
-        state = None
-        kwargs = {"max_slots": budget}
-    else:
+def _observe(run, ids, jam_rate, budget, seed):
+    """Run one stage, ``run(payloads, metrics=..., **budget)``; return everything
+    it makes observable: its outcome (or error), the metrics, each identity's
+    success slot and the jammed-slot count."""
+    state = None
+    kwargs = {"max_slots": budget}
+    if jam_rate is not None:
         state = AdversityState(
             adversity_spec({"name": "jam", "jam_rate": jam_rate, "round_budget": budget}),
             seed=seed,
         )
         kwargs = {"adversity": state}
-    try:
-        outcome = schedule(contenders, metrics=recorder, **kwargs)
-    except AdversityAbort as abort:
-        outcome = ("AdversityAbort", abort.rounds, abort.pending)
-    except ProtocolError as error:
-        outcome = ("ProtocolError", str(error))
+    recorder = MetricsRecorder()
+    with pytest.MonkeyPatch.context() as patch:
+        heard = heard_success_slots(patch)
+        try:
+            outcome = run([("payload", i) for i in ids], metrics=recorder, **kwargs)
+        except AdversityAbort as abort:
+            outcome = ("AdversityAbort", abort.rounds, abort.pending)
+        except ProtocolError as error:
+            outcome = ("ProtocolError", str(error))
     return (
         outcome,
         recorder.snapshot(),
-        [contender.success_slot for contender in contenders],
+        [heard.get(i) for i in ids],
         None if state is None else state.slots_jammed,
     )
 
@@ -115,10 +122,18 @@ class TestTreeWalkMatchesPerSlot:
             else:
                 budget = 6 * bound
             seed = rng.randrange(2**32)
-            walked = _stage(run_contention, CapetanakisContender, ids, universe,
-                            jam_rate, budget, seed)
-            reference = _stage(per_slot_contention, SlotByCapetanakis, ids, universe,
-                               jam_rate, budget, seed)
+
+            def walk(payloads, **kwargs):
+                return run_contention(Capetanakis(universe), ids, payloads, **kwargs)
+
+            def reference_walk(payloads, **kwargs):
+                return per_slot_contention([
+                    SlotByCapetanakis(i, universe, payload)
+                    for i, payload in zip(ids, payloads)
+                ], **kwargs)
+
+            walked = _observe(walk, ids, jam_rate, budget, seed)
+            reference = _observe(reference_walk, ids, jam_rate, budget, seed)
             assert walked == reference, (ids, universe, jam_rate, budget)
             outcome = walked[0]
             seen.add(outcome[0] if isinstance(outcome, tuple) else "resolved")
@@ -133,53 +148,114 @@ class TestTreeWalkMatchesPerSlot:
     def test_input_order_does_not_matter(self):
         ids = [41, 3, 30, 7, 21, 11, 20, 50]
         runs = [
-            run_contention([CapetanakisContender(i, 64, payload=i) for i in order])
+            run_contention(Capetanakis(64), order, order, MetricsRecorder())
             for order in (ids, sorted(ids), ids[::-1])
         ]
         assert runs[0] == runs[1] == runs[2]
 
-    def test_resolved_contenders_sit_out(self):
-        contenders = [CapetanakisContender(i, 16, payload=i) for i in (1, 5, 9)]
-        contenders[1]._succeeded_in_slot = 0
-        outcome = run_contention(contenders)
-        assert sorted(outcome.order) == [1, 9]
 
-    def test_mixed_batches_rejected(self):
-        with pytest.raises(ValueError):
-            run_contention([
-                CapetanakisContender(1, 8),
-                MetcalfeBoggsContender(2, estimated_contenders=2, seed=1),
-            ])
-        with pytest.raises(ValueError):
-            run_contention([CapetanakisContender(1, 8), CapetanakisContender(2, 16)])
+def _mb_observe(columns, k, estimate, jam_rate, budget, seed):
+    """Run one Metcalfe–Boggs stage, by the library's column loop or by the
+    per-contender reference; return what ``_observe`` does, plus the master
+    stream's state and every contender generator's state afterwards."""
+    ids = random.Random(seed).sample(range(4 * k), k)
+    master = random.Random(seed + 1)
+    generators = []
+    with pytest.MonkeyPatch.context() as patch:
+        if columns:
+            class Recorded(random.Random):
+                def __init__(self, seed):
+                    super().__init__(seed)
+                    generators.append(self)
+
+            patch.setattr(metcalfe_boggs, "random", SimpleNamespace(Random=Recorded))
+            patch.setattr(metcalfe_boggs, "SKIP_AHEAD", False)
+
+            def run(payloads, **kwargs):
+                return run_contention(MetcalfeBoggs(estimate, master), ids, payloads,
+                                      **kwargs)
+        else:
+            def run(payloads, **kwargs):
+                contenders = [
+                    SlotByMetcalfeBoggs(i, estimate, payload,
+                                        seed=master.randrange(2**63))
+                    for i, payload in zip(ids, payloads)
+                ]
+                generators.extend(contender.rng for contender in contenders)
+                return per_slot_contention(contenders, **kwargs)
+
+        observed = _observe(run, ids, jam_rate, budget, seed)
+    return (*observed, master.getstate(), [rng.getstate() for rng in generators])
+
+
+class TestColumnLoopMatchesPerSlot:
+    """A Metcalfe–Boggs stage's per-slot loop over columns against the loop
+    over per-contender state machines (``oracles.SlotByMetcalfeBoggs``)."""
+
+    @pytest.mark.parametrize("jam_rate", [None, 0.0, 0.3, 1.0])
+    def test_same_stage_on_seeded_batches(self, jam_rate):
+        rng = random.Random(int(10 * (jam_rate if jam_rate is not None else -1)))
+        seen = set()
+        for trial in range(24):
+            k = rng.randint(1, 24)
+            # below k (the rate reaches 1 with contenders left), k and above
+            estimate = max(1, (k // 2, k, 3 * k)[trial % 3])
+            # every other trial gets a budget the schedule may not fit
+            budget = rng.randrange(1, 3 * k + 2) if trial % 2 else 20 * k + 40
+            seed = rng.randrange(2**32)
+            columns = _mb_observe(True, k, estimate, jam_rate, budget, seed)
+            reference = _mb_observe(False, k, estimate, jam_rate, budget, seed)
+            assert columns == reference, (k, estimate, jam_rate, budget)
+            outcome = columns[0]
+            seen.add(outcome[0] if isinstance(outcome, tuple) else "resolved")
+        if jam_rate == 1.0:
+            assert seen == {"AdversityAbort"}
+        else:
+            exhausted = "AdversityAbort" if jam_rate else "ProtocolError"
+            assert seen == {"resolved", exhausted}
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 40])
+    def test_skip_ahead_draws_one_seed_per_contender(self, k, monkeypatch):
+        # the caller's master stream advances as the per-slot loop's does
+        taken = []
+        skip_ahead = metcalfe_boggs.run_geometric_contention
+
+        def spy(identities, *args):
+            taken.append(len(identities))
+            return skip_ahead(identities, *args)
+
+        monkeypatch.setattr(metcalfe_boggs, "run_geometric_contention", spy)
+        master, reference = random.Random(k), random.Random(k)
+        ids = list(range(k))
+        run_contention(MetcalfeBoggs(k, master), ids, ids, MetricsRecorder())
+        for _ in ids:
+            reference.randrange(2**63)
+        assert taken == [k]
+        assert master.getstate() == reference.getstate()
 
 
 class TestMetcalfeBoggs:
     def test_all_contenders_eventually_scheduled(self):
-        rng = random.Random(1)
-        contenders = [
-            MetcalfeBoggsContender(i, estimated_contenders=10, seed=rng.random(), payload=i)
-            for i in range(10)
-        ]
-        outcome = run_contention(contenders)
+        ids = list(range(10))
+        outcome = run_contention(
+            MetcalfeBoggs(10, random.Random(1)), ids, ids, MetricsRecorder()
+        )
         assert sorted(outcome.order) == list(range(10))
 
     def test_expected_slots_close_to_linear(self):
         rng = random.Random(2)
         k = 30
         totals = []
+        ids = list(range(k))
         for trial in range(5):
-            contenders = [
-                MetcalfeBoggsContender(i, k, seed=rng.random())
-                for i in range(k)
-            ]
-            totals.append(run_contention(contenders).slots_used)
+            outcome = run_contention(MetcalfeBoggs(k, rng), ids, ids, MetricsRecorder())
+            totals.append(outcome.slots_used)
         average = sum(totals) / len(totals)
         assert average <= expected_slots_per_success(k) * k * 1.8
 
     def test_estimate_must_be_positive(self):
         with pytest.raises(ValueError):
-            MetcalfeBoggsContender(1, estimated_contenders=0, seed=0)
+            MetcalfeBoggs(0, random.Random(0))
 
     def test_expected_slots_per_success_bounds(self):
         assert expected_slots_per_success(1) == 1.0

@@ -18,6 +18,8 @@ from repro.core.global_function.semigroup import (
     XOR,
 )
 from repro.core.partition.deterministic import DeterministicPartitioner
+from repro.experiments.harness import make_topology
+from repro.sim.adversity import AdversityState, adversity_spec
 from repro.topology.generators import ring_graph
 from repro.topology.weights import assign_distinct_weights
 
@@ -107,11 +109,13 @@ class TestMultimediaComputation:
 
     def test_unknown_method_rejected(self, small_grid):
         with pytest.raises(ValueError):
-            compute_global_function(small_grid, INTEGER_ADDITION, {}, method="magic")
+            compute_global_function(
+                small_grid, INTEGER_ADDITION, {}, method="magic", seed=0
+            )
 
     def test_missing_inputs_rejected(self, small_grid):
         with pytest.raises(ValueError):
-            compute_global_function(small_grid, INTEGER_ADDITION, {0: 1})
+            compute_global_function(small_grid, INTEGER_ADDITION, {0: 1}, seed=0)
 
     def test_phase_breakdown_adds_up(self, small_grid):
         inputs = {node: 1 for node in small_grid.nodes()}
@@ -145,14 +149,14 @@ class TestBaselines:
         graph = ring_graph(10)
         inputs = {node: node for node in graph.nodes()}
         result = compute_on_channel_only(
-            graph, INTEGER_ADDITION, inputs, method="deterministic"
+            graph, INTEGER_ADDITION, inputs, method="deterministic", seed=0
         )
         assert result.value == sum(inputs.values())
 
     def test_channel_baseline_unknown_method(self):
         graph = ring_graph(5)
         with pytest.raises(ValueError):
-            compute_on_channel_only(graph, INTEGER_ADDITION, {}, method="x")
+            compute_on_channel_only(graph, INTEGER_ADDITION, {}, method="x", seed=0)
 
     def test_multimedia_beats_both_on_large_ring(self):
         graph = assign_distinct_weights(ring_graph(400), seed=1)
@@ -167,21 +171,69 @@ class TestBaselines:
         assert multimedia.total_rounds < channel.rounds
 
 
+#: the channel-only baselines' accounting on a grid (topology seed 11,
+#: ``seed=5``, every node's input its own id), clean and jammed
+CHANNEL_ONLY_PINS = {
+    (4096, False, "deterministic"): dict(
+        value=8386560, rounds=8191, channel_idle=0, channel_collision=4095,
+        channel_write_attempts=53248,
+    ),
+    (4096, False, "randomized"): dict(
+        value=8386560, rounds=11035, channel_idle=4078, channel_collision=2861,
+        channel_write_attempts=10971,
+    ),
+    (256, True, "deterministic"): dict(
+        rounds=583, channel_collision=327, channel_jammed=115,
+        channel_write_attempts=2376,
+    ),
+    (256, True, "randomized"): dict(
+        rounds=919, channel_idle=294, channel_collision=369, channel_jammed=187,
+        channel_write_attempts=857,
+    ),
+}
+
+
+@pytest.mark.parametrize("n, jammed, method", sorted(CHANNEL_ONLY_PINS))
+def test_channel_only_pins(n, jammed, method):
+    # Capetanakis' walk and Metcalfe–Boggs' skip-ahead at scale, and both
+    # on a jammed channel (the Metcalfe–Boggs per-slot loop)
+    graph = make_topology("grid", n, seed=11)
+    adversity = AdversityState(adversity_spec("jam"), seed=8) if jammed else None
+    result = compute_on_channel_only(
+        graph, INTEGER_ADDITION, {v: v for v in graph.nodes()},
+        method=method, seed=5, adversity=adversity,
+    )
+    expected = CHANNEL_ONLY_PINS[n, jammed, method]
+    observed = {"value": result.value, "rounds": result.rounds}
+    observed.update(
+        (key, getattr(result.metrics, key)) for key in expected if key not in observed
+    )
+    assert {key: observed[key] for key in expected} == expected
+
+
 class TestSeedlessCalls:
-    """A call that omits the seed runs on the fixed default, not OS entropy."""
+    """A call that omits the seed is rejected; a seeded call repeats."""
 
     @pytest.mark.parametrize("method", ("deterministic", "randomized"))
     def test_multimedia_repeats(self, method):
         # the unweighted ring makes the deterministic method draw weights
         graph = ring_graph(64)
         inputs = {node: node for node in graph.nodes()}
-        first = compute_global_function(graph, INTEGER_ADDITION, inputs, method=method)
-        second = compute_global_function(graph, INTEGER_ADDITION, inputs, method=method)
+        with pytest.raises(TypeError):
+            compute_global_function(graph, INTEGER_ADDITION, inputs, method=method)
+        first = compute_global_function(
+            graph, INTEGER_ADDITION, inputs, method=method, seed=0
+        )
+        second = compute_global_function(
+            graph, INTEGER_ADDITION, inputs, method=method, seed=0
+        )
         assert first == second
 
     def test_channel_only_repeats(self):
         graph = ring_graph(64)
         inputs = {node: node for node in graph.nodes()}
-        first = compute_on_channel_only(graph, INTEGER_ADDITION, inputs)
-        second = compute_on_channel_only(graph, INTEGER_ADDITION, inputs)
+        with pytest.raises(TypeError):
+            compute_on_channel_only(graph, INTEGER_ADDITION, inputs)
+        first = compute_on_channel_only(graph, INTEGER_ADDITION, inputs, seed=0)
+        second = compute_on_channel_only(graph, INTEGER_ADDITION, inputs, seed=0)
         assert first == second

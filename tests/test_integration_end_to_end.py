@@ -21,7 +21,8 @@ class TestFullPipelines:
         forest = DeterministicPartitioner(graph).run().forest
         inputs = {node: int(node) % 7 for node in graph.nodes()}
         total = compute_global_function(
-            graph, INTEGER_ADDITION, inputs, forest=forest, method="deterministic"
+            graph, INTEGER_ADDITION, inputs, forest=forest, method="deterministic",
+            seed=0,
         )
         minimum = compute_global_function(
             graph, INTEGER_MINIMUM, inputs, forest=forest, method="randomized", seed=2

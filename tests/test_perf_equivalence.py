@@ -130,7 +130,8 @@ def _compute_stream_state():
     from repro.core.partition.randomized import RandomizedPartitioner
     from repro.experiments.harness import make_topology
     from repro.protocols.collision.base import run_contention
-    from repro.protocols.collision.metcalfe_boggs import MetcalfeBoggsContender
+    from repro.protocols.collision.metcalfe_boggs import MetcalfeBoggs
+    from repro.sim.metrics import MetricsRecorder
 
     state = {}
 
@@ -156,17 +157,10 @@ def _compute_stream_state():
     # raw Metcalfe–Boggs contention fingerprints: the exact schedule the
     # geometric skip-ahead samples on fixed seeds (order, slot counts)
     for k, seed in ((16, 7), (48, 21)):
-        rng = random.Random(seed)
-        contenders = [
-            MetcalfeBoggsContender(
-                identity=i,
-                estimated_contenders=k,
-                seed=rng.randrange(2**63),
-                payload=i,
-            )
-            for i in range(k)
-        ]
-        outcome = run_contention(contenders)
+        ids = list(range(k))
+        outcome = run_contention(
+            MetcalfeBoggs(k, random.Random(seed)), ids, ids, MetricsRecorder()
+        )
         state[f"contention/metcalfe_boggs/k{k}/seed{seed}"] = {
             "order": outcome.order,
             "slots_used": outcome.slots_used,

@@ -8,7 +8,8 @@ charging the same slot accounting.  Three layers of guarantees:
   multiplicity) match naive per-slot Bernoulli simulation distribution-wise
   on fixed seed batches;
 * whole contention runs match the forced per-slot implementation
-  (``run_contention`` with ``base.SKIP_AHEAD`` patched off) in success-slot distribution,
+  (``run_contention`` with ``metcalfe_boggs.SKIP_AHEAD`` patched off) in
+  success-slot distribution,
   slot totals, and outcome mix;
 * where the trajectory is deterministic regardless of the RNG stream (single
   contender, saturated estimate), the two paths agree *exactly*, as does the
@@ -21,15 +22,16 @@ from collections import Counter
 
 import pytest
 
-from repro.protocols.collision import base
+from oracles import heard_success_slots
+from repro.protocols.collision import metcalfe_boggs
 from repro.protocols.collision.base import run_contention
-from repro.protocols.collision.capetanakis import CapetanakisContender
+from repro.protocols.collision.capetanakis import Capetanakis
 from repro.protocols.collision.geometric import (
     collision_multiplicity,
     geometric_idle_run,
     success_given_busy,
 )
-from repro.protocols.collision.metcalfe_boggs import MetcalfeBoggsContender
+from repro.protocols.collision.metcalfe_boggs import MetcalfeBoggs
 from repro.sim.adversity import AdversityState, adversity_spec
 from repro.sim.channel import SlottedChannel
 from repro.sim.errors import ProtocolError
@@ -37,37 +39,34 @@ from repro.sim.events import SlotState
 from repro.sim.metrics import MetricsRecorder
 
 
-def _mb_batch(k, seed, estimate=None):
-    rng = random.Random(seed)
-    return [
-        MetcalfeBoggsContender(
-            identity=i,
-            estimated_contenders=estimate if estimate is not None else k,
-            seed=rng.randrange(2**63),
-            payload=i,
-        )
-        for i in range(k)
-    ]
+def _contend(k, seed, estimate=None, metrics=None, **kwargs):
+    """Run a stage of contenders ``0..k-1``, each broadcasting its identity,
+    seeded from ``Random(seed)`` as the library's callers seed theirs."""
+    protocol = MetcalfeBoggs(estimate if estimate is not None else k, random.Random(seed))
+    ids = list(range(k))
+    return run_contention(
+        protocol, ids, ids, MetricsRecorder() if metrics is None else metrics, **kwargs
+    )
 
 
-def _run(contenders, skip_ahead, **kwargs):
-    """``run_contention`` with the skip-ahead switched on or off."""
+def _run(skip_ahead, *args, **kwargs):
+    """``_contend`` with the skip-ahead switched on or off."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(base, "SKIP_AHEAD", skip_ahead)
-        return run_contention(contenders, **kwargs)
+        patch.setattr(metcalfe_boggs, "SKIP_AHEAD", skip_ahead)
+        return _contend(*args, **kwargs)
 
 
 @pytest.fixture
 def skip_ahead_batches(monkeypatch):
     """Record the size of every batch handed to the geometric scheduler."""
     batches = []
-    real = base.run_geometric_contention
+    real = metcalfe_boggs.run_geometric_contention
 
-    def spy(contenders, *args):
-        batches.append(len(contenders))
-        return real(contenders, *args)
+    def spy(identities, *args):
+        batches.append(len(identities))
+        return real(identities, *args)
 
-    monkeypatch.setattr(base, "run_geometric_contention", spy)
+    monkeypatch.setattr(metcalfe_boggs, "run_geometric_contention", spy)
     return batches
 
 
@@ -151,12 +150,13 @@ class TestRunEquivalence:
     def _stats(skip_ahead, k, batches, estimate=None):
         totals, idles, collisions, success_slots = [], [], [], []
         for batch in range(batches):
-            contenders = _mb_batch(k, seed=1000 + batch, estimate=estimate)
-            out = _run(contenders, skip_ahead)
+            with pytest.MonkeyPatch.context() as patch:
+                heard = heard_success_slots(patch)
+                out = _run(skip_ahead, k, 1000 + batch, estimate=estimate)
             totals.append(out.slots_used)
             idles.append(out.idle)
             collisions.append(out.collisions)
-            success_slots.extend(c.success_slot for c in contenders)
+            success_slots.extend(heard[i] for i in range(k))
         mean = lambda xs: sum(xs) / len(xs)  # noqa: E731
         return {
             "slots": mean(totals),
@@ -183,38 +183,36 @@ class TestRunEquivalence:
         for key in ("slots", "idle", "success_slot"):
             assert fast[key] == pytest.approx(slow[key], rel=0.08), (key, fast, slow)
 
-    def test_single_contender_exact_agreement(self):
+    def test_single_contender_exact_agreement(self, monkeypatch):
         # estimate 1 → transmit probability 1: the trajectory is deterministic,
         # so both paths agree exactly, not just in distribution
+        heard = heard_success_slots(monkeypatch)
         for skip_ahead in (True, False):
-            (contender,) = _mb_batch(1, seed=5, estimate=1)
-            out = _run([contender], skip_ahead)
+            heard.clear()
+            out = _run(skip_ahead, 1, 5, estimate=1)
             assert out.slots_used == 1
             assert out.order == [0]
             assert out.idle == 0 and out.collisions == 0
-            assert contender.success_slot == 0
+            assert heard == {0: 0}
 
-    def test_saturated_estimate_deadlock_exact_agreement(self):
+    def test_saturated_estimate_deadlock_exact_agreement(self, monkeypatch):
         # estimate 1 with two contenders → both always transmit → collision
         # forever; both paths must burn exactly max_slots and fail alike
+        heard = heard_success_slots(monkeypatch)
         for skip_ahead in (True, False):
-            contenders = _mb_batch(2, seed=6, estimate=1)
             metrics = MetricsRecorder()
             with pytest.raises(ProtocolError):
-                _run(
-                    contenders, skip_ahead, max_slots=64, metrics=metrics,
-                )
+                _run(skip_ahead, 2, 6, estimate=1, max_slots=64, metrics=metrics)
             assert metrics.rounds == 64
             assert metrics.channel_collision == 64
-            assert not any(c.resolved for c in contenders)
+            assert not heard
 
     def test_budget_exhausted_mid_idle_run_accounting(self):
         # a huge estimate makes the first idle run overshoot a tiny budget;
         # the fast path must charge exactly the budget, all idle
-        contenders = _mb_batch(2, seed=9, estimate=10_000_000)
         metrics = MetricsRecorder()
         with pytest.raises(ProtocolError):
-            run_contention(contenders, max_slots=10, metrics=metrics)
+            _contend(2, 9, estimate=10_000_000, max_slots=10, metrics=metrics)
         assert metrics.rounds == 10
         assert metrics.channel_slots == 10
         assert metrics.channel_idle == 10
@@ -224,12 +222,9 @@ class TestRunEquivalence:
         # slot is certainly idle and both paths must burn the budget and
         # raise (not divide by log(1.0) == 0)
         for skip_ahead in (True, False):
-            contenders = _mb_batch(2, seed=13, estimate=10**17)
             metrics = MetricsRecorder()
             with pytest.raises(ProtocolError):
-                _run(
-                    contenders, skip_ahead, max_slots=32, metrics=metrics,
-                )
+                _run(skip_ahead, 2, 13, estimate=10**17, max_slots=32, metrics=metrics)
             assert metrics.rounds == 32
             assert metrics.channel_idle == 32
 
@@ -238,39 +233,14 @@ class TestRunEquivalence:
             geometric_idle_run(0.5, 1.0)
 
     def test_fresh_homogeneous_batch_takes_the_skip_ahead(self, skip_ahead_batches):
-        run_contention(_mb_batch(8, seed=2))
+        _contend(8, 2)
         assert skip_ahead_batches == [8]
-
-    def test_batch_that_heard_a_success_runs_per_slot(self, skip_ahead_batches):
-        contenders = _mb_batch(4, seed=4)
-        contenders[1].successes_seen = 1
-        out = run_contention(contenders)
-        assert skip_ahead_batches == []
-        assert sorted(out.order) == [0, 1, 2, 3]
 
     def test_jammed_channel_runs_per_slot(self, skip_ahead_batches):
         state = AdversityState(adversity_spec("jam"), seed=8)
-        out = run_contention(_mb_batch(6, seed=5), adversity=state)
+        out = _contend(6, 5, adversity=state)
         assert skip_ahead_batches == []
         assert sorted(out.order) == list(range(6))
-
-    def test_mixed_estimates_fall_back_to_per_slot(self, skip_ahead_batches):
-        # a non-homogeneous batch is not a shared-rate Bernoulli field; the
-        # scheduler must take the per-slot loop
-        rng = random.Random(3)
-        contenders = [
-            MetcalfeBoggsContender(
-                identity=i,
-                estimated_contenders=4 + i,
-                seed=rng.randrange(2**63),
-                payload=i,
-            )
-            for i in range(4)
-        ]
-        metrics = MetricsRecorder()
-        out = run_contention(contenders, metrics=metrics)
-        assert skip_ahead_batches == []
-        assert metrics.channel_slots == out.slots_used
 
     def test_deterministic_protocols_keep_per_slot_traces(self, skip_ahead_batches):
         # Capetanakis is deterministic and walked, not sampled: identical
@@ -278,18 +248,21 @@ class TestRunEquivalence:
         ids = [3, 7, 11, 20, 21, 30]
         runs = []
         for skip_ahead in (True, False):
-            contenders = [CapetanakisContender(i, 32, payload=i) for i in ids]
-            out = _run(contenders, skip_ahead)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(metcalfe_boggs, "SKIP_AHEAD", skip_ahead)
+                out = run_contention(Capetanakis(32), ids, ids, MetricsRecorder())
             runs.append((out.order, out.slots_used, out.collisions, out.idle))
         assert runs[0] == runs[1]
         assert skip_ahead_batches == []
 
 
 class TestFastForwardAccounting:
-    def test_channel_and_metrics_agree_with_outcome(self, skip_ahead_batches):
+    def test_channel_and_metrics_agree_with_outcome(
+        self, skip_ahead_batches, monkeypatch
+    ):
+        heard = heard_success_slots(monkeypatch)
         metrics = MetricsRecorder()
-        contenders = _mb_batch(24, seed=17)
-        out = run_contention(contenders, metrics=metrics)
+        out = _contend(24, 17, metrics=metrics)
         assert skip_ahead_batches == [24]
         assert metrics.channel_slots == out.slots_used
         assert metrics.channel_idle == out.idle
@@ -297,8 +270,8 @@ class TestFastForwardAccounting:
         assert metrics.channel_success == len(out.order)
         assert metrics.rounds == out.slots_used
         # every winner recorded a distinct slot, in broadcast order
-        slots = [contender.success_slot for contender in contenders]
-        by_slot = sorted(zip(slots, (c.identity for c in contenders)))
+        slots = [heard[identity] for identity in range(24)]
+        by_slot = sorted(zip(slots, range(24)))
         assert [identity for _, identity in by_slot] == out.order
         assert len(set(slots)) == len(slots) and max(slots) < out.slots_used
 
@@ -322,7 +295,7 @@ class TestFastForwardAccounting:
         monkeypatch.setattr(SlottedChannel, "resolve_slot", resolve_spy)
         monkeypatch.setattr(SlottedChannel, "skip_idle_slots", skip_spy)
         metrics = MetricsRecorder()
-        out = run_contention(_mb_batch(16, seed=23), metrics=metrics)
+        out = _contend(16, 23, metrics=metrics)
 
         replay = MetricsRecorder()
         for state, attempts in charged:
@@ -348,5 +321,5 @@ class TestFastForwardAccounting:
     def test_write_attempt_accounting_plausible(self):
         # successes contribute exactly one attempt, collisions at least two
         metrics = MetricsRecorder()
-        out = run_contention(_mb_batch(20, seed=31), metrics=metrics)
+        out = _contend(20, 31, metrics=metrics)
         assert metrics.channel_write_attempts >= len(out.order) + 2 * out.collisions

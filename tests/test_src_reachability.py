@@ -40,7 +40,7 @@ The rules:
   (``__init__`` included) of a public class, counted statically.  An
   option no ``src`` caller sets belongs in a constant, or nowhere.
 
-Names are qualified names (``path_graph``, ``ChannelContender.success_slot``).
+Names are qualified names (``path_graph``, ``FlyweightProtocol.send``).
 Print what the drive flags, with each name's module, and the unseeded
 generators' callers, with
 
@@ -82,7 +82,7 @@ SRC = TESTS.parent / "src" / "repro"
 
 #: the most settable options ``src/repro`` may have (see
 #: :func:`settable_options`); lower it when a change removes some
-MAX_SETTABLE_OPTIONS = 131
+MAX_SETTABLE_OPTIONS = 123
 
 #: public definitions the drive does not run, and who uses them instead
 ALLOWED: Dict[str, str] = {
@@ -96,8 +96,6 @@ ALLOWED: Dict[str, str] = {
     "fit_exponents": "tests/test_walks.py: the e12 exponent-gap check (ROADMAP "
                      "item 4 gives it a row)",
     "fit_power_law": "tests/test_walks.py, through fit_exponents",
-    "ChannelContender.success_slot": "tests/test_skip_ahead.py: the distribution "
-                                     "checks' observable",
     "FlyweightProtocol.send": "tests/oracles.py: the per-node adapter forwards the "
                               "oracles' sends; the test flyweights",
     "FlyweightProtocol.channel_write": "tests/oracles.py: the per-node adapter forwards "
